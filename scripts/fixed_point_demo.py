@@ -14,7 +14,7 @@ from spantrace.dualtrace import char_class, make_dual, pairing_functorial, trace
 from spantrace.dualtrace import PushRectangles
 from spantrace.finspan import Span, identity_span, make_fin_over, make_over_map
 from spantrace.instances import omega_doc
-from spantrace.sheafops import make_sheaf, push
+from spantrace.sheafops import make_sheaf
 
 base = ("z",)
 x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
@@ -40,9 +40,7 @@ rect = PushRectangles(
     f=collapse, p=collapse, g=collapse, q=collapse,
     u=ident, v=ident, cp=identity_span(pt), dp=identity_span(pt),
 )
-dx = make_dual(obj)
-dxp = make_dual(CCObject(pt, push(collapse, sheaf)))
-res = pairing_functorial(rect, dx, dxp)
+res = pairing_functorial(rect)
 print("pushed local terms vs trace of the collapsed object:")
 print(" ", omega_doc(res.pushed))
 print(" ", omega_doc(res.rhs))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import CCMorphism, CCObject, make_cc_morphism, shriek_push
+from .corrcat import CCMorphism, CCObject, cc_relabel, make_cc_morphism, obj_tensor, shriek_push
 from .dualtrace import DualityData, PushRectangles, make_dual, pairing
 from .finspan import FinOver, Label, OverMap, Span, base_space, fiber_product
 from .sheafops import OmegaClass, Sheaf, verdier
@@ -86,8 +86,6 @@ def pull_omega(bc: BaseChange, a: OmegaClass) -> OmegaClass:
 def monoidal_structure(bc: BaseChange, a: CCObject, b: CCObject) -> CCMorphism:
     """The structure isomorphism pull(a) (x) pull(b) -> pull(a (x) b): a
     coordinate relabeling with literally equal stalks."""
-    from .corrcat import cc_relabel, obj_tensor
-
     src = obj_tensor(pull_object(bc, a), pull_object(bc, b))
     tgt = pull_object(bc, obj_tensor(a, b))
     return cc_relabel(src, tgt, lambda e: ((e[0][0], e[1][0]), e[0][1]))

@@ -167,11 +167,14 @@ def mat_block(
     for (bi, bj), m in blocks.items():
         if (m.rows, m.cols) != (row_parts[bi], col_parts[bj]):
             raise ValueError("block shape mismatch")
-        r0, c0 = row_off[bi], col_off[bj]
-        for i, row in enumerate(m.entries):
-            for j, x in enumerate(row):
-                grid[r0 + i][c0 + j] = x
+        _add_block(grid, row_off[bi], col_off[bj], m)
     return mat(ring, grid, cols=sum(col_parts))
+
+
+def _add_block(grid: list[list[int]], r0: int, c0: int, m: Matrix) -> None:
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            grid[r0 + i][c0 + j] = x
 
 
 def _offsets(parts: Sequence[int]) -> list[int]:
@@ -211,10 +214,6 @@ class Complex:
             if d == n:
                 return m
         return mat_zero(self.ring, self.rank(n + 1), self.rank(n))
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.ranks)
 
     @property
     def total_rank(self) -> int:
@@ -267,11 +266,6 @@ def cx_validate(c: Complex) -> None:
                 raise ValueError(f"d.d != 0 at degree {n}")
 
 
-def cx_shift_degrees(c: Complex) -> tuple[int, int]:
-    degs = c.degrees
-    return (degs[0], degs[-1]) if degs else (0, 0)
-
-
 # tensor layout: summands of (a (x) b)^n are the pairs (p, q), p + q = n,
 # ordered by q ascending; within a summand the basis is row-major,
 # (i, j) -> i * rank_b(q) + j.
@@ -320,12 +314,6 @@ def cx_tensor(a: Complex, b: Complex) -> Complex:
                 _add_block(grid, tgt_off[(p, q + 1)], co, blk)
         diff[n] = mat(ring, grid, cols=ranks[n])
     return make_complex(ring, ranks, diff)
-
-
-def _add_block(grid: list[list[int]], r0: int, c0: int, m: Matrix) -> None:
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            grid[r0 + i][c0 + j] = x
 
 
 @lru_cache(maxsize=4096)

@@ -12,7 +12,7 @@ import sys
 from .dualtrace import make_dual, pairing_functorial, trace
 from .generate import GenParams
 from .instances import ParseError, omega_doc, parse_file
-from .suites import SUITE_NAMES, report_emit, run_suite
+from .suites import SUITE_NAMES, parse_report, report_emit, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,10 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -82,13 +79,7 @@ def _dispatch(args) -> int:
         inst = parse_file(args.file)
         if inst.lv is None:
             raise ParseError("/lv", "file has no lv diagram")
-        rect = inst.lv
-        from .corrcat import CCObject
-        from .sheafops import push
-
-        dx = make_dual(rect.u.source)
-        dxp = make_dual(CCObject(rect.f.target, push(rect.f, rect.u.source.sheaf)))
-        res = pairing_functorial(rect, dx, dxp)
+        res = pairing_functorial(inst.lv)
         print(
             json.dumps(
                 {"pushed": omega_doc(res.pushed), "rhs": omega_doc(res.rhs),
@@ -112,11 +103,12 @@ def _dispatch(args) -> int:
         return 0 if report.ok else 1
 
     if args.command == "report":
-        text = sys.stdin.read() if args.file == "-" else open(args.file, encoding="utf-8").read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError("/", f"invalid JSON: {e}") from None
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        doc = parse_report(text)
         sys.stdout.write(report_emit(doc, args.format))
         return 0
 

@@ -39,13 +39,15 @@ from .finspan import (
     Label,
     OverMap,
     Span,
+    SpanCell,
     base_space,
-    fiber_product,
+    cell_check,
     identity_span,
     make_over_map,
+    match_by_signature,
     om_compose,
     om_identity,
-    prod_over_base,
+    span_compose,
     span_tensor,
 )
 from .sheafops import Sheaf, box, push, sheaf_hom, unit_sheaf
@@ -71,8 +73,8 @@ def unit_object(ring: Ring, base: Sequence[Label]) -> CCObject:
 
 
 def obj_tensor(a: CCObject, b: CCObject) -> CCObject:
-    space, _, _ = prod_over_base(a.space, b.space)
-    return CCObject(space, box(a.sheaf, b.sheaf))
+    sheaf = box(a.sheaf, b.sheaf)
+    return CCObject(sheaf.carrier, sheaf)
 
 
 @dataclass(frozen=True)
@@ -112,12 +114,11 @@ def cc_identity(a: CCObject) -> CCMorphism:
 
 
 def cc_compose(a: CCMorphism, b: CCMorphism) -> CCMorphism:
-    """a then b; apex the chosen fiber product, components composed pairwise."""
+    """a then b; the composite span, components composed pairwise."""
     if a.target != b.source:
         raise ValueError("composition boundary mismatch")
-    apex, pr1, pr2 = fiber_product(a.span.right, b.span.left)
-    span = Span(om_compose(a.span.left, pr1), om_compose(b.span.right, pr2))
-    maps = tuple(map_compose(b.map_at(d), a.map_at(g)) for g, d in apex.elements)
+    span = span_compose(a.span, b.span)
+    maps = tuple(map_compose(b.map_at(d), a.map_at(g)) for g, d in span.apex.elements)
     return CCMorphism(a.source, b.target, span, maps)
 
 
@@ -153,14 +154,11 @@ def make_cc_cell(source: CCMorphism, target: CCMorphism, graph: Mapping[Label, L
 
 
 def cc_cell_check(cell: CCCell) -> None:
-    """Verify leg compatibility and the fiberwise sum identity exactly."""
+    """Verify both leg equations and the fiberwise sum identity exactly."""
     s, t = cell.source, cell.target
     if s.source != t.source or s.target != t.target:
         raise ValueError("cell between non-parallel morphisms")
-    for g in s.span.apex.elements:
-        d = cell.graph(g)
-        if t.span.left(d) != s.span.left(g) or t.span.right(d) != s.span.right(g):
-            raise ValueError(f"cell legs broken at {g!r}")
+    cell_check(SpanCell(s.span, t.span, cell.graph))
     for d in t.span.apex.elements:
         parts = [s.map_at(g) for g in cell.graph.fiber(d)]
         expect = t.map_at(d)
@@ -177,12 +175,6 @@ def cc_cell_passes(cell: CCCell) -> bool:
         return True
     except ValueError:
         return False
-
-
-def cell_vcompose(q: CCCell, p: CCCell) -> CCCell:
-    if p.target != q.source:
-        raise ValueError("vertical composition boundary mismatch")
-    return CCCell(p.source, q.target, om_compose(q.graph, p.graph))
 
 
 def whisker_left(m: CCMorphism, cell: CCCell) -> CCCell:
@@ -320,32 +312,27 @@ def cc_invert(m: CCMorphism) -> CCMorphism:
 def f_natural(f: OverMap, l: Sheaf) -> CCMorphism:
     """(X, L) -> (X', push(f, L)) over the graph span; components are the
     canonical block inclusions into the fiber sums."""
-    if l.carrier != f.source:
-        raise ValueError("carrier mismatch")
-    src = CCObject(f.source, l)
-    tgt = CCObject(f.target, push(f, l))
-    span = Span(om_identity(f.source), f)
-    maps = []
-    for x in f.source.elements:
-        fiber = f.fiber(f(x))
-        parts = [l.stalk(z) for z in fiber]
-        maps.append(inclusion_map(parts, fiber.index(x), l.ring))
-    return CCMorphism(src, tgt, span, tuple(maps))
+    maps = _fiber_blocks(f, l, inclusion_map)
+    return CCMorphism(CCObject(f.source, l), CCObject(f.target, push(f, l)),
+                      Span(om_identity(f.source), f), maps)
 
 
 def f_conatural(f: OverMap, l: Sheaf) -> CCMorphism:
     """(X', push(f, L)) -> (X, L); components the canonical block projections."""
+    maps = _fiber_blocks(f, l, projection_map)
+    return CCMorphism(CCObject(f.target, push(f, l)), CCObject(f.source, l),
+                      Span(f, om_identity(f.source)), maps)
+
+
+def _fiber_blocks(f: OverMap, l: Sheaf, block: Callable) -> tuple[ChainMap, ...]:
+    """block(fiber stalks, position of x, ring) for each x, in carrier order."""
     if l.carrier != f.source:
         raise ValueError("carrier mismatch")
-    src = CCObject(f.target, push(f, l))
-    tgt = CCObject(f.source, l)
-    span = Span(f, om_identity(f.source))
-    maps = []
+    out = []
     for x in f.source.elements:
         fiber = f.fiber(f(x))
-        parts = [l.stalk(z) for z in fiber]
-        maps.append(projection_map(parts, fiber.index(x), l.ring))
-    return CCMorphism(src, tgt, span, tuple(maps))
+        out.append(block([l.stalk(z) for z in fiber], fiber.index(x), l.ring))
+    return tuple(out)
 
 
 def adjunction_unit(f: OverMap, l: Sheaf) -> CCCell:
@@ -383,7 +370,8 @@ def adjunction_triangles(f: OverMap, l: Sheaf) -> tuple[list[CCCell], list[CCCel
     a2 = cc_compose(fn, cc_compose(fc, fn))
     c3 = make_cc_cell(a1, a2, {e: (e[0][0], (e[0][1], e[1])) for e in a1.span.apex.elements})
     c4 = whisker_left(fn, eps)
-    c5 = make_cc_cell(cc_compose(fn, cc_identity(tgt_obj)), fn, {e: e[0] for e in cc_compose(fn, cc_identity(tgt_obj)).span.apex.elements})
+    fn_id = cc_compose(fn, cc_identity(tgt_obj))
+    c5 = make_cc_cell(fn_id, fn, {e: e[0] for e in fn_id.span.apex.elements})
     tri1 = [c1, c2, c3, c4, c5]
 
     # triangle for f_conatural: fc -> fc.id -> fc.(fn.fc) -> (fc.fn).fc -> id.fc -> fc
@@ -393,7 +381,8 @@ def adjunction_triangles(f: OverMap, l: Sheaf) -> tuple[list[CCCell], list[CCCel
     b2 = cc_compose(cc_compose(fc, fn), fc)
     d3 = make_cc_cell(b1, b2, {e: ((e[0], e[1][0]), e[1][1]) for e in b1.span.apex.elements})
     d4 = whisker_right(eps, fc)
-    d5 = make_cc_cell(cc_compose(cc_identity(tgt_obj), fc), fc, {e: e[1] for e in cc_compose(cc_identity(tgt_obj), fc).span.apex.elements})
+    id_fc = cc_compose(cc_identity(tgt_obj), fc)
+    d5 = make_cc_cell(id_fc, fc, {e: e[1] for e in id_fc.span.apex.elements})
     tri2 = [d1, d2, d3, d4, d5]
     return tri1, tri2
 
@@ -470,10 +459,8 @@ def shriek_push_cell(
 
 
 def internal_hom(a: CCObject, b: CCObject) -> CCObject:
-    if a.space.base != b.space.base:
-        raise ValueError("base mismatch")
-    space, _, _ = prod_over_base(a.space, b.space)
-    return CCObject(space, sheaf_hom(a.sheaf, b.sheaf))
+    sheaf = sheaf_hom(a.sheaf, b.sheaf)
+    return CCObject(sheaf.carrier, sheaf)
 
 
 def curry_morphism(m: CCMorphism, a: CCObject, b: CCObject) -> CCMorphism:
@@ -521,28 +508,11 @@ def uncurry_morphism(m: CCMorphism, b: CCObject, c: CCObject) -> CCMorphism:
 
 
 def cc_iso_search(a: CCMorphism, b: CCMorphism) -> OverMap | None:
-    """Invertible 2-cell between parallel morphisms, if one exists.
-
-    Elements can be matched exactly when their (left, right, component)
-    signatures agree, so multiset matching in carrier order is complete
-    and deterministic.
-    """
+    """Invertible 2-cell between parallel morphisms, if one exists: a
+    leg-compatible apex bijection that also matches the components."""
     if a.source != b.source or a.target != b.target:
         raise ValueError("morphisms not parallel")
-    if a.span.apex.size != b.span.apex.size:
-        return None
-    sig_a = lambda x: (a.span.left(x), a.span.right(x), a.map_at(x))
-    sig_b = lambda y: (b.span.left(y), b.span.right(y), b.map_at(y))
-    buckets: dict = {}
-    for y in b.span.apex.elements:
-        buckets.setdefault(sig_b(y), []).append(y)
-    graph = {}
-    for x in a.span.apex.elements:
-        pool = buckets.get(sig_a(x))
-        if not pool:
-            return None
-        graph[x] = pool.pop(0)
-    return OverMap(a.span.apex, b.span.apex, tuple(graph[x] for x in a.span.apex.elements))
+    return match_by_signature(a.span, b.span, a.map_at, b.map_at)
 
 
 def cc_equal_up_to_iso(a: CCMorphism, b: CCMorphism) -> bool:

@@ -86,14 +86,9 @@ def make_dual(a: CCObject) -> DualityData:
     dual = CCObject(x, verdier(a.sheaf))
     unit = unit_object(ring, x.base)
 
-    dx_space, _, _ = prod_over_base(x, x)
-    diag = OverMap(x, dx_space, tuple((e, e) for e in x.elements))
-
     ev_src = obj_tensor(dual, a)
-    ev_maps = {}
-    for e in x.elements:
-        c = a.sheaf.stalk(e)
-        ev_maps[e] = ev_map(c)
+    diag = OverMap(x, ev_src.space, tuple((e, e) for e in x.elements))
+    ev_maps = {e: ev_map(a.sheaf.stalk(e)) for e in x.elements}
     ev = make_cc_morphism(ev_src, unit, Span(diag, om_anchor(x)), ev_maps)
 
     coev_tgt = obj_tensor(a, dual)
@@ -359,26 +354,20 @@ class FunctorialResult:
         return self.pushed == self.rhs
 
 
-def pairing_functorial(
-    rect: PushRectangles,
-    dx: DualityData,
-    dxp: DualityData,
-    splitting: Splitting | None = None,
-) -> FunctorialResult:
+def pairing_functorial(rect: PushRectangles, splitting: Splitting | None = None) -> FunctorialResult:
     """Push the pairing along the induced map of fixed-point sets and
     compare with the pairing of the pushed morphisms; exact equality.
 
-    With explicit splitting data supplied, the apex component of the
-    induced map is read off the delta cell instead of the raw vertical
-    map (the two agree; the cells are checked either way).
+    The duality data of the upper source object and of its pushforward are
+    built here.  With explicit splitting data supplied, the apex component
+    of the induced map is read off the delta cell instead of the raw
+    vertical map (the two agree; the cells are checked either way).
     """
     rect.validate()
-    lhs = pairing(rect.u, rect.v, dx).omega
+    lhs = pairing(rect.u, rect.v, make_dual(rect.u.source)).omega
     u2 = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
     v2 = shriek_push(rect.v, rect.g, rect.q, rect.f, rect.dp)
-    if dxp.obj != u2.source:
-        raise ValueError("duality data for the pushed object is wrong")
-    rhs = pairing(u2, v2, dxp).omega
+    rhs = pairing(u2, v2, make_dual(u2.source)).omega
 
     if splitting is not None:
         cc_cell_check(splitting.gamma)

@@ -114,13 +114,6 @@ def om_anchor(x: FinOver) -> OverMap:
     return OverMap(x, base_space(x.base), x.anchor)
 
 
-def om_inverse(f: OverMap) -> OverMap:
-    if not f.is_bijective():
-        raise ValueError("not bijective")
-    inv = {y: x for x, y in zip(f.source.elements, f.graph)}
-    return OverMap(f.target, f.source, tuple(inv[y] for y in f.target.elements))
-
-
 def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
     """Chosen fiber product along f: X -> Z, g: Y -> Z.
 
@@ -299,24 +292,35 @@ def canonical_recoord(ea: SpanExpr, eb: SpanExpr) -> tuple[Span, Span, OverMap]:
 
 
 def span_iso_search(a: Span, b: Span) -> OverMap | None:
-    """Leg-compatible bijection between parallel spans, if one exists.
-
-    A bijection is leg-compatible exactly when it matches elements with
-    identical (left, right) images, so a deterministic greedy matching by
-    signature is complete; absence is returned as None.
-    """
+    """Leg-compatible bijection between parallel spans, if one exists."""
     if a.left.target != b.left.target or a.right.target != b.right.target:
         raise ValueError("spans not parallel")
+    return match_by_signature(a, b, _no_tag, _no_tag)
+
+
+def _no_tag(x: Label) -> None:
+    return None
+
+
+def match_by_signature(
+    a: Span, b: Span, tag_a: Callable[[Label], object], tag_b: Callable[[Label], object]
+) -> OverMap | None:
+    """Bijection between the apexes of parallel spans that matches elements
+    with equal (left, right, tag) signatures, if one exists.
+
+    Elements with equal signatures are interchangeable, so a deterministic
+    greedy matching in carrier order is complete; absence is returned as
+    None.
+    """
     if a.apex.size != b.apex.size:
         return None
-    sig = lambda s, x: (s.left(x), s.right(x))
     buckets: dict[tuple, list[Label]] = {}
     for y in b.apex.elements:
-        buckets.setdefault(sig(b, y), []).append(y)
-    graph = {}
+        buckets.setdefault((b.left(y), b.right(y), tag_b(y)), []).append(y)
+    graph = []
     for x in a.apex.elements:
-        pool = buckets.get(sig(a, x))
+        pool = buckets.get((a.left(x), a.right(x), tag_a(x)))
         if not pool:
             return None
-        graph[x] = pool.pop(0)
-    return OverMap(a.apex, b.apex, tuple(graph[x] for x in a.apex.elements))
+        graph.append(pool.pop(0))
+    return OverMap(a.apex, b.apex, tuple(graph))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .basefunc import make_base_change
 from .chainalg import (
     ChainMap,
     Complex,
@@ -29,7 +30,9 @@ from .chainalg import (
     mat_mul,
 )
 from .corrcat import CCMorphism, CCObject, make_cc_morphism
+from .dualtrace import PushRectangles
 from .finspan import FinOver, Label, OverMap, Span
+from .instances import Instance
 from .sheafops import Sheaf
 
 
@@ -142,12 +145,9 @@ def _piece_map(
             return None
         comps[k] = [[t]]
     elif a is None:
-        if l == k - 1:
-            comps[k] = [[t]]
-        elif l == k:
-            comps[k] = [[t]]
-        else:
+        if l not in (k - 1, k):
             return None
+        comps[k] = [[t]]
     elif b is None:
         if l == k:
             comps[k] = [[t]]
@@ -156,16 +156,12 @@ def _piece_map(
         else:
             return None
     else:
-        if l == k:
-            choice = rng.randrange(3)
-            if choice == 0:
-                comps[k], comps[k + 1] = [[a * t]], [[b * t]]
-            elif choice == 1 and a == b:
-                comps[k], comps[k + 1] = [[t]], [[t]]
-            else:
-                comps[k], comps[k + 1] = [[a * t]], [[b * t]]
-        else:
+        if l != k:
             return None
+        if rng.randrange(3) == 1 and a == b:
+            comps[k], comps[k + 1] = [[t]], [[t]]
+        else:
+            comps[k], comps[k + 1] = [[a * t]], [[b * t]]
     try:
         return make_chain_map(piece_complex(ring, src), piece_complex(ring, tgt), comps)
     except ValueError:
@@ -213,12 +209,8 @@ def random_space(
 ) -> FinOver:
     n = rng.randint(min_size, params.max_set)
     elements = tuple(f"{prefix}{i}" for i in range(n))
-    anchor = {x: rng.choice(base) for x in elements}
-    return make_fin_over_strs(base, elements, anchor)
-
-
-def make_fin_over_strs(base, elements, anchor) -> FinOver:
-    return FinOver(tuple(base), tuple(elements), tuple(anchor[x] for x in elements))
+    anchor = tuple(rng.choice(base) for _ in elements)
+    return FinOver(tuple(base), elements, anchor)
 
 
 def random_space_over(
@@ -297,11 +289,9 @@ def choose_ring(rng: random.Random, params: GenParams) -> Ring:
 # whole-diagram instances
 
 
-def random_lv_instance(seed: int, params: GenParams) -> "Instance":
+def random_lv_instance(seed: int, params: GenParams) -> Instance:
     """A random commuting two-rectangle diagram, lower row first, upper row
     lifted through the fibers, with coefficient data on the upper row."""
-    from .instances import Instance
-
     params.validate()
     rng = random.Random(seed)
     ring = choose_ring(rng, params)
@@ -333,8 +323,6 @@ def random_lv_instance(seed: int, params: GenParams) -> "Instance":
     inst.objects = {"L": lobj.obj, "M": mobj.obj}
     inst.spans = {"c": c, "d": d, "cp": cp, "dp": dp}
     inst.morphisms = {"u": u, "v": v}
-    from .dualtrace import PushRectangles
-
     inst.lv = PushRectangles(f=f, p=p, g=g, q=q, u=u, v=v, cp=cp, dp=dp)
     inst.lv_names = {"f": "f", "p": "p", "g": "g", "q": "q", "u": "u", "v": "v",
                      "cp": "cp", "dp": "dp"}
@@ -404,8 +392,6 @@ def random_object_instance(seed: int, params: GenParams):
 
 
 def random_base_change_for(seed: int, base: tuple, params: GenParams):
-    from .basefunc import make_base_change
-
     rng = random.Random(seed)
     n = rng.randint(0, params.max_set)
     new_base = tuple(f"t{i}" for i in range(n))

@@ -10,6 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .basefunc import BaseChange, make_base_change
@@ -50,12 +51,24 @@ def _as_dict(x, loc):
     return x
 
 
-def parse_instance(text: str) -> Instance:
+@contextmanager
+def _located(loc: str):
+    """Report a ValueError raised inside the block as a ParseError at loc."""
     try:
-        doc = json.loads(text)
+        yield
+    except ValueError as e:
+        raise ParseError(loc, str(e)) from None
+
+
+def load_json(text: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError("/", f"invalid JSON: {e}") from None
-    doc = _as_dict(doc, "/")
+
+
+def parse_instance(text: str) -> Instance:
+    doc = _as_dict(load_json(text), "/")
     _expect("modulus" in doc, "/modulus", "missing")
     _expect(isinstance(doc["modulus"], int) and doc["modulus"] >= 0, "/modulus", "must be a non-negative integer")
     ring = Ring(doc["modulus"])
@@ -70,10 +83,8 @@ def parse_instance(text: str) -> Instance:
         els = raw.get("elements")
         _expect(isinstance(els, list) and all(isinstance(x, str) for x in els), f"{loc}/elements", "must be a list of strings")
         anchor = _as_dict(raw.get("anchor", {}), f"{loc}/anchor")
-        try:
+        with _located(loc):
             inst.spaces[name] = make_fin_over(inst.base, els, anchor)
-        except ValueError as e:
-            raise ParseError(loc, str(e)) from None
 
     for name, raw in _as_dict(doc.get("maps", {}), "/maps").items():
         loc = f"/maps/{name}"
@@ -81,10 +92,8 @@ def parse_instance(text: str) -> Instance:
         src = _ref(inst.spaces, raw.get("source"), f"{loc}/source", "space")
         tgt = _ref(inst.spaces, raw.get("target"), f"{loc}/target", "space")
         graph = _as_dict(raw.get("graph", {}), f"{loc}/graph")
-        try:
+        with _located(loc):
             inst.maps[name] = make_over_map(src, tgt, graph)
-        except ValueError as e:
-            raise ParseError(loc, str(e)) from None
 
     for name, raw in _as_dict(doc.get("objects", {}), "/objects").items():
         loc = f"/objects/{name}"
@@ -94,10 +103,8 @@ def parse_instance(text: str) -> Instance:
         stalks = {}
         for el, c in stalks_raw.items():
             stalks[el] = parse_complex(ring, c, f"{loc}/stalks/{el}")
-        try:
+        with _located(f"{loc}/stalks"):
             sheaf = make_sheaf(ring, space, stalks)
-        except ValueError as e:
-            raise ParseError(f"{loc}/stalks", str(e)) from None
         inst.objects[name] = CCObject(space, sheaf)
 
     for name, raw in _as_dict(doc.get("spans", {}), "/spans").items():
@@ -105,10 +112,8 @@ def parse_instance(text: str) -> Instance:
         raw = _as_dict(raw, loc)
         left = _ref(inst.maps, raw.get("left"), f"{loc}/left", "map")
         right = _ref(inst.maps, raw.get("right"), f"{loc}/right", "map")
-        try:
+        with _located(loc):
             inst.spans[name] = Span(left, right)
-        except ValueError as e:
-            raise ParseError(loc, str(e)) from None
 
     for name, raw in _as_dict(doc.get("morphisms", {}), "/morphisms").items():
         loc = f"/morphisms/{name}"
@@ -124,16 +129,12 @@ def parse_instance(text: str) -> Instance:
             comps = {}
             for deg, rows in _as_dict(maps_raw[el], mloc).items():
                 comps[_int(deg, mloc)] = _matrix(ring, rows, mloc, src.sheaf.stalk(span.left(el)).rank(_int(deg, mloc)))
-            try:
+            with _located(mloc):
                 maps[el] = make_chain_map(
                     src.sheaf.stalk(span.left(el)), tgt.sheaf.stalk(span.right(el)), comps
                 )
-            except ValueError as e:
-                raise ParseError(mloc, str(e)) from None
-        try:
+        with _located(loc):
             inst.morphisms[name] = make_cc_morphism(src, tgt, span, maps)
-        except ValueError as e:
-            raise ParseError(loc, str(e)) from None
 
     if "lv" in doc:
         loc = "/lv"
@@ -142,7 +143,7 @@ def parse_instance(text: str) -> Instance:
         for key in ("f", "p", "g", "q", "u", "v", "cp", "dp"):
             _expect(key in raw, f"{loc}/{key}", "missing")
             names[key] = raw[key]
-        try:
+        with _located(loc):
             rect = PushRectangles(
                 f=_ref(inst.maps, names["f"], f"{loc}/f", "map"),
                 p=_ref(inst.maps, names["p"], f"{loc}/p", "map"),
@@ -154,8 +155,6 @@ def parse_instance(text: str) -> Instance:
                 dp=_ref(inst.spans, names["dp"], f"{loc}/dp", "span"),
             )
             rect.validate()
-        except ValueError as e:
-            raise ParseError(loc, str(e)) from None
         inst.lv = rect
         inst.lv_names = names
 
@@ -163,10 +162,8 @@ def parse_instance(text: str) -> Instance:
         loc = "/base_change"
         raw = _as_dict(doc["base_change"], loc)
         graph = _as_dict(raw.get("g", {}), f"{loc}/g")
-        try:
+        with _located(loc):
             inst.base_change = make_base_change(tuple(graph.keys()), graph, inst.base)
-        except ValueError as e:
-            raise ParseError(loc, str(e)) from None
     return inst
 
 
@@ -189,10 +186,8 @@ def _matrix(ring: Ring, rows, loc: str, cols_hint: int) -> Matrix:
         loc,
         "expected a matrix as a list of integer rows",
     )
-    try:
+    with _located(loc):
         return mat(ring, rows, cols=cols_hint if not rows else None)
-    except ValueError as e:
-        raise ParseError(loc, str(e)) from None
 
 
 def parse_complex(ring: Ring, raw, loc: str) -> Complex:
@@ -205,10 +200,8 @@ def parse_complex(ring: Ring, raw, loc: str) -> Complex:
     for deg, rows in _as_dict(raw.get("diff", {}), f"{loc}/diff").items():
         n = _int(deg, f"{loc}/diff")
         diff[n] = _matrix(ring, rows, f"{loc}/diff/{deg}", ranks.get(n, 0))
-    try:
+    with _located(loc):
         return make_complex(ring, ranks, diff)
-    except ValueError as e:
-        raise ParseError(loc, str(e)) from None
 
 
 def parse_file(path: str) -> Instance:

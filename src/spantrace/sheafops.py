@@ -94,13 +94,7 @@ def verdier(l: Sheaf) -> Sheaf:
 
 def sheaf_hom(l: Sheaf, m: Sheaf) -> Sheaf:
     """Internal hom on the product: stalk at (x, y) is dual(L_x) (x) M_y."""
-    if l.carrier.base != m.carrier.base:
-        raise ValueError("base mismatch")
-    if l.ring != m.ring:
-        raise ValueError("ring mismatch")
-    space, _, _ = prod_over_base(l.carrier, m.carrier)
-    stalks = tuple(cx_tensor(cx_dual(l.stalk(x)), m.stalk(y)) for x, y in space.elements)
-    return Sheaf(l.ring, space, stalks)
+    return box(verdier(l), m)
 
 
 @dataclass(frozen=True)
@@ -130,14 +124,3 @@ def omega_push(q: OverMap, a: OmegaClass) -> OmegaClass:
         raise ValueError("carrier mismatch")
     vals = tuple(a.ring.norm(sum(a.value(x) for x in q.fiber(y))) for y in q.target.elements)
     return OmegaClass(a.ring, q.target, vals)
-
-
-def omega_pull(f: OverMap, a: OmegaClass) -> OmegaClass:
-    """Value-copying pullback, used by base change."""
-    if a.carrier != f.target:
-        raise ValueError("carrier mismatch")
-    return OmegaClass(a.ring, f.source, tuple(a.value(f(x)) for x in f.source.elements))
-
-
-def omega_total(a: OmegaClass) -> int:
-    return a.ring.norm(sum(a.values))

@@ -8,6 +8,8 @@ import time
 from dataclasses import dataclass, field
 
 from .basefunc import functor_preserves, push2_strict
+from .chainalg import alt_trace
+from .corrcat import shriek_push
 from .dualtrace import (
     make_dual,
     local_pairing,
@@ -16,6 +18,7 @@ from .dualtrace import (
     pairing_symmetry,
     trace,
 )
+from .finspan import Span, base_space, om_anchor
 from .generate import (
     GenParams,
     random_base_change_for,
@@ -24,10 +27,8 @@ from .generate import (
     random_object_instance,
     random_pair_instance,
 )
-from .instances import omega_doc
-from .chainalg import alt_trace
+from .instances import ParseError, load_json, omega_doc
 from .sheafops import verdier
-from .finspan import base_space
 
 SUITE_NAMES = ("lv", "global", "triangle", "symmetry", "basechange", "oracle", "all")
 
@@ -72,26 +73,12 @@ def _suite_oracle(seed: int, index: int, params: GenParams) -> list[Check]:
 
 
 def _suite_lv(seed: int, index: int, params: GenParams) -> list[Check]:
-    inst = random_lv_instance(seed, params)
-    rect = inst.lv
-    dx = make_dual(rect.u.source)
-    res = pairing_functorial(rect, dx, _pushed_dual(rect))
+    res = pairing_functorial(random_lv_instance(seed, params).lv)
     return [_check(index, "pushforward trace identity", res.equal,
                    {"lhs": omega_doc(res.pushed), "rhs": omega_doc(res.rhs)})]
 
 
-def _pushed_dual(rect):
-    from .corrcat import CCObject
-    from .sheafops import push
-
-    pushed = CCObject(rect.f.target, push(rect.f, rect.u.source.sheaf))
-    return make_dual(pushed)
-
-
 def _suite_global(seed: int, index: int, params: GenParams) -> list[Check]:
-    from .corrcat import shriek_push
-    from .finspan import Span, om_anchor
-
     gen, e = random_endo_instance(seed, params)
     obj = gen.obj
     dx = make_dual(obj)
@@ -160,6 +147,8 @@ _SUITES = {
 def run_suite(name: str, seed: int, count: int, params: GenParams | None = None) -> Report:
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     params = params or GenParams()
     params.validate()
     names = [n for n in SUITE_NAMES if n != "all"] if name == "all" else [name]
@@ -198,6 +187,31 @@ def report_doc(report: Report) -> dict:
         ],
         "elapsed_seconds": report.elapsed_seconds,
     }
+
+
+_REPORT_FIELDS = {"suite": str, "seed": int, "count": int, "failures": int, "checks": list,
+                  "elapsed_seconds": (int, float)}
+_CHECK_FIELDS = {"index": int, "name": str, "status": str}
+
+
+def parse_report(text: str) -> dict:
+    """A report document from JSON text; raises ParseError at the location
+    of the first missing or mistyped field."""
+    doc = load_json(text)
+    _expect_fields(doc, "", _REPORT_FIELDS)
+    for i, c in enumerate(doc["checks"]):
+        _expect_fields(c, f"/checks/{i}", _CHECK_FIELDS)
+    return doc
+
+
+def _expect_fields(doc, loc: str, fields: dict) -> None:
+    if not isinstance(doc, dict):
+        raise ParseError(loc or "/", "expected an object")
+    for key, kind in fields.items():
+        if key not in doc:
+            raise ParseError(f"{loc}/{key}", "missing")
+        if not isinstance(doc[key], kind):
+            raise ParseError(f"{loc}/{key}", "has the wrong type")
 
 
 def report_emit(report_or_doc, fmt: str) -> str:

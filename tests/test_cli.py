@@ -8,9 +8,10 @@ import sys
 import pytest
 
 from spantrace.cli import main
+from spantrace.dualtrace import pairing_functorial
 from spantrace.generate import GenParams, random_lv_instance
 from spantrace.instances import ParseError, emit_instance, parse_instance
-from spantrace.suites import Check, Report, report_doc, report_emit, run_suite
+from spantrace.suites import Check, Report, parse_report, report_doc, report_emit, run_suite
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TWO_POINT = os.path.join(FIXTURES, "two_point.json")
@@ -162,6 +163,41 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["check", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        ({}, "/suite"),
+        ([], "/"),
+        ({"suite": "lv", "seed": 1, "count": 1, "failures": 0, "elapsed_seconds": 0.0}, "/checks"),
+        ({"suite": "lv", "seed": "1", "count": 1, "failures": 0, "checks": [],
+          "elapsed_seconds": 0.0}, "/seed"),
+        ({"suite": "lv", "seed": 1, "count": 1, "failures": 0, "elapsed_seconds": 0.0,
+          "checks": [{"index": 0, "name": "x"}]}, "/checks/0/status"),
+        ({"suite": "lv", "seed": 1, "count": 1, "failures": 0, "elapsed_seconds": 0.0,
+          "checks": [{"index": 0, "name": "x", "status": "pass"}, 3]}, "/checks/1"),
+    ],
+)
+def test_cli_report_rejects_non_reports(tmp_path, capsys, doc, location):
+    with pytest.raises(ParseError) as e:
+        parse_report(json.dumps(doc))
+    assert e.value.location == location
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        assert main(["report", str(p), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {location}:" in err and "Traceback" not in err
+
+
+def test_negative_count_rejected(capsys):
+    with pytest.raises(ValueError, match="count"):
+        run_suite("lv", 1, -3)
+    assert main(["fuzz", "--suite", "lv", "--seed", "1", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "count must be non-negative" in captured.err
+    assert run_suite("lv", 1, 0).checks == []
+
+
 def test_cli_subprocess_entry():
     env = dict(os.environ)
     proc = subprocess.run(
@@ -179,15 +215,7 @@ def test_generator_envelope_examples():
     inst = random_lv_instance(0, GenParams(max_set=1))
     assert len(inst.base) == 1
     # a default instance passes the pushforward check
-    from spantrace.corrcat import CCObject
-    from spantrace.dualtrace import make_dual, pairing_functorial
-    from spantrace.sheafops import push
-
-    inst42 = random_lv_instance(42, GenParams())
-    rect = inst42.lv
-    dx = make_dual(rect.u.source)
-    dxp = make_dual(CCObject(rect.f.target, push(rect.f, rect.u.source.sheaf)))
-    assert pairing_functorial(rect, dx, dxp).equal
+    assert pairing_functorial(random_lv_instance(42, GenParams()).lv).equal
 
 
 def test_cli_fuzz_tiny_lv(capsys):

@@ -28,6 +28,7 @@ from spantrace.corrcat import (
     cc_compose,
     cc_equal_up_to_iso,
     cc_identity,
+    cc_iso_search,
     cc_tensor,
     curry_morphism,
     f_conatural,
@@ -126,6 +127,50 @@ def test_cc_cell_check_examples():
         cc_cell_check(bad)
     ident_cell = make_cc_cell(collapsed, collapsed, {"x0": "x0"})
     cc_cell_check(ident_cell)
+
+
+def test_cc_cell_check_names_the_broken_leg():
+    a = scalar_object(n=2)
+    x = a.space
+    ident = cc_identity(a)
+    swapped = make_cc_cell(ident, ident, {"x0": "x1", "x1": "x0"})
+    with pytest.raises(ValueError, match="left leg broken at 'x0'"):
+        cc_cell_check(swapped)
+    crossed = make_over_map(x, x, {"x0": "x1", "x1": "x0"})
+    u = make_cc_morphism(
+        a, a, Span(om_identity(x), crossed),
+        {g: map_identity(unit_complex(ZZ)) for g in x.elements},
+    )
+    with pytest.raises(ValueError, match="right leg broken at 'x0'"):
+        cc_cell_check(make_cc_cell(u, ident, {"x0": "x0", "x1": "x1"}))
+
+
+def test_cc_iso_search_misses():
+    a = scalar_object(n=2)
+    x = a.space
+    unit_map = map_identity(unit_complex(ZZ))
+
+    def over(left, right):
+        span = Span(make_over_map(x, x, left), make_over_map(x, x, right))
+        return make_cc_morphism(a, a, span, {g: unit_map for g in x.elements})
+
+    ident = {"x0": "x0", "x1": "x1"}
+    crossed = {"x0": "x1", "x1": "x0"}
+    to_x0 = {"x0": "x0", "x1": "x0"}
+    # same legs, a component differs
+    assert cc_iso_search(loop_morphism(a, 2), loop_morphism(a, 3)) is None
+    # apex sizes differ
+    one = make_fin_over(("z",), ("g",), {"g": "z"})
+    leg = make_over_map(one, x, {"g": "x0"})
+    small = make_cc_morphism(a, a, Span(leg, leg), {"g": unit_map})
+    assert cc_iso_search(over(ident, ident), small) is None
+    assert cc_iso_search(small, over(ident, ident)) is None
+    # signature multisets differ: as sets, and only in multiplicity
+    assert cc_iso_search(over(ident, ident), over(ident, crossed)) is None
+    assert cc_iso_search(over(to_x0, to_x0), over(ident, ident)) is None
+    # the same multiset in another order is found
+    found = cc_iso_search(over(ident, crossed), over(crossed, ident))
+    assert found is not None and found.graph == ("x1", "x0")
 
 
 def constant_map_setup(stalks):

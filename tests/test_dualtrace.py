@@ -363,11 +363,9 @@ def test_pairing_functorial_identity_verticals():
         f=ident_x, p=om_identity(u.span.apex), g=ident_y, q=om_identity(v.span.apex),
         u=u, v=v, cp=u.span, dp=v.span,
     )
-    dx = make_dual(a.obj)
-    pushed_obj = CCObject(ident_x.target, push(ident_x, a.obj.sheaf))
-    res = pairing_functorial(rect, dx, make_dual(pushed_obj))
+    res = pairing_functorial(rect)
     assert res.equal
-    assert res.pushed == pairing(u, v, dx).omega
+    assert res.pushed == pairing(u, v, make_dual(a.obj)).omega
 
 
 def test_pairing_functorial_euler_additivity():
@@ -382,9 +380,7 @@ def test_pairing_functorial_euler_additivity():
     rect = PushRectangles(
         f=f, p=f, g=f, q=f, u=u, v=u, cp=identity_span(pt), dp=identity_span(pt)
     )
-    dx = make_dual(obj)
-    dxp = make_dual(CCObject(pt, push(f, sheaf)))
-    res = pairing_functorial(rect, dx, dxp)
+    res = pairing_functorial(rect)
     assert res.equal
     assert sum(res.rhs.values) == 2 + 0  # euler(rank 2 in degree 0) + euler(Q)
     pushed_cc = char_class(CCObject(pt, push(f, sheaf)))
@@ -394,12 +390,7 @@ def test_pairing_functorial_euler_additivity():
 @given(seeds)
 @settings(max_examples=25, deadline=None)
 def test_pairing_functorial_random(seed):
-    inst = random_lv_instance(seed, GenParams())
-    rect = inst.lv
-    dx = make_dual(rect.u.source)
-    dxp = make_dual(CCObject(rect.f.target, push(rect.f, rect.u.source.sheaf)))
-    res = pairing_functorial(rect, dx, dxp)
-    assert res.equal
+    assert pairing_functorial(random_lv_instance(seed, GenParams()).lv).equal
 
 
 @given(seeds)
@@ -410,11 +401,9 @@ def test_pairing_functorial_with_splitting_route(seed):
     split = proper_splitting(rect)
     cc_cell_check(split.gamma)
     cc_cell_check(split.delta)
-    dx = make_dual(rect.u.source)
-    dxp = make_dual(CCObject(rect.f.target, push(rect.f, rect.u.source.sheaf)))
-    res = pairing_functorial(rect, dx, dxp, splitting=split)
+    res = pairing_functorial(rect, splitting=split)
     assert res.equal
-    res2 = pairing_functorial(rect, dx, dxp)
+    res2 = pairing_functorial(rect)
     assert res.s == res2.s
 
 

@@ -186,6 +186,23 @@ def test_span_iso_search_examples():
     assert found is not None and found.graph == ("b", "a")
 
 
+def test_span_iso_search_misses():
+    x, y, z = two_over_one()
+    ident = om_identity(x)
+    crossed = make_over_map(x, x, {"a": "b", "b": "a"})
+    to_a = make_over_map(x, x, {"a": "a", "b": "a"})
+    # apex sizes differ
+    one = make_fin_over(("z",), ("g",), {"g": "z"})
+    leg = make_over_map(one, x, {"g": "a"})
+    assert span_iso_search(Span(ident, ident), Span(leg, leg)) is None
+    assert span_iso_search(Span(leg, leg), Span(ident, ident)) is None
+    # signature multisets differ: as sets, and only in multiplicity
+    assert span_iso_search(Span(ident, ident), Span(ident, crossed)) is None
+    assert span_iso_search(Span(to_a, to_a), Span(ident, ident)) is None
+    with pytest.raises(ValueError, match="not parallel"):
+        span_iso_search(Span(ident, ident), Span(ident, make_over_map(x, z, {"a": "z", "b": "z"})))
+
+
 def test_all_over_maps_have_finite_fibers():
     rng = random.Random(5)
     params = GenParams()

@@ -1,0 +1,32 @@
+"""The example scripts run end to end against the package in src/."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    paths = [os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_fixed_point_demo():
+    proc = _run("fixed_point_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "equal: True" in proc.stdout
+
+
+def test_run_verification_small():
+    proc = _run("run_verification.py", "--count", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "checks passed" in proc.stdout
