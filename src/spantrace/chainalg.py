@@ -14,7 +14,7 @@ dualizing twice returns the original matrices on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -44,6 +44,14 @@ class Matrix:
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        # the dataclass hash of the field tuple, computed once: the kernel
+        # caches hash their arguments on every lookup
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ring, self.rows, self.cols, self.entries)))
+        return self._hash
 
 
 def mat(ring: Ring, rows: Sequence[Sequence[int]], cols: int | None = None) -> Matrix:
@@ -202,6 +210,13 @@ class Complex:
     ring: Ring
     ranks: tuple[tuple[int, int], ...]
     diff: tuple[tuple[int, Matrix], ...]
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        # cached as for Matrix
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ring, self.ranks, self.diff)))
+        return self._hash
 
     def rank(self, n: int) -> int:
         for d, r in self.ranks:

@@ -11,6 +11,7 @@ the unique such lift through which the rectangle becomes a 2-cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Mapping, Sequence
 
 from .chainalg import (
@@ -87,7 +88,7 @@ class CCMorphism:
     maps: tuple[ChainMap, ...]
 
     def map_at(self, g: Label) -> ChainMap:
-        return self.maps[self.span.apex.elements.index(g)]
+        return self.maps[self.span.apex.index(g)]
 
 
 def make_cc_morphism(
@@ -264,9 +265,11 @@ def cc_assoc_inv(a: CCObject, b: CCObject, c: CCObject) -> CCMorphism:
     src = obj_tensor(obj_tensor(a, b), c)
     tgt = obj_tensor(a, obj_tensor(b, c))
 
+    inverse = cache(assoc_map_inv)  # once per distinct stalk triple
+
     def stalk(e: Label) -> ChainMap:
         (x, y), z = e
-        return assoc_map_inv(a.sheaf.stalk(x), b.sheaf.stalk(y), c.sheaf.stalk(z))
+        return inverse(a.sheaf.stalk(x), b.sheaf.stalk(y), c.sheaf.stalk(z))
 
     return cc_relabel(src, tgt, lambda e: (e[0][0], (e[0][1], e[1])), stalk)
 
@@ -328,10 +331,11 @@ def _fiber_blocks(f: OverMap, l: Sheaf, block: Callable) -> tuple[ChainMap, ...]
     """block(fiber stalks, position of x, ring) for each x, in carrier order."""
     if l.carrier != f.source:
         raise ValueError("carrier mismatch")
-    out = []
-    for x in f.source.elements:
-        fiber = f.fiber(f(x))
-        out.append(block([l.stalk(z) for z in fiber], fiber.index(x), l.ring))
+    out, seen = [], {}
+    for y in f.graph:
+        # x is the seen[y]-th element of its fiber, which is in carrier order
+        i = seen[y] = seen.get(y, -1) + 1
+        out.append(block([l.stalk(z) for z in f.fiber(y)], i, l.ring))
     return tuple(out)
 
 
@@ -429,10 +433,12 @@ def shriek_push(
         ys = g.fiber(lower.right(gp))
         src_parts = [l.stalk(x) for x in xs]
         tgt_parts = [m.stalk(y) for y in ys]
+        xpos = {x: i for i, x in enumerate(xs)}
+        ypos = {y: i for i, y in enumerate(ys)}
         blocks: dict[tuple[int, int], ChainMap] = {}
         for gamma in p.fiber(gp):
-            xi = xs.index(c.left(gamma))
-            yi = ys.index(c.right(gamma))
+            xi = xpos[c.left(gamma)]
+            yi = ypos[c.right(gamma)]
             piece = u.map_at(gamma)
             if (yi, xi) in blocks:
                 blocks[(yi, xi)] = map_add(blocks[(yi, xi)], piece)

@@ -9,6 +9,7 @@ bijections rather than abstract isomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable, Mapping, Sequence, Union
 
 Label = Union[str, tuple]
@@ -21,16 +22,28 @@ class FinOver:
     base: tuple[Label, ...]
     elements: tuple[Label, ...]
     anchor: tuple[Label, ...]
-    _amap: dict = field(default=None, compare=False, repr=False)
+    _pos: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_amap", dict(zip(self.elements, self.anchor)))
+        pos = dict(zip(self.elements, range(len(self.elements))))
+        if len(pos) != len(self.elements):
+            raise ValueError("duplicate labels")
+        if len(self.anchor) != len(self.elements):
+            raise ValueError(f"{len(self.anchor)} anchors for {len(self.elements)} elements")
+        object.__setattr__(self, "_pos", pos)
+
+    def index(self, x: Label) -> int:
+        """Position of x in carrier order; ValueError if x is not an element."""
+        try:
+            return self._pos[x]
+        except KeyError:
+            raise ValueError(f"{x!r} is not an element") from None
 
     def anchor_of(self, x: Label) -> Label:
-        return self._amap[x]
+        return self.anchor[self.index(x)]
 
     def __contains__(self, x: Label) -> bool:
-        return x in self._amap
+        return x in self._pos
 
     @property
     def size(self) -> int:
@@ -40,8 +53,6 @@ class FinOver:
 def make_fin_over(base: Sequence[Label], elements: Sequence[Label], anchor: Mapping[Label, Label]) -> FinOver:
     base = tuple(base)
     elements = tuple(elements)
-    if len(set(elements)) != len(elements):
-        raise ValueError("duplicate labels")
     if len(set(base)) != len(base):
         raise ValueError("duplicate base labels")
     anchors = []
@@ -67,16 +78,26 @@ class OverMap:
     source: FinOver
     target: FinOver
     graph: tuple[Label, ...]
-    _gmap: dict = field(default=None, compare=False, repr=False)
+    _fibers: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_gmap", dict(zip(self.source.elements, self.graph)))
+        if len(self.graph) != self.source.size:
+            raise ValueError(f"graph has {len(self.graph)} images for {self.source.size} elements")
 
     def __call__(self, x: Label) -> Label:
-        return self._gmap[x]
+        return self.graph[self.source._pos[x]]
 
     def fiber(self, y: Label) -> tuple[Label, ...]:
-        return tuple(x for x, v in zip(self.source.elements, self.graph) if v == y)
+        return self._fiber_map().get(y, ())
+
+    def _fiber_map(self) -> dict[Label, tuple[Label, ...]]:
+        """Every non-empty fiber, in carrier order; computed once."""
+        if self._fibers is None:
+            fibers: dict[Label, list[Label]] = {}
+            for x, y in zip(self.source.elements, self.graph):
+                fibers.setdefault(y, []).append(x)
+            object.__setattr__(self, "_fibers", {y: tuple(xs) for y, xs in fibers.items()})
+        return self._fibers
 
     def is_bijective(self) -> bool:
         return len(set(self.graph)) == len(self.graph) == self.target.size
@@ -118,22 +139,20 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
     """Chosen fiber product along f: X -> Z, g: Y -> Z.
 
     Elements are the pairs (x, y) with f(x) = g(y), in lexicographic input
-    order; returns the set together with the two projections.
+    order; returns the set together with the two projections.  A hash join:
+    each x meets only its bucket g^-1(f(x)), which g holds in carrier order.
     """
     if f.target != g.target:
         raise ValueError("fiber product target mismatch")
-    elements, anchors = [], []
-    for x in f.source.elements:
-        fx = f(x)
-        ax = f.source.anchor_of(x)
-        for y in g.source.elements:
-            if g(y) == fx:
-                elements.append((x, y))
-                anchors.append(ax)
-    apex = FinOver(f.source.base, tuple(elements), tuple(anchors))
-    pr1 = OverMap(apex, f.source, tuple(e[0] for e in elements))
-    pr2 = OverMap(apex, g.source, tuple(e[1] for e in elements))
-    return apex, pr1, pr2
+    buckets = g._fiber_map()
+    fibers = [buckets.get(fx, ()) for fx in f.graph]
+    counts = [len(ys) for ys in fibers]
+    # x and its anchor once per partner y, then the partners themselves
+    left = tuple(chain.from_iterable(map(repeat, f.source.elements, counts)))
+    anchors = tuple(chain.from_iterable(map(repeat, f.source.anchor, counts)))
+    right = tuple(chain.from_iterable(fibers))
+    apex = FinOver(f.source.base, tuple(zip(left, right)), anchors)
+    return apex, OverMap(apex, f.source, left), OverMap(apex, g.source, right)
 
 
 def prod_over_base(x: FinOver, y: FinOver) -> tuple[FinOver, OverMap, OverMap]:

@@ -285,6 +285,23 @@ def choose_ring(rng: random.Random, params: GenParams) -> Ring:
     return Ring(rng.choice([0, 7]))
 
 
+def wide_object(ring: Ring, n: int) -> CCObject:
+    """n points over one base point, past the max_set cap: the size family
+    on which duality's n^3 certificate apexes show.
+
+    Every stalk has rank 2 then rank 1 in consecutive degrees, starting at
+    degree 0 at even points (Euler characteristic 1) and at degree 1 at odd
+    ones (-1), with the differential cycling through three matrices.
+    """
+    space = FinOver(("b",), tuple(f"x{i}" for i in range(n)), ("b",) * n)
+    pool = [
+        make_complex(ring, {k: 2, k + 1: 1}, {k: d})
+        for d in ([[0, 0]], [[1, 0]], [[1, -1]])
+        for k in (0, 1)
+    ]
+    return CCObject(space, Sheaf(ring, space, tuple(pool[i % 6] for i in range(n))))
+
+
 # ---------------------------------------------------------------------------
 # whole-diagram instances
 

@@ -91,7 +91,7 @@ def parse_instance(text: str) -> Instance:
         raw = _as_dict(raw, loc)
         src = _ref(inst.spaces, raw.get("source"), f"{loc}/source", "space")
         tgt = _ref(inst.spaces, raw.get("target"), f"{loc}/target", "space")
-        graph = _as_dict(raw.get("graph", {}), f"{loc}/graph")
+        graph = _labels(raw.get("graph", {}), f"{loc}/graph")
         with _located(loc):
             inst.maps[name] = make_over_map(src, tgt, graph)
 
@@ -161,10 +161,17 @@ def parse_instance(text: str) -> Instance:
     if "base_change" in doc:
         loc = "/base_change"
         raw = _as_dict(doc["base_change"], loc)
-        graph = _as_dict(raw.get("g", {}), f"{loc}/g")
+        graph = _labels(raw.get("g", {}), f"{loc}/g")
         with _located(loc):
             inst.base_change = make_base_change(tuple(graph.keys()), graph, inst.base)
     return inst
+
+
+def _labels(x, loc: str) -> dict:
+    """A JSON object whose values are labels, i.e. strings."""
+    for key, value in _as_dict(x, loc).items():
+        _expect(isinstance(value, str), f"{loc}/{key}", "expected a label string")
+    return x
 
 
 def _ref(table: dict, name, loc: str, kind: str):

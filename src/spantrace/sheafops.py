@@ -33,7 +33,7 @@ class Sheaf:
     stalks: tuple[Complex, ...]
 
     def stalk(self, x: Label) -> Complex:
-        return self.stalks[self.carrier.elements.index(x)]
+        return self.stalks[self.carrier.index(x)]
 
 
 def make_sheaf(ring: Ring, carrier: FinOver, stalks: Mapping[Label, Complex]) -> Sheaf:
@@ -106,7 +106,7 @@ class OmegaClass:
     values: tuple[int, ...]
 
     def value(self, x: Label) -> int:
-        return self.values[self.carrier.elements.index(x)]
+        return self.values[self.carrier.index(x)]
 
 
 def make_omega(ring: Ring, carrier: FinOver, values: Mapping[Label, int]) -> OmegaClass:

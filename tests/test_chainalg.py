@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantrace.chainalg import (
+    Complex,
+    Matrix,
     Ring,
     ZZ,
     alt_trace,
@@ -430,3 +432,38 @@ def test_sum_tensor_distribution_is_chain_iso():
         # permutation matrix: exactly one 1 per row and column
         assert all(sum(row) == 1 for row in comp.entries)
         assert all(sum(col) == 1 for col in zip(*comp.entries))
+
+
+# ---------------------------------------------------------------------------
+# cached hashes
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_cached_hashes_are_the_field_tuple_hashes(seed):
+    c = seeded_complex(seed)
+    fresh = make_complex(c.ring, dict(c.ranks), dict(c.diff))  # equal, never hashed
+    assert hash(c) == hash((c.ring, c.ranks, c.diff)) == hash(fresh)
+    assert hash(c) == hash(c)  # read back from the cache
+    assert fresh == c and repr(fresh) == repr(c)
+    assert repr(c) == f"Complex(ring={c.ring!r}, ranks={c.ranks!r}, diff={c.diff!r})"
+    for _, m in c.diff:
+        assert hash(m) == hash((m.ring, m.rows, m.cols, m.entries))
+        assert Matrix(m.ring, m.rows, m.cols, m.entries) == m
+        assert repr(m) == f"Matrix(ring={m.ring!r}, rows={m.rows}, cols={m.cols}, entries={m.entries!r})"
+    other = Complex(c.ring, c.ranks + ((99, 1),), c.diff)
+    assert other != c and hash(other) == hash((other.ring, other.ranks, other.diff))
+    f = map_scale(3, map_identity(c))
+    g = map_scale(3, map_identity(fresh))
+    assert hash(f) == hash((f.source, f.target, f.components)) == hash(g)
+    assert f == g and repr(f) == repr(g)
+    assert repr(f) == f"ChainMap(source={c!r}, target={c!r}, components={f.components!r})"
+
+
+def test_cached_hash_does_not_change_equality():
+    a = mat(ZZ, [[1, 2], [3, 4]])
+    b = mat(ZZ, [[1, 2], [3, 5]])
+    hash(a)
+    assert a != b and a == mat(ZZ, [[1, 2], [3, 4]])
+    assert len({a, b, mat(ZZ, [[1, 2], [3, 4]])}) == 2
+    assert mat(Z7, [[1, 2], [3, 4]]) != a

@@ -258,3 +258,23 @@ def test_cli_fuzz_deterministic_across_processes():
     da.pop("elapsed_seconds")
     db.pop("elapsed_seconds")
     assert da == db
+
+
+@pytest.mark.parametrize("bad", [[1], {"x": "x1"}, 1, None])
+def test_cli_check_rejects_non_label_images(tmp_path, capsys, bad):
+    with open(LV_SMALL, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["maps"]["cl"]["graph"]["c0"] = bad
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "error: /maps/cl/graph/c0: expected a label string" in err and "Traceback" not in err
+
+
+def test_parse_rejects_non_label_base_change():
+    doc = json.loads(MINIMAL)
+    doc["base_change"] = {"g": {"w": ["z"]}}
+    with pytest.raises(ParseError) as e:
+        parse_instance(json.dumps(doc))
+    assert e.value.location == "/base_change/g/w"

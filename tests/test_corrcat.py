@@ -93,6 +93,16 @@ def test_cc_compose_examples():
     assert cc_compose(m, none_m).span.apex.size == 0
 
 
+def test_lookup_of_a_foreign_label_raises_value_error():
+    # ValueError, not KeyError: the suites and the CLI catch ValueError
+    a = scalar_object(n=2)
+    m = loop_morphism(a, 2)
+    assert m.map_at("x1") == m.maps[1]
+    for label in ("nowhere", ("x0", "x1")):
+        with pytest.raises(ValueError, match="not an element"):
+            m.map_at(label)
+
+
 def test_cc_tensor_examples():
     a = scalar_object()
     unit = unit_object(ZZ, a.space.base)

@@ -61,6 +61,7 @@ from spantrace.generate import (
     random_pair_instance,
     random_space,
     random_span,
+    wide_object,
 )
 from spantrace.sheafops import make_sheaf, omega_push, push, verdier
 
@@ -222,6 +223,22 @@ def test_mate_squares_commute(seed):
 
 # ---------------------------------------------------------------------------
 # pairings and traces
+
+
+def test_make_dual_past_max_set():
+    # 24 points over one base point: the triangle composites pass through
+    # apexes of 24^3 elements.  No time is asserted, but set handling that
+    # grows like n^4 makes this test take seconds instead of a fraction.
+    a = wide_object(ZZ, 24)
+    d = make_dual(a)
+    for cell, obj in ((d.triangle_obj, a), (d.triangle_dual, d.dual)):
+        assert cell.target == cc_identity(obj)
+        cc_cell_check(cell)
+    euler = [sum(r if n % 2 == 0 else -r for n, r in c.ranks) for c in a.sheaf.stalks]
+    assert euler == [1, -1] * 12
+    cc = char_class(a, d)
+    assert cc.carrier.elements == a.space.elements
+    assert list(cc.values) == euler
 
 
 def test_char_class_is_euler():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantrace.finspan import (
+    FinOver,
+    OverMap,
     Span,
     base_space,
     canonical_recoord,
@@ -210,3 +212,75 @@ def test_all_over_maps_have_finite_fibers():
     x = random_space(rng, base, "x", params)
     for s in base:
         assert isinstance(om_anchor(x).fiber(s), tuple)
+
+
+def test_fin_over_and_over_map_invariants_at_construction():
+    base = ("z",)
+    with pytest.raises(ValueError, match="duplicate labels"):
+        FinOver(base, ("a", "b", "a"), ("z", "z", "z"))
+    with pytest.raises(ValueError, match="duplicate labels"):
+        make_fin_over(base, ["a", "b", "a"], {"a": "z", "b": "z"})
+    with pytest.raises(ValueError, match="anchors"):
+        FinOver(base, ("a", "b"), ("z",))
+    with pytest.raises(ValueError, match="anchors"):
+        FinOver(base, ("a",), ("z", "z"))
+    x = FinOver(base, ("a", "b"), ("z", "z"))
+    assert x.index("b") == 1 and x.anchor_of("b") == "z" and "a" in x and "c" not in x
+    with pytest.raises(ValueError, match="not an element"):
+        x.index("c")
+    z = base_space(base)
+    with pytest.raises(ValueError, match="images"):
+        OverMap(x, z, ("z",))
+    with pytest.raises(ValueError, match="images"):
+        OverMap(x, z, ("z", "z", "z"))
+    assert OverMap(x, z, ("z", "z"))("b") == "z"
+
+
+@st.composite
+def cospans(draw):
+    """Maps f: X -> Z <- Y: g over a small base, with many-to-one maps and
+    elements of Z outside either image (empty fibers)."""
+    base = tuple(f"s{i}" for i in range(draw(st.integers(1, 3))))
+    z_anchor = draw(st.lists(st.sampled_from(base), max_size=5))
+    z = FinOver(base, tuple(f"z{i}" for i in range(len(z_anchor))), tuple(z_anchor))
+
+    def over_z(prefix):
+        if not z.elements:
+            images = []
+        else:
+            images = draw(st.lists(st.sampled_from(z.elements), max_size=7))
+        src = FinOver(base, tuple(f"{prefix}{i}" for i in range(len(images))),
+                      tuple(z.anchor_of(t) for t in images))
+        return OverMap(src, z, tuple(images))
+
+    return over_z("x"), over_z("y")
+
+
+def nested_loop_fiber_product(f, g):
+    pairs = [(x, y) for x in f.source.elements for y in g.source.elements if f(x) == g(y)]
+    return pairs, [f.source.anchor_of(x) for x, _ in pairs]
+
+
+@given(cospans())
+@settings(max_examples=200, deadline=None)
+def test_fiber_product_matches_nested_loop(fg):
+    f, g = fg
+    pairs, anchors = nested_loop_fiber_product(f, g)
+    apex, pr1, pr2 = fiber_product(f, g)
+    assert apex.elements == tuple(pairs)
+    assert apex.anchor == tuple(anchors)
+    assert apex.base == f.source.base
+    assert pr1 == OverMap(apex, f.source, tuple(x for x, _ in pairs))
+    assert pr2 == OverMap(apex, g.source, tuple(y for _, y in pairs))
+
+
+@given(cospans())
+@settings(max_examples=200, deadline=None)
+def test_cached_fibers_match_a_scan(fg):
+    f, _ = fg
+    for _ in range(2):  # computed on the first call, read on the second
+        for y in f.target.elements + ("elsewhere",):
+            assert f.fiber(y) == tuple(x for x, v in zip(f.source.elements, f.graph) if v == y)
+    # the cache is no part of the value
+    fresh = OverMap(f.source, f.target, f.graph)
+    assert fresh == f and hash(fresh) == hash(f) and repr(fresh) == repr(f)

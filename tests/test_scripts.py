@@ -1,5 +1,6 @@
 """The example scripts run end to end against the package in src/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,15 @@ def test_run_verification_small():
     proc = _run("run_verification.py", "--count", "2")
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
+
+
+def test_sweep_make_dual_small(tmp_path):
+    out = tmp_path / "BENCH_make_dual.json"
+    proc = _run("sweep_make_dual.py", "--sizes", "4", "--rounds", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["case"] == "dualtrace.make_dual"
+    assert doc["python"] and doc["cpu_count"] >= 1
+    (rec,) = doc["records"]
+    assert rec["n"] == 4 and rec["rounds"] == 2
+    assert 0 < rec["min_s"] <= rec["median_s"]

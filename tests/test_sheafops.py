@@ -211,3 +211,17 @@ def test_sheaf_rejects_invalid_stalk():
     bad = make_complex(ZZ, {0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
     with pytest.raises(ValueError, match="degree 0"):
         make_sheaf(ZZ, y, {"y": bad})
+
+
+def test_lookup_of_a_foreign_label_raises_value_error():
+    # ValueError, not KeyError: the suites and the CLI catch ValueError
+    x = make_fin_over(("z",), ("a", "b"), {"a": "z", "b": "z"})
+    q = make_complex(ZZ, {0: 1, 1: 1}, {0: [[2]]})
+    sheaf = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": q})
+    omega = make_omega(ZZ, x, {"a": 3, "b": -1})
+    assert sheaf.stalk("b") == q and omega.value("b") == -1
+    for label in ("c", ("a", "b")):
+        with pytest.raises(ValueError, match="not an element"):
+            sheaf.stalk(label)
+        with pytest.raises(ValueError, match="not an element"):
+            omega.value(label)
