@@ -1,18 +1,26 @@
 #!/usr/bin/env python3
 """Time make_dual, with both triangle certificates, over a size sweep.
 
-The object is generate.wide_object over ZZ: n points over one base point with
-rank-(2,1) stalks, past the generator's max_set cap, so the growth of
-duality's n^3 certificate apexes shows.  One untimed warm-up fills the
-kernel caches first, so the figures measure the set and correspondence
-layers rather than first-time matrix work.
+Two size families, both over ZZ and both past the generator's caps:
 
-Usage: python scripts/sweep_make_dual.py [--sizes 8,16,24,32,48] [--rounds 3]
-                                         [--out BENCH_make_dual.json]
+* ``wide`` (the default), generate.wide_object: n points over one base point
+  with rank-(2,1) stalks, so the growth of duality's n^3 certificate apexes
+  shows.  One untimed warm-up fills the kernel caches first, so the figures
+  measure the set and correspondence layers rather than first-time matrix
+  work.
+* ``deep``, generate.deep_object: one point whose stalk has total rank n, so
+  the chain-complex kernels on the rank-n^3 certificate tensors do the work.
+  The kernel caches are emptied before every round, so each round pays that
+  matrix work.
 
-Writes one record per size (median and minimum seconds, rounds, and the
-growth exponent against the previous size) plus the Python version and
-the CPU count.
+Usage: python scripts/sweep_make_dual.py [--family wide|deep] [--sizes 8,16,24,32,48]
+                                         [--rounds 3] [--out BENCH_make_dual.json]
+
+The sizes default to 8,16,24,32,48 for wide and 4,8,12,16 for deep, the
+output to BENCH_make_dual.json and BENCH_make_dual_deep.json.  Writes one
+record per size (median and minimum seconds, rounds, and the growth
+exponent against the previous size) plus the Python version and the CPU
+count.
 """
 
 import argparse
@@ -24,26 +32,46 @@ import statistics
 import sys
 import time
 
+from spantrace import chainalg
 from spantrace.chainalg import ZZ
 from spantrace.dualtrace import make_dual
-from spantrace.generate import wide_object
+from spantrace.generate import deep_object, wide_object
+
+# family: (builder, default sizes, default output, description)
+FAMILIES = {
+    "wide": (wide_object, "8,16,24,32,48", "BENCH_make_dual.json",
+             "generate.wide_object over ZZ: n points over one base point, rank-(2,1) stalks"),
+    "deep": (deep_object, "4,8,12,16", "BENCH_make_dual_deep.json",
+             "generate.deep_object over ZZ: one point, a stalk of total rank n from fixed pieces"),
+}
+
+
+def clear_kernel_caches() -> None:
+    for fn in (chainalg.cx_tensor, chainalg.cx_dual, chainalg.ev_map, chainalg.coev_map,
+               chainalg.swap_map, chainalg.assoc_map, chainalg.mat_identity):
+        fn.cache_clear()
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sizes", default="8,16,24,32,48")
+    ap.add_argument("--family", choices=sorted(FAMILIES), default="wide")
+    ap.add_argument("--sizes")
     ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--out", default="BENCH_make_dual.json")
+    ap.add_argument("--out")
     args = ap.parse_args()
-    sizes = [int(n) for n in args.sizes.split(",")]
+    build, default_sizes, default_out, family = FAMILIES[args.family]
+    sizes = [int(n) for n in (args.sizes or default_sizes).split(",")]
     if args.rounds < 1 or any(n < 1 for n in sizes):
         ap.error("sizes and rounds must be positive")
-    make_dual(wide_object(ZZ, 6))  # warm-up: every stalk of the family
+    if args.family == "wide":
+        make_dual(wide_object(ZZ, 6))  # warm-up: every stalk of the family
     records = []
     for n in sizes:
         times = []
         for _ in range(args.rounds):
-            obj = wide_object(ZZ, n)
+            obj = build(ZZ, n)
+            if args.family == "deep":
+                clear_kernel_caches()
             t0 = time.perf_counter()
             make_dual(obj)
             times.append(time.perf_counter() - t0)
@@ -55,12 +83,12 @@ def main() -> int:
         print(f"n={n}: median {rec['median_s']:.3f} s, min {rec['min_s']:.3f} s", flush=True)
     doc = {
         "case": "dualtrace.make_dual",
-        "family": "generate.wide_object over ZZ: n points over one base point, rank-(2,1) stalks",
+        "family": family,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "records": records,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.out or default_out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     return 0

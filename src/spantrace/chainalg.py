@@ -10,6 +10,13 @@ unique distribution of signs (given the Koszul rule above) for which
 evaluation/coevaluation are chain maps, the triangle composites are the
 strict identity, the categorical trace is the alternating trace, and
 dualizing twice returns the original matrices on the nose.
+
+Matrix entries are always normalised.  `mat` is the normalising entry point
+for matrices from outside (the parser, the generator, tests); the structure
+maps (tensor differentials, tensors of maps, symmetries, reassociations,
+evaluation and coevaluation, block sums) are assembled by placing their
+already normalised nonzero entries into a zero grid, so their cost follows
+the number of nonzeros rather than a dense Kronecker block per summand.
 """
 
 from __future__ import annotations
@@ -71,14 +78,20 @@ def mat(ring: Ring, rows: Sequence[Sequence[int]], cols: int | None = None) -> M
     return Matrix(ring, nrows, ncols, tuple(ent))
 
 
+def _grid_matrix(ring: Ring, grid: list[list[int]], cols: int) -> Matrix:
+    """Wrap a grid whose entries are already normalised, without mat()'s pass."""
+    return Matrix(ring, len(grid), cols, tuple(map(tuple, grid)))
+
+
 def mat_zero(ring: Ring, rows: int, cols: int) -> Matrix:
     return Matrix(ring, rows, cols, tuple((0,) * cols for _ in range(rows)))
 
 
 @lru_cache(maxsize=4096)
 def mat_identity(ring: Ring, n: int) -> Matrix:
+    one = ring.norm(1)  # 0 over Z/1, where every matrix is zero
     return Matrix(
-        ring, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        ring, n, n, tuple(tuple(one if i == j else 0 for j in range(n)) for i in range(n))
     )
 
 
@@ -111,10 +124,6 @@ def mat_scale(c: int, a: Matrix) -> Matrix:
     )
 
 
-def mat_neg(a: Matrix) -> Matrix:
-    return mat_scale(-1, a)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ring = _same_ring(a, b)
     if a.cols != b.rows:
@@ -145,7 +154,8 @@ def mat_trace(a: Matrix) -> int:
 
 
 def mat_transpose(a: Matrix) -> Matrix:
-    rows = tuple(tuple(a.entries[i][j] for i in range(a.rows)) for j in range(a.cols))
+    # zip(*()) has no rows, so a 0 x k matrix needs its k empty rows spelled out
+    rows = tuple(zip(*a.entries)) if a.rows else ((),) * a.cols
     return Matrix(a.ring, a.cols, a.rows, rows)
 
 
@@ -176,7 +186,7 @@ def mat_block(
         if (m.rows, m.cols) != (row_parts[bi], col_parts[bj]):
             raise ValueError("block shape mismatch")
         _add_block(grid, row_off[bi], col_off[bj], m)
-    return mat(ring, grid, cols=sum(col_parts))
+    return _grid_matrix(ring, grid, sum(col_parts))
 
 
 def _add_block(grid: list[list[int]], r0: int, c0: int, m: Matrix) -> None:
@@ -312,22 +322,35 @@ def cx_tensor(a: Complex, b: Complex) -> Complex:
     ranks = {
         n: sum(a.rank(p) * b.rank(q) for p, q in tensor_summands(a, b, n)) for n in degrees
     }
+    offsets = {n: tensor_offsets(a, b, n) for n in degrees}
     diff: dict[int, Matrix] = {}
     for n in degrees:
         if ranks.get(n + 1, 0) == 0:
             continue
-        src_off = tensor_offsets(a, b, n)
-        tgt_off = tensor_offsets(a, b, n + 1)
+        tgt_off = offsets[n + 1]
         grid = [[0] * ranks[n] for _ in range(ranks[n + 1])]
-        for (p, q), co in src_off.items():
+        for (p, q), co in offsets[n].items():
+            ra, rb = a.rank(p), b.rank(q)
             if a.rank(p + 1):
-                _add_block(grid, tgt_off[(p + 1, q)], co, mat_kron(a.d(p), mat_identity(ring, b.rank(q))))
-            if b.rank(q + 1):
-                blk = mat_kron(mat_identity(ring, a.rank(p)), b.d(q))
-                if p % 2:
-                    blk = mat_neg(blk)
-                _add_block(grid, tgt_off[(p, q + 1)], co, blk)
-        diff[n] = mat(ring, grid, cols=ranks[n])
+                # d_a (x) 1: entry ((i2, j), (i, j)) = d_a[i2][i]
+                ro = tgt_off[(p + 1, q)]
+                for i2, drow in enumerate(a.d(p).entries):
+                    for i, x in enumerate(drow):
+                        if x:
+                            for j in range(rb):
+                                grid[ro + i2 * rb + j][co + i * rb + j] = x
+            rb1 = b.rank(q + 1)
+            if rb1:
+                # (-1)^p 1 (x) d_b: entry ((i, j2), (i, j)) = (-1)^p d_b[j2][j]
+                ro = tgt_off[(p, q + 1)]
+                for j2, drow in enumerate(b.d(q).entries):
+                    for j, x in enumerate(drow):
+                        if x:
+                            if p % 2:
+                                x = ring.norm(-x)
+                            for i in range(ra):
+                                grid[ro + i * rb1 + j2][co + i * rb + j] = x
+        diff[n] = _grid_matrix(ring, grid, ranks[n])
     return make_complex(ring, ranks, diff)
 
 
@@ -485,7 +508,7 @@ def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
         for (p, q), co in tensor_offsets(f.source, g.source, n).items():
             if f.target.rank(p) and g.target.rank(q):
                 _add_block(grid, tgt_off[(p, q)], co, mat_kron(f.component(p), g.component(q)))
-        comps[n] = mat(ring, grid, cols=rs)
+        comps[n] = _grid_matrix(ring, grid, rs)
     return make_chain_map(src, tgt, comps, check=False)
 
 
@@ -589,10 +612,10 @@ def ev_map(c: Complex) -> ChainMap:
         row = [0] * src.rank(0)
         for (p, q), off in tensor_offsets(dual, c, 0).items():
             r = c.rank(q)
-            s = pair_sign(p)
+            s = c.ring.norm(pair_sign(p))
             for i in range(r):
                 row[off + i * r + i] = s
-        comps[0] = mat(c.ring, [row], cols=src.rank(0))
+        comps[0] = _grid_matrix(c.ring, [row], src.rank(0))
     return make_chain_map(src, tgt, comps)
 
 
@@ -607,10 +630,10 @@ def coev_map(c: Complex) -> ChainMap:
         col = [[0] for _ in range(tgt.rank(0))]
         for (n, q), off in tensor_offsets(c, dual, 0).items():
             r = c.rank(n)
-            s = pair_sign(-n)
+            s = c.ring.norm(pair_sign(-n))
             for i in range(r):
                 col[off + i * r + i][0] = s
-        comps[0] = mat(c.ring, col, cols=1)
+        comps[0] = _grid_matrix(c.ring, col, 1)
     return make_chain_map(src, tgt, comps)
 
 
@@ -627,11 +650,11 @@ def swap_map(a: Complex, b: Complex) -> ChainMap:
         for (p, q), off in tensor_offsets(a, b, n).items():
             ra, rb = a.rank(p), b.rank(q)
             to = tgt_off[(q, p)]
-            sign = -1 if (p * q) % 2 else 1
+            sign = ring.norm(-1 if (p * q) % 2 else 1)
             for i in range(ra):
                 for j in range(rb):
                     grid[to + j * ra + i][off + i * rb + j] = sign
-        comps[n] = mat(ring, grid, cols=rs)
+        comps[n] = _grid_matrix(ring, grid, rs)
     return make_chain_map(src, tgt, comps, check=False)
 
 
@@ -643,28 +666,31 @@ def assoc_map(a: Complex, b: Complex, c: Complex) -> ChainMap:
     src = cx_tensor(a, bc)
     tgt = cx_tensor(ab, c)
     ring = src.ring
+    one = ring.norm(1)
+    bc_off = {m: tensor_offsets(b, c, m) for m, _ in bc.ranks}
+    ab_off = {m: tensor_offsets(a, b, m) for m, _ in ab.ranks}
     comps = {}
     for n, rs in src.ranks:
         grid = [[0] * rs for _ in range(tgt.rank(n))]
         src_off = tensor_offsets(a, bc, n)
         tgt_off = tensor_offsets(ab, c, n)
-        for p, _ in a.ranks:
-            for q, _ in b.ranks:
-                for r, _ in c.ranks:
+        for p, ra in a.ranks:
+            for q, rb in b.ranks:
+                for r, rc in c.ranks:
                     if p + q + r != n:
                         continue
-                    ra, rb, rc = a.rank(p), b.rank(q), c.rank(r)
-                    so = src_off[(p, q + r)]
-                    bco = tensor_offsets(b, c, q + r)[(q, r)]
-                    to = tgt_off[(p + q, r)]
-                    abo = tensor_offsets(a, b, p + q)[(p, q)]
+                    # basis vector (i, j, k) of summand (p, q, r): column
+                    # so + i * rbc + j * rc + k, row to + (i * rb + j) * rc + k
+                    so = src_off[(p, q + r)] + bc_off[q + r][(q, r)]
+                    rbc = bc.rank(q + r)
+                    to = tgt_off[(p + q, r)] + ab_off[p + q][(p, q)] * rc
                     for i in range(ra):
                         for j in range(rb):
+                            col = so + i * rbc + j * rc
+                            row = to + (i * rb + j) * rc
                             for k in range(rc):
-                                col = so + i * bc.rank(q + r) + bco + j * rc + k
-                                row = to + (abo + i * rb + j) * rc + k
-                                grid[row][col] = 1
-        comps[n] = mat(ring, grid, cols=rs)
+                                grid[row + k][col + k] = one
+        comps[n] = _grid_matrix(ring, grid, rs)
     return make_chain_map(src, tgt, comps, check=False)
 
 
@@ -711,6 +737,7 @@ def sum_tensor_distribute(parts: Sequence[Complex], m: Complex, ring: Ring) -> C
     tensored = [cx_tensor(p, m) for p in parts]
     tgt = cx_direct_sum(tensored, ring)
     total = cx_direct_sum(parts, ring)
+    one = ring.norm(1)
     comps = {}
     for n, rs in src.ranks:
         grid = [[0] * rs for _ in range(tgt.rank(n))]
@@ -729,6 +756,6 @@ def sum_tensor_distribute(parts: Sequence[Complex], m: Complex, ring: Ring) -> C
                     for j in range(m.rank(q)):
                         col = so + (part_off[pi] + i) * m.rank(q) + j
                         row = tgt_part_off[pi] + t_in + i * m.rank(q) + j
-                        grid[row][col] = 1
-        comps[n] = mat(ring, grid, cols=rs)
+                        grid[row][col] = one
+        comps[n] = _grid_matrix(ring, grid, rs)
     return make_chain_map(src, tgt, comps)

@@ -302,6 +302,22 @@ def wide_object(ring: Ring, n: int) -> CCObject:
     return CCObject(space, Sheaf(ring, space, tuple(pool[i % 6] for i in range(n))))
 
 
+def deep_object(ring: Ring, r: int) -> CCObject:
+    """One point whose stalk has total rank r, past the max_rank cap: the
+    size family on which the chain-complex kernels' cost in r shows, since
+    duality's certificates tensor the stalk to rank r^3.
+
+    The stalk is a direct sum of fixed pieces: r // 2 two-term pieces at
+    degrees -2, -1, 0, 1 in turn, with differentials 1, 2, -1 in turn, and
+    one free piece at degree 0 when r is odd.
+    """
+    pieces = [((-2, -1, 0, 1)[j % 4], (1, 2, -1)[j % 3]) for j in range(r // 2)]
+    pieces += [(0, None)] * (r % 2)
+    stalk = cx_direct_sum([piece_complex(ring, p) for p in pieces], ring)
+    space = FinOver(("b",), ("x0",), ("b",))
+    return CCObject(space, Sheaf(ring, space, (stalk,)))
+
+
 # ---------------------------------------------------------------------------
 # whole-diagram instances
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .basefunc import functor_preserves, push2_strict
@@ -63,22 +64,22 @@ def _check(index: int, name: str, ok: bool, detail: dict | None = None) -> Check
     return Check(index, name, "pass" if ok else "fail", None if ok else detail)
 
 
-def _suite_oracle(seed: int, index: int, params: GenParams) -> list[Check]:
+def _suite_oracle(seed: int, index: int, params: GenParams) -> Iterator[Check]:
     a, b, u, v = random_pair_instance(seed, params)
     cat = pairing(u, v, make_dual(a.obj)).omega
     loc = local_pairing(u, v)
     ok = cat == loc
-    return [_check(index, "pairing equals pointwise alternating trace", ok,
-                   {"lhs": omega_doc(cat), "rhs": omega_doc(loc)})]
+    yield _check(index, "pairing equals pointwise alternating trace", ok,
+                 {"lhs": omega_doc(cat), "rhs": omega_doc(loc)})
 
 
-def _suite_lv(seed: int, index: int, params: GenParams) -> list[Check]:
+def _suite_lv(seed: int, index: int, params: GenParams) -> Iterator[Check]:
     res = pairing_functorial(random_lv_instance(seed, params).lv)
-    return [_check(index, "pushforward trace identity", res.equal,
-                   {"lhs": omega_doc(res.pushed), "rhs": omega_doc(res.rhs)})]
+    yield _check(index, "pushforward trace identity", res.equal,
+                 {"lhs": omega_doc(res.pushed), "rhs": omega_doc(res.rhs)})
 
 
-def _suite_global(seed: int, index: int, params: GenParams) -> list[Check]:
+def _suite_global(seed: int, index: int, params: GenParams) -> Iterator[Check]:
     gen, e = random_endo_instance(seed, params)
     obj = gen.obj
     dx = make_dual(obj)
@@ -92,46 +93,40 @@ def _suite_global(seed: int, index: int, params: GenParams) -> list[Check]:
     e_tot = shriek_push(e, a_x, a_c, a_x, point_span)
     total = alt_trace(e_tot.map_at(s.elements[0]))
     ok = local_total == total
-    return [_check(index, "sum of local terms equals global alternating trace", ok,
-                   {"lhs": local_total, "rhs": total})]
+    yield _check(index, "sum of local terms equals global alternating trace", ok,
+                 {"lhs": local_total, "rhs": total})
 
 
-def _suite_triangle(seed: int, index: int, params: GenParams) -> list[Check]:
+def _suite_triangle(seed: int, index: int, params: GenParams) -> Iterator[Check]:
     gen = random_object_instance(seed, params)
-    out = []
     try:
         make_dual(gen.obj)
-        out.append(_check(index, "duality triangle certificates", True))
+        yield _check(index, "duality triangle certificates", True)
     except ValueError as e:
-        out.append(_check(index, "duality triangle certificates", False, {"error": str(e)}))
+        yield _check(index, "duality triangle certificates", False, {"error": str(e)})
     bidual = verdier(verdier(gen.obj.sheaf)) == gen.obj.sheaf
-    out.append(_check(index, "double dual is the identity on matrices", bidual))
-    return out
+    yield _check(index, "double dual is the identity on matrices", bidual)
 
 
-def _suite_symmetry(seed: int, index: int, params: GenParams) -> list[Check]:
+def _suite_symmetry(seed: int, index: int, params: GenParams) -> Iterator[Check]:
     a, b, u, v = random_pair_instance(seed, params)
     try:
         lhs, rhs, _ = pairing_symmetry(u, v, make_dual(a.obj), make_dual(b.obj))
-        return [_check(index, "pairing symmetric through the swap", True)]
+        yield _check(index, "pairing symmetric through the swap", True)
     except ValueError as e:
-        return [_check(index, "pairing symmetric through the swap", False, {"error": str(e)})]
+        yield _check(index, "pairing symmetric through the swap", False, {"error": str(e)})
 
 
-def _suite_basechange(seed: int, index: int, params: GenParams) -> list[Check]:
+def _suite_basechange(seed: int, index: int, params: GenParams) -> Iterator[Check]:
     inst = random_lv_instance(seed, params)
     rect = inst.lv
     bc = random_base_change_for(seed ^ 0x5A5A5A, inst.base, params)
     da = make_dual(rect.u.source)
     rep = functor_preserves(bc, da, rect.u, rect.v)
-    out = [
-        _check(index, "pullback commutes with duals strictly", rep.dual_strict),
-        _check(index, "pullback commutes with pairings after recoordination",
-               rep.pairing_strict, {"lhs": omega_doc(rep.lhs), "rhs": omega_doc(rep.rhs)}),
-        _check(index, "pullback commutes with pushforward strictly",
-               push2_strict(bc, rect)),
-    ]
-    return out
+    yield _check(index, "pullback commutes with duals strictly", rep.dual_strict)
+    yield _check(index, "pullback commutes with pairings after recoordination",
+                 rep.pairing_strict, {"lhs": omega_doc(rep.lhs), "rhs": omega_doc(rep.rhs)})
+    yield _check(index, "pullback commutes with pushforward strictly", push2_strict(bc, rect))
 
 
 _SUITES = {
@@ -142,6 +137,17 @@ _SUITES = {
     "symmetry": _suite_symmetry,
     "basechange": _suite_basechange,
 }
+
+
+def _guarded(fn, seed: int, index: int, params: GenParams) -> Iterator[Check]:
+    """The checks of one suite call; an exception raised while verifying
+    ends the call with a failed check naming it and the child seed, so the
+    checks already made and the rest of the report survive."""
+    try:
+        yield from fn(seed, index, params)
+    except Exception as e:  # a fault in the program under test, reported as a check
+        yield Check(index, "verification raised", "fail",
+                    {"error": type(e).__name__, "message": str(e), "child_seed": seed})
 
 
 def run_suite(name: str, seed: int, count: int, params: GenParams | None = None) -> Report:
@@ -159,7 +165,7 @@ def run_suite(name: str, seed: int, count: int, params: GenParams | None = None)
     for suite in names:
         fn = _SUITES[suite]
         for i, child in enumerate(child_seeds):
-            for check in fn(child, i, params):
+            for check in _guarded(fn, child, i, params):
                 if name == "all":
                     check.name = f"{suite}: {check.name}"
                 report.checks.append(check)

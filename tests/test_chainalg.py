@@ -36,12 +36,13 @@ from spantrace.chainalg import (
     mat_kron,
     mat_mul,
     mat_trace,
+    mat_transpose,
     mat_zero,
     swap_map,
     unit_complex,
     zero_complex,
 )
-from spantrace.generate import GenParams, random_complex
+from spantrace.generate import GenParams, random_chain_map, random_complex
 
 Z7 = Ring(7)
 
@@ -110,6 +111,54 @@ def tensor_oracle(a, b):
                 grid[pos[(p, q + 1, i, j2)]][col] += sgn * db.entries[j2][j]
         diff[n] = grid
     return make_complex(ring, ranks, diff)
+
+
+def plain_basis(x):
+    """Degree -> basis of a complex, as (degree, index) vectors."""
+    return lambda d: [(d, i) for i in range(x.rank(d))]
+
+
+def tensor_basis(left, right, right_degrees):
+    """Degree -> basis of a tensor, as (left vector, right vector) pairs:
+    summands by the right factor's degree ascending, row-major inside."""
+    return lambda d: [(u, v) for q in right_degrees for u in left(d - q) for v in right(q)]
+
+
+def summand_starts(x, y, n):
+    """Position of the first basis vector of each summand (p, q) of (x (x) y)^n."""
+    out = {}
+    for pos, ((p, _), (q, _)) in enumerate(tensor_basis(plain_basis(x), plain_basis(y),
+                                                         [q for q, _ in y.ranks])(n)):
+        out.setdefault((p, q), pos)
+    return out
+
+
+def assoc_oracle(a, b, c, n):
+    """Basis-enumeration construction of the reassociation a (x) (b (x) c)
+    -> (a (x) b) (x) c in degree n, independent of the offset arithmetic in
+    assoc_map: each vector of the source basis goes to its regrouping."""
+    c_degrees = [r for r, _ in c.ranks]
+    bc_degrees = sorted({q + r for q, _ in b.ranks for r in c_degrees})
+    bc = tensor_basis(plain_basis(b), plain_basis(c), c_degrees)
+    ab = tensor_basis(plain_basis(a), plain_basis(b), [q for q, _ in b.ranks])
+    src = tensor_basis(plain_basis(a), bc, bc_degrees)(n)
+    tgt = tensor_basis(ab, plain_basis(c), c_degrees)(n)
+    pos = {v: row for row, v in enumerate(tgt)}
+    grid = [[0] * len(src) for _ in tgt]
+    for col, (x, (y, z)) in enumerate(src):
+        grid[pos[((x, y), z)]][col] = a.ring.norm(1)
+    return grid
+
+
+def big_complex(rng, ring):
+    """A direct sum of three generator complexes: ranks past max_rank, which
+    random_complex alone never reaches (it stays at rank <= 2 per degree)."""
+    params = GenParams(max_rank=6)
+    return cx_direct_sum([random_complex(rng, ring, params).cx for _ in range(3)], ring)
+
+
+def assert_normalised(m):
+    assert m == mat(m.ring, m.entries, cols=m.cols)
 
 
 def seeded_complex(seed, modulus=None):
@@ -217,9 +266,15 @@ def test_cx_tensor_matches_basis_oracle(s1, s2):
     ring = Ring(rng.choice([0, 7]))
     a = random_complex(rng, ring, GenParams()).cx
     b = random_complex(rng, ring, GenParams()).cx
-    t = cx_tensor(a, b)
-    cx_validate(t)
-    assert t == tensor_oracle(a, b)
+    pairs = [(a, b)]
+    for m in (0, 7, 2, 1):
+        pairs.append((big_complex(rng, Ring(m)), big_complex(rng, Ring(m))))
+    for a, b in pairs:
+        t = cx_tensor(a, b)
+        cx_validate(t)
+        assert t == tensor_oracle(a, b)
+        for _, d in t.diff:
+            assert_normalised(d)
 
 
 def test_cx_dual_examples():
@@ -282,6 +337,34 @@ def test_map_tensor_examples():
     t = map_tensor(two, map_identity(q))
     assert t.component(0) == mat(ZZ, [[2]])
     assert t.component(1) == mat(ZZ, [[2]])
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_map_tensor_matches_kron_oracle(seed):
+    rng = random.Random(seed)
+    for m in (0, 7, 2, 1):
+        ring = Ring(m)
+        recs = [random_complex(rng, ring, GenParams()) for _ in range(4)]
+        big = big_complex(rng, ring)
+        f = random_chain_map(rng, recs[0], recs[1])
+        g = random_chain_map(rng, recs[2], recs[3])
+        for f, g in ((f, g), (f, map_scale(rng.randint(-3, 3), map_identity(big)))):
+            t = map_tensor(f, g)
+            assert (t.source, t.target) == (cx_tensor(f.source, g.source), cx_tensor(f.target, g.target))
+            for n, _ in t.source.ranks:
+                comp = t.component(n)
+                assert_normalised(comp)
+                # every entry outside the blocks of matching summands is zero
+                expect = [[0] * comp.cols for _ in range(comp.rows)]
+                tgt_at = summand_starts(f.target, g.target, n)
+                for (p, q), c0 in summand_starts(f.source, g.source, n).items():
+                    if (p, q) in tgt_at:
+                        blk = kron_oracle(ring, [list(r) for r in f.component(p).entries],
+                                          [list(r) for r in g.component(q).entries])
+                        for i, row in enumerate(blk):
+                            expect[tgt_at[(p, q)] + i][c0:c0 + len(row)] = row
+                assert [list(r) for r in comp.entries] == expect
 
 
 def test_chain_map_rejects_non_commuting():
@@ -361,6 +444,34 @@ def test_structure_maps_are_chain_maps(seed):
         cx_tensor(cx_tensor(a, b), c)
     )
     assert map_compose(swap_map(b, a), swap_map(a, b)) == map_identity(cx_tensor(a, b))
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_assoc_map_matches_basis_oracle(seed):
+    rng = random.Random(seed)
+    for m in (0, 7, 2, 1):
+        ring = Ring(m)
+        a, b, c = (big_complex(rng, ring) for _ in range(3))
+        f, g = assoc_map(a, b, c), assoc_map_inv(a, b, c)
+        for n, _ in f.source.ranks:
+            assert [list(r) for r in f.component(n).entries] == assoc_oracle(a, b, c, n)
+            assert_normalised(f.component(n))
+            assert_normalised(g.component(n))
+        assert map_compose(f, g) == map_identity(f.target)
+        assert map_compose(g, f) == map_identity(f.source)
+
+
+def test_mat_transpose_keeps_shapes():
+    rng = random.Random(3)
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 5)):
+        for ring in (ZZ, Z7):
+            m = mat(ring, [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols=cols)
+            t = mat_transpose(m)
+            assert (t.ring, t.rows, t.cols) == (ring, cols, rows)
+            assert t.entries == tuple(tuple(m.entries[i][j] for i in range(rows)) for j in range(cols))
+            assert_normalised(t)
+            assert mat_transpose(t) == m
 
 
 @given(seeds)

@@ -2,11 +2,13 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from spantrace import suites
 from spantrace.cli import main
 from spantrace.dualtrace import pairing_functorial
 from spantrace.generate import GenParams, random_lv_instance
@@ -187,6 +189,32 @@ def test_cli_report_rejects_non_reports(tmp_path, capsys, doc, location):
         assert main(["report", str(p), "--format", fmt]) == 2
         err = capsys.readouterr().err
         assert f"error: {location}:" in err and "Traceback" not in err
+
+
+def test_cli_fuzz_reports_a_raising_verification(monkeypatch, capsys):
+    def raising(seed, index, params):
+        yield Check(index, "made before the fault", "pass")
+        if index == 1:
+            raise ZeroDivisionError("injected fault")
+
+    clean = [(c.index, c.name) for c in run_suite("all", 5, 2).checks]
+    monkeypatch.setitem(suites._SUITES, "lv", raising)
+    assert main(["fuzz", "--suite", "all", "--seed", "5", "--count", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    doc = parse_report(captured.out)
+    master = random.Random(5)
+    child = [master.getrandbits(63) for _ in range(2)][1]
+    assert doc["failures"] == 1
+    (failed,) = [c for c in doc["checks"] if c["status"] != "pass"]
+    assert failed["index"] == 1 and failed["name"] == "lv: verification raised"
+    assert failed["detail"] == {"error": "ZeroDivisionError", "message": "injected fault",
+                                "child_seed": child}
+    names = [(c["index"], c["name"]) for c in doc["checks"]]
+    # the checks made before the fault and every other suite's checks survive
+    assert names[:3] == [(0, "lv: made before the fault"), (1, "lv: made before the fault"),
+                         (1, "lv: verification raised")]
+    assert names[3:] == [n for n in clean if not n[1].startswith("lv: ")]
 
 
 def test_negative_count_rejected(capsys):

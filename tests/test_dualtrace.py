@@ -53,6 +53,7 @@ from spantrace.finspan import (
 )
 from spantrace.generate import (
     GenParams,
+    deep_object,
     random_base,
     random_cc_morphism,
     random_endo_instance,
@@ -239,6 +240,21 @@ def test_make_dual_past_max_set():
     cc = char_class(a, d)
     assert cc.carrier.elements == a.space.elements
     assert list(cc.values) == euler
+
+
+@pytest.mark.parametrize("modulus", [0, 7])
+def test_make_dual_past_max_rank(modulus):
+    # one point whose stalk has total rank 9: the triangle composites
+    # tensor it to rank 729
+    a = deep_object(Ring(modulus), 9)
+    (stalk,) = a.sheaf.stalks
+    assert stalk.total_rank == 9
+    d = make_dual(a)
+    for cell, obj in ((d.triangle_obj, a), (d.triangle_dual, d.dual)):
+        assert cell.target == cc_identity(obj)
+        cc_cell_check(cell)
+    euler = sum(r if n % 2 == 0 else -r for n, r in stalk.ranks)
+    assert list(char_class(a, d).values) == [Ring(modulus).norm(euler)]
 
 
 def test_char_class_is_euler():

@@ -43,3 +43,16 @@ def test_sweep_make_dual_small(tmp_path):
     (rec,) = doc["records"]
     assert rec["n"] == 4 and rec["rounds"] == 2
     assert 0 < rec["min_s"] <= rec["median_s"]
+
+
+def test_sweep_make_dual_deep(tmp_path):
+    out = tmp_path / "BENCH_make_dual_deep.json"
+    proc = _run("sweep_make_dual.py", "--family", "deep", "--sizes", "4", "--rounds", "2",
+                "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["case"] == "dualtrace.make_dual"
+    assert doc["family"].startswith("generate.deep_object")
+    (rec,) = doc["records"]
+    assert rec["n"] == 4 and rec["rounds"] == 2
+    assert 0 < rec["min_s"] <= rec["median_s"]
