@@ -203,6 +203,22 @@ def _offsets(parts: Sequence[int]) -> list[int]:
     return out
 
 
+def _stored_block(
+    ring: Ring, m: Matrix | Sequence[Sequence[int]] | None, rows: int, cols: int, what: str, n: int
+) -> Matrix:
+    """The degree-n block of a complex, chain map or homotopy: raw rows go
+    through mat(), an absent block is zero, and shape and ring are checked."""
+    if m is None:
+        return mat_zero(ring, rows, cols)
+    if not isinstance(m, Matrix):
+        m = mat(ring, m, cols=cols)
+    if (m.rows, m.cols) != (rows, cols):
+        raise ValueError(f"{what} at degree {n} has shape {m.rows}x{m.cols}, expected {rows}x{cols}")
+    if m.ring is not ring and m.ring != ring:  # identity first: this runs per stored block
+        raise ValueError(f"ring mismatch in {what} at degree {n}")
+    return m
+
+
 # ---------------------------------------------------------------------------
 # complexes
 
@@ -261,16 +277,7 @@ def make_complex(
         r_up = rank_of.get(n + 1, 0)
         if r_up == 0:
             continue
-        m = diff.get(n)
-        if m is None:
-            m = mat_zero(ring, r_up, r)
-        elif not isinstance(m, Matrix):
-            m = mat(ring, m, cols=r)
-        if (m.rows, m.cols) != (r_up, r):
-            raise ValueError(f"differential at degree {n} has shape {m.rows}x{m.cols}, expected {r_up}x{r}")
-        if m.ring != ring:
-            raise ValueError("ring mismatch in differential")
-        stored.append((n, m))
+        stored.append((n, _stored_block(ring, diff.get(n), r_up, r, "differential", n)))
     return Complex(ring, rk, tuple(stored))
 
 
@@ -423,14 +430,7 @@ def make_chain_map(
         rt = target.rank(n)
         if rt == 0:
             continue
-        m = components.get(n)
-        if m is None:
-            m = mat_zero(ring, rt, rs)
-        elif not isinstance(m, Matrix):
-            m = mat(ring, m, cols=rs)
-        if (m.rows, m.cols) != (rt, rs):
-            raise ValueError(f"component at degree {n} has shape {m.rows}x{m.cols}, expected {rt}x{rs}")
-        stored.append((n, m))
+        stored.append((n, _stored_block(ring, components.get(n), rt, rs, "component", n)))
     f = ChainMap(source, target, tuple(stored))
     if check:
         for n, _ in source.ranks:
@@ -567,10 +567,7 @@ def make_homotopy(
     stored = []
     for n, m in components.items():
         rt, rs = target.rank(n - 1), source.rank(n)
-        if not isinstance(m, Matrix):
-            m = mat(source.ring, m, cols=rs)
-        if (m.rows, m.cols) != (rt, rs):
-            raise ValueError(f"homotopy component at degree {n} has shape {m.rows}x{m.cols}, expected {rt}x{rs}")
+        m = _stored_block(source.ring, m, rt, rs, "homotopy component", n)
         if rt and rs:
             stored.append((n, m))
     return Homotopy(source, target, tuple(sorted(stored)))

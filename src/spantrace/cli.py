@@ -33,7 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seed", required=True, type=int)
     p_fuzz.add_argument("--count", required=True, type=int)
     p_fuzz.add_argument("--max-set", type=int, default=4)
-    p_fuzz.add_argument("--max-rank", type=int, default=3)
+    p_fuzz.add_argument(
+        "--max-rank", type=int, default=3, help="per-degree rank cap; values above 2 act as 2"
+    )
     p_fuzz.add_argument("--deg-min", type=int, default=-2)
     p_fuzz.add_argument("--deg-max", type=int, default=2)
     p_fuzz.add_argument("--modulus", type=int, default=None)

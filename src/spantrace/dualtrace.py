@@ -354,35 +354,21 @@ class FunctorialResult:
         return self.pushed == self.rhs
 
 
-def pairing_functorial(rect: PushRectangles, splitting: Splitting | None = None) -> FunctorialResult:
+def pairing_functorial(rect: PushRectangles) -> FunctorialResult:
     """Push the pairing along the induced map of fixed-point sets and
     compare with the pairing of the pushed morphisms; exact equality.
 
     The duality data of the upper source object and of its pushforward are
-    built here.  With explicit splitting data supplied, the apex component
-    of the induced map is read off the delta cell instead of the raw
-    vertical map (the two agree; the cells are checked either way).
+    built here.  The induced map sends (gamma, delta) to (p(gamma),
+    q(delta)); proper_splitting's delta cell has exactly this apex
+    component by construction.
     """
     rect.validate()
     lhs = pairing(rect.u, rect.v, make_dual(rect.u.source)).omega
     u2 = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
     v2 = shriek_push(rect.v, rect.g, rect.q, rect.f, rect.dp)
     rhs = pairing(u2, v2, make_dual(u2.source)).omega
-
-    if splitting is not None:
-        cc_cell_check(splitting.gamma)
-        cc_cell_check(splitting.delta)
-        c = rect.u.span
-
-        def push_gamma(g):
-            return splitting.delta.graph((g, c.right(g)))
-
-    else:
-
-        def push_gamma(g):
-            return rect.p(g)
-
-    graph = tuple((push_gamma(g), rect.q(d)) for g, d in lhs.carrier.elements)
+    graph = tuple((rect.p(g), rect.q(d)) for g, d in lhs.carrier.elements)
     s = OverMap(lhs.carrier, rhs.carrier, graph)
     pushed = omega_push(s, lhs)
     return FunctorialResult(s, pushed, rhs)

@@ -1,9 +1,10 @@
 """Finite sets over a base, anchored maps, spans and 2-cells between spans.
 
 Fiber products are chosen once and for all (pair sets in lexicographic
-input order), so composites of spans are honest values and canonical
-identifications between differently-bracketed composites are explicit
-bijections rather than abstract isomorphisms.
+input order), so composites of spans are honest values.  A canonical
+identification between differently-bracketed composites is written where
+it is needed as the explicit apex bijection that retuples the nested
+pairs, e.g. ((a, b), c) -> (a, (b, c)), and checked as a SpanCell.
 """
 
 from __future__ import annotations
@@ -233,81 +234,6 @@ def cell_vcompose(q: SpanCell, p: SpanCell) -> SpanCell:
     if p.target != q.source:
         raise ValueError("vertical composition boundary mismatch")
     return SpanCell(p.source, q.target, om_compose(q.graph, p.graph))
-
-
-# ---------------------------------------------------------------------------
-# canonical recoordination
-
-# Span expressions: Leaf(span) holds a building block; unit-like leaves
-# (identity spans and the unit span of the base) contribute no coordinate
-# to the normal form, which makes reassociation and unit insertion into
-# explicit apex bijections.
-
-
-@dataclass(frozen=True)
-class SpanExpr:
-    kind: str  # "leaf" | "id_leaf" | "comp" | "tensor"
-    span: Span | None = None
-    a: "SpanExpr | None" = None
-    b: "SpanExpr | None" = None
-
-
-def leaf(span: Span) -> SpanExpr:
-    return SpanExpr("leaf", span=span)
-
-
-def id_leaf(span: Span) -> SpanExpr:
-    """A leaf whose apex coordinate is redundant (identity or unit span)."""
-    return SpanExpr("id_leaf", span=span)
-
-
-def comp(a: SpanExpr, b: SpanExpr) -> SpanExpr:
-    return SpanExpr("comp", a=a, b=b)
-
-
-def tensor(a: SpanExpr, b: SpanExpr) -> SpanExpr:
-    return SpanExpr("tensor", a=a, b=b)
-
-
-def eval_span_expr(e: SpanExpr) -> tuple[Span, Callable[[Label], tuple]]:
-    """Evaluate to the chosen span plus the normal-form extractor on its apex."""
-    if e.kind in ("leaf", "id_leaf"):
-        keep = e.kind == "leaf"
-        return e.span, (lambda x: (x,)) if keep else (lambda x: ())
-    sa, na = eval_span_expr(e.a)
-    sb, nb = eval_span_expr(e.b)
-    if e.kind == "comp":
-        span = span_compose(sa, sb)
-    else:
-        span = span_tensor(sa, sb)
-    return span, lambda x: na(x[0]) + nb(x[1])
-
-
-def canonical_recoord(ea: SpanExpr, eb: SpanExpr) -> tuple[Span, Span, OverMap]:
-    """Canonical bijection between the apexes of two parallel composites.
-
-    Both expressions must evaluate to spans whose apexes have the same
-    normal forms (the tuples of non-redundant leaf coordinates); the
-    bijection is the evident retupling and is checked to be one.
-    """
-    sa, na = eval_span_expr(ea)
-    sb, nb = eval_span_expr(eb)
-    forms_b = {}
-    for y in sb.apex.elements:
-        key = nb(y)
-        if key in forms_b:
-            raise ValueError("normal forms not unique; expressions not canonically parallel")
-        forms_b[key] = y
-    graph = {}
-    for x in sa.apex.elements:
-        key = na(x)
-        if key not in forms_b:
-            raise ValueError("expressions not parallel")
-        graph[x] = forms_b[key]
-    if len(set(graph.values())) != sb.apex.size or sa.apex.size != sb.apex.size:
-        raise ValueError("expressions not parallel")
-    bij = OverMap(sa.apex, sb.apex, tuple(graph[x] for x in sa.apex.elements))
-    return sa, sb, bij
 
 
 def span_iso_search(a: Span, b: Span) -> OverMap | None:

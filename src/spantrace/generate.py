@@ -38,6 +38,10 @@ from .sheafops import Sheaf
 
 @dataclass(frozen=True)
 class GenParams:
+    """Size bounds for the generator.  A complex is at most two one- or
+    two-term pieces, so no degree exceeds rank 2: every max_rank above 2
+    generates the same complexes as 2."""
+
     max_set: int = 4
     max_rank: int = 3
     deg_min: int = -2
@@ -104,22 +108,16 @@ def random_complex(rng: random.Random, ring: Ring, params: GenParams) -> Complex
     ranks: dict[int, int] = {}
     for _ in range(rng.randrange(0, 3)):
         if rng.random() < 0.4 or params.deg_min == params.deg_max:
-            k = rng.randint(params.deg_min, params.deg_max)
-            cand = [(k, None)]
+            piece = (rng.randint(params.deg_min, params.deg_max), None)
         else:
-            k = rng.randint(params.deg_min, params.deg_max - 1)
-            a = rng.choice([-3, -2, -1, 1, 2, 3])
-            cand = [(k, a)]
-        add = {}
-        for d, x in cand:
-            add[d] = add.get(d, 0) + 1
-            if x is not None:
-                add[d + 1] = add.get(d + 1, 0) + 1
-        if any(ranks.get(d, 0) + c > params.max_rank for d, c in add.items()):
+            piece = (rng.randint(params.deg_min, params.deg_max - 1), rng.choice([-3, -2, -1, 1, 2, 3]))
+        k, a = piece
+        degrees = (k,) if a is None else (k, k + 1)
+        if any(ranks.get(d, 0) >= params.max_rank for d in degrees):
             continue
-        for d, c in add.items():
-            ranks[d] = ranks.get(d, 0) + c
-        pieces.extend(cand)
+        for d in degrees:
+            ranks[d] = ranks.get(d, 0) + 1
+        pieces.append(piece)
     parts = [piece_complex(ring, p) for p in pieces]
     base = cx_direct_sum(parts, ring)
     basis, basis_inv, diff = {}, {}, {}

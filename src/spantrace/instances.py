@@ -70,7 +70,7 @@ def load_json(text: str):
 def parse_instance(text: str) -> Instance:
     doc = _as_dict(load_json(text), "/")
     _expect("modulus" in doc, "/modulus", "missing")
-    _expect(isinstance(doc["modulus"], int) and doc["modulus"] >= 0, "/modulus", "must be a non-negative integer")
+    _expect(_is_int(doc["modulus"]) and doc["modulus"] >= 0, "/modulus", "must be a non-negative integer")
     ring = Ring(doc["modulus"])
     _expect("base" in doc, "/base", "missing")
     base = doc["base"]
@@ -180,6 +180,11 @@ def _ref(table: dict, name, loc: str, kind: str):
     return table[name]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; booleans are ints in Python but would not re-emit as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int(s: str, loc: str) -> int:
     try:
         return int(s)
@@ -189,7 +194,7 @@ def _int(s: str, loc: str) -> int:
 
 def _matrix(ring: Ring, rows, loc: str, cols_hint: int) -> Matrix:
     _expect(
-        isinstance(rows, list) and all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows),
+        isinstance(rows, list) and all(isinstance(r, list) and all(map(_is_int, r)) for r in rows),
         loc,
         "expected a matrix as a list of integer rows",
     )
@@ -201,7 +206,7 @@ def parse_complex(ring: Ring, raw, loc: str) -> Complex:
     raw = _as_dict(raw, loc)
     ranks = {}
     for deg, r in _as_dict(raw.get("ranks", {}), f"{loc}/ranks").items():
-        _expect(isinstance(r, int) and r >= 0, f"{loc}/ranks/{deg}", "rank must be a non-negative integer")
+        _expect(_is_int(r) and r >= 0, f"{loc}/ranks/{deg}", "rank must be a non-negative integer")
         ranks[_int(deg, f"{loc}/ranks")] = r
     diff = {}
     for deg, rows in _as_dict(raw.get("diff", {}), f"{loc}/diff").items():

@@ -32,6 +32,10 @@ class Sheaf:
     carrier: FinOver
     stalks: tuple[Complex, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.stalks) != self.carrier.size:
+            raise ValueError(f"{len(self.stalks)} stalks for {self.carrier.size} elements")
+
     def stalk(self, x: Label) -> Complex:
         return self.stalks[self.carrier.index(x)]
 
@@ -104,6 +108,10 @@ class OmegaClass:
     ring: Ring
     carrier: FinOver
     values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.values) != self.carrier.size:
+            raise ValueError(f"{len(self.values)} values for {self.carrier.size} elements")
 
     def value(self, x: Label) -> int:
         return self.values[self.carrier.index(x)]

@@ -373,6 +373,19 @@ def test_chain_map_rejects_non_commuting():
         make_chain_map(q, q, {0: [[1]], 1: [[2]]})
 
 
+def test_blocks_over_the_wrong_ring_rejected():
+    q = q_complex()
+    z7 = mat(Ring(7), [[3]])
+    with pytest.raises(ValueError, match="ring mismatch in differential"):
+        make_complex(ZZ, {0: 1, 1: 1}, {0: z7})
+    with pytest.raises(ValueError, match="ring mismatch in component"):
+        make_chain_map(q, q, {0: z7, 1: mat(ZZ, [[3]])}, check=False)
+    with pytest.raises(ValueError, match="ring mismatch in component"):
+        make_chain_map(make_complex(ZZ, {0: 1}), make_complex(ZZ, {0: 1}), {0: z7})
+    with pytest.raises(ValueError, match="ring mismatch in homotopy component"):
+        make_homotopy(q, q, {1: z7})
+
+
 def test_homotopy_perturb_examples():
     q = q_complex()
     e = map_identity(q)

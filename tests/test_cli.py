@@ -300,6 +300,42 @@ def test_cli_check_rejects_non_label_images(tmp_path, capsys, bad):
     assert "error: /maps/cl/graph/c0: expected a label string" in err and "Traceback" not in err
 
 
+STALK_Z = ["objects", "unit", "stalks", "z"]
+
+
+@pytest.mark.parametrize(
+    "path, value, location",
+    [
+        (["modulus"], True, "/modulus"),
+        (STALK_Z + ["ranks", "0"], True, "/objects/unit/stalks/z/ranks/0"),
+        (STALK_Z, {"ranks": {"0": 1, "1": 1}, "diff": {"0": [[True]]}}, "/objects/unit/stalks/z/diff/0"),
+        (["morphisms", "u", "maps", "g", "0"], [[True]], "/morphisms/u/maps/g"),
+    ],
+    ids=["modulus", "rank", "diff", "component"],
+)
+def test_cli_check_rejects_booleans_as_integers(tmp_path, capsys, path, value, location):
+    # true == 1 in Python, but a boolean would parse to an instance equal to
+    # the one with 1 and then re-emit as true, breaking canonical emission
+    if path[0] == "morphisms":
+        with open(TWO_POINT, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    else:
+        doc = json.loads(MINIMAL)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as e:
+        parse_instance(text)
+    assert e.value.location == location
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {location}:" in err and "Traceback" not in err
+
+
 def test_parse_rejects_non_label_base_change():
     doc = json.loads(MINIMAL)
     doc["base_change"] = {"g": {"w": ["z"]}}

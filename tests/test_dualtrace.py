@@ -428,16 +428,16 @@ def test_pairing_functorial_random(seed):
 
 @given(seeds)
 @settings(max_examples=15, deadline=None)
-def test_pairing_functorial_with_splitting_route(seed):
-    inst = random_lv_instance(seed, GenParams())
-    rect = inst.lv
+def test_proper_splitting_cells_and_delta_graph(seed):
+    # the delta cell's apex component is the vertical map p, which is how
+    # pairing_functorial pushes the upper fixed points down
+    rect = random_lv_instance(seed, GenParams()).lv
     split = proper_splitting(rect)
     cc_cell_check(split.gamma)
     cc_cell_check(split.delta)
-    res = pairing_functorial(rect, splitting=split)
-    assert res.equal
-    res2 = pairing_functorial(rect)
-    assert res.s == res2.s
+    c = rect.u.span
+    for g in c.apex.elements:
+        assert split.delta.graph((g, c.right(g))) == rect.p(g)
 
 
 def test_pairing_functorial_rejects_non_commuting():

@@ -225,3 +225,18 @@ def test_lookup_of_a_foreign_label_raises_value_error():
             sheaf.stalk(label)
         with pytest.raises(ValueError, match="not an element"):
             omega.value(label)
+
+
+def test_sheaf_and_omega_lengths_checked_at_construction():
+    x = make_fin_over(("z",), ("x0", "x1", "x2"), {"x0": "z", "x1": "z", "x2": "z"})
+    one = unit_complex(ZZ)
+    with pytest.raises(ValueError, match="1 stalks for 3 elements"):
+        Sheaf(ZZ, x, (one,))
+    with pytest.raises(ValueError, match="4 stalks for 3 elements"):
+        Sheaf(ZZ, x, (one,) * 4)
+    assert Sheaf(ZZ, x, (one,) * 3).stalk("x2") == one
+    with pytest.raises(ValueError, match="2 values for 3 elements"):
+        OmegaClass(ZZ, x, (1, 2))
+    with pytest.raises(ValueError, match="4 values for 3 elements"):
+        OmegaClass(ZZ, x, (1, 2, 3, 4))
+    assert OmegaClass(ZZ, x, (1, 2, 3)).value("x2") == 3
