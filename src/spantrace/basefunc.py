@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .corrcat import CCMorphism, CCObject, cc_relabel, make_cc_morphism, obj_tensor, shriek_push
 from .dualtrace import DualityData, PushRectangles, make_dual, pairing
 from .finspan import FinOver, Label, OverMap, Span, base_space, fiber_product
-from .sheafops import OmegaClass, Sheaf, verdier
+from .sheafops import OmegaClass, pull, verdier
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def pull_space(bc: BaseChange, x: FinOver) -> tuple[FinOver, OverMap]:
 
 def pull_object(bc: BaseChange, a: CCObject) -> CCObject:
     space, proj = pull_space(bc, a.space)
-    stalks = tuple(a.sheaf.stalk(proj(e)) for e in space.elements)
-    return CCObject(space, Sheaf(a.ring, space, stalks))
+    return CCObject(space, pull(proj, a.sheaf))
 
 
 def pull_over_map(bc: BaseChange, f: OverMap) -> OverMap:

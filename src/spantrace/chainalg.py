@@ -546,43 +546,27 @@ def projection_map(parts: Sequence[Complex], i: int, ring: Ring) -> ChainMap:
 # homotopies
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    """Degree -1 grid of matrices between two complexes; no constraints."""
+def homotopy_perturb(
+    e: ChainMap, blocks: Mapping[int, Matrix | Sequence[Sequence[int]]]
+) -> ChainMap:
+    """e + d.h + h.d for the degree -1 map h with h^n = blocks[n] :
+    source^n -> target^(n-1), absent blocks zero; the alternating trace is
+    unchanged."""
+    src, tgt = e.source, e.target
+    h = {
+        n: _stored_block(src.ring, m, tgt.rank(n - 1), src.rank(n), "homotopy component", n)
+        for n, m in blocks.items()
+    }
 
-    source: Complex
-    target: Complex
-    components: tuple[tuple[int, Matrix], ...]
+    def h_at(n: int) -> Matrix:
+        return h[n] if n in h else mat_zero(src.ring, tgt.rank(n - 1), src.rank(n))
 
-    def component(self, n: int) -> Matrix:
-        for d, m in self.components:
-            if d == n:
-                return m
-        return mat_zero(self.source.ring, self.target.rank(n - 1), self.source.rank(n))
-
-
-def make_homotopy(
-    source: Complex, target: Complex, components: Mapping[int, Matrix | Sequence[Sequence[int]]]
-) -> Homotopy:
-    stored = []
-    for n, m in components.items():
-        rt, rs = target.rank(n - 1), source.rank(n)
-        m = _stored_block(source.ring, m, rt, rs, "homotopy component", n)
-        if rt and rs:
-            stored.append((n, m))
-    return Homotopy(source, target, tuple(sorted(stored)))
-
-
-def homotopy_perturb(e: ChainMap, h: Homotopy) -> ChainMap:
-    """e + d.h + h.d; alternating trace is unchanged."""
-    if h.source != e.source or h.target != e.target:
-        raise ValueError("homotopy shape mismatch")
     comps = {}
     for n, m in e.components:
-        dh = mat_mul(e.target.d(n - 1), h.component(n))
-        hd = mat_mul(h.component(n + 1), e.source.d(n))
+        dh = mat_mul(tgt.d(n - 1), h_at(n))
+        hd = mat_mul(h_at(n + 1), src.d(n))
         comps[n] = mat_add(m, mat_add(dh, hd))
-    return make_chain_map(e.source, e.target, comps)
+    return make_chain_map(src, tgt, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -724,35 +708,19 @@ def map_uncurry(g: ChainMap, c: Complex, d: Complex) -> ChainMap:
 
 
 def sum_tensor_distribute(parts: Sequence[Complex], m: Complex, ring: Ring) -> ChainMap:
-    """Canonical permutation (sum parts) (x) m -> sum (part (x) m).
+    """Canonical isomorphism (sum parts) (x) m -> sum (part (x) m): the sum
+    over i of the i-th inclusion after the i-th projection tensored with m.
 
-    This is the bookkeeping isomorphism distributing a direct sum through
-    the tensor; it is a permutation of basis vectors, not the identity
-    matrix, because the two sides group the basis differently.
+    It permutes basis vectors rather than being the identity matrix,
+    because the two sides group the basis differently.
     """
-    src = cx_tensor(cx_direct_sum(parts, ring), m)
     tensored = [cx_tensor(p, m) for p in parts]
-    tgt = cx_direct_sum(tensored, ring)
-    total = cx_direct_sum(parts, ring)
-    one = ring.norm(1)
-    comps = {}
-    for n, rs in src.ranks:
-        grid = [[0] * rs for _ in range(tgt.rank(n))]
-        src_off = tensor_offsets(total, m, n)
-        tgt_part_off = _offsets([t.rank(n) for t in tensored])
-        for (p, q), so in src_off.items():
-            part_off = _offsets([pt.rank(p) for pt in parts])
-            for pi, pt in enumerate(parts):
-                rp = pt.rank(p)
-                if rp == 0:
-                    continue
-                t_in = tensor_offsets(pt, m, n).get((p, q))
-                if t_in is None:
-                    continue
-                for i in range(rp):
-                    for j in range(m.rank(q)):
-                        col = so + (part_off[pi] + i) * m.rank(q) + j
-                        row = tgt_part_off[pi] + t_in + i * m.rank(q) + j
-                        grid[row][col] = one
-        comps[n] = _grid_matrix(ring, grid, rs)
-    return make_chain_map(src, tgt, comps)
+    pieces = [
+        map_compose(
+            inclusion_map(tensored, i, ring),
+            map_tensor(projection_map(parts, i, ring), map_identity(m)),
+        )
+        for i in range(len(parts))
+    ]
+    f = map_sum(pieces, cx_tensor(cx_direct_sum(parts, ring), m), cx_direct_sum(tensored, ring))
+    return make_chain_map(f.source, f.target, dict(f.components))

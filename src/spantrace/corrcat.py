@@ -19,7 +19,6 @@ from .chainalg import (
     Ring,
     assoc_map,
     assoc_map_inv,
-    inclusion_map,
     make_chain_map,
     map_add,
     map_compose,
@@ -29,10 +28,7 @@ from .chainalg import (
     map_sum,
     map_tensor,
     map_uncurry,
-    mat_identity,
-    mat_mul,
     mat_transpose,
-    projection_map,
     swap_map,
 )
 from .finspan import (
@@ -299,11 +295,10 @@ def cc_invert(m: CCMorphism) -> CCMorphism:
     maps = {}
     for g in m.span.apex.elements:
         u = m.map_at(g)
-        comps = {n: mat_transpose(c) for n, c in u.components}
-        inv = make_chain_map(u.target, u.source, comps)
-        for n, c in u.components:
-            if mat_mul(comps[n], c) != mat_identity(c.ring, c.cols):
-                raise ValueError("component is not a signed permutation")
+        inv = make_chain_map(u.target, u.source, {n: mat_transpose(c) for n, c in u.components})
+        if (map_compose(inv, u) != map_identity(u.source)
+                or map_compose(u, inv) != map_identity(u.target)):
+            raise ValueError("component is not a signed permutation")
         maps[g] = inv
     return make_cc_morphism(m.target, m.source, span, maps)
 
@@ -313,30 +308,18 @@ def cc_invert(m: CCMorphism) -> CCMorphism:
 
 
 def f_natural(f: OverMap, l: Sheaf) -> CCMorphism:
-    """(X, L) -> (X', push(f, L)) over the graph span; components are the
-    canonical block inclusions into the fiber sums."""
-    maps = _fiber_blocks(f, l, inclusion_map)
-    return CCMorphism(CCObject(f.source, l), CCObject(f.target, push(f, l)),
-                      Span(om_identity(f.source), f), maps)
+    """(X, L) -> (X', push(f, L)) over the graph span: the identity of
+    (X, L) pushed along (id, id, f), so its components are the block
+    inclusions into the fiber sums."""
+    ident = om_identity(f.source)
+    return shriek_push(cc_identity(CCObject(f.source, l)), ident, ident, f, Span(ident, f))
 
 
 def f_conatural(f: OverMap, l: Sheaf) -> CCMorphism:
-    """(X', push(f, L)) -> (X, L); components the canonical block projections."""
-    maps = _fiber_blocks(f, l, projection_map)
-    return CCMorphism(CCObject(f.target, push(f, l)), CCObject(f.source, l),
-                      Span(f, om_identity(f.source)), maps)
-
-
-def _fiber_blocks(f: OverMap, l: Sheaf, block: Callable) -> tuple[ChainMap, ...]:
-    """block(fiber stalks, position of x, ring) for each x, in carrier order."""
-    if l.carrier != f.source:
-        raise ValueError("carrier mismatch")
-    out, seen = [], {}
-    for y in f.graph:
-        # x is the seen[y]-th element of its fiber, which is in carrier order
-        i = seen[y] = seen.get(y, -1) + 1
-        out.append(block([l.stalk(z) for z in f.fiber(y)], i, l.ring))
-    return tuple(out)
+    """(X', push(f, L)) -> (X, L): the identity pushed along (f, id, id),
+    with the block projections as components."""
+    ident = om_identity(f.source)
+    return shriek_push(cc_identity(CCObject(f.source, l)), f, ident, ident, Span(f, ident))
 
 
 def adjunction_unit(f: OverMap, l: Sheaf) -> CCCell:

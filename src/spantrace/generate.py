@@ -24,7 +24,6 @@ from .chainalg import (
     homotopy_perturb,
     make_chain_map,
     make_complex,
-    make_homotopy,
     map_direct_sum,
     mat,
     mat_mul,
@@ -190,7 +189,7 @@ def random_chain_map(rng: random.Random, a: ComplexRecipe, b: ComplexRecipe) -> 
                 [rng.choice([-1, 0, 0, 1, 2]) for _ in range(r)] for _ in range(rt)
             ]
     if h_comps:
-        f = homotopy_perturb(f, make_homotopy(a.cx, b.cx, h_comps))
+        f = homotopy_perturb(f, h_comps)
     return f
 
 

@@ -216,7 +216,8 @@ def _expect_fields(doc, loc: str, fields: dict) -> None:
     for key, kind in fields.items():
         if key not in doc:
             raise ParseError(f"{loc}/{key}", "missing")
-        if not isinstance(doc[key], kind):
+        # no field is a boolean, and a bool is an int that would re-emit as true
+        if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
             raise ParseError(f"{loc}/{key}", "has the wrong type")
 
 

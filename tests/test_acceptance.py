@@ -15,7 +15,6 @@ from spantrace.chainalg import (
     alt_trace,
     homotopy_perturb,
     make_chain_map,
-    make_homotopy,
 )
 from spantrace.corrcat import (
     CCObject,
@@ -195,7 +194,7 @@ def test_criterion_8_homotopy_invariance_200():
             if f.target.rank(n - 1)
         }
         new_maps = dict(zip(e.span.apex.elements, e.maps))
-        new_maps[pick] = homotopy_perturb(f, make_homotopy(f.source, f.target, comps))
+        new_maps[pick] = homotopy_perturb(f, comps)
         e2 = make_cc_morphism(e.source, e.target, e.span, new_maps)
         assert trace(e2, dx).omega == before, seed
         checked += 1

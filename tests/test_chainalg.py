@@ -24,7 +24,6 @@ from spantrace.chainalg import (
     homotopy_perturb,
     make_chain_map,
     make_complex,
-    make_homotopy,
     map_compose,
     map_curry,
     map_identity,
@@ -38,6 +37,7 @@ from spantrace.chainalg import (
     mat_trace,
     mat_transpose,
     mat_zero,
+    sum_tensor_distribute,
     swap_map,
     unit_complex,
     zero_complex,
@@ -147,6 +147,26 @@ def assoc_oracle(a, b, c, n):
     grid = [[0] * len(src) for _ in tgt]
     for col, (x, (y, z)) in enumerate(src):
         grid[pos[((x, y), z)]][col] = a.ring.norm(1)
+    return grid
+
+
+def distribute_oracle(parts, m, n):
+    """Basis-enumeration construction of (sum parts) (x) m -> sum (part (x) m)
+    in degree n, independent of the inclusions and projections in
+    sum_tensor_distribute: the source pairs (vector i of the sum, vector of
+    m) go to the same pair inside the i-th summand of the target."""
+    m_degrees = [q for q, _ in m.ranks]
+
+    def sum_basis(d):
+        return [(i, v) for i, p in enumerate(parts) for v in plain_basis(p)(d)]
+
+    src = tensor_basis(sum_basis, plain_basis(m), m_degrees)(n)
+    tgt = [(i, w) for i, p in enumerate(parts)
+           for w in tensor_basis(plain_basis(p), plain_basis(m), m_degrees)(n)]
+    pos = {v: row for row, v in enumerate(tgt)}
+    grid = [[0] * len(src) for _ in tgt]
+    for col, ((i, u), v) in enumerate(src):
+        grid[pos[(i, (u, v))]][col] = m.ring.norm(1)
     return grid
 
 
@@ -383,20 +403,21 @@ def test_blocks_over_the_wrong_ring_rejected():
     with pytest.raises(ValueError, match="ring mismatch in component"):
         make_chain_map(make_complex(ZZ, {0: 1}), make_complex(ZZ, {0: 1}), {0: z7})
     with pytest.raises(ValueError, match="ring mismatch in homotopy component"):
-        make_homotopy(q, q, {1: z7})
+        homotopy_perturb(map_identity(q), {1: z7})
 
 
 def test_homotopy_perturb_examples():
     q = q_complex()
     e = map_identity(q)
-    assert homotopy_perturb(e, make_homotopy(q, q, {})) == e
+    assert homotopy_perturb(e, {}) == e
     one = make_complex(ZZ, {0: 3})
     i3 = map_identity(one)
-    assert homotopy_perturb(i3, make_homotopy(one, one, {})) == i3
-    h = make_homotopy(q, q, {1: [[5]]})
-    e2 = homotopy_perturb(e, h)
+    assert homotopy_perturb(i3, {}) == i3
+    e2 = homotopy_perturb(e, {1: [[5]]})
     assert e2 != e
     assert alt_trace(e2) == alt_trace(e) == 0
+    with pytest.raises(ValueError, match="homotopy component at degree 1 has shape 2x1"):
+        homotopy_perturb(e, {1: [[5], [6]]})
 
 
 @given(seeds)
@@ -411,7 +432,7 @@ def test_trace_homotopy_invariance(seed):
         for n, r in c.ranks
         if c.rank(n - 1)
     }
-    e2 = homotopy_perturb(e, make_homotopy(c, c, comps))
+    e2 = homotopy_perturb(e, comps)
     assert alt_trace(e2) == alt_trace(e)
 
 
@@ -541,8 +562,6 @@ def test_curry_uncurry_roundtrip(seed):
 
 
 def test_sum_tensor_distribution_is_chain_iso():
-    from spantrace.chainalg import sum_tensor_distribute
-
     rng = random.Random(11)
     ring = ZZ
     parts = [random_complex(rng, ring, GenParams()).cx for _ in range(3)]
@@ -556,6 +575,19 @@ def test_sum_tensor_distribution_is_chain_iso():
         # permutation matrix: exactly one 1 per row and column
         assert all(sum(row) == 1 for row in comp.entries)
         assert all(sum(col) == 1 for col in zip(*comp.entries))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_sum_tensor_distribute_matches_basis_oracle(seed):
+    rng = random.Random(seed)
+    ring = Ring(rng.choice([0, 7, 2, 1]))
+    parts = [random_complex(rng, ring, GenParams()).cx for _ in range(rng.randint(0, 3))]
+    m = random_complex(rng, ring, GenParams()).cx
+    f = sum_tensor_distribute(parts, m, ring)
+    assert f.target == cx_direct_sum([cx_tensor(p, m) for p in parts], ring)
+    for n, _ in f.source.ranks:
+        assert [list(r) for r in f.component(n).entries] == distribute_oracle(parts, m, n)
 
 
 # ---------------------------------------------------------------------------

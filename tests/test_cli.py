@@ -1,5 +1,6 @@
 """Instance files, reports, and the command line surface."""
 
+import hashlib
 import json
 import os
 import random
@@ -189,6 +190,46 @@ def test_cli_report_rejects_non_reports(tmp_path, capsys, doc, location):
         assert main(["report", str(p), "--format", fmt]) == 2
         err = capsys.readouterr().err
         assert f"error: {location}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(["seed"], True), (["count"], True), (["failures"], False),
+     (["elapsed_seconds"], True), (["checks", 0, "index"], False)],
+    ids=["seed", "count", "failures", "elapsed_seconds", "index"],
+)
+def test_cli_report_rejects_booleans_as_integers(tmp_path, capsys, path, value):
+    # a report with true for a number would print "seed True" and re-emit true
+    doc = report_doc(run_suite("lv", 1, 1))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    location = "/" + "/".join(map(str, path))
+    with pytest.raises(ParseError) as e:
+        parse_report(json.dumps(doc))
+    assert e.value.location == location
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        assert main(["report", str(p), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {location}:" in err and "Traceback" not in err
+
+
+def test_fuzz_all_report_bytes_are_pinned(capsys):
+    """The report of `fuzz --suite all --seed 7 --count 50` without its
+    elapsed_seconds line is byte-identical to the recorded one.
+
+    Refactors must keep this hash.  Adding deterministic context to each
+    check (ROADMAP item 5) changes the report on purpose; that change
+    re-records the hash once.
+    """
+    assert main(["fuzz", "--suite", "all", "--seed", "7", "--count", "50"]) == 0
+    out = capsys.readouterr().out
+    kept = "".join(line for line in out.splitlines(keepends=True) if "elapsed_seconds" not in line)
+    digest = hashlib.sha256(kept.encode()).hexdigest()
+    assert digest == "efbc1e60675c5b028221e699b3de918ae43cf1ac7b1468b9788e91806f88c9fd"
 
 
 def test_cli_fuzz_reports_a_raising_verification(monkeypatch, capsys):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from spantrace.chainalg import (
     Ring,
     ZZ,
+    inclusion_map,
     make_chain_map,
     make_complex,
     map_identity,
     map_scale,
     mat,
+    projection_map,
     unit_complex,
 )
 from spantrace.corrcat import (
@@ -28,6 +30,7 @@ from spantrace.corrcat import (
     cc_compose,
     cc_equal_up_to_iso,
     cc_identity,
+    cc_invert,
     cc_iso_search,
     cc_tensor,
     curry_morphism,
@@ -60,7 +63,7 @@ from spantrace.generate import (
     random_space,
     random_span,
 )
-from spantrace.sheafops import make_sheaf, unit_sheaf
+from spantrace.sheafops import make_sheaf, push, unit_sheaf
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -209,6 +212,47 @@ def test_f_conatural_examples():
     fc = f_conatural(f, sheaf)
     assert fc.map_at("a").component(0) == mat(ZZ, [[1, 0]])
     assert fc.map_at("b").component(0) == mat(ZZ, [[0, 1]])
+
+
+def test_f_natural_components_are_fiber_inclusions():
+    # at x, the components include x's stalk at its position in the fiber
+    # sum over f(x), and project back out of it
+    later = 0
+    for seed in range(40):
+        rect = random_lv_instance(seed, GenParams()).lv
+        for f, l in ((rect.f, rect.u.source.sheaf), (rect.g, rect.u.target.sheaf)):
+            fn, fc = f_natural(f, l), f_conatural(f, l)
+            ident = om_identity(f.source)
+            assert fn.span == Span(ident, f) and fc.span == Span(f, ident)
+            assert fn.source == fc.target == CCObject(f.source, l)
+            assert fn.target == fc.source == CCObject(f.target, push(f, l))
+            for x in f.source.elements:
+                fiber = f.fiber(f(x))
+                parts = [l.stalk(z) for z in fiber]
+                i = fiber.index(x)
+                later += i > 0
+                assert fn.map_at(x) == inclusion_map(parts, i, l.ring)
+                assert fc.map_at(x) == projection_map(parts, i, l.ring)
+    assert later >= 20  # fibers of size >= 2 are exercised
+
+
+def test_cc_invert_rejects_one_sided_inverses():
+    base = ("z",)
+    x = make_fin_over(base, ("x0",), {"x0": "z"})
+
+    def obj(rank):
+        return CCObject(x, make_sheaf(ZZ, x, {"x0": make_complex(ZZ, {0: rank})}))
+
+    one, two = obj(1), obj(2)
+    # the transpose of the inclusion [[1], [0]] is only a left inverse
+    incl = make_chain_map(one.sheaf.stalk("x0"), two.sheaf.stalk("x0"), {0: [[1], [0]]})
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        cc_invert(make_cc_morphism(one, two, identity_span(x), {"x0": incl}))
+    turn = make_chain_map(two.sheaf.stalk("x0"), two.sheaf.stalk("x0"), {0: [[0, -1], [1, 0]]})
+    m = make_cc_morphism(two, two, identity_span(x), {"x0": turn})
+    inv = cc_invert(m)
+    assert inv.map_at("x0").component(0) == mat(ZZ, [[0, 1], [-1, 0]])
+    assert cc_equal_up_to_iso(cc_compose(m, inv), cc_identity(two))
 
 
 def test_adjunction_cells_and_triangles():

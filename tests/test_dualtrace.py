@@ -11,7 +11,6 @@ from spantrace.chainalg import (
     ZZ,
     make_chain_map,
     make_complex,
-    make_homotopy,
     homotopy_perturb,
     map_identity,
     map_scale,
@@ -31,6 +30,7 @@ from spantrace.corrcat import (
 )
 from spantrace.dualtrace import (
     PushRectangles,
+    _cell_onto_identity,
     char_class,
     dual_of_morphism,
     expected_dual_morphism,
@@ -125,6 +125,30 @@ def test_make_dual_empty():
     obj = CCObject(e, make_sheaf(ZZ, e, {}))
     d = make_dual(obj)
     assert d.ev.span.apex.size == 0
+
+
+def test_triangle_certificate_rejects_broken_composites():
+    # make_dual certifies a triangle composite with the cell whose apex map
+    # is the left leg, then cc_cell_check
+    base = ("z",)
+    x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
+    q = q_complex()
+    a = CCObject(x, make_sheaf(ZZ, x, {"a": q, "b": q}))
+
+    def certify(left, right):
+        apex = make_fin_over(base, tuple(left), {g: "z" for g in left})
+        span = Span(make_over_map(apex, x, left), make_over_map(apex, x, right))
+        comp = make_cc_morphism(a, a, span, {g: map_identity(q) for g in left})
+        cc_cell_check(_cell_onto_identity(comp, a))
+
+    certify({"g0": "a", "g1": "b"}, {"g0": "a", "g1": "b"})
+    not_injective = {"g0": "a", "g1": "a", "g2": "b"}
+    with pytest.raises(ValueError, match="left leg is not bijective"):
+        certify(not_injective, not_injective)
+    with pytest.raises(ValueError, match="left leg is not bijective"):
+        certify({"g0": "a"}, {"g0": "a"})
+    with pytest.raises(ValueError, match="right leg broken at 'g0'"):
+        certify({"g0": "a", "g1": "b"}, {"g0": "b", "g1": "a"})
 
 
 @given(seeds)
@@ -475,7 +499,7 @@ def test_trace_invariant_under_homotopy(seed):
         if f.target.rank(n - 1)
     }
     perturbed = dict(zip(apex.elements, e.maps))
-    perturbed[pick] = homotopy_perturb(f, make_homotopy(f.source, f.target, comps))
+    perturbed[pick] = homotopy_perturb(f, comps)
     e2 = make_cc_morphism(e.source, e.target, e.span, perturbed)
     after = trace(e2, dx).omega
     assert before == after

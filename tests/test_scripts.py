@@ -27,12 +27,6 @@ def test_fixed_point_demo():
     assert "equal: True" in proc.stdout
 
 
-def test_run_verification_small():
-    proc = _run("run_verification.py", "--count", "2")
-    assert proc.returncode == 0, proc.stderr
-    assert "checks passed" in proc.stdout
-
-
 def test_sweep_make_dual_small(tmp_path):
     out = tmp_path / "BENCH_make_dual.json"
     proc = _run("sweep_make_dual.py", "--sizes", "4", "--rounds", "2", "--out", str(out))
