@@ -1,14 +1,14 @@
 """Exact trace and duality calculus for complexes on finite sets over a base."""
 
 from .chainalg import Ring, Matrix, Complex, ChainMap
-from .finspan import FinOver, OverMap, Span, SpanCell
+from .finspan import FinOver, OverMap, Span
 from .sheafops import Sheaf, OmegaClass
 from .corrcat import CCObject, CCMorphism, CCCell
 from .dualtrace import DualityData, PairingResult, PushRectangles
 
 __all__ = [
     "Ring", "Matrix", "Complex", "ChainMap",
-    "FinOver", "OverMap", "Span", "SpanCell",
+    "FinOver", "OverMap", "Span",
     "Sheaf", "OmegaClass",
     "CCObject", "CCMorphism", "CCCell",
     "DualityData", "PairingResult", "PushRectangles",

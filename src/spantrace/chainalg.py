@@ -285,10 +285,6 @@ def unit_complex(ring: Ring) -> Complex:
     return make_complex(ring, {0: 1})
 
 
-def zero_complex(ring: Ring) -> Complex:
-    return make_complex(ring, {})
-
-
 def cx_validate(c: Complex) -> None:
     """Check d.d = 0; raises with the first failing degree."""
     for n, _ in c.ranks:

@@ -32,13 +32,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_fuzz.add_argument("--seed", required=True, type=int)
     p_fuzz.add_argument("--count", required=True, type=int)
-    p_fuzz.add_argument("--max-set", type=int, default=4)
+    p_fuzz.add_argument("--max-set", type=int, default=GenParams.max_set)
     p_fuzz.add_argument(
-        "--max-rank", type=int, default=3, help="per-degree rank cap; values above 2 act as 2"
+        "--max-rank", type=int, default=GenParams.max_rank,
+        help="per-degree rank cap; values above 2 act as 2",
     )
-    p_fuzz.add_argument("--deg-min", type=int, default=-2)
-    p_fuzz.add_argument("--deg-max", type=int, default=2)
-    p_fuzz.add_argument("--modulus", type=int, default=None)
+    p_fuzz.add_argument("--deg-min", type=int, default=GenParams.deg_min)
+    p_fuzz.add_argument("--deg-max", type=int, default=GenParams.deg_max)
+    p_fuzz.add_argument("--modulus", type=int, default=GenParams.modulus)
 
     p_rep = sub.add_parser("report", help="re-emit a JSON report")
     p_rep.add_argument("file", nargs="?", default="-")

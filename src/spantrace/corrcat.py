@@ -36,15 +36,14 @@ from .finspan import (
     Label,
     OverMap,
     Span,
-    SpanCell,
     base_space,
     cell_check,
     identity_span,
     make_over_map,
-    match_by_signature,
     om_compose,
     om_identity,
     span_compose,
+    span_iso_search,
     span_tensor,
 )
 from .sheafops import Sheaf, box, push, sheaf_hom, unit_sheaf
@@ -155,7 +154,7 @@ def cc_cell_check(cell: CCCell) -> None:
     s, t = cell.source, cell.target
     if s.source != t.source or s.target != t.target:
         raise ValueError("cell between non-parallel morphisms")
-    cell_check(SpanCell(s.span, t.span, cell.graph))
+    cell_check(s.span, t.span, cell.graph)
     for d in t.span.apex.elements:
         parts = [s.map_at(g) for g in cell.graph.fiber(d)]
         expect = t.map_at(d)
@@ -501,8 +500,4 @@ def cc_iso_search(a: CCMorphism, b: CCMorphism) -> OverMap | None:
     leg-compatible apex bijection that also matches the components."""
     if a.source != b.source or a.target != b.target:
         raise ValueError("morphisms not parallel")
-    return match_by_signature(a.span, b.span, a.map_at, b.map_at)
-
-
-def cc_equal_up_to_iso(a: CCMorphism, b: CCMorphism) -> bool:
-    return cc_iso_search(a, b) is not None
+    return span_iso_search(a.span, b.span, a.map_at, b.map_at)

@@ -4,7 +4,7 @@ Fiber products are chosen once and for all (pair sets in lexicographic
 input order), so composites of spans are honest values.  A canonical
 identification between differently-bracketed composites is written where
 it is needed as the explicit apex bijection that retuples the nested
-pairs, e.g. ((a, b), c) -> (a, (b, c)), and checked as a SpanCell.
+pairs, e.g. ((a, b), c) -> (a, (b, c)), and checked with cell_check.
 """
 
 from __future__ import annotations
@@ -204,50 +204,22 @@ def span_tensor(c: Span, d: Span) -> Span:
     return Span(left, right)
 
 
-@dataclass(frozen=True)
-class SpanCell:
-    """2-cell between parallel spans: a map of apexes commuting with both legs."""
-
-    source: Span
-    target: Span
-    graph: OverMap
-
-
-def make_span_cell(source: Span, target: Span, graph: Mapping[Label, Label]) -> SpanCell:
-    g = make_over_map(source.apex, target.apex, graph)
-    return SpanCell(source, target, g)
-
-
-def cell_check(p: SpanCell) -> None:
-    """Check both leg equations; raises naming the failing leg."""
-    if p.source.left.target != p.target.left.target or p.source.right.target != p.target.right.target:
+def cell_check(source: Span, target: Span, graph: OverMap) -> None:
+    """Check that graph is a 2-cell between parallel spans: a map of their
+    apexes commuting with both legs; raises naming the failing leg."""
+    if source.left.target != target.left.target or source.right.target != target.right.target:
         raise ValueError("cell between non-parallel spans")
-    for x in p.source.apex.elements:
-        if p.target.left(p.graph(x)) != p.source.left(x):
+    if graph.source != source.apex or graph.target != target.apex:
+        raise ValueError("cell graph is not a map between the apexes")
+    for x in source.apex.elements:
+        if target.left(graph(x)) != source.left(x):
             raise ValueError(f"left leg broken at {x!r}")
-    for x in p.source.apex.elements:
-        if p.target.right(p.graph(x)) != p.source.right(x):
+    for x in source.apex.elements:
+        if target.right(graph(x)) != source.right(x):
             raise ValueError(f"right leg broken at {x!r}")
 
 
-def cell_vcompose(q: SpanCell, p: SpanCell) -> SpanCell:
-    if p.target != q.source:
-        raise ValueError("vertical composition boundary mismatch")
-    return SpanCell(p.source, q.target, om_compose(q.graph, p.graph))
-
-
-def span_iso_search(a: Span, b: Span) -> OverMap | None:
-    """Leg-compatible bijection between parallel spans, if one exists."""
-    if a.left.target != b.left.target or a.right.target != b.right.target:
-        raise ValueError("spans not parallel")
-    return match_by_signature(a, b, _no_tag, _no_tag)
-
-
-def _no_tag(x: Label) -> None:
-    return None
-
-
-def match_by_signature(
+def span_iso_search(
     a: Span, b: Span, tag_a: Callable[[Label], object], tag_b: Callable[[Label], object]
 ) -> OverMap | None:
     """Bijection between the apexes of parallel spans that matches elements
@@ -257,6 +229,8 @@ def match_by_signature(
     greedy matching in carrier order is complete; absence is returned as
     None.
     """
+    if a.left.target != b.left.target or a.right.target != b.right.target:
+        raise ValueError("spans not parallel")
     if a.apex.size != b.apex.size:
         return None
     buckets: dict[tuple, list[Label]] = {}

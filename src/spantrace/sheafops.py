@@ -65,11 +65,6 @@ def pull(f: OverMap, m: Sheaf) -> Sheaf:
     return Sheaf(m.ring, f.source, tuple(m.stalk(f(x)) for x in f.source.elements))
 
 
-def upper_shriek(f: OverMap, m: Sheaf) -> Sheaf:
-    """Exceptional pullback; equal to pull in this setting."""
-    return pull(f, m)
-
-
 def push(f: OverMap, l: Sheaf) -> Sheaf:
     """Pushforward: stalk at y is the direct sum over the fiber, in carrier order."""
     if l.carrier != f.source:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .basefunc import functor_preserves, push2_strict
 from .chainalg import alt_trace
@@ -30,9 +31,6 @@ from .generate import (
 )
 from .instances import ParseError, load_json, omega_doc
 from .sheafops import verdier
-
-SUITE_NAMES = ("lv", "global", "triangle", "symmetry", "basechange", "oracle", "all")
-
 
 @dataclass
 class Check:
@@ -130,13 +128,14 @@ def _suite_basechange(seed: int, index: int, params: GenParams) -> Iterator[Chec
 
 
 _SUITES = {
-    "oracle": _suite_oracle,
     "lv": _suite_lv,
     "global": _suite_global,
     "triangle": _suite_triangle,
     "symmetry": _suite_symmetry,
     "basechange": _suite_basechange,
+    "oracle": _suite_oracle,
 }
+SUITE_NAMES = (*_SUITES, "all")  # "all" runs every suite in this order
 
 
 def _guarded(fn, seed: int, index: int, params: GenParams) -> Iterator[Check]:
@@ -157,7 +156,7 @@ def run_suite(name: str, seed: int, count: int, params: GenParams | None = None)
         raise ValueError(f"count must be non-negative, got {count}")
     params = params or GenParams()
     params.validate()
-    names = [n for n in SUITE_NAMES if n != "all"] if name == "all" else [name]
+    names = list(_SUITES) if name == "all" else [name]
     report = Report(name, seed, count, params)
     start = time.perf_counter()
     master = random.Random(seed)
@@ -178,13 +177,7 @@ def report_doc(report: Report) -> dict:
         "suite": report.suite,
         "seed": report.seed,
         "count": report.count,
-        "params": {
-            "max_set": report.params.max_set,
-            "max_rank": report.params.max_rank,
-            "deg_min": report.params.deg_min,
-            "deg_max": report.params.deg_max,
-            "modulus": report.params.modulus,
-        },
+        "params": asdict(report.params),
         "failures": report.failures,
         "checks": [
             {"index": c.index, "name": c.name, "status": c.status,
@@ -202,11 +195,17 @@ _CHECK_FIELDS = {"index": int, "name": str, "status": str}
 
 def parse_report(text: str) -> dict:
     """A report document from JSON text; raises ParseError at the location
-    of the first missing or mistyped field."""
+    of the first missing, mistyped or inconsistent field."""
     doc = load_json(text)
     _expect_fields(doc, "", _REPORT_FIELDS)
     for i, c in enumerate(doc["checks"]):
         _expect_fields(c, f"/checks/{i}", _CHECK_FIELDS)
+    failing = sum(1 for c in doc["checks"] if c["status"] != "pass")
+    if doc["failures"] != failing:
+        raise ParseError("/failures", f"is {doc['failures']}, but {failing} checks do not pass")
+    # NaN fails every comparison; an int beyond the float range would not format
+    if not 0 <= doc["elapsed_seconds"] <= sys.float_info.max:
+        raise ParseError("/elapsed_seconds", "must be finite and non-negative")
     return doc
 
 

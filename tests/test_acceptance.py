@@ -6,6 +6,7 @@ criterion; each test also prints its own summary line.
 
 import itertools
 import json
+import os
 import random
 import time
 
@@ -34,6 +35,7 @@ from spantrace.dualtrace import (
     pairing_symmetry,
     trace,
 )
+from spantrace.finspan import Span, base_space, om_anchor
 from spantrace.generate import (
     GenParams,
     random_base,
@@ -78,8 +80,6 @@ def test_criterion_1_pushforward_trace_identity_500():
 def test_criterion_2_global_fixed_point_200():
     """200 endomorphisms over a one-point base: the local terms sum to the
     alternating trace of the induced endomorphism of the total complex."""
-    from spantrace.finspan import Span, base_space, om_anchor
-
     checked = 0
     for seed in _seeds(0xACC2, 200):
         gen, e = random_endo_instance(seed, DEFAULTS)
@@ -309,8 +309,6 @@ def test_criterion_9_pushforward_unique_lift():
 def test_criterion_10_determinism_and_round_trip():
     """Identical seeds give byte-identical reports modulo timing; shipped
     fixtures and generated instances round-trip byte for byte."""
-    import os
-
     r1 = report_doc(run_suite("all", 12321, 5))
     r2 = report_doc(run_suite("all", 12321, 5))
     r1.pop("elapsed_seconds")

@@ -40,7 +40,6 @@ from spantrace.chainalg import (
     sum_tensor_distribute,
     swap_map,
     unit_complex,
-    zero_complex,
 )
 from spantrace.generate import GenParams, random_chain_map, random_complex
 
@@ -258,7 +257,7 @@ def q_complex(ring=ZZ):
 
 
 def test_cx_validate_examples():
-    cx_validate(zero_complex(ZZ))
+    cx_validate(make_complex(ZZ, {}))
     cx_validate(q_complex())
     bad = make_complex(ZZ, {0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
     with pytest.raises(ValueError, match="degree 0"):
@@ -442,8 +441,6 @@ def test_alt_trace_cyclic(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
     rec = random_complex(rng, ring, GenParams())
-    from spantrace.generate import random_chain_map
-
     f = random_chain_map(rng, rec, rec)
     g = random_chain_map(rng, rec, rec)
     assert alt_trace(map_compose(f, g)) == alt_trace(map_compose(g, f))
@@ -532,8 +529,6 @@ def test_categorical_trace_is_alt_trace(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
     rec = random_complex(rng, ring, GenParams())
-    from spantrace.generate import random_chain_map
-
     e = random_chain_map(rng, rec, rec)
     q = rec.cx
     qd = cx_dual(q)
@@ -554,8 +549,6 @@ def test_curry_uncurry_roundtrip(seed):
     za = random_complex(rng, ring, GenParams())
     ca = random_complex(rng, ring, GenParams())
     da = random_complex(rng, ring, GenParams())
-    from spantrace.generate import random_chain_map
-
     # uncurry . curry is the identity on maps out of z (x) c
     orig = map_tensor(random_chain_map(rng, za, da), map_identity(ca.cx))
     assert map_uncurry(map_curry(orig, za.cx, ca.cx), ca.cx, orig.target) == orig

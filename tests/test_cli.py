@@ -166,6 +166,20 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["check", str(bad)]) == 2
 
 
+def assert_rejected_at(tmp_path, capsys, doc, location):
+    """parse_report raises at location, and `report` exits 2 in both formats
+    with a located error and no traceback."""
+    with pytest.raises(ParseError) as e:
+        parse_report(json.dumps(doc))
+    assert e.value.location == location
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        assert main(["report", str(p), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {location}:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "doc, location",
     [
@@ -181,15 +195,7 @@ def test_cli_exit_codes(capsys, tmp_path):
     ],
 )
 def test_cli_report_rejects_non_reports(tmp_path, capsys, doc, location):
-    with pytest.raises(ParseError) as e:
-        parse_report(json.dumps(doc))
-    assert e.value.location == location
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
-    for fmt in ("text", "json"):
-        assert main(["report", str(p), "--format", fmt]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {location}:" in err and "Traceback" not in err
+    assert_rejected_at(tmp_path, capsys, doc, location)
 
 
 @pytest.mark.parametrize(
@@ -205,16 +211,23 @@ def test_cli_report_rejects_booleans_as_integers(tmp_path, capsys, path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    location = "/" + "/".join(map(str, path))
-    with pytest.raises(ParseError) as e:
-        parse_report(json.dumps(doc))
-    assert e.value.location == location
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
-    for fmt in ("text", "json"):
-        assert main(["report", str(p), "--format", fmt]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {location}:" in err and "Traceback" not in err
+    assert_rejected_at(tmp_path, capsys, doc, "/" + "/".join(map(str, path)))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("failures", -3), ("failures", 1), ("elapsed_seconds", float("nan")),
+     ("elapsed_seconds", float("inf")), ("elapsed_seconds", -1), ("elapsed_seconds", 10**400)],
+    ids=["failures-negative", "failures-miscounted", "elapsed-nan", "elapsed-infinity",
+         "elapsed-negative", "elapsed-past-float-range"],
+)
+def test_cli_report_rejects_inconsistent_values(tmp_path, capsys, key, value):
+    # failures -3 would print "4/1 checks passed"; NaN would print "in nans"
+    # and re-emit the non-standard token NaN; 10**400 would not format
+    doc = report_doc(run_suite("lv", 1, 1))
+    assert doc["failures"] == 0 and len(doc["checks"]) == 1
+    doc[key] = value
+    assert_rejected_at(tmp_path, capsys, doc, "/" + key)
 
 
 def test_fuzz_all_report_bytes_are_pinned(capsys):

@@ -21,8 +21,10 @@ from spantrace.corrcat import (
     CCObject,
     cc_cell_check,
     cc_compose,
+    cc_compose_many,
     cc_identity,
     cc_iso_search,
+    cc_swap,
     cc_tensor,
     make_cc_morphism,
     obj_tensor,
@@ -59,6 +61,7 @@ from spantrace.generate import (
     random_endo_instance,
     random_gen_object,
     random_lv_instance,
+    random_object_instance,
     random_pair_instance,
     random_space,
     random_span,
@@ -154,8 +157,6 @@ def test_triangle_certificate_rejects_broken_composites():
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_make_dual_random_and_biduality(seed):
-    from spantrace.generate import random_object_instance
-
     gen = random_object_instance(seed, GenParams())
     d = make_dual(gen.obj)
     assert verdier(verdier(gen.obj.sheaf)) == gen.obj.sheaf
@@ -235,8 +236,6 @@ def test_mate_squares_commute(seed):
     assert cc_iso_search(lhs, rhs) is not None
     # ev square: (u (x) id) then ev_Y vs (id (x) mate) then ev_X, with the
     # symmetry inserted before each evaluation
-    from spantrace.corrcat import cc_compose_many, cc_swap
-
     lhs2 = cc_compose_many(
         cc_tensor(u, cc_identity(dy.dual)), cc_swap(gy.obj, dy.dual), dy.ev
     )
@@ -360,8 +359,6 @@ def test_pairing_matches_local_oracle(seed):
 def test_pairing_via_mate_route(seed):
     # second route: coev_X, then u (x) mate(v), then the symmetry, then
     # ev_Y; lands on the same interlocking set with the same values
-    from spantrace.corrcat import cc_compose_many, cc_swap
-
     a, b, u, v = random_pair_instance(seed, GenParams())
     dx, dy = make_dual(a.obj), make_dual(b.obj)
     vd = expected_dual_morphism(v, dy, dx)
@@ -535,8 +532,6 @@ def test_split_epi_criterion_empty():
 @given(seeds)
 @settings(max_examples=10, deadline=None)
 def test_split_epi_criterion_random(seed):
-    from spantrace.generate import random_object_instance
-
     gen = random_object_instance(seed, GenParams(max_set=2))
     m, section = split_epi_criterion(gen.obj)
     comp = cc_compose(section, m)

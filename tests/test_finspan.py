@@ -11,15 +11,12 @@ from spantrace.finspan import (
     FinOver,
     OverMap,
     Span,
-    SpanCell,
     base_space,
     cell_check,
-    cell_vcompose,
     fiber_product,
     identity_span,
     make_fin_over,
     make_over_map,
-    make_span_cell,
     om_anchor,
     om_compose,
     om_identity,
@@ -40,12 +37,16 @@ def two_over_one():
     return x, y, z
 
 
+def no_tag(x):
+    return None
+
+
 def check_retupling(source: Span, target: Span, retuple) -> None:
     """The apex map x -> retuple(x) is a bijection and a 2-cell: it commutes
     with both legs."""
     bij = make_over_map(source.apex, target.apex, {x: retuple(x) for x in source.apex.elements})
     assert bij.is_bijective()
-    cell_check(SpanCell(source, target, bij))
+    cell_check(source, target, bij)
 
 
 def drop_unit(x):
@@ -135,23 +136,25 @@ def test_cell_check_examples():
     x, y, z = two_over_one()
     f = make_over_map(x, z, {"a": "z", "b": "z"})
     c = Span(f, f)
-    ident = make_span_cell(c, c, {"a": "a", "b": "b"})
-    cell_check(ident)
-    swap = make_span_cell(c, c, {"a": "b", "b": "a"})
-    cell_check(swap)  # equal legs, so the swap is leg-compatible
+    cell_check(c, c, om_identity(x))
+    swap = make_over_map(x, x, {"a": "b", "b": "a"})
+    cell_check(c, c, swap)  # equal legs, so the swap is leg-compatible
     d = Span(om_identity(x), f)
-    broken = make_span_cell(d, d, {"a": "b", "b": "a"})
     with pytest.raises(ValueError, match="left leg"):
-        cell_check(broken)
+        cell_check(d, d, swap)
+    with pytest.raises(ValueError, match="not a map between the apexes"):
+        cell_check(c, c, om_identity(y))
+    with pytest.raises(ValueError, match="non-parallel"):
+        cell_check(c, d, om_identity(x))
 
 
 def test_cell_vcompose_passes():
+    # the vertical composite of two cells is the composite of their graphs
     x, _, z = two_over_one()
     f = make_over_map(x, z, {"a": "z", "b": "z"})
     c = Span(f, f)
-    s1 = make_span_cell(c, c, {"a": "b", "b": "a"})
-    s2 = make_span_cell(c, c, {"a": "b", "b": "a"})
-    cell_check(cell_vcompose(s2, s1))
+    swap = make_over_map(x, x, {"a": "b", "b": "a"})
+    cell_check(c, c, om_compose(swap, swap))
 
 
 def test_span_compose_associativity_example():
@@ -183,17 +186,20 @@ def test_span_iso_search_examples():
     x, y, z = two_over_one()
     f = make_over_map(x, z, {"a": "z", "b": "z"})
     c = Span(f, f)
-    found = span_iso_search(c, c)
+    found = span_iso_search(c, c, no_tag, no_tag)
     assert found is not None and found.graph == ("a", "b")
+    # tags refine the signatures: here they force the swap
+    found = span_iso_search(c, c, {"a": 1, "b": 2}.get, {"a": 2, "b": 1}.get)
+    assert found is not None and found.graph == ("b", "a")
     small = Span(make_over_map(y, z, {"c": "z"}), make_over_map(y, z, {"c": "z"}))
-    assert span_iso_search(c, small) is None
+    assert span_iso_search(c, small, no_tag, no_tag) is None
     # crossed legs force the swap
     a1 = Span(om_identity(x), om_identity(x))
     crossed = Span(
         make_over_map(x, x, {"a": "b", "b": "a"}),
         make_over_map(x, x, {"a": "b", "b": "a"}),
     )
-    found = span_iso_search(a1, crossed)
+    found = span_iso_search(a1, crossed, no_tag, no_tag)
     assert found is not None and found.graph == ("b", "a")
 
 
@@ -205,13 +211,15 @@ def test_span_iso_search_misses():
     # apex sizes differ
     one = make_fin_over(("z",), ("g",), {"g": "z"})
     leg = make_over_map(one, x, {"g": "a"})
-    assert span_iso_search(Span(ident, ident), Span(leg, leg)) is None
-    assert span_iso_search(Span(leg, leg), Span(ident, ident)) is None
+    assert span_iso_search(Span(ident, ident), Span(leg, leg), no_tag, no_tag) is None
+    assert span_iso_search(Span(leg, leg), Span(ident, ident), no_tag, no_tag) is None
     # signature multisets differ: as sets, and only in multiplicity
-    assert span_iso_search(Span(ident, ident), Span(ident, crossed)) is None
-    assert span_iso_search(Span(to_a, to_a), Span(ident, ident)) is None
+    assert span_iso_search(Span(ident, ident), Span(ident, crossed), no_tag, no_tag) is None
+    assert span_iso_search(Span(to_a, to_a), Span(ident, ident), no_tag, no_tag) is None
     with pytest.raises(ValueError, match="not parallel"):
-        span_iso_search(Span(ident, ident), Span(ident, make_over_map(x, z, {"a": "z", "b": "z"})))
+        span_iso_search(
+            Span(ident, ident), Span(ident, make_over_map(x, z, {"a": "z", "b": "z"})), no_tag, no_tag
+        )
 
 
 def test_all_over_maps_have_finite_fibers():

@@ -1,10 +1,11 @@
-"""Package layout: every import of src/spantrace sits at module level, and
-the modules' imports of one another form no cycle."""
+"""Package layout: every import of src/spantrace and of the tests sits at
+module level, and the package modules' imports of one another form no cycle."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spantrace"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "spantrace"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -70,7 +71,9 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
 
 
 def test_no_import_inside_a_function():
-    offenders = {name: local_imports(_source(name)) for name in MODULES}
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    offenders = {str(p.relative_to(TESTS.parent)): local_imports(p.read_text(encoding="utf-8"))
+                 for p in files}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 

@@ -36,7 +36,6 @@ from spantrace.sheafops import (
     push,
     sheaf_hom,
     unit_sheaf,
-    upper_shriek,
     verdier,
 )
 
@@ -65,7 +64,6 @@ def test_pull_examples():
     assert pull(to_empty, m).stalks == ()
     both = pull(f, m)
     assert both.stalk("a") == q_complex() and both.stalk("b") == q_complex()
-    assert upper_shriek(f, m) == pull(f, m)
 
 
 def test_push_examples():
