@@ -4,19 +4,20 @@
 Two size families, both over ZZ and both past the generator's caps:
 
 * ``wide`` (the default), generate.wide_object: n points over one base point
-  with rank-(2,1) stalks, so the growth of duality's n^3 certificate apexes
-  shows.  One untimed warm-up fills the kernel caches first, so the figures
-  measure the set and correspondence layers rather than first-time matrix
-  work.
+  with rank-(2,1) stalks, so the growth of duality's certificates in n
+  shows: their apexes have n^2 elements, the tensor objects around them
+  n^3, which stay unbuilt.  One untimed warm-up fills the kernel caches
+  first, so the figures measure the set and correspondence layers rather
+  than first-time matrix work.
 * ``deep``, generate.deep_object: one point whose stalk has total rank n, so
   the chain-complex kernels on the rank-n^3 certificate tensors do the work.
   The kernel caches are emptied before every round, so each round pays that
   matrix work.
 
-Usage: python scripts/sweep_make_dual.py [--family wide|deep] [--sizes 8,16,24,32,48]
+Usage: python scripts/sweep_make_dual.py [--family wide|deep] [--sizes 8,16,24,32,48,64]
                                          [--rounds 3] [--out BENCH_make_dual.json]
 
-The sizes default to 8,16,24,32,48 for wide and 4,8,12,16 for deep, the
+The sizes default to 8,16,24,32,48,64 for wide and 4,8,12,16 for deep, the
 output to BENCH_make_dual.json and BENCH_make_dual_deep.json.  Writes one
 record per size (median and minimum seconds, rounds, and the growth
 exponent against the previous size) plus the Python version and the CPU
@@ -39,7 +40,7 @@ from spantrace.generate import deep_object, wide_object
 
 # family: (builder, default sizes, default output, description)
 FAMILIES = {
-    "wide": (wide_object, "8,16,24,32,48", "BENCH_make_dual.json",
+    "wide": (wide_object, "8,16,24,32,48,64", "BENCH_make_dual.json",
              "generate.wide_object over ZZ: n points over one base point, rank-(2,1) stalks"),
     "deep": (deep_object, "4,8,12,16", "BENCH_make_dual_deep.json",
              "generate.deep_object over ZZ: one point, a stalk of total rank n from fixed pieces"),

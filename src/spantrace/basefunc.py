@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import CCMorphism, CCObject, cc_relabel, make_cc_morphism, obj_tensor, shriek_push
+from .corrcat import CCMorphism, CCObject, CCRelabel, make_cc_morphism, obj_tensor, shriek_push
 from .dualtrace import DualityData, PushRectangles, make_dual, pairing
 from .finspan import FinOver, Label, OverMap, Span, base_space, fiber_product
 from .sheafops import OmegaClass, pull, verdier
@@ -82,12 +82,13 @@ def pull_omega(bc: BaseChange, a: OmegaClass) -> OmegaClass:
     return OmegaClass(a.ring, space, tuple(a.value(proj(e)) for e in space.elements))
 
 
-def monoidal_structure(bc: BaseChange, a: CCObject, b: CCObject) -> CCMorphism:
+def monoidal_structure(bc: BaseChange, a: CCObject, b: CCObject) -> CCRelabel:
     """The structure isomorphism pull(a) (x) pull(b) -> pull(a (x) b): a
     coordinate relabeling with literally equal stalks."""
     src = obj_tensor(pull_object(bc, a), pull_object(bc, b))
     tgt = pull_object(bc, obj_tensor(a, b))
-    return cc_relabel(src, tgt, lambda e: ((e[0][0], e[1][0]), e[0][1]))
+    return CCRelabel(src, tgt, lambda e: ((e[0][0], e[1][0]), e[0][1]),
+                     lambda e: ((e[0][0], e[1]), (e[0][1], e[1])))
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,10 @@ class Complex:
     ranks: tuple[tuple[int, int], ...]
     diff: tuple[tuple[int, Matrix], ...]
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    _rank: dict = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rank", dict(self.ranks))
 
     def __hash__(self) -> int:
         # cached as for Matrix
@@ -245,10 +249,7 @@ class Complex:
         return self._hash
 
     def rank(self, n: int) -> int:
-        for d, r in self.ranks:
-            if d == n:
-                return r
-        return 0
+        return self._rank.get(n, 0)
 
     def d(self, n: int) -> Matrix:
         for d, m in self.diff:

@@ -6,6 +6,13 @@ a morphism is a span together with one chain map per apex element; a
 morphism down a commuting rectangle of vertical maps assembles the
 components into block matrices over the fiberwise direct sums, and is
 the unique such lift through which the rectangle becomes a 2-cell.
+
+Tensor objects are products computed from their factors (finspan,
+sheafops), so building one costs nothing until its elements are walked.
+The structural isomorphisms (unitors, associators, the symmetry) are
+relabelings: a bijection of spaces with a stalk isomorphism per element.
+They are never built as spans; cc_compose reindexes the morphism on the
+other side, touching only the elements it hits.
 """
 
 from __future__ import annotations
@@ -109,16 +116,41 @@ def cc_identity(a: CCObject) -> CCMorphism:
     return CCMorphism(a, a, span, tuple(map_identity(c) for c in a.sheaf.stalks))
 
 
-def cc_compose(a: CCMorphism, b: CCMorphism) -> CCMorphism:
-    """a then b; the composite span, components composed pairwise."""
+def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphism:
+    """a then b; the composite span, components composed pairwise.
+
+    A relabeling on either side is not built: the other morphism is
+    reindexed into the apex, legs and components that composing with the
+    built relabeling gives, apex pairs in fiber-product order.
+    """
     if a.target != b.source:
         raise ValueError("composition boundary mismatch")
+    if isinstance(a, CCRelabel) and isinstance(b, CCRelabel):
+        raise ValueError("two relabelings compose only through a morphism")
+    if isinstance(b, CCRelabel):  # pairs (g, right(g)) in the order of a's apex
+        c, hits = a.span, a.span.right.graph
+        apex = FinOver(c.apex.base, tuple(zip(c.apex.elements, hits)), c.apex.anchor)
+        images = tuple(map(b.forward, hits))
+        span = Span(OverMap(apex, c.left.target, c.left.graph), OverMap(apex, b.target.space, images))
+        ks = map(b.component, hits, images)
+        maps = tuple(u if k is None else map_compose(k, u) for k, u in zip(ks, a.maps))
+        return CCMorphism(a.source, b.target, span, maps)
+    if isinstance(a, CCRelabel):  # pairs (backward(left(g)), g) in the order of a's source
+        c, s = b.span, a.source.space
+        hits = sorted(zip(map(a.backward, c.left.graph), c.apex.elements), key=lambda h: s.index(h[0]))
+        apex = FinOver(s.base, tuple(hits), tuple(s.anchor_of(x) for x, _ in hits))
+        span = Span(OverMap(apex, s, tuple(x for x, _ in hits)),
+                    OverMap(apex, c.right.target, tuple(c.right(g) for _, g in hits)))
+        ks = (a.component(x, c.left(g)) for x, g in hits)
+        us = (b.map_at(g) for _, g in hits)
+        maps = tuple(u if k is None else map_compose(u, k) for k, u in zip(ks, us))
+        return CCMorphism(a.source, b.target, span, maps)
     span = span_compose(a.span, b.span)
     maps = tuple(map_compose(b.map_at(d), a.map_at(g)) for g, d in span.apex.elements)
     return CCMorphism(a.source, b.target, span, maps)
 
 
-def cc_compose_many(*ms: CCMorphism) -> CCMorphism:
+def cc_compose_many(*ms: CCMorphism | CCRelabel) -> CCMorphism:
     out = ms[0]
     for m in ms[1:]:
         out = cc_compose(out, m)
@@ -131,7 +163,8 @@ def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
     span = span_tensor(a.span, b.span)
     src = obj_tensor(a.source, b.source)
     tgt = obj_tensor(a.target, b.target)
-    maps = tuple(map_tensor(a.map_at(g), b.map_at(h)) for g, h in span.apex.elements)
+    tensor = cache(map_tensor)  # once per distinct pair of components
+    maps = tuple(tensor(a.map_at(g), b.map_at(h)) for g, h in span.apex.elements)
     return CCMorphism(src, tgt, span, maps)
 
 
@@ -192,59 +225,63 @@ def whisker_right(cell: CCCell, m: CCMorphism) -> CCCell:
 # structural isomorphisms (relabelings)
 
 
-def cc_relabel(
-    source: CCObject,
-    target: CCObject,
-    element_map: Callable[[Label], Label],
-    stalk_map: Callable[[Label], ChainMap] | None = None,
-) -> CCMorphism:
-    """Invertible morphism with apex the source space: identity left leg,
-    bijective right leg, componentwise isomorphisms (identity by default)."""
-    graph = tuple(element_map(x) for x in source.space.elements)
-    right = OverMap(source.space, target.space, graph)
-    if not right.is_bijective():
-        raise ValueError("relabeling must be bijective")
-    span = Span(om_identity(source.space), right)
-    if stalk_map is None:
-        maps = []
-        for x in source.space.elements:
-            c = source.sheaf.stalk(x)
-            if c != target.sheaf.stalk(element_map(x)):
-                raise ValueError("relabeling stalks differ; pass stalk_map")
-            maps.append(map_identity(c))
-        maps = tuple(maps)
-    else:
-        maps = tuple(stalk_map(x) for x in source.space.elements)
-    return CCMorphism(source, target, span, maps)
+@dataclass(frozen=True, eq=False)
+class CCRelabel:
+    """Invertible morphism source -> target over the span with identity
+    left leg and right leg the bijection forward (inverse backward), with
+    component stalk_map(x) at x, or the identity when stalk_map is None.
+
+    Only composing and inverting it are defined; cc_compose checks it and
+    evaluates stalk_map only at the elements the other morphism hits.
+    """
+
+    source: CCObject
+    target: CCObject
+    forward: Callable[[Label], Label]
+    backward: Callable[[Label], Label]
+    stalk_map: Callable[[Label], ChainMap] | None = None
+
+    def component(self, x: Label, y: Label) -> ChainMap | None:
+        """The component at a source element x, None for an identity, once
+        forward and backward are checked to pair x with a target element y."""
+        if self.forward(x) != y or self.backward(y) != x or y not in self.target.space:
+            raise ValueError(f"relabeling is not a bijection at {x!r}")
+        if self.stalk_map is not None:
+            return self.stalk_map(x)
+        if self.source.sheaf.stalk(x) != self.target.sheaf.stalk(y):
+            raise ValueError("relabeling stalks differ; pass stalk_map")
+        return None
 
 
-def left_unitor(a: CCObject) -> CCMorphism:
+def left_unitor(a: CCObject) -> CCRelabel:
     """a -> unit (x) a; stalk complexes agree literally."""
-    unit = unit_object(a.ring, a.space.base)
-    tgt = obj_tensor(unit, a)
-    return cc_relabel(a, tgt, lambda x: (a.space.anchor_of(x), x))
+    tgt = obj_tensor(unit_object(a.ring, a.space.base), a)
+    return CCRelabel(a, tgt, lambda x: (a.space.anchor_of(x), x), lambda e: e[1])
 
 
-def right_unitor(a: CCObject) -> CCMorphism:
+def right_unitor(a: CCObject) -> CCRelabel:
     """a -> a (x) unit."""
-    unit = unit_object(a.ring, a.space.base)
-    tgt = obj_tensor(a, unit)
-    return cc_relabel(a, tgt, lambda x: (x, a.space.anchor_of(x)))
+    tgt = obj_tensor(a, unit_object(a.ring, a.space.base))
+    return CCRelabel(a, tgt, lambda x: (x, a.space.anchor_of(x)), lambda e: e[0])
 
 
-def left_unitor_inv(a: CCObject) -> CCMorphism:
-    unit = unit_object(a.ring, a.space.base)
-    src = obj_tensor(unit, a)
-    return cc_relabel(src, a, lambda sx: sx[1])
+def left_unitor_inv(a: CCObject) -> CCRelabel:
+    return cc_invert(left_unitor(a))
 
 
-def right_unitor_inv(a: CCObject) -> CCMorphism:
-    unit = unit_object(a.ring, a.space.base)
-    src = obj_tensor(a, unit)
-    return cc_relabel(src, a, lambda xs: xs[0])
+def right_unitor_inv(a: CCObject) -> CCRelabel:
+    return cc_invert(right_unitor(a))
 
 
-def cc_assoc(a: CCObject, b: CCObject, c: CCObject) -> CCMorphism:
+def _to_left(e: Label) -> Label:
+    return (e[0], e[1][0]), e[1][1]
+
+
+def _to_right(e: Label) -> Label:
+    return e[0][0], (e[0][1], e[1])
+
+
+def cc_assoc(a: CCObject, b: CCObject, c: CCObject) -> CCRelabel:
     """(a (x) (b (x) c)) -> ((a (x) b) (x) c); stalkwise basis reassociation."""
     src = obj_tensor(a, obj_tensor(b, c))
     tgt = obj_tensor(obj_tensor(a, b), c)
@@ -253,10 +290,10 @@ def cc_assoc(a: CCObject, b: CCObject, c: CCObject) -> CCMorphism:
         x, (y, z) = e
         return assoc_map(a.sheaf.stalk(x), b.sheaf.stalk(y), c.sheaf.stalk(z))
 
-    return cc_relabel(src, tgt, lambda e: ((e[0], e[1][0]), e[1][1]), stalk)
+    return CCRelabel(src, tgt, _to_left, _to_right, stalk)
 
 
-def cc_assoc_inv(a: CCObject, b: CCObject, c: CCObject) -> CCMorphism:
+def cc_assoc_inv(a: CCObject, b: CCObject, c: CCObject) -> CCRelabel:
     src = obj_tensor(obj_tensor(a, b), c)
     tgt = obj_tensor(a, obj_tensor(b, c))
 
@@ -266,39 +303,42 @@ def cc_assoc_inv(a: CCObject, b: CCObject, c: CCObject) -> CCMorphism:
         (x, y), z = e
         return inverse(a.sheaf.stalk(x), b.sheaf.stalk(y), c.sheaf.stalk(z))
 
-    return cc_relabel(src, tgt, lambda e: (e[0][0], (e[0][1], e[1])), stalk)
+    return CCRelabel(src, tgt, _to_right, _to_left, stalk)
 
 
-def cc_swap(a: CCObject, b: CCObject) -> CCMorphism:
+def cc_swap(a: CCObject, b: CCObject) -> CCRelabel:
     """Symmetry (a (x) b) -> (b (x) a) with the Koszul sign on stalks."""
     src = obj_tensor(a, b)
     tgt = obj_tensor(b, a)
-    return cc_relabel(
-        src,
-        tgt,
-        lambda e: (e[1], e[0]),
-        lambda e: swap_map(a.sheaf.stalk(e[0]), b.sheaf.stalk(e[1])),
-    )
+    return CCRelabel(src, tgt, lambda e: (e[1], e[0]), lambda e: (e[1], e[0]),
+                     lambda e: swap_map(a.sheaf.stalk(e[0]), b.sheaf.stalk(e[1])))
 
 
-def cc_invert(m: CCMorphism) -> CCMorphism:
-    """Invert a morphism with bijective legs and invertible components.
+def _inverse_component(u: ChainMap) -> ChainMap:
+    """The transpose of u, checked to be a two-sided inverse."""
+    inv = make_chain_map(u.target, u.source, {n: mat_transpose(c) for n, c in u.components})
+    if (map_compose(inv, u) != map_identity(u.source)
+            or map_compose(u, inv) != map_identity(u.target)):
+        raise ValueError("component is not a signed permutation")
+    return inv
+
+
+def cc_invert(m: CCMorphism | CCRelabel) -> CCMorphism | CCRelabel:
+    """Invert a morphism with bijective legs and invertible components, or
+    a relabeling.
 
     Components are inverted by the transpose, which is verified to be a
     two-sided inverse (all structural components here are signed
     permutations); raises if that fails.
     """
+    if isinstance(m, CCRelabel):
+        stalk = None if m.stalk_map is None else (
+            lambda y: _inverse_component(m.stalk_map(m.backward(y))))
+        return CCRelabel(m.target, m.source, m.backward, m.forward, stalk)
     if not (m.span.left.is_bijective() and m.span.right.is_bijective()):
         raise ValueError("morphism legs are not bijective")
     span = Span(m.span.right, m.span.left)
-    maps = {}
-    for g in m.span.apex.elements:
-        u = m.map_at(g)
-        inv = make_chain_map(u.target, u.source, {n: mat_transpose(c) for n, c in u.components})
-        if (map_compose(inv, u) != map_identity(u.source)
-                or map_compose(u, inv) != map_identity(u.target)):
-            raise ValueError("component is not a signed permutation")
-        maps[g] = inv
+    maps = {g: _inverse_component(m.map_at(g)) for g in m.span.apex.elements}
     return make_cc_morphism(m.target, m.source, span, maps)
 
 

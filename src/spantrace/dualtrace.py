@@ -28,6 +28,7 @@ from .corrcat import (
     CCCell,
     CCMorphism,
     CCObject,
+    CCRelabel,
     cc_assoc,
     cc_assoc_inv,
     cc_cell_check,
@@ -36,7 +37,6 @@ from .corrcat import (
     cc_identity,
     cc_invert,
     cc_iso_search,
-    cc_relabel,
     cc_swap,
     cc_tensor,
     curry_morphism,
@@ -147,7 +147,7 @@ def _cell_onto_identity(comp: CCMorphism, a: CCObject) -> CCCell:
 def fixed_point_space(u: CCMorphism, v: CCMorphism) -> FinOver:
     """Chosen interlocking set F: pairs (gamma, delta) with matching feet."""
     c, d = u.span, v.span
-    xy, _, _ = prod_over_base(u.source.space, u.target.space)
+    xy = prod_over_base(u.source.space, u.target.space)
     into_c = OverMap(c.apex, xy, tuple((c.left(g), c.right(g)) for g in c.apex.elements))
     into_d = OverMap(d.apex, xy, tuple((d.right(g), d.left(g)) for g in d.apex.elements))
     apex, _, _ = fiber_product(into_c, into_d)
@@ -389,9 +389,10 @@ def split_epi_criterion(a: CCObject) -> tuple[CCMorphism, CCMorphism]:
     unit = unit_object(ring, a.space.base)
     hom_a1 = internal_hom(a, unit)
     da = make_dual(a)
-    # identify the abstract hom with the dual object: (x, s) -> x
-    ident = cc_relabel(hom_a1, da.dual, lambda e: e[0])
-    ev_via_hom = cc_compose(cc_tensor(ident, cc_identity(a)), da.ev)
+    # identify the abstract hom with the dual object: ((x, s), y) -> (x, y)
+    ident = CCRelabel(obj_tensor(hom_a1, a), da.ev.source, lambda e: (e[0][0], e[1]),
+                      lambda e: ((e[0], a.space.anchor_of(e[0])), e[1]))
+    ev_via_hom = cc_compose(ident, da.ev)
     big = cc_compose_many(
         cc_assoc_inv(a, hom_a1, a),
         cc_tensor(cc_identity(a), ev_via_hom),

@@ -5,18 +5,24 @@ input order), so composites of spans are honest values.  A canonical
 identification between differently-bracketed composites is written where
 it is needed as the explicit apex bijection that retuples the nested
 pairs, e.g. ((a, b), c) -> (a, (b, c)), and checked with cell_check.
+
+A product over the base is computed from its two factors: size, positions,
+anchors and membership come from them, the element tuple only when asked
+for.  Sets are equal by contents (equal factors suffice) and hash by base
+and size, so a product equals and hashes like the same set listed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 from typing import Callable, Mapping, Sequence, Union
 
 Label = Union[str, tuple]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinOver:
     """Finite set of labels anchored to a base set."""
 
@@ -24,6 +30,7 @@ class FinOver:
     elements: tuple[Label, ...]
     anchor: tuple[Label, ...]
     _pos: dict = field(default=None, init=False, compare=False, repr=False)
+    factors = None  # the two factors of a product over the base
 
     def __post_init__(self):
         pos = dict(zip(self.elements, range(len(self.elements))))
@@ -31,7 +38,22 @@ class FinOver:
             raise ValueError("duplicate labels")
         if len(self.anchor) != len(self.elements):
             raise ValueError(f"{len(self.anchor)} anchors for {len(self.elements)} elements")
+        stray = set(self.anchor).difference(self.base)
+        if stray:
+            x, a = next((x, a) for x, a in zip(self.elements, self.anchor) if a in stray)
+            raise ValueError(f"anchor of {x!r} is {a!r}, not a base element")
         object.__setattr__(self, "_pos", pos)
+
+    def __eq__(self, other):
+        if not isinstance(other, FinOver):
+            return NotImplemented
+        if self is other or self.factors is not None and self.factors == other.factors:
+            return True
+        return self.base == other.base and self.size == other.size and (
+            self.elements, self.anchor) == (other.elements, other.anchor)
+
+    def __hash__(self):
+        return hash((self.base, self.size))
 
     def index(self, x: Label) -> int:
         """Position of x in carrier order; ValueError if x is not an element."""
@@ -156,11 +178,62 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
     return apex, OverMap(apex, f.source, left), OverMap(apex, g.source, right)
 
 
-def prod_over_base(x: FinOver, y: FinOver) -> tuple[FinOver, OverMap, OverMap]:
+class ProductOver(FinOver):
+    """x ×_base y with the elements and order of fiber_product over the
+    anchors, worked out from the factors when asked."""
+
+    def __init__(self, x: FinOver, y: FinOver):
+        object.__setattr__(self, "base", x.base)
+        object.__setattr__(self, "factors", (x, y))
+
+    @cached_property
+    def _flat(self) -> FinOver:
+        return fiber_product(om_anchor(self.factors[0]), om_anchor(self.factors[1]))[0]
+
+    elements = property(lambda self: self._flat.elements)
+    anchor = property(lambda self: self._flat.anchor)
+    _pos = property(lambda self: self._flat._pos)
+    size = property(lambda self: self._layout[0][-1])
+
+    @cached_property
+    def _layout(self) -> tuple[list[int], list[int]]:
+        """Where each x's block of pairs starts, and each y's place in its fiber."""
+        x, y = self.factors
+        within, seen = [], {}
+        for s in y.anchor:
+            within.append(seen.get(s, 0))
+            seen[s] = within[-1] + 1
+        return list(accumulate((seen.get(s, 0) for s in x.anchor), initial=0)), within
+
+    def index(self, e: Label) -> int:
+        x, y = self.factors
+        try:
+            if type(e) is not tuple or len(e) != 2:
+                raise ValueError
+            i, j = x.index(e[0]), y.index(e[1])
+            if x.anchor[i] != y.anchor[j]:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{e!r} is not an element") from None
+        starts, within = self._layout
+        return starts[i] + within[j]
+
+    def __contains__(self, e: Label) -> bool:
+        try:
+            return self.index(e) >= 0
+        except ValueError:
+            return False
+
+    def anchor_of(self, e: Label) -> Label:
+        self.index(e)
+        return self.factors[0].anchor_of(e[0])
+
+
+def prod_over_base(x: FinOver, y: FinOver) -> FinOver:
     """Chosen product over the base: pairs with equal anchors."""
     if x.base != y.base:
         raise ValueError("base mismatch")
-    return fiber_product(om_anchor(x), om_anchor(y))
+    return ProductOver(x, y)
 
 
 @dataclass(frozen=True)
@@ -194,11 +267,9 @@ def span_compose(c: Span, d: Span) -> Span:
 
 def span_tensor(c: Span, d: Span) -> Span:
     """Pointwise product of correspondences over the base."""
-    if c.apex.base != d.apex.base:
-        raise ValueError("base mismatch")
-    apex, pr1, pr2 = prod_over_base(c.apex, d.apex)
-    lspace, _, _ = prod_over_base(c.left.target, d.left.target)
-    rspace, _, _ = prod_over_base(c.right.target, d.right.target)
+    apex = prod_over_base(c.apex, d.apex)
+    lspace = prod_over_base(c.left.target, d.left.target)
+    rspace = prod_over_base(c.right.target, d.right.target)
     left = OverMap(apex, lspace, tuple((c.left(a), d.left(b)) for a, b in apex.elements))
     right = OverMap(apex, rspace, tuple((c.right(a), d.right(b)) for a, b in apex.elements))
     return Span(left, right)

@@ -5,11 +5,16 @@ like finite etale maps), so the dualizing object is the constant unit
 complex and duality is stalkwise.  Pushforward along any map is the
 fiberwise direct sum in carrier order, which makes base change hold as a
 literal matrix identity for every chosen fiber-product square.
+
+The external tensor is computed from its factors: it lives on the product
+over the base, and its stalk at (x, y) is cx_tensor of the factor stalks,
+worked out when asked.  It equals and hashes like its stalks listed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .chainalg import (
@@ -24,20 +29,48 @@ from .chainalg import (
 from .finspan import FinOver, Label, OverMap, prod_over_base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sheaf:
     """One bounded complex per carrier element, all over the same ring."""
 
     ring: Ring
     carrier: FinOver
     stalks: tuple[Complex, ...]
+    factors = None  # the two factors of an external tensor
 
     def __post_init__(self) -> None:
         if len(self.stalks) != self.carrier.size:
             raise ValueError(f"{len(self.stalks)} stalks for {self.carrier.size} elements")
 
     def stalk(self, x: Label) -> Complex:
-        return self.stalks[self.carrier.index(x)]
+        i = self.carrier.index(x)
+        if self.factors is None:
+            return self.stalks[i]
+        l, m = self.factors
+        return cx_tensor(l.stalk(x[0]), m.stalk(x[1]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sheaf):
+            return NotImplemented
+        if self is other or self.factors is not None and self.factors == other.factors:
+            return True
+        return self.ring == other.ring and self.carrier == other.carrier and self.stalks == other.stalks
+
+    def __hash__(self):
+        return hash((self.ring, self.carrier))
+
+
+class ProductSheaf(Sheaf):
+    """box(l, m): stalks computed from the factors when asked."""
+
+    def __init__(self, l: Sheaf, m: Sheaf):
+        object.__setattr__(self, "ring", l.ring)
+        object.__setattr__(self, "carrier", prod_over_base(l.carrier, m.carrier))
+        object.__setattr__(self, "factors", (l, m))
+
+    @cached_property
+    def stalks(self) -> tuple[Complex, ...]:
+        return tuple(self.stalk(x) for x in self.carrier.elements)
 
 
 def make_sheaf(ring: Ring, carrier: FinOver, stalks: Mapping[Label, Complex]) -> Sheaf:
@@ -77,13 +110,9 @@ def push(f: OverMap, l: Sheaf) -> Sheaf:
 
 def box(l: Sheaf, m: Sheaf) -> Sheaf:
     """External tensor on the chosen product over the base."""
-    if l.carrier.base != m.carrier.base:
-        raise ValueError("base mismatch")
     if l.ring != m.ring:
         raise ValueError("ring mismatch")
-    space, _, _ = prod_over_base(l.carrier, m.carrier)
-    stalks = tuple(cx_tensor(l.stalk(x), m.stalk(y)) for x, y in space.elements)
-    return Sheaf(l.ring, space, stalks)
+    return ProductSheaf(l, m)
 
 
 def verdier(l: Sheaf) -> Sheaf:

@@ -2,6 +2,7 @@
 plus algebraic laws as property tests."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -602,6 +603,9 @@ def test_cached_hashes_are_the_field_tuple_hashes(seed):
         assert repr(m) == f"Matrix(ring={m.ring!r}, rows={m.rows}, cols={m.cols}, entries={m.entries!r})"
     other = Complex(c.ring, c.ranks + ((99, 1),), c.diff)
     assert other != c and hash(other) == hash((other.ring, other.ranks, other.diff))
+    # the rank dict is a cache like _hash: outside ==, hash and repr
+    assert [f.name for f in fields(Complex) if f.compare or f.repr] == ["ring", "ranks", "diff"]
+    assert all(c.rank(n) == r for n, r in c.ranks) and c.rank(99) == 0 and other.rank(99) == 1
     f = map_scale(3, map_identity(c))
     g = map_scale(3, map_identity(fresh))
     assert hash(f) == hash((f.source, f.target, f.components)) == hash(g)

@@ -25,27 +25,36 @@ from spantrace.chainalg import (
     projection_map,
     unit_complex,
 )
+from spantrace.basefunc import monoidal_structure, pull_morphism
 from spantrace.corrcat import (
     CCCell,
+    CCMorphism,
     CCObject,
+    CCRelabel,
     adjunction_counit,
     adjunction_triangles,
     adjunction_unit,
     cc_cell_check,
     cc_cell_passes,
+    cc_assoc,
+    cc_assoc_inv,
     cc_compose,
     cc_identity,
     cc_invert,
     cc_iso_search,
-    cc_relabel,
+    cc_swap,
     cc_tensor,
     curry_morphism,
     f_conatural,
     f_natural,
     internal_hom,
+    left_unitor,
+    left_unitor_inv,
     make_cc_cell,
     make_cc_morphism,
     obj_tensor,
+    right_unitor,
+    right_unitor_inv,
     shriek_push,
     shriek_push_cell,
     triangle_composite_is_identity,
@@ -53,6 +62,7 @@ from spantrace.corrcat import (
     unit_object,
 )
 from spantrace.finspan import (
+    OverMap,
     Span,
     base_space,
     fiber_product,
@@ -67,6 +77,7 @@ from spantrace.generate import (
     GenParams,
     _lift_span,
     random_base,
+    random_base_change_for,
     random_cc_morphism,
     random_gen_object,
     random_lv_instance,
@@ -616,9 +627,85 @@ def test_shriek_push_vertical_pasting(seed):
             }
             return map_direct_sum(blocks, parts_src, parts_tgt, sheaf.ring)
 
-        return cc_relabel(src_obj, tgt_obj, lambda e: e, stalk)
+        return CCRelabel(src_obj, tgt_obj, lambda e: e, lambda e: e, stalk)
 
     rel_src = reorder_iso(f1, f2, gl.obj.sheaf)
     rel_tgt = reorder_iso(g1, g2, gm.obj.sheaf)
     conj = cc_compose(cc_compose(cc_invert(rel_src), twice), rel_tgt)
     assert cc_iso_search(conj, direct) is not None
+
+
+def built_relabel(r: CCRelabel) -> CCMorphism:
+    """The relabeling built out in full as an ordinary morphism: apex its
+    source space, identity left leg, forward as right leg, one component
+    per element.  The oracle for the reindexed composites."""
+    space = r.source.space
+    right = OverMap(space, r.target.space, tuple(map(r.forward, space.elements)))
+    assert right.is_bijective()
+    if r.stalk_map is None:
+        stalks = [r.source.sheaf.stalk(x) for x in space.elements]
+        assert stalks == [r.target.sheaf.stalk(y) for y in right.graph]
+        maps = tuple(map(map_identity, stalks))
+    else:
+        maps = tuple(map(r.stalk_map, space.elements))
+    return CCMorphism(r.source, r.target, Span(om_identity(space), right), maps)
+
+
+RELABELINGS = {
+    # name: (relabeling, a morphism into its source, a morphism out of its target)
+    "left_unitor": lambda a, b, c, u, v, w, one, bc: (left_unitor(a), u, cc_tensor(one, u)),
+    "right_unitor": lambda a, b, c, u, v, w, one, bc: (right_unitor(a), u, cc_tensor(u, one)),
+    "left_unitor_inv": lambda a, b, c, u, v, w, one, bc: (left_unitor_inv(a), cc_tensor(one, u), u),
+    "right_unitor_inv": lambda a, b, c, u, v, w, one, bc: (right_unitor_inv(a), cc_tensor(u, one), u),
+    "cc_assoc": lambda a, b, c, u, v, w, one, bc: (
+        cc_assoc(a, b, c), cc_tensor(u, cc_tensor(v, w)), cc_tensor(cc_tensor(u, v), w)),
+    "cc_assoc_inv": lambda a, b, c, u, v, w, one, bc: (
+        cc_assoc_inv(a, b, c), cc_tensor(cc_tensor(u, v), w), cc_tensor(u, cc_tensor(v, w))),
+    "cc_swap": lambda a, b, c, u, v, w, one, bc: (cc_swap(a, b), cc_tensor(u, v), cc_tensor(v, u)),
+    "cc_swap inverted": lambda a, b, c, u, v, w, one, bc: (
+        cc_invert(cc_swap(a, b)), cc_tensor(v, u), cc_tensor(u, v)),
+    "monoidal_structure": lambda a, b, c, u, v, w, one, bc: (
+        monoidal_structure(bc, a, b), cc_tensor(pull_morphism(bc, u), pull_morphism(bc, v)),
+        pull_morphism(bc, cc_tensor(u, v))),
+}
+
+
+@given(seeds, st.sampled_from([0, 7, 2, 1]), st.sampled_from(sorted(RELABELINGS)))
+@settings(max_examples=80, deadline=None)
+def test_relabelings_compose_like_the_built_out_morphisms(seed, modulus, name):
+    rng = random.Random(seed)
+    ring, params = Ring(modulus), GenParams(modulus=modulus)
+    base = ("s0",) if rng.random() < 0.5 else ("s0", "s1")
+    gens = [random_gen_object(rng, ring, random_space(rng, base, p, params, min_size=1), params)
+            for p in "xyz"]
+
+    def endo(g, prefix):
+        span = random_span(rng, g.obj.space, g.obj.space, prefix, params)
+        return random_cc_morphism(rng, g, g, span if span.apex.size else identity_span(g.obj.space))
+
+    u, v, w = (endo(g, p) for g, p in zip(gens, "cde"))
+    one = cc_identity(unit_object(ring, base))
+    bc = random_base_change_for(seed ^ 0x77, base, params)
+    r, into, out = RELABELINGS[name](*(g.obj for g in gens), u, v, w, one, bc)
+    built = built_relabel(r)
+    for lazy, oracle in ((cc_compose(into, r), cc_compose(into, built)),
+                         (cc_compose(r, out), cc_compose(built, out))):
+        assert lazy.span.apex.elements == oracle.span.apex.elements
+        assert lazy.span == oracle.span and lazy.maps == oracle.maps and lazy == oracle
+
+
+def test_relabeling_checks_the_elements_it_is_composed_at():
+    a = scalar_object(n=2)
+    m = loop_morphism(a, 2)
+    unit_a = obj_tensor(unit_object(ZZ, ("z",)), a)
+    not_inverse = CCRelabel(a, unit_a, lambda x: ("z", x), lambda e: "x0")
+    with pytest.raises(ValueError, match="not a bijection at 'x1'"):
+        cc_compose(m, not_inverse)
+    off_target = CCRelabel(a, unit_a, lambda x: ("y", x), lambda e: e[1])
+    with pytest.raises(ValueError, match="not a bijection at 'x0'"):
+        cc_compose(m, off_target)
+    q = CCObject(a.space, make_sheaf(ZZ, a.space, {x: make_complex(ZZ, {0: 2}) for x in a.space.elements}))
+    with pytest.raises(ValueError, match="relabeling stalks differ"):
+        cc_compose(m, CCRelabel(a, q, lambda x: x, lambda x: x))
+    with pytest.raises(ValueError, match="only through a morphism"):
+        cc_compose(left_unitor(a), left_unitor_inv(a))

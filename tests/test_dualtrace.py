@@ -1,5 +1,6 @@
 """Duality data, pairings, traces, and pushforward functoriality."""
 
+import math
 import random
 
 import pytest
@@ -47,6 +48,7 @@ from spantrace.dualtrace import (
     trace,
 )
 from spantrace.finspan import (
+    FinOver,
     Span,
     identity_span,
     make_fin_over,
@@ -67,7 +69,7 @@ from spantrace.generate import (
     random_span,
     wide_object,
 )
-from spantrace.sheafops import make_sheaf, omega_push, push, verdier
+from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -552,3 +554,36 @@ def test_push_preserves_dual_examples():
     obj = CCObject(e, make_sheaf(ZZ, e, {}))
     d3 = push_preserves_dual(make_over_map(e, pt, {}), make_dual(obj))
     assert d3.obj.space == pt
+
+
+def test_make_dual_materialises_quadratically_many_elements_and_stalks(monkeypatch):
+    """On n points over one base point, the certificates' apexes have n^2
+    elements, and the n^3 tensor objects around them stay unbuilt: count
+    every space element listed out and every stalk listed or computed, at
+    n = 12 and 24, and bound the growth exponent."""
+    made = [0]
+    listed_space, listed_sheaf, stalk = FinOver.__post_init__, Sheaf.__post_init__, Sheaf.stalk
+
+    def count_elements(self):
+        made[0] += len(self.elements)
+        listed_space(self)
+
+    def count_stalks(self):
+        made[0] += len(self.stalks)
+        listed_sheaf(self)
+
+    def count_computed_stalk(self, x):
+        made[0] += getattr(self, "factors", None) is not None
+        return stalk(self, x)
+
+    monkeypatch.setattr(FinOver, "__post_init__", count_elements)
+    monkeypatch.setattr(Sheaf, "__post_init__", count_stalks)
+    monkeypatch.setattr(Sheaf, "stalk", count_computed_stalk)
+    counts = {}
+    for n in (12, 24):
+        obj = wide_object(ZZ, n)
+        made[0] = 0
+        make_dual(obj)
+        counts[n] = made[0]
+    exponent = math.log(counts[24] / counts[12]) / math.log(2)
+    assert exponent <= 2.3, counts

@@ -20,6 +20,7 @@ from spantrace.finspan import (
     om_anchor,
     om_compose,
     om_identity,
+    prod_over_base,
     span_compose,
     span_iso_search,
     span_tensor,
@@ -301,3 +302,54 @@ def test_cached_fibers_match_a_scan(fg):
     # the cache is no part of the value
     fresh = OverMap(f.source, f.target, f.graph)
     assert fresh == f and hash(fresh) == hash(f) and repr(fresh) == repr(f)
+
+
+def test_fin_over_rejects_an_anchor_outside_the_base():
+    with pytest.raises(ValueError, match="anchor of 'a' is 'zz', not a base element"):
+        FinOver(("pt",), ("a",), ("zz",))
+    with pytest.raises(ValueError, match="anchor of 'b' is 'q'"):
+        FinOver(("pt", "p"), ("a", "b", "c"), ("p", "q", "r"))
+    assert FinOver(("pt",), ("a",), ("pt",)).anchor_of("a") == "pt"
+
+
+def eager_product(x, y):
+    return fiber_product(om_anchor(x), om_anchor(y))[0]
+
+
+def check_product(lazy, eager, candidates):
+    """A product built on demand against the same set listed out: the same
+    hash, members, positions and anchors without walking its elements, then
+    equal both ways with the same elements and anchors."""
+    assert hash(lazy) == hash(eager) and lazy.size == eager.size
+    for e in candidates:
+        assert (e in lazy) == (e in eager)
+        if e in eager:
+            assert lazy.index(e) == eager.index(e) and lazy.anchor_of(e) == eager.anchor_of(e)
+        else:
+            with pytest.raises(ValueError, match="not an element"):
+                lazy.index(e)
+    assert "_flat" not in vars(lazy)
+    assert lazy == eager and eager == lazy
+    assert lazy.elements == eager.elements and lazy.anchor == eager.anchor
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_products_on_demand_agree_with_the_fiber_product(seed):
+    rng = random.Random(seed)
+    params = GenParams()
+    base = random_base(rng, params)
+    x, y, z = (random_space(rng, base, p, params) for p in "xyz")
+    outsiders = ["x0", ("x0",), ("x0", "y0", "z0"), ("nope", "y0"), ()]
+    pairs = [(a, b) for a in x.elements for b in y.elements]
+    check_product(prod_over_base(x, y), eager_product(x, y), pairs + outsiders)
+    xy, yz = eager_product(x, y), eager_product(y, z)
+    left = [(e, c) for e in pairs for c in z.elements]
+    right = [(a, (b, c)) for a, b in pairs for c in z.elements]
+    check_product(prod_over_base(prod_over_base(x, y), z), eager_product(xy, z), left + right)
+    check_product(prod_over_base(x, prod_over_base(y, z)), eager_product(x, yz), right + left)
+    # equal factors decide equality without walking; different contents differ both ways
+    assert prod_over_base(x, y) == prod_over_base(x, y)
+    differ = eager_product(y, x) != eager_product(x, y)
+    assert (prod_over_base(y, x) != prod_over_base(x, y)) == differ
+    assert (eager_product(y, x) != prod_over_base(x, y)) == differ

@@ -11,6 +11,7 @@ from spantrace.chainalg import (
     Ring,
     ZZ,
     cx_dual,
+    cx_tensor,
     make_complex,
     sum_tensor_distribute,
     unit_complex,
@@ -20,6 +21,7 @@ from spantrace.finspan import (
     fiber_product,
     make_fin_over,
     make_over_map,
+    om_anchor,
     om_compose,
     om_identity,
     prod_over_base,
@@ -191,8 +193,8 @@ def test_kunneth_up_to_distribution(seed):
     m = Sheaf(ring, y, tuple(random_complex(rng, ring, params).cx for _ in y.elements))
 
     lm = box(l, m)
-    xy, _, _ = prod_over_base(x, y)
-    xpy, _, _ = prod_over_base(xp, y)
+    xy = prod_over_base(x, y)
+    xpy = prod_over_base(xp, y)
     f_id = make_over_map(xy, xpy, {(a, b): (f(a), b) for a, b in xy.elements})
     lhs = push(f_id, lm)
     rhs = box(push(f, l), m)
@@ -238,3 +240,31 @@ def test_sheaf_and_omega_lengths_checked_at_construction():
     with pytest.raises(ValueError, match="4 values for 3 elements"):
         OmegaClass(ZZ, x, (1, 2, 3, 4))
     assert OmegaClass(ZZ, x, (1, 2, 3)).value("x2") == 3
+
+
+def listed_box(l, m):
+    """box(l, m) with every stalk computed up front on the fiber product."""
+    space = fiber_product(om_anchor(l.carrier), om_anchor(m.carrier))[0]
+    return Sheaf(l.ring, space, tuple(cx_tensor(l.stalk(a), m.stalk(b)) for a, b in space.elements))
+
+
+@given(seeds, st.sampled_from([0, 7, 2, 1]))
+@settings(max_examples=40, deadline=None)
+def test_box_on_demand_agrees_with_its_stalks_listed_out(seed, modulus):
+    rng = random.Random(seed)
+    ring, params = Ring(modulus), GenParams(modulus=modulus)
+    base = random_base(rng, params)
+    x, y = random_space(rng, base, "x", params), random_space(rng, base, "y", params)
+    l = Sheaf(ring, x, tuple(random_complex(rng, ring, params).cx for _ in x.elements))
+    m = Sheaf(ring, y, tuple(random_complex(rng, ring, params).cx for _ in y.elements))
+    for lazy, eager in ((box(l, m), listed_box(l, m)),
+                        (box(box(l, m), l), listed_box(listed_box(l, m), l)),
+                        (box(m, box(m, l)), listed_box(m, listed_box(m, l)))):
+        assert hash(lazy) == hash(eager) and lazy == box(*lazy.factors)
+        for e in eager.carrier.elements:
+            assert lazy.stalk(e) == eager.stalk(e)
+        assert "stalks" not in vars(lazy)
+        assert lazy == eager and eager == lazy and lazy.stalks == eager.stalks
+        if eager.stalks:
+            changed = Sheaf(ring, eager.carrier, (cx_dual(eager.stalks[0]),) + eager.stalks[1:])
+            assert (changed == lazy) == (changed.stalks == eager.stalks) == (lazy == changed)
