@@ -300,20 +300,13 @@ def cx_validate(c: Complex) -> None:
 # (i, j) -> i * rank_b(q) + j.
 
 
-def tensor_summands(a: Complex, b: Complex, n: int) -> list[tuple[int, int]]:
-    out = []
-    for q, rq in b.ranks:
-        p = n - q
-        if a.rank(p) > 0:
-            out.append((p, q))
-    return out
-
-
 def tensor_offsets(a: Complex, b: Complex, n: int) -> dict[tuple[int, int], int]:
     off, acc = {}, 0
-    for p, q in tensor_summands(a, b, n):
-        off[(p, q)] = acc
-        acc += a.rank(p) * b.rank(q)
+    for q, rq in b.ranks:
+        rp = a.rank(n - q)
+        if rp > 0:
+            off[(n - q, q)] = acc
+            acc += rp * rq
     return off
 
 
@@ -323,10 +316,8 @@ def cx_tensor(a: Complex, b: Complex) -> Complex:
         raise ValueError("ring mismatch")
     ring = a.ring
     degrees = sorted({p + q for p, _ in a.ranks for q, _ in b.ranks})
-    ranks = {
-        n: sum(a.rank(p) * b.rank(q) for p, q in tensor_summands(a, b, n)) for n in degrees
-    }
     offsets = {n: tensor_offsets(a, b, n) for n in degrees}
+    ranks = {n: sum(a.rank(p) * b.rank(q) for p, q in off) for n, off in offsets.items()}
     diff: dict[int, Matrix] = {}
     for n in degrees:
         if ranks.get(n + 1, 0) == 0:

@@ -265,14 +265,6 @@ def right_unitor(a: CCObject) -> CCRelabel:
     return CCRelabel(a, tgt, lambda x: (x, a.space.anchor_of(x)), lambda e: e[0])
 
 
-def left_unitor_inv(a: CCObject) -> CCRelabel:
-    return cc_invert(left_unitor(a))
-
-
-def right_unitor_inv(a: CCObject) -> CCRelabel:
-    return cc_invert(right_unitor(a))
-
-
 def _to_left(e: Label) -> Label:
     return (e[0], e[1][0]), e[1][1]
 

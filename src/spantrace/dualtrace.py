@@ -43,12 +43,10 @@ from .corrcat import (
     f_natural,
     internal_hom,
     left_unitor,
-    left_unitor_inv,
     make_cc_cell,
     make_cc_morphism,
     obj_tensor,
     right_unitor,
-    right_unitor_inv,
     shriek_push,
     unit_object,
 )
@@ -110,7 +108,7 @@ def _triangle_cell_obj(a: CCObject, dual: CCObject, ev: CCMorphism, coev: CCMorp
         cc_tensor(coev, cc_identity(a)),
         cc_assoc_inv(a, dual, a),
         cc_tensor(cc_identity(a), ev),
-        right_unitor_inv(a),
+        cc_invert(right_unitor(a)),
     )
     return _cell_onto_identity(comp, a)
 
@@ -122,7 +120,7 @@ def _triangle_cell_dual(a: CCObject, dual: CCObject, ev: CCMorphism, coev: CCMor
         cc_tensor(cc_identity(dual), coev),
         cc_assoc(dual, a, dual),
         cc_tensor(ev, cc_identity(dual)),
-        left_unitor_inv(dual),
+        cc_invert(left_unitor(dual)),
     )
     return _cell_onto_identity(comp, dual)
 
@@ -250,7 +248,7 @@ def dual_of_morphism(u: CCMorphism, da: DualityData, db: DualityData) -> CCMorph
         cc_assoc(db.dual, a, da.dual),
         cc_tensor(cc_tensor(cc_identity(db.dual), u), cc_identity(da.dual)),
         cc_tensor(db.ev, cc_identity(da.dual)),
-        left_unitor_inv(da.dual),
+        cc_invert(left_unitor(da.dual)),
     )
     return comp
 
@@ -396,7 +394,7 @@ def split_epi_criterion(a: CCObject) -> tuple[CCMorphism, CCMorphism]:
     big = cc_compose_many(
         cc_assoc_inv(a, hom_a1, a),
         cc_tensor(cc_identity(a), ev_via_hom),
-        right_unitor_inv(a),
+        cc_invert(right_unitor(a)),
     )
     m = curry_morphism(big, obj_tensor(a, hom_a1), a)
     section = cc_invert(m)

@@ -6,17 +6,19 @@ identification between differently-bracketed composites is written where
 it is needed as the explicit apex bijection that retuples the nested
 pairs, e.g. ((a, b), c) -> (a, (b, c)), and checked with cell_check.
 
-A product over the base is computed from its two factors: size, positions,
-anchors and membership come from them, the element tuple only when asked
-for.  Sets are equal by contents (equal factors suffice) and hash by base
-and size, so a product equals and hashes like the same set listed out.
+A product over the base answers size and membership from its two factors;
+positions, anchors and elements come from the set that fiber_product lists
+out, the first time one of them is asked for.  Sets are equal by contents
+(equal factors suffice) and hash by base and size, so a product equals and
+hashes like the same set listed out.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import Callable, Mapping, Sequence, Union
 
 Label = Union[str, tuple]
@@ -78,15 +80,10 @@ def make_fin_over(base: Sequence[Label], elements: Sequence[Label], anchor: Mapp
     elements = tuple(elements)
     if len(set(base)) != len(base):
         raise ValueError("duplicate base labels")
-    anchors = []
     for x in elements:
         if x not in anchor:
             raise ValueError(f"missing anchor for {x!r}")
-        a = anchor[x]
-        if a not in base:
-            raise ValueError(f"anchor of {x!r} is {a!r}, not a base element")
-        anchors.append(a)
-    return FinOver(base, elements, tuple(anchors))
+    return FinOver(base, elements, tuple(anchor[x] for x in elements))
 
 
 def base_space(base: Sequence[Label]) -> FinOver:
@@ -179,8 +176,8 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
 
 
 class ProductOver(FinOver):
-    """x ×_base y with the elements and order of fiber_product over the
-    anchors, worked out from the factors when asked."""
+    """x ×_base y: the factors answer size and membership, and the set that
+    fiber_product lists out over the anchors answers the rest."""
 
     def __init__(self, x: FinOver, y: FinOver):
         object.__setattr__(self, "base", x.base)
@@ -193,40 +190,16 @@ class ProductOver(FinOver):
     elements = property(lambda self: self._flat.elements)
     anchor = property(lambda self: self._flat.anchor)
     _pos = property(lambda self: self._flat._pos)
-    size = property(lambda self: self._layout[0][-1])
 
     @cached_property
-    def _layout(self) -> tuple[list[int], list[int]]:
-        """Where each x's block of pairs starts, and each y's place in its fiber."""
-        x, y = self.factors
-        within, seen = [], {}
-        for s in y.anchor:
-            within.append(seen.get(s, 0))
-            seen[s] = within[-1] + 1
-        return list(accumulate((seen.get(s, 0) for s in x.anchor), initial=0)), within
-
-    def index(self, e: Label) -> int:
-        x, y = self.factors
-        try:
-            if type(e) is not tuple or len(e) != 2:
-                raise ValueError
-            i, j = x.index(e[0]), y.index(e[1])
-            if x.anchor[i] != y.anchor[j]:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{e!r} is not an element") from None
-        starts, within = self._layout
-        return starts[i] + within[j]
+    def size(self) -> int:
+        counts = Counter(self.factors[1].anchor)
+        return sum(counts[s] for s in self.factors[0].anchor)
 
     def __contains__(self, e: Label) -> bool:
-        try:
-            return self.index(e) >= 0
-        except ValueError:
-            return False
-
-    def anchor_of(self, e: Label) -> Label:
-        self.index(e)
-        return self.factors[0].anchor_of(e[0])
+        x, y = self.factors
+        return (type(e) is tuple and len(e) == 2 and e[0] in x and e[1] in y
+                and x.anchor_of(e[0]) == y.anchor_of(e[1]))
 
 
 def prod_over_base(x: FinOver, y: FinOver) -> FinOver:

@@ -41,11 +41,15 @@ class Sheaf:
     def __post_init__(self) -> None:
         if len(self.stalks) != self.carrier.size:
             raise ValueError(f"{len(self.stalks)} stalks for {self.carrier.size} elements")
+        for i, c in enumerate(self.stalks):
+            if c.ring is not self.ring and c.ring != self.ring:
+                raise ValueError(f"stalk at {self.carrier.elements[i]!r} has the wrong ring")
 
     def stalk(self, x: Label) -> Complex:
-        i = self.carrier.index(x)
         if self.factors is None:
-            return self.stalks[i]
+            return self.stalks[self.carrier.index(x)]
+        if x not in self.carrier:
+            raise ValueError(f"{x!r} is not an element")
         l, m = self.factors
         return cx_tensor(l.stalk(x[0]), m.stalk(x[1]))
 
@@ -78,11 +82,8 @@ def make_sheaf(ring: Ring, carrier: FinOver, stalks: Mapping[Label, Complex]) ->
     for x in carrier.elements:
         if x not in stalks:
             raise ValueError(f"missing stalk at {x!r}")
-        c = stalks[x]
-        if c.ring != ring:
-            raise ValueError(f"stalk at {x!r} has the wrong ring")
-        cx_validate(c)
-        out.append(c)
+        cx_validate(stalks[x])
+        out.append(stalks[x])
     return Sheaf(ring, carrier, tuple(out))
 
 
@@ -136,6 +137,9 @@ class OmegaClass:
     def __post_init__(self) -> None:
         if len(self.values) != self.carrier.size:
             raise ValueError(f"{len(self.values)} values for {self.carrier.size} elements")
+        for i, v in enumerate(self.values):
+            if self.ring.norm(v) != v:
+                raise ValueError(f"value {v} at {self.carrier.elements[i]!r} is not normalised")
 
     def value(self, x: Label) -> int:
         return self.values[self.carrier.index(x)]

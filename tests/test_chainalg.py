@@ -150,6 +150,41 @@ def assoc_oracle(a, b, c, n):
     return grid
 
 
+def swap_oracle(a, b, n):
+    """Basis-enumeration construction of the symmetry a (x) b -> b (x) a in
+    degree n, independent of the offset arithmetic in swap_map: u (x) v,
+    with u in degree p and v in degree q, goes to (-1)^(pq) v (x) u."""
+    src = tensor_basis(plain_basis(a), plain_basis(b), [q for q, _ in b.ranks])(n)
+    tgt = tensor_basis(plain_basis(b), plain_basis(a), [p for p, _ in a.ranks])(n)
+    pos = {v: row for row, v in enumerate(tgt)}
+    grid = [[0] * len(src) for _ in tgt]
+    for col, (u, v) in enumerate(src):
+        grid[pos[(v, u)]][col] = a.ring.norm(-1 if u[0] * v[0] % 2 else 1)
+    return grid
+
+
+def evaluation_sign(p):
+    """Sign of e_i* (x) e_i under evaluation, for the dual vector in degree p."""
+    return -1 if p * (p + 1) // 2 % 2 else 1
+
+
+def ev_oracle(c):
+    """Evaluation dual(c) (x) c -> unit in degree 0 as its one row, by basis
+    enumeration: the dual vector i in degree p paired with vector j of c
+    gives evaluation_sign(p) when i = j and 0 otherwise."""
+    src = tensor_basis(plain_basis(cx_dual(c)), plain_basis(c), [q for q, _ in c.ranks])(0)
+    return [[c.ring.norm(evaluation_sign(p)) if i == j else 0 for (p, i), (_, j) in src]]
+
+
+def coev_oracle(c):
+    """Coevaluation unit -> c (x) dual(c) in degree 0 as its one column: the
+    sum over the basis of c of evaluation_sign(-n) e_i (x) e_i*, for e_i in
+    degree n."""
+    d = cx_dual(c)
+    tgt = tensor_basis(plain_basis(c), plain_basis(d), [q for q, _ in d.ranks])(0)
+    return [[c.ring.norm(evaluation_sign(-n)) if i == j else 0] for (n, i), (_, j) in tgt]
+
+
 def distribute_oracle(parts, m, n):
     """Basis-enumeration construction of (sum parts) (x) m -> sum (part (x) m)
     in degree n, independent of the inclusions and projections in
@@ -492,6 +527,25 @@ def test_assoc_map_matches_basis_oracle(seed):
             assert_normalised(g.component(n))
         assert map_compose(f, g) == map_identity(f.target)
         assert map_compose(g, f) == map_identity(f.source)
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_swap_ev_coev_match_basis_oracles(seed):
+    rng = random.Random(seed)
+    for m in (0, 7, 2, 1):
+        ring = Ring(m)
+        a, b = big_complex(rng, ring), big_complex(rng, ring)
+        f = swap_map(a, b)
+        for n, _ in f.source.ranks:
+            assert [list(r) for r in f.component(n).entries] == swap_oracle(a, b, n)
+            assert_normalised(f.component(n))
+        for c in (a, b):
+            ev, coev = ev_map(c), coev_map(c)
+            assert [list(r) for r in ev.component(0).entries] == ev_oracle(c)
+            assert [list(r) for r in coev.component(0).entries] == coev_oracle(c)
+            assert_normalised(ev.component(0))
+            assert_normalised(coev.component(0))
 
 
 def test_mat_transpose_keeps_shapes():

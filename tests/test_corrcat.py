@@ -49,12 +49,10 @@ from spantrace.corrcat import (
     f_natural,
     internal_hom,
     left_unitor,
-    left_unitor_inv,
     make_cc_cell,
     make_cc_morphism,
     obj_tensor,
     right_unitor,
-    right_unitor_inv,
     shriek_push,
     shriek_push_cell,
     triangle_composite_is_identity,
@@ -655,8 +653,10 @@ RELABELINGS = {
     # name: (relabeling, a morphism into its source, a morphism out of its target)
     "left_unitor": lambda a, b, c, u, v, w, one, bc: (left_unitor(a), u, cc_tensor(one, u)),
     "right_unitor": lambda a, b, c, u, v, w, one, bc: (right_unitor(a), u, cc_tensor(u, one)),
-    "left_unitor_inv": lambda a, b, c, u, v, w, one, bc: (left_unitor_inv(a), cc_tensor(one, u), u),
-    "right_unitor_inv": lambda a, b, c, u, v, w, one, bc: (right_unitor_inv(a), cc_tensor(u, one), u),
+    "left_unitor inverted": lambda a, b, c, u, v, w, one, bc: (
+        cc_invert(left_unitor(a)), cc_tensor(one, u), u),
+    "right_unitor inverted": lambda a, b, c, u, v, w, one, bc: (
+        cc_invert(right_unitor(a)), cc_tensor(u, one), u),
     "cc_assoc": lambda a, b, c, u, v, w, one, bc: (
         cc_assoc(a, b, c), cc_tensor(u, cc_tensor(v, w)), cc_tensor(cc_tensor(u, v), w)),
     "cc_assoc_inv": lambda a, b, c, u, v, w, one, bc: (
@@ -708,4 +708,4 @@ def test_relabeling_checks_the_elements_it_is_composed_at():
     with pytest.raises(ValueError, match="relabeling stalks differ"):
         cc_compose(m, CCRelabel(a, q, lambda x: x, lambda x: x))
     with pytest.raises(ValueError, match="only through a morphism"):
-        cc_compose(left_unitor(a), left_unitor_inv(a))
+        cc_compose(left_unitor(a), cc_invert(left_unitor(a)))

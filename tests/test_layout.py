@@ -1,11 +1,14 @@
 """Package layout: every import of src/spantrace and of the tests sits at
-module level, and the package modules' imports of one another form no cycle."""
+module level, the package modules' imports of one another form no cycle,
+and every function the benchmark traces still exists under its name."""
 
 import ast
+import importlib
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spantrace"
+LAYERS = TESTS.parent / "perfbench" / "layers.py"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -40,6 +43,18 @@ def package_imports(source: str, modules: list[str]) -> set[str]:
                 out.add(path[0])
             else:
                 out |= {a.name if a.name in modules else "__init__" for a in node.names}
+    return out
+
+
+def module_constants(path: Path, names: set[str]) -> dict[str, object]:
+    """The literal values assigned to the given top-level names, read
+    without importing the module."""
+    out = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name) and t.id in names:
+                    out[t.id] = ast.literal_eval(node.value)
     return out
 
 
@@ -95,3 +110,18 @@ def test_layout_checks_catch_violations():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"a"}}) == ["a", "a"]
+
+
+def test_perfbench_traced_names_exist():
+    consts = module_constants(LAYERS, {"TRACED", "CACHED"})
+    missing = []
+    for module, qualname, _ in consts["TRACED"]:
+        owner = importlib.import_module(f"spantrace.{module}")
+        *path, name = qualname.split(".")
+        for part in path:
+            owner = vars(owner).get(part)
+        if owner is None or name not in vars(owner):
+            missing.append(f"{module}.{qualname}")
+    assert missing == []
+    chainalg = importlib.import_module("spantrace.chainalg")
+    assert [fn for fn in consts["CACHED"] if not hasattr(vars(chainalg).get(fn), "cache_info")] == []

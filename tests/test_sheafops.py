@@ -242,6 +242,20 @@ def test_sheaf_and_omega_lengths_checked_at_construction():
     assert OmegaClass(ZZ, x, (1, 2, 3)).value("x2") == 3
 
 
+def test_sheaf_and_omega_reject_data_off_their_ring():
+    x = make_fin_over(("z",), ("a",), {"a": "z"})
+    with pytest.raises(ValueError, match="stalk at 'a' has the wrong ring"):
+        Sheaf(Z7, x, (unit_complex(ZZ),))
+    with pytest.raises(ValueError, match="stalk at 'a' has the wrong ring"):
+        make_sheaf(Z7, x, {"a": unit_complex(ZZ)})
+    assert Sheaf(Ring(7), x, (unit_complex(Z7),)).stalk("a") == unit_complex(Z7)
+    with pytest.raises(ValueError, match="value 9 at 'a' is not normalised"):
+        OmegaClass(Z7, x, (9,))
+    with pytest.raises(ValueError, match="value -1 at 'a' is not normalised"):
+        OmegaClass(Z7, x, (-1,))
+    assert make_omega(Z7, x, {"a": 9}) == OmegaClass(Ring(7), x, (2,))
+
+
 def listed_box(l, m):
     """box(l, m) with every stalk computed up front on the fiber product."""
     space = fiber_product(om_anchor(l.carrier), om_anchor(m.carrier))[0]
