@@ -17,7 +17,7 @@ Two size families, both over ZZ and both past the generator's caps:
 Usage: python scripts/sweep_make_dual.py [--family wide|deep] [--sizes 8,16,24,32,48,64]
                                          [--rounds 3] [--out BENCH_make_dual.json]
 
-The sizes default to 8,16,24,32,48,64 for wide and 4,8,12,16 for deep, the
+The sizes default to 8,16,24,32,48,64 for wide and 4,8,12,16,20 for deep, the
 output to BENCH_make_dual.json and BENCH_make_dual_deep.json.  Writes one
 record per size (median and minimum seconds, rounds, and the growth
 exponent against the previous size) plus the Python version and the CPU
@@ -42,7 +42,7 @@ from spantrace.generate import deep_object, wide_object
 FAMILIES = {
     "wide": (wide_object, "8,16,24,32,48,64", "BENCH_make_dual.json",
              "generate.wide_object over ZZ: n points over one base point, rank-(2,1) stalks"),
-    "deep": (deep_object, "4,8,12,16", "BENCH_make_dual_deep.json",
+    "deep": (deep_object, "4,8,12,16,20", "BENCH_make_dual_deep.json",
              "generate.deep_object over ZZ: one point, a stalk of total rank n from fixed pieces"),
 }
 

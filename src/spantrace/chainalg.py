@@ -15,14 +15,20 @@ Matrix entries are always normalised.  `mat` is the normalising entry point
 for matrices from outside (the parser, the generator, tests); the structure
 maps (tensor differentials, tensors of maps, symmetries, reassociations,
 evaluation and coevaluation, block sums) are assembled by placing their
-already normalised nonzero entries into a zero grid, so their cost follows
-the number of nonzeros rather than a dense Kronecker block per summand.
+already normalised entries into a zero grid, a Kronecker block or a tensor
+differential's block a whole row slice at a time.  The identities,
+symmetries and reassociations are signed permutations, and say so in a
+record on their `Matrix`; `mat_mul` and `mat_transpose` apply such a
+matrix by reindexing the other factor's rows or columns, and `map_tensor`
+places a Kronecker block with a permutation factor by strided slices.  The
+results are the same dense matrices, equal and hashed by their entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from typing import Mapping, Sequence
 
 
@@ -45,13 +51,29 @@ ZZ = Ring(0)
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense matrix with normalized entries; rows x cols over a Ring."""
+    """Dense matrix with normalized entries; rows x cols over a Ring.
+
+    A square signed permutation may carry the record `_perm = (cols, signs)`:
+    row i's one nonzero sits in column cols[i] and is signs[i], or 1 when
+    signs is None.  Only the constructors that know a matrix is one set it,
+    never over Z/1, where 1 is 0; it takes no part in ==, hash or repr.
+    """
 
     ring: Ring
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    _perm: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ent, m = self.entries, self.ring.modulus
+        if type(ent) is not tuple or len(ent) != self.rows:
+            raise ValueError(f"a {self.rows}x{self.cols} matrix needs a tuple of {self.rows} rows")
+        if ent and (set(map(type, ent)) != {tuple} or set(map(len, ent)) != {self.cols}):
+            raise ValueError(f"rows of a {self.rows}x{self.cols} matrix must be tuples of length {self.cols}")
+        if m and ent and self.cols and (min(map(min, ent)) < 0 or max(map(max, ent)) >= m):
+            raise ValueError(f"entries over Z/{m} must lie in 0..{m - 1}")
 
     def __hash__(self) -> int:
         # the dataclass hash of the field tuple, computed once: the kernel
@@ -78,21 +100,61 @@ def mat(ring: Ring, rows: Sequence[Sequence[int]], cols: int | None = None) -> M
     return Matrix(ring, nrows, ncols, tuple(ent))
 
 
+def _kernel_matrix(ring: Ring, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> Matrix:
+    """The trusted constructor of the kernels below, which build the shape
+    they state and normalise their entries as they compute them (through
+    Ring.norm, or as entries of normalised matrices); the tests hold each
+    kernel to an independent oracle.  It skips Matrix()'s checks: the scan
+    of every entry costs about as much as building a rank-r^3 certificate
+    tensor, and the shape check doubles the cost of a small matrix."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "ring", ring)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+    return m
+
+
 def _grid_matrix(ring: Ring, grid: list[list[int]], cols: int) -> Matrix:
     """Wrap a grid whose entries are already normalised, without mat()'s pass."""
-    return Matrix(ring, len(grid), cols, tuple(map(tuple, grid)))
+    return _kernel_matrix(ring, len(grid), cols, tuple(map(tuple, grid)))
 
 
 def mat_zero(ring: Ring, rows: int, cols: int) -> Matrix:
-    return Matrix(ring, rows, cols, tuple((0,) * cols for _ in range(rows)))
+    return _kernel_matrix(ring, rows, cols, ((0,) * cols,) * rows)
+
+
+def _perm_matrix(ring: Ring, cols: Sequence[int], signs: Sequence[int] | None = None) -> Matrix:
+    """The signed permutation whose row i has its nonzero, signs[i] (already
+    normalised; 1 when signs is None), in column cols[i], with its record.
+    Its rows are the identity's rows, shared, or their negatives."""
+    n = len(cols)
+    if signs is not None and all(s == 1 for s in signs):
+        signs = None
+    rows = _signed_rows(mat_identity(ring, n).entries, cols, signs, ring.modulus)
+    return _with_perm(_kernel_matrix(ring, n, n, rows), cols, signs)
+
+
+def _with_perm(m: Matrix, cols: Sequence[int], signs: Sequence[int] | None) -> Matrix:
+    if m.ring.norm(1):  # over Z/1, where 1 is 0, every matrix is zero
+        object.__setattr__(m, "_perm", (tuple(cols), None if signs is None else tuple(signs)))
+    return m
+
+
+def _perm_inverse(perm: tuple) -> tuple:
+    """The record of a signed permutation's transpose, which is its inverse."""
+    cols, signs = perm
+    inv = sorted(range(len(cols)), key=cols.__getitem__)
+    return tuple(inv), None if signs is None else tuple(map(signs.__getitem__, inv))
 
 
 @lru_cache(maxsize=4096)
 def mat_identity(ring: Ring, n: int) -> Matrix:
-    one = ring.norm(1)  # 0 over Z/1, where every matrix is zero
-    return Matrix(
-        ring, n, n, tuple(tuple(one if i == j else 0 for j in range(n)) for i in range(n))
-    )
+    grid = [[0] * n for _ in range(n)]
+    one = ring.norm(1)
+    for i, row in enumerate(grid):
+        row[i] = one
+    return _with_perm(_grid_matrix(ring, grid, n), range(n), None)
 
 
 def _same_ring(a: Matrix, b: Matrix) -> Ring:
@@ -106,7 +168,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} + {b.rows}x{b.cols}")
     norm = ring.norm
-    return Matrix(
+    return _kernel_matrix(
         ring,
         a.rows,
         a.cols,
@@ -118,10 +180,24 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(c: int, a: Matrix) -> Matrix:
-    norm = a.ring.norm
-    return Matrix(
-        a.ring, a.rows, a.cols, tuple(tuple(norm(c * x) for x in row) for row in a.entries)
-    )
+    c = a.ring.norm(c)
+    if c == 1:
+        return a
+    m = a.ring.modulus
+    return _kernel_matrix(a.ring, a.rows, a.cols, tuple(_scale_row(row, c, m) for row in a.entries))
+
+
+def _scale_row(row: tuple[int, ...], x: int, modulus: int) -> tuple[int, ...]:
+    """x * row for a normalised x over Z/modulus, entry by entry at C speed."""
+    out = map(x.__mul__, row)
+    return tuple(map(modulus.__rmod__, out) if modulus else out)
+
+
+def _signed_rows(rows: tuple, cols: Sequence[int], signs: Sequence[int] | None, modulus: int) -> tuple:
+    """signs[i] times rows[cols[i]] for each i, sharing the rows whose sign is 1."""
+    if signs is None:
+        return tuple(map(rows.__getitem__, cols))
+    return tuple(rows[c] if s == 1 else _scale_row(rows[c], s, modulus) for c, s in zip(cols, signs))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -130,8 +206,21 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.cols == 0:
         return mat_zero(ring, a.rows, b.cols)
-    norm = ring.norm
     bent = b.entries
+    if a._perm is not None:
+        # row i of the product is signs[i] times row cols[i] of b
+        return _kernel_matrix(ring, a.rows, b.cols, _signed_rows(bent, *a._perm, ring.modulus))
+    if b._perm is not None:
+        # column j of the product is the sign times column inv[j] of a
+        inv, signs = _perm_inverse(b._perm)
+        if signs is None:
+            rows = tuple(tuple(map(arow.__getitem__, inv)) for arow in a.entries)
+        else:
+            m = ring.modulus
+            picked = (map(mul, map(arow.__getitem__, inv), signs) for arow in a.entries)
+            rows = tuple(tuple(map(m.__rmod__, row) if m else row) for row in picked)
+        return _kernel_matrix(ring, a.rows, b.cols, rows)
+    norm = ring.norm
     ncols = b.cols
     rows = []
     for arow in a.entries:
@@ -144,7 +233,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     if y:
                         acc[j] += x * y
         rows.append(tuple(norm(v) for v in acc))
-    return Matrix(ring, a.rows, ncols, tuple(rows))
+    return _kernel_matrix(ring, a.rows, ncols, tuple(rows))
 
 
 def mat_trace(a: Matrix) -> int:
@@ -154,9 +243,11 @@ def mat_trace(a: Matrix) -> int:
 
 
 def mat_transpose(a: Matrix) -> Matrix:
+    if a._perm is not None:
+        return _perm_matrix(a.ring, *_perm_inverse(a._perm))
     # zip(*()) has no rows, so a 0 x k matrix needs its k empty rows spelled out
     rows = tuple(zip(*a.entries)) if a.rows else ((),) * a.cols
-    return Matrix(a.ring, a.cols, a.rows, rows)
+    return _kernel_matrix(a.ring, a.cols, a.rows, rows)
 
 
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
@@ -169,7 +260,7 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
         for k in range(b.rows):
             brow = b.entries[k]
             rows.append(tuple(norm(arow[j] * brow[l]) for j in range(a.cols) for l in range(b.cols)))
-    return Matrix(ring, a.rows * b.rows, a.cols * b.cols, tuple(rows))
+    return _kernel_matrix(ring, a.rows * b.rows, a.cols * b.cols, tuple(rows))
 
 
 def mat_block(
@@ -185,14 +276,10 @@ def mat_block(
     for (bi, bj), m in blocks.items():
         if (m.rows, m.cols) != (row_parts[bi], col_parts[bj]):
             raise ValueError("block shape mismatch")
-        _add_block(grid, row_off[bi], col_off[bj], m)
+        c0 = col_off[bj]
+        for i, row in enumerate(m.entries, row_off[bi]):
+            grid[i][c0:c0 + m.cols] = row
     return _grid_matrix(ring, grid, sum(col_parts))
-
-
-def _add_block(grid: list[list[int]], r0: int, c0: int, m: Matrix) -> None:
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            grid[r0 + i][c0 + j] = x
 
 
 def _offsets(parts: Sequence[int]) -> list[int]:
@@ -240,7 +327,22 @@ class Complex:
     _rank: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_rank", dict(self.ranks))
+        rank = dict(self.ranks)
+        stored = iter(self.diff)
+        below = None
+        for n, r in self.ranks:
+            if r < 1 or below is not None and n <= below:
+                raise ValueError(f"ranks {self.ranks} need strictly increasing degrees and positive ranks")
+            below = n
+            up = rank.get(n + 1)
+            if up:
+                d, m = next(stored, (None, None))
+                if d != n or (m.rows, m.cols) != (up, r) or m.ring is not self.ring and m.ring != self.ring:
+                    raise ValueError(f"the differential at degree {n} must be a {up}x{r} matrix over {self.ring}")
+        extra = next(stored, None)
+        if extra is not None:
+            raise ValueError(f"a differential at degree {extra[0]}, where a rank is zero")
+        object.__setattr__(self, "_rank", rank)
 
     def __hash__(self) -> int:
         # cached as for Matrix
@@ -268,9 +370,6 @@ def make_complex(
     diff: Mapping[int, Matrix | Sequence[Sequence[int]]] | None = None,
 ) -> Complex:
     rk = tuple(sorted((int(n), r) for n, r in ranks.items() if r != 0))
-    for _, r in rk:
-        if r < 0:
-            raise ValueError("negative rank")
     rank_of = dict(rk)
     stored = []
     diff = diff or {}
@@ -318,6 +417,7 @@ def cx_tensor(a: Complex, b: Complex) -> Complex:
     degrees = sorted({p + q for p, _ in a.ranks for q, _ in b.ranks})
     offsets = {n: tensor_offsets(a, b, n) for n in degrees}
     ranks = {n: sum(a.rank(p) * b.rank(q) for p, q in off) for n, off in offsets.items()}
+    signed_db = {}  # q -> the rows of d_b and of -d_b
     diff: dict[int, Matrix] = {}
     for n in degrees:
         if ranks.get(n + 1, 0) == 0:
@@ -327,24 +427,26 @@ def cx_tensor(a: Complex, b: Complex) -> Complex:
         for (p, q), co in offsets[n].items():
             ra, rb = a.rank(p), b.rank(q)
             if a.rank(p + 1):
-                # d_a (x) 1: entry ((i2, j), (i, j)) = d_a[i2][i]
+                # d_a (x) 1: entry ((i2, j), (i, j)) = d_a[i2][i], so row
+                # (i2, j) holds row i2 of d_a at stride rb from column co + j
                 ro = tgt_off[(p + 1, q)]
-                for i2, drow in enumerate(a.d(p).entries):
-                    for i, x in enumerate(drow):
-                        if x:
-                            for j in range(rb):
-                                grid[ro + i2 * rb + j][co + i * rb + j] = x
+                stop = co + ra * rb
+                for drow in a.d(p).entries:
+                    for j in range(rb):
+                        grid[ro + j][co + j:stop:rb] = drow
+                    ro += rb
             rb1 = b.rank(q + 1)
             if rb1:
-                # (-1)^p 1 (x) d_b: entry ((i, j2), (i, j)) = (-1)^p d_b[j2][j]
+                # (-1)^p 1 (x) d_b: entry ((i, j2), (i, j)) = (-1)^p d_b[j2][j],
+                # so row (i, j2) holds that row of d_b in columns co + i * rb on
                 ro = tgt_off[(p, q + 1)]
-                for j2, drow in enumerate(b.d(q).entries):
-                    for j, x in enumerate(drow):
-                        if x:
-                            if p % 2:
-                                x = ring.norm(-x)
-                            for i in range(ra):
-                                grid[ro + i * rb1 + j2][co + i * rb + j] = x
+                if q not in signed_db:
+                    signed_db[q] = (b.d(q).entries, mat_scale(-1, b.d(q)).entries)
+                drows = signed_db[q][p % 2]
+                for c in range(co, co + ra * rb, rb):
+                    for drow in drows:
+                        grid[ro][c:c + rb] = drow
+                        ro += 1
         diff[n] = _grid_matrix(ring, grid, ranks[n])
     return make_complex(ring, ranks, diff)
 
@@ -482,20 +584,68 @@ def alt_trace(e: ChainMap) -> int:
     return ring.norm(total)
 
 
+def _place_kron(grid: list[list[int]], r0: int, c0: int, a: Matrix, b: Matrix) -> None:
+    """Write mat_kron(a, b) into grid from (r0, c0): row (i, k) holds a[i][j] *
+    b[k][l] in column (j, l), with (i, k) -> i * b.rows + k, (j, l) -> j * b.cols + l."""
+    br, bc = b.rows, b.cols
+    if b._perm is not None:
+        # row (i, k) is row i of a times signs[k], at stride bc from column cols[k]
+        cols, signs = b._perm
+        stop = c0 + a.cols * bc
+        by_sign = {}
+        for k, l in enumerate(cols):
+            s = 1 if signs is None else signs[k]
+            if s not in by_sign:
+                by_sign[s] = mat_scale(s, a).entries
+            for i, arow in enumerate(by_sign[s]):
+                grid[r0 + i * br + k][c0 + l:stop:bc] = arow
+        return
+    # otherwise from a's nonzeros: each a[i][j] puts b scaled by it at block (i, j)
+    by_value = {}
+    for arow in a.entries:
+        for j, x in enumerate(arow):
+            if x:
+                if x not in by_value:
+                    by_value[x] = mat_scale(x, b).entries
+                c = c0 + j * bc
+                for k, brow in enumerate(by_value[x]):
+                    grid[r0 + k][c:c + bc] = brow
+        r0 += br
+
+
 def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
-    """Tensor of degree-zero chain maps; no Koszul signs arise."""
+    """Tensor of degree-zero chain maps; no Koszul signs arise.  A component
+    whose blocks are all signed permutations is one, and carries the record."""
     src = cx_tensor(f.source, g.source)
     tgt = cx_tensor(f.target, g.target)
     ring = src.ring
     comps = {}
     for n, rs in src.ranks:
-        if tgt.rank(n) == 0:
+        rt = tgt.rank(n)
+        if rt == 0:
             continue
         tgt_off = tensor_offsets(f.target, g.target, n)
-        grid = [[0] * rs for _ in range(tgt.rank(n))]
-        for (p, q), co in tensor_offsets(f.source, g.source, n).items():
-            if f.target.rank(p) and g.target.rank(q):
-                _add_block(grid, tgt_off[(p, q)], co, mat_kron(f.component(p), g.component(q)))
+        blocks = [
+            (tgt_off.get((p, q)), co, f.component(p), g.component(q))
+            for (p, q), co in tensor_offsets(f.source, g.source, n).items()
+        ]
+        if rs == rt and all(a._perm is not None and b._perm is not None for _, _, a, b in blocks):
+            # row (i, k) of block (p, q) goes to column (cols_a[i], cols_b[k])
+            cols, signs = [0] * rt, [1] * rt
+            for ro, co, a, b in blocks:
+                (acols, asigns), (bcols, bsigns) = a._perm, b._perm
+                for i, ci in enumerate(acols):
+                    r = ro + i * b.rows
+                    cols[r:r + b.rows] = [co + ci * b.cols + l for l in bcols]
+                    if asigns or bsigns:
+                        si = 1 if asigns is None else asigns[i]
+                        signs[r:r + b.rows] = [ring.norm(si * s) for s in bsigns or (1,) * b.rows]
+            comps[n] = _perm_matrix(ring, cols, signs)
+            continue
+        grid = [[0] * rs for _ in range(rt)]
+        for ro, co, a, b in blocks:
+            if ro is not None:
+                _place_kron(grid, ro, co, a, b)
         comps[n] = _grid_matrix(ring, grid, rs)
     return make_chain_map(src, tgt, comps, check=False)
 
@@ -615,15 +765,16 @@ def swap_map(a: Complex, b: Complex) -> ChainMap:
     comps = {}
     for n, rs in src.ranks:
         tgt_off = tensor_offsets(b, a, n)
-        grid = [[0] * rs for _ in range(tgt.rank(n))]
+        cols, signs = [0] * rs, [ring.norm(1)] * rs
         for (p, q), off in tensor_offsets(a, b, n).items():
             ra, rb = a.rank(p), b.rank(q)
             to = tgt_off[(q, p)]
-            sign = ring.norm(-1 if (p * q) % 2 else 1)
-            for i in range(ra):
-                for j in range(rb):
-                    grid[to + j * ra + i][off + i * rb + j] = sign
-        comps[n] = _grid_matrix(ring, grid, rs)
+            # row (j, i) of the summand takes column (i, j)
+            for j in range(rb):
+                cols[to + j * ra:to + (j + 1) * ra] = range(off + j, off + ra * rb, rb)
+            if (p * q) % 2:
+                signs[to:to + ra * rb] = [ring.norm(-1)] * (ra * rb)
+        comps[n] = _perm_matrix(ring, cols, signs)
     return make_chain_map(src, tgt, comps, check=False)
 
 
@@ -635,12 +786,11 @@ def assoc_map(a: Complex, b: Complex, c: Complex) -> ChainMap:
     src = cx_tensor(a, bc)
     tgt = cx_tensor(ab, c)
     ring = src.ring
-    one = ring.norm(1)
     bc_off = {m: tensor_offsets(b, c, m) for m, _ in bc.ranks}
     ab_off = {m: tensor_offsets(a, b, m) for m, _ in ab.ranks}
     comps = {}
     for n, rs in src.ranks:
-        grid = [[0] * rs for _ in range(tgt.rank(n))]
+        cols = [0] * rs
         src_off = tensor_offsets(a, bc, n)
         tgt_off = tensor_offsets(ab, c, n)
         for p, ra in a.ranks:
@@ -657,9 +807,8 @@ def assoc_map(a: Complex, b: Complex, c: Complex) -> ChainMap:
                         for j in range(rb):
                             col = so + i * rbc + j * rc
                             row = to + (i * rb + j) * rc
-                            for k in range(rc):
-                                grid[row + k][col + k] = one
-        comps[n] = _grid_matrix(ring, grid, rs)
+                            cols[row:row + rc] = range(col, col + rc)
+        comps[n] = _perm_matrix(ring, cols)
     return make_chain_map(src, tgt, comps, check=False)
 
 

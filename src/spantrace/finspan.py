@@ -176,8 +176,8 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
 
 
 class ProductOver(FinOver):
-    """x ×_base y: the factors answer size and membership, and the set that
-    fiber_product lists out over the anchors answers the rest."""
+    """x ×_base y: the factors answer size, membership and anchors, and the
+    set that fiber_product lists out over the anchors answers the rest."""
 
     def __init__(self, x: FinOver, y: FinOver):
         object.__setattr__(self, "base", x.base)
@@ -200,6 +200,12 @@ class ProductOver(FinOver):
         x, y = self.factors
         return (type(e) is tuple and len(e) == 2 and e[0] in x and e[1] in y
                 and x.anchor_of(e[0]) == y.anchor_of(e[1]))
+
+    def anchor_of(self, e: Label) -> Label:
+        # from the first factor, so a nested product is not listed out
+        if e not in self:
+            raise ValueError(f"{e!r} is not an element")
+        return self.factors[0].anchor_of(e[0])
 
 
 def prod_over_base(x: FinOver, y: FinOver) -> FinOver:

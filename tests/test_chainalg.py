@@ -548,6 +548,76 @@ def test_swap_ev_coev_match_basis_oracles(seed):
             assert_normalised(coev.component(0))
 
 
+def record_oracle(m):
+    """The dense matrix a permutation record describes, or None without one."""
+    if m._perm is None:
+        return None
+    cols, signs = m._perm
+    grid = [[0] * m.cols for _ in range(m.rows)]
+    for i, c in enumerate(cols):
+        grid[i][c] = 1 if signs is None else signs[i]
+    return grid
+
+
+def plain(m):
+    """The same entries through mat(), which sets no permutation record."""
+    return mat(m.ring, m.entries, cols=m.cols)
+
+
+def plain_map(f):
+    return make_chain_map(f.source, f.target, {n: plain(p) for n, p in f.components}, check=False)
+
+
+def assert_same_matrix(got, want):
+    assert got == want and got.entries == want.entries and hash(got) == hash(want)
+    assert_normalised(got)
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_permutations_apply_by_reindexing_as_the_dense_product(seed):
+    rng = random.Random(seed)
+    for m in (0, 7, 2, 1):
+        ring = Ring(m)
+        a, b, c = (big_complex(rng, ring) for _ in range(3))
+        swap = swap_map(b, c)
+        maps = [assoc_map(a, b, c), assoc_map_inv(a, b, c), swap, map_identity(a),
+                map_tensor(map_identity(a), swap), map_tensor(swap, map_identity(a))]
+        assert maps[0].target == tensor_oracle(cx_tensor(a, b), c)
+        for f in maps:
+            for n, p in f.components:
+                assert p.rows == p.cols and (p._perm is None) == (m == 1)
+                if p._perm is not None:
+                    assert [list(r) for r in p.entries] == record_oracle(p)
+                    assert sorted(p._perm[0]) == list(range(p.rows))
+                dense = plain(p)
+                assert dense._perm is None
+                k = rng.randint(0, 3)
+                right = mat(ring, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(p.cols)], cols=k)
+                left = mat(ring, [[rng.randint(-3, 3) for _ in range(p.rows)] for _ in range(k)], cols=p.rows)
+                assert_same_matrix(mat_mul(p, right), mat_mul(dense, right))
+                assert_same_matrix(mat_mul(left, p), mat_mul(left, dense))
+                assert_same_matrix(mat_mul(p, p), mat_mul(dense, dense))
+                assert_same_matrix(mat_transpose(p), mat_transpose(dense))
+                assert_same_matrix(mat_mul(mat_transpose(p), p), plain(mat_identity(ring, p.rows)))
+        # a permutation or identity factor in a tensor of maps, against the
+        # same entries without records; f (x) f only on small complexes, as
+        # it squares the ranks
+        recs = [random_complex(rng, ring, GenParams()) for _ in range(5)]
+        x, y, z = (r.cx for r in recs[2:])
+        g = random_chain_map(rng, recs[0], recs[1])
+        small = [assoc_map(x, y, z), assoc_map_inv(x, y, z), swap_map(x, y), map_identity(x),
+                 map_tensor(map_identity(z), swap_map(x, y))]
+        cases = [(f, g) for f in small + [swap]] + [(g, f) for f in small + [swap]] + [(f, f) for f in small]
+        for u, v in cases:
+            got, want = map_tensor(u, v), map_tensor(plain_map(u), plain_map(v))
+            assert got == want and hash(got) == hash(want)
+            for (_, p), (_, q) in zip(got.components, want.components):
+                assert_same_matrix(p, q)
+                if p._perm is not None:
+                    assert [list(r) for r in p.entries] == record_oracle(p)
+
+
 def test_mat_transpose_keeps_shapes():
     rng = random.Random(3)
     for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 5)):
@@ -674,3 +744,40 @@ def test_cached_hash_does_not_change_equality():
     assert a != b and a == mat(ZZ, [[1, 2], [3, 4]])
     assert len({a, b, mat(ZZ, [[1, 2], [3, 4]])}) == 2
     assert mat(Z7, [[1, 2], [3, 4]]) != a
+
+
+# ---------------------------------------------------------------------------
+# invariants at construction
+
+
+def test_direct_construction_checks_shape_normalisation_and_degrees():
+    bad_matrices = [
+        (ZZ, 2, 2, ((1, 2),)),  # too few rows
+        (ZZ, 1, 2, ((1, 2, 3),)),  # a row of the wrong length
+        (ZZ, 2, 2, ((1, 2), (3,))),  # ragged
+        (ZZ, 1, 2, ([1, 2],)),  # a row that is not a tuple
+        (ZZ, 1, 2, [(1, 2)]),  # rows that are not a tuple
+        (Z7, 1, 2, ((1, 7),)),  # unnormalised over Z/7
+        (Z7, 2, 1, ((0,), (-1,))),
+        (Ring(1), 1, 1, ((1,),)),  # over Z/1 only 0 is normalised
+    ]
+    for args in bad_matrices:
+        with pytest.raises(ValueError):
+            Matrix(*args)
+    for args in ((ZZ, 1, 2, ((-5, 9),)), (ZZ, 0, 3, ()), (Z7, 2, 0, ((), ())), (Z7, 1, 2, ((0, 6),))):
+        assert Matrix(*args) == mat(args[0], args[3], cols=args[2])
+    d = mat(ZZ, [[2]])
+    assert Complex(ZZ, ((0, 1), (1, 1)), ((0, d),)) == q_complex()
+    bad_complexes = [
+        (ZZ, ((1, 1), (0, 1)), ((0, d),)),  # degrees not sorted
+        (ZZ, ((0, 1), (0, 1)), ()),  # a repeated degree
+        (ZZ, ((0, 0),), ()),  # a zero rank
+        (ZZ, ((0, -1),), ()),  # a negative rank
+        (ZZ, ((0, 1), (1, 1)), ()),  # a missing differential
+        (ZZ, ((0, 1), (2, 1)), ((0, d),)),  # a differential between absent degrees
+        (ZZ, ((0, 1), (1, 2)), ((0, d),)),  # the wrong shape
+        (Z7, ((0, 1), (1, 1)), ((0, d),)),  # the wrong ring
+    ]
+    for args in bad_complexes:
+        with pytest.raises(ValueError):
+            Complex(*args)

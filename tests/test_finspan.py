@@ -330,6 +330,8 @@ def check_product(lazy, eager, candidates):
         else:
             with pytest.raises(ValueError, match="not an element"):
                 lazy.index(e)
+            with pytest.raises(ValueError, match="not an element"):
+                lazy.anchor_of(e)
     assert lazy == eager and eager == lazy
     assert lazy.elements == eager.elements and lazy.anchor == eager.anchor
 
@@ -349,6 +351,16 @@ def test_products_on_demand_agree_with_the_fiber_product(seed):
     right = [(a, (b, c)) for a, b in pairs for c in z.elements]
     check_product(prod_over_base(prod_over_base(x, y), z), eager_product(xy, z), left + right)
     check_product(prod_over_base(x, prod_over_base(y, z)), eager_product(x, yz), right + left)
+    # a three-fold product answers membership and anchors from its factors,
+    # without listing the inner product out
+    lazy_xy, lazy_yz = prod_over_base(x, y), prod_over_base(y, z)
+    for inner, outer, eager in ((lazy_xy, prod_over_base(lazy_xy, z), eager_product(xy, z)),
+                                (lazy_yz, prod_over_base(x, lazy_yz), eager_product(x, yz))):
+        for e in left + right + outsiders:
+            assert (e in outer) == (e in eager)
+            if e in eager:
+                assert outer.anchor_of(e) == eager.anchor_of(e)
+        assert "_flat" not in vars(inner) and "_flat" not in vars(outer)
     # equal factors decide equality without walking; different contents differ both ways
     assert prod_over_base(x, y) == prod_over_base(x, y)
     differ = eager_product(y, x) != eager_product(x, y)
