@@ -1,0 +1,176 @@
+"""Mutant table: which tests kill each recorded fault of the package.
+
+Each mutant is a name, a file under src/spantrace, an exact anchor string
+that occurs once in that file, its replacement and the name of a test
+selection.  The script first runs every selection on an unmodified copy
+of src/ and tests/ (all must pass), then, one mutant at a time, applies the
+mutant to a fresh temporary copy of src/, runs its selection there and
+records the tests that fail.  A mutant that no test of its selection kills
+is kept in the table as a survivor.  The copy's tests run under a
+hypothesis profile without shrinking or example database: a property test
+fails on the first failing example it generates, as it would with
+shrinking, but shrinking a mutant's many failures takes minutes.
+
+    python scripts/mutants.py            # writes MUTANTS.json at the repo root
+
+The full table takes a few minutes on two cores and is not part of tier-1;
+tests/test_scripts.py checks that every anchor occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFTEST = """from hypothesis import Phase, settings
+
+settings.register_profile("mutants", database=None, phases=[Phase.explicit, Phase.generate])
+settings.load_profile("mutants")
+"""
+
+_LV_NONZERO = "tests/test_cli.py::test_cli_lv_nonzero"
+_CRITERION = "tests/test_acceptance.py::test_criterion_"
+_PINNED = "tests/test_cli.py::test_fuzz_all_report_bytes_are_pinned"
+_COMMON = [_LV_NONZERO, _CRITERION + "1_pushforward_trace_identity_500", _PINNED]
+
+# Test selections by name; every one starts with the nonzero LV fixture,
+# criterion 1 and the pinned report hash, so the table compares them.
+SELECTIONS = {
+    "lv": _COMMON + [
+        _CRITERION + "2_global_fixed_point_200",
+        _CRITERION + "6_characteristic_class_200",
+        _CRITERION + "9_pushforward_unique_lift",
+        "tests/test_sheafops.py",
+        "tests/test_corrcat.py",
+    ],
+    "kernels": _COMMON + [
+        "tests/test_chainalg.py",
+        _CRITERION + "3_local_term_oracle_500",
+        _CRITERION + "4_duality_certificates_100",
+    ],
+    "cells": _COMMON + [
+        "tests/test_finspan.py",
+        "tests/test_corrcat.py",
+        "tests/test_dualtrace.py",
+        _CRITERION + "4_duality_certificates_100",
+        _CRITERION + "9_pushforward_unique_lift",
+    ],
+    "pairing": _COMMON + [
+        "tests/test_dualtrace.py",
+        _CRITERION + "3_local_term_oracle_500",
+        _CRITERION + "5_pairing_symmetry_200",
+    ],
+}
+
+# (name, file, anchor, replacement, selection)
+MUTANTS = [
+    ("shriek_push keeps the last block", "corrcat.py",
+     "blocks[(yi, xi)] = map_add(blocks[(yi, xi)], piece)", "blocks[(yi, xi)] = piece", "lv"),
+    ("shriek_push reverses source positions", "corrcat.py",
+     "xpos = {x: i for i, x in enumerate(xs)}", "xpos = {x: len(xs) - 1 - i for i, x in enumerate(xs)}",
+     "lv"),
+    ("omega_push reads only the first fibre element", "sheafops.py",
+     "sum(a.value(x) for x in q.fiber(y))", "sum(a.value(x) for x in q.fiber(y)[:1])", "lv"),
+    ("pairing returns zeros", "dualtrace.py",
+     "found[pair] = comp.entries[0][0] if comp.rows and comp.cols else 0", "found[pair] = 0", "pairing"),
+    ("alt_trace drops the sign of odd degrees", "chainalg.py",
+     "total += t if n % 2 == 0 else -t", "total += t", "pairing"),
+    ("map_compose swaps its factors", "chainalg.py",
+     "n: mat_mul(g.component(n), f.component(n))", "n: mat_mul(f.component(n), g.component(n))",
+     "kernels"),
+    ("swap_map drops the Koszul sign", "chainalg.py",
+     "signs[to:to + ra * rb] = [ring.norm(-1)] * (ra * rb)",
+     "signs[to:to + ra * rb] = [ring.norm(1)] * (ra * rb)", "kernels"),
+    ("ev_map drops the pairing sign", "chainalg.py",
+     "s = c.ring.norm(pair_sign(p))", "s = c.ring.norm(1)", "kernels"),
+    ("coev_map drops the pairing sign", "chainalg.py",
+     "s = c.ring.norm(pair_sign(-n))", "s = c.ring.norm(1)", "kernels"),
+    ("permutation rows drop their sign", "chainalg.py",
+     "rows[c] if s == 1 else _scale_row(rows[c], s, modulus)", "rows[c]", "kernels"),
+    ("permutation inverse is the permutation", "chainalg.py",
+     "inv = sorted(range(len(cols)), key=cols.__getitem__)", "inv = list(cols)", "kernels"),
+    ("transposed permutation keeps its signs in place", "chainalg.py",
+     "None if signs is None else tuple(map(signs.__getitem__, inv))", "signs", "kernels"),
+    ("permutation record over Z/1", "chainalg.py",
+     "if m.ring.norm(1):  # over Z/1", "if True:  # over Z/1", "kernels"),
+    ("Kronecker placement misses its stride start", "chainalg.py",
+     "grid[r0 + i * br + k][c0 + l:stop:bc] = arow", "grid[r0 + i * br + k][c0:stop:bc] = arow",
+     "kernels"),
+    ("cc_invert checks one round trip", "corrcat.py",
+     "or map_compose(u, inv) != map_identity(u.target)", "or False", "cells"),
+    ("triangle cell skips the bijectivity check", "dualtrace.py",
+     "if not comp.span.left.is_bijective():", "if False:", "cells"),
+    ("cell_check skips the right leg", "finspan.py",
+     "if target.right(graph(x)) != source.right(x):", "if False:", "cells"),
+    ("span_compose takes its right leg through d.left", "finspan.py",
+     "om_compose(d.right, pr2)", "om_compose(d.left, pr2)", "cells"),
+]
+
+
+def mutate(src: Path, file: str, anchor: str, replacement: str) -> None:
+    path = src / "spantrace" / file
+    text = path.read_text(encoding="utf-8")
+    if text.count(anchor) != 1:
+        raise SystemExit(f"anchor occurs {text.count(anchor)} times in {file}: {anchor!r}")
+    path.write_text(text.replace(anchor, replacement), encoding="utf-8")
+
+
+def run_selection(work: Path, tests: list[str]) -> list[str]:
+    """The node ids of the selected tests that fail or error in work."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        cwd=work, env=env, capture_output=True, text=True,
+    )
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    if proc.returncode and not failed:
+        raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return sorted(set(failed))
+
+
+def main() -> int:
+    start = time.perf_counter()
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "tests", work / "tests")
+        (work / "tests" / "conftest.py").write_text(CONFTEST, encoding="utf-8")
+        shutil.copy(ROOT / "pyproject.toml", work)
+        shutil.copytree(ROOT / "src", work / "src")
+        clean = run_selection(work, sorted({t for tests in SELECTIONS.values() for t in tests}))
+        if clean:
+            raise SystemExit(f"the unmodified package fails {clean}")
+        for name, file, anchor, replacement, selection in MUTANTS:
+            shutil.rmtree(work / "src")
+            shutil.copytree(ROOT / "src", work / "src")
+            mutate(work / "src", file, anchor, replacement)
+            t0 = time.perf_counter()
+            killed_by = run_selection(work, SELECTIONS[selection])
+            wall = time.perf_counter() - t0
+            rows.append({"name": name, "file": f"src/spantrace/{file}", "selection": selection,
+                         "killed_by": killed_by, "survived": not killed_by, "wall_s": round(wall, 2)})
+            print(f"{'SURVIVED' if not killed_by else 'killed':>8}  {wall:6.1f}s  {name}", flush=True)
+    doc = {
+        "command": "python scripts/mutants.py",
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "selections": SELECTIONS,
+        "mutants": rows,
+        "survivors": [r["name"] for r in rows if r["survived"]],
+        "total_wall_s": round(time.perf_counter() - start, 1),
+    }
+    (ROOT / "MUTANTS.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

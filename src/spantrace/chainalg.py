@@ -16,19 +16,18 @@ for matrices from outside (the parser, the generator, tests); the structure
 maps (tensor differentials, tensors of maps, symmetries, reassociations,
 evaluation and coevaluation, block sums) are assembled by placing their
 already normalised entries into a zero grid, a Kronecker block or a tensor
-differential's block a whole row slice at a time.  The identities,
-symmetries and reassociations are signed permutations, and say so in a
-record on their `Matrix`; `mat_mul` and `mat_transpose` apply such a
-matrix by reindexing the other factor's rows or columns, and `map_tensor`
-places a Kronecker block with a permutation factor by strided slices.  The
-results are the same dense matrices, equal and hashed by their entries.
+differential's block a whole row slice at a time.  Only `mat_identity`
+and the structure maps (symmetries, reassociations, their inverses) record
+on their `Matrix` that they are signed permutations: `mat_mul` picks rows
+of its right factor by a record on its left, `mat_transpose` inverts it,
+and `_place_kron` places a block by strided slices by a record on its right
+factor.  Products and tensors of permutations are dense, with no record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 from typing import Mapping, Sequence
 
 
@@ -55,8 +54,9 @@ class Matrix:
 
     A square signed permutation may carry the record `_perm = (cols, signs)`:
     row i's one nonzero sits in column cols[i] and is signs[i], or 1 when
-    signs is None.  Only the constructors that know a matrix is one set it,
-    never over Z/1, where 1 is 0; it takes no part in ==, hash or repr.
+    signs is None.  Only mat_identity and the structure maps set it, never
+    over Z/1, where 1 is 0; mat_mul reads it on the left, _place_kron on the
+    right, and products and tensors are dense.  It is not in ==, hash, repr.
     """
 
     ring: Ring
@@ -210,16 +210,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a._perm is not None:
         # row i of the product is signs[i] times row cols[i] of b
         return _kernel_matrix(ring, a.rows, b.cols, _signed_rows(bent, *a._perm, ring.modulus))
-    if b._perm is not None:
-        # column j of the product is the sign times column inv[j] of a
-        inv, signs = _perm_inverse(b._perm)
-        if signs is None:
-            rows = tuple(tuple(map(arow.__getitem__, inv)) for arow in a.entries)
-        else:
-            m = ring.modulus
-            picked = (map(mul, map(arow.__getitem__, inv), signs) for arow in a.entries)
-            rows = tuple(tuple(map(m.__rmod__, row) if m else row) for row in picked)
-        return _kernel_matrix(ring, a.rows, b.cols, rows)
     norm = ring.norm
     ncols = b.cols
     rows = []
@@ -253,14 +243,10 @@ def mat_transpose(a: Matrix) -> Matrix:
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product in row-major block layout: index (i,k) -> i*b.rows + k."""
     ring = _same_ring(a, b)
-    norm = ring.norm
-    rows = []
-    for i in range(a.rows):
-        arow = a.entries[i]
-        for k in range(b.rows):
-            brow = b.entries[k]
-            rows.append(tuple(norm(arow[j] * brow[l]) for j in range(a.cols) for l in range(b.cols)))
-    return _kernel_matrix(ring, a.rows * b.rows, a.cols * b.cols, tuple(rows))
+    cols = a.cols * b.cols
+    grid = [[0] * cols for _ in range(a.rows * b.rows)]
+    _place_kron(grid, 0, 0, a, b)
+    return _grid_matrix(ring, grid, cols)
 
 
 def mat_block(
@@ -358,10 +344,6 @@ class Complex:
             if d == n:
                 return m
         return mat_zero(self.ring, self.rank(n + 1), self.rank(n))
-
-    @property
-    def total_rank(self) -> int:
-        return sum(r for _, r in self.ranks)
 
 
 def make_complex(
@@ -585,8 +567,9 @@ def alt_trace(e: ChainMap) -> int:
 
 
 def _place_kron(grid: list[list[int]], r0: int, c0: int, a: Matrix, b: Matrix) -> None:
-    """Write mat_kron(a, b) into grid from (r0, c0): row (i, k) holds a[i][j] *
-    b[k][l] in column (j, l), with (i, k) -> i * b.rows + k, (j, l) -> j * b.cols + l."""
+    """Write the Kronecker product of a and b into grid from (r0, c0): row (i, k)
+    holds a[i][j] * b[k][l] in column (j, l), with (i, k) -> i * b.rows + k,
+    (j, l) -> j * b.cols + l."""
     br, bc = b.rows, b.cols
     if b._perm is not None:
         # row (i, k) is row i of a times signs[k], at stride bc from column cols[k]
@@ -614,39 +597,21 @@ def _place_kron(grid: list[list[int]], r0: int, c0: int, a: Matrix, b: Matrix) -
 
 
 def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
-    """Tensor of degree-zero chain maps; no Koszul signs arise.  A component
-    whose blocks are all signed permutations is one, and carries the record."""
+    """Tensor of degree-zero chain maps; no Koszul signs arise."""
     src = cx_tensor(f.source, g.source)
     tgt = cx_tensor(f.target, g.target)
-    ring = src.ring
     comps = {}
     for n, rs in src.ranks:
         rt = tgt.rank(n)
         if rt == 0:
             continue
         tgt_off = tensor_offsets(f.target, g.target, n)
-        blocks = [
-            (tgt_off.get((p, q)), co, f.component(p), g.component(q))
-            for (p, q), co in tensor_offsets(f.source, g.source, n).items()
-        ]
-        if rs == rt and all(a._perm is not None and b._perm is not None for _, _, a, b in blocks):
-            # row (i, k) of block (p, q) goes to column (cols_a[i], cols_b[k])
-            cols, signs = [0] * rt, [1] * rt
-            for ro, co, a, b in blocks:
-                (acols, asigns), (bcols, bsigns) = a._perm, b._perm
-                for i, ci in enumerate(acols):
-                    r = ro + i * b.rows
-                    cols[r:r + b.rows] = [co + ci * b.cols + l for l in bcols]
-                    if asigns or bsigns:
-                        si = 1 if asigns is None else asigns[i]
-                        signs[r:r + b.rows] = [ring.norm(si * s) for s in bsigns or (1,) * b.rows]
-            comps[n] = _perm_matrix(ring, cols, signs)
-            continue
         grid = [[0] * rs for _ in range(rt)]
-        for ro, co, a, b in blocks:
+        for (p, q), co in tensor_offsets(f.source, g.source, n).items():
+            ro = tgt_off.get((p, q))
             if ro is not None:
-                _place_kron(grid, ro, co, a, b)
-        comps[n] = _grid_matrix(ring, grid, rs)
+                _place_kron(grid, ro, co, f.component(p), g.component(q))
+        comps[n] = _grid_matrix(src.ring, grid, rs)
     return make_chain_map(src, tgt, comps, check=False)
 
 

@@ -71,10 +71,11 @@ def _dispatch(args) -> int:
 
     if args.command == "trace":
         inst = parse_file(args.file)
-        out = {}
-        for name, m in inst.morphisms.items():
-            if m.source == m.target:
-                out[name] = omega_doc(trace(m, make_dual(m.source)).omega)
+        try:
+            out = {name: omega_doc(trace(m, make_dual(m.source)).omega)
+                   for name, m in inst.morphisms.items() if m.source == m.target}
+        except Exception as e:  # a fault in the program under test, not in the file
+            return _verification_raised(e)
         print(json.dumps(out, sort_keys=True, indent=1))
         return 0
 
@@ -82,7 +83,10 @@ def _dispatch(args) -> int:
         inst = parse_file(args.file)
         if inst.lv is None:
             raise ParseError("/lv", "file has no lv diagram")
-        res = pairing_functorial(inst.lv)
+        try:
+            res = pairing_functorial(inst.lv)
+        except Exception as e:  # as for trace
+            return _verification_raised(e)
         print(
             json.dumps(
                 {"pushed": omega_doc(res.pushed), "rhs": omega_doc(res.rhs),
@@ -116,6 +120,12 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
+
+
+def _verification_raised(e: Exception) -> int:
+    """A fault while verifying a parsed file: a failed verification, exit 1."""
+    print(f"error: verification raised {type(e).__name__}: {e}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

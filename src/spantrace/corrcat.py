@@ -198,14 +198,6 @@ def cc_cell_check(cell: CCCell) -> None:
             )
 
 
-def cc_cell_passes(cell: CCCell) -> bool:
-    try:
-        cc_cell_check(cell)
-        return True
-    except ValueError:
-        return False
-
-
 def whisker_left(m: CCMorphism, cell: CCCell) -> CCCell:
     """Cell between m.cell.source and m.cell.target (m composed first)."""
     src = cc_compose(m, cell.source)
@@ -460,18 +452,6 @@ def shriek_push(
                 blocks[(yi, xi)] = piece
         maps[gp] = map_direct_sum(blocks, src_parts, tgt_parts, l.ring)
     return make_cc_morphism(src, tgt, lower, maps)
-
-
-def shriek_push_cell(
-    u: CCMorphism, f: OverMap, p: OverMap, g: OverMap, lower: Span
-) -> CCCell:
-    """The 2-cell exhibiting the pushforward square, with apex map the
-    vertical map on apexes."""
-    pushed = shriek_push(u, f, p, g, lower)
-    left = cc_compose(u, f_natural(g, u.target.sheaf))
-    right = cc_compose(f_natural(f, u.source.sheaf), pushed)
-    graph = {e: (u.span.left(e[0]), p(e[0])) for e in left.span.apex.elements}
-    return make_cc_cell(left, right, graph)
 
 
 # ---------------------------------------------------------------------------

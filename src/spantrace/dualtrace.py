@@ -16,14 +16,7 @@ oracle; their agreement is a theorem-shaped test, not an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .chainalg import (
-    alt_trace,
-    coev_map,
-    ev_map,
-    make_chain_map,
-    map_compose,
-    mat_transpose,
-)
+from .chainalg import alt_trace, coev_map, ev_map, map_compose
 from .corrcat import (
     CCCell,
     CCMorphism,
@@ -253,20 +246,6 @@ def dual_of_morphism(u: CCMorphism, da: DualityData, db: DualityData) -> CCMorph
     return comp
 
 
-def expected_dual_morphism(u: CCMorphism, da: DualityData, db: DualityData) -> CCMorphism:
-    """Oracle shape for the mate: flipped span, components the transposes
-    with the degree negated (degree n of the mate pairs against degree -n)."""
-    span = Span(u.span.right, u.span.left)
-    maps = {}
-    for g in u.span.apex.elements:
-        f = u.map_at(g)
-        comps = {-n: mat_transpose(m) for n, m in f.components}
-        maps[g] = make_chain_map(
-            db.dual.sheaf.stalk(u.span.right(g)), da.dual.sheaf.stalk(u.span.left(g)), comps
-        )
-    return make_cc_morphism(db.dual, da.dual, span, maps)
-
-
 # ---------------------------------------------------------------------------
 # functoriality under pushforward
 
@@ -345,16 +324,18 @@ def pairing_functorial(rect: PushRectangles) -> FunctorialResult:
     """Push the pairing along the induced map of fixed-point sets and
     compare with the pairing of the pushed morphisms; exact equality.
 
-    The duality data of the upper source object and of its pushforward are
-    built here.  The induced map sends (gamma, delta) to (p(gamma),
-    q(delta)); proper_splitting's delta cell has exactly this apex
-    component by construction.
+    The duality data of the upper source object is built here, and that of
+    its pushforward by push_preserves_dual, which also checks that the dual
+    of the pushforward is the pushforward of the dual.  The induced map
+    sends (gamma, delta) to (p(gamma), q(delta)); proper_splitting's delta
+    cell has exactly this apex component by construction.
     """
     rect.validate()
-    lhs = pairing(rect.u, rect.v, make_dual(rect.u.source)).omega
+    dx = make_dual(rect.u.source)
+    lhs = pairing(rect.u, rect.v, dx).omega
     u2 = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
     v2 = shriek_push(rect.v, rect.g, rect.q, rect.f, rect.dp)
-    rhs = pairing(u2, v2, make_dual(u2.source)).omega
+    rhs = pairing(u2, v2, push_preserves_dual(rect.f, dx)).omega
     graph = tuple((rect.p(g), rect.q(d)) for g, d in lhs.carrier.elements)
     s = OverMap(lhs.carrier, rhs.carrier, graph)
     pushed = omega_push(s, lhs)

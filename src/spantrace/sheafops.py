@@ -145,15 +145,6 @@ class OmegaClass:
         return self.values[self.carrier.index(x)]
 
 
-def make_omega(ring: Ring, carrier: FinOver, values: Mapping[Label, int]) -> OmegaClass:
-    out = []
-    for x in carrier.elements:
-        if x not in values:
-            raise ValueError(f"missing value at {x!r}")
-        out.append(ring.norm(values[x]))
-    return OmegaClass(ring, carrier, tuple(out))
-
-
 def omega_push(q: OverMap, a: OmegaClass) -> OmegaClass:
     """Fiberwise sum; functorial in the map."""
     if a.carrier != q.source:

@@ -19,7 +19,7 @@ from spantrace.chainalg import (
 )
 from spantrace.corrcat import (
     CCObject,
-    cc_cell_passes,
+    cc_cell_check,
     cc_compose,
     f_natural,
     make_cc_cell,
@@ -223,24 +223,36 @@ def _chain_candidates_mod2(src, tgt):
     return out
 
 
-def test_criterion_9_pushforward_unique_lift():
-    """On small instances the pushforward is the unique morphism over the
-    lower span through which the rectangle is a 2-cell: exhaustively over
-    Z/2, and by single-entry perturbation over Z."""
-    params2 = GenParams(max_set=3, max_rank=2, deg_min=0, deg_max=1, modulus=2)
+def _cell_passes(cell):
+    try:
+        cc_cell_check(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _lift_test(rect):
+    """The pushforward of u down the rectangle, and a test of whether a
+    candidate lift over the lower span makes the rectangle a passing 2-cell."""
+    pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
+    fn = f_natural(rect.f, rect.u.source.sheaf)
+    left = cc_compose(rect.u, f_natural(rect.g, rect.u.target.sheaf))
+    graph = {e: (rect.u.span.left(e[0]), rect.p(e[0])) for e in left.span.apex.elements}
+    return pushed, lambda cand: _cell_passes(make_cc_cell(left, cc_compose(fn, cand), graph))
+
+
+def _exhaustive_unique_lifts(params, seeds, enough):
+    """Instances, up to enough, on which every chain map over Z/2 at each
+    lower apex point was tried and only the pushforward passes."""
     exhaustive = 0
-    for seed in range(200):
-        if exhaustive >= 12:
+    for seed in seeds:
+        if exhaustive >= enough:
             break
-        inst = random_lv_instance(seed, params2)
-        rect = inst.lv
+        rect = random_lv_instance(seed, params).lv
+        pushed, passes = _lift_test(rect)
+        assert passes(pushed), seed
         if not rect.cp.apex.elements:
             continue
-        pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
-        fn = f_natural(rect.f, rect.u.source.sheaf)
-        left = cc_compose(rect.u, f_natural(rect.g, rect.u.target.sheaf))
-        graph = {e: (rect.u.span.left(e[0]), rect.p(e[0])) for e in left.span.apex.elements}
-        assert cc_cell_passes(make_cc_cell(left, cc_compose(fn, pushed), graph))
         per_point = []
         for gp in rect.cp.apex.elements:
             cands = _chain_candidates_mod2(
@@ -264,12 +276,24 @@ def test_criterion_9_pushforward_unique_lift():
                 pushed.source, pushed.target, rect.cp,
                 dict(zip(rect.cp.apex.elements, combo)),
             )
-            if cc_cell_passes(make_cc_cell(left, cc_compose(fn, cand), graph)):
+            if passes(cand):
                 matches += 1
                 assert cand == pushed
         assert matches == 1, seed
         exhaustive += 1
+    return exhaustive
+
+
+def test_criterion_9_pushforward_unique_lift():
+    """On small instances the pushforward is the unique morphism over the
+    lower span through which the rectangle is a 2-cell: exhaustively over
+    Z/2 on two shapes, and by single-entry perturbation over Z."""
+    small = GenParams(max_set=3, max_rank=2, deg_min=0, deg_max=1, modulus=2)
+    exhaustive = _exhaustive_unique_lifts(small, range(200), 12)
     assert exhaustive >= 12
+    tiny = GenParams(max_set=2, max_rank=1, deg_min=0, deg_max=1, modulus=2)
+    exhaustive_tiny = _exhaustive_unique_lifts(tiny, range(40), 40)
+    assert exhaustive_tiny >= 5
 
     # over Z: flipping any single stored entry of the pushforward breaks the cell
     perturbed_checked = 0
@@ -279,11 +303,9 @@ def test_criterion_9_pushforward_unique_lift():
         rect = inst.lv
         if not rect.cp.apex.elements:
             continue
-        pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
-        fn = f_natural(rect.f, rect.u.source.sheaf)
-        left = cc_compose(rect.u, f_natural(rect.g, rect.u.target.sheaf))
-        graph = {e: (rect.u.span.left(e[0]), rect.p(e[0])) for e in left.span.apex.elements}
-        for gi, gp in enumerate(rect.cp.apex.elements):
+        pushed, passes = _lift_test(rect)
+        assert passes(pushed), seed
+        for gp in rect.cp.apex.elements:
             m = pushed.map_at(gp)
             for n, mtx in m.components:
                 for i in range(mtx.rows):
@@ -298,12 +320,11 @@ def test_criterion_9_pushforward_unique_lift():
                         cands = dict(zip(rect.cp.apex.elements, pushed.maps))
                         cands[gp] = cand_map
                         cand = make_cc_morphism(pushed.source, pushed.target, rect.cp, cands)
-                        assert not cc_cell_passes(
-                            make_cc_cell(left, cc_compose(fn, cand), graph)
-                        ), seed
+                        assert not passes(cand), seed
                         perturbed_checked += 1
     assert perturbed_checked >= 50
-    print(f"criterion 9: PASS ({exhaustive} exhaustive, {perturbed_checked} perturbations)")
+    print(f"criterion 9: PASS ({exhaustive} + {exhaustive_tiny} exhaustive, "
+          f"{perturbed_checked} perturbations)")
 
 
 def test_criterion_10_determinism_and_round_trip():
@@ -316,7 +337,7 @@ def test_criterion_10_determinism_and_round_trip():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
     fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
-    for name in ("two_point.json", "lv_small.json"):
+    for name in ("two_point.json", "lv_small.json", "lv_nonzero.json"):
         text = open(os.path.join(fixtures, name), encoding="utf-8").read()
         assert emit_instance(parse_instance(text)) == text
     for seed in range(20):

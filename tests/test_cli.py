@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from spantrace import suites
+from spantrace import cli, suites
 from spantrace.cli import main
 from spantrace.dualtrace import pairing_functorial
 from spantrace.generate import GenParams, random_lv_instance
@@ -19,6 +19,7 @@ from spantrace.suites import Check, Report, parse_report, report_doc, report_emi
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TWO_POINT = os.path.join(FIXTURES, "two_point.json")
 LV_SMALL = os.path.join(FIXTURES, "lv_small.json")
+LV_NONZERO = os.path.join(FIXTURES, "lv_nonzero.json")
 
 MINIMAL = """
 {
@@ -60,7 +61,7 @@ def test_parse_rejects_bad_chain_data():
 
 
 def test_fixtures_round_trip():
-    for path in (TWO_POINT, LV_SMALL):
+    for path in (TWO_POINT, LV_SMALL, LV_NONZERO):
         text = open(path, encoding="utf-8").read()
         inst = parse_instance(text)
         assert emit_instance(inst) == text
@@ -126,6 +127,39 @@ def test_cli_lv(capsys):
     assert main(["lv", LV_SMALL]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["equal"] is True
+    assert main(["lv", TWO_POINT]) == 2
+    assert "no lv diagram" in capsys.readouterr().err
+
+
+def test_cli_lv_nonzero(capsys):
+    # Over Z, on one base point: u is 2 and 3 on c0 and c1, which share the
+    # feet x0 -> y0, and is 5 in degree 0 and 2 in degree 1 on c2 : x1 -> y1,
+    # whose stalks have rank 1 in degrees 0 and 1; v is the identity.  The
+    # fixed points (c0, d0), (c1, d0), (c2, d1) carry 2, 3 and 5 - 2, and all
+    # three lie over the one lower fixed point (cp, dp): pushed, 2 + 3 + 3.
+    # The pushed u sums c0 and c1 into one block, so the right side is
+    # (2 + 3) + 5 - 2 as well.
+    assert main(["lv", LV_NONZERO]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["equal"] is True
+    assert doc["pushed"]["values"] == {'["cp","dp"]': 8}
+    assert doc["rhs"] == doc["pushed"]
+
+
+@pytest.mark.parametrize("error", [ValueError("broken pairing"), ZeroDivisionError("division by zero")],
+                         ids=["ValueError", "ZeroDivisionError"])
+def test_cli_reports_a_raising_verification_as_a_failure(monkeypatch, capsys, error):
+    def raising(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "pairing_functorial", raising)
+    monkeypatch.setattr(cli, "trace", raising)
+    for command, path in (("lv", LV_SMALL), ("trace", TWO_POINT)):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verification raised {type(error).__name__}: {error}\n"
+    # a file that does not parse is still an input error
     assert main(["lv", TWO_POINT]) == 2
     assert "no lv diagram" in capsys.readouterr().err
 

@@ -1,6 +1,8 @@
 """Package layout: every import of src/spantrace and of the tests sits at
 module level, the package modules' imports of one another form no cycle,
-and every function the benchmark traces still exists under its name."""
+every function the benchmark traces still exists under its name, and
+every module-level function and class of the package has a caller outside
+the tests or states a fact of the paper that a test checks."""
 
 import ast
 import importlib
@@ -10,6 +12,24 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spantrace"
 LAYERS = TESTS.parent / "perfbench" / "layers.py"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+CALLERS = ("src", "scripts", "perfbench")  # the directories whose code is not a test
+
+# The constructions only tests call, each with the statement of the paper
+# it checks.  A suite that runs one promotes it out of this dict.
+PAPER_STATEMENTS = {
+    "adjunction_triangles": "the pushforward f_natural is left adjoint to f_conatural: "
+                            "the two triangle pastings of unit and counit",
+    "triangle_composite_is_identity": "each triangle pasting composes to the identity 2-cell",
+    "proper_splitting": "for proper vertical maps the left down-square of the "
+                        "Lefschetz-Verdier diagram splits through the pushforward",
+    "dual_of_morphism": "a morphism of dualizable objects has a dual (its mate), "
+                        "contravariantly functorial",
+    "split_epi_criterion": "an object is dualizable when a (x) hom(a, 1) -> hom(a, a) "
+                           "has a section",
+    "uncurry_morphism": "the internal hom is right adjoint to the tensor product",
+    "sum_tensor_distribute": "the tensor product distributes over direct sums",
+    "monoidal_structure": "pullback along a base change is symmetric monoidal",
+}
 
 
 def _source(name: str) -> str:
@@ -56,6 +76,34 @@ def module_constants(path: Path, names: set[str]) -> dict[str, object]:
                 if isinstance(t, ast.Name) and t.id in names:
                     out[t.id] = ast.literal_eval(node.value)
     return out
+
+
+def defined_names(source: str) -> list[str]:
+    """The functions and classes a module defines at its top level."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in ast.parse(source).body if isinstance(node, kinds)]
+
+
+def referenced_names(source: str) -> set[str]:
+    """The names a module's code reads, bare or as attributes; a mention in
+    a docstring or a comment is no reference."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def reference_violations(defined: set[str], referenced: set[str], statements: dict) -> dict:
+    """Defined names with no reference and no paper statement, statement
+    keys that are referenced after all, and keys no longer defined."""
+    return {
+        "unreferenced": sorted(defined - referenced - set(statements)),
+        "referenced_keys": sorted(set(statements) & referenced),
+        "undefined_keys": sorted(set(statements) - defined),
+    }
 
 
 def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
@@ -112,6 +160,34 @@ def test_layout_checks_catch_violations():
     assert find_cycle({"a": {"a"}}) == ["a", "a"]
 
 
+def test_reference_check_catches_violations():
+    source = '''"""mentions lonely()"""
+
+def used():
+    return helper.attr  # lonely() again
+
+
+class Kept:
+    pass
+
+
+def lonely():
+    return used()
+'''
+    assert defined_names(source) == ["used", "Kept", "lonely"]
+    refs = referenced_names(source) | referenced_names("x = Kept()\n")
+    assert {"used", "helper", "attr", "Kept"} <= refs and "lonely" not in refs
+    defined = set(defined_names(source))
+    # an unreferenced function fails unless a paper statement names it
+    assert reference_violations(defined, refs, {})["unreferenced"] == ["lonely"]
+    assert reference_violations(defined, refs, {"lonely": "a fact"}) == {
+        "unreferenced": [], "referenced_keys": [], "undefined_keys": [],
+    }
+    # a key that gained a caller, or lost its definition, fails too
+    assert reference_violations(defined, refs, {"lonely": "", "used": ""})["referenced_keys"] == ["used"]
+    assert reference_violations(defined, refs, {"lonely": "", "gone": ""})["undefined_keys"] == ["gone"]
+
+
 def test_perfbench_traced_names_exist():
     consts = module_constants(LAYERS, {"TRACED", "CACHED"})
     missing = []
@@ -125,3 +201,15 @@ def test_perfbench_traced_names_exist():
     assert missing == []
     chainalg = importlib.import_module("spantrace.chainalg")
     assert [fn for fn in consts["CACHED"] if not hasattr(vars(chainalg).get(fn), "cache_info")] == []
+
+
+def test_every_package_function_has_a_caller_or_states_the_paper():
+    defined = {name for m in MODULES for name in defined_names(_source(m))}
+    referenced = {qualname.split(".")[0] for _, qualname, _ in module_constants(LAYERS, {"TRACED"})["TRACED"]}
+    for directory in CALLERS:
+        for path in sorted((TESTS.parent / directory).rglob("*.py")):
+            referenced |= referenced_names(path.read_text(encoding="utf-8"))
+    assert reference_violations(defined, referenced, PAPER_STATEMENTS) == {
+        "unreferenced": [], "referenced_keys": [], "undefined_keys": [],
+    }
+    assert len(PAPER_STATEMENTS) <= 8

@@ -1,5 +1,6 @@
 """The example scripts run end to end against the package in src/."""
 
+import ast
 import json
 import os
 import subprocess
@@ -50,3 +51,24 @@ def test_sweep_make_dual_deep(tmp_path):
     (rec,) = doc["records"]
     assert rec["n"] == 4 and rec["rounds"] == 2
     assert 0 < rec["min_s"] <= rec["median_s"]
+
+
+def _mutant_table():
+    """MUTANTS and the selection names of scripts/mutants.py, read without
+    running it."""
+    tree = ast.parse(open(os.path.join(ROOT, "scripts", "mutants.py"), encoding="utf-8").read())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            found[node.targets[0].id] = node.value
+    return ast.literal_eval(found["MUTANTS"]), {k.value for k in found["SELECTIONS"].keys}
+
+
+def test_mutant_anchors_occur_once():
+    mutants, selections = _mutant_table()
+    assert len(mutants) >= 15
+    assert len({m[0] for m in mutants}) == len(mutants)
+    for name, file, anchor, replacement, selection in mutants:
+        text = open(os.path.join(ROOT, "src", "spantrace", file), encoding="utf-8").read()
+        assert text.count(anchor) == 1, (name, anchor)
+        assert replacement != anchor and selection in selections, name
