@@ -287,13 +287,10 @@ def _exhaustive_unique_lifts(params, seeds, enough):
 def test_criterion_9_pushforward_unique_lift():
     """On small instances the pushforward is the unique morphism over the
     lower span through which the rectangle is a 2-cell: exhaustively over
-    Z/2 on two shapes, and by single-entry perturbation over Z."""
+    Z/2, and by single-entry perturbation over Z."""
     small = GenParams(max_set=3, max_rank=2, deg_min=0, deg_max=1, modulus=2)
     exhaustive = _exhaustive_unique_lifts(small, range(200), 12)
     assert exhaustive >= 12
-    tiny = GenParams(max_set=2, max_rank=1, deg_min=0, deg_max=1, modulus=2)
-    exhaustive_tiny = _exhaustive_unique_lifts(tiny, range(40), 40)
-    assert exhaustive_tiny >= 5
 
     # over Z: flipping any single stored entry of the pushforward breaks the cell
     perturbed_checked = 0
@@ -323,8 +320,7 @@ def test_criterion_9_pushforward_unique_lift():
                         assert not passes(cand), seed
                         perturbed_checked += 1
     assert perturbed_checked >= 50
-    print(f"criterion 9: PASS ({exhaustive} + {exhaustive_tiny} exhaustive, "
-          f"{perturbed_checked} perturbations)")
+    print(f"criterion 9: PASS ({exhaustive} exhaustive, {perturbed_checked} perturbations)")
 
 
 def test_criterion_10_determinism_and_round_trip():

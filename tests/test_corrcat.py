@@ -1,6 +1,7 @@
 """Correspondence 2-category: composition laws, 2-cells, pushforward
 assembly and its uniqueness, the pushforward adjunction, internal homs."""
 
+import itertools
 import random
 
 import pytest
@@ -339,6 +340,82 @@ def test_shriek_push_rejects_non_commuting():
     swap = make_over_map(x, x, {"a": "b", "b": "a"})
     with pytest.raises(ValueError, match="commute"):
         shriek_push(u, om_identity(x), swap, om_identity(x), span)
+
+
+def _cell_passes(cell):
+    try:
+        cc_cell_check(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _enumerate_chain_candidates(src, tgt):
+    """All chain maps src -> tgt with entries in Z/2, or None past 14 entries."""
+    shapes = [(n, tgt.rank(n), src.rank(n)) for n, _ in src.ranks if tgt.rank(n)]
+    slots = sum(r * c for _, r, c in shapes)
+    if slots > 14:
+        return None
+    out = []
+    for bits in itertools.product(range(2), repeat=slots):
+        comps, k = {}, 0
+        for n, r, c in shapes:
+            rows = []
+            for _ in range(r):
+                rows.append(list(bits[k : k + c]))
+                k += c
+            comps[n] = rows
+        try:
+            out.append(make_chain_map(src, tgt, comps))
+        except ValueError:
+            pass
+    return out
+
+
+def test_shriek_push_unique_lift_exhaustive():
+    """Over Z/2 with tiny shapes, the pushforward is the one and only
+    morphism over the lower span through which the rectangle is a 2-cell."""
+    params = GenParams(max_set=2, max_rank=1, deg_min=0, deg_max=1, modulus=2)
+    tested = 0
+    for seed in range(40):
+        rect = random_lv_instance(seed, params).lv
+        pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
+        left = cc_compose(rect.u, f_natural(rect.g, rect.u.target.sheaf))
+        graph = {
+            e: (rect.u.span.left(e[0]), rect.p(e[0])) for e in left.span.apex.elements
+        }
+        fn = f_natural(rect.f, rect.u.source.sheaf)
+        assert _cell_passes(make_cc_cell(left, cc_compose(fn, pushed), graph)), seed
+
+        per_point = []
+        for gp in rect.cp.apex.elements:
+            cands = _enumerate_chain_candidates(
+                pushed.source.sheaf.stalk(rect.cp.left(gp)),
+                pushed.target.sheaf.stalk(rect.cp.right(gp)),
+            )
+            if cands is None:
+                per_point = None
+                break
+            per_point.append(cands)
+        if per_point is None or not rect.cp.apex.elements:
+            continue
+        total = 1
+        for c in per_point:
+            total *= len(c)
+        if total > 4096:
+            continue
+        tested += 1
+        matches = 0
+        for combo in itertools.product(*per_point):
+            cand = make_cc_morphism(
+                pushed.source, pushed.target, rect.cp,
+                dict(zip(rect.cp.apex.elements, combo)),
+            )
+            if _cell_passes(make_cc_cell(left, cc_compose(fn, cand), graph)):
+                matches += 1
+                assert cand == pushed
+        assert matches == 1, seed
+    assert tested >= 5
 
 
 @given(seeds)
