@@ -45,6 +45,7 @@ _COMMON = [_LV_NONZERO, _CRITERION + "1_pushforward_trace_identity_500", _PINNED
 # criterion 1 and the pinned report hash, so the table compares them.
 SELECTIONS = {
     "lv": _COMMON + [
+        "tests/test_cli.py::test_cli_rejects_a_non_commuting_lv_diagram",
         _CRITERION + "2_global_fixed_point_200",
         _CRITERION + "6_characteristic_class_200",
         _CRITERION + "9_pushforward_unique_lift",
@@ -80,7 +81,7 @@ MUTANTS = [
     ("omega_push reads only the first fibre element", "sheafops.py",
      "sum(a.value(x) for x in q.fiber(y))", "sum(a.value(x) for x in q.fiber(y)[:1])", "lv"),
     ("pairing returns zeros", "dualtrace.py",
-     "found[pair] = comp.entries[0][0] if comp.rows and comp.cols else 0", "found[pair] = 0", "pairing"),
+     "found[g] = comp.entries[0][0] if comp.rows and comp.cols else 0", "found[g] = 0", "pairing"),
     ("alt_trace drops the sign of odd degrees", "chainalg.py",
      "total += t if n % 2 == 0 else -t", "total += t", "pairing"),
     ("map_compose swaps its factors", "chainalg.py",
@@ -104,6 +105,12 @@ MUTANTS = [
     ("Kronecker placement misses its stride start", "chainalg.py",
      "grid[r0 + i * br + k][c0 + l:stop:bc] = arow", "grid[r0 + i * br + k][c0:stop:bc] = arow",
      "kernels"),
+    ("Kronecker placement ignores the signs of a left record", "chainalg.py",
+     "b.entries if signs is None else mat_scale(signs[i], b).entries", "b.entries", "kernels"),
+    ("tensor differential drops the sign of 1 (x) d_b", "chainalg.py",
+     "neg_db[q] if p % 2 else b.d(q)", "b.d(q)", "kernels"),
+    ("push rectangles skip their squares", "dualtrace.py",
+     "if lhs != rhs:", "if False:", "lv"),
     ("cc_invert checks one round trip", "corrcat.py",
      "or map_compose(u, inv) != map_identity(u.target)", "or False", "cells"),
     ("triangle cell skips the bijectivity check", "dualtrace.py",

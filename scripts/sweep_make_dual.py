@@ -48,9 +48,10 @@ FAMILIES = {
 
 
 def clear_kernel_caches() -> None:
-    for fn in (chainalg.cx_tensor, chainalg.cx_dual, chainalg.ev_map, chainalg.coev_map,
-               chainalg.swap_map, chainalg.assoc_map, chainalg.mat_identity):
-        fn.cache_clear()
+    """Empty every cache of chainalg, including any added later."""
+    for fn in vars(chainalg).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
 
 
 def main() -> int:

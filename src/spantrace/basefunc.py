@@ -127,7 +127,6 @@ def functor_preserves(
 def push2_strict(bc: BaseChange, rect: PushRectangles) -> bool:
     """Pulling back the pushed morphism equals pushing the pulled data;
     a literal equality of morphisms in this model."""
-    rect.validate()
     pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
     lhs = pull_morphism(bc, pushed)
     rhs = shriek_push(

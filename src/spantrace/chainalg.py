@@ -15,13 +15,14 @@ Matrix entries are always normalised.  `mat` is the normalising entry point
 for matrices from outside (the parser, the generator, tests); the structure
 maps (tensor differentials, tensors of maps, symmetries, reassociations,
 evaluation and coevaluation, block sums) are assembled by placing their
-already normalised entries into a zero grid, a Kronecker block or a tensor
-differential's block a whole row slice at a time.  Only `mat_identity`
-and the structure maps (symmetries, reassociations, their inverses) record
-on their `Matrix` that they are signed permutations: `mat_mul` picks rows
-of its right factor by a record on its left, `mat_transpose` inverts it,
-and `_place_kron` places a block by strided slices by a record on its right
-factor.  Products and tensors of permutations are dense, with no record.
+already normalised entries into a zero grid or, through `_place_kron`
+(as `cx_tensor` places d_a (x) 1 and (-1)^p 1 (x) d_b), a Kronecker block
+a whole row slice at a time.  Only `mat_identity` and the structure maps
+(symmetries, reassociations, their inverses) record on their `Matrix` that
+they are signed permutations: `mat_mul` picks rows of its right factor by a
+record on its left, `mat_transpose` inverts it, and `_place_kron` reads a
+record on either factor instead of scanning it for nonzeros.  Products and
+tensors of permutations are dense, with no record.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class Matrix:
     A square signed permutation may carry the record `_perm = (cols, signs)`:
     row i's one nonzero sits in column cols[i] and is signs[i], or 1 when
     signs is None.  Only mat_identity and the structure maps set it, never
-    over Z/1, where 1 is 0; mat_mul reads it on the left, _place_kron on the
-    right, and products and tensors are dense.  It is not in ==, hash, repr.
+    over Z/1, where 1 is 0; mat_mul reads it on the left, _place_kron on
+    either side, and products and tensors are dense.  It is not in ==, hash, repr.
     """
 
     ring: Ring
@@ -157,7 +158,7 @@ def mat_identity(ring: Ring, n: int) -> Matrix:
     return _with_perm(_grid_matrix(ring, grid, n), range(n), None)
 
 
-def _same_ring(a: Matrix, b: Matrix) -> Ring:
+def _same_ring(a: Matrix | Complex, b: Matrix | Complex) -> Ring:
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     return a.ring
@@ -393,13 +394,13 @@ def tensor_offsets(a: Complex, b: Complex, n: int) -> dict[tuple[int, int], int]
 
 @lru_cache(maxsize=4096)
 def cx_tensor(a: Complex, b: Complex) -> Complex:
-    if a.ring != b.ring:
-        raise ValueError("ring mismatch")
-    ring = a.ring
+    ring = _same_ring(a, b)
     degrees = sorted({p + q for p, _ in a.ranks for q, _ in b.ranks})
     offsets = {n: tensor_offsets(a, b, n) for n in degrees}
     ranks = {n: sum(a.rank(p) * b.rank(q) for p, q in off) for n, off in offsets.items()}
-    signed_db = {}  # q -> the rows of d_b and of -d_b
+    id_a = {p: mat_identity(ring, r) for p, r in a.ranks}
+    id_b = {q: mat_identity(ring, r) for q, r in b.ranks}
+    neg_db = {q: mat_scale(-1, m) for q, m in b.diff}
     diff: dict[int, Matrix] = {}
     for n in degrees:
         if ranks.get(n + 1, 0) == 0:
@@ -407,28 +408,10 @@ def cx_tensor(a: Complex, b: Complex) -> Complex:
         tgt_off = offsets[n + 1]
         grid = [[0] * ranks[n] for _ in range(ranks[n + 1])]
         for (p, q), co in offsets[n].items():
-            ra, rb = a.rank(p), b.rank(q)
-            if a.rank(p + 1):
-                # d_a (x) 1: entry ((i2, j), (i, j)) = d_a[i2][i], so row
-                # (i2, j) holds row i2 of d_a at stride rb from column co + j
-                ro = tgt_off[(p + 1, q)]
-                stop = co + ra * rb
-                for drow in a.d(p).entries:
-                    for j in range(rb):
-                        grid[ro + j][co + j:stop:rb] = drow
-                    ro += rb
-            rb1 = b.rank(q + 1)
-            if rb1:
-                # (-1)^p 1 (x) d_b: entry ((i, j2), (i, j)) = (-1)^p d_b[j2][j],
-                # so row (i, j2) holds that row of d_b in columns co + i * rb on
-                ro = tgt_off[(p, q + 1)]
-                if q not in signed_db:
-                    signed_db[q] = (b.d(q).entries, mat_scale(-1, b.d(q)).entries)
-                drows = signed_db[q][p % 2]
-                for c in range(co, co + ra * rb, rb):
-                    for drow in drows:
-                        grid[ro][c:c + rb] = drow
-                        ro += 1
+            if (p + 1, q) in tgt_off:  # d_a (x) 1
+                _place_kron(grid, tgt_off[(p + 1, q)], co, a.d(p), id_b[q])
+            if (p, q + 1) in tgt_off:  # (-1)^p 1 (x) d_b
+                _place_kron(grid, tgt_off[(p, q + 1)], co, id_a[p], neg_db[q] if p % 2 else b.d(q))
         diff[n] = _grid_matrix(ring, grid, ranks[n])
     return make_complex(ring, ranks, diff)
 
@@ -575,13 +558,22 @@ def _place_kron(grid: list[list[int]], r0: int, c0: int, a: Matrix, b: Matrix) -
         # row (i, k) is row i of a times signs[k], at stride bc from column cols[k]
         cols, signs = b._perm
         stop = c0 + a.cols * bc
-        by_sign = {}
+        by_sign = {1: a.entries}
         for k, l in enumerate(cols):
             s = 1 if signs is None else signs[k]
             if s not in by_sign:
                 by_sign[s] = mat_scale(s, a).entries
             for i, arow in enumerate(by_sign[s]):
                 grid[r0 + i * br + k][c0 + l:stop:bc] = arow
+        return
+    if a._perm is not None:
+        # block (i, cols[i]) is b times signs[i], so b's rows go in turn from row r0
+        cols, signs = a._perm
+        for i, j in enumerate(cols):
+            c = c0 + j * bc
+            for brow in b.entries if signs is None else mat_scale(signs[i], b).entries:
+                grid[r0][c:c + bc] = brow
+                r0 += 1
         return
     # otherwise from a's nonzeros: each a[i][j] puts b scaled by it at block (i, j)
     by_value = {}

@@ -5,10 +5,11 @@ sheaf, evaluation lives on the diagonal-to-base span, coevaluation on the
 base-to-diagonal span, and both triangle composites are certified against
 the identity with explicit invertible 2-cells at construction time.
 
-The pairing of u : (X, L) -> (Y, M) and v back is computed by the honest
-categorical composite (coevaluation, tensor with the composite
-endomorphism, symmetry, evaluation) and then recoordinated onto the
-chosen fixed-point set F = {(gamma, delta) : feet interlock}.  The
+The trace of an endomorphism is the honest categorical composite
+(coevaluation, tensor with the endomorphism, symmetry, evaluation), read
+on the loops of its span.  The pairing of u : (X, L) -> (Y, M) and v back
+is the trace of u then v: its loops are the chosen fixed-point set
+F = {(gamma, delta) : feet interlock}, element for element.  The
 pointwise formula alt_trace(v . u) is kept separate as an independent
 oracle; their agreement is a theorem-shaped test, not an assumption.
 """
@@ -73,10 +74,9 @@ class PairingResult:
 
 def make_dual(a: CCObject) -> DualityData:
     """Dual object, evaluation, coevaluation, and verified triangle cells."""
-    ring = a.ring
     x = a.space
     dual = CCObject(x, verdier(a.sheaf))
-    unit = unit_object(ring, x.base)
+    unit = unit_object(a.ring, x.base)
 
     ev_src = obj_tensor(dual, a)
     diag = OverMap(x, ev_src.space, tuple((e, e) for e in x.elements))
@@ -87,35 +87,25 @@ def make_dual(a: CCObject) -> DualityData:
     coev_maps = {e: coev_map(a.sheaf.stalk(e)) for e in x.elements}
     coev = make_cc_morphism(unit, coev_tgt, Span(om_anchor(x), diag), coev_maps)
 
-    t1 = _triangle_cell_obj(a, dual, ev, coev)
-    t2 = _triangle_cell_dual(a, dual, ev, coev)
-    cc_cell_check(t1)
-    cc_cell_check(t2)
-    return DualityData(a, dual, ev, coev, t1, t2)
-
-
-def _triangle_cell_obj(a: CCObject, dual: CCObject, ev: CCMorphism, coev: CCMorphism) -> CCCell:
     # a -> 1 (x) a -> (a (x) a*) (x) a -> a (x) (a* (x) a) -> a (x) 1 -> a
-    comp = cc_compose_many(
+    t1 = _cell_onto_identity(cc_compose_many(
         left_unitor(a),
         cc_tensor(coev, cc_identity(a)),
         cc_assoc_inv(a, dual, a),
         cc_tensor(cc_identity(a), ev),
         cc_invert(right_unitor(a)),
-    )
-    return _cell_onto_identity(comp, a)
-
-
-def _triangle_cell_dual(a: CCObject, dual: CCObject, ev: CCMorphism, coev: CCMorphism) -> CCCell:
+    ), a)
     # a* -> a* (x) 1 -> a* (x) (a (x) a*) -> (a* (x) a) (x) a* -> 1 (x) a* -> a*
-    comp = cc_compose_many(
+    t2 = _cell_onto_identity(cc_compose_many(
         right_unitor(dual),
         cc_tensor(cc_identity(dual), coev),
         cc_assoc(dual, a, dual),
         cc_tensor(ev, cc_identity(dual)),
         cc_invert(left_unitor(dual)),
-    )
-    return _cell_onto_identity(comp, dual)
+    ), dual)
+    cc_cell_check(t1)
+    cc_cell_check(t2)
+    return DualityData(a, dual, ev, coev, t1, t2)
 
 
 def _cell_onto_identity(comp: CCMorphism, a: CCObject) -> CCCell:
@@ -162,44 +152,42 @@ def _check_pairing_boundaries(u: CCMorphism, v: CCMorphism) -> None:
 
 
 def pairing(u: CCMorphism, v: CCMorphism, dx: DualityData) -> PairingResult:
-    """The categorical pairing, recoordinated onto the fixed-point set."""
+    """The trace of u then v, placed on the fixed-point set: the loops of
+    the composite's span are the interlocking pairs, element for element."""
     _check_pairing_boundaries(u, v)
-    if dx.obj != u.source:
+    tr = trace(cc_compose(u, v), dx).omega
+    f = fixed_point_space(u, v)
+    if set(tr.carrier.elements) != set(f.elements):
+        raise ValueError("pairing loops are not the fixed points")
+    return PairingResult(OmegaClass(tr.ring, f, tuple(map(tr.value, f.elements))))
+
+
+def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
+    """The categorical trace coev ; (e (x) 1) ; swap ; ev of an endomorphism,
+    read on the loops of its span."""
+    if e.source != e.target:
+        raise ValueError("endomorphism required")
+    if dx.obj != e.source:
         raise ValueError("duality data is for the wrong object")
-    e = cc_compose(u, v)
     total = cc_compose_many(
         dx.coev,
         cc_tensor(e, cc_identity(dx.dual)),
         cc_swap(dx.obj, dx.dual),
         dx.ev,
     )
-    f = fixed_point_space(u, v)
     found = {}
     for t in total.span.apex.elements:
-        pair = t[0][0][1][0]
-        if pair in found:
-            raise ValueError("pairing recoordination is not injective")
+        g = t[0][0][1][0]
+        if g in found:
+            raise ValueError("trace recoordination is not injective")
         comp = total.map_at(t).component(0)
-        found[pair] = comp.entries[0][0] if comp.rows and comp.cols else 0
-    if set(found) != set(f.elements):
-        raise ValueError("pairing recoordination misses fixed points")
-    ring = u.source.ring
-    values = tuple(ring.norm(found[p]) for p in f.elements)
-    return PairingResult(OmegaClass(ring, f, values))
-
-
-def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
-    """Trace of an endomorphism, carried by the loop set of its span."""
-    if e.source != e.target:
-        raise ValueError("endomorphism required")
-    pr = pairing(e, cc_identity(e.source), dx)
+        found[g] = comp.entries[0][0] if comp.rows and comp.cols else 0
     c = e.span
     loops = tuple(g for g in c.apex.elements if c.left(g) == c.right(g))
-    carrier = FinOver(
-        c.apex.base, loops, tuple(c.apex.anchor_of(g) for g in loops)
-    )
-    values = tuple(pr.omega.value((g, c.left(g))) for g in loops)
-    return PairingResult(OmegaClass(e.source.ring, carrier, values))
+    if set(found) != set(loops):
+        raise ValueError("trace recoordination misses loops")
+    carrier = FinOver(c.apex.base, loops, tuple(c.apex.anchor_of(g) for g in loops))
+    return PairingResult(OmegaClass(e.source.ring, carrier, tuple(map(found.__getitem__, loops))))
 
 
 def char_class(a: CCObject, dx: DualityData | None = None) -> OmegaClass:
@@ -264,7 +252,7 @@ class PushRectangles:
     cp: Span
     dp: Span
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         c, d = self.u.span, self.v.span
         checks = [
             (om_compose(self.f, c.left), om_compose(self.cp.left, self.p)),
@@ -330,7 +318,6 @@ def pairing_functorial(rect: PushRectangles) -> FunctorialResult:
     sends (gamma, delta) to (p(gamma), q(delta)); proper_splitting's delta
     cell has exactly this apex component by construction.
     """
-    rect.validate()
     dx = make_dual(rect.u.source)
     lhs = pairing(rect.u, rect.v, dx).omega
     u2 = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)

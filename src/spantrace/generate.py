@@ -39,7 +39,7 @@ from .sheafops import Sheaf
 class GenParams:
     """Size bounds for the generator.  A complex is at most two one- or
     two-term pieces, so no degree exceeds rank 2: every max_rank above 2
-    generates the same complexes as 2."""
+    generates the same complexes as 2.  Checked at construction."""
 
     max_set: int = 4
     max_rank: int = 3
@@ -47,7 +47,7 @@ class GenParams:
     deg_max: int = 2
     modulus: int | None = None  # None: alternate between 0 and 7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_set < 1 or self.max_rank < 1:
             raise ValueError("size parameters must be positive")
         if self.deg_min > self.deg_max:
@@ -322,7 +322,6 @@ def deep_object(ring: Ring, r: int) -> CCObject:
 def random_lv_instance(seed: int, params: GenParams) -> Instance:
     """A random commuting two-rectangle diagram, lower row first, upper row
     lifted through the fibers, with coefficient data on the upper row."""
-    params.validate()
     rng = random.Random(seed)
     ring = choose_ring(rng, params)
     base = random_base(rng, params)
@@ -356,7 +355,6 @@ def random_lv_instance(seed: int, params: GenParams) -> Instance:
     inst.lv = PushRectangles(f=f, p=p, g=g, q=q, u=u, v=v, cp=cp, dp=dp)
     inst.lv_names = {"f": "f", "p": "p", "g": "g", "q": "q", "u": "u", "v": "v",
                      "cp": "cp", "dp": "dp"}
-    inst.lv.validate()
     return inst
 
 
@@ -386,7 +384,6 @@ def _lift_span(
 
 def random_endo_instance(seed: int, params: GenParams) -> tuple:
     """Endomorphism over a one-point base: object, morphism, and recipes."""
-    params.validate()
     rng = random.Random(seed)
     ring = choose_ring(rng, params)
     base = ("pt",)
@@ -399,7 +396,6 @@ def random_endo_instance(seed: int, params: GenParams) -> tuple:
 
 def random_pair_instance(seed: int, params: GenParams) -> tuple:
     """Two objects over a shared base with morphisms both ways."""
-    params.validate()
     rng = random.Random(seed)
     ring = choose_ring(rng, params)
     base = random_base(rng, params)
@@ -413,7 +409,6 @@ def random_pair_instance(seed: int, params: GenParams) -> tuple:
 
 
 def random_object_instance(seed: int, params: GenParams):
-    params.validate()
     rng = random.Random(seed)
     ring = choose_ring(rng, params)
     base = random_base(rng, params)

@@ -144,7 +144,7 @@ def parse_instance(text: str) -> Instance:
             _expect(key in raw, f"{loc}/{key}", "missing")
             names[key] = raw[key]
         with _located(loc):
-            rect = PushRectangles(
+            inst.lv = PushRectangles(
                 f=_ref(inst.maps, names["f"], f"{loc}/f", "map"),
                 p=_ref(inst.maps, names["p"], f"{loc}/p", "map"),
                 g=_ref(inst.maps, names["g"], f"{loc}/g", "map"),
@@ -154,8 +154,6 @@ def parse_instance(text: str) -> Instance:
                 cp=_ref(inst.spans, names["cp"], f"{loc}/cp", "span"),
                 dp=_ref(inst.spans, names["dp"], f"{loc}/dp", "span"),
             )
-            rect.validate()
-        inst.lv = rect
         inst.lv_names = names
 
     if "base_change" in doc:

@@ -314,6 +314,39 @@ def test_negative_count_rejected(capsys):
     assert run_suite("lv", 1, 0).checks == []
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-set", "0"], "size parameters must be positive"),
+        (["--deg-min", "2", "--deg-max", "1"], "empty degree window"),
+        (["--modulus", "-1"], "modulus must be non-negative"),
+    ],
+    ids=["max-set", "degree-window", "modulus"],
+)
+def test_cli_fuzz_rejects_bad_generator_parameters(capsys, flags, message):
+    assert main(["fuzz", "--suite", "lv", "--seed", "1", "--count", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_rejects_a_non_commuting_lv_diagram(tmp_path, capsys):
+    with open(LV_SMALL, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    # a second point of Xp over s0 takes f's image of x1, so f . c.left no
+    # longer equals cp.left . p
+    doc["spaces"]["Xp"]["elements"].append("xp3")
+    doc["spaces"]["Xp"]["anchor"]["xp3"] = "s0"
+    doc["maps"]["f"]["graph"]["x1"] = "xp3"
+    p = tmp_path / "crossed.json"
+    p.write_text(json.dumps(doc))
+    for command in ("check", "lv"):
+        assert main([command, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "error: /lv: non-commuting diagram" in captured.err
+
+
 def test_cli_subprocess_entry():
     env = dict(os.environ)
     proc = subprocess.run(

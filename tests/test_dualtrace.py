@@ -37,6 +37,7 @@ from spantrace.dualtrace import (
     _cell_onto_identity,
     char_class,
     dual_of_morphism,
+    fixed_point_space,
     local_pairing,
     make_dual,
     pairing,
@@ -362,6 +363,35 @@ def test_trace_examples():
     assert tr.values == (0,)
 
 
+def assert_trace_is_the_pairing_with_the_identity(e):
+    """The unit law: trace(e) read on e's loops equals the pairing of e with
+    the identity read at (g, left(g)), and a pairing lives on F."""
+    dx = make_dual(e.source)
+    one = cc_identity(e.source)
+    tr = trace(e, dx).omega
+    pr = pairing(e, one, dx).omega
+    c = e.span
+    assert tr.carrier.elements == tuple(g for g in c.apex.elements if c.left(g) == c.right(g))
+    assert tr.values == tuple(pr.value((g, c.left(g))) for g in tr.carrier.elements)
+    assert pr.carrier == fixed_point_space(e, one)
+
+
+@given(seeds, st.sampled_from([0, 7, 2, 1]))
+@settings(max_examples=40, deadline=None)
+def test_trace_is_the_pairing_with_the_identity(seed, modulus):
+    _, e = random_endo_instance(seed, GenParams(modulus=modulus))
+    assert_trace_is_the_pairing_with_the_identity(e)
+    a, _, u, v = random_pair_instance(seed, GenParams(modulus=modulus))
+    assert pairing(u, v, make_dual(a.obj)).omega.carrier == fixed_point_space(u, v)
+
+
+@pytest.mark.parametrize("modulus", [0, 7, 2, 1])
+def test_trace_of_wide_and_deep_identities_is_the_pairing(modulus):
+    ring = Ring(modulus)
+    for obj in (wide_object(ring, 6), deep_object(ring, 5)):
+        assert_trace_is_the_pairing_with_the_identity(cc_identity(obj))
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_pairing_matches_local_oracle(seed):
@@ -485,12 +515,11 @@ def test_pairing_functorial_rejects_non_commuting():
     sheaf = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": unit_complex(ZZ)})
     obj = CCObject(x, sheaf)
     u = cc_identity(obj)
-    rect = PushRectangles(
-        f=f, p=crossed, g=f, q=f, u=u, v=u,
-        cp=identity_span(xp), dp=identity_span(xp),
-    )
     with pytest.raises(ValueError, match="non-commuting"):
-        rect.validate()
+        PushRectangles(
+            f=f, p=crossed, g=f, q=f, u=u, v=u,
+            cp=identity_span(xp), dp=identity_span(xp),
+        )
 
 
 @given(seeds)

@@ -1,10 +1,16 @@
 """The example scripts run end to end against the package in src/."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+from spantrace import chainalg
+from spantrace.chainalg import ZZ
+from spantrace.dualtrace import make_dual
+from spantrace.generate import deep_object
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,6 +44,16 @@ def test_sweep_make_dual_small(tmp_path):
     (rec,) = doc["records"]
     assert rec["n"] == 4 and rec["rounds"] == 2
     assert 0 < rec["min_s"] <= rec["median_s"]
+    # every chainalg cache is emptied between deep rounds, not a listed few
+    path = os.path.join(ROOT, "scripts", "sweep_make_dual.py")
+    spec = importlib.util.spec_from_file_location("sweep_make_dual", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    make_dual(deep_object(ZZ, 3))
+    cached = [fn for fn in vars(chainalg).values() if hasattr(fn, "cache_clear")]
+    assert len(cached) >= 7 and any(fn.cache_info().currsize for fn in cached)
+    sweep.clear_kernel_caches()
+    assert [fn.cache_info().currsize for fn in cached] == [0] * len(cached)
 
 
 def test_sweep_make_dual_deep(tmp_path):
