@@ -9,7 +9,7 @@ collapsing X to a point adds up the local terms.
 """
 
 from spantrace.chainalg import ZZ, make_complex, map_identity, map_scale, unit_complex
-from spantrace.corrcat import CCObject, cc_identity, make_cc_morphism
+from spantrace.corrcat import cc_identity, make_cc_morphism
 from spantrace.dualtrace import char_class, make_dual, pairing_functorial, trace
 from spantrace.dualtrace import PushRectangles
 from spantrace.finspan import Span, identity_span, make_fin_over, make_over_map
@@ -21,8 +21,7 @@ x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
 pt = make_fin_over(base, ("p",), {"p": "z"})
 collapse = make_over_map(x, pt, {"a": "p", "b": "p"})
 
-sheaf = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": make_complex(ZZ, {0: 2})})
-obj = CCObject(x, sheaf)
+obj = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": make_complex(ZZ, {0: 2})})
 
 print("characteristic class (pointwise Euler numbers):")
 print(" ", omega_doc(char_class(obj)))

@@ -3,13 +3,13 @@
 from .chainalg import Ring, Matrix, Complex, ChainMap
 from .finspan import FinOver, OverMap, Span
 from .sheafops import Sheaf, OmegaClass
-from .corrcat import CCObject, CCMorphism, CCCell, CCRelabel
+from .corrcat import CCMorphism, CCCell, CCRelabel
 from .dualtrace import DualityData, PairingResult, PushRectangles
 
 __all__ = [
     "Ring", "Matrix", "Complex", "ChainMap",
     "FinOver", "OverMap", "Span",
     "Sheaf", "OmegaClass",
-    "CCObject", "CCMorphism", "CCCell", "CCRelabel",
+    "CCMorphism", "CCCell", "CCRelabel",
     "DualityData", "PairingResult", "PushRectangles",
 ]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import CCMorphism, CCObject, CCRelabel, make_cc_morphism, obj_tensor, shriek_push
+from .corrcat import CCMorphism, CCRelabel, make_cc_morphism, obj_tensor, shriek_push
 from .dualtrace import DualityData, PushRectangles, make_dual, pairing
 from .finspan import FinOver, Label, OverMap, Span, base_space, fiber_product
-from .sheafops import OmegaClass, pull, verdier
+from .sheafops import OmegaClass, Sheaf, pull, verdier
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ def pull_space(bc: BaseChange, x: FinOver) -> tuple[FinOver, OverMap]:
     return space, proj
 
 
-def pull_object(bc: BaseChange, a: CCObject) -> CCObject:
+def pull_object(bc: BaseChange, a: Sheaf) -> Sheaf:
     space, proj = pull_space(bc, a.space)
-    return CCObject(space, pull(proj, a.sheaf))
+    return pull(proj, a)
 
 
 def pull_over_map(bc: BaseChange, f: OverMap) -> OverMap:
@@ -82,7 +82,7 @@ def pull_omega(bc: BaseChange, a: OmegaClass) -> OmegaClass:
     return OmegaClass(a.ring, space, tuple(a.value(proj(e)) for e in space.elements))
 
 
-def monoidal_structure(bc: BaseChange, a: CCObject, b: CCObject) -> CCRelabel:
+def monoidal_structure(bc: BaseChange, a: Sheaf, b: Sheaf) -> CCRelabel:
     """The structure isomorphism pull(a) (x) pull(b) -> pull(a (x) b): a
     coordinate relabeling with literally equal stalks."""
     src = obj_tensor(pull_object(bc, a), pull_object(bc, b))
@@ -105,7 +105,7 @@ def functor_preserves(
     """Pull of dual equals dual of pull (strict); pull of the pairing
     equals the pairing of the pulls through the fixed-point recoordination."""
     pulled_obj = pull_object(bc, da.obj)
-    dual_strict = pull_object(bc, da.dual).sheaf == verdier(pulled_obj.sheaf)
+    dual_strict = pull_object(bc, da.dual) == verdier(pulled_obj)
 
     before = pairing(u, v, da).omega
     lhs = pull_omega(bc, before)

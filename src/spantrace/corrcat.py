@@ -1,6 +1,6 @@
 """The symmetric monoidal 2-category of coefficiented correspondences.
 
-Objects pair a finite set over the base with a sheaf of complexes on it;
+An object is a sheaf of complexes on a finite set over the base (sheafops);
 a morphism is a span together with one chain map per apex element; a
 2-cell is a map of apexes under which the components sum up.  Pushing a
 morphism down a commuting rectangle of vertical maps assembles the
@@ -53,39 +53,30 @@ from .finspan import (
     span_iso_search,
     span_tensor,
 )
-from .sheafops import Sheaf, box, push, sheaf_hom, unit_sheaf
+from .sheafops import Sheaf, box, push, unit_sheaf, verdier
 
 
-@dataclass(frozen=True)
-class CCObject:
-    space: FinOver
-    sheaf: Sheaf
-
-    def __post_init__(self):
-        if self.sheaf.carrier != self.space:
-            raise ValueError("sheaf carrier must be the underlying space")
-
-    @property
-    def ring(self) -> Ring:
-        return self.sheaf.ring
+def CCObject(space: FinOver, sheaf: Sheaf) -> Sheaf:
+    """The object (space, sheaf), which is the sheaf, checked to live on space."""
+    if sheaf.space != space:
+        raise ValueError("sheaf carrier must be the underlying space")
+    return sheaf
 
 
-def unit_object(ring: Ring, base: Sequence[Label]) -> CCObject:
-    s = base_space(tuple(base))
-    return CCObject(s, unit_sheaf(ring, s))
+def unit_object(ring: Ring, base: Sequence[Label]) -> Sheaf:
+    return unit_sheaf(ring, base_space(tuple(base)))
 
 
-def obj_tensor(a: CCObject, b: CCObject) -> CCObject:
-    sheaf = box(a.sheaf, b.sheaf)
-    return CCObject(sheaf.carrier, sheaf)
+def obj_tensor(a: Sheaf, b: Sheaf) -> Sheaf:
+    return box(a, b)
 
 
 @dataclass(frozen=True)
 class CCMorphism:
     """Span plus one chain map per apex element (stalkwise coefficients)."""
 
-    source: CCObject
-    target: CCObject
+    source: Sheaf
+    target: Sheaf
     span: Span
     maps: tuple[ChainMap, ...]
 
@@ -94,7 +85,7 @@ class CCMorphism:
 
 
 def make_cc_morphism(
-    source: CCObject, target: CCObject, span: Span, maps: Mapping[Label, ChainMap]
+    source: Sheaf, target: Sheaf, span: Span, maps: Mapping[Label, ChainMap]
 ) -> CCMorphism:
     if span.left.target != source.space or span.right.target != target.space:
         raise ValueError("span boundary mismatch")
@@ -103,17 +94,17 @@ def make_cc_morphism(
         if g not in maps:
             raise ValueError(f"missing component at {g!r}")
         u = maps[g]
-        if u.source != source.sheaf.stalk(span.left(g)):
+        if u.source != source.stalk(span.left(g)):
             raise ValueError(f"component at {g!r} has the wrong source stalk")
-        if u.target != target.sheaf.stalk(span.right(g)):
+        if u.target != target.stalk(span.right(g)):
             raise ValueError(f"component at {g!r} has the wrong target stalk")
         out.append(u)
     return CCMorphism(source, target, span, tuple(out))
 
 
-def cc_identity(a: CCObject) -> CCMorphism:
+def cc_identity(a: Sheaf) -> CCMorphism:
     span = identity_span(a.space)
-    return CCMorphism(a, a, span, tuple(map_identity(c) for c in a.sheaf.stalks))
+    return CCMorphism(a, a, span, tuple(map_identity(c) for c in a.stalks))
 
 
 def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphism:
@@ -227,8 +218,8 @@ class CCRelabel:
     evaluates stalk_map only at the elements the other morphism hits.
     """
 
-    source: CCObject
-    target: CCObject
+    source: Sheaf
+    target: Sheaf
     forward: Callable[[Label], Label]
     backward: Callable[[Label], Label]
     stalk_map: Callable[[Label], ChainMap] | None = None
@@ -240,18 +231,18 @@ class CCRelabel:
             raise ValueError(f"relabeling is not a bijection at {x!r}")
         if self.stalk_map is not None:
             return self.stalk_map(x)
-        if self.source.sheaf.stalk(x) != self.target.sheaf.stalk(y):
+        if self.source.stalk(x) != self.target.stalk(y):
             raise ValueError("relabeling stalks differ; pass stalk_map")
         return None
 
 
-def left_unitor(a: CCObject) -> CCRelabel:
+def left_unitor(a: Sheaf) -> CCRelabel:
     """a -> unit (x) a; stalk complexes agree literally."""
     tgt = obj_tensor(unit_object(a.ring, a.space.base), a)
     return CCRelabel(a, tgt, lambda x: (a.space.anchor_of(x), x), lambda e: e[1])
 
 
-def right_unitor(a: CCObject) -> CCRelabel:
+def right_unitor(a: Sheaf) -> CCRelabel:
     """a -> a (x) unit."""
     tgt = obj_tensor(a, unit_object(a.ring, a.space.base))
     return CCRelabel(a, tgt, lambda x: (x, a.space.anchor_of(x)), lambda e: e[0])
@@ -265,19 +256,19 @@ def _to_right(e: Label) -> Label:
     return e[0][0], (e[0][1], e[1])
 
 
-def cc_assoc(a: CCObject, b: CCObject, c: CCObject) -> CCRelabel:
+def cc_assoc(a: Sheaf, b: Sheaf, c: Sheaf) -> CCRelabel:
     """(a (x) (b (x) c)) -> ((a (x) b) (x) c); stalkwise basis reassociation."""
     src = obj_tensor(a, obj_tensor(b, c))
     tgt = obj_tensor(obj_tensor(a, b), c)
 
     def stalk(e: Label) -> ChainMap:
         x, (y, z) = e
-        return assoc_map(a.sheaf.stalk(x), b.sheaf.stalk(y), c.sheaf.stalk(z))
+        return assoc_map(a.stalk(x), b.stalk(y), c.stalk(z))
 
     return CCRelabel(src, tgt, _to_left, _to_right, stalk)
 
 
-def cc_assoc_inv(a: CCObject, b: CCObject, c: CCObject) -> CCRelabel:
+def cc_assoc_inv(a: Sheaf, b: Sheaf, c: Sheaf) -> CCRelabel:
     src = obj_tensor(obj_tensor(a, b), c)
     tgt = obj_tensor(a, obj_tensor(b, c))
 
@@ -285,17 +276,17 @@ def cc_assoc_inv(a: CCObject, b: CCObject, c: CCObject) -> CCRelabel:
 
     def stalk(e: Label) -> ChainMap:
         (x, y), z = e
-        return inverse(a.sheaf.stalk(x), b.sheaf.stalk(y), c.sheaf.stalk(z))
+        return inverse(a.stalk(x), b.stalk(y), c.stalk(z))
 
     return CCRelabel(src, tgt, _to_right, _to_left, stalk)
 
 
-def cc_swap(a: CCObject, b: CCObject) -> CCRelabel:
+def cc_swap(a: Sheaf, b: Sheaf) -> CCRelabel:
     """Symmetry (a (x) b) -> (b (x) a) with the Koszul sign on stalks."""
     src = obj_tensor(a, b)
     tgt = obj_tensor(b, a)
     return CCRelabel(src, tgt, lambda e: (e[1], e[0]), lambda e: (e[1], e[0]),
-                     lambda e: swap_map(a.sheaf.stalk(e[0]), b.sheaf.stalk(e[1])))
+                     lambda e: swap_map(a.stalk(e[0]), b.stalk(e[1])))
 
 
 def _inverse_component(u: ChainMap) -> ChainMap:
@@ -335,27 +326,27 @@ def f_natural(f: OverMap, l: Sheaf) -> CCMorphism:
     (X, L) pushed along (id, id, f), so its components are the block
     inclusions into the fiber sums."""
     ident = om_identity(f.source)
-    return shriek_push(cc_identity(CCObject(f.source, l)), ident, ident, f, Span(ident, f))
+    return shriek_push(cc_identity(l), ident, ident, f, Span(ident, f))
 
 
 def f_conatural(f: OverMap, l: Sheaf) -> CCMorphism:
     """(X', push(f, L)) -> (X, L): the identity pushed along (f, id, id),
     with the block projections as components."""
     ident = om_identity(f.source)
-    return shriek_push(cc_identity(CCObject(f.source, l)), f, ident, ident, Span(f, ident))
+    return shriek_push(cc_identity(l), f, ident, ident, Span(f, ident))
 
 
 def adjunction_unit(f: OverMap, l: Sheaf) -> CCCell:
     """identity => f_natural then f_conatural, given by the diagonal."""
     comp = cc_compose(f_natural(f, l), f_conatural(f, l))
-    ident = cc_identity(CCObject(f.source, l))
+    ident = cc_identity(l)
     return make_cc_cell(ident, comp, {x: (x, x) for x in f.source.elements})
 
 
 def adjunction_counit(f: OverMap, l: Sheaf) -> CCCell:
     """f_conatural then f_natural => identity, given by the map itself."""
     comp = cc_compose(f_conatural(f, l), f_natural(f, l))
-    ident = cc_identity(CCObject(f.target, push(f, l)))
+    ident = cc_identity(push(f, l))
     return make_cc_cell(comp, ident, {e: f(e[0]) for e in comp.span.apex.elements})
 
 
@@ -370,11 +361,10 @@ def adjunction_triangles(f: OverMap, l: Sheaf) -> tuple[list[CCCell], list[CCCel
     fc = f_conatural(f, l)
     eta = adjunction_unit(f, l)
     eps = adjunction_counit(f, l)
-    src_obj = CCObject(f.source, l)
-    tgt_obj = CCObject(f.target, push(f, l))
+    tgt_obj = push(f, l)
 
     # triangle for f_natural: fn -> id.fn -> (fn.fc).fn -> fn.(fc.fn) -> fn.id -> fn
-    c1 = make_cc_cell(fn, cc_compose(cc_identity(src_obj), fn), {x: (x, x) for x in f.source.elements})
+    c1 = make_cc_cell(fn, cc_compose(cc_identity(l), fn), {x: (x, x) for x in f.source.elements})
     c2 = whisker_right(eta, fn)
     a1 = cc_compose(cc_compose(fn, fc), fn)
     a2 = cc_compose(fn, cc_compose(fc, fn))
@@ -385,7 +375,7 @@ def adjunction_triangles(f: OverMap, l: Sheaf) -> tuple[list[CCCell], list[CCCel
     tri1 = [c1, c2, c3, c4, c5]
 
     # triangle for f_conatural: fc -> fc.id -> fc.(fn.fc) -> (fc.fn).fc -> id.fc -> fc
-    d1 = make_cc_cell(fc, cc_compose(fc, cc_identity(src_obj)), {x: (x, x) for x in f.source.elements})
+    d1 = make_cc_cell(fc, cc_compose(fc, cc_identity(l)), {x: (x, x) for x in f.source.elements})
     d2 = whisker_left(fc, eta)
     b1 = cc_compose(fc, cc_compose(fn, fc))
     b2 = cc_compose(cc_compose(fc, fn), fc)
@@ -430,9 +420,8 @@ def shriek_push(
         raise ValueError("right square does not commute")
     if f.source != u.source.space or g.source != u.target.space:
         raise ValueError("vertical map boundary mismatch")
-    l, m = u.source.sheaf, u.target.sheaf
-    src = CCObject(f.target, push(f, l))
-    tgt = CCObject(g.target, push(g, m))
+    l, m = u.source, u.target
+    src, tgt = push(f, l), push(g, m)
     maps = {}
     for gp in lower.apex.elements:
         xs = f.fiber(lower.left(gp))
@@ -458,12 +447,12 @@ def shriek_push(
 # internal hom and currying
 
 
-def internal_hom(a: CCObject, b: CCObject) -> CCObject:
-    sheaf = sheaf_hom(a.sheaf, b.sheaf)
-    return CCObject(sheaf.carrier, sheaf)
+def internal_hom(a: Sheaf, b: Sheaf) -> Sheaf:
+    """Internal hom on the product: stalk at (x, y) is dual(L_x) (x) M_y."""
+    return box(verdier(a), b)
 
 
-def curry_morphism(m: CCMorphism, a: CCObject, b: CCObject) -> CCMorphism:
+def curry_morphism(m: CCMorphism, a: Sheaf, b: Sheaf) -> CCMorphism:
     """Rewrite m : a (x) b -> c as a -> internal_hom(b, c)."""
     if m.source != obj_tensor(a, b):
         raise ValueError("curry source mismatch")
@@ -479,11 +468,11 @@ def curry_morphism(m: CCMorphism, a: CCObject, b: CCObject) -> CCMorphism:
     maps = {}
     for e in apex.elements:
         x, y = m.span.left(e)
-        maps[e] = map_curry(m.map_at(e), a.sheaf.stalk(x), b.sheaf.stalk(y))
+        maps[e] = map_curry(m.map_at(e), a.stalk(x), b.stalk(y))
     return make_cc_morphism(a, hom, Span(left, right), maps)
 
 
-def uncurry_morphism(m: CCMorphism, b: CCObject, c: CCObject) -> CCMorphism:
+def uncurry_morphism(m: CCMorphism, b: Sheaf, c: Sheaf) -> CCMorphism:
     """Rewrite m : a -> internal_hom(b, c) as a (x) b -> c."""
     a = m.source
     if m.target != internal_hom(b, c):
@@ -499,7 +488,7 @@ def uncurry_morphism(m: CCMorphism, b: CCObject, c: CCObject) -> CCMorphism:
     maps = {}
     for e in apex.elements:
         y, z = m.span.right(e)
-        maps[e] = map_uncurry(m.map_at(e), b.sheaf.stalk(y), c.sheaf.stalk(z))
+        maps[e] = map_uncurry(m.map_at(e), b.stalk(y), c.stalk(z))
     return make_cc_morphism(src, c, Span(left, right), maps)
 
 

@@ -1,6 +1,6 @@
 """Duals, traces, pairings, and their functoriality under pushforward.
 
-Every object here is dualizable: the dual carries the stalkwise dual
+Every object (a sheaf) is dualizable: the dual is the stalkwise dual
 sheaf, evaluation lives on the diagonal-to-base span, coevaluation on the
 base-to-diagonal span, and both triangle composites are certified against
 the identity with explicit invertible 2-cells at construction time.
@@ -21,7 +21,6 @@ from .chainalg import alt_trace, coev_map, ev_map, map_compose
 from .corrcat import (
     CCCell,
     CCMorphism,
-    CCObject,
     CCRelabel,
     cc_assoc,
     cc_assoc_inv,
@@ -54,13 +53,13 @@ from .finspan import (
     om_identity,
     prod_over_base,
 )
-from .sheafops import OmegaClass, omega_push, push, verdier
+from .sheafops import OmegaClass, Sheaf, omega_push, push, verdier
 
 
 @dataclass(frozen=True)
 class DualityData:
-    obj: CCObject
-    dual: CCObject
+    obj: Sheaf
+    dual: Sheaf
     ev: CCMorphism
     coev: CCMorphism
     triangle_obj: CCCell
@@ -72,19 +71,19 @@ class PairingResult:
     omega: OmegaClass
 
 
-def make_dual(a: CCObject) -> DualityData:
+def make_dual(a: Sheaf) -> DualityData:
     """Dual object, evaluation, coevaluation, and verified triangle cells."""
     x = a.space
-    dual = CCObject(x, verdier(a.sheaf))
+    dual = verdier(a)
     unit = unit_object(a.ring, x.base)
 
     ev_src = obj_tensor(dual, a)
     diag = OverMap(x, ev_src.space, tuple((e, e) for e in x.elements))
-    ev_maps = {e: ev_map(a.sheaf.stalk(e)) for e in x.elements}
+    ev_maps = {e: ev_map(a.stalk(e)) for e in x.elements}
     ev = make_cc_morphism(ev_src, unit, Span(diag, om_anchor(x)), ev_maps)
 
     coev_tgt = obj_tensor(a, dual)
-    coev_maps = {e: coev_map(a.sheaf.stalk(e)) for e in x.elements}
+    coev_maps = {e: coev_map(a.stalk(e)) for e in x.elements}
     coev = make_cc_morphism(unit, coev_tgt, Span(om_anchor(x), diag), coev_maps)
 
     # a -> 1 (x) a -> (a (x) a*) (x) a -> a (x) (a* (x) a) -> a (x) 1 -> a
@@ -108,7 +107,7 @@ def make_dual(a: CCObject) -> DualityData:
     return DualityData(a, dual, ev, coev, t1, t2)
 
 
-def _cell_onto_identity(comp: CCMorphism, a: CCObject) -> CCCell:
+def _cell_onto_identity(comp: CCMorphism, a: Sheaf) -> CCCell:
     """2-cell from a composite endomorphism onto the identity, with the left
     leg as its apex map.
 
@@ -190,7 +189,7 @@ def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
     return PairingResult(OmegaClass(e.source.ring, carrier, tuple(map(found.__getitem__, loops))))
 
 
-def char_class(a: CCObject, dx: DualityData | None = None) -> OmegaClass:
+def char_class(a: Sheaf, dx: DualityData | None = None) -> OmegaClass:
     """Trace of the identity; pointwise the Euler characteristic."""
     if dx is None:
         dx = make_dual(a)
@@ -284,11 +283,11 @@ def proper_splitting(rect: PushRectangles) -> Splitting:
     diag_span = Span(om_compose(f, c.left), c.right)
     w = shriek_push(u, f, om_identity(c.apex), om_identity(u.target.space), diag_span)
 
-    fn = f_natural(f, u.source.sheaf)
+    fn = f_natural(f, u.source)
     comp_fw = cc_compose(fn, w)
     gamma = make_cc_cell(u, comp_fw, {g: (c.left(g), g) for g in c.apex.elements})
 
-    gn = f_natural(rect.g, u.target.sheaf)
+    gn = f_natural(rect.g, u.target)
     comp_wg = cc_compose(w, gn)
     pushed = shriek_push(u, f, p, rect.g, rect.cp)
     delta = make_cc_cell(comp_wg, pushed, {e: p(e[0]) for e in comp_wg.span.apex.elements})
@@ -332,11 +331,8 @@ def pairing_functorial(rect: PushRectangles) -> FunctorialResult:
 def push_preserves_dual(f: OverMap, dx: DualityData) -> DualityData:
     """Certified duality data for the pushforward; its dual sheaf equals
     the pushforward of the dual sheaf on the nose."""
-    if f.source != dx.obj.space:
-        raise ValueError("carrier mismatch")
-    pushed = CCObject(f.target, push(f, dx.obj.sheaf))
-    data = make_dual(pushed)
-    if data.dual.sheaf != push(f, dx.dual.sheaf):
+    data = make_dual(push(f, dx.obj))
+    if data.dual != push(f, dx.dual):
         raise ValueError("pushforward does not commute with the dual")
     return data
 
@@ -345,7 +341,7 @@ def push_preserves_dual(f: OverMap, dx: DualityData) -> DualityData:
 # split-epimorphism criterion for dualizability
 
 
-def split_epi_criterion(a: CCObject) -> tuple[CCMorphism, CCMorphism]:
+def split_epi_criterion(a: Sheaf) -> tuple[CCMorphism, CCMorphism]:
     """The comparison a (x) hom(a, 1) -> hom(a, a) and a section of it.
 
     In this model the comparison is invertible (stalkwise a signed

@@ -28,7 +28,7 @@ from .chainalg import (
     mat,
     mat_mul,
 )
-from .corrcat import CCMorphism, CCObject, make_cc_morphism
+from .corrcat import CCMorphism, make_cc_morphism
 from .dualtrace import PushRectangles
 from .finspan import FinOver, Label, OverMap, Span
 from .instances import Instance
@@ -255,7 +255,7 @@ def random_span(rng: random.Random, x: FinOver, y: FinOver, prefix: str, params:
 
 @dataclass
 class GenObject:
-    obj: CCObject
+    obj: Sheaf
     recipes: dict[Label, ComplexRecipe]
 
 
@@ -264,7 +264,7 @@ def random_gen_object(
 ) -> GenObject:
     recipes = {x: random_complex(rng, ring, params) for x in space.elements}
     sheaf = Sheaf(ring, space, tuple(recipes[x].cx for x in space.elements))
-    return GenObject(CCObject(space, sheaf), recipes)
+    return GenObject(sheaf, recipes)
 
 
 def random_cc_morphism(
@@ -282,7 +282,7 @@ def choose_ring(rng: random.Random, params: GenParams) -> Ring:
     return Ring(rng.choice([0, 7]))
 
 
-def wide_object(ring: Ring, n: int) -> CCObject:
+def wide_object(ring: Ring, n: int) -> Sheaf:
     """n points over one base point, past the max_set cap: the size family
     on which duality's n^3 certificate apexes show.
 
@@ -296,10 +296,10 @@ def wide_object(ring: Ring, n: int) -> CCObject:
         for d in ([[0, 0]], [[1, 0]], [[1, -1]])
         for k in (0, 1)
     ]
-    return CCObject(space, Sheaf(ring, space, tuple(pool[i % 6] for i in range(n))))
+    return Sheaf(ring, space, tuple(pool[i % 6] for i in range(n)))
 
 
-def deep_object(ring: Ring, r: int) -> CCObject:
+def deep_object(ring: Ring, r: int) -> Sheaf:
     """One point whose stalk has total rank r, past the max_rank cap: the
     size family on which the chain-complex kernels' cost in r shows, since
     duality's certificates tensor the stalk to rank r^3.
@@ -312,7 +312,7 @@ def deep_object(ring: Ring, r: int) -> CCObject:
     pieces += [(0, None)] * (r % 2)
     stalk = cx_direct_sum([piece_complex(ring, p) for p in pieces], ring)
     space = FinOver(("b",), ("x0",), ("b",))
-    return CCObject(space, Sheaf(ring, space, (stalk,)))
+    return Sheaf(ring, space, (stalk,))
 
 
 # ---------------------------------------------------------------------------

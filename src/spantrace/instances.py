@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 from .basefunc import BaseChange, make_base_change
 from .chainalg import Complex, Matrix, Ring, make_chain_map, make_complex, mat
-from .corrcat import CCMorphism, CCObject, make_cc_morphism
+from .corrcat import CCMorphism, make_cc_morphism
 from .dualtrace import PushRectangles
 from .finspan import FinOver, OverMap, Span, make_fin_over, make_over_map
-from .sheafops import OmegaClass, make_sheaf
+from .sheafops import OmegaClass, Sheaf, make_sheaf
 
 
 class ParseError(ValueError):
@@ -33,7 +33,7 @@ class Instance:
     base: tuple[str, ...]
     spaces: dict[str, FinOver] = field(default_factory=dict)
     maps: dict[str, OverMap] = field(default_factory=dict)
-    objects: dict[str, CCObject] = field(default_factory=dict)
+    objects: dict[str, Sheaf] = field(default_factory=dict)
     spans: dict[str, Span] = field(default_factory=dict)
     morphisms: dict[str, CCMorphism] = field(default_factory=dict)
     lv: PushRectangles | None = None
@@ -104,8 +104,7 @@ def parse_instance(text: str) -> Instance:
         for el, c in stalks_raw.items():
             stalks[el] = parse_complex(ring, c, f"{loc}/stalks/{el}")
         with _located(f"{loc}/stalks"):
-            sheaf = make_sheaf(ring, space, stalks)
-        inst.objects[name] = CCObject(space, sheaf)
+            inst.objects[name] = make_sheaf(ring, space, stalks)
 
     for name, raw in _as_dict(doc.get("spans", {}), "/spans").items():
         loc = f"/spans/{name}"
@@ -128,10 +127,10 @@ def parse_instance(text: str) -> Instance:
             _expect(el in maps_raw, mloc, "missing component")
             comps = {}
             for deg, rows in _as_dict(maps_raw[el], mloc).items():
-                comps[_int(deg, mloc)] = _matrix(ring, rows, mloc, src.sheaf.stalk(span.left(el)).rank(_int(deg, mloc)))
+                comps[_int(deg, mloc)] = _matrix(ring, rows, mloc, src.stalk(span.left(el)).rank(_int(deg, mloc)))
             with _located(mloc):
                 maps[el] = make_chain_map(
-                    src.sheaf.stalk(span.left(el)), tgt.sheaf.stalk(span.right(el)), comps
+                    src.stalk(span.left(el)), tgt.stalk(span.right(el)), comps
                 )
         with _located(loc):
             inst.morphisms[name] = make_cc_morphism(src, tgt, span, maps)
@@ -250,7 +249,7 @@ def emit_instance(inst: Instance) -> str:
     doc["objects"] = {
         name: {
             "space": _name_of(inst.spaces, o.space),
-            "stalks": {x: complex_doc(o.sheaf.stalk(x)) for x in o.space.elements},
+            "stalks": {x: complex_doc(o.stalk(x)) for x in o.space.elements},
         }
         for name, o in inst.objects.items()
     }

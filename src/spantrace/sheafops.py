@@ -1,5 +1,6 @@
-"""Indexed complexes on finite sets over a base, and the six operations.
+"""Sheaves on finite sets over a base, and the six operations.
 
+A sheaf, one complex per element of its space, is an object of corrcat.
 Pullback and exceptional pullback coincide (maps of finite sets behave
 like finite etale maps), so the dualizing object is the constant unit
 complex and duality is stalkwise.  Pushforward along any map is the
@@ -31,24 +32,24 @@ from .finspan import FinOver, Label, OverMap, prod_over_base
 
 @dataclass(frozen=True, eq=False)
 class Sheaf:
-    """One bounded complex per carrier element, all over the same ring."""
+    """One bounded complex per element of space, all over the same ring."""
 
     ring: Ring
-    carrier: FinOver
+    space: FinOver
     stalks: tuple[Complex, ...]
     factors = None  # the two factors of an external tensor
 
     def __post_init__(self) -> None:
-        if len(self.stalks) != self.carrier.size:
-            raise ValueError(f"{len(self.stalks)} stalks for {self.carrier.size} elements")
+        if len(self.stalks) != self.space.size:
+            raise ValueError(f"{len(self.stalks)} stalks for {self.space.size} elements")
         for i, c in enumerate(self.stalks):
             if c.ring is not self.ring and c.ring != self.ring:
-                raise ValueError(f"stalk at {self.carrier.elements[i]!r} has the wrong ring")
+                raise ValueError(f"stalk at {self.space.elements[i]!r} has the wrong ring")
 
     def stalk(self, x: Label) -> Complex:
         if self.factors is None:
-            return self.stalks[self.carrier.index(x)]
-        if x not in self.carrier:
+            return self.stalks[self.space.index(x)]
+        if x not in self.space:
             raise ValueError(f"{x!r} is not an element")
         l, m = self.factors
         return cx_tensor(l.stalk(x[0]), m.stalk(x[1]))
@@ -58,10 +59,10 @@ class Sheaf:
             return NotImplemented
         if self is other or self.factors is not None and self.factors == other.factors:
             return True
-        return self.ring == other.ring and self.carrier == other.carrier and self.stalks == other.stalks
+        return self.ring == other.ring and self.space == other.space and self.stalks == other.stalks
 
     def __hash__(self):
-        return hash((self.ring, self.carrier))
+        return hash((self.ring, self.space))
 
 
 class ProductSheaf(Sheaf):
@@ -69,22 +70,22 @@ class ProductSheaf(Sheaf):
 
     def __init__(self, l: Sheaf, m: Sheaf):
         object.__setattr__(self, "ring", l.ring)
-        object.__setattr__(self, "carrier", prod_over_base(l.carrier, m.carrier))
+        object.__setattr__(self, "space", prod_over_base(l.space, m.space))
         object.__setattr__(self, "factors", (l, m))
 
     @cached_property
     def stalks(self) -> tuple[Complex, ...]:
-        return tuple(self.stalk(x) for x in self.carrier.elements)
+        return tuple(self.stalk(x) for x in self.space.elements)
 
 
-def make_sheaf(ring: Ring, carrier: FinOver, stalks: Mapping[Label, Complex]) -> Sheaf:
+def make_sheaf(ring: Ring, space: FinOver, stalks: Mapping[Label, Complex]) -> Sheaf:
     out = []
-    for x in carrier.elements:
+    for x in space.elements:
         if x not in stalks:
             raise ValueError(f"missing stalk at {x!r}")
         cx_validate(stalks[x])
         out.append(stalks[x])
-    return Sheaf(ring, carrier, tuple(out))
+    return Sheaf(ring, space, tuple(out))
 
 
 def unit_sheaf(ring: Ring, space: FinOver) -> Sheaf:
@@ -94,14 +95,14 @@ def unit_sheaf(ring: Ring, space: FinOver) -> Sheaf:
 
 def pull(f: OverMap, m: Sheaf) -> Sheaf:
     """Pullback: stalk at x is the stalk at f(x)."""
-    if m.carrier != f.target:
+    if m.space != f.target:
         raise ValueError("carrier mismatch")
     return Sheaf(m.ring, f.source, tuple(m.stalk(f(x)) for x in f.source.elements))
 
 
 def push(f: OverMap, l: Sheaf) -> Sheaf:
     """Pushforward: stalk at y is the direct sum over the fiber, in carrier order."""
-    if l.carrier != f.source:
+    if l.space != f.source:
         raise ValueError("carrier mismatch")
     stalks = tuple(
         cx_direct_sum([l.stalk(x) for x in f.fiber(y)], l.ring) for y in f.target.elements
@@ -118,12 +119,7 @@ def box(l: Sheaf, m: Sheaf) -> Sheaf:
 
 def verdier(l: Sheaf) -> Sheaf:
     """Stalkwise dual; an involution on the nose."""
-    return Sheaf(l.ring, l.carrier, tuple(cx_dual(c) for c in l.stalks))
-
-
-def sheaf_hom(l: Sheaf, m: Sheaf) -> Sheaf:
-    """Internal hom on the product: stalk at (x, y) is dual(L_x) (x) M_y."""
-    return box(verdier(l), m)
+    return Sheaf(l.ring, l.space, tuple(cx_dual(c) for c in l.stalks))
 
 
 @dataclass(frozen=True)

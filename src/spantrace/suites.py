@@ -102,7 +102,7 @@ def _suite_triangle(seed: int, index: int, params: GenParams) -> Iterator[Check]
         yield _check(index, "duality triangle certificates", True)
     except ValueError as e:
         yield _check(index, "duality triangle certificates", False, {"error": str(e)})
-    bidual = verdier(verdier(gen.obj.sheaf)) == gen.obj.sheaf
+    bidual = verdier(verdier(gen.obj)) == gen.obj
     yield _check(index, "double dual is the identity on matrices", bidual)
 
 

@@ -18,7 +18,6 @@ from spantrace.chainalg import (
     make_chain_map,
 )
 from spantrace.corrcat import (
-    CCObject,
     cc_cell_check,
     cc_compose,
     f_natural,
@@ -118,7 +117,7 @@ def test_criterion_4_duality_certificates_100():
         d = make_dual(gen.obj)  # verifies both triangle cells on construction
         assert d.triangle_obj.graph.is_bijective()
         assert d.triangle_dual.graph.is_bijective()
-        assert verdier(verdier(gen.obj.sheaf)) == gen.obj.sheaf
+        assert verdier(verdier(gen.obj)) == gen.obj
         checked += 1
     print(f"criterion 4: PASS ({checked} objects)")
 
@@ -148,10 +147,10 @@ def test_criterion_6_characteristic_class_200():
         gen = random_gen_object(rng, ring, x, DEFAULTS)
         cc = char_class(gen.obj)
         for el in x.elements:
-            stalk = gen.obj.sheaf.stalk(el)
+            stalk = gen.obj.stalk(el)
             euler = sum(r if n % 2 == 0 else -r for n, r in stalk.ranks)
             assert cc.value(el) == ring.norm(euler)
-        pushed = CCObject(xp, push(f, gen.obj.sheaf))
+        pushed = push(f, gen.obj)
         assert omega_push(f, cc) == char_class(pushed), seed
         checked += 1
     print(f"criterion 6: PASS ({checked} pushforwards)")
@@ -235,8 +234,8 @@ def _lift_test(rect):
     """The pushforward of u down the rectangle, and a test of whether a
     candidate lift over the lower span makes the rectangle a passing 2-cell."""
     pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
-    fn = f_natural(rect.f, rect.u.source.sheaf)
-    left = cc_compose(rect.u, f_natural(rect.g, rect.u.target.sheaf))
+    fn = f_natural(rect.f, rect.u.source)
+    left = cc_compose(rect.u, f_natural(rect.g, rect.u.target))
     graph = {e: (rect.u.span.left(e[0]), rect.p(e[0])) for e in left.span.apex.elements}
     return pushed, lambda cand: _cell_passes(make_cc_cell(left, cc_compose(fn, cand), graph))
 
@@ -256,8 +255,8 @@ def _exhaustive_unique_lifts(params, seeds, enough):
         per_point = []
         for gp in rect.cp.apex.elements:
             cands = _chain_candidates_mod2(
-                pushed.source.sheaf.stalk(rect.cp.left(gp)),
-                pushed.target.sheaf.stalk(rect.cp.right(gp)),
+                pushed.source.stalk(rect.cp.left(gp)),
+                pushed.target.stalk(rect.cp.right(gp)),
             )
             if cands is None:
                 per_point = None

@@ -17,7 +17,7 @@ from spantrace.basefunc import (
     push2_strict,
 )
 from spantrace.chainalg import Ring, ZZ, make_complex
-from spantrace.corrcat import CCObject, cc_compose, cc_invert, cc_iso_search, cc_tensor
+from spantrace.corrcat import cc_compose, cc_invert, cc_iso_search, cc_tensor
 from spantrace.dualtrace import char_class, make_dual
 from spantrace.finspan import make_fin_over
 from spantrace.generate import (
@@ -42,16 +42,16 @@ def q_complex():
 def test_pull_object_examples():
     base = ("t",)
     y = make_fin_over(base, ("y",), {"y": "t"})
-    obj = CCObject(y, make_sheaf(ZZ, y, {"y": q_complex()}))
+    obj = make_sheaf(ZZ, y, {"y": q_complex()})
     same = make_base_change(("t",), {"t": "t"}, base)
     pulled = pull_object(same, obj)
-    assert pulled.space.size == 1 and pulled.sheaf.stalks[0] == q_complex()
+    assert pulled.space.size == 1 and pulled.stalks[0] == q_complex()
     none = make_base_change((), {}, base)
     assert pull_object(none, obj).space.size == 0
     double = make_base_change(("s1", "s2"), {"s1": "t", "s2": "t"}, base)
     two = pull_object(double, obj)
     assert two.space.size == 2
-    assert all(c == q_complex() for c in two.sheaf.stalks)
+    assert all(c == q_complex() for c in two.stalks)
 
 
 def test_pull_morphism_examples():

@@ -33,7 +33,7 @@ MINIMAL = """
 
 def test_parse_minimal():
     inst = parse_instance(MINIMAL)
-    assert inst.objects["unit"].sheaf.stalks[0].rank(0) == 1
+    assert inst.objects["unit"].stalks[0].rank(0) == 1
 
 
 def test_parse_error_locations():

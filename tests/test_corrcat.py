@@ -3,6 +3,7 @@ assembly and its uniqueness, the pushforward adjunction, internal homs."""
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +26,11 @@ from spantrace.chainalg import (
     projection_map,
     unit_complex,
 )
-from spantrace.basefunc import monoidal_structure, pull_morphism
+from spantrace.basefunc import monoidal_structure, pull_morphism, pull_object
 from spantrace.corrcat import (
     CCCell,
-    CCMorphism,
     CCObject,
+    CCMorphism,
     CCRelabel,
     adjunction_counit,
     adjunction_triangles,
@@ -57,7 +58,9 @@ from spantrace.corrcat import (
     uncurry_morphism,
     unit_object,
 )
+from spantrace.dualtrace import make_dual, push_preserves_dual
 from spantrace.finspan import (
+    FinOver,
     OverMap,
     Span,
     base_space,
@@ -72,16 +75,24 @@ from spantrace.finspan import (
 from spantrace.generate import (
     GenParams,
     _lift_span,
+    deep_object,
     random_base,
     random_base_change_for,
     random_cc_morphism,
+    random_endo_instance,
     random_gen_object,
     random_lv_instance,
+    random_object_instance,
+    random_pair_instance,
     random_space,
     random_space_over,
     random_span,
+    wide_object,
 )
-from spantrace.sheafops import make_sheaf, push, unit_sheaf, verdier
+from spantrace.instances import parse_instance
+from spantrace.sheafops import Sheaf, make_sheaf, push, unit_sheaf, verdier
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -89,13 +100,13 @@ seeds = st.integers(0, 2**32 - 1)
 def scalar_object(base=("z",), n=1):
     s = base_space(base)
     x = make_fin_over(base, tuple(f"x{i}" for i in range(n)), {f"x{i}": base[0] for i in range(n)})
-    return CCObject(x, unit_sheaf(ZZ, x))
+    return unit_sheaf(ZZ, x)
 
 
 def loop_morphism(obj, k):
     """Endomorphism over the identity span scaling every stalk by k."""
     span = identity_span(obj.space)
-    maps = {x: map_scale(k, map_identity(obj.sheaf.stalk(x))) for x in obj.space.elements}
+    maps = {x: map_scale(k, map_identity(obj.stalk(x))) for x in obj.space.elements}
     return make_cc_morphism(obj, obj, span, maps)
 
 
@@ -227,7 +238,7 @@ def constant_map_setup(stalks):
 def test_f_natural_examples():
     x, pt, f, sheaf = constant_map_setup(("a", "b"))
     fn = f_natural(om_identity(x), sheaf)
-    assert cc_iso_search(fn, cc_identity(CCObject(x, sheaf))) is not None
+    assert cc_iso_search(fn, cc_identity(sheaf)) is not None
     fn2 = f_natural(f, sheaf)
     assert fn2.map_at("a").component(0) == mat(ZZ, [[1], [0]])
     assert fn2.map_at("b").component(0) == mat(ZZ, [[0], [1]])
@@ -249,12 +260,12 @@ def test_f_natural_components_are_fiber_inclusions():
     later = 0
     for seed in range(40):
         rect = random_lv_instance(seed, GenParams()).lv
-        for f, l in ((rect.f, rect.u.source.sheaf), (rect.g, rect.u.target.sheaf)):
+        for f, l in ((rect.f, rect.u.source), (rect.g, rect.u.target)):
             fn, fc = f_natural(f, l), f_conatural(f, l)
             ident = om_identity(f.source)
             assert fn.span == Span(ident, f) and fc.span == Span(f, ident)
-            assert fn.source == fc.target == CCObject(f.source, l)
-            assert fn.target == fc.source == CCObject(f.target, push(f, l))
+            assert fn.source == fc.target == l
+            assert fn.target == fc.source == push(f, l)
             for x in f.source.elements:
                 fiber = f.fiber(f(x))
                 parts = [l.stalk(z) for z in fiber]
@@ -270,14 +281,14 @@ def test_cc_invert_rejects_one_sided_inverses():
     x = make_fin_over(base, ("x0",), {"x0": "z"})
 
     def obj(rank):
-        return CCObject(x, make_sheaf(ZZ, x, {"x0": make_complex(ZZ, {0: rank})}))
+        return make_sheaf(ZZ, x, {"x0": make_complex(ZZ, {0: rank})})
 
     one, two = obj(1), obj(2)
     # the transpose of the inclusion [[1], [0]] is only a left inverse
-    incl = make_chain_map(one.sheaf.stalk("x0"), two.sheaf.stalk("x0"), {0: [[1], [0]]})
+    incl = make_chain_map(one.stalk("x0"), two.stalk("x0"), {0: [[1], [0]]})
     with pytest.raises(ValueError, match="not a signed permutation"):
         cc_invert(make_cc_morphism(one, two, identity_span(x), {"x0": incl}))
-    turn = make_chain_map(two.sheaf.stalk("x0"), two.sheaf.stalk("x0"), {0: [[0, -1], [1, 0]]})
+    turn = make_chain_map(two.stalk("x0"), two.stalk("x0"), {0: [[0, -1], [1, 0]]})
     m = make_cc_morphism(two, two, identity_span(x), {"x0": turn})
     inv = cc_invert(m)
     assert inv.map_at("x0").component(0) == mat(ZZ, [[0, 1], [-1, 0]])
@@ -302,15 +313,14 @@ def test_adjunction_triangles_random(seed):
     xp = random_space(rng, base, "xp", params, min_size=1)
     x, f = random_space_over(rng, xp, "x", params)
     gen = random_gen_object(rng, Ring(rng.choice([0, 7])), x, params)
-    tri1, tri2 = adjunction_triangles(f, gen.obj.sheaf)
+    tri1, tri2 = adjunction_triangles(f, gen.obj)
     assert triangle_composite_is_identity(tri1)
     assert triangle_composite_is_identity(tri2)
 
 
 def test_shriek_push_examples():
     x, pt, f, _ = constant_map_setup(("a", "b"))
-    sheaf = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": unit_complex(ZZ)})
-    obj = CCObject(x, sheaf)
+    obj = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": unit_complex(ZZ)})
     span = identity_span(x)
     u = make_cc_morphism(
         obj, obj, span,
@@ -333,8 +343,7 @@ def test_shriek_push_examples():
 
 
 def test_shriek_push_rejects_non_commuting():
-    x, pt, f, sheaf = constant_map_setup(("a", "b"))
-    obj = CCObject(x, sheaf)
+    x, pt, f, obj = constant_map_setup(("a", "b"))
     span = identity_span(x)
     u = cc_identity(obj)
     swap = make_over_map(x, x, {"a": "b", "b": "a"})
@@ -380,18 +389,18 @@ def test_shriek_push_unique_lift_exhaustive():
     for seed in range(40):
         rect = random_lv_instance(seed, params).lv
         pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
-        left = cc_compose(rect.u, f_natural(rect.g, rect.u.target.sheaf))
+        left = cc_compose(rect.u, f_natural(rect.g, rect.u.target))
         graph = {
             e: (rect.u.span.left(e[0]), rect.p(e[0])) for e in left.span.apex.elements
         }
-        fn = f_natural(rect.f, rect.u.source.sheaf)
+        fn = f_natural(rect.f, rect.u.source)
         assert _cell_passes(make_cc_cell(left, cc_compose(fn, pushed), graph)), seed
 
         per_point = []
         for gp in rect.cp.apex.elements:
             cands = _enumerate_chain_candidates(
-                pushed.source.sheaf.stalk(rect.cp.left(gp)),
-                pushed.target.sheaf.stalk(rect.cp.right(gp)),
+                pushed.source.stalk(rect.cp.left(gp)),
+                pushed.target.stalk(rect.cp.right(gp)),
             )
             if cands is None:
                 per_point = None
@@ -464,11 +473,11 @@ def test_internal_hom_examples():
     a = scalar_object()
     unit = unit_object(ZZ, a.space.base)
     h = internal_hom(unit, a)
-    for el, stalk in zip(h.space.elements, h.sheaf.stalks):
-        assert stalk == a.sheaf.stalk(el[1])
-    two = CCObject(a.space, make_sheaf(ZZ, a.space, {"x0": make_complex(ZZ, {0: 2})}))
+    for el, stalk in zip(h.space.elements, h.stalks):
+        assert stalk == a.stalk(el[1])
+    two = make_sheaf(ZZ, a.space, {"x0": make_complex(ZZ, {0: 2})})
     hh = internal_hom(two, a)
-    assert hh.sheaf.stalks[0].rank(0) == 2
+    assert hh.stalks[0].rank(0) == 2
 
 
 def test_internal_hom_into_unit_is_dual():
@@ -481,8 +490,8 @@ def test_internal_hom_into_unit_is_dual():
     gen = random_gen_object(rng, Ring(7), x, params)
     unit = unit_object(Ring(7), base)
     h = internal_hom(gen.obj, unit)
-    dual_sheaf = verdier(gen.obj.sheaf)
-    for (el, s), stalk in zip(h.space.elements, h.sheaf.stalks):
+    dual_sheaf = verdier(gen.obj)
+    for (el, s), stalk in zip(h.space.elements, h.stalks):
         assert s == x.anchor_of(el)
         assert stalk == dual_sheaf.stalk(el)
 
@@ -530,16 +539,10 @@ def test_currying_roundtrip_nonzero():
     pt = make_fin_over(base, ("p",), {"p": "z"})
     za = make_complex(ZZ, {0: 1, 1: 1}, {0: [[2]]})
     cb = make_complex(ZZ, {-1: 1, 0: 1}, {-1: [[3]]})
-    a = CCObject(pt, make_sheaf(ZZ, pt, {"p": za}))
-    b = CCObject(pt, make_sheaf(ZZ, pt, {"p": cb}))
-    c = CCObject(
-        make_fin_over(base, (("p", "p"),), {("p", "p"): "z"}),
-        make_sheaf(
-            ZZ,
-            make_fin_over(base, (("p", "p"),), {("p", "p"): "z"}),
-            {("p", "p"): cx_tensor(za, cb)},
-        ),
-    )
+    a = make_sheaf(ZZ, pt, {"p": za})
+    b = make_sheaf(ZZ, pt, {"p": cb})
+    c = make_sheaf(ZZ, make_fin_over(base, (("p", "p"),), {("p", "p"): "z"}),
+                   {("p", "p"): cx_tensor(za, cb)})
     ab = obj_tensor(a, b)
     m = cc_identity(ab)
     m = make_cc_morphism(ab, c, m.span, {("p", "p"): map_identity(cx_tensor(za, cb))})
@@ -603,8 +606,8 @@ def test_shriek_push_vertical_pasting(seed):
     def reorder_iso(fa, fb, sheaf):
         # (push fb . push fa) -> push (fb . fa): identity blocks permuted
         comp = om_compose(fb, fa)
-        src_obj = CCObject(fb.target, push(fb, push(fa, sheaf)))
-        tgt_obj = CCObject(fb.target, push(comp, sheaf))
+        src_obj = push(fb, push(fa, sheaf))
+        tgt_obj = push(comp, sheaf)
 
         def stalk(xpp_el):
             nested = [xx for xp_el in fb.fiber(xpp_el) for xx in fa.fiber(xp_el)]
@@ -619,8 +622,8 @@ def test_shriek_push_vertical_pasting(seed):
 
         return CCRelabel(src_obj, tgt_obj, lambda e: e, lambda e: e, stalk)
 
-    rel_src = reorder_iso(f1, f2, gl.obj.sheaf)
-    rel_tgt = reorder_iso(g1, g2, gm.obj.sheaf)
+    rel_src = reorder_iso(f1, f2, gl.obj)
+    rel_tgt = reorder_iso(g1, g2, gm.obj)
     conj = cc_compose(cc_compose(cc_invert(rel_src), twice), rel_tgt)
     assert cc_iso_search(conj, direct) is not None
 
@@ -633,8 +636,8 @@ def built_relabel(r: CCRelabel) -> CCMorphism:
     right = OverMap(space, r.target.space, tuple(map(r.forward, space.elements)))
     assert right.is_bijective()
     if r.stalk_map is None:
-        stalks = [r.source.sheaf.stalk(x) for x in space.elements]
-        assert stalks == [r.target.sheaf.stalk(y) for y in right.graph]
+        stalks = [r.source.stalk(x) for x in space.elements]
+        assert stalks == [r.target.stalk(y) for y in right.graph]
         maps = tuple(map(map_identity, stalks))
     else:
         maps = tuple(map(r.stalk_map, space.elements))
@@ -696,8 +699,41 @@ def test_relabeling_checks_the_elements_it_is_composed_at():
     off_target = CCRelabel(a, unit_a, lambda x: ("y", x), lambda e: e[1])
     with pytest.raises(ValueError, match="not a bijection at 'x0'"):
         cc_compose(m, off_target)
-    q = CCObject(a.space, make_sheaf(ZZ, a.space, {x: make_complex(ZZ, {0: 2}) for x in a.space.elements}))
+    q = make_sheaf(ZZ, a.space, {x: make_complex(ZZ, {0: 2}) for x in a.space.elements})
     with pytest.raises(ValueError, match="relabeling stalks differ"):
         cc_compose(m, CCRelabel(a, q, lambda x: x, lambda x: x))
     with pytest.raises(ValueError, match="only through a morphism"):
         cc_compose(left_unitor(a), cc_invert(left_unitor(a)))
+
+
+def test_objects_are_sheaves():
+    """Every constructor of objects returns the sheaf itself, which carries
+    its space; CCObject only checks a sheaf against a space and returns it."""
+    objs = []
+    for name in ("lv_small", "lv_nonzero", "two_point"):
+        objs += parse_instance((FIXTURES / f"{name}.json").read_text()).objects.values()
+    params = GenParams()
+    inst = random_lv_instance(5, params)
+    gen, e = random_endo_instance(5, params)
+    a, b, u, v = random_pair_instance(5, params)
+    objs += [*inst.objects.values(), gen.obj, e.target, a.obj, b.obj, u.target, v.target,
+             random_object_instance(5, params).obj, wide_object(ZZ, 3), deep_object(ZZ, 3),
+             obj_tensor(a.obj, b.obj)]
+    rect = inst.lv
+    dx = make_dual(rect.u.source)
+    pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
+    pushed_dx = push_preserves_dual(rect.f, dx)
+    bc = random_base_change_for(5, inst.base, params)
+    objs += [dx.obj, dx.dual, pushed.source, pushed.target, pushed_dx.obj, pushed_dx.dual,
+             pull_object(bc, rect.u.source)]
+    assert [type(o).__name__ for o in objs if not isinstance(o, Sheaf)] == []
+
+    s, t = deep_object(ZZ, 3), deep_object(ZZ, 2)
+    assert CCObject(s.space, s) is s
+    other = FinOver(("c",), s.space.elements, ("c",))  # same element, another base
+    with pytest.raises(ValueError, match="sheaf carrier must be the underlying space"):
+        CCObject(other, s)
+    with pytest.raises(ValueError, match="carrier mismatch"):
+        push(om_identity(other), s)
+    with pytest.raises(ValueError, match="wrong target stalk"):
+        make_cc_morphism(s, t, identity_span(s.space), {"x0": map_identity(s.stalk("x0"))})

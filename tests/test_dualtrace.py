@@ -20,7 +20,6 @@ from spantrace.chainalg import (
     unit_complex,
 )
 from spantrace.corrcat import (
-    CCObject,
     cc_cell_check,
     cc_compose,
     cc_compose_many,
@@ -82,14 +81,13 @@ def q_complex(ring=ZZ):
 def point_object(n=1, ring=ZZ):
     base = ("z",)
     pt = make_fin_over(base, ("p",), {"p": "z"})
-    return CCObject(pt, make_sheaf(ring, pt, {"p": make_complex(ring, {0: n})}))
+    return make_sheaf(ring, pt, {"p": make_complex(ring, {0: n})})
 
 
 def two_point_object():
     base = ("z",)
     x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
-    sheaf = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": q_complex()})
-    return CCObject(x, sheaf)
+    return make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": q_complex()})
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +120,13 @@ def test_make_dual_two_point():
     assert all(
         d.ev.span.left(x) == (x, x) for x in a.space.elements
     )
-    assert d.dual.sheaf == verdier(a.sheaf)
+    assert d.dual == verdier(a)
 
 
 def test_make_dual_empty():
     base = ("z",)
     e = make_fin_over(base, (), {})
-    obj = CCObject(e, make_sheaf(ZZ, e, {}))
+    obj = make_sheaf(ZZ, e, {})
     d = make_dual(obj)
     assert d.ev.span.apex.size == 0
 
@@ -139,7 +137,7 @@ def test_triangle_certificate_rejects_broken_composites():
     base = ("z",)
     x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
     q = q_complex()
-    a = CCObject(x, make_sheaf(ZZ, x, {"a": q, "b": q}))
+    a = make_sheaf(ZZ, x, {"a": q, "b": q})
 
     def certify(left, right):
         apex = make_fin_over(base, tuple(left), {g: "z" for g in left})
@@ -162,9 +160,9 @@ def test_triangle_certificate_rejects_broken_composites():
 def test_make_dual_random_and_biduality(seed):
     gen = random_object_instance(seed, GenParams())
     d = make_dual(gen.obj)
-    assert verdier(verdier(gen.obj.sheaf)) == gen.obj.sheaf
+    assert verdier(verdier(gen.obj)) == gen.obj
     dd = make_dual(d.dual)
-    assert dd.dual.sheaf == gen.obj.sheaf
+    assert dd.dual == gen.obj
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ def expected_dual_morphism(u, da, db):
     for g in u.span.apex.elements:
         comps = {-n: mat_transpose(m) for n, m in u.map_at(g).components}
         maps[g] = make_chain_map(
-            db.dual.sheaf.stalk(u.span.right(g)), da.dual.sheaf.stalk(u.span.left(g)), comps
+            db.dual.stalk(u.span.right(g)), da.dual.stalk(u.span.left(g)), comps
         )
     return make_cc_morphism(db.dual, da.dual, span, maps)
 
@@ -274,7 +272,7 @@ def test_make_dual_past_max_set():
     for cell, obj in ((d.triangle_obj, a), (d.triangle_dual, d.dual)):
         assert cell.target == cc_identity(obj)
         cc_cell_check(cell)
-    euler = [sum(r if n % 2 == 0 else -r for n, r in c.ranks) for c in a.sheaf.stalks]
+    euler = [sum(r if n % 2 == 0 else -r for n, r in c.ranks) for c in a.stalks]
     assert euler == [1, -1] * 12
     cc = char_class(a, d)
     assert cc.carrier.elements == a.space.elements
@@ -286,7 +284,7 @@ def test_make_dual_past_max_rank(modulus):
     # one point whose stalk has total rank 9: the triangle composites
     # tensor it to rank 729
     a = deep_object(Ring(modulus), 9)
-    (stalk,) = a.sheaf.stalks
+    (stalk,) = a.stalks
     assert sum(r for _, r in stalk.ranks) == 9
     d = make_dual(a)
     for cell, obj in ((d.triangle_obj, a), (d.triangle_dual, d.dual)):
@@ -306,8 +304,7 @@ def test_char_class_is_euler():
 def test_pairing_worked_two_point_example():
     base = ("z",)
     x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
-    sheaf = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": make_complex(ZZ, {0: 2})})
-    obj = CCObject(x, sheaf)
+    obj = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": make_complex(ZZ, {0: 2})})
     loop = make_fin_over(base, ("g",), {"g": "z"})
     span = Span(make_over_map(loop, x, {"g": "a"}), make_over_map(loop, x, {"g": "a"}))
     u = make_cc_morphism(
@@ -322,7 +319,7 @@ def test_pairing_worked_two_point_example():
 def test_pairing_disjoint_supports_empty():
     base = ("z",)
     x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
-    a = CCObject(x, make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": unit_complex(ZZ)}))
+    a = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": unit_complex(ZZ)})
     onto_b = make_fin_over(base, ("g",), {"g": "z"})
     span_u = Span(
         make_over_map(onto_b, x, {"g": "a"}),
@@ -473,8 +470,7 @@ def test_pairing_functorial_euler_additivity():
     x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
     pt = make_fin_over(base, ("p",), {"p": "z"})
     f = make_over_map(x, pt, {"a": "p", "b": "p"})
-    sheaf = make_sheaf(ZZ, x, {"a": make_complex(ZZ, {0: 2}), "b": q_complex()})
-    obj = CCObject(x, sheaf)
+    obj = make_sheaf(ZZ, x, {"a": make_complex(ZZ, {0: 2}), "b": q_complex()})
     u = cc_identity(obj)
     rect = PushRectangles(
         f=f, p=f, g=f, q=f, u=u, v=u, cp=identity_span(pt), dp=identity_span(pt)
@@ -482,7 +478,7 @@ def test_pairing_functorial_euler_additivity():
     res = pairing_functorial(rect)
     assert res.equal
     assert sum(res.rhs.values) == 2 + 0  # euler(rank 2 in degree 0) + euler(Q)
-    pushed_cc = char_class(CCObject(pt, push(f, sheaf)))
+    pushed_cc = char_class(push(f, obj))
     assert omega_push(f, char_class(obj)) == pushed_cc
 
 
@@ -512,8 +508,7 @@ def test_pairing_functorial_rejects_non_commuting():
     xp = make_fin_over(base, ("p0", "p1"), {"p0": "z", "p1": "z"})
     f = make_over_map(x, xp, {"a": "p0", "b": "p1"})
     crossed = make_over_map(x, xp, {"a": "p1", "b": "p0"})
-    sheaf = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": unit_complex(ZZ)})
-    obj = CCObject(x, sheaf)
+    obj = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": unit_complex(ZZ)})
     u = cc_identity(obj)
     with pytest.raises(ValueError, match="non-commuting"):
         PushRectangles(
@@ -568,7 +563,7 @@ def test_split_epi_criterion_rank_n():
 def test_split_epi_criterion_empty():
     base = ("z",)
     e = make_fin_over(base, (), {})
-    obj = CCObject(e, make_sheaf(ZZ, e, {}))
+    obj = make_sheaf(ZZ, e, {})
     m, section = split_epi_criterion(obj)
     assert m.span.apex.size == 0
 
@@ -586,14 +581,14 @@ def test_push_preserves_dual_examples():
     a = two_point_object()
     dx = make_dual(a)
     same = push_preserves_dual(om_identity(a.space), dx)
-    assert same.obj.sheaf == a.sheaf
+    assert same.obj == a
     pt = make_fin_over(("z",), ("p",), {"p": "z"})
     f = make_over_map(a.space, pt, {"a": "p", "b": "p"})
     d2 = push_preserves_dual(f, dx)
-    assert d2.dual.sheaf == push(f, verdier(a.sheaf))
+    assert d2.dual == push(f, verdier(a))
     # empty case
     e = make_fin_over(("z",), (), {})
-    obj = CCObject(e, make_sheaf(ZZ, e, {}))
+    obj = make_sheaf(ZZ, e, {})
     d3 = push_preserves_dual(make_over_map(e, pt, {}), make_dual(obj))
     assert d3.obj.space == pt
 

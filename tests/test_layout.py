@@ -1,16 +1,21 @@
 """Package layout: every import of src/spantrace and of the tests sits at
 module level, the package modules' imports of one another form no cycle,
-every function the benchmark traces still exists under its name, and
-every module-level function and class of the package has a caller outside
-the tests or states a fact of the paper that a test checks."""
+every function the benchmark traces still exists under its name, every
+benchmark workload runs one instance correctly, and every module-level
+function and class of the package has a caller outside the tests or
+states a fact of the paper that a test checks."""
 
 import ast
 import importlib
+import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spantrace"
-LAYERS = TESTS.parent / "perfbench" / "layers.py"
+PERFBENCH = TESTS.parent / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 CALLERS = ("src", "scripts", "perfbench")  # the directories whose code is not a test
 
@@ -201,6 +206,34 @@ def test_perfbench_traced_names_exist():
     assert missing == []
     chainalg = importlib.import_module("spantrace.chainalg")
     assert [fn for fn in consts["CACHED"] if not hasattr(vars(chainalg).get(fn), "cache_info")] == []
+
+
+def _load_perfbench(name: str, monkeypatch):
+    """A perfbench module loaded by path under the name its siblings import
+    it by; the name leaves sys.modules again after the test."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_workloads_run_one_instance(monkeypatch):
+    """Each workload builds from seed 0, runs its first instance (for
+    fuzz_all, the first instance seed's six suites) and verifies it with no
+    failure; the make_dual rung counter reads the dual_wide object's size."""
+    workloads = _load_perfbench("workloads", monkeypatch)
+    _load_perfbench("tracer", monkeypatch)
+    layers = _load_perfbench("layers", monkeypatch)
+    built = {name: w.build(0) for name, w in workloads.WORKLOADS.items()}
+    for name, w in workloads.WORKLOADS.items():
+        first = built[name][:len(w.suite_names) if name == "fuzz_all" else 1]
+        verdicts = w.verify(first, [w.run(inst) for inst in first])
+        assert verdicts.attempted > 0 and verdicts.failures == [], name
+    obj, _ = built["dual_wide"][0].data
+    counts = Counter()
+    layers.COUNTERS["make_dual"](counts, (obj,), None, 0.25)
+    assert counts == {f"dualtrace.make_dual.n{obj.space.size}.incl_s": 0.25}
 
 
 def test_every_package_function_has_a_caller_or_states_the_paper():

@@ -69,15 +69,27 @@ def test_sweep_make_dual_deep(tmp_path):
     assert 0 < rec["min_s"] <= rec["median_s"]
 
 
-def _mutant_table():
-    """MUTANTS and the selection names of scripts/mutants.py, read without
-    running it."""
+def _mutant_assignments():
+    """The top-level assignments of scripts/mutants.py, read without running it."""
     tree = ast.parse(open(os.path.join(ROOT, "scripts", "mutants.py"), encoding="utf-8").read())
     found = {}
     for node in tree.body:
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
             found[node.targets[0].id] = node.value
+    return found
+
+
+def _mutant_table():
+    """MUTANTS and the selection names of scripts/mutants.py."""
+    found = _mutant_assignments()
     return ast.literal_eval(found["MUTANTS"]), {k.value for k in found["SELECTIONS"].keys}
+
+
+def test_mutant_profile_is_derandomized():
+    """Every re-record draws the same hypothesis examples, so a killed_by
+    list moves only with the code or the tests."""
+    conftest = ast.literal_eval(_mutant_assignments()["CONFTEST"])
+    assert "derandomize=True" in conftest and 'load_profile("mutants")' in conftest
 
 
 def test_mutant_anchors_occur_once():

@@ -35,7 +35,6 @@ from spantrace.sheafops import (
     omega_push,
     pull,
     push,
-    sheaf_hom,
     unit_sheaf,
     verdier,
 )
@@ -85,7 +84,7 @@ def test_box_examples():
     u = unit_sheaf(ZZ, base_space(base))
     prod = box(l, u)
     # stalks agree with l under the coordinate bijection
-    for (a, s), stalk in zip(prod.carrier.elements, prod.stalks):
+    for (a, s), stalk in zip(prod.space.elements, prod.stalks):
         assert stalk == l.stalk(a)
     e = make_fin_over(base, (), {})
     assert box(l, make_sheaf(ZZ, e, {})).stalks == ()
@@ -121,15 +120,15 @@ def test_sheaf_hom_examples():
     base, x, y, f = small_setup()
     u = unit_sheaf(ZZ, base_space(base))
     m = make_sheaf(ZZ, y, {"y": q_complex()})
-    h = sheaf_hom(u, m)
-    for el, stalk in zip(h.carrier.elements, h.stalks):
+    h = box(verdier(u), m)
+    for el, stalk in zip(h.space.elements, h.stalks):
         assert stalk == m.stalk(el[1])
     two = make_sheaf(ZZ, y, {"y": make_complex(ZZ, {0: 2})})
     one = make_sheaf(ZZ, y, {"y": unit_complex(ZZ)})
-    hh = sheaf_hom(two, one)
+    hh = box(verdier(two), one)
     assert hh.stalk(("y", "y")).rank(0) == 2
     # hom into the unit is the dual after the unit identification
-    hu = sheaf_hom(m, u)
+    hu = box(verdier(m), u)
     assert hu.stalk(("y", "z")) == cx_dual(q_complex())
 
 
@@ -197,8 +196,8 @@ def test_kunneth_up_to_distribution(seed):
     f_id = make_over_map(xy, xpy, {(a, b): (f(a), b) for a, b in xy.elements})
     lhs = push(f_id, lm)
     rhs = box(push(f, l), m)
-    assert lhs.carrier == rhs.carrier
-    for xp_el, yel in lhs.carrier.elements:
+    assert lhs.space == rhs.space
+    for xp_el, yel in lhs.space.elements:
         parts = [l.stalk(a) for a in f.fiber(xp_el)]
         iso = sum_tensor_distribute(parts, m.stalk(yel), ring)
         assert iso.source == rhs.stalk((xp_el, yel))
@@ -256,7 +255,7 @@ def test_sheaf_and_omega_reject_data_off_their_ring():
 
 def listed_box(l, m):
     """box(l, m) with every stalk computed up front on the fiber product."""
-    space = fiber_product(om_anchor(l.carrier), om_anchor(m.carrier))[0]
+    space = fiber_product(om_anchor(l.space), om_anchor(m.space))[0]
     return Sheaf(l.ring, space, tuple(cx_tensor(l.stalk(a), m.stalk(b)) for a, b in space.elements))
 
 
@@ -273,10 +272,10 @@ def test_box_on_demand_agrees_with_its_stalks_listed_out(seed, modulus):
                         (box(box(l, m), l), listed_box(listed_box(l, m), l)),
                         (box(m, box(m, l)), listed_box(m, listed_box(m, l)))):
         assert hash(lazy) == hash(eager) and lazy == box(*lazy.factors)
-        for e in eager.carrier.elements:
+        for e in eager.space.elements:
             assert lazy.stalk(e) == eager.stalk(e)
         assert "stalks" not in vars(lazy)
         assert lazy == eager and eager == lazy and lazy.stalks == eager.stalks
         if eager.stalks:
-            changed = Sheaf(ring, eager.carrier, (cx_dual(eager.stalks[0]),) + eager.stalks[1:])
+            changed = Sheaf(ring, eager.space, (cx_dual(eager.stalks[0]),) + eager.stalks[1:])
             assert (changed == lazy) == (changed.stalks == eager.stalks) == (lazy == changed)
