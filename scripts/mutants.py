@@ -128,6 +128,14 @@ MUTANTS = [
      "if u.target != target.stalk(span.right(g)):", "if False:", "cells"),
     ("push skips its space check", "sheafops.py",
      "if l.space != f.source:", "if False:", "lv"),
+    ("an on-demand component is computed from the wrong apex element", "corrcat.py",
+     "self._compute(range(len(self._done))[i])", "self._compute(range(len(self._done))[i - 1])",
+     "cells"),
+    ("cc_tensor pairs (g, h) as (h, g)", "corrcat.py",
+     "tensor(a.map_at(pairs[i][0]), b.map_at(pairs[i][1]))",
+     "tensor(b.map_at(pairs[i][1]), a.map_at(pairs[i][0]))", "cells"),
+    ("a relabeling on the right skips its eager check", "corrcat.py",
+     "            b.check(y, z)", "            pass", "cells"),
 ]
 
 

@@ -13,13 +13,18 @@ The structural isomorphisms (unitors, associators, the symmetry) are
 relabelings: a bijection of spaces with a stalk isomorphism per element.
 They are never built as spans; cc_compose reindexes the morphism on the
 other side, touching only the elements it hits.
+
+The components of a tensor or a composite are computed when first read:
+a certificate or a trace composes away all but a diagonal of a tensor's
+apex, so only the diagonal's are built.  Those of make_cc_morphism (and
+so shriek_push, cc_invert) are built at once, as it checks their stalks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Mapping, Sequence
 
 from .chainalg import (
     ChainMap,
@@ -71,14 +76,45 @@ def obj_tensor(a: Sheaf, b: Sheaf) -> Sheaf:
     return box(a, b)
 
 
+class OnDemand(Sequence):
+    """The components compute(0), ..., compute(n - 1), each computed when
+    first read and kept; iterating, comparing and hashing read them all, so
+    it equals and hashes like their tuple.  Once all are read it drops
+    compute, and the morphisms and apexes that compute holds."""
+
+    def __init__(self, n: int, compute: Callable[[int], ChainMap]):
+        self._compute = compute
+        self._done: list[ChainMap | None] = [None] * n
+        self._missing = n
+
+    def __len__(self) -> int:
+        return len(self._done)
+
+    def __getitem__(self, i: int) -> ChainMap:
+        u = self._done[i]
+        if u is None:
+            u = self._done[i] = self._compute(range(len(self._done))[i])
+            self._missing -= 1
+            if not self._missing:
+                self._compute = None
+        return u
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, OnDemand)) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class CCMorphism:
-    """Span plus one chain map per apex element (stalkwise coefficients)."""
+    """Span plus one chain map per apex element (stalkwise coefficients);
+    a tensor's or composite's are OnDemand, the rest built when it is made."""
 
     source: Sheaf
     target: Sheaf
     span: Span
-    maps: tuple[ChainMap, ...]
+    maps: Sequence[ChainMap]
 
     def map_at(self, g: Label) -> ChainMap:
         return self.maps[self.span.apex.index(g)]
@@ -108,7 +144,7 @@ def cc_identity(a: Sheaf) -> CCMorphism:
 
 
 def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphism:
-    """a then b; the composite span, components composed pairwise.
+    """a then b; the composite span, components composed pairwise when read.
 
     A relabeling on either side is not built: the other morphism is
     reindexed into the apex, legs and components that composing with the
@@ -123,8 +159,10 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
         apex = FinOver(c.apex.base, tuple(zip(c.apex.elements, hits)), c.apex.anchor)
         images = tuple(map(b.forward, hits))
         span = Span(OverMap(apex, c.left.target, c.left.graph), OverMap(apex, b.target.space, images))
-        ks = map(b.component, hits, images)
-        maps = tuple(u if k is None else map_compose(k, u) for k, u in zip(ks, a.maps))
+        for y, z in zip(hits, images):
+            b.check(y, z)
+        k, us = b.stalk_map, a.maps
+        maps = us if k is None else OnDemand(len(hits), lambda i: map_compose(k(hits[i]), us[i]))
         return CCMorphism(a.source, b.target, span, maps)
     if isinstance(a, CCRelabel):  # pairs (backward(left(g)), g) in the order of a's source
         c, s = b.span, a.source.space
@@ -132,12 +170,17 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
         apex = FinOver(s.base, tuple(hits), tuple(s.anchor_of(x) for x, _ in hits))
         span = Span(OverMap(apex, s, tuple(x for x, _ in hits)),
                     OverMap(apex, c.right.target, tuple(c.right(g) for _, g in hits)))
-        ks = (a.component(x, c.left(g)) for x, g in hits)
-        us = (b.map_at(g) for _, g in hits)
-        maps = tuple(u if k is None else map_compose(u, k) for k, u in zip(ks, us))
-        return CCMorphism(a.source, b.target, span, maps)
+        for x, g in hits:
+            a.check(x, c.left(g))
+
+        def at(i: int) -> ChainMap:
+            x, g = hits[i]
+            return b.map_at(g) if a.stalk_map is None else map_compose(b.map_at(g), a.stalk_map(x))
+
+        return CCMorphism(a.source, b.target, span, OnDemand(len(hits), at))
     span = span_compose(a.span, b.span)
-    maps = tuple(map_compose(b.map_at(d), a.map_at(g)) for g, d in span.apex.elements)
+    pairs = span.apex.elements
+    maps = OnDemand(len(pairs), lambda i: map_compose(b.map_at(pairs[i][1]), a.map_at(pairs[i][0])))
     return CCMorphism(a.source, b.target, span, maps)
 
 
@@ -155,7 +198,8 @@ def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
     src = obj_tensor(a.source, b.source)
     tgt = obj_tensor(a.target, b.target)
     tensor = cache(map_tensor)  # once per distinct pair of components
-    maps = tuple(tensor(a.map_at(g), b.map_at(h)) for g, h in span.apex.elements)
+    pairs = span.apex.elements
+    maps = OnDemand(len(pairs), lambda i: tensor(a.map_at(pairs[i][0]), b.map_at(pairs[i][1])))
     return CCMorphism(src, tgt, span, maps)
 
 
@@ -214,8 +258,8 @@ class CCRelabel:
     left leg and right leg the bijection forward (inverse backward), with
     component stalk_map(x) at x, or the identity when stalk_map is None.
 
-    Only composing and inverting it are defined; cc_compose checks it and
-    evaluates stalk_map only at the elements the other morphism hits.
+    Only composing and inverting it are defined; cc_compose checks it where
+    the other morphism hits it and calls stalk_map only for components read.
     """
 
     source: Sheaf
@@ -224,16 +268,12 @@ class CCRelabel:
     backward: Callable[[Label], Label]
     stalk_map: Callable[[Label], ChainMap] | None = None
 
-    def component(self, x: Label, y: Label) -> ChainMap | None:
-        """The component at a source element x, None for an identity, once
-        forward and backward are checked to pair x with a target element y."""
+    def check(self, x: Label, y: Label) -> None:
+        """Check that x pairs with y, and that their stalks agree if stalk_map is None."""
         if self.forward(x) != y or self.backward(y) != x or y not in self.target.space:
             raise ValueError(f"relabeling is not a bijection at {x!r}")
-        if self.stalk_map is not None:
-            return self.stalk_map(x)
-        if self.source.stalk(x) != self.target.stalk(y):
+        if self.stalk_map is None and self.source.stalk(x) != self.target.stalk(y):
             raise ValueError("relabeling stalks differ; pass stalk_map")
-        return None
 
 
 def left_unitor(a: Sheaf) -> CCRelabel:

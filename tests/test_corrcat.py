@@ -1,8 +1,10 @@
 """Correspondence 2-category: composition laws, 2-cells, pushforward
 assembly and its uniqueness, the pushforward adjunction, internal homs."""
 
+import gc
 import itertools
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,10 +19,12 @@ from spantrace.chainalg import (
     inclusion_map,
     make_chain_map,
     make_complex,
+    map_compose,
     map_curry,
     map_direct_sum,
     map_identity,
     map_scale,
+    map_tensor,
     map_zero,
     mat,
     projection_map,
@@ -39,6 +43,7 @@ from spantrace.corrcat import (
     cc_assoc,
     cc_assoc_inv,
     cc_compose,
+    cc_compose_many,
     cc_identity,
     cc_invert,
     cc_iso_search,
@@ -71,6 +76,7 @@ from spantrace.finspan import (
     om_compose,
     om_identity,
     span_compose,
+    span_tensor,
 )
 from spantrace.generate import (
     GenParams,
@@ -645,29 +651,30 @@ def built_relabel(r: CCRelabel) -> CCMorphism:
 
 
 RELABELINGS = {
-    # name: (relabeling, a morphism into its source, a morphism out of its target)
-    "left_unitor": lambda a, b, c, u, v, w, one, bc: (left_unitor(a), u, cc_tensor(one, u)),
-    "right_unitor": lambda a, b, c, u, v, w, one, bc: (right_unitor(a), u, cc_tensor(u, one)),
-    "left_unitor inverted": lambda a, b, c, u, v, w, one, bc: (
-        cc_invert(left_unitor(a)), cc_tensor(one, u), u),
-    "right_unitor inverted": lambda a, b, c, u, v, w, one, bc: (
-        cc_invert(right_unitor(a)), cc_tensor(u, one), u),
-    "cc_assoc": lambda a, b, c, u, v, w, one, bc: (
-        cc_assoc(a, b, c), cc_tensor(u, cc_tensor(v, w)), cc_tensor(cc_tensor(u, v), w)),
-    "cc_assoc_inv": lambda a, b, c, u, v, w, one, bc: (
-        cc_assoc_inv(a, b, c), cc_tensor(cc_tensor(u, v), w), cc_tensor(u, cc_tensor(v, w))),
-    "cc_swap": lambda a, b, c, u, v, w, one, bc: (cc_swap(a, b), cc_tensor(u, v), cc_tensor(v, u)),
-    "cc_swap inverted": lambda a, b, c, u, v, w, one, bc: (
-        cc_invert(cc_swap(a, b)), cc_tensor(v, u), cc_tensor(u, v)),
-    "monoidal_structure": lambda a, b, c, u, v, w, one, bc: (
-        monoidal_structure(bc, a, b), cc_tensor(pull_morphism(bc, u), pull_morphism(bc, v)),
-        pull_morphism(bc, cc_tensor(u, v))),
+    # name: (relabeling, a morphism into its source, a morphism out of its
+    # target), with the tensors of morphisms taken by t
+    "left_unitor": lambda t, a, b, c, u, v, w, one, bc: (left_unitor(a), u, t(one, u)),
+    "right_unitor": lambda t, a, b, c, u, v, w, one, bc: (right_unitor(a), u, t(u, one)),
+    "left_unitor inverted": lambda t, a, b, c, u, v, w, one, bc: (
+        cc_invert(left_unitor(a)), t(one, u), u),
+    "right_unitor inverted": lambda t, a, b, c, u, v, w, one, bc: (
+        cc_invert(right_unitor(a)), t(u, one), u),
+    "cc_assoc": lambda t, a, b, c, u, v, w, one, bc: (
+        cc_assoc(a, b, c), t(u, t(v, w)), t(t(u, v), w)),
+    "cc_assoc_inv": lambda t, a, b, c, u, v, w, one, bc: (
+        cc_assoc_inv(a, b, c), t(t(u, v), w), t(u, t(v, w))),
+    "cc_swap": lambda t, a, b, c, u, v, w, one, bc: (cc_swap(a, b), t(u, v), t(v, u)),
+    "cc_swap inverted": lambda t, a, b, c, u, v, w, one, bc: (
+        cc_invert(cc_swap(a, b)), t(v, u), t(u, v)),
+    "monoidal_structure": lambda t, a, b, c, u, v, w, one, bc: (
+        monoidal_structure(bc, a, b), t(pull_morphism(bc, u), pull_morphism(bc, v)),
+        pull_morphism(bc, t(u, v))),
 }
 
 
-@given(seeds, st.sampled_from([0, 7, 2, 1]), st.sampled_from(sorted(RELABELINGS)))
-@settings(max_examples=80, deadline=None)
-def test_relabelings_compose_like_the_built_out_morphisms(seed, modulus, name):
+def relabeling_case(seed, modulus):
+    """Three random objects over one base, an endomorphism of each, the
+    identity of the unit and a base change, for RELABELINGS."""
     rng = random.Random(seed)
     ring, params = Ring(modulus), GenParams(modulus=modulus)
     base = ("s0",) if rng.random() < 0.5 else ("s0", "s1")
@@ -681,12 +688,64 @@ def test_relabelings_compose_like_the_built_out_morphisms(seed, modulus, name):
     u, v, w = (endo(g, p) for g, p in zip(gens, "cde"))
     one = cc_identity(unit_object(ring, base))
     bc = random_base_change_for(seed ^ 0x77, base, params)
-    r, into, out = RELABELINGS[name](*(g.obj for g in gens), u, v, w, one, bc)
+    return [g.obj for g in gens], [u, v, w, endo(gens[0], "f")], one, bc
+
+
+@given(seeds, st.sampled_from([0, 7, 2, 1]), st.sampled_from(sorted(RELABELINGS)))
+@settings(max_examples=80, deadline=None)
+def test_relabelings_compose_like_the_built_out_morphisms(seed, modulus, name):
+    objs, (u, v, w, _), one, bc = relabeling_case(seed, modulus)
+    r, into, out = RELABELINGS[name](cc_tensor, *objs, u, v, w, one, bc)
     built = built_relabel(r)
     for lazy, oracle in ((cc_compose(into, r), cc_compose(into, built)),
                          (cc_compose(r, out), cc_compose(built, out))):
         assert lazy.span.apex.elements == oracle.span.apex.elements
         assert lazy.span == oracle.span and lazy.maps == oracle.maps and lazy == oracle
+
+
+def eager_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
+    """cc_tensor with every component built at once, as a tuple."""
+    span = span_tensor(a.span, b.span)
+    maps = tuple(map_tensor(a.map_at(g), b.map_at(h)) for g, h in span.apex.elements)
+    return CCMorphism(obj_tensor(a.source, b.source), obj_tensor(a.target, b.target), span, maps)
+
+
+def eager_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphism:
+    """cc_compose with every component built at once, as a tuple; a
+    relabeling is built out first, so no reindexing is shared with
+    cc_compose."""
+    a, b = (built_relabel(m) if isinstance(m, CCRelabel) else m for m in (a, b))
+    span = span_compose(a.span, b.span)
+    maps = tuple(map_compose(b.map_at(d), a.map_at(g)) for g, d in span.apex.elements)
+    return CCMorphism(a.source, b.target, span, maps)
+
+
+@given(seeds, st.sampled_from([0, 7, 2, 1]), st.sampled_from(sorted(RELABELINGS)))
+@settings(max_examples=60, deadline=None)
+def test_on_demand_components_match_the_eager_oracle(seed, modulus, name):
+    """Tensors and composites, with a relabeling on either side, against
+    the same constructions built eagerly from eager inputs: the span,
+    every component read in a shuffled order, == and hash."""
+    objs, (u, v, w, u2), one, bc = relabeling_case(seed, modulus)
+    r, into, out = RELABELINGS[name](cc_tensor, *objs, u, v, w, one, bc)
+    _, into0, out0 = RELABELINGS[name](eager_tensor, *objs, u, v, w, one, bc)
+    cases = [
+        (lambda: cc_tensor(u, v), eager_tensor(u, v)),
+        (lambda: cc_compose(u, u2), eager_compose(u, u2)),
+        (lambda: cc_compose(cc_tensor(u, v), cc_tensor(u2, v)),
+         eager_compose(eager_tensor(u, v), eager_tensor(u2, v))),
+        (lambda: cc_compose(into, r), eager_compose(into0, r)),
+        (lambda: cc_compose(r, out), eager_compose(r, out0)),
+        (lambda: cc_compose(cc_compose(into, r), out), eager_compose(eager_compose(into0, r), out0)),
+    ]
+    order = random.Random(seed ^ 0x5EED)
+    for build, oracle in cases:
+        lazy = build()
+        assert lazy.span == oracle.span and len(lazy.maps) == len(oracle.maps)
+        for i in order.sample(range(len(oracle.maps)), len(oracle.maps)):
+            assert lazy.maps[i] == oracle.maps[i]
+        fresh = build()
+        assert fresh == oracle and oracle == fresh and hash(fresh) == hash(oracle)
 
 
 def test_relabeling_checks_the_elements_it_is_composed_at():
@@ -704,6 +763,48 @@ def test_relabeling_checks_the_elements_it_is_composed_at():
         cc_compose(m, CCRelabel(a, q, lambda x: x, lambda x: x))
     with pytest.raises(ValueError, match="only through a morphism"):
         cc_compose(left_unitor(a), cc_invert(left_unitor(a)))
+
+
+def test_a_fully_read_composite_lets_go_of_its_factors():
+    """An unread composite holds the tensor its components come from; once
+    every component is read, the tensor is freed."""
+    a = scalar_object(n=2)
+    m = loop_morphism(a, 2)
+    tensor = cc_tensor(m, cc_identity(unit_object(ZZ, ("z",))))
+    outer = cc_compose_many(right_unitor(a), tensor, cc_invert(right_unitor(a)))
+    held = weakref.ref(tensor)
+    del tensor
+    gc.collect()
+    assert held() is not None
+    assert [u.component(0) for u in outer.maps] == [mat(ZZ, [[2]])] * 2
+    gc.collect()
+    assert held() is None
+
+
+def test_relabeling_checks_run_before_any_component_is_read():
+    """cc_compose checks a relabeling at every element it is composed at
+    when it is called, on either side, though no component of the
+    composite is ever read: here only the element x2 fails."""
+    a = scalar_object(n=3)
+    m = loop_morphism(a, 2)
+    unit_a = obj_tensor(unit_object(ZZ, ("z",)), a)
+
+    def ident(x):
+        return map_identity(a.stalk(x))
+
+    into = CCRelabel(a, unit_a, lambda x: ("z", x), lambda e: "x0" if e[1] == "x2" else e[1], ident)
+    with pytest.raises(ValueError, match="relabeling is not a bijection at 'x2'"):
+        cc_compose(m, into)
+    out_of = CCRelabel(unit_a, a, lambda e: e[1], lambda x: ("z", "x0" if x == "x2" else x),
+                       lambda e: ident(e[1]))
+    with pytest.raises(ValueError, match="relabeling is not a bijection at \\('z', 'x0'\\)"):
+        cc_compose(out_of, m)
+    q = make_sheaf(ZZ, a.space, {x: make_complex(ZZ, {0: 2 if x == "x2" else 1})
+                                 for x in a.space.elements})
+    with pytest.raises(ValueError, match="relabeling stalks differ"):
+        cc_compose(m, CCRelabel(a, q, lambda x: x, lambda x: x))
+    with pytest.raises(ValueError, match="relabeling stalks differ"):
+        cc_compose(CCRelabel(q, a, lambda x: x, lambda x: x), m)
 
 
 def test_objects_are_sheaves():

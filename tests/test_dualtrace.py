@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spantrace import chainalg, corrcat
 from spantrace.chainalg import (
     Ring,
     ZZ,
@@ -15,6 +16,7 @@ from spantrace.chainalg import (
     homotopy_perturb,
     map_identity,
     map_scale,
+    map_tensor,
     mat,
     mat_transpose,
     unit_complex,
@@ -261,6 +263,25 @@ def test_mate_squares_commute(seed):
 
 # ---------------------------------------------------------------------------
 # pairings and traces
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
+    """Each triangle composite keeps n of the n^2 apex elements of each of
+    its two tensors with an identity, and only those components are
+    built: map_tensor runs 4n times, not once per apex pair (4n^2)."""
+    for fn in vars(chainalg).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return map_tensor(f, g)
+
+    monkeypatch.setattr(corrcat, "map_tensor", counted)
+    make_dual(wide_object(ZZ, n))
+    assert len(calls) == 4 * n
 
 
 def test_make_dual_past_max_set():
