@@ -104,14 +104,21 @@ MUTANTS = [
     ("transposed permutation keeps its signs in place", "chainalg.py",
      "None if signs is None else tuple(map(signs.__getitem__, inv))", "signs", "kernels"),
     ("permutation record over Z/1", "chainalg.py",
-     "if m.ring.norm(1):  # over Z/1", "if True:  # over Z/1", "kernels"),
+     "if not ring.norm(1):", "if False:", "kernels"),
     ("Kronecker placement misses its stride start", "chainalg.py",
      "grid[r0 + i * br + k][c0 + l:stop:bc] = arow", "grid[r0 + i * br + k][c0:stop:bc] = arow",
      "kernels"),
     ("Kronecker placement ignores the signs of a left record", "chainalg.py",
      "b.entries if signs is None else mat_scale(signs[i], b).entries", "b.entries", "kernels"),
     ("tensor differential drops the sign of 1 (x) d_b", "chainalg.py",
-     "neg_db[q] if p % 2 else b.d(q)", "b.d(q)", "kernels"),
+     "mat_scale(-1 if p % 2 else 1, b.d(q))", "mat_scale(1, b.d(q))", "kernels"),
+    ("a lazy tensor differential is built from the swapped factors (b, a)", "chainalg.py",
+     "def build(i: int) -> tuple[int, Matrix]:", "def build(i: int, a=b, b=a) -> tuple[int, Matrix]:",
+     "kernels"),
+    ("lazy permutation rows ignore their signs", "chainalg.py",
+     "(1 if signs is None else signs[i],)", "(1,)", "kernels"),
+    ("tensor complexes with equal ranks are equal", "chainalg.py",
+     "return self is other or tuple(self) == tuple(other)", "return True", "kernels"),
     ("push rectangles skip their squares", "dualtrace.py",
      "if lhs != rhs:", "if False:", "lv"),
     ("cc_invert checks one round trip", "corrcat.py",
@@ -128,7 +135,7 @@ MUTANTS = [
      "if u.target != target.stalk(span.right(g)):", "if False:", "cells"),
     ("push skips its space check", "sheafops.py",
      "if l.space != f.source:", "if False:", "lv"),
-    ("an on-demand component is computed from the wrong apex element", "corrcat.py",
+    ("an on-demand component is computed from the wrong apex element", "chainalg.py",
      "self._compute(range(len(self._done))[i])", "self._compute(range(len(self._done))[i - 1])",
      "cells"),
     ("cc_tensor pairs (g, h) as (h, g)", "corrcat.py",

@@ -12,24 +12,26 @@ strict identity, the categorical trace is the alternating trace, and
 dualizing twice returns the original matrices on the nose.
 
 Matrix entries are always normalised.  `mat` is the normalising entry point
-for matrices from outside (the parser, the generator, tests); the structure
-maps (tensor differentials, tensors of maps, symmetries, reassociations,
-evaluation and coevaluation, block sums) are assembled by placing their
-already normalised entries into a zero grid or, through `_place_kron`
-(as `cx_tensor` places d_a (x) 1 and (-1)^p 1 (x) d_b), a Kronecker block
-a whole row slice at a time.  Only `mat_identity` and the structure maps
-(symmetries, reassociations, their inverses) record on their `Matrix` that
-they are signed permutations: `mat_mul` picks rows of its right factor by a
-record on its left, `mat_transpose` inverts it, and `_place_kron` reads a
-record on either factor instead of scanning it for nonzeros.  Products and
-tensors of permutations are dense, with no record.
+for matrices from outside (the parser, the generator, tests); the kernels
+place their already normalised entries into a zero grid or, through
+`_place_kron`, a Kronecker block a whole row slice at a time.
+`mat_identity`, the symmetries and the reassociations (and their inverses)
+are signed permutations that keep only that record on their `Matrix`:
+`mat_mul` picks rows of its right factor by a record on its left,
+`mat_transpose` inverts it, `_place_kron` reads it on either factor, and the
+dense rows are built only if `entries` is read.  `cx_tensor` knows its ranks
+at once and builds each differential when first read.  So the rank-r^3
+tensors that duality's triangle certificates pass through, of which only
+components of maps are read, stay unbuilt.  Products and tensors of
+permutations are dense, with no record.  Equality and hashes are by value,
+and an object equals itself without reading anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,12 @@ class Ring:
     def __post_init__(self) -> None:
         if self.modulus < 0:
             raise ValueError("modulus must be non-negative")
+
+    def __hash__(self) -> int:  # the kernel caches hash a ring on every lookup
+        return self.modulus
+
+    def __eq__(self, other) -> bool:
+        return self is other or (self.modulus == other.modulus if isinstance(other, Ring) else NotImplemented)
 
     def norm(self, x: int) -> int:
         return x % self.modulus if self.modulus else x
@@ -56,8 +64,9 @@ class Matrix:
     A square signed permutation may carry the record `_perm = (cols, signs)`:
     row i's one nonzero sits in column cols[i] and is signs[i], or 1 when
     signs is None.  Only mat_identity and the structure maps set it, never
-    over Z/1, where 1 is 0; mat_mul reads it on the left, _place_kron on
-    either side, and products and tensors are dense.  It is not in ==, hash, repr.
+    over Z/1, where 1 is 0, and then entries is built from it when first
+    read.  mat_mul reads it on the left, _place_kron on either side, and
+    products and tensors are dense.  It is not in ==, hash, repr.
     """
 
     ring: Ring
@@ -82,6 +91,23 @@ class Matrix:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.ring, self.rows, self.cols, self.entries)))
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        shape = (self.ring, self.rows, self.cols)
+        return self is other or shape == (other.ring, other.rows, other.cols) and self.entries == other.entries
+
+    def __getattr__(self, name: str):
+        # only a permutation's rows are ever missing: build them from its record
+        if name != "entries" or self._perm is None:
+            raise AttributeError(name)
+        cols, signs = self._perm
+        zero = (0,) * self.cols
+        rows = tuple(zero[:c] + (1 if signs is None else signs[i],) + zero[c + 1:]
+                     for i, c in enumerate(cols))
+        object.__setattr__(self, "entries", rows)
+        return rows
 
 
 def mat(ring: Ring, rows: Sequence[Sequence[int]], cols: int | None = None) -> Matrix:
@@ -109,10 +135,7 @@ def _kernel_matrix(ring: Ring, rows: int, cols: int, entries: tuple[tuple[int, .
     of every entry costs about as much as building a rank-r^3 certificate
     tensor, and the shape check doubles the cost of a small matrix."""
     m = object.__new__(Matrix)
-    object.__setattr__(m, "ring", ring)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "entries", entries)
+    vars(m).update(ring=ring, rows=rows, cols=cols, entries=entries)
     return m
 
 
@@ -127,18 +150,14 @@ def mat_zero(ring: Ring, rows: int, cols: int) -> Matrix:
 
 def _perm_matrix(ring: Ring, cols: Sequence[int], signs: Sequence[int] | None = None) -> Matrix:
     """The signed permutation whose row i has its nonzero, signs[i] (already
-    normalised; 1 when signs is None), in column cols[i], with its record.
-    Its rows are the identity's rows, shared, or their negatives."""
+    normalised; 1 when signs is None), in column cols[i]: its record alone,
+    in O(n).  Over Z/1, where 1 is 0, it is the zero matrix, with no record."""
     n = len(cols)
-    if signs is not None and all(s == 1 for s in signs):
-        signs = None
-    rows = _signed_rows(mat_identity(ring, n).entries, cols, signs, ring.modulus)
-    return _with_perm(_kernel_matrix(ring, n, n, rows), cols, signs)
-
-
-def _with_perm(m: Matrix, cols: Sequence[int], signs: Sequence[int] | None) -> Matrix:
-    if m.ring.norm(1):  # over Z/1, where 1 is 0, every matrix is zero
-        object.__setattr__(m, "_perm", (tuple(cols), None if signs is None else tuple(signs)))
+    if not ring.norm(1):
+        return mat_zero(ring, n, n)
+    signs = None if signs is None or all(s == 1 for s in signs) else tuple(signs)
+    m = object.__new__(Matrix)
+    vars(m).update(ring=ring, rows=n, cols=n, _perm=(tuple(cols), signs))
     return m
 
 
@@ -151,11 +170,7 @@ def _perm_inverse(perm: tuple) -> tuple:
 
 @lru_cache(maxsize=4096)
 def mat_identity(ring: Ring, n: int) -> Matrix:
-    grid = [[0] * n for _ in range(n)]
-    one = ring.norm(1)
-    for i, row in enumerate(grid):
-        row[i] = one
-    return _with_perm(_grid_matrix(ring, grid, n), range(n), None)
+    return _perm_matrix(ring, range(n))
 
 
 def _same_ring(a: Matrix | Complex, b: Matrix | Complex) -> Ring:
@@ -297,39 +312,77 @@ def _stored_block(
 # complexes
 
 
+class OnDemand(Sequence):
+    """The entries compute(0), ..., compute(n - 1), each computed when first
+    read and kept; iterating, comparing and hashing read them all, so it
+    equals and hashes like their tuple, but equals itself without reading
+    any.  Once all are read it drops compute, and what compute holds."""
+
+    def __init__(self, n: int, compute: Callable[[int], object]):
+        self._compute = compute if n else None
+        self._done: list = [None] * n
+        self._missing = n
+
+    def __len__(self) -> int:
+        return len(self._done)
+
+    def __iter__(self):
+        return iter(self._done) if not self._missing else map(self.__getitem__, range(len(self._done)))
+
+    def __getitem__(self, i: int):
+        u = self._done[i]
+        if u is None:
+            u = self._done[i] = self._compute(range(len(self._done))[i])
+            self._missing -= 1
+            if not self._missing:
+                self._compute = None
+        return u
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, OnDemand)):
+            return NotImplemented
+        return self is other or tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Complex:
     """Bounded complex of finite-rank free modules.
 
     ranks holds (degree, rank) pairs with rank > 0, sorted by degree; diff
-    holds the differential matrices for every degree n where both rank(n)
-    and rank(n+1) are positive (zero matrices included, so equality of
-    complexes is plain structural equality).
+    holds (n, d^n) for every degree n where both rank(n) and rank(n+1) are
+    positive (zero matrices included, so equality of complexes is plain
+    structural equality).  cx_tensor's is an OnDemand: each differential is
+    built and checked when first read.
     """
 
     ring: Ring
     ranks: tuple[tuple[int, int], ...]
-    diff: tuple[tuple[int, Matrix], ...]
+    diff: Sequence[tuple[int, Matrix]]
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
     _rank: dict = field(default=None, init=False, compare=False, repr=False)
+    _at: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rank = dict(self.ranks)
-        stored = iter(self.diff)
         below = None
         for n, r in self.ranks:
             if r < 1 or below is not None and n <= below:
                 raise ValueError(f"ranks {self.ranks} need strictly increasing degrees and positive ranks")
             below = n
-            up = rank.get(n + 1)
-            if up:
-                d, m = next(stored, (None, None))
-                if d != n or (m.rows, m.cols) != (up, r) or m.ring is not self.ring and m.ring != self.ring:
-                    raise ValueError(f"the differential at degree {n} must be a {up}x{r} matrix over {self.ring}")
-        extra = next(stored, None)
-        if extra is not None:
-            raise ValueError(f"a differential at degree {extra[0]}, where a rank is zero")
-        object.__setattr__(self, "_rank", rank)
+        at = {n: i for i, n in enumerate(n for n, _ in self.ranks if n + 1 in rank)}  # d^n is diff[at[n]]
+        vars(self).update(_rank=rank, _at=at)
+        if not isinstance(self.diff, OnDemand):  # cx_tensor checks each as it builds it
+            degrees = [n for n, _ in self.diff]
+            if degrees != list(at):
+                raise ValueError(f"differentials at degrees {degrees} for ranks {self.ranks}")
+            for n, m in self.diff:
+                _checked_diff(self.ring, rank, n, m)
 
     def __hash__(self) -> int:
         # cached as for Matrix
@@ -341,10 +394,18 @@ class Complex:
         return self._rank.get(n, 0)
 
     def d(self, n: int) -> Matrix:
-        for d, m in self.diff:
-            if d == n:
-                return m
-        return mat_zero(self.ring, self.rank(n + 1), self.rank(n))
+        i = self._at.get(n)
+        if i is None:
+            return mat_zero(self.ring, self.rank(n + 1), self.rank(n))
+        return self.diff[i][1]
+
+
+def _checked_diff(ring: Ring, rank: Mapping[int, int], n: int, m: Matrix) -> tuple[int, Matrix]:
+    """(n, m), once m is checked to be the differential's shape over ring."""
+    up, r = rank[n + 1], rank[n]
+    if (m.rows, m.cols) != (up, r) or m.ring is not ring and m.ring != ring:
+        raise ValueError(f"the differential at degree {n} must be a {up}x{r} matrix over {ring}")
+    return n, m
 
 
 def make_complex(
@@ -394,26 +455,28 @@ def tensor_offsets(a: Complex, b: Complex, n: int) -> dict[tuple[int, int], int]
 
 @lru_cache(maxsize=4096)
 def cx_tensor(a: Complex, b: Complex) -> Complex:
+    """The tensor complex: its ranks at once, each differential when first read."""
     ring = _same_ring(a, b)
+    if a.ranks == ((0, 1),) or b.ranks == ((0, 1),):  # the unit: 1 (x) b is b, basis and all
+        return b if a.ranks == ((0, 1),) else a
     degrees = sorted({p + q for p, _ in a.ranks for q, _ in b.ranks})
     offsets = {n: tensor_offsets(a, b, n) for n in degrees}
     ranks = {n: sum(a.rank(p) * b.rank(q) for p, q in off) for n, off in offsets.items()}
-    id_a = {p: mat_identity(ring, r) for p, r in a.ranks}
-    id_b = {q: mat_identity(ring, r) for q, r in b.ranks}
-    neg_db = {q: mat_scale(-1, m) for q, m in b.diff}
-    diff: dict[int, Matrix] = {}
-    for n in degrees:
-        if ranks.get(n + 1, 0) == 0:
-            continue
+    stored = [n for n in degrees if n + 1 in ranks]
+
+    def build(i: int) -> tuple[int, Matrix]:
+        n = stored[i]
         tgt_off = offsets[n + 1]
         grid = [[0] * ranks[n] for _ in range(ranks[n + 1])]
         for (p, q), co in offsets[n].items():
             if (p + 1, q) in tgt_off:  # d_a (x) 1
-                _place_kron(grid, tgt_off[(p + 1, q)], co, a.d(p), id_b[q])
+                _place_kron(grid, tgt_off[(p + 1, q)], co, a.d(p), mat_identity(ring, b.rank(q)))
             if (p, q + 1) in tgt_off:  # (-1)^p 1 (x) d_b
-                _place_kron(grid, tgt_off[(p, q + 1)], co, id_a[p], neg_db[q] if p % 2 else b.d(q))
-        diff[n] = _grid_matrix(ring, grid, ranks[n])
-    return make_complex(ring, ranks, diff)
+                _place_kron(grid, tgt_off[(p, q + 1)], co, mat_identity(ring, a.rank(p)),
+                            mat_scale(-1 if p % 2 else 1, b.d(q)))
+        return _checked_diff(ring, ranks, n, _grid_matrix(ring, grid, ranks[n]))
+
+    return Complex(ring, tuple(ranks.items()), OnDemand(len(stored), build))
 
 
 @lru_cache(maxsize=4096)
@@ -422,12 +485,8 @@ def cx_dual(a: Complex) -> Complex:
 
     With the signed evaluation below this is an involution on the nose.
     """
-    ranks = {-n: r for n, r in a.ranks}
-    diff = {}
-    for n in list(ranks):
-        if ranks.get(n + 1, 0) and ranks[n]:
-            diff[n] = mat_transpose(a.d(-n - 1))
-    return make_complex(a.ring, ranks, diff)
+    diff = {-n - 1: mat_transpose(m) for n, m in a.diff}
+    return make_complex(a.ring, {-n: r for n, r in a.ranks}, diff)
 
 
 def cx_direct_sum(parts: Sequence[Complex], ring: Ring) -> Complex:

@@ -28,6 +28,7 @@ from functools import cache
 
 from .chainalg import (
     ChainMap,
+    OnDemand,
     Ring,
     assoc_map,
     assoc_map_inv,
@@ -74,36 +75,6 @@ def unit_object(ring: Ring, base: Sequence[Label]) -> Sheaf:
 
 def obj_tensor(a: Sheaf, b: Sheaf) -> Sheaf:
     return box(a, b)
-
-
-class OnDemand(Sequence):
-    """The components compute(0), ..., compute(n - 1), each computed when
-    first read and kept; iterating, comparing and hashing read them all, so
-    it equals and hashes like their tuple.  Once all are read it drops
-    compute, and the morphisms and apexes that compute holds."""
-
-    def __init__(self, n: int, compute: Callable[[int], ChainMap]):
-        self._compute = compute
-        self._done: list[ChainMap | None] = [None] * n
-        self._missing = n
-
-    def __len__(self) -> int:
-        return len(self._done)
-
-    def __getitem__(self, i: int) -> ChainMap:
-        u = self._done[i]
-        if u is None:
-            u = self._done[i] = self._compute(range(len(self._done))[i])
-            self._missing -= 1
-            if not self._missing:
-                self._compute = None
-        return u
-
-    def __eq__(self, other):
-        return tuple(self) == tuple(other) if isinstance(other, (tuple, OnDemand)) else NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
 
 
 @dataclass(frozen=True)

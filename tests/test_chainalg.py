@@ -618,6 +618,80 @@ def test_permutations_apply_by_reindexing_as_the_dense_product(seed):
                 assert p._perm is None
 
 
+def unread(diff):
+    """How many differentials of an on-demand tensor are still unbuilt."""
+    return diff._missing
+
+
+def assert_same_value(lazy, eager, rng):
+    """lazy equals eager both ways and hashes like it, whichever is asked first."""
+    checks = [lambda: lazy == eager, lambda: eager == lazy, lambda: hash(lazy) == hash(eager)]
+    rng.shuffle(checks)
+    assert all(check() for check in checks)
+
+
+def perturbed(c, rng):
+    """c with one entry of one nonempty differential changed, or None when
+    there is none to change (over Z/1 every entry is 0)."""
+    nonempty = [(n, d) for n, d in c.diff if d.rows and d.cols]
+    if c.ring.modulus == 1 or not nonempty:
+        return None
+    n, d = rng.choice(nonempty)
+    grid = [list(r) for r in d.entries]
+    i, j = rng.randrange(d.rows), rng.randrange(d.cols)
+    grid[i][j] += 1
+    return make_complex(c.ring, dict(c.ranks), {**dict(c.diff), n: mat(c.ring, grid)})
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
+    """cx_tensor builds a differential, and a permutation its rows, only when
+    read; read in any order, or compared or hashed first, they agree with
+    the eager constructions of the oracles above.  Fresh objects throughout
+    (__wrapped__), since the cached ones may have been read already."""
+    rng = random.Random(seed)
+    for m in (0, 7, 2, 1):
+        ring = Ring(m)
+        a, b = big_complex(rng, ring), big_complex(rng, ring)
+        one = unit_complex(ring)
+        while a.ranks == one.ranks or b.ranks == one.ranks:
+            a, b = big_complex(rng, ring), big_complex(rng, ring)
+        assert cx_tensor.__wrapped__(one, a) is a and cx_tensor.__wrapped__(b, one) is b
+        eager = tensor_oracle(a, b)
+        t = cx_tensor.__wrapped__(a, b)
+        assert t.ranks == eager.ranks and unread(t.diff) == len(t.diff) == len(eager.diff)
+        assert t == t and unread(t.diff) == len(t.diff)  # itself, without reading
+        degrees = [n for n, _ in eager.diff]
+        rng.shuffle(degrees)
+        for n in degrees:
+            assert unread(t.diff)
+            assert_same_matrix(t.d(n), eager.d(n))
+        assert unread(t.diff) == 0
+        for lazy in (t, cx_tensor.__wrapped__(a, b)):
+            assert_same_value(lazy, eager, rng)
+        assert cx_tensor.__wrapped__(a, b) == cx_tensor.__wrapped__(a, b)
+        bad = perturbed(eager, rng)
+        if bad is not None:
+            fresh = cx_tensor.__wrapped__(a, b)
+            assert fresh != bad and bad != fresh and t != bad
+        # permutations keep their record and no rows until read; over Z/1
+        # they are zero, with no record
+        x, y, z = (seeded_complex(rng.getrandbits(32), m) for _ in range(3))
+        k = rng.randint(0, 6)
+        cases = [(mat_identity.__wrapped__(ring, k), [[int(i == j) for j in range(k)] for i in range(k)])]
+        swap = swap_map.__wrapped__(a, b)
+        cases += [(p, swap_oracle(a, b, n)) for n, p in swap.components]
+        assoc = assoc_map.__wrapped__(x, y, z)
+        cases += [(p, assoc_oracle(x, y, z, n)) for n, p in assoc.components]
+        inverse = assoc_map_inv(x, y, z)
+        cases += [(p, [list(r) for r in zip(*assoc_oracle(x, y, z, n))]) for n, p in inverse.components]
+        for p, grid in cases:
+            assert (p._perm is None) == (m == 1) and ("entries" in vars(p)) == (m == 1)
+            assert_same_value(p, mat(ring, grid, cols=p.cols), rng)
+            assert_normalised(p)
+
+
 def test_mat_transpose_keeps_shapes():
     rng = random.Random(3)
     for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 5)):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spantrace import chainalg, corrcat
+from spantrace import chainalg, corrcat, sheafops
 from spantrace.chainalg import (
     Ring,
     ZZ,
@@ -282,6 +282,34 @@ def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
     monkeypatch.setattr(corrcat, "map_tensor", counted)
     make_dual(wide_object(ZZ, n))
     assert len(calls) == 4 * n
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_make_dual_builds_no_rank_r3_differential_or_reassociation_rows(r, monkeypatch):
+    """The triangle composites pass through (a (x) a*) (x) a and a (x) (a* (x)
+    a), of rank r^3 for a stalk of total rank r, but read only components
+    of maps between them: no differential of such a tensor is built, and no
+    reassociation permutation builds its dense rows."""
+    for fn in vars(chainalg).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    tensors, assocs = [], []
+
+    def recorded(fn, out):
+        def wrapper(*args):
+            out.append(fn(*args))
+            return out[-1]
+        return wrapper
+
+    for module in (chainalg, sheafops):
+        monkeypatch.setattr(module, "cx_tensor", recorded(chainalg.cx_tensor, tensors))
+    for module in (chainalg, corrcat):
+        monkeypatch.setattr(module, "assoc_map", recorded(chainalg.assoc_map, assocs))
+    make_dual(deep_object(ZZ, r))
+    big = [c for c in tensors if sum(n for _, n in c.ranks) == r ** 3]
+    assert big and assocs
+    assert all(c.diff._missing == len(c.diff) > 0 for c in big)
+    assert all("entries" not in vars(p) for f in assocs for _, p in f.components)
 
 
 def test_make_dual_past_max_set():

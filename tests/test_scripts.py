@@ -44,6 +44,7 @@ def test_sweep_make_dual_small(tmp_path):
     (rec,) = doc["records"]
     assert rec["n"] == 4 and rec["rounds"] == 2
     assert 0 < rec["min_s"] <= rec["median_s"]
+    assert 0 < rec["scaled_min_s"] <= rec["scaled_median_s"] and doc["ref_nominal_s"] > 0
     # every chainalg cache is emptied between deep rounds, not a listed few
     path = os.path.join(ROOT, "scripts", "sweep_make_dual.py")
     spec = importlib.util.spec_from_file_location("sweep_make_dual", path)
@@ -67,6 +68,7 @@ def test_sweep_make_dual_deep(tmp_path):
     (rec,) = doc["records"]
     assert rec["n"] == 4 and rec["rounds"] == 2
     assert 0 < rec["min_s"] <= rec["median_s"]
+    assert 0 < rec["scaled_min_s"] <= rec["scaled_median_s"] and doc["ref_nominal_s"] > 0
 
 
 def _mutant_assignments():
