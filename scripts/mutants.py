@@ -143,6 +143,11 @@ MUTANTS = [
      "tensor(b.map_at(pairs[i][1]), a.map_at(pairs[i][0]))", "cells"),
     ("a relabeling on the right skips its eager check", "corrcat.py",
      "            b.check(y, z)", "            pass", "cells"),
+    ("a relabeling on the left skips its eager check", "corrcat.py",
+     "            a.check(back[y], y)", "            pass", "cells"),
+    ("product membership ignores the inner anchor match", "finspan.py",
+     "s is not None and s == self.factors[1]._member_anchor(e[1])",
+     "s is not None and self.factors[1]._member_anchor(e[1]) is not None", "cells"),
 ]
 
 

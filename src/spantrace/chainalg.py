@@ -314,9 +314,10 @@ def _stored_block(
 
 class OnDemand(Sequence):
     """The entries compute(0), ..., compute(n - 1), each computed when first
-    read and kept; iterating, comparing and hashing read them all, so it
-    equals and hashes like their tuple, but equals itself without reading
-    any.  Once all are read it drops compute, and what compute holds."""
+    read and kept; a slice reads its entries and gives their tuple.
+    Iterating, comparing and hashing read them all, so it equals and hashes
+    like their tuple, but equals itself without reading any.  Once all are
+    read it drops compute, and what compute holds."""
 
     def __init__(self, n: int, compute: Callable[[int], object]):
         self._compute = compute if n else None
@@ -329,13 +330,15 @@ class OnDemand(Sequence):
     def __iter__(self):
         return iter(self._done) if not self._missing else map(self.__getitem__, range(len(self._done)))
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i: int | slice):
         u = self._done[i]
         if u is None:
             u = self._done[i] = self._compute(range(len(self._done))[i])
             self._missing -= 1
             if not self._missing:
                 self._compute = None
+        elif type(i) is slice:  # the tuple of the slice's entries, each read
+            return tuple(map(self.__getitem__, range(len(self._done))[i]))
         return u
 
     def __eq__(self, other):

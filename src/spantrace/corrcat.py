@@ -12,7 +12,8 @@ sheafops), so building one costs nothing until its elements are walked.
 The structural isomorphisms (unitors, associators, the symmetry) are
 relabelings: a bijection of spaces with a stalk isomorphism per element.
 They are never built as spans; cc_compose reindexes the morphism on the
-other side, touching only the elements it hits.
+other side, touching only the elements it hits and checking the
+relabeling once at each distinct one.
 
 The components of a tensor or a composite are computed when first read:
 a certificate or a trace composes away all but a diagonal of a tensor's
@@ -128,27 +129,29 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
     if isinstance(b, CCRelabel):  # pairs (g, right(g)) in the order of a's apex
         c, hits = a.span, a.span.right.graph
         apex = FinOver(c.apex.base, tuple(zip(c.apex.elements, hits)), c.apex.anchor)
-        images = tuple(map(b.forward, hits))
-        span = Span(OverMap(apex, c.left.target, c.left.graph), OverMap(apex, b.target.space, images))
-        for y, z in zip(hits, images):
+        image_of = {y: b.forward(y) for y in dict.fromkeys(hits)}
+        for y, z in image_of.items():
             b.check(y, z)
+        images = tuple(map(image_of.get, hits))
+        span = Span(OverMap(apex, c.left.target, c.left.graph), OverMap(apex, b.target.space, images))
         k, us = b.stalk_map, a.maps
         maps = us if k is None else OnDemand(len(hits), lambda i: map_compose(k(hits[i]), us[i]))
         return CCMorphism(a.source, b.target, span, maps)
     if isinstance(a, CCRelabel):  # pairs (backward(left(g)), g) in the order of a's source
-        c, s = b.span, a.source.space
-        hits = sorted(zip(map(a.backward, c.left.graph), c.apex.elements), key=lambda h: s.index(h[0]))
-        apex = FinOver(s.base, tuple(hits), tuple(s.anchor_of(x) for x, _ in hits))
-        span = Span(OverMap(apex, s, tuple(x for x, _ in hits)),
-                    OverMap(apex, c.right.target, tuple(c.right(g) for _, g in hits)))
-        for x, g in hits:
-            a.check(x, c.left(g))
-
-        def at(i: int) -> ChainMap:
-            x, g = hits[i]
-            return b.map_at(g) if a.stalk_map is None else map_compose(b.map_at(g), a.stalk_map(x))
-
-        return CCMorphism(a.source, b.target, span, OnDemand(len(hits), at))
+        c, s, hits = b.span, a.source.space, b.span.left.graph
+        back = {y: a.backward(y) for y in dict.fromkeys(hits)}
+        pos = {y: s.index(x) for y, x in back.items()}
+        order = sorted(range(len(hits)), key=[pos[y] for y in hits].__getitem__)
+        ys = [hits[i] for i in order]
+        xs = tuple(map(back.__getitem__, ys))
+        apex = FinOver(s.base, tuple(zip(xs, map(c.apex.elements.__getitem__, order))),
+                       tuple(s.anchor[pos[y]] for y in ys))
+        span = Span(OverMap(apex, s, xs), OverMap(apex, c.right.target, tuple(c.right.graph[i] for i in order)))
+        for y in dict.fromkeys(ys):
+            a.check(back[y], y)
+        k = a.stalk_map
+        maps = OnDemand(len(xs), lambda j: b.maps[order[j]] if k is None else map_compose(b.maps[order[j]], k(xs[j])))
+        return CCMorphism(a.source, b.target, span, maps)
     span = span_compose(a.span, b.span)
     pairs = span.apex.elements
     maps = OnDemand(len(pairs), lambda i: map_compose(b.map_at(pairs[i][1]), a.map_at(pairs[i][0])))
@@ -229,8 +232,9 @@ class CCRelabel:
     left leg and right leg the bijection forward (inverse backward), with
     component stalk_map(x) at x, or the identity when stalk_map is None.
 
-    Only composing and inverting it are defined; cc_compose checks it where
-    the other morphism hits it and calls stalk_map only for components read.
+    Only composing and inverting it are defined; cc_compose checks it once
+    at each distinct element the other morphism hits, in hit order, and
+    calls stalk_map only for components read.
     """
 
     source: Sheaf

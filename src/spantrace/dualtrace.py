@@ -86,30 +86,31 @@ def make_dual(a: Sheaf) -> DualityData:
     coev_maps = {e: coev_map(a.stalk(e)) for e in x.elements}
     coev = make_cc_morphism(unit, coev_tgt, Span(om_anchor(x), diag), coev_maps)
 
+    ida, idd = cc_identity(a), cc_identity(dual)
     # a -> 1 (x) a -> (a (x) a*) (x) a -> a (x) (a* (x) a) -> a (x) 1 -> a
     t1 = _cell_onto_identity(cc_compose_many(
         left_unitor(a),
-        cc_tensor(coev, cc_identity(a)),
+        cc_tensor(coev, ida),
         cc_assoc_inv(a, dual, a),
-        cc_tensor(cc_identity(a), ev),
+        cc_tensor(ida, ev),
         cc_invert(right_unitor(a)),
-    ), a)
+    ), ida)
     # a* -> a* (x) 1 -> a* (x) (a (x) a*) -> (a* (x) a) (x) a* -> 1 (x) a* -> a*
     t2 = _cell_onto_identity(cc_compose_many(
         right_unitor(dual),
-        cc_tensor(cc_identity(dual), coev),
+        cc_tensor(idd, coev),
         cc_assoc(dual, a, dual),
-        cc_tensor(ev, cc_identity(dual)),
+        cc_tensor(ev, idd),
         cc_invert(left_unitor(dual)),
-    ), dual)
+    ), idd)
     cc_cell_check(t1)
     cc_cell_check(t2)
     return DualityData(a, dual, ev, coev, t1, t2)
 
 
-def _cell_onto_identity(comp: CCMorphism, a: Sheaf) -> CCCell:
-    """2-cell from a composite endomorphism onto the identity, with the left
-    leg as its apex map.
+def _cell_onto_identity(comp: CCMorphism, ident: CCMorphism) -> CCCell:
+    """2-cell from a composite endomorphism onto the identity ident, with the
+    left leg as its apex map.
 
     Only the left leg's bijectivity is checked here; make_dual's
     cc_cell_check then demands that the right leg agrees with it and that
@@ -117,7 +118,7 @@ def _cell_onto_identity(comp: CCMorphism, a: Sheaf) -> CCCell:
     """
     if not comp.span.left.is_bijective():
         raise ValueError("triangle composite left leg is not bijective")
-    return CCCell(comp, cc_identity(a), comp.span.left)
+    return CCCell(comp, ident, comp.span.left)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,14 @@ class FinOver:
             raise ValueError(f"{x!r} is not an element") from None
 
     def anchor_of(self, x: Label) -> Label:
-        return self.anchor[self.index(x)]
+        s = self._member_anchor(x)
+        if s is None:
+            raise ValueError(f"{x!r} is not an element")
+        return s
+
+    def _member_anchor(self, x: Label) -> Label | None:
+        """The anchor of x, or None if x is not an element."""
+        return self.anchor[self._pos[x]] if x in self._pos else None
 
     def __contains__(self, x: Label) -> bool:
         return x in self._pos
@@ -196,16 +203,15 @@ class ProductOver(FinOver):
         counts = Counter(self.factors[1].anchor)
         return sum(counts[s] for s in self.factors[0].anchor)
 
-    def __contains__(self, e: Label) -> bool:
-        x, y = self.factors
-        return (type(e) is tuple and len(e) == 2 and e[0] in x and e[1] in y
-                and x.anchor_of(e[0]) == y.anchor_of(e[1]))
+    def _member_anchor(self, e: Label) -> Label | None:
+        # from the factors, each walked once, so a nested product is not listed out
+        if type(e) is not tuple or len(e) != 2:
+            return None
+        s = self.factors[0]._member_anchor(e[0])
+        return s if s is not None and s == self.factors[1]._member_anchor(e[1]) else None
 
-    def anchor_of(self, e: Label) -> Label:
-        # from the first factor, so a nested product is not listed out
-        if e not in self:
-            raise ValueError(f"{e!r} is not an element")
-        return self.factors[0].anchor_of(e[0])
+    def __contains__(self, e: Label) -> bool:
+        return self._member_anchor(e) is not None
 
 
 def prod_over_base(x: FinOver, y: FinOver) -> FinOver:
@@ -249,8 +255,10 @@ def span_tensor(c: Span, d: Span) -> Span:
     apex = prod_over_base(c.apex, d.apex)
     lspace = prod_over_base(c.left.target, d.left.target)
     rspace = prod_over_base(c.right.target, d.right.target)
-    left = OverMap(apex, lspace, tuple((c.left(a), d.left(b)) for a, b in apex.elements))
-    right = OverMap(apex, rspace, tuple((c.right(a), d.right(b)) for a, b in apex.elements))
+    cpos, dpos = c.apex._pos, d.apex._pos
+    at = [(cpos[a], dpos[b]) for a, b in apex.elements]
+    left = OverMap(apex, lspace, tuple((c.left.graph[i], d.left.graph[j]) for i, j in at))
+    right = OverMap(apex, rspace, tuple((c.right.graph[i], d.right.graph[j]) for i, j in at))
     return Span(left, right)
 
 

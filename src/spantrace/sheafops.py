@@ -47,12 +47,16 @@ class Sheaf:
                 raise ValueError(f"stalk at {self.space.elements[i]!r} has the wrong ring")
 
     def stalk(self, x: Label) -> Complex:
+        if self.factors is not None and x not in self.space:
+            raise ValueError(f"{x!r} is not an element")
+        return self._member_stalk(x)
+
+    def _member_stalk(self, x: Label) -> Complex:
+        """The stalk at x, whose membership in a product is already known."""
         if self.factors is None:
             return self.stalks[self.space.index(x)]
-        if x not in self.space:
-            raise ValueError(f"{x!r} is not an element")
         l, m = self.factors
-        return cx_tensor(l.stalk(x[0]), m.stalk(x[1]))
+        return cx_tensor(l._member_stalk(x[0]), m._member_stalk(x[1]))
 
     def __eq__(self, other):
         if not isinstance(other, Sheaf):

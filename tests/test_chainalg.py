@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spantrace.chainalg import (
     Complex,
     Matrix,
+    OnDemand,
     Ring,
     ZZ,
     alt_trace,
@@ -855,3 +856,22 @@ def test_direct_construction_checks_shape_normalisation_and_degrees():
     for args in bad_complexes:
         with pytest.raises(ValueError):
             Complex(*args)
+
+
+def test_on_demand_slices_read_their_entries():
+    """A slice gives the tuple of its entries, computing those not yet read,
+    before or after any other read, for every step and out-of-range bound."""
+    made = []
+
+    def entry(i):
+        made.append(i)
+        return i * 10 + 1
+
+    od = OnDemand(3, entry)
+    assert od[0:2] == (1, 11) and made == [0, 1]
+    assert od[::-1] == (21, 11, 1) and made == [0, 1, 2]
+    assert od[-2:] == (11, 21) and od[5:] == () and od[:] == tuple(od) == (1, 11, 21)
+    assert made == [0, 1, 2]
+    fresh = OnDemand(4, lambda i: -i - 1)
+    assert fresh[1] == -2 and fresh[::2] == (-1, -3) and fresh[1:] == (-2, -3, -4)
+    assert OnDemand(0, entry)[:] == ()

@@ -22,6 +22,7 @@ from spantrace.chainalg import (
     unit_complex,
 )
 from spantrace.corrcat import (
+    CCRelabel,
     cc_cell_check,
     cc_compose,
     cc_compose_many,
@@ -29,6 +30,7 @@ from spantrace.corrcat import (
     cc_iso_search,
     cc_swap,
     cc_tensor,
+    left_unitor,
     make_cc_morphism,
     obj_tensor,
     unit_object,
@@ -145,7 +147,7 @@ def test_triangle_certificate_rejects_broken_composites():
         apex = make_fin_over(base, tuple(left), {g: "z" for g in left})
         span = Span(make_over_map(apex, x, left), make_over_map(apex, x, right))
         comp = make_cc_morphism(a, a, span, {g: map_identity(q) for g in left})
-        cc_cell_check(_cell_onto_identity(comp, a))
+        cc_cell_check(_cell_onto_identity(comp, cc_identity(a)))
 
     certify({"g0": "a", "g1": "b"}, {"g0": "a", "g1": "b"})
     not_injective = {"g0": "a", "g1": "a", "g2": "b"}
@@ -284,6 +286,53 @@ def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
     assert len(calls) == 4 * n
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_make_dual_checks_each_distinct_relabeling_hit_once(n, monkeypatch):
+    """Each triangle composite checks its first unitor at the n distinct
+    elements the n^2 apex elements of coev (x) 1 hit, its reassociation at
+    n^2, and its last unitor at n: 2n^2 + 4n checks in all, no pair twice,
+    not one check per apex element (4n^2 + 2n)."""
+    calls = []
+    check = CCRelabel.check
+
+    def counted(self, x, y):
+        calls.append((id(self), x, y))
+        return check(self, x, y)
+
+    monkeypatch.setattr(CCRelabel, "check", counted)
+    make_dual(wide_object(ZZ, n))
+    assert len(calls) == 2 * n * n + 4 * n
+    assert len(set(calls)) == len(calls)
+
+
+def test_a_relabeling_failing_at_a_repeated_hit_raises_when_composed():
+    """Each of the n^2 apex elements of coev (x) 1 hits one of n elements on
+    the left, and each of 1 (x) ev one of n on the right: a relabeling that
+    fails only at such a repeated hit still raises from cc_compose, with
+    the message of the first failing hit."""
+    a = wide_object(ZZ, 4)
+    dx = make_dual(a)
+    into = cc_tensor(dx.coev, cc_identity(a))
+    assert len(into.span.left.graph) == 16 and len(set(into.span.left.graph)) == 4
+    src = obj_tensor(unit_object(ZZ, ("b",)), a)
+    to_x0 = CCRelabel(a, src, lambda x: ("b", x), lambda e: "x0" if e[1] == "x2" else e[1])
+    with pytest.raises(ValueError, match="^relabeling is not a bijection at 'x0'$"):
+        cc_compose(to_x0, into)
+    other = Sheaf(ZZ, a.space, a.stalks[:2] + (q_complex(),) + a.stalks[3:])
+    with pytest.raises(ValueError, match="^relabeling stalks differ; pass stalk_map$"):
+        cc_compose(CCRelabel(other, src, lambda x: ("b", x), lambda e: e[1]), into)
+    cc_compose(left_unitor(a), into)
+    out_of = cc_tensor(cc_identity(a), dx.ev)
+    assert len(out_of.span.right.graph) == 16 and len(set(out_of.span.right.graph)) == 4
+    tgt = obj_tensor(a, unit_object(ZZ, ("b",)))
+    from_x0 = CCRelabel(tgt, a, lambda e: e[0], lambda x: ("x0" if x == "x2" else x, "b"))
+    with pytest.raises(ValueError, match="^relabeling is not a bijection at \\('x2', 'b'\\)$"):
+        cc_compose(out_of, from_x0)
+    stalks = CCRelabel(tgt, other, lambda e: e[0], lambda x: (x, "b"))
+    with pytest.raises(ValueError, match="^relabeling stalks differ; pass stalk_map$"):
+        cc_compose(out_of, stalks)
+
+
 @pytest.mark.parametrize("r", [4, 6, 8])
 def test_make_dual_builds_no_rank_r3_differential_or_reassociation_rows(r, monkeypatch):
     """The triangle composites pass through (a (x) a*) (x) a and a (x) (a* (x)
@@ -312,20 +361,26 @@ def test_make_dual_builds_no_rank_r3_differential_or_reassociation_rows(r, monke
     assert all("entries" not in vars(p) for f in assocs for _, p in f.components)
 
 
-def test_make_dual_past_max_set():
-    # 24 points over one base point: the triangle composites pass through
-    # apexes of 24^3 elements.  No time is asserted, but set handling that
-    # grows like n^4 makes this test take seconds instead of a fraction.
-    a = wide_object(ZZ, 24)
+def check_triangles_and_euler(a):
+    """make_dual's two triangle certificates target the identities and pass
+    again on their own, and the trace of the identity is the pointwise
+    Euler characteristic; returns it."""
     d = make_dual(a)
     for cell, obj in ((d.triangle_obj, a), (d.triangle_dual, d.dual)):
         assert cell.target == cc_identity(obj)
         cc_cell_check(cell)
-    euler = [sum(r if n % 2 == 0 else -r for n, r in c.ranks) for c in a.stalks]
-    assert euler == [1, -1] * 12
+    euler = [a.ring.norm(sum(r if n % 2 == 0 else -r for n, r in c.ranks)) for c in a.stalks]
     cc = char_class(a, d)
     assert cc.carrier.elements == a.space.elements
     assert list(cc.values) == euler
+    return euler
+
+
+def test_make_dual_past_max_set():
+    # 24 points over one base point: the triangle composites pass through
+    # apexes of 24^3 elements.  No time is asserted, but set handling that
+    # grows like n^4 makes this test take seconds instead of a fraction.
+    assert check_triangles_and_euler(wide_object(ZZ, 24)) == [1, -1] * 12
 
 
 @pytest.mark.parametrize("modulus", [0, 7])
@@ -335,12 +390,22 @@ def test_make_dual_past_max_rank(modulus):
     a = deep_object(Ring(modulus), 9)
     (stalk,) = a.stalks
     assert sum(r for _, r in stalk.ranks) == 9
-    d = make_dual(a)
-    for cell, obj in ((d.triangle_obj, a), (d.triangle_dual, d.dual)):
-        assert cell.target == cc_identity(obj)
-        cc_cell_check(cell)
-    euler = sum(r if n % 2 == 0 else -r for n, r in stalk.ranks)
-    assert list(char_class(a, d).values) == [Ring(modulus).norm(euler)]
+    check_triangles_and_euler(a)
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_triangle_certificates_on_wide_objects_up_to_64_points(n):
+    # the certificates' apexes have n^2 elements and the tensors around them n^3
+    assert check_triangles_and_euler(wide_object(ZZ, n)) == [1, -1] * (n // 2)
+
+
+@pytest.mark.parametrize("modulus", [0, 7])
+@pytest.mark.parametrize("r", [12, 16])
+def test_triangle_certificates_on_deep_objects_up_to_rank_16(r, modulus):
+    # the certificate tensors have rank r^3, up to 4096
+    a = deep_object(Ring(modulus), r)
+    assert sum(n for _, n in a.stalks[0].ranks) == r
+    check_triangles_and_euler(a)
 
 
 def test_char_class_is_euler():

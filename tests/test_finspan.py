@@ -2,14 +2,17 @@
 the explicit retupling bijections between differently-bracketed composites."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spantrace.chainalg import ZZ, cx_tensor, make_complex
 from spantrace.finspan import (
     FinOver,
     OverMap,
+    ProductOver,
     Span,
     base_space,
     cell_check,
@@ -25,7 +28,8 @@ from spantrace.finspan import (
     span_iso_search,
     span_tensor,
 )
-from spantrace.generate import GenParams, random_base, random_space, random_span
+from spantrace.generate import GenParams, random_base, random_gen_object, random_space, random_span
+from spantrace.sheafops import Sheaf, box
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -316,13 +320,44 @@ def eager_product(x, y):
     return fiber_product(om_anchor(x), om_anchor(y))[0]
 
 
+def leaves(space):
+    """The listed-out sets a product is built from, in order."""
+    return [space] if space.factors is None else [s for f in space.factors for s in leaves(f)]
+
+
+def lookups(query, e):
+    """How often query(e) looks an element up in each listed-out set, by id."""
+    counts = Counter()
+    member_anchor = FinOver._member_anchor
+
+    def counted(self, x):
+        counts[id(self)] += 1
+        return member_anchor(self, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FinOver, "_member_anchor", counted)
+        try:
+            query(e)
+        except ValueError:
+            pass
+    return counts
+
+
 def check_product(lazy, eager, candidates):
     """A product built on demand against the same set listed out: the same
-    hash, size and members without walking its elements, then the same
-    positions, and equal both ways with the same elements and anchors."""
+    hash, size, members and anchors without walking its elements, a member
+    looked up once in each listed-out factor and a non-member at most once,
+    then the same positions, and equal both ways with the same elements and
+    anchors."""
     assert hash(lazy) == hash(eager) and lazy.size == eager.size
+    once = Counter(id(s) for s in leaves(lazy))
     for e in candidates:
         assert (e in lazy) == (e in eager)
+        for query in (lazy.__contains__, lazy.anchor_of):
+            seen = lookups(query, e)
+            assert seen == once if e in eager else seen <= once
+        if e in eager:
+            assert lazy.anchor_of(e) == eager.anchor_of(e)
     assert "_flat" not in vars(lazy)
     for e in candidates:
         if e in eager:
@@ -334,6 +369,28 @@ def check_product(lazy, eager, candidates):
                 lazy.anchor_of(e)
     assert lazy == eager and eager == lazy
     assert lazy.elements == eager.elements and lazy.anchor == eager.anchor
+
+
+def check_product_stalks(lazy, listed, candidates):
+    """An external tensor of sheaves against its stalks listed out over the
+    listed-out product: the same stalk at every member, a ValueError at
+    every non-member, and membership tested once, at the top."""
+    contains = ProductOver.__contains__
+    for e in candidates:
+        tests = [0]
+
+        def counted(self, x):
+            tests[0] += 1
+            return contains(self, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ProductOver, "__contains__", counted)
+            if e in listed.space:
+                assert lazy.stalk(e) == listed.stalk(e)
+            else:
+                with pytest.raises(ValueError, match="not an element"):
+                    lazy.stalk(e)
+        assert tests == [1]
 
 
 @given(seeds)
@@ -349,8 +406,12 @@ def test_products_on_demand_agree_with_the_fiber_product(seed):
     xy, yz = eager_product(x, y), eager_product(y, z)
     left = [(e, c) for e in pairs for c in z.elements]
     right = [(a, (b, c)) for a, b in pairs for c in z.elements]
-    check_product(prod_over_base(prod_over_base(x, y), z), eager_product(xy, z), left + right)
-    check_product(prod_over_base(x, prod_over_base(y, z)), eager_product(x, yz), right + left)
+    # wrong lengths at either level, and a label where a pair belongs
+    malformed = ([(a, b, c) for a, b in pairs[:2] for c in z.elements[:2]]
+                 + [((a,), c) for a in x.elements[:2] for c in z.elements[:2]]
+                 + [(a, (b, c, c)) for a, b in pairs[:2] for c in z.elements[:2]] + pairs[:2])
+    check_product(prod_over_base(prod_over_base(x, y), z), eager_product(xy, z), left + right + malformed)
+    check_product(prod_over_base(x, prod_over_base(y, z)), eager_product(x, yz), right + left + malformed)
     # a three-fold product answers membership and anchors from its factors,
     # without listing the inner product out
     lazy_xy, lazy_yz = prod_over_base(x, y), prod_over_base(y, z)
@@ -366,3 +427,38 @@ def test_products_on_demand_agree_with_the_fiber_product(seed):
     differ = eager_product(y, x) != eager_product(x, y)
     assert (prod_over_base(y, x) != prod_over_base(x, y)) == differ
     assert (eager_product(y, x) != prod_over_base(x, y)) == differ
+    # stalks of the three-fold external tensors, worked out from the factors
+    l, m, n = (random_gen_object(rng, ZZ, s, params).obj for s in (x, y, z))
+    xy_z, x_yz = eager_product(xy, z), eager_product(x, yz)
+    check_product_stalks(box(box(l, m), n), Sheaf(ZZ, xy_z, tuple(
+        cx_tensor(cx_tensor(l.stalk(a), m.stalk(b)), n.stalk(c)) for (a, b), c in xy_z.elements)),
+        left + right + malformed + outsiders)
+    check_product_stalks(box(l, box(m, n)), Sheaf(ZZ, x_yz, tuple(
+        cx_tensor(l.stalk(a), cx_tensor(m.stalk(b), n.stalk(c))) for a, (b, c) in x_yz.elements)),
+        right + left + malformed + outsiders)
+
+
+def test_nested_products_match_anchors_at_every_level():
+    """Pairs whose outer anchors agree but whose inner pair does not are no
+    elements of a three-fold product, and neither are tuples of the wrong
+    length or labels where a pair belongs, at either level."""
+    base = ("p", "q")
+    x = FinOver(base, ("a0", "a1"), ("p", "q"))
+    y = FinOver(base, ("b0", "b1"), ("p", "q"))
+    z = FinOver(base, ("c0", "c1", "c2"), ("p", "q", "p"))
+    xy_z, x_yz = eager_product(eager_product(x, y), z), eager_product(x, eager_product(y, z))
+    inner_only = [(("a0", "b1"), "c0"), (("a1", "b0"), "c1"), ("a0", ("b0", "c1")), ("a1", ("b1", "c2"))]
+    malformed = ["a0", ("a0",), ("a0", "b0", "c0"), (("a0", "b0", "c0"),), (("a0",), "c0"),
+                 ("a0", ("b0",)), ("a0", ("b0", "c0", "c2")), ("a0", "b0"), ("a0", "c0"), ()]
+    members = [(("a0", "b0"), "c2"), (("a1", "b1"), "c1"), ("a0", ("b0", "c2")), ("a1", ("b1", "c1"))]
+    candidates = inner_only + malformed + members
+    assert all(e in xy_z or e in x_yz for e in members)
+    assert not any(e in xy_z or e in x_yz for e in inner_only + malformed)
+    check_product(prod_over_base(prod_over_base(x, y), z), xy_z, candidates)
+    check_product(prod_over_base(x, prod_over_base(y, z)), x_yz, candidates)
+    cx = [make_complex(ZZ, {k: r}) for k, r in ((0, 1), (1, 2), (0, 3))]
+    l, m, n = (Sheaf(ZZ, s, tuple(cx[: s.size])) for s in (x, y, z))
+    check_product_stalks(box(box(l, m), n), Sheaf(ZZ, xy_z, tuple(
+        cx_tensor(cx_tensor(l.stalk(a), m.stalk(b)), n.stalk(c)) for (a, b), c in xy_z.elements)), candidates)
+    check_product_stalks(box(l, box(m, n)), Sheaf(ZZ, x_yz, tuple(
+        cx_tensor(l.stalk(a), cx_tensor(m.stalk(b), n.stalk(c))) for a, (b, c) in x_yz.elements)), candidates)
