@@ -117,6 +117,11 @@ MUTANTS = [
      "kernels"),
     ("lazy permutation rows ignore their signs", "chainalg.py",
      "(1 if signs is None else signs[i],)", "(1,)", "kernels"),
+    ("the one-pass reassociation writes its i-blocks at stride rbc", "chainalg.py",
+     "out[to + i * block:to + (i + 1) * block]", "out[to + i * rbc:to + i * rbc + block]", "kernels"),
+    ("the tensor layout orders each degree's summands by p", "chainalg.py",
+     "for q, rq in b_ranks:  # q ascending, so each degree's summands are too\n        for p, rp in a_ranks:",
+     "for p, rp in a_ranks:\n        for q, rq in b_ranks:", "kernels"),
     ("tensor complexes with equal ranks are equal", "chainalg.py",
      "return self is other or tuple(self) == tuple(other)", "return True", "kernels"),
     ("push rectangles skip their squares", "dualtrace.py",
@@ -139,12 +144,12 @@ MUTANTS = [
      "self._compute(range(len(self._done))[i])", "self._compute(range(len(self._done))[i - 1])",
      "cells"),
     ("cc_tensor pairs (g, h) as (h, g)", "corrcat.py",
-     "tensor(a.map_at(pairs[i][0]), b.map_at(pairs[i][1]))",
-     "tensor(b.map_at(pairs[i][1]), a.map_at(pairs[i][0]))", "cells"),
+     "key = a.map_at(pairs[i][0]), b.map_at(pairs[i][1])",
+     "key = b.map_at(pairs[i][1]), a.map_at(pairs[i][0])", "cells"),
     ("a relabeling on the right skips its eager check", "corrcat.py",
-     "            b.check(y, z)", "            pass", "cells"),
+     "            b.check(y, z, image=True)", "            pass", "cells"),
     ("a relabeling on the left skips its eager check", "corrcat.py",
-     "            a.check(back[y], y)", "            pass", "cells"),
+     "            a.check(back[y], y, image=False)", "            pass", "cells"),
     ("product membership ignores the inner anchor match", "finspan.py",
      "s is not None and s == self.factors[1]._member_anchor(e[1])",
      "s is not None and self.factors[1]._member_anchor(e[1]) is not None", "cells"),

@@ -11,6 +11,12 @@ evaluation/coevaluation are chain maps, the triangle composites are the
 strict identity, the categorical trace is the alternating trace, and
 dualizing twice returns the original matrices on the nose.
 
+In degree n, a (x) b is the sum of the summands (p, q), p + q = n, by q
+ascending, each with the row-major basis (i, j) -> i * rank_b(q) + j.
+`tensor_layout` works out every degree's rank and summand offsets in one
+pass, once per pair of rank profiles; cx_tensor, map_tensor and the
+structure maps read it rather than rescan the ranks.
+
 Matrix entries are always normalised.  `mat` is the normalising entry point
 for matrices from outside (the parser, the generator, tests); the kernels
 place their already normalised entries into a zero grid or, through
@@ -428,6 +434,7 @@ def make_complex(
     return Complex(ring, rk, tuple(stored))
 
 
+@lru_cache(maxsize=64)
 def unit_complex(ring: Ring) -> Complex:
     return make_complex(ring, {0: 1})
 
@@ -441,19 +448,19 @@ def cx_validate(c: Complex) -> None:
                 raise ValueError(f"d.d != 0 at degree {n}")
 
 
-# tensor layout: summands of (a (x) b)^n are the pairs (p, q), p + q = n,
-# ordered by q ascending; within a summand the basis is row-major,
-# (i, j) -> i * rank_b(q) + j.
-
-
-def tensor_offsets(a: Complex, b: Complex, n: int) -> dict[tuple[int, int], int]:
-    off, acc = {}, 0
-    for q, rq in b.ranks:
-        rp = a.rank(n - q)
-        if rp > 0:
-            off[(n - q, q)] = acc
-            acc += rp * rq
-    return off
+@lru_cache(maxsize=4096)
+def tensor_layout(a_ranks: tuple, b_ranks: tuple) -> tuple[dict, dict]:
+    """The layout of a (x) b from the ranks of a and b, in one pass: degree ->
+    rank, and degree -> {summand (p, q): offset}, both by degree ascending.
+    Callers share the dicts, and only read them."""
+    ranks, offsets = {}, {}
+    for q, rq in b_ranks:  # q ascending, so each degree's summands are too
+        for p, rp in a_ranks:
+            n = p + q
+            offsets.setdefault(n, {})[(p, q)] = ranks.get(n, 0)
+            ranks[n] = ranks.get(n, 0) + rp * rq
+    degrees = sorted(ranks)
+    return {n: ranks[n] for n in degrees}, {n: offsets[n] for n in degrees}
 
 
 @lru_cache(maxsize=4096)
@@ -462,10 +469,8 @@ def cx_tensor(a: Complex, b: Complex) -> Complex:
     ring = _same_ring(a, b)
     if a.ranks == ((0, 1),) or b.ranks == ((0, 1),):  # the unit: 1 (x) b is b, basis and all
         return b if a.ranks == ((0, 1),) else a
-    degrees = sorted({p + q for p, _ in a.ranks for q, _ in b.ranks})
-    offsets = {n: tensor_offsets(a, b, n) for n in degrees}
-    ranks = {n: sum(a.rank(p) * b.rank(q) for p, q in off) for n, off in offsets.items()}
-    stored = [n for n in degrees if n + 1 in ranks]
+    ranks, offsets = tensor_layout(a.ranks, b.ranks)
+    stored = [n for n in ranks if n + 1 in ranks]
 
     def build(i: int) -> tuple[int, Matrix]:
         n = stored[i]
@@ -654,14 +659,15 @@ def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
     """Tensor of degree-zero chain maps; no Koszul signs arise."""
     src = cx_tensor(f.source, g.source)
     tgt = cx_tensor(f.target, g.target)
+    src_off = tensor_layout(f.source.ranks, g.source.ranks)[1]
+    tgt_ranks, tgt_offsets = tensor_layout(f.target.ranks, g.target.ranks)
     comps = {}
     for n, rs in src.ranks:
-        rt = tgt.rank(n)
-        if rt == 0:
+        if n not in tgt_ranks:
             continue
-        tgt_off = tensor_offsets(f.target, g.target, n)
-        grid = [[0] * rs for _ in range(rt)]
-        for (p, q), co in tensor_offsets(f.source, g.source, n).items():
+        tgt_off = tgt_offsets[n]
+        grid = [[0] * rs for _ in range(tgt_ranks[n])]
+        for (p, q), co in src_off[n].items():
             ro = tgt_off.get((p, q))
             if ro is not None:
                 _place_kron(grid, ro, co, f.component(p), g.component(q))
@@ -748,7 +754,7 @@ def ev_map(c: Complex) -> ChainMap:
     comps = {}
     if src.rank(0):
         row = [0] * src.rank(0)
-        for (p, q), off in tensor_offsets(dual, c, 0).items():
+        for (p, q), off in tensor_layout(dual.ranks, c.ranks)[1][0].items():
             r = c.rank(q)
             s = c.ring.norm(pair_sign(p))
             for i in range(r):
@@ -766,7 +772,7 @@ def coev_map(c: Complex) -> ChainMap:
     comps = {}
     if tgt.rank(0):
         col = [[0] for _ in range(tgt.rank(0))]
-        for (n, q), off in tensor_offsets(c, dual, 0).items():
+        for (n, q), off in tensor_layout(c.ranks, dual.ranks)[1][0].items():
             r = c.rank(n)
             s = c.ring.norm(pair_sign(-n))
             for i in range(r):
@@ -781,13 +787,14 @@ def swap_map(a: Complex, b: Complex) -> ChainMap:
     src = cx_tensor(a, b)
     tgt = cx_tensor(b, a)
     ring = src.ring
+    src_off = tensor_layout(a.ranks, b.ranks)[1]
+    tgt_off = tensor_layout(b.ranks, a.ranks)[1]
     comps = {}
     for n, rs in src.ranks:
-        tgt_off = tensor_offsets(b, a, n)
         cols, signs = [0] * rs, [ring.norm(1)] * rs
-        for (p, q), off in tensor_offsets(a, b, n).items():
+        for (p, q), off in src_off[n].items():
             ra, rb = a.rank(p), b.rank(q)
-            to = tgt_off[(q, p)]
+            to = tgt_off[n][(q, p)]
             # row (j, i) of the summand takes column (i, j)
             for j in range(rb):
                 cols[to + j * ra:to + (j + 1) * ra] = range(off + j, off + ra * rb, rb)
@@ -804,33 +811,30 @@ def assoc_map(a: Complex, b: Complex, c: Complex) -> ChainMap:
     ab = cx_tensor(a, b)
     src = cx_tensor(a, bc)
     tgt = cx_tensor(ab, c)
-    ring = src.ring
-    bc_off = {m: tensor_offsets(b, c, m) for m, _ in bc.ranks}
-    ab_off = {m: tensor_offsets(a, b, m) for m, _ in ab.ranks}
-    comps = {}
-    for n, rs in src.ranks:
-        cols = [0] * rs
-        src_off = tensor_offsets(a, bc, n)
-        tgt_off = tensor_offsets(ab, c, n)
-        for p, ra in a.ranks:
-            for q, rb in b.ranks:
-                for r, rc in c.ranks:
-                    if p + q + r != n:
-                        continue
-                    # basis vector (i, j, k) of summand (p, q, r): column
-                    # so + i * rbc + j * rc + k, row to + (i * rb + j) * rc + k
-                    so = src_off[(p, q + r)] + bc_off[q + r][(q, r)]
-                    rbc = bc.rank(q + r)
-                    to = tgt_off[(p + q, r)] + ab_off[p + q][(p, q)] * rc
-                    for i in range(ra):
-                        for j in range(rb):
-                            col = so + i * rbc + j * rc
-                            row = to + (i * rb + j) * rc
-                            cols[row:row + rc] = range(col, col + rc)
-        comps[n] = _perm_matrix(ring, cols)
+    bc_rank, bc_off = tensor_layout(b.ranks, c.ranks)
+    ab_off = tensor_layout(a.ranks, b.ranks)[1]
+    src_off = tensor_layout(a.ranks, bc.ranks)[1]
+    tgt_off = tensor_layout(ab.ranks, c.ranks)[1]
+    cols = {n: [0] * rs for n, rs in src.ranks}
+    for q, rb in b.ranks:
+        for r, rc in c.ranks:
+            rbc, block = bc_rank[q + r], rb * rc
+            inner = bc_off[q + r][(q, r)]
+            for p, ra in a.ranks:
+                # basis vector (i, j, k) of summand (p, q, r): column
+                # so + i * rbc + j * rc + k, row to + (i * rb + j) * rc + k, so
+                # for each i the rb * rc rows and columns are both contiguous
+                n = p + q + r
+                so = src_off[n][(p, q + r)] + inner
+                to = tgt_off[n][(p + q, r)] + ab_off[p + q][(p, q)] * rc
+                out = cols[n]
+                for i in range(ra):
+                    out[to + i * block:to + (i + 1) * block] = range(so + i * rbc, so + i * rbc + block)
+    comps = {n: _perm_matrix(src.ring, out) for n, out in cols.items()}
     return make_chain_map(src, tgt, comps, check=False)
 
 
+@lru_cache(maxsize=4096)
 def assoc_map_inv(a: Complex, b: Complex, c: Complex) -> ChainMap:
     f = assoc_map(a, b, c)
     comps = {n: mat_transpose(m) for n, m in f.components}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .chainalg import (
     ChainMap,
@@ -70,8 +70,9 @@ def CCObject(space: FinOver, sheaf: Sheaf) -> Sheaf:
     return sheaf
 
 
-def unit_object(ring: Ring, base: Sequence[Label]) -> Sheaf:
-    return unit_sheaf(ring, base_space(tuple(base)))
+@lru_cache(maxsize=4096)
+def unit_object(ring: Ring, base: tuple[Label, ...]) -> Sheaf:
+    return unit_sheaf(ring, base_space(base))
 
 
 def obj_tensor(a: Sheaf, b: Sheaf) -> Sheaf:
@@ -131,7 +132,7 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
         apex = FinOver(c.apex.base, tuple(zip(c.apex.elements, hits)), c.apex.anchor)
         image_of = {y: b.forward(y) for y in dict.fromkeys(hits)}
         for y, z in image_of.items():
-            b.check(y, z)
+            b.check(y, z, image=True)
         images = tuple(map(image_of.get, hits))
         span = Span(OverMap(apex, c.left.target, c.left.graph), OverMap(apex, b.target.space, images))
         k, us = b.stalk_map, a.maps
@@ -148,7 +149,7 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
                        tuple(s.anchor[pos[y]] for y in ys))
         span = Span(OverMap(apex, s, xs), OverMap(apex, c.right.target, tuple(c.right.graph[i] for i in order)))
         for y in dict.fromkeys(ys):
-            a.check(back[y], y)
+            a.check(back[y], y, image=False)
         k = a.stalk_map
         maps = OnDemand(len(xs), lambda j: b.maps[order[j]] if k is None else map_compose(b.maps[order[j]], k(xs[j])))
         return CCMorphism(a.source, b.target, span, maps)
@@ -171,10 +172,16 @@ def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
     span = span_tensor(a.span, b.span)
     src = obj_tensor(a.source, b.source)
     tgt = obj_tensor(a.target, b.target)
-    tensor = cache(map_tensor)  # once per distinct pair of components
     pairs = span.apex.elements
-    maps = OnDemand(len(pairs), lambda i: tensor(a.map_at(pairs[i][0]), b.map_at(pairs[i][1])))
-    return CCMorphism(src, tgt, span, maps)
+    tensors = {}  # once per distinct pair of components
+
+    def component(i: int) -> ChainMap:
+        key = a.map_at(pairs[i][0]), b.map_at(pairs[i][1])
+        if key not in tensors:
+            tensors[key] = map_tensor(*key)
+        return tensors[key]
+
+    return CCMorphism(src, tgt, span, OnDemand(len(pairs), component))
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,8 @@ def cc_cell_check(cell: CCCell) -> None:
     for d in t.span.apex.elements:
         parts = [s.map_at(g) for g in cell.graph.fiber(d)]
         expect = t.map_at(d)
-        got = map_sum(parts, expect.source, expect.target)
+        one = len(parts) == 1 and (parts[0].source, parts[0].target) == (expect.source, expect.target)
+        got = parts[0] if one else map_sum(parts, expect.source, expect.target)  # one map is its sum
         if got != expect:
             raise ValueError(
                 f"component sum fails at {d!r}: expected {expect.components!r}, got {got.components!r}"
@@ -243,9 +251,11 @@ class CCRelabel:
     backward: Callable[[Label], Label]
     stalk_map: Callable[[Label], ChainMap] | None = None
 
-    def check(self, x: Label, y: Label) -> None:
-        """Check that x pairs with y, and that their stalks agree if stalk_map is None."""
-        if self.forward(x) != y or self.backward(y) != x or y not in self.target.space:
+    def check(self, x: Label, y: Label, image: bool) -> None:
+        """Check that x pairs with y, where y is forward(x) if image and x is
+        backward(y) otherwise, by the other direction; and that their stalks
+        agree if stalk_map is None."""
+        if (self.backward(y) != x if image else self.forward(x) != y) or y not in self.target.space:
             raise ValueError(f"relabeling is not a bijection at {x!r}")
         if self.stalk_map is None and self.source.stalk(x) != self.target.stalk(y):
             raise ValueError("relabeling stalks differ; pass stalk_map")
@@ -287,11 +297,9 @@ def cc_assoc_inv(a: Sheaf, b: Sheaf, c: Sheaf) -> CCRelabel:
     src = obj_tensor(obj_tensor(a, b), c)
     tgt = obj_tensor(a, obj_tensor(b, c))
 
-    inverse = cache(assoc_map_inv)  # once per distinct stalk triple
-
     def stalk(e: Label) -> ChainMap:
         (x, y), z = e
-        return inverse(a.stalk(x), b.stalk(y), c.stalk(z))
+        return assoc_map_inv(a.stalk(x), b.stalk(y), c.stalk(z))
 
     return CCRelabel(src, tgt, _to_right, _to_left, stalk)
 

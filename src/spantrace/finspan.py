@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from typing import Callable, Mapping, Sequence, Union
 
@@ -93,8 +93,8 @@ def make_fin_over(base: Sequence[Label], elements: Sequence[Label], anchor: Mapp
     return FinOver(base, elements, tuple(anchor[x] for x in elements))
 
 
-def base_space(base: Sequence[Label]) -> FinOver:
-    base = tuple(base)
+@lru_cache(maxsize=4096)
+def base_space(base: tuple[Label, ...]) -> FinOver:
     return FinOver(base, base, base)
 
 

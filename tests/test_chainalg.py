@@ -41,9 +41,10 @@ from spantrace.chainalg import (
     mat_zero,
     sum_tensor_distribute,
     swap_map,
+    tensor_layout,
     unit_complex,
 )
-from spantrace.generate import GenParams, random_chain_map, random_complex
+from spantrace.generate import GenParams, deep_object, random_chain_map, random_complex
 
 Z7 = Ring(7)
 
@@ -132,6 +133,14 @@ def summand_starts(x, y, n):
                                                          [q for q, _ in y.ranks])(n)):
         out.setdefault((p, q), pos)
     return out
+
+
+def layout_oracle(x, y):
+    """The ranks of x (x) y and the start of each summand in every degree, by
+    enumerating each degree's basis on its own."""
+    degrees = sorted({p + q for p, _ in x.ranks for q, _ in y.ranks})
+    basis = tensor_basis(plain_basis(x), plain_basis(y), [q for q, _ in y.ranks])
+    return {n: len(basis(n)) for n in degrees}, {n: summand_starts(x, y, n) for n in degrees}
 
 
 def assoc_oracle(a, b, c, n):
@@ -514,20 +523,63 @@ def test_structure_maps_are_chain_maps(seed):
     assert map_compose(swap_map(b, a), swap_map(a, b)) == map_identity(cx_tensor(a, b))
 
 
+def sparse_complex(rng, ring):
+    """Zero differentials on up to four degrees drawn from -6..6, so the
+    degrees of its tensors skip values and summands of a degree are apart."""
+    degrees = rng.sample(range(-6, 7), rng.randint(1, 4))
+    return make_complex(ring, {n: rng.randint(1, 3) for n in degrees})
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_tensor_layout_matches_per_degree_oracle(seed):
+    """Ranks and summand offsets of every degree, in order, as enumerating
+    that degree's basis gives them: random, unit and gapped factors."""
+    rng = random.Random(seed)
+    for m in (0, 7):
+        ring = Ring(m)
+        one = unit_complex(ring)
+        xs = [seeded_complex(rng.getrandbits(32), m), big_complex(rng, ring), sparse_complex(rng, ring),
+              sparse_complex(rng, ring), one, make_complex(ring, {})]
+        for x, y in [(x, y) for x in xs for y in xs]:
+            ranks, offsets = tensor_layout(x.ranks, y.ranks)
+            want_ranks, want_offsets = layout_oracle(x, y)
+            assert list(ranks.items()) == list(want_ranks.items())
+            assert [list(o.items()) for o in offsets.values()] == [list(o.items()) for o in want_offsets.values()]
+            assert list(offsets) == list(ranks)
+            assert tuple(ranks.items()) == cx_tensor(x, y).ranks
+        for x in xs:
+            assert tensor_layout(one.ranks, x.ranks)[0] == tensor_layout(x.ranks, one.ranks)[0] == dict(x.ranks)
+
+
+def assert_assoc_matches_oracle(a, b, c):
+    f, g = assoc_map(a, b, c), assoc_map_inv(a, b, c)
+    for n, _ in f.source.ranks:
+        assert [list(r) for r in f.component(n).entries] == assoc_oracle(a, b, c, n)
+        assert_normalised(f.component(n))
+        assert_normalised(g.component(n))
+    assert map_compose(f, g) == map_identity(f.target)
+    assert map_compose(g, f) == map_identity(f.source)
+
+
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_assoc_map_matches_basis_oracle(seed):
     rng = random.Random(seed)
     for m in (0, 7, 2, 1):
         ring = Ring(m)
-        a, b, c = (big_complex(rng, ring) for _ in range(3))
-        f, g = assoc_map(a, b, c), assoc_map_inv(a, b, c)
-        for n, _ in f.source.ranks:
-            assert [list(r) for r in f.component(n).entries] == assoc_oracle(a, b, c, n)
-            assert_normalised(f.component(n))
-            assert_normalised(g.component(n))
-        assert map_compose(f, g) == map_identity(f.target)
-        assert map_compose(g, f) == map_identity(f.source)
+        assert_assoc_matches_oracle(*(big_complex(rng, ring) for _ in range(3)))
+
+
+@pytest.mark.parametrize("r", [5, 6, 7, 8, 9])
+def test_assoc_map_matches_basis_oracle_on_deep_stalks(r):
+    """The triples the triangle certificates reassociate, on deep_object
+    stalks of total rank past max_rank, and mixed with a smaller stalk."""
+    for ring in (ZZ, Z7):
+        x = deep_object(ring, r).stalks[0]
+        dual, small = cx_dual(x), deep_object(ring, r - 3).stalks[0]
+        for a, b, c in ((x, dual, x), (dual, x, dual), (small, x, dual)):
+            assert_assoc_matches_oracle(a, b, c)
 
 
 @given(seeds)
@@ -685,7 +737,7 @@ def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
         cases += [(p, swap_oracle(a, b, n)) for n, p in swap.components]
         assoc = assoc_map.__wrapped__(x, y, z)
         cases += [(p, assoc_oracle(x, y, z, n)) for n, p in assoc.components]
-        inverse = assoc_map_inv(x, y, z)
+        inverse = assoc_map_inv.__wrapped__(x, y, z)
         cases += [(p, [list(r) for r in zip(*assoc_oracle(x, y, z, n))]) for n, p in inverse.components]
         for p, grid in cases:
             assert (p._perm is None) == (m == 1) and ("entries" in vars(p)) == (m == 1)

@@ -177,6 +177,31 @@ def test_cc_cell_check_examples():
     cc_cell_check(ident_cell)
 
 
+def test_cc_cell_check_takes_a_one_element_fibre_as_its_sum():
+    """A fibre of one element is compared with the target directly, one of
+    two is summed; a component between other stalks than the target's is
+    refused as a sum of maps with different endpoints either way."""
+    base = ("z",)
+    a = scalar_object(base)
+    two = make_fin_over(base, ("g0", "g1"), {"g0": "z", "g1": "z"})
+    legs = make_over_map(two, a.space, {"g0": "x0", "g1": "x0"})
+    scaled = [map_scale(k, map_identity(unit_complex(ZZ))) for k in (2, 3)]
+    u = make_cc_morphism(a, a, Span(legs, legs), {"g0": scaled[0], "g1": scaled[1]})
+    cc_cell_check(make_cc_cell(u, loop_morphism(a, 5), {"g0": "x0", "g1": "x0"}))
+    cc_cell_check(make_cc_cell(loop_morphism(a, 5), loop_morphism(a, 5), {"x0": "x0"}))
+    with pytest.raises(ValueError, match="component sum fails at 'x0'"):
+        cc_cell_check(make_cc_cell(loop_morphism(a, 3), loop_morphism(a, 5), {"x0": "x0"}))
+    # built past make_cc_morphism's stalk checks: components out of a rank-2 complex
+    wide = make_chain_map(make_complex(ZZ, {0: 2}), unit_complex(ZZ), {0: [[5, 0]]})
+    one = identity_span(a.space)
+    stray = CCMorphism(a, a, one, (wide,))
+    with pytest.raises(ValueError, match="^sum of maps with different endpoints$"):
+        cc_cell_check(make_cc_cell(stray, loop_morphism(a, 5), {"x0": "x0"}))
+    strays = CCMorphism(a, a, Span(legs, legs), (wide, scaled[1]))
+    with pytest.raises(ValueError, match="^sum of maps with different endpoints$"):
+        cc_cell_check(make_cc_cell(strays, loop_morphism(a, 8), {"g0": "x0", "g1": "x0"}))
+
+
 def test_cc_cell_check_names_the_broken_leg():
     a = scalar_object(n=2)
     x = a.space

@@ -295,14 +295,42 @@ def test_make_dual_checks_each_distinct_relabeling_hit_once(n, monkeypatch):
     calls = []
     check = CCRelabel.check
 
-    def counted(self, x, y):
+    def counted(self, x, y, image):
         calls.append((id(self), x, y))
-        return check(self, x, y)
+        return check(self, x, y, image)
 
     monkeypatch.setattr(CCRelabel, "check", counted)
     make_dual(wide_object(ZZ, n))
     assert len(calls) == 2 * n * n + 4 * n
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_make_dual_runs_one_direction_of_each_relabeling_per_check(n, monkeypatch):
+    """cc_compose finds each distinct hit's partner by one direction of the
+    relabeling and checks the pair by the other: of the 2n^2 + 4n checks
+    each runs forward once and backward once, not the found direction
+    again (6n^2 + 12n calls)."""
+    calls = []
+    init = CCRelabel.__init__
+
+    def counted(fn):
+        if getattr(fn, "counted", False):  # cc_invert passes on counted directions
+            return fn
+
+        def wrapper(x):
+            calls.append(fn)
+            return fn(x)
+
+        wrapper.counted = True
+        return wrapper
+
+    def counting_init(self, source, target, forward, backward, stalk_map=None):
+        init(self, source, target, counted(forward), counted(backward), stalk_map)
+
+    monkeypatch.setattr(CCRelabel, "__init__", counting_init)
+    make_dual(wide_object(ZZ, n))
+    assert len(calls) == 2 * (2 * n * n + 4 * n)
 
 
 def test_a_relabeling_failing_at_a_repeated_hit_raises_when_composed():
