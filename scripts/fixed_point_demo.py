@@ -8,9 +8,9 @@ scales by 3.  Prints the pointwise trace data and then verifies that
 collapsing X to a point adds up the local terms.
 """
 
-from spantrace.chainalg import ZZ, make_complex, map_identity, map_scale, unit_complex
+from spantrace.chainalg import ZZ, make_chain_map, make_complex, unit_complex
 from spantrace.corrcat import cc_identity, make_cc_morphism
-from spantrace.dualtrace import char_class, make_dual, pairing_functorial, trace
+from spantrace.dualtrace import make_dual, pairing_functorial, trace
 from spantrace.dualtrace import PushRectangles
 from spantrace.finspan import Span, identity_span, make_fin_over, make_over_map
 from spantrace.instances import omega_doc
@@ -24,12 +24,12 @@ collapse = make_over_map(x, pt, {"a": "p", "b": "p"})
 obj = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": make_complex(ZZ, {0: 2})})
 
 print("characteristic class (pointwise Euler numbers):")
-print(" ", omega_doc(char_class(obj)))
+print(" ", omega_doc(trace(cc_identity(obj), make_dual(obj)).omega))
 
 loop = make_fin_over(base, ("g",), {"g": "z"})
 to_a = make_over_map(loop, x, {"g": "a"})
 u = make_cc_morphism(
-    obj, obj, Span(to_a, to_a), {"g": map_scale(3, map_identity(unit_complex(ZZ)))}
+    obj, obj, Span(to_a, to_a), {"g": make_chain_map(unit_complex(ZZ), unit_complex(ZZ), {0: [[3]]})}
 )
 print("trace of the scaling loop at a:")
 print(" ", omega_doc(trace(u, make_dual(obj)).omega))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import CCMorphism, CCRelabel, make_cc_morphism, obj_tensor, shriek_push
+from .corrcat import CCMorphism, make_cc_morphism, shriek_push
 from .dualtrace import DualityData, PushRectangles, make_dual, pairing
 from .finspan import FinOver, Label, OverMap, Span, base_space, fiber_product
 from .sheafops import OmegaClass, Sheaf, pull, verdier
@@ -80,15 +80,6 @@ def pull_morphism(bc: BaseChange, m: CCMorphism) -> CCMorphism:
 def pull_omega(bc: BaseChange, a: OmegaClass) -> OmegaClass:
     space, proj = pull_space(bc, a.carrier)
     return OmegaClass(a.ring, space, tuple(a.value(proj(e)) for e in space.elements))
-
-
-def monoidal_structure(bc: BaseChange, a: Sheaf, b: Sheaf) -> CCRelabel:
-    """The structure isomorphism pull(a) (x) pull(b) -> pull(a (x) b): a
-    coordinate relabeling with literally equal stalks."""
-    src = obj_tensor(pull_object(bc, a), pull_object(bc, b))
-    tgt = pull_object(bc, obj_tensor(a, b))
-    return CCRelabel(src, tgt, lambda e: ((e[0][0], e[1][0]), e[0][1]),
-                     lambda e: ((e[0][0], e[1]), (e[0][1], e[1])))
 
 
 @dataclass(frozen=True)

@@ -569,10 +569,6 @@ def map_identity(c: Complex) -> ChainMap:
     return make_chain_map(c, c, {n: mat_identity(c.ring, r) for n, r in c.ranks}, check=False)
 
 
-def map_zero(source: Complex, target: Complex) -> ChainMap:
-    return make_chain_map(source, target, {}, check=False)
-
-
 def map_compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
     if f.target != g.source:
@@ -589,18 +585,6 @@ def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
     if f.source != g.source or f.target != g.target:
         raise ValueError("sum of maps with different endpoints")
     comps = {n: mat_add(m, g.component(n)) for n, m in f.components}
-    return make_chain_map(f.source, f.target, comps, check=False)
-
-
-def map_sum(maps: Sequence[ChainMap], source: Complex, target: Complex) -> ChainMap:
-    out = map_zero(source, target)
-    for m in maps:
-        out = map_add(out, m)
-    return out
-
-
-def map_scale(c: int, f: ChainMap) -> ChainMap:
-    comps = {n: mat_scale(c, m) for n, m in f.components}
     return make_chain_map(f.source, f.target, comps, check=False)
 
 
@@ -695,14 +679,6 @@ def map_direct_sum(
         }
         comps[n] = mat_block(ring, [t.rank(n) for t in targets], [s.rank(n) for s in sources], mats)
     return make_chain_map(src, tgt, comps, check=False)
-
-
-def inclusion_map(parts: Sequence[Complex], i: int, ring: Ring) -> ChainMap:
-    return map_direct_sum({(i, 0): map_identity(parts[i])}, [parts[i]], parts, ring)
-
-
-def projection_map(parts: Sequence[Complex], i: int, ring: Ring) -> ChainMap:
-    return map_direct_sum({(0, i): map_identity(parts[i])}, parts, [parts[i]], ring)
 
 
 # ---------------------------------------------------------------------------
@@ -839,48 +815,3 @@ def assoc_map_inv(a: Complex, b: Complex, c: Complex) -> ChainMap:
     f = assoc_map(a, b, c)
     comps = {n: mat_transpose(m) for n, m in f.components}
     return make_chain_map(f.target, f.source, comps, check=False)
-
-
-def map_curry(f: ChainMap, z: Complex, c: Complex) -> ChainMap:
-    """Curry f : z (x) c -> d into z -> dual(c) (x) d."""
-    if f.source != cx_tensor(z, c):
-        raise ValueError("curry source mismatch")
-    d = f.target
-    cd = cx_dual(c)
-    step1 = map_tensor(map_identity(z), coev_map(c))
-    step2 = assoc_map(z, c, cd)
-    step3 = map_tensor(f, map_identity(cd))
-    step4 = swap_map(d, cd)
-    return map_compose(step4, map_compose(step3, map_compose(step2, step1)))
-
-
-def map_uncurry(g: ChainMap, c: Complex, d: Complex) -> ChainMap:
-    """Uncurry g : z -> dual(c) (x) d into z (x) c -> d, with d given."""
-    cd = cx_dual(c)
-    if g.target != cx_tensor(cd, d):
-        raise ValueError("uncurry target mismatch")
-    step1 = map_tensor(g, map_identity(c))
-    step2 = assoc_map_inv(cd, d, c)
-    step3 = map_tensor(map_identity(cd), swap_map(d, c))
-    step4 = assoc_map(cd, c, d)
-    step5 = map_tensor(ev_map(c), map_identity(d))
-    return map_compose(step5, map_compose(step4, map_compose(step3, map_compose(step2, step1))))
-
-
-def sum_tensor_distribute(parts: Sequence[Complex], m: Complex, ring: Ring) -> ChainMap:
-    """Canonical isomorphism (sum parts) (x) m -> sum (part (x) m): the sum
-    over i of the i-th inclusion after the i-th projection tensored with m.
-
-    It permutes basis vectors rather than being the identity matrix,
-    because the two sides group the basis differently.
-    """
-    tensored = [cx_tensor(p, m) for p in parts]
-    pieces = [
-        map_compose(
-            inclusion_map(tensored, i, ring),
-            map_tensor(projection_map(parts, i, ring), map_identity(m)),
-        )
-        for i in range(len(parts))
-    ]
-    f = map_sum(pieces, cx_tensor(cx_direct_sum(parts, ring), m), cx_direct_sum(tensored, ring))
-    return make_chain_map(f.source, f.target, dict(f.components))

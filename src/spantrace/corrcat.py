@@ -18,14 +18,14 @@ relabeling once at each distinct one.
 The components of a tensor or a composite are computed when first read:
 a certificate or a trace composes away all but a diagonal of a tensor's
 apex, so only the diagonal's are built.  Those of make_cc_morphism (and
-so shriek_push, cc_invert) are built at once, as it checks their stalks.
+so shriek_push) are built at once, as it checks their stalks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .chainalg import (
     ChainMap,
@@ -36,13 +36,9 @@ from .chainalg import (
     make_chain_map,
     map_add,
     map_compose,
-    map_curry,
     map_direct_sum,
     map_identity,
-    map_sum,
     map_tensor,
-    map_uncurry,
-    mat_transpose,
     swap_map,
 )
 from .finspan import (
@@ -53,14 +49,11 @@ from .finspan import (
     base_space,
     cell_check,
     identity_span,
-    make_over_map,
     om_compose,
-    om_identity,
     span_compose,
-    span_iso_search,
     span_tensor,
 )
-from .sheafops import Sheaf, box, push, unit_sheaf, verdier
+from .sheafops import Sheaf, box, push, unit_sheaf
 
 
 def CCObject(space: FinOver, sheaf: Sheaf) -> Sheaf:
@@ -193,11 +186,6 @@ class CCCell:
     graph: OverMap
 
 
-def make_cc_cell(source: CCMorphism, target: CCMorphism, graph: Mapping[Label, Label]) -> CCCell:
-    g = make_over_map(source.span.apex, target.span.apex, graph)
-    return CCCell(source, target, g)
-
-
 def cc_cell_check(cell: CCCell) -> None:
     """Verify both leg equations and the fiberwise sum identity exactly."""
     s, t = cell.source, cell.target
@@ -207,27 +195,14 @@ def cc_cell_check(cell: CCCell) -> None:
     for d in t.span.apex.elements:
         parts = [s.map_at(g) for g in cell.graph.fiber(d)]
         expect = t.map_at(d)
-        one = len(parts) == 1 and (parts[0].source, parts[0].target) == (expect.source, expect.target)
-        got = parts[0] if one else map_sum(parts, expect.source, expect.target)  # one map is its sum
+        if len(parts) == 1 and (parts[0].source, parts[0].target) == (expect.source, expect.target):
+            got = parts[0]  # one map is its sum
+        else:  # several, or none, are added to the zero map
+            got = reduce(map_add, parts, make_chain_map(expect.source, expect.target, {}, check=False))
         if got != expect:
             raise ValueError(
                 f"component sum fails at {d!r}: expected {expect.components!r}, got {got.components!r}"
             )
-
-
-def whisker_left(m: CCMorphism, cell: CCCell) -> CCCell:
-    """Cell between m.cell.source and m.cell.target (m composed first)."""
-    src = cc_compose(m, cell.source)
-    tgt = cc_compose(m, cell.target)
-    graph = {e: (e[0], cell.graph(e[1])) for e in src.span.apex.elements}
-    return make_cc_cell(src, tgt, graph)
-
-
-def whisker_right(cell: CCCell, m: CCMorphism) -> CCCell:
-    src = cc_compose(cell.source, m)
-    tgt = cc_compose(cell.target, m)
-    graph = {e: (cell.graph(e[0]), e[1]) for e in src.span.apex.elements}
-    return make_cc_cell(src, tgt, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -312,117 +287,16 @@ def cc_swap(a: Sheaf, b: Sheaf) -> CCRelabel:
                      lambda e: swap_map(a.stalk(e[0]), b.stalk(e[1])))
 
 
-def _inverse_component(u: ChainMap) -> ChainMap:
-    """The transpose of u, checked to be a two-sided inverse."""
-    inv = make_chain_map(u.target, u.source, {n: mat_transpose(c) for n, c in u.components})
-    if (map_compose(inv, u) != map_identity(u.source)
-            or map_compose(u, inv) != map_identity(u.target)):
-        raise ValueError("component is not a signed permutation")
-    return inv
-
-
-def cc_invert(m: CCMorphism | CCRelabel) -> CCMorphism | CCRelabel:
-    """Invert a morphism with bijective legs and invertible components, or
-    a relabeling.
-
-    Components are inverted by the transpose, which is verified to be a
-    two-sided inverse (all structural components here are signed
-    permutations); raises if that fails.
-    """
-    if isinstance(m, CCRelabel):
-        stalk = None if m.stalk_map is None else (
-            lambda y: _inverse_component(m.stalk_map(m.backward(y))))
-        return CCRelabel(m.target, m.source, m.backward, m.forward, stalk)
-    if not (m.span.left.is_bijective() and m.span.right.is_bijective()):
-        raise ValueError("morphism legs are not bijective")
-    span = Span(m.span.right, m.span.left)
-    maps = {g: _inverse_component(m.map_at(g)) for g in m.span.apex.elements}
-    return make_cc_morphism(m.target, m.source, span, maps)
+def cc_invert(m: CCRelabel) -> CCRelabel:
+    """The inverse of a relabeling with identity components, such as a
+    unitor: the same bijection read backwards."""
+    if m.stalk_map is not None:
+        raise ValueError("only a relabeling with identity components is inverted")
+    return CCRelabel(m.target, m.source, m.backward, m.forward)
 
 
 # ---------------------------------------------------------------------------
 # pushforward structure
-
-
-def f_natural(f: OverMap, l: Sheaf) -> CCMorphism:
-    """(X, L) -> (X', push(f, L)) over the graph span: the identity of
-    (X, L) pushed along (id, id, f), so its components are the block
-    inclusions into the fiber sums."""
-    ident = om_identity(f.source)
-    return shriek_push(cc_identity(l), ident, ident, f, Span(ident, f))
-
-
-def f_conatural(f: OverMap, l: Sheaf) -> CCMorphism:
-    """(X', push(f, L)) -> (X, L): the identity pushed along (f, id, id),
-    with the block projections as components."""
-    ident = om_identity(f.source)
-    return shriek_push(cc_identity(l), f, ident, ident, Span(f, ident))
-
-
-def adjunction_unit(f: OverMap, l: Sheaf) -> CCCell:
-    """identity => f_natural then f_conatural, given by the diagonal."""
-    comp = cc_compose(f_natural(f, l), f_conatural(f, l))
-    ident = cc_identity(l)
-    return make_cc_cell(ident, comp, {x: (x, x) for x in f.source.elements})
-
-
-def adjunction_counit(f: OverMap, l: Sheaf) -> CCCell:
-    """f_conatural then f_natural => identity, given by the map itself."""
-    comp = cc_compose(f_conatural(f, l), f_natural(f, l))
-    ident = cc_identity(push(f, l))
-    return make_cc_cell(comp, ident, {e: f(e[0]) for e in comp.span.apex.elements})
-
-
-def adjunction_triangles(f: OverMap, l: Sheaf) -> tuple[list[CCCell], list[CCCell]]:
-    """The two triangle pastings of the pushforward adjunction.
-
-    Each is returned as the list of constituent cells; every constituent
-    passes the cell check and the end-to-end apex maps compose to the
-    identity, which is the triangle identity in this strictified setting.
-    """
-    fn = f_natural(f, l)
-    fc = f_conatural(f, l)
-    eta = adjunction_unit(f, l)
-    eps = adjunction_counit(f, l)
-    tgt_obj = push(f, l)
-
-    # triangle for f_natural: fn -> id.fn -> (fn.fc).fn -> fn.(fc.fn) -> fn.id -> fn
-    c1 = make_cc_cell(fn, cc_compose(cc_identity(l), fn), {x: (x, x) for x in f.source.elements})
-    c2 = whisker_right(eta, fn)
-    a1 = cc_compose(cc_compose(fn, fc), fn)
-    a2 = cc_compose(fn, cc_compose(fc, fn))
-    c3 = make_cc_cell(a1, a2, {e: (e[0][0], (e[0][1], e[1])) for e in a1.span.apex.elements})
-    c4 = whisker_left(fn, eps)
-    fn_id = cc_compose(fn, cc_identity(tgt_obj))
-    c5 = make_cc_cell(fn_id, fn, {e: e[0] for e in fn_id.span.apex.elements})
-    tri1 = [c1, c2, c3, c4, c5]
-
-    # triangle for f_conatural: fc -> fc.id -> fc.(fn.fc) -> (fc.fn).fc -> id.fc -> fc
-    d1 = make_cc_cell(fc, cc_compose(fc, cc_identity(l)), {x: (x, x) for x in f.source.elements})
-    d2 = whisker_left(fc, eta)
-    b1 = cc_compose(fc, cc_compose(fn, fc))
-    b2 = cc_compose(cc_compose(fc, fn), fc)
-    d3 = make_cc_cell(b1, b2, {e: ((e[0], e[1][0]), e[1][1]) for e in b1.span.apex.elements})
-    d4 = whisker_right(eps, fc)
-    id_fc = cc_compose(cc_identity(tgt_obj), fc)
-    d5 = make_cc_cell(id_fc, fc, {e: e[1] for e in id_fc.span.apex.elements})
-    tri2 = [d1, d2, d3, d4, d5]
-    return tri1, tri2
-
-
-def triangle_composite_is_identity(cells: Sequence[CCCell]) -> bool:
-    for c in cells:
-        cc_cell_check(c)
-    first, last = cells[0], cells[-1]
-    if first.source.span.apex != last.target.span.apex:
-        return False
-    for x in first.source.span.apex.elements:
-        y = x
-        for c in cells:
-            y = c.graph(y)
-        if y != x:
-            return False
-    return True
 
 
 def shriek_push(
@@ -464,64 +338,3 @@ def shriek_push(
                 blocks[(yi, xi)] = piece
         maps[gp] = map_direct_sum(blocks, src_parts, tgt_parts, l.ring)
     return make_cc_morphism(src, tgt, lower, maps)
-
-
-# ---------------------------------------------------------------------------
-# internal hom and currying
-
-
-def internal_hom(a: Sheaf, b: Sheaf) -> Sheaf:
-    """Internal hom on the product: stalk at (x, y) is dual(L_x) (x) M_y."""
-    return box(verdier(a), b)
-
-
-def curry_morphism(m: CCMorphism, a: Sheaf, b: Sheaf) -> CCMorphism:
-    """Rewrite m : a (x) b -> c as a -> internal_hom(b, c)."""
-    if m.source != obj_tensor(a, b):
-        raise ValueError("curry source mismatch")
-    c = m.target
-    hom = internal_hom(b, c)
-    apex = m.span.apex
-    left = OverMap(apex, a.space, tuple(m.span.left(e)[0] for e in apex.elements))
-    right = OverMap(
-        apex,
-        hom.space,
-        tuple((m.span.left(e)[1], m.span.right(e)) for e in apex.elements),
-    )
-    maps = {}
-    for e in apex.elements:
-        x, y = m.span.left(e)
-        maps[e] = map_curry(m.map_at(e), a.stalk(x), b.stalk(y))
-    return make_cc_morphism(a, hom, Span(left, right), maps)
-
-
-def uncurry_morphism(m: CCMorphism, b: Sheaf, c: Sheaf) -> CCMorphism:
-    """Rewrite m : a -> internal_hom(b, c) as a (x) b -> c."""
-    a = m.source
-    if m.target != internal_hom(b, c):
-        raise ValueError("uncurry target mismatch")
-    src = obj_tensor(a, b)
-    apex = m.span.apex
-    left = OverMap(
-        apex,
-        src.space,
-        tuple((m.span.left(e), m.span.right(e)[0]) for e in apex.elements),
-    )
-    right = OverMap(apex, c.space, tuple(m.span.right(e)[1] for e in apex.elements))
-    maps = {}
-    for e in apex.elements:
-        y, z = m.span.right(e)
-        maps[e] = map_uncurry(m.map_at(e), b.stalk(y), c.stalk(z))
-    return make_cc_morphism(src, c, Span(left, right), maps)
-
-
-# ---------------------------------------------------------------------------
-# comparison up to canonical relabeling
-
-
-def cc_iso_search(a: CCMorphism, b: CCMorphism) -> OverMap | None:
-    """Invertible 2-cell between parallel morphisms, if one exists: a
-    leg-compatible apex bijection that also matches the components."""
-    if a.source != b.source or a.target != b.target:
-        raise ValueError("morphisms not parallel")
-    return span_iso_search(a.span, b.span, a.map_at, b.map_at)

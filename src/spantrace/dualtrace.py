@@ -21,7 +21,6 @@ from .chainalg import alt_trace, coev_map, ev_map, map_compose
 from .corrcat import (
     CCCell,
     CCMorphism,
-    CCRelabel,
     cc_assoc,
     cc_assoc_inv,
     cc_cell_check,
@@ -29,14 +28,9 @@ from .corrcat import (
     cc_compose_many,
     cc_identity,
     cc_invert,
-    cc_iso_search,
     cc_swap,
     cc_tensor,
-    curry_morphism,
-    f_natural,
-    internal_hom,
     left_unitor,
-    make_cc_cell,
     make_cc_morphism,
     obj_tensor,
     right_unitor,
@@ -50,7 +44,6 @@ from .finspan import (
     fiber_product,
     om_anchor,
     om_compose,
-    om_identity,
     prod_over_base,
 )
 from .sheafops import OmegaClass, Sheaf, omega_push, push, verdier
@@ -190,13 +183,6 @@ def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
     return PairingResult(OmegaClass(e.source.ring, carrier, tuple(map(found.__getitem__, loops))))
 
 
-def char_class(a: Sheaf, dx: DualityData | None = None) -> OmegaClass:
-    """Trace of the identity; pointwise the Euler characteristic."""
-    if dx is None:
-        dx = make_dual(a)
-    return trace(cc_identity(a), dx).omega
-
-
 def pairing_symmetry(
     u: CCMorphism, v: CCMorphism, dx: DualityData, dy: DualityData
 ) -> tuple[OmegaClass, OmegaClass, OverMap]:
@@ -208,30 +194,6 @@ def pairing_symmetry(
         if a.value((g, d)) != b.value((d, g)):
             raise ValueError(f"pairing not symmetric at {(g, d)!r}")
     return a, b, swap
-
-
-# ---------------------------------------------------------------------------
-# dual of a morphism
-
-
-def dual_of_morphism(u: CCMorphism, da: DualityData, db: DualityData) -> CCMorphism:
-    """Mate of u under the dualities: target-dual -> source-dual.
-
-    Computed by the insert-coevaluation / contract-evaluation composite;
-    pointwise it is the transpose, which the tests pin down.
-    """
-    if da.obj != u.source or db.obj != u.target:
-        raise ValueError("duality data endpoints mismatch")
-    a, b = da.obj, db.obj
-    comp = cc_compose_many(
-        right_unitor(db.dual),
-        cc_tensor(cc_identity(db.dual), da.coev),
-        cc_assoc(db.dual, a, da.dual),
-        cc_tensor(cc_tensor(cc_identity(db.dual), u), cc_identity(da.dual)),
-        cc_tensor(db.ev, cc_identity(da.dual)),
-        cc_invert(left_unitor(da.dual)),
-    )
-    return comp
 
 
 # ---------------------------------------------------------------------------
@@ -267,37 +229,6 @@ class PushRectangles:
 
 
 @dataclass(frozen=True)
-class Splitting:
-    """Explicit splitting data for the left down-square: the diagonal
-    morphism w together with the two defining 2-cells."""
-
-    w: CCMorphism
-    gamma: CCCell
-    delta: CCCell
-
-
-def proper_splitting(rect: PushRectangles) -> Splitting:
-    """Canonical splitting of the left down-square (all maps are proper):
-    the diagonal is the pushforward of u along (f, id, id)."""
-    u, f, p = rect.u, rect.f, rect.p
-    c = u.span
-    diag_span = Span(om_compose(f, c.left), c.right)
-    w = shriek_push(u, f, om_identity(c.apex), om_identity(u.target.space), diag_span)
-
-    fn = f_natural(f, u.source)
-    comp_fw = cc_compose(fn, w)
-    gamma = make_cc_cell(u, comp_fw, {g: (c.left(g), g) for g in c.apex.elements})
-
-    gn = f_natural(rect.g, u.target)
-    comp_wg = cc_compose(w, gn)
-    pushed = shriek_push(u, f, p, rect.g, rect.cp)
-    delta = make_cc_cell(comp_wg, pushed, {e: p(e[0]) for e in comp_wg.span.apex.elements})
-    cc_cell_check(gamma)
-    cc_cell_check(delta)
-    return Splitting(w, gamma, delta)
-
-
-@dataclass(frozen=True)
 class FunctorialResult:
     s: OverMap
     pushed: OmegaClass
@@ -315,8 +246,9 @@ def pairing_functorial(rect: PushRectangles) -> FunctorialResult:
     The duality data of the upper source object is built here, and that of
     its pushforward by push_preserves_dual, which also checks that the dual
     of the pushforward is the pushforward of the dual.  The induced map
-    sends (gamma, delta) to (p(gamma), q(delta)); proper_splitting's delta
-    cell has exactly this apex component by construction.
+    sends (gamma, delta) to (p(gamma), q(delta)): the apex component of the
+    cell through which the left down-square splits (proper_splitting in
+    tests/statements.py).
     """
     dx = make_dual(rect.u.source)
     lhs = pairing(rect.u, rect.v, dx).omega
@@ -336,34 +268,3 @@ def push_preserves_dual(f: OverMap, dx: DualityData) -> DualityData:
     if data.dual != push(f, dx.dual):
         raise ValueError("pushforward does not commute with the dual")
     return data
-
-
-# ---------------------------------------------------------------------------
-# split-epimorphism criterion for dualizability
-
-
-def split_epi_criterion(a: Sheaf) -> tuple[CCMorphism, CCMorphism]:
-    """The comparison a (x) hom(a, 1) -> hom(a, a) and a section of it.
-
-    In this model the comparison is invertible (stalkwise a signed
-    permutation), so the section is its inverse.
-    """
-    ring = a.ring
-    unit = unit_object(ring, a.space.base)
-    hom_a1 = internal_hom(a, unit)
-    da = make_dual(a)
-    # identify the abstract hom with the dual object: ((x, s), y) -> (x, y)
-    ident = CCRelabel(obj_tensor(hom_a1, a), da.ev.source, lambda e: (e[0][0], e[1]),
-                      lambda e: ((e[0], a.space.anchor_of(e[0])), e[1]))
-    ev_via_hom = cc_compose(ident, da.ev)
-    big = cc_compose_many(
-        cc_assoc_inv(a, hom_a1, a),
-        cc_tensor(cc_identity(a), ev_via_hom),
-        cc_invert(right_unitor(a)),
-    )
-    m = curry_morphism(big, obj_tensor(a, hom_a1), a)
-    section = cc_invert(m)
-    roundtrip = cc_compose(section, m)
-    if cc_iso_search(roundtrip, cc_identity(m.target)) is None:
-        raise ValueError("section is not a section")
-    return m, section

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Label = Union[str, tuple]
 
@@ -275,29 +275,3 @@ def cell_check(source: Span, target: Span, graph: OverMap) -> None:
     for x in source.apex.elements:
         if target.right(graph(x)) != source.right(x):
             raise ValueError(f"right leg broken at {x!r}")
-
-
-def span_iso_search(
-    a: Span, b: Span, tag_a: Callable[[Label], object], tag_b: Callable[[Label], object]
-) -> OverMap | None:
-    """Bijection between the apexes of parallel spans that matches elements
-    with equal (left, right, tag) signatures, if one exists.
-
-    Elements with equal signatures are interchangeable, so a deterministic
-    greedy matching in carrier order is complete; absence is returned as
-    None.
-    """
-    if a.left.target != b.left.target or a.right.target != b.right.target:
-        raise ValueError("spans not parallel")
-    if a.apex.size != b.apex.size:
-        return None
-    buckets: dict[tuple, list[Label]] = {}
-    for y in b.apex.elements:
-        buckets.setdefault((b.left(y), b.right(y), tag_b(y)), []).append(y)
-    graph = []
-    for x in a.apex.elements:
-        pool = buckets.get((a.left(x), a.right(x), tag_a(x)))
-        if not pool:
-            return None
-        graph.append(pool.pop(0))
-    return OverMap(a.apex, b.apex, tuple(graph))

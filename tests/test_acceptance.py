@@ -17,16 +17,8 @@ from spantrace.chainalg import (
     homotopy_perturb,
     make_chain_map,
 )
-from spantrace.corrcat import (
-    cc_cell_check,
-    cc_compose,
-    f_natural,
-    make_cc_cell,
-    make_cc_morphism,
-    shriek_push,
-)
+from spantrace.corrcat import make_cc_morphism, shriek_push
 from spantrace.dualtrace import (
-    char_class,
     local_pairing,
     make_dual,
     pairing,
@@ -50,6 +42,7 @@ from spantrace.generate import (
 from spantrace.instances import emit_instance, parse_instance
 from spantrace.sheafops import omega_push, push, verdier
 from spantrace.suites import report_doc, run_suite
+from statements import chain_candidates_mod2, char_class, lift_test
 
 DEFAULTS = GenParams()  # sets <= 4, ranks <= 3, degrees in [-2, 2], moduli {0, 7}
 
@@ -200,46 +193,6 @@ def test_criterion_8_homotopy_invariance_200():
     print(f"criterion 8: PASS ({checked} perturbations, {attempts} attempts)")
 
 
-def _chain_candidates_mod2(src, tgt):
-    ring = Ring(2)
-    shapes = [(n, tgt.rank(n), src.rank(n)) for n, _ in src.ranks if tgt.rank(n)]
-    slots = sum(r * c for _, r, c in shapes)
-    if slots > 14:
-        return None
-    out = []
-    for bits in itertools.product(range(2), repeat=slots):
-        comps, k = {}, 0
-        for n, r, c in shapes:
-            rows = []
-            for _ in range(r):
-                rows.append(list(bits[k : k + c]))
-                k += c
-            comps[n] = rows
-        try:
-            out.append(make_chain_map(src, tgt, comps))
-        except ValueError:
-            pass
-    return out
-
-
-def _cell_passes(cell):
-    try:
-        cc_cell_check(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _lift_test(rect):
-    """The pushforward of u down the rectangle, and a test of whether a
-    candidate lift over the lower span makes the rectangle a passing 2-cell."""
-    pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
-    fn = f_natural(rect.f, rect.u.source)
-    left = cc_compose(rect.u, f_natural(rect.g, rect.u.target))
-    graph = {e: (rect.u.span.left(e[0]), rect.p(e[0])) for e in left.span.apex.elements}
-    return pushed, lambda cand: _cell_passes(make_cc_cell(left, cc_compose(fn, cand), graph))
-
-
 def _exhaustive_unique_lifts(params, seeds, enough):
     """Instances, up to enough, on which every chain map over Z/2 at each
     lower apex point was tried and only the pushforward passes."""
@@ -248,13 +201,13 @@ def _exhaustive_unique_lifts(params, seeds, enough):
         if exhaustive >= enough:
             break
         rect = random_lv_instance(seed, params).lv
-        pushed, passes = _lift_test(rect)
+        pushed, passes = lift_test(rect)
         assert passes(pushed), seed
         if not rect.cp.apex.elements:
             continue
         per_point = []
         for gp in rect.cp.apex.elements:
-            cands = _chain_candidates_mod2(
+            cands = chain_candidates_mod2(
                 pushed.source.stalk(rect.cp.left(gp)),
                 pushed.target.stalk(rect.cp.right(gp)),
             )
@@ -299,7 +252,7 @@ def test_criterion_9_pushforward_unique_lift():
         rect = inst.lv
         if not rect.cp.apex.elements:
             continue
-        pushed, passes = _lift_test(rect)
+        pushed, passes = lift_test(rect)
         assert passes(pushed), seed
         for gp in rect.cp.apex.elements:
             m = pushed.map_at(gp)

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from spantrace.basefunc import (
     functor_preserves,
     make_base_change,
-    monoidal_structure,
     pull_morphism,
     pull_object,
     pull_omega,
     push2_strict,
 )
 from spantrace.chainalg import Ring, ZZ, make_complex
-from spantrace.corrcat import cc_compose, cc_invert, cc_iso_search, cc_tensor
-from spantrace.dualtrace import char_class, make_dual
+from spantrace.corrcat import cc_compose, cc_invert, cc_tensor
+from spantrace.dualtrace import make_dual
 from spantrace.finspan import make_fin_over
 from spantrace.generate import (
     GenParams,
@@ -31,6 +30,7 @@ from spantrace.generate import (
     random_span,
 )
 from spantrace.sheafops import make_sheaf
+from statements import cc_iso_search, char_class, monoidal_structure
 
 seeds = st.integers(0, 2**32 - 1)
 

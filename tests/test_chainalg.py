@@ -27,11 +27,8 @@ from spantrace.chainalg import (
     make_chain_map,
     make_complex,
     map_compose,
-    map_curry,
     map_identity,
-    map_scale,
     map_tensor,
-    map_uncurry,
     mat,
     mat_identity,
     mat_kron,
@@ -39,12 +36,12 @@ from spantrace.chainalg import (
     mat_trace,
     mat_transpose,
     mat_zero,
-    sum_tensor_distribute,
     swap_map,
     tensor_layout,
     unit_complex,
 )
 from spantrace.generate import GenParams, deep_object, random_chain_map, random_complex
+from statements import map_scale, sum_tensor_distribute
 
 Z7 = Ring(7)
 
@@ -791,19 +788,6 @@ def test_categorical_trace_is_alt_trace(seed):
     m = comp.component(0)
     got = m.entries[0][0] if m.rows and m.cols else 0
     assert ring.norm(got) == alt_trace(e)
-
-
-@given(seeds)
-@settings(max_examples=30, deadline=None)
-def test_curry_uncurry_roundtrip(seed):
-    rng = random.Random(seed)
-    ring = Ring(rng.choice([0, 7]))
-    za = random_complex(rng, ring, GenParams())
-    ca = random_complex(rng, ring, GenParams())
-    da = random_complex(rng, ring, GenParams())
-    # uncurry . curry is the identity on maps out of z (x) c
-    orig = map_tensor(random_chain_map(rng, za, da), map_identity(ca.cx))
-    assert map_uncurry(map_curry(orig, za.cx, ca.cx), ca.cx, orig.target) == orig
 
 
 def test_sum_tensor_distribution_is_chain_iso():

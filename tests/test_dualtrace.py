@@ -15,7 +15,6 @@ from spantrace.chainalg import (
     make_complex,
     homotopy_perturb,
     map_identity,
-    map_scale,
     map_tensor,
     mat,
     mat_transpose,
@@ -27,7 +26,6 @@ from spantrace.corrcat import (
     cc_compose,
     cc_compose_many,
     cc_identity,
-    cc_iso_search,
     cc_swap,
     cc_tensor,
     left_unitor,
@@ -38,17 +36,13 @@ from spantrace.corrcat import (
 from spantrace.dualtrace import (
     PushRectangles,
     _cell_onto_identity,
-    char_class,
-    dual_of_morphism,
     fixed_point_space,
     local_pairing,
     make_dual,
     pairing,
     pairing_functorial,
     pairing_symmetry,
-    proper_splitting,
     push_preserves_dual,
-    split_epi_criterion,
     trace,
 )
 from spantrace.finspan import (
@@ -74,6 +68,7 @@ from spantrace.generate import (
     wide_object,
 )
 from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
+from statements import cc_iso_search, char_class, dual_of_morphism, map_scale, proper_splitting
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -684,39 +679,7 @@ def test_trace_invariant_under_homotopy(seed):
 
 
 # ---------------------------------------------------------------------------
-# dualizability criterion and pushforward duals
-
-
-def test_split_epi_criterion_unit():
-    unit = unit_object(ZZ, ("z",))
-    m, section = split_epi_criterion(unit)
-    assert m.span.apex.size == 1
-    assert m.maps[0].component(0) == mat(ZZ, [[1]])
-
-
-def test_split_epi_criterion_rank_n():
-    m, section = split_epi_criterion(point_object(2))
-    stalk = m.maps[0]
-    assert stalk.source.rank(0) == 4 and stalk.target.rank(0) == 4
-    comp = cc_compose(section, m)
-    assert cc_iso_search(comp, cc_identity(m.target)) is not None
-
-
-def test_split_epi_criterion_empty():
-    base = ("z",)
-    e = make_fin_over(base, (), {})
-    obj = make_sheaf(ZZ, e, {})
-    m, section = split_epi_criterion(obj)
-    assert m.span.apex.size == 0
-
-
-@given(seeds)
-@settings(max_examples=10, deadline=None)
-def test_split_epi_criterion_random(seed):
-    gen = random_object_instance(seed, GenParams(max_set=2))
-    m, section = split_epi_criterion(gen.obj)
-    comp = cc_compose(section, m)
-    assert cc_iso_search(comp, cc_identity(m.target)) is not None
+# pushforward duals
 
 
 def test_push_preserves_dual_examples():

@@ -25,11 +25,11 @@ from spantrace.finspan import (
     om_identity,
     prod_over_base,
     span_compose,
-    span_iso_search,
     span_tensor,
 )
 from spantrace.generate import GenParams, random_base, random_gen_object, random_space, random_span
 from spantrace.sheafops import Sheaf, box
+from statements import span_iso_search
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -174,9 +174,34 @@ def test_span_compose_associativity_example():
     assert_associative(c, d, e)
 
 
+def interlocking_spans(rng: random.Random, base: tuple, params: GenParams) -> list[Span]:
+    """Three composable spans drawn as 1 to max_set chains x0 - x1 - x2 - x3
+    over one base point each, feet new or shared with an earlier chain's:
+    each chain is an element of the triple composite."""
+    spaces = [{}, {}, {}, {}]  # element -> anchor
+    chains = []
+    for _ in range(rng.randint(1, params.max_set)):
+        s = rng.choice(base)
+        olds = [[x for x, t in space.items() if t == s] for space in spaces]
+        chains.append([rng.choice(old) if old and rng.random() < 0.5 else f"v{i}_{len(space)}"
+                       for i, (space, old) in enumerate(zip(spaces, olds))])
+        for space, x in zip(spaces, chains[-1]):
+            space[x] = s
+    feet = [make_fin_over(base, tuple(space), space) for space in spaces]
+    anchor = tuple(spaces[0][chain[0]] for chain in chains)
+    spans = []
+    for i, prefix in enumerate("cde"):
+        apex = FinOver(base, tuple(f"{prefix}{k}" for k in range(len(chains))), anchor)
+        spans.append(Span(*(OverMap(apex, feet[j], tuple(chain[j] for chain in chains)) for j in (i, i + 1))))
+    return spans
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_span_compose_associative_up_to_recoord(seed):
+    """Independent spans often compose to nothing, so each example also
+    draws interlocking ones, whose triple composite holds at least one
+    element per chain; so at least half of all draws are non-empty."""
     rng = random.Random(seed)
     params = GenParams()
     base = random_base(rng, params)
@@ -184,7 +209,11 @@ def test_span_compose_associative_up_to_recoord(seed):
     c = random_span(rng, spaces[0], spaces[1], "c", params)
     d = random_span(rng, spaces[1], spaces[2], "d", params)
     e = random_span(rng, spaces[2], spaces[3], "e", params)
-    assert_associative(c, d, e)
+    chained = interlocking_spans(rng, base, params)
+    for c, d, e in [(c, d, e), chained]:
+        assert_associative(c, d, e)
+    chains = chained[0].apex.size
+    assert span_compose(span_compose(*chained[:2]), chained[2]).apex.size >= chains >= 1
 
 
 def test_span_iso_search_examples():

@@ -1,39 +1,53 @@
 """Package layout: every import of src/spantrace and of the tests sits at
 module level, the package modules' imports of one another form no cycle,
 every function the benchmark traces still exists under its name, every
-benchmark workload runs one instance correctly, and every module-level
-function and class of the package has a caller outside the tests or
-states a fact of the paper that a test checks."""
+benchmark workload runs one instance correctly, and traffic calls every
+function and method of the package and instantiates every class but a
+short allowlist.
+
+Traffic is ``fuzz --suite all --seed 7 --count 10``, ``report`` in both
+formats on its output, and ``check``, ``trace`` and ``lv`` on each fixture.
+``python tests/test_layout.py DIR`` runs it with its calls traced, its
+report under DIR, and prints the exit codes and the names that ran as
+JSON; the test runs that in a fresh interpreter, so no cache an earlier
+test warmed hides a function."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import inspect
+import io
+import json
+import subprocess
 import sys
 from collections import Counter
+from collections.abc import Callable
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spantrace"
 PERFBENCH = TESTS.parent / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
+FIXTURES = TESTS / "fixtures"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
-CALLERS = ("src", "scripts", "perfbench")  # the directories whose code is not a test
+FUZZ = ("fuzz", "--suite", "all", "--seed", "7", "--count", "10")
 
-# The constructions only tests call, each with the statement of the paper
-# it checks.  A suite that runs one promotes it out of this dict.
-PAPER_STATEMENTS = {
-    "adjunction_triangles": "the pushforward f_natural is left adjoint to f_conatural: "
-                            "the two triangle pastings of unit and counit",
-    "triangle_composite_is_identity": "each triangle pasting composes to the identity 2-cell",
-    "proper_splitting": "for proper vertical maps the left down-square of the "
-                        "Lefschetz-Verdier diagram splits through the pushforward",
-    "dual_of_morphism": "a morphism of dualizable objects has a dual (its mate), "
-                        "contravariantly functorial",
-    "split_epi_criterion": "an object is dualizable when a (x) hom(a, 1) -> hom(a, a) "
-                           "has a section",
-    "uncurry_morphism": "the internal hom is right adjoint to the tensor product",
-    "sum_tensor_distribute": "the tensor product distributes over direct sums",
-    "monoidal_structure": "pullback along a base change is symmetric monoidal",
+# The functions of the package that traffic does not run, each with the
+# reason it stays.
+TRAFFIC_ALLOWLIST = {
+    "chainalg.mat_kron": "perfbench/layers.py traces it by name",
+    "corrcat.CCObject": "perfbench/workloads.py builds its objects through it",
+    "instances.emit_instance": "perfbench/workloads.py writes its pair instances with it",
+    "instances.complex_doc": "emit_instance writes each stalk with it",
+    "instances._name_of": "emit_instance names each space, object and span with it",
+    "generate.wide_object": "the wide family of scripts/sweep_make_dual.py",
+    "generate.deep_object": "the deep family of scripts/sweep_make_dual.py",
+    "cli._verification_raised": "error path: a verification of a parsed file raised",
+    "chainalg.OnDemand.__repr__": "debugging aid: shows the entries built so far",
+    "finspan.FinOver.__hash__": "hash protocol of the value equality; traffic keys nothing by a space",
+    "sheafops.Sheaf.__hash__": "hash protocol of the value equality; traffic keys nothing by a sheaf",
+    "sheafops.ProductSheaf.stalks": "a tensor's stalks listed out at once; traffic reads them one at a time",
 }
 
 
@@ -83,32 +97,81 @@ def module_constants(path: Path, names: set[str]) -> dict[str, object]:
     return out
 
 
-def defined_names(source: str) -> list[str]:
-    """The functions and classes a module defines at its top level."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [node.name for node in ast.parse(source).body if isinstance(node, kinds)]
+def record_calls(run: Callable[[], object], modules: set[str]) -> set[str]:
+    """Run run() under sys.settrace; as "module.qualname", the functions of
+    the given modules that were called and their classes that were
+    instantiated, with every base of those classes in the given modules.
+    Only call events are traced, so this costs little more than the run."""
+    ran: set[str] = set()
+    made: set[type] = set()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code.co_flags & inspect.CO_OPTIMIZED and frame.f_globals.get("__name__") in modules:
+            ran.add(f"{frame.f_globals['__name__']}.{code.co_qualname}")  # not a class body
+        if code.co_name == "__init__" and code.co_argcount:
+            made.add(type(frame.f_locals[code.co_varnames[0]]))
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return ran | {f"{c.__module__}.{c.__qualname__}" for t in made for c in t.__mro__ if c.__module__ in modules}
 
 
-def referenced_names(source: str) -> set[str]:
-    """The names a module's code reads, bare or as attributes; a mention in
-    a docstring or a comment is no reference."""
-    out = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
-    return out
+def definitions(source: str) -> set[str]:
+    """The qualified names of the functions, methods and classes of a module."""
+    names = set()
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(prefix + child.name)
+                inner = "." if isinstance(child, ast.ClassDef) else ".<locals>."
+                visit(child, prefix + child.name + inner)
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return names
 
 
-def reference_violations(defined: set[str], referenced: set[str], statements: dict) -> dict:
-    """Defined names with no reference and no paper statement, statement
-    keys that are referenced after all, and keys no longer defined."""
+def traffic_violations(defined: set[str], ran: set[str], allowlist: dict) -> dict:
+    """Defined names that did not run and the allowlist does not name,
+    allowlisted names that ran, and allowlist entries naming nothing.  A
+    class ran if it was instantiated or one of its methods was called."""
+    unrun = {name for name in defined if name not in ran and not any(r.startswith(name + ".") for r in ran)}
     return {
-        "unreferenced": sorted(defined - referenced - set(statements)),
-        "referenced_keys": sorted(set(statements) & referenced),
-        "undefined_keys": sorted(set(statements) - defined),
+        "unrun": sorted(unrun - set(allowlist)),
+        "allowlisted_ran": sorted(set(allowlist) & (defined - unrun)),
+        "allowlisted_gone": sorted(set(allowlist) - defined),
     }
+
+
+def run_traffic(workdir: Path) -> dict[str, int]:
+    """Run the traffic through spantrace.cli.main, writing its report
+    under workdir and discarding the rest of its output; the exit code of
+    each command."""
+    cli = importlib.import_module("spantrace.cli")
+    codes = {}
+
+    def run(key: str, *argv: str) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            codes[key] = cli.main(list(argv))
+        return out.getvalue()
+
+    report = workdir / "fuzz_all.json"
+    report.write_text(run("fuzz", *FUZZ), encoding="utf-8")
+    for fmt in ("text", "json"):
+        run(f"report {fmt}", "report", "--format", fmt, str(report))
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        for command in ("check", "trace", "lv"):
+            run(f"{command} {fixture.name}", command, str(fixture))
+    return codes
 
 
 def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
@@ -165,34 +228,6 @@ def test_layout_checks_catch_violations():
     assert find_cycle({"a": {"a"}}) == ["a", "a"]
 
 
-def test_reference_check_catches_violations():
-    source = '''"""mentions lonely()"""
-
-def used():
-    return helper.attr  # lonely() again
-
-
-class Kept:
-    pass
-
-
-def lonely():
-    return used()
-'''
-    assert defined_names(source) == ["used", "Kept", "lonely"]
-    refs = referenced_names(source) | referenced_names("x = Kept()\n")
-    assert {"used", "helper", "attr", "Kept"} <= refs and "lonely" not in refs
-    defined = set(defined_names(source))
-    # an unreferenced function fails unless a paper statement names it
-    assert reference_violations(defined, refs, {})["unreferenced"] == ["lonely"]
-    assert reference_violations(defined, refs, {"lonely": "a fact"}) == {
-        "unreferenced": [], "referenced_keys": [], "undefined_keys": [],
-    }
-    # a key that gained a caller, or lost its definition, fails too
-    assert reference_violations(defined, refs, {"lonely": "", "used": ""})["referenced_keys"] == ["used"]
-    assert reference_violations(defined, refs, {"lonely": "", "gone": ""})["undefined_keys"] == ["gone"]
-
-
 def test_perfbench_traced_names_exist():
     consts = module_constants(LAYERS, {"TRACED", "CACHED"})
     missing = []
@@ -236,13 +271,74 @@ def test_perfbench_workloads_run_one_instance(monkeypatch):
     assert counts == {f"dualtrace.make_dual.n{obj.space.size}.incl_s": 0.25}
 
 
-def test_every_package_function_has_a_caller_or_states_the_paper():
-    defined = {name for m in MODULES for name in defined_names(_source(m))}
-    referenced = {qualname.split(".")[0] for _, qualname, _ in module_constants(LAYERS, {"TRACED"})["TRACED"]}
-    for directory in CALLERS:
-        for path in sorted((TESTS.parent / directory).rglob("*.py")):
-            referenced |= referenced_names(path.read_text(encoding="utf-8"))
-    assert reference_violations(defined, referenced, PAPER_STATEMENTS) == {
-        "unreferenced": [], "referenced_keys": [], "undefined_keys": [],
+PLANTED = """
+from dataclasses import dataclass
+def called(x):
+    return helper(x) + 1
+def helper(x):
+    def inner():
+        return x
+    return 2 * x
+def planted():
+    return 0
+class Kept:
+    def used(self):
+        return 1
+    def unused(self):
+        return 2
+@dataclass(frozen=True)
+class Made:
+    x: int
+class Sub(Made):
+    pass
+@dataclass(frozen=True)
+class Dead:
+    x: int
+"""
+
+
+def test_traffic_rule_catches_violations():
+    namespace = {"__name__": "planted"}
+    exec(compile(PLANTED, "<planted>", "exec"), namespace)
+    ran = record_calls(lambda: (namespace["called"](3), namespace["Kept"]().used(), namespace["Sub"](1)),
+                       {"planted"})
+    ran = {name.removeprefix("planted.") for name in ran}
+    defined = definitions(PLANTED)
+    assert defined == {"called", "helper", "helper.<locals>.inner", "planted", "Kept", "Kept.used",
+                       "Kept.unused", "Made", "Sub", "Dead"}
+    # a function never called is reported, and so is a nested one its caller
+    # never ran and a class never instantiated; a base of one made is not
+    unrun = ["Dead", "Kept.unused", "helper.<locals>.inner", "planted"]
+    assert traffic_violations(defined, ran, {})["unrun"] == unrun
+    allow = dict.fromkeys(unrun, "a reason")
+    assert traffic_violations(defined, ran, allow) == {
+        "unrun": [], "allowlisted_ran": [], "allowlisted_gone": [],
     }
-    assert len(PAPER_STATEMENTS) <= 8
+    # an allowlist entry that ran, or names nothing, fails too
+    assert traffic_violations(defined, ran, {**allow, "helper": ""})["allowlisted_ran"] == ["helper"]
+    assert traffic_violations(defined, ran, {**allow, "Made": ""})["allowlisted_ran"] == ["Made"]
+    assert traffic_violations(defined, ran, {**allow, "gone": ""})["allowlisted_gone"] == ["gone"]
+
+
+def test_traffic_runs_every_package_function_but_the_allowlist(tmp_path):
+    proc = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    # every command ran as in use: lv on the fixture without a diagram is an input error
+    assert doc["exit_codes"] == {key: 2 if key == "lv two_point.json" else 0 for key in doc["exit_codes"]}
+    assert len(doc["exit_codes"]) == 3 + 3 * len(list(FIXTURES.glob("*.json")))
+    defined = {f"{name}.{d}" for name in MODULES for d in definitions(_source(name))}
+    ran = {name.removeprefix("spantrace.") for name in doc["ran"]}
+    assert traffic_violations(defined, ran, TRAFFIC_ALLOWLIST) == {
+        "unrun": [], "allowlisted_ran": [], "allowlisted_gone": [],
+    }
+    assert len(TRAFFIC_ALLOWLIST) <= 15 and all(TRAFFIC_ALLOWLIST.values())
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(PACKAGE.parent))
+    exit_codes = {}
+    ran = record_calls(lambda: exit_codes.update(run_traffic(Path(sys.argv[1]))),
+                       {f"spantrace.{name}" for name in MODULES})
+    json.dump({"exit_codes": exit_codes, "ran": sorted(ran)}, sys.stdout)

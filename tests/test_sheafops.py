@@ -13,7 +13,6 @@ from spantrace.chainalg import (
     cx_dual,
     cx_tensor,
     make_complex,
-    sum_tensor_distribute,
     unit_complex,
 )
 from spantrace.finspan import (
@@ -38,6 +37,7 @@ from spantrace.sheafops import (
     unit_sheaf,
     verdier,
 )
+from statements import sum_tensor_distribute
 
 seeds = st.integers(0, 2**32 - 1)
 Z7 = Ring(7)
