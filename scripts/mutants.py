@@ -142,8 +142,13 @@ MUTANTS = [
      "self._compute(range(len(self._done))[i])", "self._compute(range(len(self._done))[i - 1])",
      "cells"),
     ("cc_tensor pairs (g, h) as (h, g)", "corrcat.py",
-     "key = a.map_at(pairs[i][0]), b.map_at(pairs[i][1])",
-     "key = b.map_at(pairs[i][1]), a.map_at(pairs[i][0])", "cells"),
+     "f, g = a.map_at(pairs[i][0]), b.map_at(pairs[i][1])",
+     "f, g = b.map_at(pairs[i][1]), a.map_at(pairs[i][0])", "cells"),
+    ("cc_tensor's memo key ignores the maps' targets", "corrcat.py",
+     "key = (f.source.key, f.target.key, f.components), (g.source.key, g.target.key, g.components)",
+     "key = (f.source.key, f.components), (g.source.key, g.components)", "cells"),
+    ("a tensor's key drops its right factor", "chainalg.py",
+     'object.__setattr__(t, "_key", (a.key, b.key))', 'object.__setattr__(t, "_key", a.key)', "kernels"),
     ("a relabeling on the right skips its eager check", "corrcat.py",
      "            b.check(y, z, image=True)", "            pass", "cells"),
     ("a relabeling on the left skips its eager check", "corrcat.py",

@@ -30,7 +30,9 @@ at once and builds each differential when first read.  So the rank-r^3
 tensors that duality's triangle certificates pass through, of which only
 components of maps are read, stay unbuilt.  Products and tensors of
 permutations are dense, with no record.  Equality and hashes are by value,
-and an object equals itself without reading anything.
+and an object equals itself without reading anything.  Hashing a tensor
+builds its differentials, so the kernel caches key a tensor by its
+factors (Complex.key) and a lookup hashes only eager complexes.
 """
 
 from __future__ import annotations
@@ -368,6 +370,11 @@ class Complex:
     positive (zero matrices included, so equality of complexes is plain
     structural equality).  cx_tensor's is an OnDemand: each differential is
     built and checked when first read.
+
+    `key` says how it was built: a tensor's is the pair of its factors'
+    keys, any other complex is its own.  Equal keys mean equal values, so
+    the kernel caches key a tensor by its factors and never hash its
+    differentials; complexes equal in value but built otherwise just miss.
     """
 
     ring: Ring
@@ -376,6 +383,7 @@ class Complex:
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
     _rank: dict = field(default=None, init=False, compare=False, repr=False)
     _at: dict = field(default=None, init=False, compare=False, repr=False)
+    _key: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rank = dict(self.ranks)
@@ -398,6 +406,10 @@ class Complex:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.ring, self.ranks, self.diff)))
         return self._hash
+
+    @property
+    def key(self) -> Complex | tuple:
+        return self if self._key is None else self._key
 
     def rank(self, n: int) -> int:
         return self._rank.get(n, 0)
@@ -463,9 +475,23 @@ def tensor_layout(a_ranks: tuple, b_ranks: tuple) -> tuple[dict, dict]:
     return {n: ranks[n] for n in degrees}, {n: offsets[n] for n in degrees}
 
 
-@lru_cache(maxsize=4096)
 def cx_tensor(a: Complex, b: Complex) -> Complex:
-    """The tensor complex: its ranks at once, each differential when first read."""
+    """The tensor complex, cached by its factors' keys."""
+    return _tensor_by_key(a.key, b.key)
+
+
+@lru_cache(maxsize=4096)
+def _tensor_by_key(ka: Complex | tuple, kb: Complex | tuple) -> Complex:
+    # a tensor factor is looked up again by its key, so it is the one cached
+    a, b = (k if isinstance(k, Complex) else _tensor_by_key(*k) for k in (ka, kb))
+    return tensor_complex(a, b)
+
+
+cx_tensor.cache_info, cx_tensor.cache_clear = _tensor_by_key.cache_info, _tensor_by_key.cache_clear
+
+
+def tensor_complex(a: Complex, b: Complex) -> Complex:
+    """cx_tensor uncached: its ranks at once, each differential when first read."""
     ring = _same_ring(a, b)
     if a.ranks == ((0, 1),) or b.ranks == ((0, 1),):  # the unit: 1 (x) b is b, basis and all
         return b if a.ranks == ((0, 1),) else a
@@ -484,7 +510,9 @@ def cx_tensor(a: Complex, b: Complex) -> Complex:
                             mat_scale(-1 if p % 2 else 1, b.d(q)))
         return _checked_diff(ring, ranks, n, _grid_matrix(ring, grid, ranks[n]))
 
-    return Complex(ring, tuple(ranks.items()), OnDemand(len(stored), build))
+    t = Complex(ring, tuple(ranks.items()), OnDemand(len(stored), build))
+    object.__setattr__(t, "_key", (a.key, b.key))
+    return t
 
 
 @lru_cache(maxsize=4096)

@@ -166,12 +166,13 @@ def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
     src = obj_tensor(a.source, b.source)
     tgt = obj_tensor(a.target, b.target)
     pairs = span.apex.elements
-    tensors = {}  # once per distinct pair of components
+    tensors = {}  # once per distinct pair of components, keyed so as to hash no tensor complex
 
     def component(i: int) -> ChainMap:
-        key = a.map_at(pairs[i][0]), b.map_at(pairs[i][1])
+        f, g = a.map_at(pairs[i][0]), b.map_at(pairs[i][1])
+        key = (f.source.key, f.target.key, f.components), (g.source.key, g.target.key, g.components)
         if key not in tensors:
-            tensors[key] = map_tensor(*key)
+            tensors[key] = map_tensor(f, g)
         return tensors[key]
 
     return CCMorphism(src, tgt, span, OnDemand(len(pairs), component))

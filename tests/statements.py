@@ -9,7 +9,8 @@ the Lefschetz-Verdier diagram splits through the pushforward; a morphism
 of dualizable objects has a dual (its mate), contravariantly functorial;
 the trace of an identity is the pointwise Euler characteristic; the
 tensor product distributes over direct sums; pullback along a base change
-is symmetric monoidal.
+is symmetric monoidal.  Also here: the small complex and the exhaustive
+lift search that several test modules share.
 """
 
 import itertools
@@ -18,17 +19,24 @@ from dataclasses import dataclass
 from functools import reduce
 
 from spantrace.basefunc import BaseChange, pull_object
-from spantrace.chainalg import (ChainMap, Complex, Ring, cx_direct_sum, cx_tensor, make_chain_map, map_add,
-                                map_compose, map_direct_sum, map_identity, map_tensor, mat_scale)
+from spantrace.chainalg import (ZZ, ChainMap, Complex, Ring, cx_direct_sum, cx_tensor, make_chain_map,
+                                make_complex, map_add, map_compose, map_direct_sum, map_identity, map_tensor,
+                                mat_scale)
 from spantrace.corrcat import (CCCell, CCMorphism, CCRelabel, cc_assoc, cc_cell_check, cc_compose,
                                cc_compose_many, cc_identity, cc_invert, cc_tensor, left_unitor,
-                               obj_tensor, right_unitor, shriek_push)
+                               make_cc_morphism, obj_tensor, right_unitor, shriek_push)
 from spantrace.dualtrace import DualityData, PushRectangles, make_dual, trace
 from spantrace.finspan import Label, OverMap, Span, make_over_map, om_compose, om_identity
+from spantrace.generate import GenParams, random_lv_instance
 from spantrace.sheafops import OmegaClass, Sheaf, push
 
 # ---------------------------------------------------------------------------
 # chain maps
+
+
+def q_complex(ring: Ring = ZZ) -> Complex:
+    """Z --2--> Z in degrees 0 and 1: over Z its homology is Z/2 in degree 1."""
+    return make_complex(ring, {0: 1, 1: 1}, {0: [[2]]})
 
 
 def map_scale(c: int, f: ChainMap) -> ChainMap:
@@ -250,6 +258,49 @@ def chain_candidates_mod2(src: Complex, tgt: Complex) -> list[ChainMap] | None:
         except ValueError:
             pass
     return out
+
+
+def exhaustive_unique_lifts(params: GenParams, seeds: Sequence[int], enough: int) -> int:
+    """Instances, up to enough, on which every chain map over Z/2 at each
+    lower apex point was tried and only the pushforward passes."""
+    exhaustive = 0
+    for seed in seeds:
+        if exhaustive >= enough:
+            break
+        rect = random_lv_instance(seed, params).lv
+        pushed, passes = lift_test(rect)
+        assert passes(pushed), seed
+        if not rect.cp.apex.elements:
+            continue
+        per_point = []
+        for gp in rect.cp.apex.elements:
+            cands = chain_candidates_mod2(
+                pushed.source.stalk(rect.cp.left(gp)),
+                pushed.target.stalk(rect.cp.right(gp)),
+            )
+            if cands is None:
+                per_point = None
+                break
+            per_point.append(cands)
+        if per_point is None:
+            continue
+        total = 1
+        for c in per_point:
+            total *= len(c)
+        if not (1 < total <= 4096):
+            continue
+        matches = 0
+        for combo in itertools.product(*per_point):
+            cand = make_cc_morphism(
+                pushed.source, pushed.target, rect.cp,
+                dict(zip(rect.cp.apex.elements, combo)),
+            )
+            if passes(cand):
+                matches += 1
+                assert cand == pushed
+        assert matches == 1, seed
+        exhaustive += 1
+    return exhaustive
 
 
 # ---------------------------------------------------------------------------

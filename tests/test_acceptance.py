@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v` for one pass/fail line per
 criterion; each test also prints its own summary line.
 """
 
-import itertools
 import json
 import os
 import random
@@ -42,7 +41,7 @@ from spantrace.generate import (
 from spantrace.instances import emit_instance, parse_instance
 from spantrace.sheafops import omega_push, push, verdier
 from spantrace.suites import report_doc, run_suite
-from statements import chain_candidates_mod2, char_class, lift_test
+from statements import char_class, exhaustive_unique_lifts, lift_test
 
 DEFAULTS = GenParams()  # sets <= 4, ranks <= 3, degrees in [-2, 2], moduli {0, 7}
 
@@ -193,55 +192,12 @@ def test_criterion_8_homotopy_invariance_200():
     print(f"criterion 8: PASS ({checked} perturbations, {attempts} attempts)")
 
 
-def _exhaustive_unique_lifts(params, seeds, enough):
-    """Instances, up to enough, on which every chain map over Z/2 at each
-    lower apex point was tried and only the pushforward passes."""
-    exhaustive = 0
-    for seed in seeds:
-        if exhaustive >= enough:
-            break
-        rect = random_lv_instance(seed, params).lv
-        pushed, passes = lift_test(rect)
-        assert passes(pushed), seed
-        if not rect.cp.apex.elements:
-            continue
-        per_point = []
-        for gp in rect.cp.apex.elements:
-            cands = chain_candidates_mod2(
-                pushed.source.stalk(rect.cp.left(gp)),
-                pushed.target.stalk(rect.cp.right(gp)),
-            )
-            if cands is None:
-                per_point = None
-                break
-            per_point.append(cands)
-        if per_point is None:
-            continue
-        total = 1
-        for c in per_point:
-            total *= len(c)
-        if not (1 < total <= 4096):
-            continue
-        matches = 0
-        for combo in itertools.product(*per_point):
-            cand = make_cc_morphism(
-                pushed.source, pushed.target, rect.cp,
-                dict(zip(rect.cp.apex.elements, combo)),
-            )
-            if passes(cand):
-                matches += 1
-                assert cand == pushed
-        assert matches == 1, seed
-        exhaustive += 1
-    return exhaustive
-
-
 def test_criterion_9_pushforward_unique_lift():
     """On small instances the pushforward is the unique morphism over the
     lower span through which the rectangle is a 2-cell: exhaustively over
     Z/2, and by single-entry perturbation over Z."""
     small = GenParams(max_set=3, max_rank=2, deg_min=0, deg_max=1, modulus=2)
-    exhaustive = _exhaustive_unique_lifts(small, range(200), 12)
+    exhaustive = exhaustive_unique_lifts(small, range(200), 12)
     assert exhaustive >= 12
 
     # over Z: flipping any single stored entry of the pushforward breaks the cell

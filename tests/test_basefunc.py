@@ -15,7 +15,7 @@ from spantrace.basefunc import (
     pull_omega,
     push2_strict,
 )
-from spantrace.chainalg import Ring, ZZ, make_complex
+from spantrace.chainalg import Ring, ZZ
 from spantrace.corrcat import cc_compose, cc_invert, cc_tensor
 from spantrace.dualtrace import make_dual
 from spantrace.finspan import make_fin_over
@@ -30,13 +30,9 @@ from spantrace.generate import (
     random_span,
 )
 from spantrace.sheafops import make_sheaf
-from statements import cc_iso_search, char_class, monoidal_structure
+from statements import cc_iso_search, char_class, monoidal_structure, q_complex
 
 seeds = st.integers(0, 2**32 - 1)
-
-
-def q_complex():
-    return make_complex(ZZ, {0: 1, 1: 1}, {0: [[2]]})
 
 
 def test_pull_object_examples():

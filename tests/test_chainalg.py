@@ -37,11 +37,12 @@ from spantrace.chainalg import (
     mat_transpose,
     mat_zero,
     swap_map,
+    tensor_complex,
     tensor_layout,
     unit_complex,
 )
 from spantrace.generate import GenParams, deep_object, random_chain_map, random_complex
-from statements import map_scale, sum_tensor_distribute
+from statements import map_scale, q_complex, sum_tensor_distribute
 
 Z7 = Ring(7)
 
@@ -293,10 +294,6 @@ def test_trace_cyclic(seed):
 
 # ---------------------------------------------------------------------------
 # complexes
-
-
-def q_complex(ring=ZZ):
-    return make_complex(ring, {0: 1, 1: 1}, {0: [[2]]})
 
 
 def test_cx_validate_examples():
@@ -699,7 +696,8 @@ def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
     """cx_tensor builds a differential, and a permutation its rows, only when
     read; read in any order, or compared or hashed first, they agree with
     the eager constructions of the oracles above.  Fresh objects throughout
-    (__wrapped__), since the cached ones may have been read already."""
+    (tensor_complex, the uncached builder, and the structure maps'
+    __wrapped__), since the cached ones may have been read already."""
     rng = random.Random(seed)
     for m in (0, 7, 2, 1):
         ring = Ring(m)
@@ -707,9 +705,9 @@ def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
         one = unit_complex(ring)
         while a.ranks == one.ranks or b.ranks == one.ranks:
             a, b = big_complex(rng, ring), big_complex(rng, ring)
-        assert cx_tensor.__wrapped__(one, a) is a and cx_tensor.__wrapped__(b, one) is b
+        assert tensor_complex(one, a) is a and tensor_complex(b, one) is b
         eager = tensor_oracle(a, b)
-        t = cx_tensor.__wrapped__(a, b)
+        t = tensor_complex(a, b)
         assert t.ranks == eager.ranks and unread(t.diff) == len(t.diff) == len(eager.diff)
         assert t == t and unread(t.diff) == len(t.diff)  # itself, without reading
         degrees = [n for n, _ in eager.diff]
@@ -718,12 +716,12 @@ def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
             assert unread(t.diff)
             assert_same_matrix(t.d(n), eager.d(n))
         assert unread(t.diff) == 0
-        for lazy in (t, cx_tensor.__wrapped__(a, b)):
+        for lazy in (t, tensor_complex(a, b)):
             assert_same_value(lazy, eager, rng)
-        assert cx_tensor.__wrapped__(a, b) == cx_tensor.__wrapped__(a, b)
+        assert tensor_complex(a, b) == tensor_complex(a, b)
         bad = perturbed(eager, rng)
         if bad is not None:
-            fresh = cx_tensor.__wrapped__(a, b)
+            fresh = tensor_complex(a, b)
             assert fresh != bad and bad != fresh and t != bad
         # permutations keep their record and no rows until read; over Z/1
         # they are zero, with no record
@@ -740,6 +738,32 @@ def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
             assert (p._perm is None) == (m == 1) and ("entries" in vars(p)) == (m == 1)
             assert_same_value(p, mat(ring, grid, cols=p.cols), rng)
             assert_normalised(p)
+
+
+def test_tensor_cache_is_keyed_by_the_factors():
+    """An eager complex is its own key and a tensor's is the pair of its
+    factors' keys.  cx_tensor is cached by them: distinct factors equal in
+    value share one entry, a lookup builds no differential, and a nested
+    tensor rebuilt after cache_clear equals the first by value and by key."""
+    rng = random.Random(19)
+    for ring in (ZZ, Z7, Ring(2)):
+        cx_tensor.cache_clear()  # nothing an earlier test built or read
+        a, b = big_complex(rng, ring), big_complex(rng, ring)
+        c = seeded_complex(rng.getrandbits(32), ring.modulus)
+        a2, b2 = (make_complex(ring, dict(x.ranks), dict(x.diff)) for x in (a, b))
+        assert a2 is not a and a2 == a and a.key is a and a2.key is a2
+        bc = cx_tensor(b, c)
+        assert bc.key == (b, c) and cx_tensor(b2, c) is bc
+        misses = cx_tensor.cache_info().misses
+        nested = cx_tensor(a, bc)
+        assert nested.key == (a, (b, c)) and cx_tensor(a2, cx_tensor(b2, c)) is nested
+        assert cx_tensor.cache_info().misses == misses + 1
+        assert unread(nested.diff) == len(nested.diff) and unread(bc.diff) == len(bc.diff)
+        assert nested == tensor_oracle(a, tensor_oracle(b, c))
+        cx_tensor.cache_clear()
+        assert cx_tensor.cache_info().currsize == 0
+        again = cx_tensor(a, cx_tensor(b, c))
+        assert again is not nested and again.key == nested.key and again == nested
 
 
 def test_mat_transpose_keeps_shapes():

@@ -2,7 +2,6 @@
 assembly and its uniqueness, the pushforward adjunction."""
 
 import gc
-import itertools
 import random
 import weakref
 from pathlib import Path
@@ -84,15 +83,15 @@ from statements import (
     adjunction_triangles,
     adjunction_unit,
     cc_iso_search,
-    chain_candidates_mod2,
+    exhaustive_unique_lifts,
     f_conatural,
     f_natural,
     inclusion_map,
-    lift_test,
     make_cc_cell,
     map_scale,
     monoidal_structure,
     projection_map,
+    q_complex,
     triangle_composite_is_identity,
 )
 
@@ -148,6 +147,28 @@ def test_cc_tensor_examples():
     assert t.map_at(t.span.apex.elements[0]).component(0) == mat(ZZ, [[2]])
     t2 = cc_tensor(loop_morphism(a, 2), loop_morphism(a, 3))
     assert t2.map_at(t2.span.apex.elements[0]).component(0) == mat(ZZ, [[6]])
+
+
+def test_cc_tensor_shares_one_map_tensor_per_pair_of_maps_by_value():
+    """cc_tensor's memo keys a component by its maps' source and target keys
+    and components: maps equal in value share one map_tensor, while zero
+    maps with the same source and components into different targets each
+    get their own."""
+    base = ("z",)
+    one = unit_object(ZZ, base)
+    x = make_fin_over(base, ("x0", "x1"), {"x0": "z", "x1": "z"})
+    a = make_sheaf(ZZ, x, {"x0": q_complex(), "x1": make_complex(ZZ, {0: 1, 1: 1}, {0: [[0]]})})
+    apex = make_fin_over(base, ("g0", "g1", "g2"), dict.fromkeys(("g0", "g1", "g2"), "z"))
+    span = Span(OverMap(apex, one.space, apex.anchor),
+                make_over_map(apex, x, {"g0": "x0", "g1": "x1", "g2": "x0"}))
+    u = make_cc_morphism(one, a, span, {g: make_chain_map(unit_complex(ZZ), a.stalk(span.right(g)), {})
+                                        for g in apex.elements})
+    assert u.maps[0] is not u.maps[2] and u.maps[0] == u.maps[2]
+    t = cc_tensor(u, cc_identity(one))
+    pairs = t.span.apex.elements
+    assert [t.target.stalk(t.span.right(e)) for e in pairs] == [f.target for f in t.maps]
+    assert list(t.maps) == [map_tensor(u.map_at(g), map_identity(one.stalk(h))) for g, h in pairs]
+    assert t.maps[0] is t.maps[2] and t.maps[1].target != t.maps[0].target
 
 
 def test_cc_cell_check_examples():
@@ -374,41 +395,7 @@ def test_shriek_push_unique_lift_exhaustive():
     """Over Z/2 with tiny shapes, the pushforward is the one and only
     morphism over the lower span through which the rectangle is a 2-cell."""
     params = GenParams(max_set=2, max_rank=1, deg_min=0, deg_max=1, modulus=2)
-    tested = 0
-    for seed in range(40):
-        rect = random_lv_instance(seed, params).lv
-        pushed, passes = lift_test(rect)
-        assert passes(pushed), seed
-
-        per_point = []
-        for gp in rect.cp.apex.elements:
-            cands = chain_candidates_mod2(
-                pushed.source.stalk(rect.cp.left(gp)),
-                pushed.target.stalk(rect.cp.right(gp)),
-            )
-            if cands is None:
-                per_point = None
-                break
-            per_point.append(cands)
-        if per_point is None or not rect.cp.apex.elements:
-            continue
-        total = 1
-        for c in per_point:
-            total *= len(c)
-        if total > 4096:
-            continue
-        tested += 1
-        matches = 0
-        for combo in itertools.product(*per_point):
-            cand = make_cc_morphism(
-                pushed.source, pushed.target, rect.cp,
-                dict(zip(rect.cp.apex.elements, combo)),
-            )
-            if passes(cand):
-                matches += 1
-                assert cand == pushed
-        assert matches == 1, seed
-    assert tested >= 5
+    assert exhaustive_unique_lifts(params, range(40), 40) >= 5
 
 
 @given(seeds)

@@ -68,13 +68,10 @@ from spantrace.generate import (
     wide_object,
 )
 from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
-from statements import cc_iso_search, char_class, dual_of_morphism, map_scale, proper_splitting
+from statements import (cc_iso_search, char_class, dual_of_morphism, map_scale, proper_splitting,
+                        q_complex)
 
 seeds = st.integers(0, 2**32 - 1)
-
-
-def q_complex(ring=ZZ):
-    return make_complex(ring, {0: 1, 1: 1}, {0: [[2]]})
 
 
 def point_object(n=1, ring=ZZ):
@@ -262,14 +259,18 @@ def test_mate_squares_commute(seed):
 # pairings and traces
 
 
+def clear_kernel_caches():
+    for fn in vars(chainalg).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
     """Each triangle composite keeps n of the n^2 apex elements of each of
     its two tensors with an identity, and only those components are
     built: map_tensor runs 4n times, not once per apex pair (4n^2)."""
-    for fn in vars(chainalg).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
+    clear_kernel_caches()
     calls = []
 
     def counted(f, g):
@@ -279,6 +280,22 @@ def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
     monkeypatch.setattr(corrcat, "map_tensor", counted)
     make_dual(wide_object(ZZ, n))
     assert len(calls) == 4 * n
+
+
+def test_make_dual_tensors_each_distinct_pair_of_maps_once(monkeypatch):
+    """wide_object(ZZ, 12) repeats its pool of six stalks, so each of the
+    four tensors with an identity builds one map_tensor per distinct stalk:
+    24 calls for 48 components read."""
+    clear_kernel_caches()
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return map_tensor(f, g)
+
+    monkeypatch.setattr(corrcat, "map_tensor", counted)
+    make_dual(wide_object(ZZ, 12))
+    assert len(calls) == 4 * 6
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -356,15 +373,82 @@ def test_a_relabeling_failing_at_a_repeated_hit_raises_when_composed():
         cc_compose(out_of, stalks)
 
 
+@pytest.mark.parametrize("modulus", [0, 7])
+@pytest.mark.parametrize("r", [4, 8, 16])
+def test_make_dual_builds_only_the_differentials_its_chain_map_checks_read(r, modulus, monkeypatch):
+    """The kernel caches key a tensor by its factors, so no cache lookup
+    builds a differential to hash it: of every tensor differential, make_dual
+    builds just the two that the chain-map checks of ev_map and coev_map
+    read."""
+    clear_kernel_caches()
+    built = []
+
+    class Counted(chainalg.OnDemand):
+        def __init__(self, n, compute):
+            super().__init__(n, lambda i: built.append(i) or compute(i))
+
+    monkeypatch.setattr(chainalg, "OnDemand", Counted)
+    make_dual(deep_object(Ring(modulus), r))
+    clear_kernel_caches()  # no counted tensor outlives the test in a cache
+    assert len(built) == 2
+
+
+def deep_pair(ring):
+    """u : A -> B and v back on two-point spaces whose stalks have total
+    rank 6 and 7, the shape of the pair_deep benchmark workload: three apex
+    elements each way, scaled identities where the feet share a stalk and
+    zero maps elsewhere."""
+    stalks = [deep_object(ring, r).stalks[0] for r in (6, 7)]
+    a, b = (make_sheaf(ring, make_fin_over(("b",), (f"{p}0", f"{p}1"), {f"{p}{i}": "b" for i in range(2)}),
+                       {f"{p}{i}": stalks[i] for i in range(2)}) for p in "xy")
+
+    def morphism(src, tgt, name, feet):
+        elements = tuple(f"{name}{k}" for k in range(3))
+        apex = make_fin_over(("b",), elements, dict.fromkeys(elements, "b"))
+        span = Span(make_over_map(apex, src.space, dict(zip(elements, (f for f, _ in feet)))),
+                    make_over_map(apex, tgt.space, dict(zip(elements, (t for _, t in feet)))))
+        maps = {}
+        for k, (g, (f, t)) in enumerate(zip(elements, feet)):
+            s, c = src.stalk(f), tgt.stalk(t)
+            maps[g] = map_scale(k + 2, map_identity(s)) if s == c else make_chain_map(s, c, {})
+        return make_cc_morphism(src, tgt, span, maps)
+
+    u = morphism(a, b, "c", [("x0", "y0"), ("x1", "y1"), ("x0", "y1")])
+    v = morphism(b, a, "d", [("y0", "x0"), ("y1", "x1"), ("y1", "x1")])
+    return a, b, u, v
+
+
+def test_make_dual_trace_and_pairing_hash_no_on_demand_sequence(monkeypatch):
+    """Keyed by construction, the traffic of make_dual, trace and pairing
+    on a deep object and on a pair_deep-shaped pair never hashes an
+    OnDemand, neither a tensor's differentials nor a morphism's components,
+    and still agrees with the pointwise oracle."""
+    clear_kernel_caches()
+
+    def unhashable(self):
+        raise AssertionError("an OnDemand was hashed")
+
+    monkeypatch.setattr(chainalg.OnDemand, "__hash__", unhashable)
+    for ring in (ZZ, Ring(7)):
+        obj = deep_object(ring, 7)
+        dx = make_dual(obj)
+        stalk = obj.stalks[0]  # Euler characteristic 1
+        e = make_cc_morphism(obj, obj, identity_span(obj.space), {"x0": map_scale(3, map_identity(stalk))})
+        assert trace(e, dx).omega.values == (3,)
+        a, b, u, v = deep_pair(ring)
+        da, db = make_dual(a), make_dual(b)
+        uv, vu = pairing(u, v, da).omega, pairing(v, u, db).omega
+        assert uv == local_pairing(u, v) and vu == local_pairing(v, u)
+        assert any(uv.values) and any(vu.values)
+
+
 @pytest.mark.parametrize("r", [4, 6, 8])
 def test_make_dual_builds_no_rank_r3_differential_or_reassociation_rows(r, monkeypatch):
     """The triangle composites pass through (a (x) a*) (x) a and a (x) (a* (x)
     a), of rank r^3 for a stalk of total rank r, but read only components
     of maps between them: no differential of such a tensor is built, and no
     reassociation permutation builds its dense rows."""
-    for fn in vars(chainalg).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
+    clear_kernel_caches()
     tensors, assocs = [], []
 
     def recorded(fn, out):

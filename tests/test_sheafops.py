@@ -37,14 +37,10 @@ from spantrace.sheafops import (
     unit_sheaf,
     verdier,
 )
-from statements import sum_tensor_distribute
+from statements import q_complex, sum_tensor_distribute
 
 seeds = st.integers(0, 2**32 - 1)
 Z7 = Ring(7)
-
-
-def q_complex(ring=ZZ):
-    return make_complex(ring, {0: 1, 1: 1}, {0: [[2]]})
 
 
 def small_setup():
