@@ -88,8 +88,12 @@ MUTANTS = [
     ("alt_trace drops the sign of odd degrees", "chainalg.py",
      "total += t if n % 2 == 0 else -t", "total += t", "pairing"),
     ("map_compose swaps its factors", "chainalg.py",
-     "n: mat_mul(g.component(n), f.component(n))", "n: mat_mul(f.component(n), g.component(n))",
+     "(n, mat_mul(g.component(n), f.component(n)))", "(n, mat_mul(f.component(n), g.component(n)))",
      "kernels"),
+    ("ChainMap skips its degree check", "chainalg.py",
+     "if degrees != [n for n in src if n in tgt]:", "if False:", "kernels"),
+    ("make_complex keeps a stray differential", "chainalg.py",
+     "if degrees != list(at):", "if False:", "kernels"),
     ("swap_map drops the Koszul sign", "chainalg.py",
      "signs[to:to + ra * rb] = [ring.norm(-1)] * (ra * rb)",
      "signs[to:to + ra * rb] = [ring.norm(1)] * (ra * rb)", "kernels"),

@@ -17,6 +17,13 @@ ascending, each with the row-major basis (i, j) -> i * rank_b(q) + j.
 pass, once per pair of rank profiles; cx_tensor, map_tensor and the
 structure maps read it rather than rescan the ranks.
 
+Each invariant is checked once, where its value is built.  A constructor
+checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
+ring of their blocks.  The make_* helpers convert raw input (rows through
+`mat`, an absent block zero) and check the identities: d.d = 0 in
+sheafops.make_sheaf, commutation in make_chain_map.  The kernels build
+through the constructors; only their matrices skip Matrix's scan.
+
 Matrix entries are always normalised.  `mat` is the normalising entry point
 for matrices from outside (the parser, the generator, tests); the kernels
 place their already normalised entries into a zero grid or, through
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -119,20 +126,11 @@ class Matrix:
 
 
 def mat(ring: Ring, rows: Sequence[Sequence[int]], cols: int | None = None) -> Matrix:
-    nrows = len(rows)
-    if nrows == 0:
-        if cols is None:
-            cols = 0
-        return Matrix(ring, 0, cols, ())
-    ncols = len(rows[0])
-    if cols is not None and cols != ncols:
-        raise ValueError(f"expected {cols} columns, got {ncols}")
-    ent = []
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged rows")
-        ent.append(tuple(ring.norm(x) for x in r))
-    return Matrix(ring, nrows, ncols, tuple(ent))
+    """The matrix of raw rows, entries normalised; Matrix checks the shape.
+    cols defaults to the length of the first row, or 0 with no rows."""
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    return Matrix(ring, len(rows), cols, tuple(tuple(map(ring.norm, r)) for r in rows))
 
 
 def _kernel_matrix(ring: Ring, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> Matrix:
@@ -300,18 +298,29 @@ def _offsets(parts: Sequence[int]) -> list[int]:
     return out
 
 
-def _stored_block(
-    ring: Ring, m: Matrix | Sequence[Sequence[int]] | None, rows: int, cols: int, what: str, n: int
-) -> Matrix:
-    """The degree-n block of a complex, chain map or homotopy: raw rows go
-    through mat(), an absent block is zero, and shape and ring are checked."""
-    if m is None:
-        return mat_zero(ring, rows, cols)
-    if not isinstance(m, Matrix):
-        m = mat(ring, m, cols=cols)
+Blocks = Union[Matrix, Sequence[Sequence[int]], None]  # a block as given: a matrix, raw rows, or absent
+
+
+def _filled(ring: Ring, blocks: Mapping[int, Blocks], shapes: Mapping[int, tuple[int, int]]) -> tuple:
+    """(n, block) at each degree of shapes and of blocks, ascending: raw rows
+    go through mat(), a block absent at a degree of shapes is zero of its
+    shape.  The constructor they are for checks their degrees and shapes."""
+    out = []
+    for n in sorted({*shapes, *blocks}):
+        m, (rows, cols) = blocks.get(n), shapes.get(n, (0, 0))
+        if m is None:
+            m = mat_zero(ring, rows, cols)
+        elif not isinstance(m, Matrix):
+            m = mat(ring, m, None if m else cols)
+        out.append((n, m))
+    return tuple(out)
+
+
+def _checked_block(ring: Ring, m: Matrix, rows: int, cols: int, what: str, n: int) -> Matrix:
+    """m, once checked to be the rows x cols block at degree n over ring."""
     if (m.rows, m.cols) != (rows, cols):
         raise ValueError(f"{what} at degree {n} has shape {m.rows}x{m.cols}, expected {rows}x{cols}")
-    if m.ring is not ring and m.ring != ring:  # identity first: this runs per stored block
+    if m.ring is not ring and m.ring != ring:  # identity first: this runs per block
         raise ValueError(f"ring mismatch in {what} at degree {n}")
     return m
 
@@ -399,7 +408,7 @@ class Complex:
             if degrees != list(at):
                 raise ValueError(f"differentials at degrees {degrees} for ranks {self.ranks}")
             for n, m in self.diff:
-                _checked_diff(self.ring, rank, n, m)
+                _checked_block(self.ring, m, rank[n + 1], rank[n], "differential", n)
 
     def __hash__(self) -> int:
         # cached as for Matrix
@@ -421,29 +430,12 @@ class Complex:
         return self.diff[i][1]
 
 
-def _checked_diff(ring: Ring, rank: Mapping[int, int], n: int, m: Matrix) -> tuple[int, Matrix]:
-    """(n, m), once m is checked to be the differential's shape over ring."""
-    up, r = rank[n + 1], rank[n]
-    if (m.rows, m.cols) != (up, r) or m.ring is not ring and m.ring != ring:
-        raise ValueError(f"the differential at degree {n} must be a {up}x{r} matrix over {ring}")
-    return n, m
-
-
-def make_complex(
-    ring: Ring,
-    ranks: Mapping[int, int],
-    diff: Mapping[int, Matrix | Sequence[Sequence[int]]] | None = None,
-) -> Complex:
+def make_complex(ring: Ring, ranks: Mapping[int, int], diff: Mapping[int, Blocks] | None = None) -> Complex:
+    """The complex of the nonzero ranks; an absent differential is zero."""
     rk = tuple(sorted((int(n), r) for n, r in ranks.items() if r != 0))
-    rank_of = dict(rk)
-    stored = []
-    diff = diff or {}
-    for n, r in rk:
-        r_up = rank_of.get(n + 1, 0)
-        if r_up == 0:
-            continue
-        stored.append((n, _stored_block(ring, diff.get(n), r_up, r, "differential", n)))
-    return Complex(ring, rk, tuple(stored))
+    rank = dict(rk)
+    shapes = {n: (rank[n + 1], r) for n, r in rk if n + 1 in rank}
+    return Complex(ring, rk, _filled(ring, diff or {}, shapes))
 
 
 @lru_cache(maxsize=64)
@@ -508,7 +500,8 @@ def tensor_complex(a: Complex, b: Complex) -> Complex:
             if (p, q + 1) in tgt_off:  # (-1)^p 1 (x) d_b
                 _place_kron(grid, tgt_off[(p, q + 1)], co, mat_identity(ring, a.rank(p)),
                             mat_scale(-1 if p % 2 else 1, b.d(q)))
-        return _checked_diff(ring, ranks, n, _grid_matrix(ring, grid, ranks[n]))
+        d = _grid_matrix(ring, grid, ranks[n])
+        return n, _checked_block(ring, d, ranks[n + 1], ranks[n], "differential", n)
 
     t = Complex(ring, tuple(ranks.items()), OnDemand(len(stored), build))
     object.__setattr__(t, "_key", (a.key, b.key))
@@ -552,11 +545,22 @@ def cx_direct_sum(parts: Sequence[Complex], ring: Ring) -> Complex:
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Degree-zero map of complexes commuting with the differentials."""
+    """Degree-zero map of complexes commuting with the differentials.
+
+    components holds (n, f^n) for every degree n where both source and target
+    have positive rank, by degree; make_chain_map checks commutation."""
 
     source: Complex
     target: Complex
     components: tuple[tuple[int, Matrix], ...]
+
+    def __post_init__(self) -> None:
+        ring, src, tgt = _same_ring(self.source, self.target), self.source._rank, self.target._rank
+        degrees = [n for n, _ in self.components]
+        if degrees != [n for n in src if n in tgt]:
+            raise ValueError(f"components at degrees {degrees} for ranks {self.source.ranks} -> {self.target.ranks}")
+        for n, m in self.components:
+            _checked_block(ring, m, tgt[n], src[n], "component", n)
 
     def component(self, n: int) -> Matrix:
         for d, m in self.components:
@@ -565,55 +569,33 @@ class ChainMap:
         return mat_zero(self.source.ring, self.target.rank(n), self.source.rank(n))
 
 
-def make_chain_map(
-    source: Complex,
-    target: Complex,
-    components: Mapping[int, Matrix | Sequence[Sequence[int]]] | None = None,
-    check: bool = True,
-) -> ChainMap:
-    if source.ring != target.ring:
-        raise ValueError("ring mismatch")
-    ring = source.ring
-    components = components or {}
-    stored = []
-    for n, rs in source.ranks:
-        rt = target.rank(n)
-        if rt == 0:
-            continue
-        stored.append((n, _stored_block(ring, components.get(n), rt, rs, "component", n)))
-    f = ChainMap(source, target, tuple(stored))
-    if check:
-        for n, _ in source.ranks:
-            if target.rank(n + 1) == 0:
-                continue
-            lhs = mat_mul(target.d(n), f.component(n))
-            rhs = mat_mul(f.component(n + 1), source.d(n))
-            if lhs != rhs:
-                raise ValueError(f"not a chain map at degree {n}")
+def make_chain_map(source: Complex, target: Complex, components: Mapping[int, Blocks] | None = None) -> ChainMap:
+    """The chain map of the given components, absent ones zero; raises
+    unless it commutes with the differentials."""
+    shapes = {n: (target.rank(n), r) for n, r in source.ranks if target.rank(n)}
+    f = ChainMap(source, target, _filled(source.ring, components or {}, shapes))
+    for n, _ in source.ranks:
+        if target.rank(n + 1) and mat_mul(target.d(n), f.component(n)) != mat_mul(f.component(n + 1), source.d(n)):
+            raise ValueError(f"not a chain map at degree {n}")
     return f
 
 
 def map_identity(c: Complex) -> ChainMap:
-    return make_chain_map(c, c, {n: mat_identity(c.ring, r) for n, r in c.ranks}, check=False)
+    return ChainMap(c, c, tuple((n, mat_identity(c.ring, r)) for n, r in c.ranks))
 
 
 def map_compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
     if f.target != g.source:
         raise ValueError("composition boundary mismatch")
-    comps = {
-        n: mat_mul(g.component(n), f.component(n))
-        for n, _ in f.source.ranks
-        if g.target.rank(n)
-    }
-    return make_chain_map(f.source, g.target, comps, check=False)
+    comps = tuple((n, mat_mul(g.component(n), f.component(n))) for n, _ in f.source.ranks if g.target.rank(n))
+    return ChainMap(f.source, g.target, comps)
 
 
 def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
     if f.source != g.source or f.target != g.target:
         raise ValueError("sum of maps with different endpoints")
-    comps = {n: mat_add(m, g.component(n)) for n, m in f.components}
-    return make_chain_map(f.source, f.target, comps, check=False)
+    return ChainMap(f.source, f.target, tuple((n, mat_add(m, g.component(n))) for n, m in f.components))
 
 
 def alt_trace(e: ChainMap) -> int:
@@ -673,7 +655,7 @@ def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
     tgt = cx_tensor(f.target, g.target)
     src_off = tensor_layout(f.source.ranks, g.source.ranks)[1]
     tgt_ranks, tgt_offsets = tensor_layout(f.target.ranks, g.target.ranks)
-    comps = {}
+    comps = []
     for n, rs in src.ranks:
         if n not in tgt_ranks:
             continue
@@ -683,8 +665,8 @@ def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
             ro = tgt_off.get((p, q))
             if ro is not None:
                 _place_kron(grid, ro, co, f.component(p), g.component(q))
-        comps[n] = _grid_matrix(src.ring, grid, rs)
-    return make_chain_map(src, tgt, comps, check=False)
+        comps.append((n, _grid_matrix(src.ring, grid, rs)))
+    return ChainMap(src, tgt, tuple(comps))
 
 
 def map_direct_sum(
@@ -696,7 +678,7 @@ def map_direct_sum(
     """Map between direct sums assembled from blocks (ti, si) -> ChainMap."""
     src = cx_direct_sum(sources, ring)
     tgt = cx_direct_sum(targets, ring)
-    comps = {}
+    comps = []
     for n, rs in src.ranks:
         if tgt.rank(n) == 0:
             continue
@@ -705,34 +687,26 @@ def map_direct_sum(
             for (ti, si), f in blocks.items()
             if targets[ti].rank(n) and sources[si].rank(n)
         }
-        comps[n] = mat_block(ring, [t.rank(n) for t in targets], [s.rank(n) for s in sources], mats)
-    return make_chain_map(src, tgt, comps, check=False)
+        comps.append((n, mat_block(ring, [t.rank(n) for t in targets], [s.rank(n) for s in sources], mats)))
+    return ChainMap(src, tgt, tuple(comps))
 
 
 # ---------------------------------------------------------------------------
 # homotopies
 
 
-def homotopy_perturb(
-    e: ChainMap, blocks: Mapping[int, Matrix | Sequence[Sequence[int]]]
-) -> ChainMap:
+def homotopy_perturb(e: ChainMap, blocks: Mapping[int, Blocks]) -> ChainMap:
     """e + d.h + h.d for the degree -1 map h with h^n = blocks[n] :
     source^n -> target^(n-1), absent blocks zero; the alternating trace is
     unchanged."""
     src, tgt = e.source, e.target
-    h = {
-        n: _stored_block(src.ring, m, tgt.rank(n - 1), src.rank(n), "homotopy component", n)
-        for n, m in blocks.items()
-    }
-
-    def h_at(n: int) -> Matrix:
-        return h[n] if n in h else mat_zero(src.ring, tgt.rank(n - 1), src.rank(n))
-
+    read = {n + i for n, _ in e.components for i in (0, 1)}
+    shapes = {n: (tgt.rank(n - 1), src.rank(n)) for n in {*blocks, *read}}
+    h = {n: _checked_block(src.ring, m, *shapes[n], "homotopy component", n)
+         for n, m in _filled(src.ring, blocks, shapes)}
     comps = {}
     for n, m in e.components:
-        dh = mat_mul(tgt.d(n - 1), h_at(n))
-        hd = mat_mul(h_at(n + 1), src.d(n))
-        comps[n] = mat_add(m, mat_add(dh, hd))
+        comps[n] = mat_add(m, mat_add(mat_mul(tgt.d(n - 1), h[n]), mat_mul(h[n + 1], src.d(n))))
     return make_chain_map(src, tgt, comps)
 
 
@@ -793,7 +767,7 @@ def swap_map(a: Complex, b: Complex) -> ChainMap:
     ring = src.ring
     src_off = tensor_layout(a.ranks, b.ranks)[1]
     tgt_off = tensor_layout(b.ranks, a.ranks)[1]
-    comps = {}
+    comps = []
     for n, rs in src.ranks:
         cols, signs = [0] * rs, [ring.norm(1)] * rs
         for (p, q), off in src_off[n].items():
@@ -804,8 +778,8 @@ def swap_map(a: Complex, b: Complex) -> ChainMap:
                 cols[to + j * ra:to + (j + 1) * ra] = range(off + j, off + ra * rb, rb)
             if (p * q) % 2:
                 signs[to:to + ra * rb] = [ring.norm(-1)] * (ra * rb)
-        comps[n] = _perm_matrix(ring, cols, signs)
-    return make_chain_map(src, tgt, comps, check=False)
+        comps.append((n, _perm_matrix(ring, cols, signs)))
+    return ChainMap(src, tgt, tuple(comps))
 
 
 @lru_cache(maxsize=4096)
@@ -834,12 +808,10 @@ def assoc_map(a: Complex, b: Complex, c: Complex) -> ChainMap:
                 out = cols[n]
                 for i in range(ra):
                     out[to + i * block:to + (i + 1) * block] = range(so + i * rbc, so + i * rbc + block)
-    comps = {n: _perm_matrix(src.ring, out) for n, out in cols.items()}
-    return make_chain_map(src, tgt, comps, check=False)
+    return ChainMap(src, tgt, tuple((n, _perm_matrix(src.ring, out)) for n, out in cols.items()))
 
 
 @lru_cache(maxsize=4096)
 def assoc_map_inv(a: Complex, b: Complex, c: Complex) -> ChainMap:
     f = assoc_map(a, b, c)
-    comps = {n: mat_transpose(m) for n, m in f.components}
-    return make_chain_map(f.target, f.source, comps, check=False)
+    return ChainMap(f.target, f.source, tuple((n, mat_transpose(m)) for n, m in f.components))

@@ -33,12 +33,12 @@ from .chainalg import (
     Ring,
     assoc_map,
     assoc_map_inv,
-    make_chain_map,
     map_add,
     map_compose,
     map_direct_sum,
     map_identity,
     map_tensor,
+    mat_zero,
     swap_map,
 )
 from .finspan import (
@@ -101,6 +101,8 @@ def make_cc_morphism(
         if u.target != target.stalk(span.right(g)):
             raise ValueError(f"component at {g!r} has the wrong target stalk")
         out.append(u)
+    if len(maps) != len(out):
+        raise ValueError(f"component at {next(g for g in maps if g not in span.apex)!r}, which is not in the apex")
     return CCMorphism(source, target, span, tuple(out))
 
 
@@ -199,7 +201,8 @@ def cc_cell_check(cell: CCCell) -> None:
         if len(parts) == 1 and (parts[0].source, parts[0].target) == (expect.source, expect.target):
             got = parts[0]  # one map is its sum
         else:  # several, or none, are added to the zero map
-            got = reduce(map_add, parts, make_chain_map(expect.source, expect.target, {}, check=False))
+            zero = tuple((n, mat_zero(m.ring, m.rows, m.cols)) for n, m in expect.components)
+            got = reduce(map_add, parts, ChainMap(expect.source, expect.target, zero))
         if got != expect:
             raise ValueError(
                 f"component sum fails at {d!r}: expected {expect.components!r}, got {got.components!r}"

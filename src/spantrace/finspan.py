@@ -90,7 +90,10 @@ def make_fin_over(base: Sequence[Label], elements: Sequence[Label], anchor: Mapp
     for x in elements:
         if x not in anchor:
             raise ValueError(f"missing anchor for {x!r}")
-    return FinOver(base, elements, tuple(anchor[x] for x in elements))
+    out = FinOver(base, elements, tuple(anchor[x] for x in elements))
+    if len(anchor) != len(elements):
+        raise ValueError(f"anchor for {next(x for x in anchor if x not in out)!r}, which is not an element")
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -143,6 +146,8 @@ def make_over_map(source: FinOver, target: FinOver, graph: Mapping[Label, Label]
         if target.anchor_of(y) != source.anchor_of(x):
             raise ValueError(f"map does not commute with anchors at {x!r}")
         out.append(y)
+    if len(graph) != len(out):
+        raise ValueError(f"graph entry for {next(x for x in graph if x not in source)!r}, which is not in the source")
     return OverMap(source, target, tuple(out))
 
 

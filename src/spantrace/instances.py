@@ -2,9 +2,11 @@
 JSON, with an optional pushforward rectangle and base-change datum.
 
 Parsing validates everything (anchors, chain conditions, span feet) and
-reports the first failure with a JSON-pointer style location.  Emission
-is canonical, so parse . emit . parse == parse and fixtures round-trip
-byte for byte.
+reports the first failure with a JSON-pointer style location.  No label or
+degree is dropped: one the data has no place for is an error, and a degree
+key must be written as its integer is ("0", not "00" or " 0").
+Emission is canonical, so parse . emit . parse == parse and fixtures
+round-trip byte for byte.
 """
 
 from __future__ import annotations
@@ -121,13 +123,14 @@ def parse_instance(text: str) -> Instance:
         src = _ref(inst.objects, raw.get("source"), f"{loc}/source", "object")
         tgt = _ref(inst.objects, raw.get("target"), f"{loc}/target", "object")
         maps_raw = _as_dict(raw.get("maps", {}), f"{loc}/maps")
-        maps = {}
+        maps = dict.fromkeys(maps_raw)  # a label off the apex stays, for make_cc_morphism to reject
         for el in span.apex.elements:
             mloc = f"{loc}/maps/{el}"
             _expect(el in maps_raw, mloc, "missing component")
             comps = {}
             for deg, rows in _as_dict(maps_raw[el], mloc).items():
-                comps[_int(deg, mloc)] = _matrix(ring, rows, mloc, src.stalk(span.left(el)).rank(_int(deg, mloc)))
+                n = _int(deg, f"{mloc}/{deg}")
+                comps[n] = _matrix(ring, rows, mloc, src.stalk(span.left(el)).rank(n))
             with _located(mloc):
                 maps[el] = make_chain_map(
                     src.stalk(span.left(el)), tgt.stalk(span.right(el)), comps
@@ -183,10 +186,14 @@ def _is_int(x) -> bool:
 
 
 def _int(s: str, loc: str) -> int:
+    """A degree key, written as str() writes its integer, so that no two
+    keys name one degree."""
     try:
-        return int(s)
-    except (TypeError, ValueError):
-        raise ParseError(loc, f"bad integer key {s!r}") from None
+        n = int(s)
+    except ValueError:
+        n = None
+    _expect(n is not None and str(n) == s, loc, f"bad integer key {s!r}")
+    return n
 
 
 def _matrix(ring: Ring, rows, loc: str, cols_hint: int) -> Matrix:
@@ -204,10 +211,10 @@ def parse_complex(ring: Ring, raw, loc: str) -> Complex:
     ranks = {}
     for deg, r in _as_dict(raw.get("ranks", {}), f"{loc}/ranks").items():
         _expect(_is_int(r) and r >= 0, f"{loc}/ranks/{deg}", "rank must be a non-negative integer")
-        ranks[_int(deg, f"{loc}/ranks")] = r
+        ranks[_int(deg, f"{loc}/ranks/{deg}")] = r
     diff = {}
     for deg, rows in _as_dict(raw.get("diff", {}), f"{loc}/diff").items():
-        n = _int(deg, f"{loc}/diff")
+        n = _int(deg, f"{loc}/diff/{deg}")
         diff[n] = _matrix(ring, rows, f"{loc}/diff/{deg}", ranks.get(n, 0))
     with _located(loc):
         return make_complex(ring, ranks, diff)

@@ -89,6 +89,8 @@ def make_sheaf(ring: Ring, space: FinOver, stalks: Mapping[Label, Complex]) -> S
             raise ValueError(f"missing stalk at {x!r}")
         cx_validate(stalks[x])
         out.append(stalks[x])
+    if len(stalks) != len(out):
+        raise ValueError(f"stalk at {next(x for x in stalks if x not in space)!r}, which is not an element")
     return Sheaf(ring, space, tuple(out))
 
 

@@ -21,7 +21,7 @@ from functools import reduce
 from spantrace.basefunc import BaseChange, pull_object
 from spantrace.chainalg import (ZZ, ChainMap, Complex, Ring, cx_direct_sum, cx_tensor, make_chain_map,
                                 make_complex, map_add, map_compose, map_direct_sum, map_identity, map_tensor,
-                                mat_scale)
+                                mat_scale, mat_zero)
 from spantrace.corrcat import (CCCell, CCMorphism, CCRelabel, cc_assoc, cc_cell_check, cc_compose,
                                cc_compose_many, cc_identity, cc_invert, cc_tensor, left_unitor,
                                make_cc_morphism, obj_tensor, right_unitor, shriek_push)
@@ -40,8 +40,7 @@ def q_complex(ring: Ring = ZZ) -> Complex:
 
 
 def map_scale(c: int, f: ChainMap) -> ChainMap:
-    comps = {n: mat_scale(c, m) for n, m in f.components}
-    return make_chain_map(f.source, f.target, comps, check=False)
+    return ChainMap(f.source, f.target, tuple((n, mat_scale(c, m)) for n, m in f.components))
 
 
 def inclusion_map(parts: Sequence[Complex], i: int, ring: Ring) -> ChainMap:
@@ -67,8 +66,8 @@ def sum_tensor_distribute(parts: Sequence[Complex], m: Complex, ring: Ring) -> C
         )
         for i in range(len(parts))
     ]
-    zero = make_chain_map(cx_tensor(cx_direct_sum(parts, ring), m), cx_direct_sum(tensored, ring), {},
-                          check=False)
+    src, tgt = cx_tensor(cx_direct_sum(parts, ring), m), cx_direct_sum(tensored, ring)
+    zero = ChainMap(src, tgt, tuple((n, mat_zero(ring, tgt.rank(n), r)) for n, r in src.ranks if tgt.rank(n)))
     f = reduce(map_add, pieces, zero)
     return make_chain_map(f.source, f.target, dict(f.components))
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantrace.chainalg import (
+    ChainMap,
     Complex,
     Matrix,
     OnDemand,
@@ -438,7 +439,7 @@ def test_blocks_over_the_wrong_ring_rejected():
     with pytest.raises(ValueError, match="ring mismatch in differential"):
         make_complex(ZZ, {0: 1, 1: 1}, {0: z7})
     with pytest.raises(ValueError, match="ring mismatch in component"):
-        make_chain_map(q, q, {0: z7, 1: mat(ZZ, [[3]])}, check=False)
+        ChainMap(q, q, ((0, z7), (1, mat(ZZ, [[3]]))))
     with pytest.raises(ValueError, match="ring mismatch in component"):
         make_chain_map(make_complex(ZZ, {0: 1}), make_complex(ZZ, {0: 1}), {0: z7})
     with pytest.raises(ValueError, match="ring mismatch in homotopy component"):
@@ -612,7 +613,7 @@ def plain(m):
 
 
 def plain_map(f):
-    return make_chain_map(f.source, f.target, {n: plain(p) for n, p in f.components}, check=False)
+    return ChainMap(f.source, f.target, tuple((n, plain(p)) for n, p in f.components))
 
 
 def assert_same_matrix(got, want):
@@ -916,6 +917,40 @@ def test_direct_construction_checks_shape_normalisation_and_degrees():
     for args in bad_complexes:
         with pytest.raises(ValueError):
             Complex(*args)
+
+
+def test_chain_map_constructor_checks_degrees_shapes_and_ring():
+    """ChainMap itself, which the kernels build through, rejects a component
+    missing at, or present off, the degrees where source and target both
+    have rank, a block of the wrong shape and a block over another ring."""
+    q, one = q_complex(), mat(ZZ, [[1]])
+    assert ChainMap(q, q, ((0, one), (1, one))) == map_identity(q)
+    assert ChainMap(unit_complex(ZZ), make_complex(ZZ, {1: 1}), ()).components == ()
+    bad = [
+        ((0, one),),  # degree 1 missing
+        ((0, one), (1, one), (2, one)),  # an extra degree
+        ((1, one), (0, one)),  # degrees out of order
+        ((0, one), (1, mat(ZZ, [[1, 0]]))),  # a 1x2 block where 1x1 is due
+        ((0, one), (1, mat(Z7, [[1]]))),  # a block over Z/7
+    ]
+    for comps in bad:
+        with pytest.raises(ValueError, match="component"):
+            ChainMap(q, q, comps)
+    with pytest.raises(ValueError, match="^ring mismatch$"):
+        ChainMap(q, q_complex(Z7), ((0, one), (1, one)))
+
+
+def test_make_helpers_reject_blocks_off_their_degrees():
+    """A differential or component at a degree where it has no place is an
+    error, not dropped."""
+    with pytest.raises(ValueError, match=r"differentials at degrees \[0\]"):
+        make_complex(ZZ, {0: 1}, {0: [[5]]})
+    with pytest.raises(ValueError, match=r"differentials at degrees \[0, 3\]"):
+        make_complex(ZZ, {0: 1, 1: 1}, {3: [[1]]})
+    with pytest.raises(ValueError, match=r"components at degrees \[0, 1\]"):
+        make_chain_map(q_complex(), unit_complex(ZZ), {1: [[1]]})
+    with pytest.raises(ValueError, match="component at degree 0 has shape 1x2"):
+        make_chain_map(q_complex(), q_complex(), {0: [[1, 0]]})
 
 
 def test_on_demand_slices_read_their_entries():

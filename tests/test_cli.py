@@ -463,3 +463,50 @@ def test_parse_rejects_non_label_base_change():
     with pytest.raises(ParseError) as e:
         parse_instance(json.dumps(doc))
     assert e.value.location == "/base_change/g/w"
+
+
+STALK_A = ["objects", "L", "stalks", "a"]
+
+
+@pytest.mark.parametrize(
+    "path, value, location, message",
+    [
+        (STALK_A + ["diff"], {"0": [[5]]}, "/objects/L/stalks/a", "differentials at degrees [0]"),
+        (STALK_A + ["diff"], {"3": [[1]]}, "/objects/L/stalks/a", "differentials at degrees [3]"),
+        (["morphisms", "u", "maps", "g", "1"], [[1]], "/morphisms/u/maps/g", "components at degrees [0, 1]"),
+        (["morphisms", "u", "maps", "h"], {"0": [[1]]}, "/morphisms/u", "component at 'h', which is not in the apex"),
+        (["objects", "L", "stalks", "c"], {"ranks": {"0": 1}}, "/objects/L/stalks",
+         "stalk at 'c', which is not an element"),
+        (["maps", "to_a", "graph", "h"], "a", "/maps/to_a", "graph entry for 'h', which is not in the source"),
+        (["spaces", "X", "anchor", "c"], "z", "/spaces/X", "anchor for 'c', which is not an element"),
+        (STALK_A + ["ranks"], {" 0": 1}, "/objects/L/stalks/a/ranks/ 0", "bad integer key ' 0'"),
+        (STALK_A + ["ranks"], {"0_0": 1}, "/objects/L/stalks/a/ranks/0_0", "bad integer key '0_0'"),
+        (STALK_A + ["ranks"], {"0": 1, "00": 2}, "/objects/L/stalks/a/ranks/00", "bad integer key '00'"),
+        (STALK_A + ["ranks"], {"0": 1, "-0": 1}, "/objects/L/stalks/a/ranks/-0", "bad integer key '-0'"),
+        (STALK_A, {"ranks": {"0": 1, "1": 1}, "diff": {"+0": [[1]]}}, "/objects/L/stalks/a/diff/+0",
+         "bad integer key '+0'"),
+        (["morphisms", "u", "maps", "g"], {"00": [[3]]}, "/morphisms/u/maps/g/00", "bad integer key '00'"),
+    ],
+    ids=["diff-without-target", "diff-off-the-ranks", "component-off-the-ranks", "component-off-the-apex",
+         "stalk-off-the-space", "graph-entry-off-the-source", "anchor-off-the-space", "padded-key",
+         "underscored-key", "zero-padded-key", "negative-zero-key", "plus-signed-diff-key",
+         "zero-padded-component-key"],
+)
+def test_cli_check_rejects_data_the_parser_would_drop(tmp_path, capsys, path, value, location, message):
+    # each edit names a label, degree or key the instance has no place for;
+    # parsing must fail there rather than drop it or let it shadow another key
+    with open(TWO_POINT, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as e:
+        parse_instance(text)
+    assert e.value.location == location and message in str(e.value)
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {location}: " in err and "Traceback" not in err
