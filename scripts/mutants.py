@@ -98,9 +98,16 @@ MUTANTS = [
      "signs[to:to + ra * rb] = [ring.norm(-1)] * (ra * rb)",
      "signs[to:to + ra * rb] = [ring.norm(1)] * (ra * rb)", "kernels"),
     ("ev_map drops the pairing sign", "chainalg.py",
-     "s = c.ring.norm(pair_sign(p))", "s = c.ring.norm(1)", "kernels"),
+     "[ring.norm(pair_sign(d))] * r", "[ring.norm(1 if ev else pair_sign(d))] * r", "kernels"),
     ("coev_map drops the pairing sign", "chainalg.py",
-     "s = c.ring.norm(pair_sign(-n))", "s = c.ring.norm(1)", "kernels"),
+     "[ring.norm(pair_sign(d))] * r", "[ring.norm(pair_sign(d) if ev else 1)] * r", "kernels"),
+    ("the swap permutation cache key drops the ring", "chainalg.py",
+     "@lru_cache(maxsize=4096)\ndef _swap_perms(",
+     "@(lambda fn: lambda ring, *k, _c={}: _c.setdefault(k, fn(ring, *k)))\ndef _swap_perms(", "kernels"),
+    ("the map_tensor cache key drops the second map's target ranks", "chainalg.py",
+     "@lru_cache(maxsize=4096)\ndef _tensor_components(",
+     "@(lambda fn: lambda *k, _c={}: _c.setdefault(k[:5] + k[6:], fn(*k)))\ndef _tensor_components(",
+     "kernels"),
     ("permutation rows drop their sign", "chainalg.py",
      "rows[c] if s == 1 else _scale_row(rows[c], s, modulus)", "rows[c]", "kernels"),
     ("permutation inverse is the permutation", "chainalg.py",
@@ -146,11 +153,8 @@ MUTANTS = [
      "self._compute(range(len(self._done))[i])", "self._compute(range(len(self._done))[i - 1])",
      "cells"),
     ("cc_tensor pairs (g, h) as (h, g)", "corrcat.py",
-     "f, g = a.map_at(pairs[i][0]), b.map_at(pairs[i][1])",
-     "f, g = b.map_at(pairs[i][1]), a.map_at(pairs[i][0])", "cells"),
-    ("cc_tensor's memo key ignores the maps' targets", "corrcat.py",
-     "key = (f.source.key, f.target.key, f.components), (g.source.key, g.target.key, g.components)",
-     "key = (f.source.key, f.components), (g.source.key, g.components)", "cells"),
+     "map_tensor(a.map_at(pairs[i][0]), b.map_at(pairs[i][1]))",
+     "map_tensor(b.map_at(pairs[i][1]), a.map_at(pairs[i][0]))", "cells"),
     ("a tensor's key drops its right factor", "chainalg.py",
      'object.__setattr__(t, "_key", (a.key, b.key))', 'object.__setattr__(t, "_key", a.key)', "kernels"),
     ("a relabeling on the right skips its eager check", "corrcat.py",

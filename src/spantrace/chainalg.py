@@ -17,6 +17,15 @@ ascending, each with the row-major basis (i, j) -> i * rank_b(q) + j.
 pass, once per pair of rank profiles; cx_tensor, map_tensor and the
 structure maps read it rather than rescan the ranks.
 
+The structure maps depend on the ranks and the ring alone, not on the
+differentials, so their matrices are built once per rank profile and shared
+by every complex that has it: the permutations of swap_map, assoc_map and
+assoc_map_inv, and the one matrix of ev_map and coev_map.  map_tensor's are
+shared by every pair of maps with the same ranks and component values.
+Each public function wraps them in a ChainMap with its own endpoints.  The
+ring is in every key: it fixes how the signs normalise, and over Z/1 every
+permutation is the zero matrix.
+
 Each invariant is checked once, where its value is built.  A constructor
 checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
 ring of their blocks.  The make_* helpers convert raw input (rows through
@@ -651,12 +660,19 @@ def _place_kron(grid: list[list[int]], r0: int, c0: int, a: Matrix, b: Matrix) -
 
 def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
     """Tensor of degree-zero chain maps; no Koszul signs arise."""
-    src = cx_tensor(f.source, g.source)
-    tgt = cx_tensor(f.target, g.target)
-    src_off = tensor_layout(f.source.ranks, g.source.ranks)[1]
-    tgt_ranks, tgt_offsets = tensor_layout(f.target.ranks, g.target.ranks)
+    src, tgt = cx_tensor(f.source, g.source), cx_tensor(f.target, g.target)
+    return ChainMap(src, tgt, _tensor_components(src.ring, f.source.ranks, f.target.ranks, f.components,
+                                                 g.source.ranks, g.target.ranks, g.components))
+
+
+@lru_cache(maxsize=4096)
+def _tensor_components(ring: Ring, fs: tuple, ft: tuple, fc: tuple, gs: tuple, gt: tuple, gc: tuple) -> tuple:
+    """map_tensor's components, from the ranks and components of its factors."""
+    src_ranks, src_off = tensor_layout(fs, gs)
+    tgt_ranks, tgt_offsets = tensor_layout(ft, gt)
+    f, g = dict(fc), dict(gc)
     comps = []
-    for n, rs in src.ranks:
+    for n, rs in src_ranks.items():
         if n not in tgt_ranks:
             continue
         tgt_off = tgt_offsets[n]
@@ -664,9 +680,9 @@ def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
         for (p, q), co in src_off[n].items():
             ro = tgt_off.get((p, q))
             if ro is not None:
-                _place_kron(grid, ro, co, f.component(p), g.component(q))
-        comps.append((n, _grid_matrix(src.ring, grid, rs)))
-    return ChainMap(src, tgt, tuple(comps))
+                _place_kron(grid, ro, co, f[p], g[q])
+        comps.append((n, _grid_matrix(ring, grid, rs)))
+    return tuple(comps)
 
 
 def map_direct_sum(
@@ -726,52 +742,51 @@ def pair_sign(p: int) -> int:
 @lru_cache(maxsize=4096)
 def ev_map(c: Complex) -> ChainMap:
     """Evaluation dual(c) (x) c -> unit, phi (x) x -> sign * phi(x)."""
-    dual = cx_dual(c)
-    src = cx_tensor(dual, c)
-    tgt = unit_complex(c.ring)
-    comps = {}
-    if src.rank(0):
-        row = [0] * src.rank(0)
-        for (p, q), off in tensor_layout(dual.ranks, c.ranks)[1][0].items():
-            r = c.rank(q)
-            s = c.ring.norm(pair_sign(p))
-            for i in range(r):
-                row[off + i * r + i] = s
-        comps[0] = _grid_matrix(c.ring, [row], src.rank(0))
-    return make_chain_map(src, tgt, comps)
+    src = cx_tensor(cx_dual(c), c)
+    comps = {0: _pairing(c.ring, c.ranks, True)} if src.rank(0) else {}
+    return make_chain_map(src, unit_complex(c.ring), comps)
 
 
 @lru_cache(maxsize=4096)
 def coev_map(c: Complex) -> ChainMap:
     """Coevaluation unit -> c (x) dual(c), 1 -> sum of sign * e_i (x) e_i*."""
-    dual = cx_dual(c)
-    tgt = cx_tensor(c, dual)
-    src = unit_complex(c.ring)
-    comps = {}
-    if tgt.rank(0):
-        col = [[0] for _ in range(tgt.rank(0))]
-        for (n, q), off in tensor_layout(c.ranks, dual.ranks)[1][0].items():
-            r = c.rank(n)
-            s = c.ring.norm(pair_sign(-n))
-            for i in range(r):
-                col[off + i * r + i][0] = s
-        comps[0] = _grid_matrix(c.ring, col, 1)
-    return make_chain_map(src, tgt, comps)
+    tgt = cx_tensor(c, cx_dual(c))
+    comps = {0: _pairing(c.ring, c.ranks, False)} if tgt.rank(0) else {}
+    return make_chain_map(unit_complex(c.ring), tgt, comps)
+
+
+@lru_cache(maxsize=4096)
+def _pairing(ring: Ring, ranks: tuple, ev: bool) -> Matrix:
+    """The degree-0 component of ev_map (a row) or coev_map (a column) of a
+    complex of these ranks: on the diagonal of each summand, the sign of
+    its dual factor's degree."""
+    rank, dual = dict(ranks), tuple((-n, r) for n, r in reversed(ranks))
+    width, offsets = tensor_layout(*((dual, ranks) if ev else (ranks, dual)))
+    out = [0] * width.get(0, 0)
+    for (p, q), off in offsets.get(0, {}).items():
+        d = p if ev else q
+        r = rank[-d]
+        out[off:off + r * r:r + 1] = [ring.norm(pair_sign(d))] * r
+    return _kernel_matrix(ring, 1, len(out), (tuple(out),)) if ev else _grid_matrix(ring, [[x] for x in out], 1)
 
 
 @lru_cache(maxsize=4096)
 def swap_map(a: Complex, b: Complex) -> ChainMap:
     """Symmetry a (x) b -> b (x) a with Koszul sign (-1)^(pq)."""
-    src = cx_tensor(a, b)
-    tgt = cx_tensor(b, a)
-    ring = src.ring
-    src_off = tensor_layout(a.ranks, b.ranks)[1]
-    tgt_off = tensor_layout(b.ranks, a.ranks)[1]
+    return ChainMap(cx_tensor(a, b), cx_tensor(b, a), _swap_perms(a.ring, a.ranks, b.ranks))
+
+
+@lru_cache(maxsize=4096)
+def _swap_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple) -> tuple:
+    """swap_map's components, from the ranks of its factors."""
+    src_ranks, src_off = tensor_layout(a_ranks, b_ranks)
+    tgt_off = tensor_layout(b_ranks, a_ranks)[1]
+    a, b = dict(a_ranks), dict(b_ranks)
     comps = []
-    for n, rs in src.ranks:
+    for n, rs in src_ranks.items():
         cols, signs = [0] * rs, [ring.norm(1)] * rs
         for (p, q), off in src_off[n].items():
-            ra, rb = a.rank(p), b.rank(q)
+            ra, rb = a[p], b[q]
             to = tgt_off[n][(q, p)]
             # row (j, i) of the summand takes column (i, j)
             for j in range(rb):
@@ -779,26 +794,35 @@ def swap_map(a: Complex, b: Complex) -> ChainMap:
             if (p * q) % 2:
                 signs[to:to + ra * rb] = [ring.norm(-1)] * (ra * rb)
         comps.append((n, _perm_matrix(ring, cols, signs)))
-    return ChainMap(src, tgt, tuple(comps))
+    return tuple(comps)
 
 
 @lru_cache(maxsize=4096)
 def assoc_map(a: Complex, b: Complex, c: Complex) -> ChainMap:
     """Reassociation a (x) (b (x) c) -> (a (x) b) (x) c; a sign-free permutation."""
-    bc = cx_tensor(b, c)
-    ab = cx_tensor(a, b)
-    src = cx_tensor(a, bc)
-    tgt = cx_tensor(ab, c)
-    bc_rank, bc_off = tensor_layout(b.ranks, c.ranks)
-    ab_off = tensor_layout(a.ranks, b.ranks)[1]
-    src_off = tensor_layout(a.ranks, bc.ranks)[1]
-    tgt_off = tensor_layout(ab.ranks, c.ranks)[1]
-    cols = {n: [0] * rs for n, rs in src.ranks}
-    for q, rb in b.ranks:
-        for r, rc in c.ranks:
+    return ChainMap(cx_tensor(a, cx_tensor(b, c)), cx_tensor(cx_tensor(a, b), c),
+                    _assoc_perms(a.ring, a.ranks, b.ranks, c.ranks))
+
+
+@lru_cache(maxsize=4096)
+def assoc_map_inv(a: Complex, b: Complex, c: Complex) -> ChainMap:
+    return ChainMap(cx_tensor(cx_tensor(a, b), c), cx_tensor(a, cx_tensor(b, c)),
+                    _assoc_inv_perms(a.ring, a.ranks, b.ranks, c.ranks))
+
+
+@lru_cache(maxsize=4096)
+def _assoc_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple, c_ranks: tuple) -> tuple:
+    """assoc_map's components, from the ranks of its factors."""
+    bc_rank, bc_off = tensor_layout(b_ranks, c_ranks)
+    ab_rank, ab_off = tensor_layout(a_ranks, b_ranks)
+    src_ranks, src_off = tensor_layout(a_ranks, tuple(bc_rank.items()))
+    tgt_off = tensor_layout(tuple(ab_rank.items()), c_ranks)[1]
+    cols = {n: [0] * rs for n, rs in src_ranks.items()}
+    for q, rb in b_ranks:
+        for r, rc in c_ranks:
             rbc, block = bc_rank[q + r], rb * rc
             inner = bc_off[q + r][(q, r)]
-            for p, ra in a.ranks:
+            for p, ra in a_ranks:
                 # basis vector (i, j, k) of summand (p, q, r): column
                 # so + i * rbc + j * rc + k, row to + (i * rb + j) * rc + k, so
                 # for each i the rb * rc rows and columns are both contiguous
@@ -808,10 +832,9 @@ def assoc_map(a: Complex, b: Complex, c: Complex) -> ChainMap:
                 out = cols[n]
                 for i in range(ra):
                     out[to + i * block:to + (i + 1) * block] = range(so + i * rbc, so + i * rbc + block)
-    return ChainMap(src, tgt, tuple((n, _perm_matrix(src.ring, out)) for n, out in cols.items()))
+    return tuple((n, _perm_matrix(ring, out)) for n, out in cols.items())
 
 
 @lru_cache(maxsize=4096)
-def assoc_map_inv(a: Complex, b: Complex, c: Complex) -> ChainMap:
-    f = assoc_map(a, b, c)
-    return ChainMap(f.target, f.source, tuple((n, mat_transpose(m)) for n, m in f.components))
+def _assoc_inv_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple, c_ranks: tuple) -> tuple:
+    return tuple((n, mat_transpose(m)) for n, m in _assoc_perms(ring, a_ranks, b_ranks, c_ranks))

@@ -2,8 +2,9 @@
 JSON, with an optional pushforward rectangle and base-change datum.
 
 Parsing validates everything (anchors, chain conditions, span feet) and
-reports the first failure with a JSON-pointer style location.  No label or
-degree is dropped: one the data has no place for is an error, and a degree
+reports the first failure with a JSON-pointer style location.  No key,
+label or degree is dropped: one the data has no place for is an error, so a
+misspelt section fails rather than skipping its checks, and a degree
 key must be written as its integer is ("0", not "00" or " 0").
 Emission is canonical, so parse . emit . parse == parse and fixtures
 round-trip byte for byte.
@@ -48,8 +49,11 @@ def _expect(cond: bool, loc: str, msg: str) -> None:
         raise ParseError(loc, msg)
 
 
-def _as_dict(x, loc):
+def _as_dict(x, loc, keys: tuple = ()):
+    """x, checked to be a JSON object, and to have no key but keys if given."""
     _expect(isinstance(x, dict), loc, "expected an object")
+    for k in x if keys else ():
+        _expect(k in keys, f"{loc.rstrip('/')}/{k}", "unknown key")
     return x
 
 
@@ -70,7 +74,8 @@ def load_json(text: str):
 
 
 def parse_instance(text: str) -> Instance:
-    doc = _as_dict(load_json(text), "/")
+    doc = _as_dict(load_json(text), "/", ("modulus", "base", "spaces", "maps", "objects", "spans", "morphisms",
+                                          "lv", "base_change"))
     _expect("modulus" in doc, "/modulus", "missing")
     _expect(_is_int(doc["modulus"]) and doc["modulus"] >= 0, "/modulus", "must be a non-negative integer")
     ring = Ring(doc["modulus"])
@@ -81,7 +86,7 @@ def parse_instance(text: str) -> Instance:
 
     for name, raw in _as_dict(doc.get("spaces", {}), "/spaces").items():
         loc = f"/spaces/{name}"
-        raw = _as_dict(raw, loc)
+        raw = _as_dict(raw, loc, ("elements", "anchor"))
         els = raw.get("elements")
         _expect(isinstance(els, list) and all(isinstance(x, str) for x in els), f"{loc}/elements", "must be a list of strings")
         anchor = _as_dict(raw.get("anchor", {}), f"{loc}/anchor")
@@ -90,7 +95,7 @@ def parse_instance(text: str) -> Instance:
 
     for name, raw in _as_dict(doc.get("maps", {}), "/maps").items():
         loc = f"/maps/{name}"
-        raw = _as_dict(raw, loc)
+        raw = _as_dict(raw, loc, ("source", "target", "graph"))
         src = _ref(inst.spaces, raw.get("source"), f"{loc}/source", "space")
         tgt = _ref(inst.spaces, raw.get("target"), f"{loc}/target", "space")
         graph = _labels(raw.get("graph", {}), f"{loc}/graph")
@@ -99,7 +104,7 @@ def parse_instance(text: str) -> Instance:
 
     for name, raw in _as_dict(doc.get("objects", {}), "/objects").items():
         loc = f"/objects/{name}"
-        raw = _as_dict(raw, loc)
+        raw = _as_dict(raw, loc, ("space", "stalks"))
         space = _ref(inst.spaces, raw.get("space"), f"{loc}/space", "space")
         stalks_raw = _as_dict(raw.get("stalks", {}), f"{loc}/stalks")
         stalks = {}
@@ -110,7 +115,7 @@ def parse_instance(text: str) -> Instance:
 
     for name, raw in _as_dict(doc.get("spans", {}), "/spans").items():
         loc = f"/spans/{name}"
-        raw = _as_dict(raw, loc)
+        raw = _as_dict(raw, loc, ("left", "right"))
         left = _ref(inst.maps, raw.get("left"), f"{loc}/left", "map")
         right = _ref(inst.maps, raw.get("right"), f"{loc}/right", "map")
         with _located(loc):
@@ -118,7 +123,7 @@ def parse_instance(text: str) -> Instance:
 
     for name, raw in _as_dict(doc.get("morphisms", {}), "/morphisms").items():
         loc = f"/morphisms/{name}"
-        raw = _as_dict(raw, loc)
+        raw = _as_dict(raw, loc, ("span", "source", "target", "maps"))
         span = _ref(inst.spans, raw.get("span"), f"{loc}/span", "span")
         src = _ref(inst.objects, raw.get("source"), f"{loc}/source", "object")
         tgt = _ref(inst.objects, raw.get("target"), f"{loc}/target", "object")
@@ -140,9 +145,10 @@ def parse_instance(text: str) -> Instance:
 
     if "lv" in doc:
         loc = "/lv"
-        raw = _as_dict(doc["lv"], loc)
+        keys = ("f", "p", "g", "q", "u", "v", "cp", "dp")
+        raw = _as_dict(doc["lv"], loc, keys)
         names = {}
-        for key in ("f", "p", "g", "q", "u", "v", "cp", "dp"):
+        for key in keys:
             _expect(key in raw, f"{loc}/{key}", "missing")
             names[key] = raw[key]
         with _located(loc):
@@ -160,7 +166,7 @@ def parse_instance(text: str) -> Instance:
 
     if "base_change" in doc:
         loc = "/base_change"
-        raw = _as_dict(doc["base_change"], loc)
+        raw = _as_dict(doc["base_change"], loc, ("g",))
         graph = _labels(raw.get("g", {}), f"{loc}/g")
         with _located(loc):
             inst.base_change = make_base_change(tuple(graph.keys()), graph, inst.base)
@@ -207,7 +213,7 @@ def _matrix(ring: Ring, rows, loc: str, cols_hint: int) -> Matrix:
 
 
 def parse_complex(ring: Ring, raw, loc: str) -> Complex:
-    raw = _as_dict(raw, loc)
+    raw = _as_dict(raw, loc, ("ranks", "diff"))
     ranks = {}
     for deg, r in _as_dict(raw.get("ranks", {}), f"{loc}/ranks").items():
         _expect(_is_int(r) and r >= 0, f"{loc}/ranks/{deg}", "rank must be a non-negative integer")

@@ -42,6 +42,7 @@ from spantrace.chainalg import (
     tensor_layout,
     unit_complex,
 )
+from spantrace.chainalg import _assoc_inv_perms, _assoc_perms, _swap_perms, _tensor_components
 from spantrace.generate import GenParams, deep_object, random_chain_map, random_complex
 from statements import map_scale, q_complex, sum_tensor_distribute
 
@@ -659,7 +660,12 @@ def test_permutations_apply_by_reindexing_as_the_dense_product(seed):
                  map_tensor(map_identity(z), swap_map(x, y))]
         cases = [(f, g) for f in small + [swap]] + [(g, f) for f in small + [swap]] + [(f, f) for f in small]
         for u, v in cases:
-            got, want = map_tensor(u, v), map_tensor(plain_map(u), plain_map(v))
+            # map_tensor shares its components by value, so each side is built
+            # afresh: the plain maps would otherwise look up the records' result
+            _tensor_components.cache_clear()
+            got = map_tensor(u, v)
+            _tensor_components.cache_clear()
+            want = map_tensor(plain_map(u), plain_map(v))
             assert got == want and hash(got) == hash(want)
             for (_, p), (_, q) in zip(got.components, want.components):
                 assert_same_matrix(p, q)
@@ -698,7 +704,8 @@ def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
     read; read in any order, or compared or hashed first, they agree with
     the eager constructions of the oracles above.  Fresh objects throughout
     (tensor_complex, the uncached builder, and the structure maps'
-    __wrapped__), since the cached ones may have been read already."""
+    permutations' profile-keyed builders' __wrapped__), since a cached or
+    shared one may have been read already."""
     rng = random.Random(seed)
     for m in (0, 7, 2, 1):
         ring = Ring(m)
@@ -729,16 +736,75 @@ def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
         x, y, z = (seeded_complex(rng.getrandbits(32), m) for _ in range(3))
         k = rng.randint(0, 6)
         cases = [(mat_identity.__wrapped__(ring, k), [[int(i == j) for j in range(k)] for i in range(k)])]
-        swap = swap_map.__wrapped__(a, b)
-        cases += [(p, swap_oracle(a, b, n)) for n, p in swap.components]
-        assoc = assoc_map.__wrapped__(x, y, z)
-        cases += [(p, assoc_oracle(x, y, z, n)) for n, p in assoc.components]
-        inverse = assoc_map_inv.__wrapped__(x, y, z)
-        cases += [(p, [list(r) for r in zip(*assoc_oracle(x, y, z, n))]) for n, p in inverse.components]
+        cases += [(p, swap_oracle(a, b, n)) for n, p in _swap_perms.__wrapped__(ring, a.ranks, b.ranks)]
+        xyz = (ring, x.ranks, y.ranks, z.ranks)
+        cases += [(p, assoc_oracle(x, y, z, n)) for n, p in _assoc_perms.__wrapped__(*xyz)]
+        cases += [(p, [list(r) for r in zip(*assoc_oracle(x, y, z, n))]) for n, p in _assoc_inv_perms.__wrapped__(*xyz)]
         for p, grid in cases:
             assert (p._perm is None) == (m == 1) and ("entries" in vars(p)) == (m == 1)
             assert_same_value(p, mat(ring, grid, cols=p.cols), rng)
             assert_normalised(p)
+
+
+def structure_maps(a, b, c):
+    """Each structure map of a, b, c with its endpoints as built from them,
+    and the oracle grid of its component in each degree."""
+    def inverse(n):
+        return [list(r) for r in zip(*assoc_oracle(a, b, c, n))]
+
+    one = unit_complex(a.ring)
+    return [
+        (swap_map(a, b), cx_tensor(a, b), cx_tensor(b, a), lambda n: swap_oracle(a, b, n)),
+        (assoc_map(a, b, c), cx_tensor(a, cx_tensor(b, c)), cx_tensor(cx_tensor(a, b), c),
+         lambda n: assoc_oracle(a, b, c, n)),
+        (assoc_map_inv(a, b, c), cx_tensor(cx_tensor(a, b), c), cx_tensor(a, cx_tensor(b, c)), inverse),
+        (ev_map(a), cx_tensor(cx_dual(a), a), one, lambda n: ev_oracle(a)),
+        (coev_map(a), one, cx_tensor(a, cx_dual(a)), lambda n: coev_oracle(a)),
+    ]
+
+
+def test_structure_maps_share_their_matrices_per_rank_profile():
+    """Complexes with one rank profile and other differentials share the
+    component matrices of every structure map, each map with its own
+    endpoints; every shared matrix equals the basis oracle, over each ring,
+    and one profile over Z and over Z/7 shares none."""
+    rng = random.Random(29)
+    for m in (0, 7, 2, 1):
+        ring = Ring(m)
+        a, b, c = (big_complex(rng, ring) for _ in range(3))
+        zero = [make_complex(ring, dict(x.ranks)) for x in (a, b, c)]  # the zero differentials
+        for (f, src, tgt, oracle), (f0, src0, tgt0, _) in zip(structure_maps(a, b, c), structure_maps(*zero)):
+            assert all(x is y for x, y in zip((f.source, f.target, f0.source, f0.target), (src, tgt, src0, tgt0)))
+            assert [n for n, _ in f.components] == [n for n, _ in f0.components]
+            for (n, p), (_, p0) in zip(f.components, f0.components):
+                assert p is p0
+                assert [list(r) for r in p.entries] == oracle(n)
+                assert_normalised(p)
+    ranks = [dict(x.ranks) for x in (a, b, c)]
+    over = {m: structure_maps(*(make_complex(Ring(m), r) for r in ranks)) for m in (0, 7)}
+    for (f, *_), (f7, *_) in zip(over[0], over[7]):
+        assert all(p is not q for (_, p), (_, q) in zip(f.components, f7.components))
+
+
+def test_map_tensor_shares_its_matrices_and_keeps_its_endpoints():
+    """map_tensor of maps equal in value but with other endpoints shares its
+    component matrices and returns its own endpoints; maps with equal
+    components but a wider target tensor to a wider target."""
+    rng = random.Random(31)
+    for ring in (ZZ, Z7, Ring(2), Ring(1)):
+        a, b, c = (big_complex(rng, ring) for _ in range(3))
+        a0, b0, c0 = (make_complex(ring, dict(x.ranks)) for x in (a, b, c))
+        t = map_tensor(map_identity(a), make_chain_map(b, c, {}))
+        t0 = map_tensor(map_identity(a0), make_chain_map(b0, c0, {}))
+        assert t.source is cx_tensor(a, b) and t.target is cx_tensor(a, c)
+        assert t0.source is cx_tensor(a0, b0) and t0.target is cx_tensor(a0, c0)
+        assert all(p is q for (_, p), (_, q) in zip(t.components, t0.components))
+        top = max(n for x in (b, c) for n, _ in x.ranks) + 1
+        wide = make_complex(ring, {**dict(c.ranks), top: 2})
+        g = make_chain_map(b, wide, {})
+        assert g.components == make_chain_map(b, c, {}).components
+        tw = map_tensor(map_identity(a), g)
+        assert tw.target is cx_tensor(a, wide) and tw.target.ranks != t.target.ranks
 
 
 def test_tensor_cache_is_keyed_by_the_factors():

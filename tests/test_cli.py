@@ -510,3 +510,42 @@ def test_cli_check_rejects_data_the_parser_would_drop(tmp_path, capsys, path, va
     assert main(["check", str(p)]) == 2
     err = capsys.readouterr().err
     assert f"error: {location}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fixture, path, location",
+    [
+        (TWO_POINT, ["morphsims"], "/morphsims"),
+        (LV_SMALL, ["lv", "extra"], "/lv/extra"),
+        (None, ["base_change", "h"], "/base_change/h"),
+        (TWO_POINT, ["spaces", "X", "anchors"], "/spaces/X/anchors"),
+        (TWO_POINT, ["maps", "to_a", "graf"], "/maps/to_a/graf"),
+        (TWO_POINT, ["objects", "L", "stalkz"], "/objects/L/stalkz"),
+        (TWO_POINT, ["spans", "loop", "middle"], "/spans/loop/middle"),
+        (TWO_POINT, ["morphisms", "u", "map"], "/morphisms/u/map"),
+        (TWO_POINT, STALK_A + ["differential"], "/objects/L/stalks/a/differential"),
+    ],
+    ids=["top-level", "lv", "base-change", "space", "map", "object", "span", "morphism", "complex"],
+)
+def test_cli_check_rejects_unknown_keys(tmp_path, capsys, fixture, path, location):
+    # a misspelt key would otherwise be skipped, and a misspelt section
+    # together with every check it asks for
+    if fixture is None:
+        doc = json.loads(MINIMAL)
+        doc["base_change"] = {"g": {"z": "z"}}
+    else:
+        with open(fixture, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = {}
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as e:
+        parse_instance(text)
+    assert e.value.location == location and "unknown key" in str(e.value)
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {location}: unknown key" in err and "Traceback" not in err

@@ -150,10 +150,9 @@ def test_cc_tensor_examples():
 
 
 def test_cc_tensor_shares_one_map_tensor_per_pair_of_maps_by_value():
-    """cc_tensor's memo keys a component by its maps' source and target keys
-    and components: maps equal in value share one map_tensor, while zero
-    maps with the same source and components into different targets each
-    get their own."""
+    """map_tensor keys its component matrices by its maps' ranks and
+    components: maps equal in value share them, while zero maps with the
+    same source and components into different targets each get their own."""
     base = ("z",)
     one = unit_object(ZZ, base)
     x = make_fin_over(base, ("x0", "x1"), {"x0": "z", "x1": "z"})
@@ -168,7 +167,9 @@ def test_cc_tensor_shares_one_map_tensor_per_pair_of_maps_by_value():
     pairs = t.span.apex.elements
     assert [t.target.stalk(t.span.right(e)) for e in pairs] == [f.target for f in t.maps]
     assert list(t.maps) == [map_tensor(u.map_at(g), map_identity(one.stalk(h))) for g, h in pairs]
-    assert t.maps[0] is t.maps[2] and t.maps[1].target != t.maps[0].target
+    first, third = t.maps[0].components, t.maps[2].components
+    assert first and all(p is q for (_, p), (_, q) in zip(first, third))
+    assert t.maps[1].target != t.maps[0].target
 
 
 def test_cc_cell_check_examples():
