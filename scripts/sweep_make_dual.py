@@ -23,8 +23,9 @@ figures.  The growth exponents are taken from the scaled medians.
 Usage: python scripts/sweep_make_dual.py [--family wide|deep] [--sizes 8,16,24,32,48,64]
                                          [--rounds 3] [--out BENCH_make_dual.json]
 
-The sizes default to 8,16,24,32,48,64 for wide and 4,8,12,16,20,24,32 for
-deep, the output to BENCH_make_dual.json and BENCH_make_dual_deep.json.
+The sizes default to 8,16,24,32,48,64 for wide and
+4,8,12,16,20,24,32,48,64,96,128 for deep, the output to
+BENCH_make_dual.json and BENCH_make_dual_deep.json.
 Writes one record per size (median and minimum seconds, raw and scaled,
 rounds, and the growth exponent against the previous size) plus the Python
 version and the CPU count.  It times the spantrace of its own checkout.
@@ -52,7 +53,7 @@ from spantrace.generate import deep_object, wide_object  # noqa: E402
 FAMILIES = {
     "wide": (wide_object, "8,16,24,32,48,64", "BENCH_make_dual.json",
              "generate.wide_object over ZZ: n points over one base point, rank-(2,1) stalks"),
-    "deep": (deep_object, "4,8,12,16,20,24,32", "BENCH_make_dual_deep.json",
+    "deep": (deep_object, "4,8,12,16,20,24,32,48,64,96,128", "BENCH_make_dual_deep.json",
              "generate.deep_object over ZZ: one point, a stalk of total rank n from fixed pieces"),
 }
 

@@ -33,29 +33,34 @@ ring of their blocks.  The make_* helpers convert raw input (rows through
 sheafops.make_sheaf, commutation in make_chain_map.  The kernels build
 through the constructors; only their matrices skip Matrix's scan.
 
-Matrix entries are always normalised.  `mat` is the normalising entry point
-for matrices from outside (the parser, the generator, tests); the kernels
-place their already normalised entries into a zero grid or, through
-`_place_kron`, a Kronecker block a whole row slice at a time.
-`mat_identity`, the symmetries and the reassociations (and their inverses)
-are signed permutations that keep only that record on their `Matrix`:
-`mat_mul` picks rows of its right factor by a record on its left,
-`mat_transpose` inverts it, `_place_kron` reads it on either factor, and the
-dense rows are built only if `entries` is read.  `cx_tensor` knows its ranks
-at once and builds each differential when first read.  So the rank-r^3
-tensors that duality's triangle certificates pass through, of which only
-components of maps are read, stay unbuilt.  Products and tensors of
-permutations are dense, with no record.  Equality and hashes are by value,
-and an object equals itself without reading anything.  Hashing a tensor
-builds its differentials, so the kernel caches key a tensor by its
-factors (Complex.key) and a lookup hashes only eager complexes.
+A Matrix stores each row as a dict from the column of each nonzero entry to
+that entry, normalised, with no zero stored; that one form is what every
+kernel reads and writes, so a kernel's cost follows the nonzeros and the
+row count, not rows x cols.  `mat` is the normalising entry point for
+dense rows from outside (the parser, the generator, tests), and `entries`
+is the dense view, built only when read (by the emitter and the tests).
+Rows are never changed once built, so kernels share them: a product row
+that is one row of the right factor is that row.  A signed permutation
+(mat_identity, the symmetries, the reassociations and their inverses) is a
+matrix with one entry per row, each row a row of one identity matrix or
+of its negative, so building one copies references and multiplying by it
+picks rows.  A tensor of matrices is mat_kron, and a tensor differential or
+component places its Kronecker blocks at their summand offsets.
+`cx_tensor` knows its ranks at once and builds each differential when
+first read, so the rank-r^3 tensors that duality's triangle certificates
+pass through, of which only components of maps are read, stay unbuilt.
+Equality and hashes are by value, and an object equals itself without
+reading anything.  Hashing a tensor builds its differentials, so the
+kernel caches key a tensor by its factors (Complex.key) and a lookup
+hashes only eager complexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from functools import cached_property, lru_cache
+from itertools import compress
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -81,57 +86,55 @@ class Ring:
 ZZ = Ring(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Matrix:
-    """Dense matrix with normalized entries; rows x cols over a Ring.
+    """rows x cols matrix over a Ring, stored by its nonzero entries alone:
+    nonzero[i] maps the column of each nonzero entry of row i to that entry,
+    normalised.  No zero is stored, so equal matrices have equal rows.
 
-    A square signed permutation may carry the record `_perm = (cols, signs)`:
-    row i's one nonzero sits in column cols[i] and is signs[i], or 1 when
-    signs is None.  Only mat_identity and the structure maps set it, never
-    over Z/1, where 1 is 0, and then entries is built from it when first
-    read.  mat_mul reads it on the left, _place_kron on either side, and
-    products and tensors are dense.  It is not in ==, hash, repr.
+    Matrix(ring, rows, cols, entries) takes dense rows, checks their shape
+    and normalisation and keeps their nonzeros.  `entries` is the dense
+    view, built when first read.  Equality, hash and repr are by value.  A
+    row is never changed once built, so the kernels share rows between
+    matrices.
     """
 
     ring: Ring
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
-    _perm: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    nonzero: tuple[dict[int, int], ...]
 
-    def __post_init__(self) -> None:
-        ent, m = self.entries, self.ring.modulus
-        if type(ent) is not tuple or len(ent) != self.rows:
-            raise ValueError(f"a {self.rows}x{self.cols} matrix needs a tuple of {self.rows} rows")
-        if ent and (set(map(type, ent)) != {tuple} or set(map(len, ent)) != {self.cols}):
-            raise ValueError(f"rows of a {self.rows}x{self.cols} matrix must be tuples of length {self.cols}")
-        if m and ent and self.cols and (min(map(min, ent)) < 0 or max(map(max, ent)) >= m):
+    def __init__(self, ring: Ring, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        ent, m = entries, ring.modulus
+        if type(ent) is not tuple or len(ent) != rows:
+            raise ValueError(f"a {rows}x{cols} matrix needs a tuple of {rows} rows")
+        if ent and (set(map(type, ent)) != {tuple} or set(map(len, ent)) != {cols}):
+            raise ValueError(f"rows of a {rows}x{cols} matrix must be tuples of length {cols}")
+        if m and ent and cols and (min(map(min, ent)) < 0 or max(map(max, ent)) >= m):
             raise ValueError(f"entries over Z/{m} must lie in 0..{m - 1}")
+        vars(self).update(ring=ring, rows=rows, cols=cols,
+                          nonzero=tuple({j: x for j, x in enumerate(row) if x} for row in ent))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        zero = (0,) * self.cols
+        return tuple(tuple(map(row.get, range(self.cols), zero)) if row else zero for row in self.nonzero)
+
+    @cached_property
+    def _hash(self) -> int:  # computed once: the kernel caches hash their arguments on every lookup
+        return hash((self.ring, self.rows, self.cols, tuple(frozenset(row.items()) for row in self.nonzero)))
 
     def __hash__(self) -> int:
-        # the dataclass hash of the field tuple, computed once: the kernel
-        # caches hash their arguments on every lookup
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ring, self.rows, self.cols, self.entries)))
         return self._hash
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         shape = (self.ring, self.rows, self.cols)
-        return self is other or shape == (other.ring, other.rows, other.cols) and self.entries == other.entries
+        return self is other or shape == (other.ring, other.rows, other.cols) and self.nonzero == other.nonzero
 
-    def __getattr__(self, name: str):
-        # only a permutation's rows are ever missing: build them from its record
-        if name != "entries" or self._perm is None:
-            raise AttributeError(name)
-        cols, signs = self._perm
-        zero = (0,) * self.cols
-        rows = tuple(zero[:c] + (1 if signs is None else signs[i],) + zero[c + 1:]
-                     for i, c in enumerate(cols))
-        object.__setattr__(self, "entries", rows)
-        return rows
+    def __repr__(self) -> str:
+        return f"Matrix(ring={self.ring!r}, rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
 
 
 def mat(ring: Ring, rows: Sequence[Sequence[int]], cols: int | None = None) -> Matrix:
@@ -142,50 +145,41 @@ def mat(ring: Ring, rows: Sequence[Sequence[int]], cols: int | None = None) -> M
     return Matrix(ring, len(rows), cols, tuple(tuple(map(ring.norm, r)) for r in rows))
 
 
-def _kernel_matrix(ring: Ring, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> Matrix:
+def _kernel_matrix(ring: Ring, rows: int, cols: int, nonzero: Iterable[dict[int, int]]) -> Matrix:
     """The trusted constructor of the kernels below, which build the shape
-    they state and normalise their entries as they compute them (through
-    Ring.norm, or as entries of normalised matrices); the tests hold each
-    kernel to an independent oracle.  It skips Matrix()'s checks: the scan
-    of every entry costs about as much as building a rank-r^3 certificate
-    tensor, and the shape check doubles the cost of a small matrix."""
+    they state and store only normalised nonzeros (through _normed and
+    _scaled, or as entries of normalised matrices); the tests hold each
+    kernel to an independent oracle.  It skips Matrix()'s checks, which
+    would cost as much as the kernel."""
     m = object.__new__(Matrix)
-    vars(m).update(ring=ring, rows=rows, cols=cols, entries=entries)
+    vars(m).update(ring=ring, rows=rows, cols=cols, nonzero=tuple(nonzero))
     return m
 
 
-def _grid_matrix(ring: Ring, grid: list[list[int]], cols: int) -> Matrix:
-    """Wrap a grid whose entries are already normalised, without mat()'s pass."""
-    return _kernel_matrix(ring, len(grid), cols, tuple(map(tuple, grid)))
+def _normed(row: dict[int, int], modulus: int) -> dict[int, int]:
+    """row with its values normalised over Z/modulus and its zeros dropped."""
+    if modulus:
+        return {j: r for j, x in row.items() if (r := x % modulus)}
+    return {j: x for j, x in row.items() if x}
+
+
+def _scaled(row: dict[int, int], x: int, modulus: int) -> dict[int, int]:
+    """x times a row, for a normalised nonzero x: the row itself when x is 1.
+    Over Z a product of nonzeros is nonzero, so only Z/m normalises."""
+    if x == 1:
+        return row
+    out = {j: x * y for j, y in row.items()}
+    return _normed(out, modulus) if modulus else out
 
 
 def mat_zero(ring: Ring, rows: int, cols: int) -> Matrix:
-    return _kernel_matrix(ring, rows, cols, ((0,) * cols,) * rows)
-
-
-def _perm_matrix(ring: Ring, cols: Sequence[int], signs: Sequence[int] | None = None) -> Matrix:
-    """The signed permutation whose row i has its nonzero, signs[i] (already
-    normalised; 1 when signs is None), in column cols[i]: its record alone,
-    in O(n).  Over Z/1, where 1 is 0, it is the zero matrix, with no record."""
-    n = len(cols)
-    if not ring.norm(1):
-        return mat_zero(ring, n, n)
-    signs = None if signs is None or all(s == 1 for s in signs) else tuple(signs)
-    m = object.__new__(Matrix)
-    vars(m).update(ring=ring, rows=n, cols=n, _perm=(tuple(cols), signs))
-    return m
-
-
-def _perm_inverse(perm: tuple) -> tuple:
-    """The record of a signed permutation's transpose, which is its inverse."""
-    cols, signs = perm
-    inv = sorted(range(len(cols)), key=cols.__getitem__)
-    return tuple(inv), None if signs is None else tuple(map(signs.__getitem__, inv))
+    return _kernel_matrix(ring, rows, cols, ({},) * rows)
 
 
 @lru_cache(maxsize=4096)
 def mat_identity(ring: Ring, n: int) -> Matrix:
-    return _perm_matrix(ring, range(n))
+    one = ring.norm(1)  # 0 over Z/1
+    return _kernel_matrix(ring, n, n, [{i: one} for i in range(n)] if one else [{}] * n)
 
 
 def _same_ring(a: Matrix | Complex, b: Matrix | Complex) -> Ring:
@@ -198,86 +192,77 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     ring = _same_ring(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} + {b.rows}x{b.cols}")
-    norm = ring.norm
-    return _kernel_matrix(
-        ring,
-        a.rows,
-        a.cols,
-        tuple(
-            tuple(norm(x + y) for x, y in zip(ra, rb))
-            for ra, rb in zip(a.entries, b.entries)
-        ),
-    )
+    m = ring.modulus
+    return _kernel_matrix(ring, a.rows, a.cols, (
+        _normed({**ra, **{j: ra.get(j, 0) + y for j, y in rb.items()}}, m) if ra and rb else ra or rb
+        for ra, rb in zip(a.nonzero, b.nonzero)))
 
 
 def mat_scale(c: int, a: Matrix) -> Matrix:
-    c = a.ring.norm(c)
-    if c == 1:
-        return a
-    m = a.ring.modulus
-    return _kernel_matrix(a.ring, a.rows, a.cols, tuple(_scale_row(row, c, m) for row in a.entries))
-
-
-def _scale_row(row: tuple[int, ...], x: int, modulus: int) -> tuple[int, ...]:
-    """x * row for a normalised x over Z/modulus, entry by entry at C speed."""
-    out = map(x.__mul__, row)
-    return tuple(map(modulus.__rmod__, out) if modulus else out)
-
-
-def _signed_rows(rows: tuple, cols: Sequence[int], signs: Sequence[int] | None, modulus: int) -> tuple:
-    """signs[i] times rows[cols[i]] for each i, sharing the rows whose sign is 1."""
-    if signs is None:
-        return tuple(map(rows.__getitem__, cols))
-    return tuple(rows[c] if s == 1 else _scale_row(rows[c], s, modulus) for c, s in zip(cols, signs))
+    c, m = a.ring.norm(c), a.ring.modulus
+    if not c:
+        return mat_zero(a.ring, a.rows, a.cols)
+    return a if c == 1 else _kernel_matrix(a.ring, a.rows, a.cols, (_scaled(row, c, m) for row in a.nonzero))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ring = _same_ring(a, b)
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if a.cols == 0:
-        return mat_zero(ring, a.rows, b.cols)
-    bent = b.entries
-    if a._perm is not None:
-        # row i of the product is signs[i] times row cols[i] of b
-        return _kernel_matrix(ring, a.rows, b.cols, _signed_rows(bent, *a._perm, ring.modulus))
-    norm = ring.norm
-    ncols = b.cols
+    m, brows = ring.modulus, b.nonzero
     rows = []
-    for arow in a.entries:
-        acc = [0] * ncols
-        for k, x in enumerate(arow):
-            if x:
-                brow = bent[k]
-                for j in range(ncols):
-                    y = brow[j]
-                    if y:
-                        acc[j] += x * y
-        rows.append(tuple(norm(v) for v in acc))
-    return _kernel_matrix(ring, a.rows, ncols, tuple(rows))
+    for arow in a.nonzero:
+        if len(arow) == 1:  # a row of b times x: a permutation picks b's rows
+            k, = arow
+            x = arow[k]
+            rows.append(brows[k] if x == 1 else _scaled(brows[k], x, m))
+            continue
+        acc = {}
+        for k, x in arow.items():
+            for j, y in brows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        rows.append(_normed(acc, m))
+    return _kernel_matrix(ring, a.rows, b.cols, rows)
 
 
 def mat_trace(a: Matrix) -> int:
     if a.rows != a.cols:
         raise ValueError(f"trace of non-square {a.rows}x{a.cols} matrix")
-    return a.ring.norm(sum(a.entries[i][i] for i in range(a.rows)))
+    return a.ring.norm(sum(row.get(i, 0) for i, row in enumerate(a.nonzero)))
 
 
 def mat_transpose(a: Matrix) -> Matrix:
-    if a._perm is not None:
-        return _perm_matrix(a.ring, *_perm_inverse(a._perm))
-    # zip(*()) has no rows, so a 0 x k matrix needs its k empty rows spelled out
-    rows = tuple(zip(*a.entries)) if a.rows else ((),) * a.cols
+    rows = [{} for _ in range(a.cols)]
+    for i, row in enumerate(a.nonzero):
+        for j, x in row.items():
+            rows[j][i] = x
     return _kernel_matrix(a.ring, a.cols, a.rows, rows)
 
 
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product in row-major block layout: index (i,k) -> i*b.rows + k."""
     ring = _same_ring(a, b)
-    cols = a.cols * b.cols
-    grid = [[0] * cols for _ in range(a.rows * b.rows)]
-    _place_kron(grid, 0, 0, a, b)
-    return _grid_matrix(ring, grid, cols)
+    m, bc, brows = ring.modulus, b.cols, b.nonzero
+    live = list(compress(range(b.rows), brows))  # the nonzero rows of b; the others give zero rows
+    rows, zero = [], [{}] * b.rows  # zero rows share one empty dict
+    for arow in a.nonzero:
+        rows += zero
+        for k in live if arow else ():
+            row = {j * bc + l: x * z for j, x in arow.items() for l, z in brows[k].items()}
+            rows[k - b.rows] = _normed(row, m) if m else row  # over Z no product of nonzeros is zero
+    return _kernel_matrix(ring, a.rows * b.rows, a.cols * bc, rows)
+
+
+def _placed(ring: Ring, rows: int, cols: int, blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:
+    """The rows x cols matrix holding each (r0, c0, block) of blocks with its
+    corner at (r0, c0), and zero elsewhere; the blocks do not overlap."""
+    out = [{}] * rows
+    for r0, c0, block in blocks:
+        for i in compress(range(r0, r0 + block.rows), block.nonzero):  # the nonzero rows alone
+            row = block.nonzero[i - r0]
+            row = {c0 + j: x for j, x in row.items()} if c0 else row
+            out[i] = {**out[i], **row} if out[i] else row
+    return _kernel_matrix(ring, rows, cols, out)
 
 
 def mat_block(
@@ -287,16 +272,13 @@ def mat_block(
     blocks: Mapping[tuple[int, int], Matrix],
 ) -> Matrix:
     """Assemble a block matrix; absent blocks are zero."""
-    grid = [[0] * sum(col_parts) for _ in range(sum(row_parts))]
     row_off = _offsets(row_parts)
     col_off = _offsets(col_parts)
     for (bi, bj), m in blocks.items():
         if (m.rows, m.cols) != (row_parts[bi], col_parts[bj]):
             raise ValueError("block shape mismatch")
-        c0 = col_off[bj]
-        for i, row in enumerate(m.entries, row_off[bi]):
-            grid[i][c0:c0 + m.cols] = row
-    return _grid_matrix(ring, grid, sum(col_parts))
+    return _placed(ring, sum(row_parts), sum(col_parts),
+                   ((row_off[bi], col_off[bj], m) for (bi, bj), m in blocks.items()))
 
 
 def _offsets(parts: Sequence[int]) -> list[int]:
@@ -502,14 +484,14 @@ def tensor_complex(a: Complex, b: Complex) -> Complex:
     def build(i: int) -> tuple[int, Matrix]:
         n = stored[i]
         tgt_off = offsets[n + 1]
-        grid = [[0] * ranks[n] for _ in range(ranks[n + 1])]
+        blocks = []
         for (p, q), co in offsets[n].items():
             if (p + 1, q) in tgt_off:  # d_a (x) 1
-                _place_kron(grid, tgt_off[(p + 1, q)], co, a.d(p), mat_identity(ring, b.rank(q)))
+                blocks.append((tgt_off[(p + 1, q)], co, mat_kron(a.d(p), mat_identity(ring, b.rank(q)))))
             if (p, q + 1) in tgt_off:  # (-1)^p 1 (x) d_b
-                _place_kron(grid, tgt_off[(p, q + 1)], co, mat_identity(ring, a.rank(p)),
-                            mat_scale(-1 if p % 2 else 1, b.d(q)))
-        d = _grid_matrix(ring, grid, ranks[n])
+                blocks.append((tgt_off[(p, q + 1)], co,
+                               mat_kron(mat_identity(ring, a.rank(p)), mat_scale(-1 if p % 2 else 1, b.d(q)))))
+        d = _placed(ring, ranks[n + 1], ranks[n], blocks)
         return n, _checked_block(ring, d, ranks[n + 1], ranks[n], "differential", n)
 
     t = Complex(ring, tuple(ranks.items()), OnDemand(len(stored), build))
@@ -619,45 +601,6 @@ def alt_trace(e: ChainMap) -> int:
     return ring.norm(total)
 
 
-def _place_kron(grid: list[list[int]], r0: int, c0: int, a: Matrix, b: Matrix) -> None:
-    """Write the Kronecker product of a and b into grid from (r0, c0): row (i, k)
-    holds a[i][j] * b[k][l] in column (j, l), with (i, k) -> i * b.rows + k,
-    (j, l) -> j * b.cols + l."""
-    br, bc = b.rows, b.cols
-    if b._perm is not None:
-        # row (i, k) is row i of a times signs[k], at stride bc from column cols[k]
-        cols, signs = b._perm
-        stop = c0 + a.cols * bc
-        by_sign = {1: a.entries}
-        for k, l in enumerate(cols):
-            s = 1 if signs is None else signs[k]
-            if s not in by_sign:
-                by_sign[s] = mat_scale(s, a).entries
-            for i, arow in enumerate(by_sign[s]):
-                grid[r0 + i * br + k][c0 + l:stop:bc] = arow
-        return
-    if a._perm is not None:
-        # block (i, cols[i]) is b times signs[i], so b's rows go in turn from row r0
-        cols, signs = a._perm
-        for i, j in enumerate(cols):
-            c = c0 + j * bc
-            for brow in b.entries if signs is None else mat_scale(signs[i], b).entries:
-                grid[r0][c:c + bc] = brow
-                r0 += 1
-        return
-    # otherwise from a's nonzeros: each a[i][j] puts b scaled by it at block (i, j)
-    by_value = {}
-    for arow in a.entries:
-        for j, x in enumerate(arow):
-            if x:
-                if x not in by_value:
-                    by_value[x] = mat_scale(x, b).entries
-                c = c0 + j * bc
-                for k, brow in enumerate(by_value[x]):
-                    grid[r0 + k][c:c + bc] = brow
-        r0 += br
-
-
 def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
     """Tensor of degree-zero chain maps; no Koszul signs arise."""
     src, tgt = cx_tensor(f.source, g.source), cx_tensor(f.target, g.target)
@@ -673,15 +616,10 @@ def _tensor_components(ring: Ring, fs: tuple, ft: tuple, fc: tuple, gs: tuple, g
     f, g = dict(fc), dict(gc)
     comps = []
     for n, rs in src_ranks.items():
-        if n not in tgt_ranks:
-            continue
-        tgt_off = tgt_offsets[n]
-        grid = [[0] * rs for _ in range(tgt_ranks[n])]
-        for (p, q), co in src_off[n].items():
-            ro = tgt_off.get((p, q))
-            if ro is not None:
-                _place_kron(grid, ro, co, f[p], g[q])
-        comps.append((n, _grid_matrix(ring, grid, rs)))
+        if n in tgt_ranks:
+            tgt_off = tgt_offsets[n]
+            blocks = [(tgt_off[pq], co, mat_kron(f[pq[0]], g[pq[1]])) for pq, co in src_off[n].items() if pq in tgt_off]
+            comps.append((n, _placed(ring, tgt_ranks[n], rs, blocks)))
     return tuple(comps)
 
 
@@ -762,12 +700,13 @@ def _pairing(ring: Ring, ranks: tuple, ev: bool) -> Matrix:
     its dual factor's degree."""
     rank, dual = dict(ranks), tuple((-n, r) for n, r in reversed(ranks))
     width, offsets = tensor_layout(*((dual, ranks) if ev else (ranks, dual)))
-    out = [0] * width.get(0, 0)
+    diagonal = {}
     for (p, q), off in offsets.get(0, {}).items():
         d = p if ev else q
         r = rank[-d]
-        out[off:off + r * r:r + 1] = [ring.norm(pair_sign(d))] * r
-    return _kernel_matrix(ring, 1, len(out), (tuple(out),)) if ev else _grid_matrix(ring, [[x] for x in out], 1)
+        diagonal.update(dict.fromkeys(range(off, off + r * r, r + 1), pair_sign(d)))
+    row = _kernel_matrix(ring, 1, width.get(0, 0), (_normed(diagonal, ring.modulus),))
+    return row if ev else mat_transpose(row)
 
 
 @lru_cache(maxsize=4096)
@@ -778,22 +717,24 @@ def swap_map(a: Complex, b: Complex) -> ChainMap:
 
 @lru_cache(maxsize=4096)
 def _swap_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple) -> tuple:
-    """swap_map's components, from the ranks of its factors."""
+    """swap_map's components, from the ranks of its factors: each row is a
+    row of one identity matrix or of its negative, shared."""
     src_ranks, src_off = tensor_layout(a_ranks, b_ranks)
     tgt_off = tensor_layout(b_ranks, a_ranks)[1]
     a, b = dict(a_ranks), dict(b_ranks)
+    unit = mat_identity(ring, max(src_ranks.values(), default=0))
+    signed = {1: unit.nonzero, -1: mat_scale(-1, unit).nonzero}  # the rows +-e_c, shared
     comps = []
     for n, rs in src_ranks.items():
-        cols, signs = [0] * rs, [ring.norm(1)] * rs
+        rows = [None] * rs
         for (p, q), off in src_off[n].items():
             ra, rb = a[p], b[q]
             to = tgt_off[n][(q, p)]
+            units = signed[-1 if (p * q) % 2 else 1]
             # row (j, i) of the summand takes column (i, j)
             for j in range(rb):
-                cols[to + j * ra:to + (j + 1) * ra] = range(off + j, off + ra * rb, rb)
-            if (p * q) % 2:
-                signs[to:to + ra * rb] = [ring.norm(-1)] * (ra * rb)
-        comps.append((n, _perm_matrix(ring, cols, signs)))
+                rows[to + j * ra:to + (j + 1) * ra] = units[off + j:off + ra * rb:rb]
+        comps.append((n, _kernel_matrix(ring, rs, rs, rows)))
     return tuple(comps)
 
 
@@ -801,23 +742,25 @@ def _swap_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple) -> tuple:
 def assoc_map(a: Complex, b: Complex, c: Complex) -> ChainMap:
     """Reassociation a (x) (b (x) c) -> (a (x) b) (x) c; a sign-free permutation."""
     return ChainMap(cx_tensor(a, cx_tensor(b, c)), cx_tensor(cx_tensor(a, b), c),
-                    _assoc_perms(a.ring, a.ranks, b.ranks, c.ranks))
+                    _assoc_perms(a.ring, a.ranks, b.ranks, c.ranks, False))
 
 
 @lru_cache(maxsize=4096)
 def assoc_map_inv(a: Complex, b: Complex, c: Complex) -> ChainMap:
     return ChainMap(cx_tensor(cx_tensor(a, b), c), cx_tensor(a, cx_tensor(b, c)),
-                    _assoc_inv_perms(a.ring, a.ranks, b.ranks, c.ranks))
+                    _assoc_perms(a.ring, a.ranks, b.ranks, c.ranks, True))
 
 
 @lru_cache(maxsize=4096)
-def _assoc_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple, c_ranks: tuple) -> tuple:
-    """assoc_map's components, from the ranks of its factors."""
+def _assoc_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple, c_ranks: tuple, inverse: bool) -> tuple:
+    """assoc_map's components, or assoc_map_inv's, from the ranks of the
+    factors: each row is a row of one identity matrix, shared."""
     bc_rank, bc_off = tensor_layout(b_ranks, c_ranks)
     ab_rank, ab_off = tensor_layout(a_ranks, b_ranks)
     src_ranks, src_off = tensor_layout(a_ranks, tuple(bc_rank.items()))
     tgt_off = tensor_layout(tuple(ab_rank.items()), c_ranks)[1]
-    cols = {n: [0] * rs for n, rs in src_ranks.items()}
+    unit = mat_identity(ring, max(src_ranks.values(), default=0)).nonzero
+    rows = {n: [None] * rs for n, rs in src_ranks.items()}
     for q, rb in b_ranks:
         for r, rc in c_ranks:
             rbc, block = bc_rank[q + r], rb * rc
@@ -829,12 +772,10 @@ def _assoc_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple, c_ranks: tuple) -> 
                 n = p + q + r
                 so = src_off[n][(p, q + r)] + inner
                 to = tgt_off[n][(p + q, r)] + ab_off[p + q][(p, q)] * rc
-                out = cols[n]
+                out = rows[n]
                 for i in range(ra):
-                    out[to + i * block:to + (i + 1) * block] = range(so + i * rbc, so + i * rbc + block)
-    return tuple((n, _perm_matrix(ring, out)) for n, out in cols.items())
-
-
-@lru_cache(maxsize=4096)
-def _assoc_inv_perms(ring: Ring, a_ranks: tuple, b_ranks: tuple, c_ranks: tuple) -> tuple:
-    return tuple((n, mat_transpose(m)) for n, m in _assoc_perms(ring, a_ranks, b_ranks, c_ranks))
+                    row, col = to + i * block, so + i * rbc
+                    if inverse:
+                        row, col = col, row
+                    out[row:row + block] = unit[col:col + block]
+    return tuple((n, _kernel_matrix(ring, len(out), len(out), out)) for n, out in rows.items())

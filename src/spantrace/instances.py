@@ -235,13 +235,6 @@ def parse_file(path: str) -> Instance:
 # emission
 
 
-def complex_doc(c: Complex) -> dict:
-    return {
-        "ranks": {str(n): r for n, r in c.ranks},
-        "diff": {str(n): [list(r) for r in m.entries] for n, m in c.diff},
-    }
-
-
 def emit_instance(inst: Instance) -> str:
     doc: dict = {"modulus": inst.ring.modulus, "base": list(inst.base)}
     doc["spaces"] = {
@@ -262,7 +255,11 @@ def emit_instance(inst: Instance) -> str:
     doc["objects"] = {
         name: {
             "space": _name_of(inst.spaces, o.space),
-            "stalks": {x: complex_doc(o.stalk(x)) for x in o.space.elements},
+            "stalks": {
+                x: {"ranks": {str(n): r for n, r in c.ranks},
+                    "diff": {str(n): [list(r) for r in m.entries] for n, m in c.diff}}
+                for x in o.space.elements for c in [o.stalk(x)]
+            },
         }
         for name, o in inst.objects.items()
     }

@@ -32,8 +32,11 @@ from spantrace.chainalg import (
     map_tensor,
     mat,
     mat_identity,
+    mat_add,
+    mat_block,
     mat_kron,
     mat_mul,
+    mat_scale,
     mat_trace,
     mat_transpose,
     mat_zero,
@@ -42,7 +45,7 @@ from spantrace.chainalg import (
     tensor_layout,
     unit_complex,
 )
-from spantrace.chainalg import _assoc_inv_perms, _assoc_perms, _swap_perms, _tensor_components
+from spantrace.chainalg import _assoc_perms, _swap_perms, _tensor_components
 from spantrace.generate import GenParams, deep_object, random_chain_map, random_complex
 from statements import map_scale, q_complex, sum_tensor_distribute
 
@@ -53,17 +56,25 @@ Z7 = Ring(7)
 # independent oracles
 
 
-def mul_oracle(ring, a, b):
-    """Scalar triple loop, no shortcuts."""
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+def mul_oracle(ring, a, b, cols=None):
+    """Scalar triple loop over lists; a zero of a adds nothing, so it is
+    skipped, which keeps products with a permutation quadratic.  cols is
+    b's width, read off its first row by default."""
+    rows, inner = len(a), len(b)
+    cols = (len(b[0]) if b else 0) if cols is None else cols
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
-        for j in range(cols):
-            s = 0
-            for k in range(inner):
-                s += a[i][k] * b[k][j]
-            out[i][j] = ring.norm(s)
+        for k in range(inner):
+            if a[i][k]:
+                for j in range(cols):
+                    out[i][j] += a[i][k] * b[k][j]
+        out[i] = [ring.norm(x) for x in out[i]]
     return out
+
+
+def transpose_oracle(a, cols):
+    """The transpose of a list-of-lists matrix with cols columns."""
+    return [[row[j] for row in a] for j in range(cols)]
 
 
 def kron_oracle(ring, a, b):
@@ -113,6 +124,24 @@ def tensor_oracle(a, b):
                 grid[pos[(p, q + 1, i, j2)]][col] += sgn * db.entries[j2][j]
         diff[n] = grid
     return make_complex(ring, ranks, diff)
+
+
+def map_tensor_oracle(f, g, n):
+    """The degree-n component of f (x) g: kron_oracle of the components of
+    each pair of summands that source and target share, placed at their
+    starts, and zero elsewhere."""
+    tgt_at = summand_starts(f.target, g.target, n)
+    src_at = summand_starts(f.source, g.source, n)
+    rows = sum(f.target.rank(p) * g.target.rank(q) for p, q in tgt_at)
+    cols = sum(f.source.rank(p) * g.source.rank(q) for p, q in src_at)
+    out = [[0] * cols for _ in range(rows)]
+    for (p, q), c0 in src_at.items():
+        if (p, q) in tgt_at:
+            blk = kron_oracle(f.source.ring, [list(r) for r in f.component(p).entries],
+                              [list(r) for r in g.component(q).entries])
+            for i, row in enumerate(blk):
+                out[tgt_at[(p, q)] + i][c0:c0 + len(row)] = row
+    return out
 
 
 def plain_basis(x):
@@ -283,6 +312,50 @@ def test_kron_trace_multiplicative(seed):
     assert mat_trace(mat_kron(a, b)) == ring.norm(mat_trace(a) * mat_trace(b))
 
 
+def assert_kernel_result(got, want, cols):
+    """got is the matrix of the normalised grid want, with cols columns: it
+    stores no zero, and equals and hashes like the same values built by
+    mat() and by Matrix()."""
+    ring = got.ring
+    assert (got.rows, got.cols) == (len(want), cols) and [list(r) for r in got.entries] == want
+    assert all(x for row in got.nonzero for x in row.values())
+    for same in (mat(ring, want, cols=cols), Matrix(ring, len(want), cols, tuple(map(tuple, want)))):
+        assert got == same and same == got and hash(got) == hash(same)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_kernels_match_list_oracles(data):
+    """Every matrix kernel against a list-of-lists oracle, over Z, Z/7, Z/4,
+    Z/2 and Z/1, on shapes down to 0xk and kx0, with values that cancel
+    (2 * 2 over Z/4)."""
+    ring = Ring(data.draw(st.sampled_from([0, 7, 4, 2, 1])))
+    values = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+
+    def grid(rows, cols):
+        return [[ring.norm(data.draw(values)) for _ in range(cols)] for _ in range(rows)]
+
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    ga, ga2, gb, gd, gs = grid(r, k), grid(r, k), grid(k, c), grid(r, c), grid(r, r)
+    a, a2, b, d, sq = (mat(ring, g, cols=n) for g, n in ((ga, k), (ga2, k), (gb, c), (gd, c), (gs, r)))
+    x = data.draw(values)
+    assert_kernel_result(mat_mul(a, b), mul_oracle(ring, ga, gb, c), c)
+    assert_kernel_result(mat_add(a, a2), [[ring.norm(u + v) for u, v in zip(p, q)] for p, q in zip(ga, ga2)], k)
+    assert_kernel_result(mat_scale(x, a), [[ring.norm(x * u) for u in row] for row in ga], k)
+    assert_kernel_result(mat_transpose(a), transpose_oracle(ga, k), r)
+    assert_kernel_result(mat_kron(a, b), kron_oracle(ring, ga, gb), k * c)
+    assert_kernel_result(mat_block(ring, [r, k], [k, c], {(0, 0): a, (0, 1): d, (1, 1): b}),
+                         [p + q for p, q in zip(ga, gd)] + [[0] * k + q for q in gb], k + c)
+    assert mat_trace(sq) == ring.norm(sum(gs[i][i] for i in range(r)))
+
+
+def test_results_that_cancel_store_no_zero():
+    z4 = Ring(4)
+    two, zero = mat(z4, [[2]]), Matrix(z4, 1, 1, ((0,),))
+    for got in (mat_mul(two, two), mat_kron(two, two), mat_scale(2, two), mat_add(two, two)):
+        assert got.nonzero == ({},) and got == zero and hash(got) == hash(zero)
+
+
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_trace_cyclic(seed):
@@ -416,16 +489,7 @@ def test_map_tensor_matches_kron_oracle(seed):
             for n, _ in t.source.ranks:
                 comp = t.component(n)
                 assert_normalised(comp)
-                # every entry outside the blocks of matching summands is zero
-                expect = [[0] * comp.cols for _ in range(comp.rows)]
-                tgt_at = summand_starts(f.target, g.target, n)
-                for (p, q), c0 in summand_starts(f.source, g.source, n).items():
-                    if (p, q) in tgt_at:
-                        blk = kron_oracle(ring, [list(r) for r in f.component(p).entries],
-                                          [list(r) for r in g.component(q).entries])
-                        for i, row in enumerate(blk):
-                            expect[tgt_at[(p, q)] + i][c0:c0 + len(row)] = row
-                assert [list(r) for r in comp.entries] == expect
+                assert [list(r) for r in comp.entries] == map_tensor_oracle(f, g, n)
 
 
 def test_chain_map_rejects_non_commuting():
@@ -597,19 +661,8 @@ def test_swap_ev_coev_match_basis_oracles(seed):
             assert_normalised(coev.component(0))
 
 
-def record_oracle(m):
-    """The dense matrix a permutation record describes, or None without one."""
-    if m._perm is None:
-        return None
-    cols, signs = m._perm
-    grid = [[0] * m.cols for _ in range(m.rows)]
-    for i, c in enumerate(cols):
-        grid[i][c] = 1 if signs is None else signs[i]
-    return grid
-
-
 def plain(m):
-    """The same entries through mat(), which sets no permutation record."""
+    """The same entries through mat(), from the dense view."""
     return mat(m.ring, m.entries, cols=m.cols)
 
 
@@ -625,34 +678,33 @@ def assert_same_matrix(got, want):
 @given(seeds)
 @settings(max_examples=20, deadline=None)
 def test_permutations_apply_by_reindexing_as_the_dense_product(seed):
+    """The structure maps are signed permutations, one entry in each row
+    (none over Z/1, where they are zero), and their products, transposes
+    and tensors equal the list-of-lists oracles."""
     rng = random.Random(seed)
     for m in (0, 7, 2, 1):
         ring = Ring(m)
         a, b, c = (big_complex(rng, ring) for _ in range(3))
         swap = swap_map(b, c)
-        # a tensor of structure maps is dense; only the four maps below carry
-        # a record, so only their products differ from the dense code
-        for f in (map_tensor(map_identity(a), swap), map_tensor(swap, map_identity(a))):
-            assert all(p._perm is None for _, p in f.components)
-        maps = [assoc_map(a, b, c), assoc_map_inv(a, b, c), swap, map_identity(a)]
-        assert maps[0].target == tensor_oracle(cx_tensor(a, b), c)
-        for f in maps:
+        maps = [(assoc_map(a, b, c), lambda n: assoc_oracle(a, b, c, n)),
+                (assoc_map_inv(a, b, c), lambda n: transpose_oracle(assoc_oracle(a, b, c, n), len(assoc_oracle(a, b, c, n)))),
+                (swap, lambda n: swap_oracle(b, c, n)),
+                (map_identity(a), lambda n: [[ring.norm(int(i == j)) for j in range(a.rank(n))] for i in range(a.rank(n))])]
+        assert maps[0][0].target == tensor_oracle(cx_tensor(a, b), c)
+        for f, oracle in maps:
             for n, p in f.components:
-                assert p.rows == p.cols and (p._perm is None) == (m == 1)
-                if p._perm is not None:
-                    assert [list(r) for r in p.entries] == record_oracle(p)
-                    assert sorted(p._perm[0]) == list(range(p.rows))
-                dense = plain(p)
-                assert dense._perm is None
+                grid = oracle(n)
+                assert p.rows == p.cols and [list(r) for r in p.entries] == grid
+                assert all(len(row) == (m != 1) for row in p.nonzero)
                 k = rng.randint(0, 3)
-                right = mat(ring, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(p.cols)], cols=k)
-                assert_same_matrix(mat_mul(p, right), mat_mul(dense, right))
-                assert_same_matrix(mat_mul(p, p), mat_mul(dense, dense))
-                assert_same_matrix(mat_transpose(p), mat_transpose(dense))
+                right = [[ring.norm(rng.randint(-3, 3)) for _ in range(k)] for _ in range(p.cols)]
+                assert_same_matrix(mat_mul(p, mat(ring, right, cols=k)), mat(ring, mul_oracle(ring, grid, right), cols=k))
+                assert_same_matrix(mat_mul(p, p), mat(ring, mul_oracle(ring, grid, grid), cols=p.cols))
+                assert_same_matrix(mat_transpose(p), mat(ring, transpose_oracle(grid, p.cols), cols=p.rows))
                 assert_same_matrix(mat_mul(mat_transpose(p), p), plain(mat_identity(ring, p.rows)))
         # a permutation or identity factor in a tensor of maps, against the
-        # same entries without records; f (x) f only on small complexes, as
-        # it squares the ranks
+        # same entries rebuilt through mat() and against the kron oracle;
+        # f (x) f only on small complexes, as it squares the ranks
         recs = [random_complex(rng, ring, GenParams()) for _ in range(5)]
         x, y, z = (r.cx for r in recs[2:])
         g = random_chain_map(rng, recs[0], recs[1])
@@ -661,15 +713,15 @@ def test_permutations_apply_by_reindexing_as_the_dense_product(seed):
         cases = [(f, g) for f in small + [swap]] + [(g, f) for f in small + [swap]] + [(f, f) for f in small]
         for u, v in cases:
             # map_tensor shares its components by value, so each side is built
-            # afresh: the plain maps would otherwise look up the records' result
+            # afresh: the plain maps would otherwise look up the first result
             _tensor_components.cache_clear()
             got = map_tensor(u, v)
             _tensor_components.cache_clear()
             want = map_tensor(plain_map(u), plain_map(v))
             assert got == want and hash(got) == hash(want)
-            for (_, p), (_, q) in zip(got.components, want.components):
+            for (n, p), (_, q) in zip(got.components, want.components):
                 assert_same_matrix(p, q)
-                assert p._perm is None
+                assert [list(r) for r in p.entries] == map_tensor_oracle(u, v, n)
 
 
 def unread(diff):
@@ -700,9 +752,10 @@ def perturbed(c, rng):
 @given(seeds)
 @settings(max_examples=20, deadline=None)
 def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
-    """cx_tensor builds a differential, and a permutation its rows, only when
-    read; read in any order, or compared or hashed first, they agree with
-    the eager constructions of the oracles above.  Fresh objects throughout
+    """cx_tensor builds a differential only when read; read in any order, or
+    compared or hashed first, they agree with the eager constructions of the
+    oracles above, and so do the structure maps' permutations, compared or
+    hashed before their dense view is read.  Fresh objects throughout
     (tensor_complex, the uncached builder, and the structure maps'
     permutations' profile-keyed builders' __wrapped__), since a cached or
     shared one may have been read already."""
@@ -731,18 +784,20 @@ def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
         if bad is not None:
             fresh = tensor_complex(a, b)
             assert fresh != bad and bad != fresh and t != bad
-        # permutations keep their record and no rows until read; over Z/1
-        # they are zero, with no record
+        # the structure maps' permutations, built afresh, against their
+        # oracles: one entry in each row, and zero over Z/1
         x, y, z = (seeded_complex(rng.getrandbits(32), m) for _ in range(3))
         k = rng.randint(0, 6)
         cases = [(mat_identity.__wrapped__(ring, k), [[int(i == j) for j in range(k)] for i in range(k)])]
         cases += [(p, swap_oracle(a, b, n)) for n, p in _swap_perms.__wrapped__(ring, a.ranks, b.ranks)]
         xyz = (ring, x.ranks, y.ranks, z.ranks)
-        cases += [(p, assoc_oracle(x, y, z, n)) for n, p in _assoc_perms.__wrapped__(*xyz)]
-        cases += [(p, [list(r) for r in zip(*assoc_oracle(x, y, z, n))]) for n, p in _assoc_inv_perms.__wrapped__(*xyz)]
+        cases += [(p, assoc_oracle(x, y, z, n)) for n, p in _assoc_perms.__wrapped__(*xyz, False)]
+        cases += [(p, [list(r) for r in zip(*assoc_oracle(x, y, z, n))]) for n, p in _assoc_perms.__wrapped__(*xyz, True)]
         for p, grid in cases:
-            assert (p._perm is None) == (m == 1) and ("entries" in vars(p)) == (m == 1)
-            assert_same_value(p, mat(ring, grid, cols=p.cols), rng)
+            assert all(len(row) == (m != 1) for row in p.nonzero)
+            want = mat(ring, grid, cols=p.cols)
+            assert_same_value(p, want, rng)
+            assert p.entries == want.entries
             assert_normalised(p)
 
 
@@ -924,8 +979,9 @@ def test_cached_hashes_are_the_field_tuple_hashes(seed):
     assert fresh == c and repr(fresh) == repr(c)
     assert repr(c) == f"Complex(ring={c.ring!r}, ranks={c.ranks!r}, diff={c.diff!r})"
     for _, m in c.diff:
-        assert hash(m) == hash((m.ring, m.rows, m.cols, m.entries))
-        assert Matrix(m.ring, m.rows, m.cols, m.entries) == m
+        # a matrix is equal, and hashes alike, however it is built
+        for same in (Matrix(m.ring, m.rows, m.cols, m.entries), plain(m), mat_transpose(mat_transpose(m))):
+            assert same == m and hash(same) == hash(m)
         assert repr(m) == f"Matrix(ring={m.ring!r}, rows={m.rows}, cols={m.cols}, entries={m.entries!r})"
     other = Complex(c.ring, c.ranks + ((99, 1),), c.diff)
     assert other != c and hash(other) == hash((other.ring, other.ranks, other.diff))

@@ -444,7 +444,7 @@ def test_make_dual_builds_no_rank_r3_differential_or_reassociation_rows(r, monke
     """The triangle composites pass through (a (x) a*) (x) a and a (x) (a* (x)
     a), of rank r^3 for a stalk of total rank r, but read only components
     of maps between them: no differential of such a tensor is built, and no
-    reassociation permutation builds its dense rows."""
+    reassociation permutation builds its dense view."""
     clear_kernel_caches()
     tensors, assocs = [], []
 

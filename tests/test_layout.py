@@ -36,15 +36,16 @@ FUZZ = ("fuzz", "--suite", "all", "--seed", "7", "--count", "10")
 # The functions of the package that traffic does not run, each with the
 # reason it stays.
 TRAFFIC_ALLOWLIST = {
-    "chainalg.mat_kron": "perfbench/layers.py traces it by name",
     "corrcat.CCObject": "perfbench/workloads.py builds its objects through it",
     "instances.emit_instance": "perfbench/workloads.py writes its pair instances with it",
-    "instances.complex_doc": "emit_instance writes each stalk with it",
     "instances._name_of": "emit_instance names each space, object and span with it",
     "generate.wide_object": "the wide family of scripts/sweep_make_dual.py",
     "generate.deep_object": "the deep family of scripts/sweep_make_dual.py",
     "cli._verification_raised": "error path: a verification of a parsed file raised",
     "chainalg.OnDemand.__repr__": "debugging aid: shows the entries built so far",
+    "chainalg.Matrix.__repr__": "debugging aid: shows the dense entries",
+    "chainalg.Matrix.entries": "the dense view: emit_instance writes stalks and components with it, "
+                               "and tests compare it with list-of-lists oracles",
     "chainalg.OnDemand.__hash__": "traffic keys tensors by construction (Complex.key), so any traffic run "
                                   "of it is a regression that builds every differential; tests hash "
                                   "tensors to compare them with eager oracles",
