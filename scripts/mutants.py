@@ -72,6 +72,10 @@ SELECTIONS = {
         _CRITERION + "3_local_term_oracle_500",
         _CRITERION + "5_pairing_symmetry_200",
     ],
+    "suites": _COMMON + [
+        "tests/test_cli.py",
+        _CRITERION + "10_determinism_and_round_trip",
+    ],
 }
 
 # (name, file, anchor, replacement, selection)
@@ -158,6 +162,14 @@ MUTANTS = [
     ("product membership ignores the inner anchor match", "finspan.py",
      "s is not None and s == self.factors[1]._member_anchor(e[1])",
      "s is not None and self.factors[1]._member_anchor(e[1]) is not None", "cells"),
+    ("make_dual's key is the space alone", "dualtrace.py",
+     "@lru_cache(maxsize=DUALS_KEPT)\ndef make_dual(",
+     "@(lambda fn, memo={}: setattr(w := lambda a: memo[a.space] if a.space in memo"
+     " else memo.setdefault(a.space, fn(a)), 'cache_clear', memo.clear)"
+     " or setattr(w, 'cache_info', lambda: (0, 0, None, len(memo))) or setattr(w, '__wrapped__', fn) or w)"
+     "\ndef make_dual(", "pairing"),
+    ("all lists its checks child-major", "suites.py",
+     "checks[suite].append(check)", "checks[names[0]].append(check)", "suites"),
 ]
 
 

@@ -14,6 +14,11 @@ Two size families, both over ZZ and both past the generator's caps:
   The kernel caches are emptied before every round, so each round pays that
   matrix work.
 
+make_dual keeps the duality data of its latest objects, and every round
+builds an equal object, so its memo is emptied before every round in both
+families: each round computes the data, and each record counts the rounds
+that hit the memo anyway (``memo_hits``, 0).
+
 The speed of a shared machine drifts, so around every round the script
 times the benchmark's fixed reference slice of pure-Python work
 (perfbench/worker.py) and also reports each round scaled to the slice's
@@ -27,7 +32,7 @@ The sizes default to 8,16,24,32,48,64 for wide and
 4,8,12,16,20,24,32,48,64,96,128 for deep, the output to
 BENCH_make_dual.json and BENCH_make_dual_deep.json.
 Writes one record per size (median and minimum seconds, raw and scaled,
-rounds, and the growth exponent against the previous size) plus the Python
+rounds, memo hits, and the growth exponent against the previous size) plus the Python
 version and the CPU count.  It times the spantrace of its own checkout.
 """
 
@@ -81,19 +86,21 @@ def main() -> int:
     records = []
     reference_slice(1000)  # warm the slice's code up
     for n in sizes:
-        times, refs = [], [reference_slice()]
+        times, refs, hits = [], [reference_slice()], 0
         for _ in range(args.rounds):
             obj = build(ZZ, n)
+            make_dual.cache_clear()
             if args.family == "deep":
                 clear_kernel_caches()
             t0 = time.perf_counter()
             make_dual(obj)
             times.append(time.perf_counter() - t0)
+            hits += make_dual.cache_info().hits
             refs.append(reference_slice())
         at_ref = scaled(times, refs, range(len(times)))
         rec = {"n": n, "median_s": statistics.median(times), "min_s": min(times),
                "scaled_median_s": statistics.median(at_ref), "scaled_min_s": min(at_ref),
-               "rounds": len(times)}
+               "rounds": len(times), "memo_hits": hits}
         if records and n != records[-1]["n"]:
             prev = records[-1]
             rec["growth_exponent"] = (math.log(rec["scaled_median_s"] / prev["scaled_median_s"])

@@ -12,11 +12,19 @@ is the trace of u then v: its loops are the chosen fixed-point set
 F = {(gamma, delta) : feet interlock}, element for element.  The
 pointwise formula alt_trace(v . u) is kept separate as an independent
 oracle; their agreement is a theorem-shaped test, not an assumption.
+
+Duality data is unique up to unique isomorphism, so make_dual is a
+function of the object alone and computes it once per object: it keeps
+the data of its latest objects, keyed by the sheaf (hashed by ring and
+space, compared by value).  Nothing on local_pairing's path is cached
+this way, so the oracle stays an independent computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
 from .chainalg import alt_trace, coev_map, ev_map, map_compose
 from .corrcat import (
     CCCell,
@@ -64,8 +72,17 @@ class PairingResult:
     omega: OmegaClass
 
 
+# one child seed's suites make 9 calls on at most 7 objects, and an object
+# comes back after at most 5 others
+DUALS_KEPT = 8
+
+
+@lru_cache(maxsize=DUALS_KEPT)
 def make_dual(a: Sheaf) -> DualityData:
-    """Dual object, evaluation, coevaluation, and verified triangle cells."""
+    """Dual object, evaluation, coevaluation, and verified triangle cells;
+    computed once per object while it is among the latest DUALS_KEPT.  A
+    call that raises keeps nothing, so the next call checks again.  The
+    data is shared and read-only."""
     x = a.space
     dual = verdier(a)
     unit = unit_object(a.ring, x.base)

@@ -7,12 +7,19 @@ because the lower row is drawn first and the upper row is lifted through
 the fibers; chain maps are assembled from piece-to-piece maps that are
 tried against the commutation constraint and kept only when it holds,
 plus null-homotopic perturbations which are chain maps for free.
+
+The suites of one child seed share its draws: lv and basechange check the
+same diagram, symmetry and oracle the same pair.  random_lv_instance and
+random_pair_instance are pure functions of (seed, params), so each keeps
+its latest draws and hands the same values to every suite that asks.  A
+drawn value is shared and read-only: no caller may change it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .basefunc import make_base_change
 from .chainalg import (
@@ -318,7 +325,11 @@ def deep_object(ring: Ring, r: int) -> Sheaf:
 # ---------------------------------------------------------------------------
 # whole-diagram instances
 
+# a child's suites ask each memo for one draw; it also keeps the child before
+SHARED_DRAWS = 2
 
+
+@lru_cache(maxsize=SHARED_DRAWS)
 def random_lv_instance(seed: int, params: GenParams) -> Instance:
     """A random commuting two-rectangle diagram, lower row first, upper row
     lifted through the fibers, with coefficient data on the upper row."""
@@ -394,6 +405,7 @@ def random_endo_instance(seed: int, params: GenParams) -> tuple:
     return obj, e
 
 
+@lru_cache(maxsize=SHARED_DRAWS)
 def random_pair_instance(seed: int, params: GenParams) -> tuple:
     """Two objects over a shared base with morphisms both ways."""
     rng = random.Random(seed)

@@ -150,6 +150,12 @@ def _guarded(fn, seed: int, index: int, params: GenParams) -> Iterator[Check]:
 
 
 def run_suite(name: str, seed: int, count: int, params: GenParams | None = None) -> Report:
+    """The checks of suite name on count child seeds drawn from seed.
+
+    "all" runs child-major, every suite on child 0 and then on child 1, so
+    that the suites of one child share its draws and duality data through
+    the memos of generate and make_dual.  It lists the checks suite-major,
+    as the single-suite reports one after another."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
     if count < 0:
@@ -160,13 +166,14 @@ def run_suite(name: str, seed: int, count: int, params: GenParams | None = None)
     start = time.perf_counter()
     master = random.Random(seed)
     child_seeds = [master.getrandbits(63) for _ in range(count)]
-    for suite in names:
-        fn = _SUITES[suite]
-        for i, child in enumerate(child_seeds):
-            for check in _guarded(fn, child, i, params):
+    checks: dict[str, list[Check]] = {suite: [] for suite in names}
+    for i, child in enumerate(child_seeds):
+        for suite in names:
+            for check in _guarded(_SUITES[suite], child, i, params):
                 if name == "all":
                     check.name = f"{suite}: {check.name}"
-                report.checks.append(check)
+                checks[suite].append(check)
+    report.checks = [c for suite in names for c in checks[suite]]
     report.elapsed_seconds = time.perf_counter() - start
     return report
 

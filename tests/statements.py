@@ -9,11 +9,13 @@ the Lefschetz-Verdier diagram splits through the pushforward; a morphism
 of dualizable objects has a dual (its mate), contravariantly functorial;
 the trace of an identity is the pointwise Euler characteristic; the
 tensor product distributes over direct sums; pullback along a base change
-is symmetric monoidal.  Also here: the small complex and the exhaustive
-lift search that several test modules share.
+is symmetric monoidal.  Also here: the small complex, the exhaustive
+lift search, the interlocking spans and the emptying of the suites'
+memos, which several test modules share.
 """
 
 import itertools
+import random
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -26,8 +28,9 @@ from spantrace.corrcat import (CCCell, CCMorphism, CCRelabel, cc_assoc, cc_cell_
                                cc_compose_many, cc_identity, cc_invert, cc_tensor, left_unitor,
                                make_cc_morphism, obj_tensor, right_unitor, shriek_push)
 from spantrace.dualtrace import DualityData, PushRectangles, make_dual, trace
-from spantrace.finspan import Label, OverMap, Span, make_over_map, om_compose, om_identity
-from spantrace.generate import GenParams, random_lv_instance
+from spantrace.finspan import (FinOver, Label, OverMap, Span, make_fin_over, make_over_map, om_compose,
+                               om_identity)
+from spantrace.generate import GenParams, random_lv_instance, random_pair_instance
 from spantrace.sheafops import OmegaClass, Sheaf, push
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,40 @@ def sum_tensor_distribute(parts: Sequence[Complex], m: Complex, ring: Ring) -> C
     zero = ChainMap(src, tgt, tuple((n, mat_zero(ring, tgt.rank(n), r)) for n, r in src.ranks if tgt.rank(n)))
     f = reduce(map_add, pieces, zero)
     return make_chain_map(f.source, f.target, dict(f.components))
+
+
+# ---------------------------------------------------------------------------
+# draws
+
+
+def interlocking_spans(rng: random.Random, base: tuple, params: GenParams) -> list[Span]:
+    """Three composable spans drawn as 1 to max_set chains x0 - x1 - x2 - x3
+    over one base point each, feet new or shared with an earlier chain's:
+    each chain is an element of the triple composite."""
+    spaces = [{}, {}, {}, {}]  # element -> anchor
+    chains = []
+    for _ in range(rng.randint(1, params.max_set)):
+        s = rng.choice(base)
+        olds = [[x for x, t in space.items() if t == s] for space in spaces]
+        chains.append([rng.choice(old) if old and rng.random() < 0.5 else f"v{i}_{len(space)}"
+                       for i, (space, old) in enumerate(zip(spaces, olds))])
+        for space, x in zip(spaces, chains[-1]):
+            space[x] = s
+    feet = [make_fin_over(base, tuple(space), space) for space in spaces]
+    anchor = tuple(spaces[0][chain[0]] for chain in chains)
+    spans = []
+    for i, prefix in enumerate("cde"):
+        apex = FinOver(base, tuple(f"{prefix}{k}" for k in range(len(chains))), anchor)
+        spans.append(Span(*(OverMap(apex, feet[j], tuple(chain[j] for chain in chains)) for j in (i, i + 1))))
+    return spans
+
+
+def forget_shared_draws() -> None:
+    """Empty the memos through which the suites of a child seed share its
+    draws and duality data, so that what comes next is computed afresh."""
+    random_lv_instance.cache_clear()
+    random_pair_instance.cache_clear()
+    make_dual.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import pytest
 
 from spantrace import cli, suites
 from spantrace.cli import main
-from spantrace.dualtrace import pairing_functorial
-from spantrace.generate import GenParams, random_lv_instance
-from spantrace.instances import ParseError, emit_instance, parse_instance
-from spantrace.suites import Check, Report, parse_report, report_doc, report_emit, run_suite
+from spantrace.dualtrace import make_dual, pairing_functorial
+from spantrace.generate import GenParams, random_lv_instance, random_pair_instance
+from spantrace.instances import Instance, ParseError, emit_instance, parse_instance
+from spantrace.suites import SUITE_NAMES, Check, Report, parse_report, report_doc, report_emit, run_suite
+from statements import forget_shared_draws
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TWO_POINT = os.path.join(FIXTURES, "two_point.json")
@@ -71,8 +72,9 @@ def test_fixtures_round_trip():
 
 def test_generate_deterministic():
     a = random_lv_instance(42, GenParams())
+    forget_shared_draws()  # so that b is drawn again, not shared
     b = random_lv_instance(42, GenParams())
-    assert emit_instance(a) == emit_instance(b)
+    assert a is not b and emit_instance(a) == emit_instance(b)
     c = random_lv_instance(43, GenParams())
     assert emit_instance(a) != emit_instance(c)
 
@@ -303,6 +305,59 @@ def test_cli_fuzz_reports_a_raising_verification(monkeypatch, capsys):
     assert names[:3] == [(0, "lv: made before the fault"), (1, "lv: made before the fault"),
                          (1, "lv: verification raised")]
     assert names[3:] == [n for n in clean if not n[1].startswith("lv: ")]
+
+
+def test_trace_certifies_each_object_once(capsys):
+    """two_point.json has two endomorphisms of L: trace certifies L once."""
+    make_dual.cache_clear()
+    assert main(["trace", TWO_POINT]) == 0
+    info = make_dual.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert set(json.loads(capsys.readouterr().out)) == {"u", "v"}
+
+
+def pair_instance(draw) -> Instance:
+    """A random_pair_instance draw as an instance file's contents."""
+    a, b, u, v = draw
+    inst = Instance(a.obj.ring, a.obj.space.base)
+    inst.spaces = {"X": a.obj.space, "Y": b.obj.space, "C": u.span.apex, "D": v.span.apex}
+    inst.maps = {"cl": u.span.left, "cr": u.span.right, "dl": v.span.left, "dr": v.span.right}
+    inst.objects = {"A": a.obj, "B": b.obj}
+    inst.spans = {"c": u.span, "d": v.span}
+    inst.morphisms = {"u": u, "v": v}
+    return inst
+
+
+def test_suites_share_a_child_draws_and_leave_them_unchanged():
+    """The six suites of one child share its two draws, and none of them
+    changes a shared draw: both emit the same bytes after the run."""
+    forget_shared_draws()
+    params = GenParams()
+    child = random.Random(31).getrandbits(63)
+    lv, pair = random_lv_instance(child, params), random_pair_instance(child, params)
+    before = emit_instance(lv), emit_instance(pair_instance(pair))
+    assert run_suite("all", 31, 1).ok
+    assert random_lv_instance(child, params) is lv and random_pair_instance(child, params) is pair
+    assert (emit_instance(lv), emit_instance(pair_instance(pair))) == before
+
+
+def test_all_lists_checks_as_the_single_suite_reports(monkeypatch):
+    """all runs child-major but lists its checks suite by suite: with a
+    suite raising on child 1 of 3, its report is the six single-suite
+    reports one after another, names prefixed."""
+    symmetry = suites._SUITES["symmetry"]
+
+    def raising(seed, index, params):
+        yield from symmetry(seed, index, params)
+        if index == 1:
+            raise ZeroDivisionError("injected fault")
+
+    monkeypatch.setitem(suites._SUITES, "symmetry", raising)
+    doc = report_doc(run_suite("all", 5, 3))
+    singles = []
+    for name in SUITE_NAMES[:-1]:
+        singles += [{**c, "name": f"{name}: {c['name']}"} for c in report_doc(run_suite(name, 5, 3))["checks"]]
+    assert doc["checks"] == singles and doc["failures"] == 1
 
 
 def test_negative_count_rejected(capsys):

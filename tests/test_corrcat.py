@@ -87,6 +87,7 @@ from statements import (
     f_conatural,
     f_natural,
     inclusion_map,
+    interlocking_spans,
     make_cc_cell,
     map_scale,
     monoidal_structure,
@@ -436,9 +437,20 @@ def test_interchange_up_to_iso(seed):
     b = random_cc_morphism(rng, gp[1], gp[2], random_span(rng, sp[1], sp[2], "b", params))
     c = random_cc_morphism(rng, gq[0], gq[1], random_span(rng, sq[0], sq[1], "c", params))
     d = random_cc_morphism(rng, gq[1], gq[2], random_span(rng, sq[1], sq[2], "d", params))
-    lhs = cc_tensor(cc_compose(a, b), cc_compose(c, d))
-    rhs = cc_compose(cc_tensor(a, c), cc_tensor(b, d))
-    assert cc_iso_search(lhs, rhs) is not None
+    # independent spans often compose to nothing, so also draw interlocking
+    # ones, whose composites hold at least one element per chain
+    chained = []
+    for _ in range(2):
+        s, t, _ = interlocking_spans(rng, base, params)
+        feet = [random_gen_object(rng, ring, x, params) for x in (s.left.target, s.right.target, t.right.target)]
+        chained += [random_cc_morphism(rng, feet[0], feet[1], s), random_cc_morphism(rng, feet[1], feet[2], t)]
+    for a, b, c, d in [(a, b, c, d), chained]:
+        ab, cd = cc_compose(a, b), cc_compose(c, d)
+        lhs = cc_tensor(ab, cd)
+        rhs = cc_compose(cc_tensor(a, c), cc_tensor(b, d))
+        assert cc_iso_search(lhs, rhs) is not None
+    # the interlocking composites, from the last pass, hold every chain
+    assert ab.span.apex.size >= a.span.apex.size >= 1 and cd.span.apex.size >= c.span.apex.size >= 1
 
 
 @given(seeds)

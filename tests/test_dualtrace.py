@@ -127,6 +127,41 @@ def test_make_dual_empty():
     assert d.ev.span.apex.size == 0
 
 
+def test_make_dual_keys_by_the_whole_object():
+    """Two objects on one space with different stalks hash alike but are
+    distinct objects: each gets its own duality data, and a repeat of
+    either, equal by value, gets that object's data back."""
+    a = two_point_object()
+    b = make_sheaf(ZZ, a.space, {"a": q_complex(), "b": unit_complex(ZZ)})
+    assert hash(a) == hash(b) and a != b
+    make_dual.cache_clear()
+    da, db = make_dual(a), make_dual(b)
+    assert (da.obj, da.dual, db.obj, db.dual) == (a, verdier(a), b, verdier(b))
+    assert make_dual(two_point_object()) is da and make_dual(b) is db
+    assert make_dual.cache_info()[:2] == (2, 2)  # hits, misses
+
+
+def test_make_dual_that_raises_keeps_nothing(monkeypatch):
+    """A make_dual that raises raises again on the next call, checking
+    afresh, and once the fault is gone certifies the object."""
+    a = two_point_object()
+    make_dual.cache_clear()
+    runs = []
+
+    def broken(comp, ident):
+        runs.append(comp)
+        raise ValueError("triangle composite left leg is not bijective")
+
+    monkeypatch.setattr("spantrace.dualtrace._cell_onto_identity", broken)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="left leg is not bijective"):
+            make_dual(a)
+    assert len(runs) == 2 and make_dual.cache_info().currsize == 0
+    monkeypatch.undo()
+    d = make_dual(a)
+    assert d.obj == a and d.triangle_obj.target == cc_identity(a)
+
+
 def test_triangle_certificate_rejects_broken_composites():
     # make_dual certifies a triangle composite with the cell whose apex map
     # is the left leg, then cc_cell_check
@@ -259,10 +294,13 @@ def test_mate_squares_commute(seed):
 # pairings and traces
 
 
-def clear_kernel_caches():
+def clear_caches():
+    """Empty every chainalg cache and make_dual's memo, so that what a test
+    counts is computed afresh and nothing it builds outlives it."""
     for fn in vars(chainalg).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
+    make_dual.cache_clear()
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -270,7 +308,7 @@ def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
     """Each triangle composite keeps n of the n^2 apex elements of each of
     its two tensors with an identity, and only those components are
     built: map_tensor runs 4n times, not once per apex pair (4n^2)."""
-    clear_kernel_caches()
+    clear_caches()
     calls = []
 
     def counted(f, g):
@@ -289,7 +327,7 @@ def test_make_dual_tensors_each_distinct_pair_of_maps_once():
     coevaluations depend on the profile alone, so each of the four tensors
     with an identity builds two sets of components: 8 builds for 48
     components read."""
-    clear_kernel_caches()
+    clear_caches()
     make_dual(wide_object(ZZ, 12))
     info = chainalg._tensor_components.cache_info()
     assert (info.misses, info.hits + info.misses) == (4 * 2, 4 * 12)
@@ -309,7 +347,7 @@ def test_make_dual_checks_each_distinct_relabeling_hit_once(n, monkeypatch):
         return check(self, x, y, image)
 
     monkeypatch.setattr(CCRelabel, "check", counted)
-    make_dual(wide_object(ZZ, n))
+    make_dual.__wrapped__(wide_object(ZZ, n))
     assert len(calls) == 2 * n * n + 4 * n
     assert len(set(calls)) == len(calls)
 
@@ -338,7 +376,7 @@ def test_make_dual_runs_one_direction_of_each_relabeling_per_check(n, monkeypatc
         init(self, source, target, counted(forward), counted(backward), stalk_map)
 
     monkeypatch.setattr(CCRelabel, "__init__", counting_init)
-    make_dual(wide_object(ZZ, n))
+    make_dual.__wrapped__(wide_object(ZZ, n))
     assert len(calls) == 2 * (2 * n * n + 4 * n)
 
 
@@ -377,7 +415,7 @@ def test_make_dual_builds_only_the_differentials_its_chain_map_checks_read(r, mo
     builds a differential to hash it: of every tensor differential, make_dual
     builds just the two that the chain-map checks of ev_map and coev_map
     read."""
-    clear_kernel_caches()
+    clear_caches()
     built = []
 
     class Counted(chainalg.OnDemand):
@@ -386,7 +424,7 @@ def test_make_dual_builds_only_the_differentials_its_chain_map_checks_read(r, mo
 
     monkeypatch.setattr(chainalg, "OnDemand", Counted)
     make_dual(deep_object(Ring(modulus), r))
-    clear_kernel_caches()  # no counted tensor outlives the test in a cache
+    clear_caches()  # no counted tensor outlives the test in a cache
     assert len(built) == 2
 
 
@@ -420,7 +458,7 @@ def test_make_dual_trace_and_pairing_hash_no_on_demand_sequence(monkeypatch):
     on a deep object and on a pair_deep-shaped pair never hashes an
     OnDemand, neither a tensor's differentials nor a morphism's components,
     and still agrees with the pointwise oracle."""
-    clear_kernel_caches()
+    clear_caches()
 
     def unhashable(self):
         raise AssertionError("an OnDemand was hashed")
@@ -445,7 +483,7 @@ def test_make_dual_builds_no_rank_r3_differential_or_reassociation_rows(r, monke
     a), of rank r^3 for a stalk of total rank r, but read only components
     of maps between them: no differential of such a tensor is built, and no
     reassociation permutation builds its dense view."""
-    clear_kernel_caches()
+    clear_caches()
     tensors, assocs = [], []
 
     def recorded(fn, out):
@@ -806,7 +844,7 @@ def test_make_dual_materialises_quadratically_many_elements_and_stalks(monkeypat
     for n in (12, 24):
         obj = wide_object(ZZ, n)
         made[0] = 0
-        make_dual(obj)
+        make_dual.__wrapped__(obj)
         counts[n] = made[0]
     exponent = math.log(counts[24] / counts[12]) / math.log(2)
     assert exponent <= 2.3, counts

@@ -29,7 +29,7 @@ from spantrace.finspan import (
 )
 from spantrace.generate import GenParams, random_base, random_gen_object, random_space, random_span
 from spantrace.sheafops import Sheaf, box
-from statements import span_iso_search
+from statements import interlocking_spans, span_iso_search
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -172,28 +172,6 @@ def test_span_compose_associativity_example():
     e = random_span(rng, spaces[2], spaces[3], "e", params)
     assert span_compose(span_compose(c, d), e).apex.size > 0
     assert_associative(c, d, e)
-
-
-def interlocking_spans(rng: random.Random, base: tuple, params: GenParams) -> list[Span]:
-    """Three composable spans drawn as 1 to max_set chains x0 - x1 - x2 - x3
-    over one base point each, feet new or shared with an earlier chain's:
-    each chain is an element of the triple composite."""
-    spaces = [{}, {}, {}, {}]  # element -> anchor
-    chains = []
-    for _ in range(rng.randint(1, params.max_set)):
-        s = rng.choice(base)
-        olds = [[x for x, t in space.items() if t == s] for space in spaces]
-        chains.append([rng.choice(old) if old and rng.random() < 0.5 else f"v{i}_{len(space)}"
-                       for i, (space, old) in enumerate(zip(spaces, olds))])
-        for space, x in zip(spaces, chains[-1]):
-            space[x] = s
-    feet = [make_fin_over(base, tuple(space), space) for space in spaces]
-    anchor = tuple(spaces[0][chain[0]] for chain in chains)
-    spans = []
-    for i, prefix in enumerate("cde"):
-        apex = FinOver(base, tuple(f"{prefix}{k}" for k in range(len(chains))), anchor)
-        spans.append(Span(*(OverMap(apex, feet[j], tuple(chain[j] for chain in chains)) for j in (i, i + 1))))
-    return spans
 
 
 @given(seeds)

@@ -42,7 +42,7 @@ def test_sweep_make_dual_small(tmp_path):
     assert doc["case"] == "dualtrace.make_dual"
     assert doc["python"] and doc["cpu_count"] >= 1
     (rec,) = doc["records"]
-    assert rec["n"] == 4 and rec["rounds"] == 2
+    assert rec["n"] == 4 and rec["rounds"] == 2 and rec["memo_hits"] == 0
     assert 0 < rec["min_s"] <= rec["median_s"]
     assert 0 < rec["scaled_min_s"] <= rec["scaled_median_s"] and doc["ref_nominal_s"] > 0
     # every chainalg cache is emptied between deep rounds, not a listed few
@@ -66,7 +66,7 @@ def test_sweep_make_dual_deep(tmp_path):
     assert doc["case"] == "dualtrace.make_dual"
     assert doc["family"].startswith("generate.deep_object")
     (rec,) = doc["records"]
-    assert rec["n"] == 4 and rec["rounds"] == 2
+    assert rec["n"] == 4 and rec["rounds"] == 2 and rec["memo_hits"] == 0
     assert 0 < rec["min_s"] <= rec["median_s"]
     assert 0 < rec["scaled_min_s"] <= rec["scaled_median_s"] and doc["ref_nominal_s"] > 0
 
