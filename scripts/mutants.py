@@ -158,7 +158,12 @@ MUTANTS = [
     ("a relabeling on the right skips its eager check", "corrcat.py",
      "            b.check(y, z, image=True)", "            pass", "cells"),
     ("a relabeling on the left skips its eager check", "corrcat.py",
-     "            a.check(back[y], y, image=False)", "            pass", "cells"),
+     "            a.check(x, y, image=False)", "            pass", "cells"),
+    ("a left relabeling composes its stalk map after the component", "corrcat.py",
+     "map_compose(vs[i], k(xs[i]))", "map_compose(k(xs[i]), vs[i])", "cells"),
+    ("a right relabeling keeps the old right leg", "corrcat.py",
+     "OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits)))",
+     "OverMap(c.apex, b.target.space, hits)", "cells"),
     ("product membership ignores the inner anchor match", "finspan.py",
      "s is not None and s == self.factors[1]._member_anchor(e[1])",
      "s is not None and self.factors[1]._member_anchor(e[1]) is not None", "cells"),

@@ -11,9 +11,11 @@ Tensor objects are products computed from their factors (finspan,
 sheafops), so building one costs nothing until its elements are walked.
 The structural isomorphisms (unitors, associators, the symmetry) are
 relabelings: a bijection of spaces with a stalk isomorphism per element.
-They are never built as spans; cc_compose reindexes the morphism on the
-other side, touching only the elements it hits and checking the
-relabeling once at each distinct one.
+They are fixed only up to a unique invertible 2-cell, so they are never
+built as spans: a composite with one keeps the other morphism's apex and
+carries the leg facing the relabeling across the bijection, touching only
+the elements that leg hits and checking the relabeling once at each
+distinct one.
 
 The components of a tensor or a composite are computed when first read:
 a certificate or a trace composes away all but a diagonal of a tensor's
@@ -114,39 +116,34 @@ def cc_identity(a: Sheaf) -> CCMorphism:
 def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphism:
     """a then b; the composite span, components composed pairwise when read.
 
-    A relabeling on either side is not built: the other morphism is
-    reindexed into the apex, legs and components that composing with the
-    built relabeling gives, apex pairs in fiber-product order.
+    A relabeling on either side is not built: the composite keeps the other
+    morphism's apex, the leg facing the relabeling carried across it and
+    the components composed with its stalk maps.  This is the composite
+    with the built relabeling up to the unique 2-cell g -> (g, right(g))
+    (relabeling on the right) or g -> (backward(left(g)), g) (on the left).
     """
     if a.target != b.source:
         raise ValueError("composition boundary mismatch")
     if isinstance(a, CCRelabel) and isinstance(b, CCRelabel):
         raise ValueError("two relabelings compose only through a morphism")
-    if isinstance(b, CCRelabel):  # pairs (g, right(g)) in the order of a's apex
+    if isinstance(b, CCRelabel):
         c, hits = a.span, a.span.right.graph
-        apex = FinOver(c.apex.base, tuple(zip(c.apex.elements, hits)), c.apex.anchor)
         image_of = {y: b.forward(y) for y in dict.fromkeys(hits)}
         for y, z in image_of.items():
             b.check(y, z, image=True)
-        images = tuple(map(image_of.get, hits))
-        span = Span(OverMap(apex, c.left.target, c.left.graph), OverMap(apex, b.target.space, images))
+        span = Span(c.left, OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits))))
         k, us = b.stalk_map, a.maps
         maps = us if k is None else OnDemand(len(hits), lambda i: map_compose(k(hits[i]), us[i]))
         return CCMorphism(a.source, b.target, span, maps)
-    if isinstance(a, CCRelabel):  # pairs (backward(left(g)), g) in the order of a's source
-        c, s, hits = b.span, a.source.space, b.span.left.graph
+    if isinstance(a, CCRelabel):
+        c, hits = b.span, b.span.left.graph
         back = {y: a.backward(y) for y in dict.fromkeys(hits)}
-        pos = {y: s.index(x) for y, x in back.items()}
-        order = sorted(range(len(hits)), key=[pos[y] for y in hits].__getitem__)
-        ys = [hits[i] for i in order]
-        xs = tuple(map(back.__getitem__, ys))
-        apex = FinOver(s.base, tuple(zip(xs, map(c.apex.elements.__getitem__, order))),
-                       tuple(s.anchor[pos[y]] for y in ys))
-        span = Span(OverMap(apex, s, xs), OverMap(apex, c.right.target, tuple(c.right.graph[i] for i in order)))
-        for y in dict.fromkeys(ys):
-            a.check(back[y], y, image=False)
-        k = a.stalk_map
-        maps = OnDemand(len(xs), lambda j: b.maps[order[j]] if k is None else map_compose(b.maps[order[j]], k(xs[j])))
+        for y, x in back.items():
+            a.check(x, y, image=False)
+        xs = tuple(map(back.get, hits))
+        span = Span(OverMap(c.apex, a.source.space, xs), c.right)
+        k, vs = a.stalk_map, b.maps
+        maps = vs if k is None else OnDemand(len(xs), lambda i: map_compose(vs[i], k(xs[i])))
         return CCMorphism(a.source, b.target, span, maps)
     span = span_compose(a.span, b.span)
     pairs = span.apex.elements
@@ -224,9 +221,10 @@ class CCRelabel:
 
     def check(self, x: Label, y: Label, image: bool) -> None:
         """Check that x pairs with y, where y is forward(x) if image and x is
-        backward(y) otherwise, by the other direction; and that their stalks
-        agree if stalk_map is None."""
-        if (self.backward(y) != x if image else self.forward(x) != y) or y not in self.target.space:
+        backward(y) otherwise, by the other direction and the computed one's
+        membership; and that their stalks agree if stalk_map is None."""
+        if not (self.backward(y) == x and y in self.target.space if image
+                else self.forward(x) == y and x in self.source.space):
             raise ValueError(f"relabeling is not a bijection at {x!r}")
         if self.stalk_map is None and self.source.stalk(x) != self.target.stalk(y):
             raise ValueError("relabeling stalks differ; pass stalk_map")

@@ -97,20 +97,20 @@ def make_dual(a: Sheaf) -> DualityData:
     coev = make_cc_morphism(unit, coev_tgt, Span(om_anchor(x), diag), coev_maps)
 
     ida, idd = cc_identity(a), cc_identity(dual)
+    # each reassociation meets 1 (x) ev (ev (x) 1) first, so it is read only
+    # at the elements and stalk rows that the evaluation keeps
     # a -> 1 (x) a -> (a (x) a*) (x) a -> a (x) (a* (x) a) -> a (x) 1 -> a
     t1 = _cell_onto_identity(cc_compose_many(
         left_unitor(a),
         cc_tensor(coev, ida),
-        cc_assoc_inv(a, dual, a),
-        cc_tensor(ida, ev),
+        cc_compose(cc_assoc_inv(a, dual, a), cc_tensor(ida, ev)),
         cc_invert(right_unitor(a)),
     ), ida)
     # a* -> a* (x) 1 -> a* (x) (a (x) a*) -> (a* (x) a) (x) a* -> 1 (x) a* -> a*
     t2 = _cell_onto_identity(cc_compose_many(
         right_unitor(dual),
         cc_tensor(idd, coev),
-        cc_assoc(dual, a, dual),
-        cc_tensor(ev, idd),
+        cc_compose(cc_assoc(dual, a, dual), cc_tensor(ev, idd)),
         cc_invert(left_unitor(dual)),
     ), idd)
     cc_cell_check(t1)
@@ -162,14 +162,13 @@ def _check_pairing_boundaries(u: CCMorphism, v: CCMorphism) -> None:
 
 
 def pairing(u: CCMorphism, v: CCMorphism, dx: DualityData) -> PairingResult:
-    """The trace of u then v, placed on the fixed-point set: the loops of
-    the composite's span are the interlocking pairs, element for element."""
+    """The trace of u then v: the loops of the composite's span are the
+    fixed-point set, element for element, in its order and anchors."""
     _check_pairing_boundaries(u, v)
-    tr = trace(cc_compose(u, v), dx).omega
-    f = fixed_point_space(u, v)
-    if set(tr.carrier.elements) != set(f.elements):
+    tr = trace(cc_compose(u, v), dx)
+    if tr.omega.carrier != fixed_point_space(u, v):
         raise ValueError("pairing loops are not the fixed points")
-    return PairingResult(OmegaClass(tr.ring, f, tuple(map(tr.value, f.elements))))
+    return tr
 
 
 def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
@@ -187,7 +186,7 @@ def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
     )
     found = {}
     for t in total.span.apex.elements:
-        g = t[0][0][1][0]
+        g = t[0][1][0]
         if g in found:
             raise ValueError("trace recoordination is not injective")
         comp = total.map_at(t).component(0)

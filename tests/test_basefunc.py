@@ -30,7 +30,7 @@ from spantrace.generate import (
     random_span,
 )
 from spantrace.sheafops import make_sheaf
-from statements import cc_iso_search, char_class, monoidal_structure, q_complex
+from statements import cc_iso_search, char_class, interlocking_spans, monoidal_structure, q_complex
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -100,6 +100,15 @@ def test_pull_functorial_and_monoidal(seed):
     rhs = cc_compose(pull_morphism(bc, u), pull_morphism(bc, v))
     assert cc_iso_search(lhs, rhs) is not None
     w = random_cc_morphism(rng, gens[2], gens[2], random_span(rng, sp[2], sp[2], "e", params))
+    # independent spans mostly compose to nothing, so also draw interlocking
+    # ones, whose composite holds at least one element per chain
+    s, t, _ = interlocking_spans(rng, base, params)
+    feet = [random_gen_object(rng, ring, x, params) for x in (s.left.target, s.right.target, t.right.target)]
+    a, b = random_cc_morphism(rng, feet[0], feet[1], s), random_cc_morphism(rng, feet[1], feet[2], t)
+    assert cc_compose(a, b).span.apex.size >= 1
+    lhs = pull_morphism(bc, cc_compose(a, b))
+    rhs = cc_compose(pull_morphism(bc, a), pull_morphism(bc, b))
+    assert cc_iso_search(lhs, rhs) is not None
     lhs2 = pull_morphism(bc, cc_tensor(u, w))
     rhs2 = cc_tensor(pull_morphism(bc, u), pull_morphism(bc, w))
     # compare through the monoidal structure relabelings of the functor

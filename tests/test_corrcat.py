@@ -540,7 +540,7 @@ def test_shriek_push_vertical_pasting(seed):
 def built_relabel(r: CCRelabel) -> CCMorphism:
     """The relabeling built out in full as an ordinary morphism: apex its
     source space, identity left leg, forward as right leg, one component
-    per element.  The oracle for the reindexed composites."""
+    per element.  The oracle for the composites with a relabeling."""
     space = r.source.space
     right = OverMap(space, r.target.space, tuple(map(r.forward, space.elements)))
     assert right.is_bijective()
@@ -593,16 +593,35 @@ def relabeling_case(seed, modulus):
     return [g.obj for g in gens], [u, v, w, endo(gens[0], "f")], one, bc
 
 
+def canonical_cell(lazy: CCMorphism, oracle: CCMorphism, to_pair) -> CCCell:
+    """The cell from a composite with a relabeling onto the composite with
+    the built-out relabeling, along the canonical apex bijection to_pair:
+    g -> (g, right(g)) with the relabeling on the right, and
+    g -> (backward(left(g)), g) with it on the left.  It is checked to be a
+    bijection onto the oracle's apex."""
+    apex = lazy.span.apex
+    graph = OverMap(apex, oracle.span.apex, tuple(map(to_pair, apex.elements)))
+    assert graph.is_bijective() and set(graph.graph) == set(oracle.span.apex.elements)
+    return CCCell(lazy, oracle, graph)
+
+
 @given(seeds, st.sampled_from([0, 7, 2, 1]), st.sampled_from(sorted(RELABELINGS)))
 @settings(max_examples=80, deadline=None)
 def test_relabelings_compose_like_the_built_out_morphisms(seed, modulus, name):
+    """A composite with a relabeling keeps the other morphism's apex and
+    is the composite with the built-out relabeling through the canonical
+    bijection: both legs and every component agree exactly."""
     objs, (u, v, w, _), one, bc = relabeling_case(seed, modulus)
     r, into, out = RELABELINGS[name](cc_tensor, *objs, u, v, w, one, bc)
     built = built_relabel(r)
-    for lazy, oracle in ((cc_compose(into, r), cc_compose(into, built)),
-                         (cc_compose(r, out), cc_compose(built, out))):
-        assert lazy.span.apex.elements == oracle.span.apex.elements
-        assert lazy.span == oracle.span and lazy.maps == oracle.maps and lazy == oracle
+    lazy, oracle = cc_compose(into, r), cc_compose(into, built)
+    assert lazy.span.apex is into.span.apex and lazy.span.left is into.span.left
+    cell = canonical_cell(lazy, oracle, lambda g: (g, into.span.right(g)))
+    assert cell.graph.graph == oracle.span.apex.elements  # in the same order
+    cc_cell_check(cell)
+    lazy, oracle = cc_compose(r, out), cc_compose(built, out)
+    assert lazy.span.apex is out.span.apex and lazy.span.right is out.span.right
+    cc_cell_check(canonical_cell(lazy, oracle, lambda g: (r.backward(out.span.left(g)), g)))
 
 
 def eager_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
@@ -632,22 +651,34 @@ def test_on_demand_components_match_the_eager_oracle(seed, modulus, name):
     r, into, out = RELABELINGS[name](cc_tensor, *objs, u, v, w, one, bc)
     _, into0, out0 = RELABELINGS[name](eager_tensor, *objs, u, v, w, one, bc)
     cases = [
-        (lambda: cc_tensor(u, v), eager_tensor(u, v)),
-        (lambda: cc_compose(u, u2), eager_compose(u, u2)),
+        (lambda: cc_tensor(u, v), eager_tensor(u, v), None),
+        (lambda: cc_compose(u, u2), eager_compose(u, u2), None),
         (lambda: cc_compose(cc_tensor(u, v), cc_tensor(u2, v)),
-         eager_compose(eager_tensor(u, v), eager_tensor(u2, v))),
-        (lambda: cc_compose(into, r), eager_compose(into0, r)),
-        (lambda: cc_compose(r, out), eager_compose(r, out0)),
-        (lambda: cc_compose(cc_compose(into, r), out), eager_compose(eager_compose(into0, r), out0)),
+         eager_compose(eager_tensor(u, v), eager_tensor(u2, v)), None),
+        (lambda: cc_compose(into, r), eager_compose(into0, r), lambda g: (g, into.span.right(g))),
+        (lambda: cc_compose(r, out), eager_compose(r, out0), lambda g: (r.backward(out.span.left(g)), g)),
+        (lambda: cc_compose(cc_compose(into, r), out), eager_compose(eager_compose(into0, r), out0),
+         lambda e: ((e[0], into.span.right(e[0])), e[1])),
     ]
     order = random.Random(seed ^ 0x5EED)
-    for build, oracle in cases:
+    for build, oracle, to_pair in cases:
         lazy = build()
+        if to_pair is not None:  # compared through the canonical bijection, moved onto lazy's apex
+            cc_cell_check(canonical_cell(build(), oracle, to_pair))
+            oracle = transported(oracle, lazy.span.apex, to_pair)
         assert lazy.span == oracle.span and len(lazy.maps) == len(oracle.maps)
         for i in order.sample(range(len(oracle.maps)), len(oracle.maps)):
             assert lazy.maps[i] == oracle.maps[i]
         fresh = build()
         assert fresh == oracle and oracle == fresh and hash(fresh) == hash(oracle)
+
+
+def transported(m: CCMorphism, apex: FinOver, to_pair) -> CCMorphism:
+    """m moved onto apex through the bijection to_pair: legs and components
+    read at to_pair(g), as a tuple."""
+    at = [m.span.apex.index(to_pair(g)) for g in apex.elements]
+    legs = (OverMap(apex, leg.target, tuple(leg.graph[i] for i in at)) for leg in (m.span.left, m.span.right))
+    return CCMorphism(m.source, m.target, Span(*legs), tuple(m.maps[i] for i in at))
 
 
 def test_relabeling_checks_the_elements_it_is_composed_at():
@@ -660,6 +691,9 @@ def test_relabeling_checks_the_elements_it_is_composed_at():
     off_target = CCRelabel(a, unit_a, lambda x: ("y", x), lambda e: e[1])
     with pytest.raises(ValueError, match="not a bijection at 'x0'"):
         cc_compose(m, off_target)
+    off_source = CCRelabel(unit_a, a, lambda e: e[1], lambda x: ("y", x))
+    with pytest.raises(ValueError, match="not a bijection at \\('y', 'x0'\\)"):
+        cc_compose(off_source, m)
     q = make_sheaf(ZZ, a.space, {x: make_complex(ZZ, {0: 2}) for x in a.space.elements})
     with pytest.raises(ValueError, match="relabeling stalks differ"):
         cc_compose(m, CCRelabel(a, q, lambda x: x, lambda x: x))
@@ -668,14 +702,14 @@ def test_relabeling_checks_the_elements_it_is_composed_at():
 
 
 def test_a_fully_read_composite_lets_go_of_its_factors():
-    """An unread composite holds the tensor its components come from; once
-    every component is read, the tensor is freed."""
+    """An unread composite holds the factors of the tensor its components
+    come from; once every component is read, they are freed."""
     a = scalar_object(n=2)
     m = loop_morphism(a, 2)
-    tensor = cc_tensor(m, cc_identity(unit_object(ZZ, ("z",))))
-    outer = cc_compose_many(right_unitor(a), tensor, cc_invert(right_unitor(a)))
-    held = weakref.ref(tensor)
-    del tensor
+    one = cc_identity(unit_object(ZZ, ("z",)))
+    outer = cc_compose_many(right_unitor(a), cc_tensor(m, one), cc_invert(right_unitor(a)))
+    held = weakref.ref(one)
+    del one
     gc.collect()
     assert held() is not None
     assert [u.component(0) for u in outer.maps] == [mat(ZZ, [[2]])] * 2

@@ -22,6 +22,7 @@ from spantrace.chainalg import (
 )
 from spantrace.corrcat import (
     CCRelabel,
+    cc_assoc_inv,
     cc_cell_check,
     cc_compose,
     cc_compose_many,
@@ -68,8 +69,8 @@ from spantrace.generate import (
     wide_object,
 )
 from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
-from statements import (cc_iso_search, char_class, dual_of_morphism, map_scale, proper_splitting,
-                        q_complex)
+from statements import (cc_iso_search, char_class, dual_of_morphism, interlocking_spans, map_scale,
+                        proper_splitting, q_complex)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -252,11 +253,18 @@ def test_dual_contravariant_functorial(seed):
     gens = [random_gen_object(rng, ring, s, params) for s in sp]
     u = random_cc_morphism(rng, gens[0], gens[1], random_span(rng, sp[0], sp[1], "c", params))
     v = random_cc_morphism(rng, gens[1], gens[2], random_span(rng, sp[1], sp[2], "d", params))
-    duals = [make_dual(g.obj) for g in gens]
-    lhs = dual_of_morphism(cc_compose(u, v), duals[0], duals[2])
-    rhs = cc_compose(dual_of_morphism(v, duals[1], duals[2]), dual_of_morphism(u, duals[0], duals[1]))
-    assert cc_iso_search(lhs, expected_dual_morphism(cc_compose(u, v), duals[0], duals[2])) is not None
-    assert cc_iso_search(rhs, expected_dual_morphism(cc_compose(u, v), duals[0], duals[2])) is not None
+    # independent spans mostly compose to nothing, so also draw interlocking
+    # ones, whose composite holds at least one element per chain
+    s, t, _ = interlocking_spans(rng, base, params)
+    feet = [random_gen_object(rng, ring, x, params) for x in (s.left.target, s.right.target, t.right.target)]
+    chained = (random_cc_morphism(rng, feet[0], feet[1], s), random_cc_morphism(rng, feet[1], feet[2], t))
+    assert cc_compose(*chained).span.apex.size >= 1
+    for (u, v), objs in (((u, v), gens), (chained, feet)):
+        duals = [make_dual(g.obj) for g in objs]
+        lhs = dual_of_morphism(cc_compose(u, v), duals[0], duals[2])
+        rhs = cc_compose(dual_of_morphism(v, duals[1], duals[2]), dual_of_morphism(u, duals[0], duals[1]))
+        assert cc_iso_search(lhs, expected_dual_morphism(cc_compose(u, v), duals[0], duals[2])) is not None
+        assert cc_iso_search(rhs, expected_dual_morphism(cc_compose(u, v), duals[0], duals[2])) is not None
 
 
 @given(seeds)
@@ -669,7 +677,7 @@ def test_pairing_via_mate_route(seed):
     oracle = local_pairing(u, v)
     found = {}
     for t in total.span.apex.elements:
-        pair = t[0][0][1]
+        pair = t[0][1]
         comp = total.map_at(t).component(0)
         val = comp.entries[0][0] if comp.rows and comp.cols else 0
         assert pair not in found
@@ -848,3 +856,16 @@ def test_make_dual_materialises_quadratically_many_elements_and_stalks(monkeypat
         counts[n] = made[0]
     exponent = math.log(counts[24] / counts[12]) / math.log(2)
     assert exponent <= 2.3, counts
+
+
+def test_a_relabeling_composite_keeps_the_other_apex_and_lists_no_product():
+    """Composing the reassociation with 1 (x) ev keeps the tensor's apex
+    object, and reads the relabeling's source (a (x) a*) (x) a only at the
+    elements hit, so that product of n^3 elements is never listed out."""
+    a = wide_object(ZZ, 8)
+    dx = make_dual.__wrapped__(a)
+    tensor = cc_tensor(cc_identity(a), dx.ev)
+    assoc = cc_assoc_inv(a, dx.dual, a)
+    out = cc_compose(assoc, tensor)
+    assert out.span.apex is tensor.span.apex
+    assert "_flat" not in vars(assoc.source.space)
