@@ -92,7 +92,7 @@ MUTANTS = [
     ("alt_trace drops the sign of odd degrees", "chainalg.py",
      "total += t if n % 2 == 0 else -t", "total += t", "pairing"),
     ("map_compose swaps its factors", "chainalg.py",
-     "(n, mat_mul(g.component(n), f.component(n)))", "(n, mat_mul(f.component(n), g.component(n)))",
+     "(n, product(g.component(n), f.component(n)))", "(n, product(f.component(n), g.component(n)))",
      "kernels"),
     ("ChainMap skips its degree check", "chainalg.py",
      "if degrees != [n for n in src if n in tgt]:", "if False:", "kernels"),
@@ -117,15 +117,21 @@ MUTANTS = [
     ("a transpose drops the signs", "chainalg.py",
      "rows[j][i] = x", "rows[j][i] = abs(x)", "kernels"),
     ("a Kronecker product strides its columns by the rows of b", "chainalg.py",
-     "row = {j * bc + l: x * z", "row = {j * b.rows + l: x * z", "kernels"),
+     "row = {c0 + j * bc + l: x * z", "row = {c0 + j * b.rows + l: x * z", "kernels"),
+    ("placed rows overwrite instead of merging", "chainalg.py",
+     "{**out[t], **row} if out[t] else row", "row", "kernels"),
     ("a product skips the last nonzero of a row", "chainalg.py",
      "for k, x in arow.items():\n            for j, y in brows[k].items():",
      "for k, x in list(arow.items())[:-1]:\n            for j, y in brows[k].items():", "kernels"),
     ("tensor differential drops the sign of 1 (x) d_b", "chainalg.py",
      "mat_scale(-1 if p % 2 else 1, b.d(q))", "mat_scale(1, b.d(q))", "kernels"),
     ("a lazy tensor differential is built from the swapped factors (b, a)", "chainalg.py",
-     "def build(i: int) -> tuple[int, Matrix]:", "def build(i: int, a=b, b=a) -> tuple[int, Matrix]:",
-     "kernels"),
+     "def build(i: int) -> tuple[int, Matrix]:\n        n = stored[i]",
+     "def build(i: int, a=b, b=a) -> tuple[int, Matrix]:\n        n = stored[i]", "kernels"),
+    ("a lazy tensor component skips its block check", "chainalg.py",
+     'return n, _checked_block(ring, comp, rows, cols, "component", n)', "return n, comp", "kernels"),
+    ("the product memo keys by the left factor alone", "chainalg.py",
+     "_kept((id(a), id(b)))", "_kept((id(a),))", "pairing"),
     ("the one-pass reassociation writes its i-blocks at stride rbc", "chainalg.py",
      "row, col = to + i * block, so + i * rbc", "row, col = to + i * rbc, so + i * rbc", "kernels"),
     ("the tensor layout orders each degree's summands by p", "chainalg.py",
@@ -160,7 +166,7 @@ MUTANTS = [
     ("a relabeling on the left skips its eager check", "corrcat.py",
      "            a.check(x, y, image=False)", "            pass", "cells"),
     ("a left relabeling composes its stalk map after the component", "corrcat.py",
-     "map_compose(vs[i], k(xs[i]))", "map_compose(k(xs[i]), vs[i])", "cells"),
+     "map_compose_shared(vs[i], k(xs[i]))", "map_compose_shared(k(xs[i]), vs[i])", "cells"),
     ("a right relabeling keeps the old right leg", "corrcat.py",
      "OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits)))",
      "OverMap(c.apex, b.target.space, hits)", "cells"),

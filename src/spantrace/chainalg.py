@@ -24,7 +24,9 @@ assoc_map_inv, and the one matrix of ev_map and coev_map.  map_tensor's are
 shared by every pair of maps with the same ranks and component values.
 Each public function wraps them in a ChainMap with its own endpoints.  The
 ring is in every key: it fixes how the signs normalise, and over Z/1 every
-permutation is the zero matrix.
+permutation is the zero matrix.  So cc_compose's composites repeat
+products of the same matrix objects, and map_compose_shared takes each from
+a bounded memo keyed by the identity of both; map_compose reads no memo.
 
 Each invariant is checked once, where its value is built.  A constructor
 checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
@@ -44,11 +46,12 @@ that is one row of the right factor is that row.  A signed permutation
 (mat_identity, the symmetries, the reassociations and their inverses) is a
 matrix with one entry per row, each row a row of one identity matrix or
 of its negative, so building one copies references and multiplying by it
-picks rows.  A tensor of matrices is mat_kron, and a tensor differential or
-component places its Kronecker blocks at their summand offsets.
+picks rows.  One kernel, _placed, builds each row of a tensor differential
+or component once, at its summand offset; mat_kron is its one-block case.
 `cx_tensor` knows its ranks at once and builds each differential when
-first read, so the rank-r^3 tensors that duality's triangle certificates
-pass through, of which only components of maps are read, stay unbuilt.
+first read, and `map_tensor` each component: the rank-r^3 tensors that the
+triangle certificates pass through stay unbuilt, and a trace, which reads
+e (x) 1 after the unit, builds its degree 0 alone.
 Equality and hashes are by value, and an object equals itself without
 reading anything.  Hashing a tensor builds its differentials, so the
 kernel caches key a tensor by its factors (Complex.key) and a lookup
@@ -217,6 +220,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             x = arow[k]
             rows.append(brows[k] if x == 1 else _scaled(brows[k], x, m))
             continue
+        if not arow:  # a zero row stays the empty row
+            rows.append(arow)
+            continue
         acc = {}
         for k, x in arow.items():
             for j, y in brows[k].items():
@@ -240,28 +246,25 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product in row-major block layout: index (i,k) -> i*b.rows + k."""
-    ring = _same_ring(a, b)
-    m, bc, brows = ring.modulus, b.cols, b.nonzero
-    live = list(compress(range(b.rows), brows))  # the nonzero rows of b; the others give zero rows
-    rows, zero = [], [{}] * b.rows  # zero rows share one empty dict
-    for arow in a.nonzero:
-        rows += zero
-        for k in live if arow else ():
-            row = {j * bc + l: x * z for j, x in arow.items() for l, z in brows[k].items()}
-            rows[k - b.rows] = _normed(row, m) if m else row  # over Z no product of nonzeros is zero
-    return _kernel_matrix(ring, a.rows * b.rows, a.cols * bc, rows)
+    """Kronecker product, index (i,k) -> i*b.rows + k: _placed's one-block case."""
+    return _placed(_same_ring(a, b), a.rows * b.rows, a.cols * b.cols, ((0, 0, a, b),))
 
 
-def _placed(ring: Ring, rows: int, cols: int, blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:
-    """The rows x cols matrix holding each (r0, c0, block) of blocks with its
-    corner at (r0, c0), and zero elsewhere; the blocks do not overlap."""
-    out = [{}] * rows
-    for r0, c0, block in blocks:
-        for i in compress(range(r0, r0 + block.rows), block.nonzero):  # the nonzero rows alone
-            row = block.nonzero[i - r0]
-            row = {c0 + j: x for j, x in row.items()} if c0 else row
-            out[i] = {**out[i], **row} if out[i] else row
+def _placed(ring: Ring, rows: int, cols: int, blocks: Iterable[tuple[int, int, Matrix, Matrix]]) -> Matrix:
+    """The rows x cols matrix holding a (x) b with its corner at (r0, c0) for
+    each (r0, c0, a, b) of blocks, and zero elsewhere.  Each row of each
+    a (x) b is built once, at its offset; blocks do not overlap, and a row
+    that two blocks reach holds the entries of both.  Over Z no product of
+    nonzeros is zero, so only Z/m normalises."""
+    m, out = ring.modulus, [{}] * rows  # zero rows share one empty dict
+    for r0, c0, a, b in blocks:
+        bc, live = b.cols, [(k, row) for k, row in enumerate(b.nonzero) if row]  # rows of b not zero
+        for i in compress(range(a.rows), a.nonzero):
+            arow, t0 = a.nonzero[i], r0 + i * b.rows
+            for k, brow in live:
+                row = {c0 + j * bc + l: x * z for j, x in arow.items() for l, z in brow.items()}
+                row, t = _normed(row, m) if m else row, t0 + k
+                out[t] = {**out[t], **row} if out[t] else row
     return _kernel_matrix(ring, rows, cols, out)
 
 
@@ -271,14 +274,17 @@ def mat_block(
     col_parts: Sequence[int],
     blocks: Mapping[tuple[int, int], Matrix],
 ) -> Matrix:
-    """Assemble a block matrix; absent blocks are zero."""
-    row_off = _offsets(row_parts)
-    col_off = _offsets(col_parts)
+    """Assemble a block matrix; absent blocks are zero.  A block's rows are
+    placed at its offsets, the rows themselves at column offset 0."""
+    row_off, col_off, out = _offsets(row_parts), _offsets(col_parts), [{}] * sum(row_parts)
     for (bi, bj), m in blocks.items():
         if (m.rows, m.cols) != (row_parts[bi], col_parts[bj]):
             raise ValueError("block shape mismatch")
-    return _placed(ring, sum(row_parts), sum(col_parts),
-                   ((row_off[bi], col_off[bj], m) for (bi, bj), m in blocks.items()))
+        r0, c0 = row_off[bi], col_off[bj]
+        for i in compress(range(m.rows), m.nonzero):  # the nonzero rows alone
+            row = {c0 + j: x for j, x in m.nonzero[i].items()} if c0 else m.nonzero[i]
+            out[r0 + i] = {**out[r0 + i], **row} if out[r0 + i] else row
+    return _kernel_matrix(ring, len(out), sum(col_parts), out)
 
 
 def _offsets(parts: Sequence[int]) -> list[int]:
@@ -487,10 +493,10 @@ def tensor_complex(a: Complex, b: Complex) -> Complex:
         blocks = []
         for (p, q), co in offsets[n].items():
             if (p + 1, q) in tgt_off:  # d_a (x) 1
-                blocks.append((tgt_off[(p + 1, q)], co, mat_kron(a.d(p), mat_identity(ring, b.rank(q)))))
+                blocks.append((tgt_off[(p + 1, q)], co, a.d(p), mat_identity(ring, b.rank(q))))
             if (p, q + 1) in tgt_off:  # (-1)^p 1 (x) d_b
-                blocks.append((tgt_off[(p, q + 1)], co,
-                               mat_kron(mat_identity(ring, a.rank(p)), mat_scale(-1 if p % 2 else 1, b.d(q)))))
+                blocks.append((tgt_off[(p, q + 1)], co, mat_identity(ring, a.rank(p)),
+                               mat_scale(-1 if p % 2 else 1, b.d(q))))
         d = _placed(ring, ranks[n + 1], ranks[n], blocks)
         return n, _checked_block(ring, d, ranks[n + 1], ranks[n], "differential", n)
 
@@ -539,14 +545,18 @@ class ChainMap:
     """Degree-zero map of complexes commuting with the differentials.
 
     components holds (n, f^n) for every degree n where both source and target
-    have positive rank, by degree; make_chain_map checks commutation."""
+    have positive rank, by degree; make_chain_map checks commutation.
+    map_tensor's is an OnDemand: each component is built and checked when
+    first read, and component(n) reads it by position, building no other."""
 
     source: Complex
     target: Complex
-    components: tuple[tuple[int, Matrix], ...]
+    components: Sequence[tuple[int, Matrix]]
 
     def __post_init__(self) -> None:
         ring, src, tgt = _same_ring(self.source, self.target), self.source._rank, self.target._rank
+        if type(self.components) is not tuple and isinstance(self.components, OnDemand):
+            return  # map_tensor checks each as it builds it
         degrees = [n for n, _ in self.components]
         if degrees != [n for n in src if n in tgt]:
             raise ValueError(f"components at degrees {degrees} for ranks {self.source.ranks} -> {self.target.ranks}")
@@ -554,10 +564,14 @@ class ChainMap:
             _checked_block(ring, m, tgt[n], src[n], "component", n)
 
     def component(self, n: int) -> Matrix:
+        src, tgt = self.source._rank, self.target._rank
+        if n not in src or n not in tgt:
+            return mat_zero(self.source.ring, tgt.get(n, 0), src.get(n, 0))
+        if type(self.components) is not tuple:  # map_tensor's OnDemand: by position, building no other degree
+            return self.components[list(filter(tgt.__contains__, src)).index(n)][1]
         for d, m in self.components:
             if d == n:
                 return m
-        return mat_zero(self.source.ring, self.target.rank(n), self.source.rank(n))
 
 
 def make_chain_map(source: Complex, target: Complex, components: Mapping[int, Blocks] | None = None) -> ChainMap:
@@ -577,10 +591,36 @@ def map_identity(c: Complex) -> ChainMap:
 
 def map_compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
+    return _composite(g, f, mat_mul)
+
+
+def map_compose_shared(g: ChainMap, f: ChainMap) -> ChainMap:
+    """g after f, each product of two component matrices taken from
+    _product's memo; the pointwise oracle calls map_compose instead."""
+    return _composite(g, f, _product)
+
+
+def _composite(g: ChainMap, f: ChainMap, product: Callable[[Matrix, Matrix], Matrix]) -> ChainMap:
     if f.target != g.source:
         raise ValueError("composition boundary mismatch")
-    comps = tuple((n, mat_mul(g.component(n), f.component(n))) for n, _ in f.source.ranks if g.target.rank(n))
+    comps = tuple((n, product(g.component(n), f.component(n))) for n, _ in f.source.ranks if g.target.rank(n))
     return ChainMap(f.source, g.target, comps)
+
+
+@lru_cache(maxsize=64)
+def _kept(ids: tuple[int, int]) -> list:
+    """The slot of the product of the two matrices with these ids: _product
+    fills it with both and their product, so that neither id is reused
+    while the slot is kept."""
+    return []
+
+
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    """mat_mul(a, b), kept for the latest 64 pairs of matrix objects."""
+    kept = _kept((id(a), id(b)))
+    if not kept:
+        kept += a, b, mat_mul(a, b)
+    return kept[2]
 
 
 def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -609,18 +649,23 @@ def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 @lru_cache(maxsize=4096)
-def _tensor_components(ring: Ring, fs: tuple, ft: tuple, fc: tuple, gs: tuple, gt: tuple, gc: tuple) -> tuple:
-    """map_tensor's components, from the ranks and components of its factors."""
+def _tensor_components(ring: Ring, fs: tuple, ft: tuple, fc: tuple, gs: tuple, gt: tuple, gc: tuple) -> OnDemand:
+    """map_tensor's components, from the ranks and components of its
+    factors: each degree's built and checked when first read."""
     src_ranks, src_off = tensor_layout(fs, gs)
     tgt_ranks, tgt_offsets = tensor_layout(ft, gt)
     f, g = dict(fc), dict(gc)
-    comps = []
-    for n, rs in src_ranks.items():
-        if n in tgt_ranks:
-            tgt_off = tgt_offsets[n]
-            blocks = [(tgt_off[pq], co, mat_kron(f[pq[0]], g[pq[1]])) for pq, co in src_off[n].items() if pq in tgt_off]
-            comps.append((n, _placed(ring, tgt_ranks[n], rs, blocks)))
-    return tuple(comps)
+    degrees = [n for n in src_ranks if n in tgt_ranks]
+
+    def build(i: int) -> tuple[int, Matrix]:
+        n = degrees[i]
+        tgt_off, rows, cols = tgt_offsets[n], tgt_ranks[n], src_ranks[n]
+        blocks = [(tgt_off[pq], co, f[pq[0]], g[pq[1]]) for pq, co in src_off[n].items() if pq in tgt_off]
+        one = len(blocks) == len(src_off[n]) == len(tgt_off) == 1  # one summand each side, at (0, 0)
+        comp = mat_kron(*blocks[0][2:]) if one else _placed(ring, rows, cols, blocks)
+        return n, _checked_block(ring, comp, rows, cols, "component", n)
+
+    return OnDemand(len(degrees), build)
 
 
 def map_direct_sum(

@@ -20,7 +20,9 @@ distinct one.
 The components of a tensor or a composite are computed when first read:
 a certificate or a trace composes away all but a diagonal of a tensor's
 apex, so only the diagonal's are built.  Those of make_cc_morphism (and
-so shriek_push) are built at once, as it checks their stalks.
+so shriek_push) are built at once, as it checks their stalks.  cc_compose
+composes components through chainalg.map_compose_shared, whose memo of
+products is read by nothing on the pointwise oracle's path.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .chainalg import (
     assoc_map,
     assoc_map_inv,
     map_add,
-    map_compose,
+    map_compose_shared,
     map_direct_sum,
     map_identity,
     map_tensor,
@@ -133,7 +135,7 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
             b.check(y, z, image=True)
         span = Span(c.left, OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits))))
         k, us = b.stalk_map, a.maps
-        maps = us if k is None else OnDemand(len(hits), lambda i: map_compose(k(hits[i]), us[i]))
+        maps = us if k is None else OnDemand(len(hits), lambda i: map_compose_shared(k(hits[i]), us[i]))
         return CCMorphism(a.source, b.target, span, maps)
     if isinstance(a, CCRelabel):
         c, hits = b.span, b.span.left.graph
@@ -143,11 +145,11 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
         xs = tuple(map(back.get, hits))
         span = Span(OverMap(c.apex, a.source.space, xs), c.right)
         k, vs = a.stalk_map, b.maps
-        maps = vs if k is None else OnDemand(len(xs), lambda i: map_compose(vs[i], k(xs[i])))
+        maps = vs if k is None else OnDemand(len(xs), lambda i: map_compose_shared(vs[i], k(xs[i])))
         return CCMorphism(a.source, b.target, span, maps)
     span = span_compose(a.span, b.span)
     pairs = span.apex.elements
-    maps = OnDemand(len(pairs), lambda i: map_compose(b.map_at(pairs[i][1]), a.map_at(pairs[i][0])))
+    maps = OnDemand(len(pairs), lambda i: map_compose_shared(b.map_at(pairs[i][1]), a.map_at(pairs[i][0])))
     return CCMorphism(a.source, b.target, span, maps)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spantrace import chainalg
 from spantrace.chainalg import (
     ChainMap,
     Complex,
@@ -45,7 +46,7 @@ from spantrace.chainalg import (
     tensor_layout,
     unit_complex,
 )
-from spantrace.chainalg import _assoc_perms, _swap_perms, _tensor_components
+from spantrace.chainalg import _assoc_perms, _placed, _swap_perms, _tensor_components
 from spantrace.generate import GenParams, deep_object, random_chain_map, random_complex
 from statements import map_scale, q_complex, sum_tensor_distribute
 
@@ -349,6 +350,37 @@ def test_sparse_kernels_match_list_oracles(data):
     assert mat_trace(sq) == ring.norm(sum(gs[i][i] for i in range(r)))
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_placement_kernel_matches_the_dense_kron_oracle(data):
+    """_placed against kron_oracle placed densely, over Z, Z/4 (where 2 * 2
+    vanishes), Z/7 and Z/1 (where the identity is zero): the two blocks of
+    a tensor differential into one target summand, d_a (x) +-1 and +-1 (x)
+    d_b, which reach the same rows at disjoint columns, below zero rows and
+    above others; and mat_kron is the one-block case."""
+    ring = Ring(data.draw(st.sampled_from([0, 4, 7, 1])))
+    values = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+
+    def grid(rows, cols):
+        return [[ring.norm(data.draw(values)) for _ in range(cols)] for _ in range(rows)]
+
+    def unit(n, sign):
+        return [[ring.norm(sign * (i == j)) for j in range(n)] for i in range(n)]
+
+    ra, ra1, rb, rb1, above, below = (data.draw(st.integers(0, 3)) for _ in range(6))
+    s, t = data.draw(st.sampled_from([1, -1])), data.draw(st.sampled_from([1, -1]))
+    da, db = grid(ra1, ra), grid(rb1, rb)
+    left, right = kron_oracle(ring, da, unit(rb1, s)), kron_oracle(ring, unit(ra1, t), db)
+    c1, rows, cols = ra * rb1, above + ra1 * rb1 + below, ra * rb1 + ra1 * rb
+    want = [[0] * cols for _ in range(above)] + [p + q for p, q in zip(left, right)]
+    want += [[0] * cols for _ in range(below)]
+    blocks = [(above, 0, mat(ring, da, cols=ra), mat_scale(s, mat_identity(ring, rb1))),
+              (above, c1, mat_scale(t, mat_identity(ring, ra1)), mat(ring, db, cols=rb))]
+    assert_kernel_result(_placed(ring, rows, cols, blocks), want, cols)
+    for a, b in (blocks[0][2:], blocks[1][2:]):
+        assert mat_kron(a, b) == _placed(ring, a.rows * b.rows, a.cols * b.cols, [(0, 0, a, b)])
+
+
 def test_results_that_cancel_store_no_zero():
     z4 = Ring(4)
     two, zero = mat(z4, [[2]]), Matrix(z4, 1, 1, ((0,),))
@@ -490,6 +522,20 @@ def test_map_tensor_matches_kron_oracle(seed):
                 comp = t.component(n)
                 assert_normalised(comp)
                 assert [list(r) for r in comp.entries] == map_tensor_oracle(f, g, n)
+
+
+def test_a_lazy_tensor_component_checks_its_block_when_first_read(monkeypatch):
+    """map_tensor builds each component when first read and checks it
+    then: a block of the wrong shape raises from component(), not from
+    map_tensor, and only at the degree read."""
+    _tensor_components.cache_clear()
+    monkeypatch.setattr(chainalg, "_placed", lambda ring, rows, cols, blocks: mat_zero(ring, rows, cols + 1))
+    q = q_complex()
+    t = map_tensor(map_identity(q), map_identity(q))
+    with pytest.raises(ValueError, match="^component at degree 1 has shape 2x3, expected 2x2$"):
+        t.component(1)
+    assert t.components._done == [None] * 3
+    _tensor_components.cache_clear()  # no bad component outlives the test
 
 
 def test_chain_map_rejects_non_commuting():
@@ -847,7 +893,8 @@ def test_structure_maps_share_their_matrices_per_rank_profile():
 def test_map_tensor_shares_its_matrices_and_keeps_its_endpoints():
     """map_tensor of maps equal in value but with other endpoints shares its
     component matrices and returns its own endpoints; maps with equal
-    components but a wider target tensor to a wider target."""
+    components but a wider target tensor to a wider target, and their
+    components, built when read, have its ranks."""
     rng = random.Random(31)
     for ring in (ZZ, Z7, Ring(2), Ring(1)):
         a, b, c = (big_complex(rng, ring) for _ in range(3))
@@ -863,6 +910,7 @@ def test_map_tensor_shares_its_matrices_and_keeps_its_endpoints():
         assert g.components == make_chain_map(b, c, {}).components
         tw = map_tensor(map_identity(a), g)
         assert tw.target is cx_tensor(a, wide) and tw.target.ranks != t.target.ranks
+        assert [tw.component(n).rows for n, _ in tw.source.ranks] == [tw.target.rank(n) for n, _ in tw.source.ranks]
 
 
 def test_tensor_cache_is_keyed_by_the_factors():

@@ -11,12 +11,16 @@ from spantrace import chainalg, corrcat, sheafops
 from spantrace.chainalg import (
     Ring,
     ZZ,
+    alt_trace,
+    cx_dual,
+    cx_tensor,
     make_chain_map,
     make_complex,
     homotopy_perturb,
     map_identity,
     map_tensor,
     mat,
+    mat_mul,
     mat_transpose,
     unit_complex,
 )
@@ -422,13 +426,14 @@ def test_make_dual_builds_only_the_differentials_its_chain_map_checks_read(r, mo
     """The kernel caches key a tensor by its factors, so no cache lookup
     builds a differential to hash it: of every tensor differential, make_dual
     builds just the two that the chain-map checks of ev_map and coev_map
-    read."""
+    read.  Only tensor_complex's OnDemands are counted, not map_tensor's."""
     clear_caches()
     built = []
 
     class Counted(chainalg.OnDemand):
         def __init__(self, n, compute):
-            super().__init__(n, lambda i: built.append(i) or compute(i))
+            differentials = compute.__qualname__.startswith("tensor_complex.")
+            super().__init__(n, lambda i: differentials and built.append(i) or compute(i))
 
     monkeypatch.setattr(chainalg, "OnDemand", Counted)
     make_dual(deep_object(Ring(modulus), r))
@@ -483,6 +488,94 @@ def test_make_dual_trace_and_pairing_hash_no_on_demand_sequence(monkeypatch):
         uv, vu = pairing(u, v, da).omega, pairing(v, u, db).omega
         assert uv == local_pairing(u, v) and vu == local_pairing(v, u)
         assert any(uv.values) and any(vu.values)
+
+
+def count_component_builds(monkeypatch) -> list[int]:
+    """The degrees of the map_tensor components built from now on, in order;
+    tensor_complex's differentials are not counted."""
+    built = []
+
+    class Counted(chainalg.OnDemand):
+        def __init__(self, n, compute):
+            def counted(i):
+                out = compute(i)
+                built.append(out[0])
+                return out
+
+            components = compute.__qualname__.startswith("_tensor_components.")
+            super().__init__(n, counted if components else compute)
+
+    monkeypatch.setattr(chainalg, "OnDemand", Counted)
+    return built
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(7)])
+def test_trace_builds_only_degree_zero_of_each_tensor_component(ring, monkeypatch):
+    """coev ; (e (x) 1) reads e (x) 1 only in degree 0, the unit's one
+    degree: trace builds that component of each e (x) 1 and no other,
+    although a deep stalk's e (x) 1 has seven degrees; and so does pairing
+    on a pair_deep-shaped pair, once each object's duality data is made."""
+    clear_caches()
+    obj = deep_object(ring, 7)
+    stalk = obj.stalks[0]
+    dx = make_dual(obj)
+    assert len(cx_tensor(stalk, cx_dual(stalk)).ranks) == 7
+    e = make_cc_morphism(obj, obj, identity_span(obj.space), {"x0": map_scale(3, map_identity(stalk))})
+    built = count_component_builds(monkeypatch)
+    assert trace(e, dx).omega.values == (ring.norm(3 * alt_trace(map_identity(stalk))),)
+    assert built == [0]
+    a, b, u, v = deep_pair(ring)
+    da, db = make_dual(a), make_dual(b)
+    built.clear()
+    assert pairing(u, v, da).omega == local_pairing(u, v) and pairing(v, u, db).omega == local_pairing(v, u)
+    assert built and set(built) == {0}
+    clear_caches()  # no counted component outlives the test in a cache
+
+
+def test_a_poisoned_product_memo_changes_the_pairing_and_not_the_oracle(monkeypatch):
+    """cc_compose takes its products from a memo that local_pairing never
+    reads: with every hit of the memo returning a wrong matrix, the
+    categorical side fails or changes, and the pointwise oracle does not."""
+    clear_caches()
+    a, b, u, v = deep_pair(ZZ)
+    want = local_pairing(u, v), local_pairing(v, u)
+    assert any(want[0].values) and pairing(u, v, make_dual(a)).omega == want[0]
+    clear_caches()
+    kept, hits = {}, []
+
+    def poisoned(x, y):
+        right = mat_mul(x, y)
+        if (id(x), id(y)) in kept:
+            hits.append((x, y))
+            return mat(ZZ, [[1] * right.cols] * right.rows, cols=right.cols)
+        kept[id(x), id(y)] = x, y  # keeps both alive, so no id is reused
+        return right
+
+    monkeypatch.setattr(chainalg, "_product", poisoned)
+    try:
+        got = pairing(u, v, make_dual(a)).omega, pairing(v, u, make_dual(b)).omega
+    except ValueError:
+        got = None
+    assert hits and got != want
+    assert (local_pairing(u, v), local_pairing(v, u)) == want
+    clear_caches()
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(7)])
+def test_make_dual_reuses_the_certificate_products_of_a_rank_profile(ring):
+    """The structure maps of a rank profile share their matrices, so the
+    triangle certificates of a second object whose stalks have the
+    profiles of the first take every product from cc_compose's memo; and
+    clear_caches empties the memo."""
+    clear_caches()
+    a, b, u, v = deep_pair(ring)
+    make_dual(a)
+    first = chainalg._kept.cache_info()
+    make_dual(b)
+    second = chainalg._kept.cache_info()
+    assert first.misses > 0 and second.misses == first.misses and second.hits > first.hits
+    clear_caches()
+    assert chainalg._kept.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("r", [4, 6, 8])
