@@ -131,7 +131,11 @@ MUTANTS = [
     ("a lazy tensor component skips its block check", "chainalg.py",
      'return n, _checked_block(ring, comp, rows, cols, "component", n)', "return n, comp", "kernels"),
     ("the product memo keys by the left factor alone", "chainalg.py",
-     "_kept((id(a), id(b)))", "_kept((id(a),))", "pairing"),
+     "_kept((fn, *map(id, operands)))", "_kept((fn, *map(id, operands[:1] if fn is mat_mul else operands)))",
+     "pairing"),
+    ("the chain-map memos key by the first map alone", "chainalg.py",
+     "_kept((fn, *map(id, operands)))",
+     "_kept((fn, *map(id, operands[:1] if fn in (_tensor_map, _composite) else operands)))", "kernels"),
     ("the one-pass reassociation writes its i-blocks at stride rbc", "chainalg.py",
      "row, col = to + i * block, so + i * rbc", "row, col = to + i * rbc, so + i * rbc", "kernels"),
     ("the tensor layout orders each degree's summands by p", "chainalg.py",

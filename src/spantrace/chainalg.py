@@ -24,9 +24,11 @@ assoc_map_inv, and the one matrix of ev_map and coev_map.  map_tensor's are
 shared by every pair of maps with the same ranks and component values.
 Each public function wraps them in a ChainMap with its own endpoints.  The
 ring is in every key: it fixes how the signs normalise, and over Z/1 every
-permutation is the zero matrix.  So cc_compose's composites repeat
-products of the same matrix objects, and map_compose_shared takes each from
-a bounded memo keyed by the identity of both; map_compose reads no memo.
+permutation is the zero matrix.  map_identity is kept per Complex.key.
+At points with one stalk corrcat repeats each operation on the same
+objects, so map_tensor, map_compose_shared, its products and
+finspan.prod_over_base keep their results in `memo`, one LRU keyed by the
+identities of the operands; map_compose reads no memo.
 
 Each invariant is checked once, where its value is built.  A constructor
 checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
@@ -586,6 +588,13 @@ def make_chain_map(source: Complex, target: Complex, components: Mapping[int, Bl
 
 
 def map_identity(c: Complex) -> ChainMap:
+    """The identity of c, one per Complex.key, so a tensor is not hashed."""
+    return _identity_by_key(c.key)
+
+
+@lru_cache(maxsize=4096)
+def _identity_by_key(k: Complex | tuple) -> ChainMap:
+    c = k if isinstance(k, Complex) else _tensor_by_key(*k)
     return ChainMap(c, c, tuple((n, mat_identity(c.ring, r)) for n, r in c.ranks))
 
 
@@ -595,9 +604,9 @@ def map_compose(g: ChainMap, f: ChainMap) -> ChainMap:
 
 
 def map_compose_shared(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f, each product of two component matrices taken from
-    _product's memo; the pointwise oracle calls map_compose instead."""
-    return _composite(g, f, _product)
+    """g after f, kept by memo, as is each product of components; the
+    pointwise oracle calls map_compose instead."""
+    return memo(_composite, g, f, _product)
 
 
 def _composite(g: ChainMap, f: ChainMap, product: Callable[[Matrix, Matrix], Matrix]) -> ChainMap:
@@ -607,20 +616,24 @@ def _composite(g: ChainMap, f: ChainMap, product: Callable[[Matrix, Matrix], Mat
     return ChainMap(f.source, g.target, comps)
 
 
-@lru_cache(maxsize=64)
-def _kept(ids: tuple[int, int]) -> list:
-    """The slot of the product of the two matrices with these ids: _product
-    fills it with both and their product, so that neither id is reused
-    while the slot is kept."""
+@lru_cache(maxsize=256)
+def _kept(key: tuple) -> list:
+    """The slot of key, a function and the ids of its operands: memo fills
+    it with the operands and the result, so that no id is reused while the
+    slot is kept."""
     return []
 
 
-def _product(a: Matrix, b: Matrix) -> Matrix:
-    """mat_mul(a, b), kept for the latest 64 pairs of matrix objects."""
-    kept = _kept((id(a), id(b)))
+def memo(fn: Callable, *operands):
+    """fn(*operands), kept for the latest 256 keys of all memos together."""
+    kept = _kept((fn, *map(id, operands)))
     if not kept:
-        kept += a, b, mat_mul(a, b)
-    return kept[2]
+        kept += *operands, fn(*operands)
+    return kept[-1]
+
+
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    return memo(mat_mul, a, b)
 
 
 def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -642,7 +655,11 @@ def alt_trace(e: ChainMap) -> int:
 
 
 def map_tensor(f: ChainMap, g: ChainMap) -> ChainMap:
-    """Tensor of degree-zero chain maps; no Koszul signs arise."""
+    """Tensor of degree-zero chain maps, kept by memo; no Koszul signs arise."""
+    return memo(_tensor_map, f, g)
+
+
+def _tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     src, tgt = cx_tensor(f.source, g.source), cx_tensor(f.target, g.target)
     return ChainMap(src, tgt, _tensor_components(src.ring, f.source.ranks, f.target.ranks, f.components,
                                                  g.source.ranks, g.target.ranks, g.components))

@@ -8,9 +8,10 @@ pairs, e.g. ((a, b), c) -> (a, (b, c)), and checked with cell_check.
 
 A product over the base answers size and membership from its two factors;
 positions, anchors and elements come from the set that fiber_product lists
-out, the first time one of them is asked for.  Sets are equal by contents
-(equal factors suffice) and hash by base and size, so a product equals and
-hashes like the same set listed out.
+out, the first time one of them is asked for; prod_over_base keeps one
+product per pair of factor objects, so each is listed once.  Sets are
+equal by contents (equal factors suffice) and hash by base and size, so a
+product equals and hashes like the same set listed out.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from typing import Mapping, Sequence, Union
+
+from .chainalg import memo
 
 Label = Union[str, tuple]
 
@@ -220,10 +223,11 @@ class ProductOver(FinOver):
 
 
 def prod_over_base(x: FinOver, y: FinOver) -> FinOver:
-    """Chosen product over the base: pairs with equal anchors."""
+    """Chosen product over the base: pairs with equal anchors, one per pair
+    of factor objects (chainalg.memo), so that each is listed once."""
     if x.base != y.base:
         raise ValueError("base mismatch")
-    return ProductOver(x, y)
+    return memo(ProductOver, x, y)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ of dualizable objects has a dual (its mate), contravariantly functorial;
 the trace of an identity is the pointwise Euler characteristic; the
 tensor product distributes over direct sums; pullback along a base change
 is symmetric monoidal.  Also here: the small complex, the exhaustive
-lift search, the interlocking spans and the emptying of the suites'
-memos, which several test modules share.
+lift search, the interlocking spans and the emptying of every package
+cache, which several test modules share.
 """
 
 import itertools
 import random
+import sys
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -30,7 +31,7 @@ from spantrace.corrcat import (CCCell, CCMorphism, CCRelabel, cc_assoc, cc_cell_
 from spantrace.dualtrace import DualityData, PushRectangles, make_dual, trace
 from spantrace.finspan import (FinOver, Label, OverMap, Span, make_fin_over, make_over_map, om_compose,
                                om_identity)
-from spantrace.generate import GenParams, random_lv_instance, random_pair_instance
+from spantrace.generate import GenParams, random_lv_instance
 from spantrace.sheafops import OmegaClass, Sheaf, push
 
 # ---------------------------------------------------------------------------
@@ -101,12 +102,16 @@ def interlocking_spans(rng: random.Random, base: tuple, params: GenParams) -> li
     return spans
 
 
-def forget_shared_draws() -> None:
-    """Empty the memos through which the suites of a child seed share its
-    draws and duality data, so that what comes next is computed afresh."""
-    random_lv_instance.cache_clear()
-    random_pair_instance.cache_clear()
-    make_dual.cache_clear()
+def clear_caches() -> None:
+    """Empty every function with a cache_clear in an imported spantrace
+    module (the kernel caches, the memo slots, make_dual's and the draws'
+    memos), so that what comes next is computed afresh and depends on no
+    earlier test."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spantrace":
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
 
 
 # ---------------------------------------------------------------------------

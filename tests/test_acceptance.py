@@ -41,7 +41,7 @@ from spantrace.generate import (
 from spantrace.instances import emit_instance, parse_instance
 from spantrace.sheafops import omega_push, push, verdier
 from spantrace.suites import report_doc, run_suite
-from statements import char_class, exhaustive_unique_lifts, forget_shared_draws, lift_test
+from statements import char_class, clear_caches, exhaustive_unique_lifts, lift_test
 
 DEFAULTS = GenParams()  # sets <= 4, ranks <= 3, degrees in [-2, 2], moduli {0, 7}
 
@@ -235,7 +235,7 @@ def test_criterion_10_determinism_and_round_trip():
     """Identical seeds give byte-identical reports modulo timing; shipped
     fixtures and generated instances round-trip byte for byte."""
     r1 = report_doc(run_suite("all", 12321, 5))
-    forget_shared_draws()  # so that r2 draws and certifies everything again
+    clear_caches()  # so that r2 draws and certifies everything again
     r2 = report_doc(run_suite("all", 12321, 5))
     r1.pop("elapsed_seconds")
     r2.pop("elapsed_seconds")
@@ -249,6 +249,6 @@ def test_criterion_10_determinism_and_round_trip():
         inst = random_lv_instance(seed, DEFAULTS)
         text = emit_instance(inst)
         assert emit_instance(parse_instance(text)) == text
-        forget_shared_draws()
+        clear_caches()
         assert emit_instance(random_lv_instance(seed, DEFAULTS)) == text
     print("criterion 10: PASS (reports deterministic, fixtures round-trip)")

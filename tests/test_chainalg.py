@@ -29,6 +29,7 @@ from spantrace.chainalg import (
     make_chain_map,
     make_complex,
     map_compose,
+    map_compose_shared,
     map_identity,
     map_tensor,
     mat,
@@ -46,9 +47,9 @@ from spantrace.chainalg import (
     tensor_layout,
     unit_complex,
 )
-from spantrace.chainalg import _assoc_perms, _placed, _swap_perms, _tensor_components
+from spantrace.chainalg import _assoc_perms, _placed, _swap_perms, _tensor_components, _tensor_map
 from spantrace.generate import GenParams, deep_object, random_chain_map, random_complex
-from statements import map_scale, q_complex, sum_tensor_distribute
+from statements import clear_caches, map_scale, q_complex, sum_tensor_distribute
 
 Z7 = Ring(7)
 
@@ -872,6 +873,7 @@ def test_structure_maps_share_their_matrices_per_rank_profile():
     component matrices of every structure map, each map with its own
     endpoints; every shared matrix equals the basis oracle, over each ring,
     and one profile over Z and over Z/7 shares none."""
+    clear_caches()  # over Z/1 an earlier test's complex of a profile equals these
     rng = random.Random(29)
     for m in (0, 7, 2, 1):
         ring = Ring(m)
@@ -911,6 +913,27 @@ def test_map_tensor_shares_its_matrices_and_keeps_its_endpoints():
         tw = map_tensor(map_identity(a), g)
         assert tw.target is cx_tensor(a, wide) and tw.target.ranks != t.target.ranks
         assert [tw.component(n).rows for n, _ in tw.source.ranks] == [tw.target.rank(n) for n, _ in tw.source.ranks]
+
+
+def test_chain_map_memos_key_by_both_maps():
+    """map_tensor and map_compose_shared keep one result per pair of map
+    objects: the same pair gives the same object, and a pair that shares
+    either map with a kept one gives its own value, that of the unkept
+    kernels."""
+    clear_caches()
+    rng = random.Random(37)
+    for ring in (ZZ, Z7):
+        a, b = big_complex(rng, ring), big_complex(rng, ring)
+        f2, f3, g2, g3 = (map_scale(k, map_identity(c)) for c in (a, b) for k in (2, 3))
+        for x, y, other in ((f2, g2, g3), (g2, f2, f3)):
+            assert map_tensor(x, y) is map_tensor(x, y)
+            assert map_tensor(x, other) == _tensor_map(x, other) != map_tensor(x, y)
+            assert map_tensor(other, y) == _tensor_map(other, y) != map_tensor(x, y)
+        for x, y, other in ((f2, f3, f2), (g3, g2, g3)):
+            assert map_compose_shared(x, y) is map_compose_shared(x, y)
+            assert map_compose_shared(x, other) == map_compose(x, other) != map_compose_shared(x, y)
+            assert map_compose_shared(other, x) == map_compose(other, x) != map_compose_shared(y, x)
+    clear_caches()
 
 
 def test_tensor_cache_is_keyed_by_the_factors():

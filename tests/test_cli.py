@@ -15,7 +15,7 @@ from spantrace.dualtrace import make_dual, pairing_functorial
 from spantrace.generate import GenParams, random_lv_instance, random_pair_instance
 from spantrace.instances import Instance, ParseError, emit_instance, parse_instance
 from spantrace.suites import SUITE_NAMES, Check, Report, parse_report, report_doc, report_emit, run_suite
-from statements import forget_shared_draws
+from statements import clear_caches
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TWO_POINT = os.path.join(FIXTURES, "two_point.json")
@@ -72,7 +72,7 @@ def test_fixtures_round_trip():
 
 def test_generate_deterministic():
     a = random_lv_instance(42, GenParams())
-    forget_shared_draws()  # so that b is drawn again, not shared
+    clear_caches()  # so that b is drawn again, not shared
     b = random_lv_instance(42, GenParams())
     assert a is not b and emit_instance(a) == emit_instance(b)
     c = random_lv_instance(43, GenParams())
@@ -331,7 +331,7 @@ def pair_instance(draw) -> Instance:
 def test_suites_share_a_child_draws_and_leave_them_unchanged():
     """The six suites of one child share its two draws, and none of them
     changes a shared draw: both emit the same bytes after the run."""
-    forget_shared_draws()
+    clear_caches()
     params = GenParams()
     child = random.Random(31).getrandbits(63)
     lv, pair = random_lv_instance(child, params), random_pair_instance(child, params)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from spantrace.chainalg import (
     map_identity,
     map_tensor,
     mat,
-    mat_mul,
     mat_transpose,
     unit_complex,
 )
@@ -73,8 +73,8 @@ from spantrace.generate import (
     wide_object,
 )
 from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
-from statements import (cc_iso_search, char_class, dual_of_morphism, interlocking_spans, map_scale,
-                        proper_splitting, q_complex)
+from statements import (cc_iso_search, char_class, clear_caches, dual_of_morphism, interlocking_spans,
+                        map_scale, proper_splitting, q_complex)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -306,15 +306,6 @@ def test_mate_squares_commute(seed):
 # pairings and traces
 
 
-def clear_caches():
-    """Empty every chainalg cache and make_dual's memo, so that what a test
-    counts is computed afresh and nothing it builds outlives it."""
-    for fn in vars(chainalg).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
-    make_dual.cache_clear()
-
-
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
     """Each triangle composite keeps n of the n^2 apex elements of each of
@@ -333,16 +324,18 @@ def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
 
 
 def test_make_dual_tensors_each_distinct_pair_of_maps_once():
-    """map_tensor builds its components once per pair of maps equal in
-    ranks and components.  wide_object(ZZ, 12) repeats a pool of six
-    stalks of two rank profiles, whose identities, evaluations and
-    coevaluations depend on the profile alone, so each of the four tensors
-    with an identity builds two sets of components: 8 builds for 48
-    components read."""
+    """map_tensor computes once per pair of map objects, and builds its
+    components once per pair of maps equal in ranks and components.
+    wide_object(ZZ, 12) repeats a pool of six stalks of two rank profiles
+    at two points each; a stalk has one identity, evaluation and
+    coevaluation, whose components depend on the profile alone.  So each of
+    the four tensors with an identity reads 12 components, computes 6
+    tensors and builds two sets of components: 24 tensors and 8 builds for
+    48 components read."""
     clear_caches()
     make_dual(wide_object(ZZ, 12))
     info = chainalg._tensor_components.cache_info()
-    assert (info.misses, info.hits + info.misses) == (4 * 2, 4 * 12)
+    assert (info.misses, info.hits + info.misses) == (4 * 2, 4 * 6)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -532,48 +525,72 @@ def test_trace_builds_only_degree_zero_of_each_tensor_component(ring, monkeypatc
     clear_caches()  # no counted component outlives the test in a cache
 
 
+def poisoned_result(right):
+    """A wrong result of right's shape: a matrix, or a chain map with right's
+    endpoints, whose entries are all 1."""
+    if isinstance(right, chainalg.Matrix):
+        return mat(ZZ, [[1] * right.cols] * right.rows, cols=right.cols)
+    return chainalg.ChainMap(right.source, right.target,
+                             tuple((n, poisoned_result(m)) for n, m in right.components))
+
+
 def test_a_poisoned_product_memo_changes_the_pairing_and_not_the_oracle(monkeypatch):
-    """cc_compose takes its products from a memo that local_pairing never
-    reads: with every hit of the memo returning a wrong matrix, the
-    categorical side fails or changes, and the pointwise oracle does not."""
+    """cc_compose and cc_tensor take their matrix products, chain-map
+    tensors and composites from a memo that local_pairing never reads: with
+    every hit of one of the three returning a wrong value, the categorical
+    side fails or changes, and the pointwise oracle does not."""
     clear_caches()
     a, b, u, v = deep_pair(ZZ)
     want = local_pairing(u, v), local_pairing(v, u)
     assert any(want[0].values) and pairing(u, v, make_dual(a)).omega == want[0]
-    clear_caches()
-    kept, hits = {}, []
+    memo = chainalg.memo
+    for kind in ("mat_mul", "_tensor_map", "_composite"):
+        clear_caches()
+        hits = []
 
-    def poisoned(x, y):
-        right = mat_mul(x, y)
-        if (id(x), id(y)) in kept:
-            hits.append((x, y))
-            return mat(ZZ, [[1] * right.cols] * right.rows, cols=right.cols)
-        kept[id(x), id(y)] = x, y  # keeps both alive, so no id is reused
-        return right
+        def poisoned(fn, *operands):
+            hit = fn.__name__ == kind and bool(chainalg._kept((fn, *map(id, operands))))
+            right = memo(fn, *operands)
+            hits.append(hit)
+            return poisoned_result(right) if hit else right
 
-    monkeypatch.setattr(chainalg, "_product", poisoned)
-    try:
-        got = pairing(u, v, make_dual(a)).omega, pairing(v, u, make_dual(b)).omega
-    except ValueError:
-        got = None
-    assert hits and got != want
-    assert (local_pairing(u, v), local_pairing(v, u)) == want
+        with monkeypatch.context() as mp:
+            mp.setattr(chainalg, "memo", poisoned)
+            try:
+                got = pairing(u, v, make_dual(a)).omega, pairing(v, u, make_dual(b)).omega
+            except ValueError:
+                got = None
+            assert any(hits) and got != want, kind
+            assert (local_pairing(u, v), local_pairing(v, u)) == want
     clear_caches()
 
 
 @pytest.mark.parametrize("ring", [ZZ, Ring(7)])
-def test_make_dual_reuses_the_certificate_products_of_a_rank_profile(ring):
-    """The structure maps of a rank profile share their matrices, so the
-    triangle certificates of a second object whose stalks have the
-    profiles of the first take every product from cc_compose's memo; and
-    clear_caches empties the memo."""
+def test_make_dual_reuses_the_certificate_products_of_a_rank_profile(ring, monkeypatch):
+    """The structure maps of a rank profile share their matrices, and a
+    stalk has one identity, evaluation and coevaluation, so the triangle
+    certificates of a second object on the stalks of the first compute no
+    chain-map tensor, composite or matrix product: each is a memo hit, and
+    the memo misses only at the five products over the base of the new
+    spaces.  clear_caches empties the memo."""
     clear_caches()
     a, b, u, v = deep_pair(ring)
+    computed = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            computed[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_tensor_map", "_composite", "mat_mul"):
+        monkeypatch.setattr(chainalg, name, counted(name, getattr(chainalg, name)))
     make_dual(a)
-    first = chainalg._kept.cache_info()
+    first, kept = Counter(computed), chainalg._kept.cache_info()
     make_dual(b)
     second = chainalg._kept.cache_info()
-    assert first.misses > 0 and second.misses == first.misses and second.hits > first.hits
+    assert first == {"_tensor_map": 8, "_composite": 8, "mat_mul": 40} and computed == first
+    assert (second.hits - kept.hits, second.misses - kept.misses) == (45, 5)
     clear_caches()
     assert chainalg._kept.cache_info().currsize == 0
 

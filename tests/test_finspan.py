@@ -420,17 +420,22 @@ def test_products_on_demand_agree_with_the_fiber_product(seed):
     check_product(prod_over_base(prod_over_base(x, y), z), eager_product(xy, z), left + right + malformed)
     check_product(prod_over_base(x, prod_over_base(y, z)), eager_product(x, yz), right + left + malformed)
     # a three-fold product answers membership and anchors from its factors,
-    # without listing the inner product out
-    lazy_xy, lazy_yz = prod_over_base(x, y), prod_over_base(y, z)
-    for inner, outer, eager in ((lazy_xy, prod_over_base(lazy_xy, z), eager_product(xy, z)),
-                                (lazy_yz, prod_over_base(x, lazy_yz), eager_product(x, yz))):
+    # without listing the inner product out; prod_over_base keeps one
+    # product per pair of factor objects, and those of x, y, z are listed
+    # above, so these are built on fresh factor objects
+    fx, fy, fz = (FinOver(s.base, s.elements, s.anchor) for s in (x, y, z))
+    lazy_xy, lazy_yz = prod_over_base(fx, fy), prod_over_base(fy, fz)
+    for inner, outer, eager in ((lazy_xy, prod_over_base(lazy_xy, fz), eager_product(xy, z)),
+                                (lazy_yz, prod_over_base(fx, lazy_yz), eager_product(x, yz))):
         for e in left + right + outsiders:
             assert (e in outer) == (e in eager)
             if e in eager:
                 assert outer.anchor_of(e) == eager.anchor_of(e)
         assert "_flat" not in vars(inner) and "_flat" not in vars(outer)
-    # equal factors decide equality without walking; different contents differ both ways
-    assert prod_over_base(x, y) == prod_over_base(x, y)
+    # one product per pair of factor objects; equal factors decide equality
+    # without walking; different contents differ both ways
+    assert prod_over_base(x, y) is prod_over_base(x, y) and prod_over_base(fx, fy) is not prod_over_base(x, y)
+    assert prod_over_base(fx, fy) == prod_over_base(x, y)
     differ = eager_product(y, x) != eager_product(x, y)
     assert (prod_over_base(y, x) != prod_over_base(x, y)) == differ
     assert (eager_product(y, x) != prod_over_base(x, y)) == differ

@@ -25,6 +25,9 @@ from collections import Counter
 from collections.abc import Callable
 from pathlib import Path
 
+from spantrace.suites import run_suite
+from statements import clear_caches
+
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spantrace"
 PERFBENCH = TESTS.parent / "perfbench"
@@ -232,6 +235,32 @@ def test_layout_checks_catch_violations():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"a"}}) == ["a", "a"]
+
+
+def every_cache() -> dict:
+    """name -> cache of every object with a cache_info that a package
+    module, or a class of one, holds: a memo added anywhere is found."""
+    found = {}
+    for name in MODULES:
+        if name == "__main__":  # importing it runs the command line
+            continue
+        for key, obj in vars(importlib.import_module(f"spantrace.{name}")).items():
+            found[f"{name}.{key}"] = obj
+            if inspect.isclass(obj):
+                found.update((f"{name}.{key}.{k}", getattr(v, "__func__", v)) for k, v in vars(obj).items())
+    return {name: obj for name, obj in found.items() if hasattr(obj, "cache_info")}
+
+
+def test_clear_caches_empties_every_package_cache():
+    """After a suite run fills them, clear_caches leaves every cache of the
+    package empty: the memo slots, the kernel caches, the identities,
+    make_dual's memo and the draws' memos among them."""
+    assert run_suite("all", 5, 1).ok
+    filled = {name for name, fn in every_cache().items() if fn.cache_info().currsize}
+    assert {"chainalg._kept", "chainalg._identity_by_key", "chainalg.cx_tensor", "dualtrace.make_dual",
+            "generate.random_lv_instance", "generate.random_pair_instance"} <= filled
+    clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in every_cache().items() if fn.cache_info().currsize} == {}
 
 
 def test_perfbench_traced_names_exist():
