@@ -166,17 +166,19 @@ MUTANTS = [
     ("a tensor's key drops its right factor", "chainalg.py",
      'object.__setattr__(t, "_key", (a.key, b.key))', 'object.__setattr__(t, "_key", a.key)', "kernels"),
     ("a relabeling on the right skips its eager check", "corrcat.py",
-     "            b.check(y, z, image=True)", "            pass", "cells"),
+     "        b.check_pairs(ys, tuple(image_of.values()), image=True)", "        pass", "cells"),
     ("a relabeling on the left skips its eager check", "corrcat.py",
-     "            a.check(x, y, image=False)", "            pass", "cells"),
+     "        a.check_pairs(back, ys, image=False)", "        pass", "cells"),
     ("a left relabeling composes its stalk map after the component", "corrcat.py",
      "map_compose_shared(vs[i], k(xs[i]))", "map_compose_shared(k(xs[i]), vs[i])", "cells"),
     ("a right relabeling keeps the old right leg", "corrcat.py",
      "OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits)))",
      "OverMap(c.apex, b.target.space, hits)", "cells"),
     ("product membership ignores the inner anchor match", "finspan.py",
-     "s is not None and s == self.factors[1]._member_anchor(e[1])",
-     "s is not None and self.factors[1]._member_anchor(e[1]) is not None", "cells"),
+     "return ss if ss == ts else [s if s == t else None for s, t in zip(ss, ts)]",
+     "return [s if t is not None else None for s, t in zip(ss, ts)]", "cells"),
+    ("column membership splits labels that are not tuples", "finspan.py",
+     "{tuple}.issuperset(map(type, es)) and ", "", "cells"),
     ("make_dual's key is the space alone", "dualtrace.py",
      "@lru_cache(maxsize=DUALS_KEPT)\ndef make_dual(",
      "@(lambda fn, memo={}: setattr(w := lambda a: memo[a.space] if a.space in memo"

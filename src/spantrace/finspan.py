@@ -12,6 +12,9 @@ out, the first time one of them is asked for; prod_over_base keeps one
 product per pair of factor objects, so each is listed once.  Sets are
 equal by contents (equal factors suffice) and hash by base and size, so a
 product equals and hashes like the same set listed out.
+
+Steps over a whole apex or column of elements (membership, fibers, legs)
+run a column at a time through C-level builtins, not a call per element.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from .chainalg import memo
 
 Label = Union[str, tuple]
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +40,7 @@ class FinOver:
     elements: tuple[Label, ...]
     anchor: tuple[Label, ...]
     _pos: dict = field(default=None, init=False, compare=False, repr=False)
+    _anchor_by: dict = field(default=None, init=False, compare=False, repr=False)
     factors = None  # the two factors of a product over the base
 
     def __post_init__(self):
@@ -76,6 +82,12 @@ class FinOver:
     def _member_anchor(self, x: Label) -> Label | None:
         """The anchor of x, or None if x is not an element."""
         return self.anchor[self._pos[x]] if x in self._pos else None
+
+    def member_anchors(self, xs) -> list:
+        """_member_anchor of each of xs, a column at a time."""
+        if self._anchor_by is None:
+            object.__setattr__(self, "_anchor_by", dict(zip(self.elements, self.anchor)))
+        return list(map(self._anchor_by.get, xs))
 
     def __contains__(self, x: Label) -> bool:
         return x in self._pos
@@ -126,10 +138,13 @@ class OverMap:
     def _fiber_map(self) -> dict[Label, tuple[Label, ...]]:
         """Every non-empty fiber, in carrier order; computed once."""
         if self._fibers is None:
-            fibers: dict[Label, list[Label]] = {}
-            for x, y in zip(self.source.elements, self.graph):
-                fibers.setdefault(y, []).append(x)
-            object.__setattr__(self, "_fibers", {y: tuple(xs) for y, xs in fibers.items()})
+            fibers = dict(zip(self.graph, zip(self.source.elements)))  # right when injective
+            if len(fibers) < len(self.graph):
+                lists: dict[Label, list[Label]] = {}
+                for x, y in zip(self.source.elements, self.graph):
+                    lists.setdefault(y, []).append(x)
+                fibers = {y: tuple(xs) for y, xs in lists.items()}
+            object.__setattr__(self, "_fibers", fibers)
         return self._fibers
 
     def is_bijective(self) -> bool:
@@ -162,7 +177,7 @@ def om_compose(g: OverMap, f: OverMap) -> OverMap:
     """g after f."""
     if f.target != g.source:
         raise ValueError("composition boundary mismatch")
-    return OverMap(f.source, g.target, tuple(g(f(x)) for x in f.source.elements))
+    return OverMap(f.source, g.target, tuple(map(g.graph.__getitem__, map(g.source._pos.__getitem__, f.graph))))
 
 
 def om_anchor(x: FinOver) -> OverMap:
@@ -179,9 +194,8 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
     """
     if f.target != g.target:
         raise ValueError("fiber product target mismatch")
-    buckets = g._fiber_map()
-    fibers = [buckets.get(fx, ()) for fx in f.graph]
-    counts = [len(ys) for ys in fibers]
+    fibers = list(map(g._fiber_map().get, f.graph, repeat(())))
+    counts = list(map(len, fibers))
     # x and its anchor once per partner y, then the partners themselves
     left = tuple(chain.from_iterable(map(repeat, f.source.elements, counts)))
     anchors = tuple(chain.from_iterable(map(repeat, f.source.anchor, counts)))
@@ -217,6 +231,14 @@ class ProductOver(FinOver):
             return None
         s = self.factors[0]._member_anchor(e[0])
         return s if s is not None and s == self.factors[1]._member_anchor(e[1]) else None
+
+    def member_anchors(self, es) -> list:
+        es = tuple(es)
+        if not ({tuple}.issuperset(map(type, es)) and {2}.issuperset(map(len, es))):
+            return list(map(self._member_anchor, es))  # not all pairs
+        x, y = self.factors
+        ss, ts = x.member_anchors(map(_first, es)), y.member_anchors(map(_second, es))
+        return ss if ss == ts else [s if s == t else None for s, t in zip(ss, ts)]
 
     def __contains__(self, e: Label) -> bool:
         return self._member_anchor(e) is not None
@@ -260,15 +282,17 @@ def span_compose(c: Span, d: Span) -> Span:
 
 
 def span_tensor(c: Span, d: Span) -> Span:
-    """Pointwise product of correspondences over the base."""
+    """Pointwise product of correspondences over the base, legs laid out like the apex."""
     apex = prod_over_base(c.apex, d.apex)
     lspace = prod_over_base(c.left.target, d.left.target)
     rspace = prod_over_base(c.right.target, d.right.target)
-    cpos, dpos = c.apex._pos, d.apex._pos
-    at = [(cpos[a], dpos[b]) for a, b in apex.elements]
-    left = OverMap(apex, lspace, tuple((c.left.graph[i], d.left.graph[j]) for i, j in at))
-    right = OverMap(apex, rspace, tuple((c.right.graph[i], d.right.graph[j]) for i, j in at))
-    return Span(left, right)
+    lefts, rights = {}, {}
+    for s, y, z in zip(d.apex.anchor, d.left.graph, d.right.graph):
+        lefts.setdefault(s, []).append(y)
+        rights.setdefault(s, []).append(z)
+    left = chain.from_iterable(map(zip, map(repeat, c.left.graph), map(lefts.get, c.apex.anchor, repeat(()))))
+    right = chain.from_iterable(map(zip, map(repeat, c.right.graph), map(rights.get, c.apex.anchor, repeat(()))))
+    return Span(OverMap(apex, lspace, tuple(left)), OverMap(apex, rspace, tuple(right)))
 
 
 def cell_check(source: Span, target: Span, graph: OverMap) -> None:

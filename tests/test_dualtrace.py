@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -345,13 +346,13 @@ def test_make_dual_checks_each_distinct_relabeling_hit_once(n, monkeypatch):
     n^2, and its last unitor at n: 2n^2 + 4n checks in all, no pair twice,
     not one check per apex element (4n^2 + 2n)."""
     calls = []
-    check = CCRelabel.check
+    check_pairs = CCRelabel.check_pairs
 
-    def counted(self, x, y, image):
-        calls.append((id(self), x, y))
-        return check(self, x, y, image)
+    def counted(self, xs, ys, image):
+        calls.extend((id(self), x, y) for x, y in zip(xs, ys, strict=True))
+        return check_pairs(self, xs, ys, image)
 
-    monkeypatch.setattr(CCRelabel, "check", counted)
+    monkeypatch.setattr(CCRelabel, "check_pairs", counted)
     make_dual.__wrapped__(wide_object(ZZ, n))
     assert len(calls) == 2 * n * n + 4 * n
     assert len(set(calls)) == len(calls)
@@ -411,6 +412,47 @@ def test_a_relabeling_failing_at_a_repeated_hit_raises_when_composed():
     stalks = CCRelabel(tgt, other, lambda e: e[0], lambda x: (x, "b"))
     with pytest.raises(ValueError, match="^relabeling stalks differ; pass stalk_map$"):
         cc_compose(out_of, stalks)
+
+
+def test_a_relabeling_failing_late_among_many_distinct_hits_names_the_first():
+    """At n = 16 a reassociation in a triangle certificate meets 256
+    distinct hits.  A relabeling whose computed direction leaves its space
+    at the 200th of them and breaks the round trip at the 230th raises
+    naming the 200th, on either side; with the 230th alone, naming it: the
+    hits are checked a column at a time, and the first failure in hit order
+    is reported."""
+    a = wide_object(ZZ, 16)
+    dx = make_dual(a)
+    ida = cc_identity(a)
+    assoc = cc_assoc_inv(a, dx.dual, a)  # (a (x) a*) (x) a -> a (x) (a* (x) a)
+    into, out_of = cc_tensor(ida, dx.ev), cc_tensor(dx.coev, ida)
+    into_hits = list(dict.fromkeys(into.span.left.graph))
+    out_hits = list(dict.fromkeys(out_of.span.right.graph))
+    assert len(into_hits) == len(out_hits) == 256
+    # off the space: an inner 3-tuple; off the round trip: a wrong last label
+    off_source, back_wrong = (lambda e: ((e[0], e[1][0], "x"), e[1][1])), (lambda e: ((e[0], e[1][0]), "y"))
+    off_target, forth_wrong = (lambda e: (e[0][0], (e[0][1], e[1], "x"))), (lambda e: (e[0][0], (e[0][1], "y")))
+
+    def bent(direction, hits, at):
+        swaps = {hits[i]: f for i, f in at.items()}
+        return lambda e: swaps.get(e, direction)(e)
+
+    def on_left(at):
+        back = bent(assoc.backward, into_hits, at)
+        return lambda: cc_compose(CCRelabel(assoc.source, assoc.target, assoc.forward, back, assoc.stalk_map), into)
+
+    def on_right(at):
+        forth = bent(assoc.forward, out_hits, at)
+        return lambda: cc_compose(out_of, CCRelabel(assoc.source, assoc.target, forth, assoc.backward, assoc.stalk_map))
+
+    for compose, named in (
+        (on_left({199: off_source, 229: back_wrong}), off_source(into_hits[199])),
+        (on_left({229: back_wrong}), back_wrong(into_hits[229])),
+        (on_right({199: off_target, 229: forth_wrong}), out_hits[199]),
+        (on_right({229: forth_wrong}), out_hits[229]),
+    ):
+        with pytest.raises(ValueError, match=f"^relabeling is not a bijection at {re.escape(repr(named))}$"):
+            compose()
 
 
 @pytest.mark.parametrize("modulus", [0, 7])

@@ -365,6 +365,11 @@ def check_product(lazy, eager, candidates):
             assert seen == once if e in eager else seen <= once
         if e in eager:
             assert lazy.anchor_of(e) == eager.anchor_of(e)
+    # a column answers as its elements one at a time do: the candidates, and
+    # those that are pairs, which no level can answer one at a time
+    pairs = [e for e in candidates if type(e) is tuple and len(e) == 2]
+    for column in (candidates, pairs):
+        assert lazy.member_anchors(iter(column)) == [eager._member_anchor(e) for e in column]
     assert "_flat" not in vars(lazy)
     for e in candidates:
         if e in eager:
@@ -474,3 +479,56 @@ def test_nested_products_match_anchors_at_every_level():
         cx_tensor(cx_tensor(l.stalk(a), m.stalk(b)), n.stalk(c)) for (a, b), c in xy_z.elements)), candidates)
     check_product_stalks(box(l, box(m, n)), Sheaf(ZZ, x_yz, tuple(
         cx_tensor(l.stalk(a), cx_tensor(m.stalk(b), n.stalk(c))) for a, (b, c) in x_yz.elements)), candidates)
+
+
+@st.composite
+def nested_products(draw):
+    """A product over a base of 1-3 points nested to depth 1-3, built on
+    demand, the same set listed out, and a column of candidates: members,
+    pairs whose anchors disagree at some level, leaf labels where a pair
+    belongs, 3-tuples, and 2-character labels such as "ab" joined from two
+    one-letter leaf labels, which itemgetter(0) would split into a pair."""
+    base = tuple(f"s{i}" for i in range(draw(st.integers(1, 3))))
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    labels = []
+
+    def spaces(depth):
+        if depth == 0:
+            anchors = draw(st.lists(st.sampled_from(base), min_size=1, max_size=3))
+            leaf = FinOver(base, tuple(next(letters) for _ in anchors), tuple(anchors))
+            labels.extend(leaf.elements)
+            return leaf, leaf
+        depths = [depth - 1, draw(st.integers(0, depth - 1))]
+        (x, ex), (y, ey) = (spaces(d) for d in draw(st.permutations(depths)))
+        return prod_over_base(x, y), eager_product(ex, ey)
+
+    lazy, listed = spaces(draw(st.integers(1, 3)))
+
+    def candidate(space):
+        kind = draw(st.sampled_from(["pair"] * 6 + ["label", "triple", "joined", "joined"]))
+        if space.factors is None or kind == "label":
+            own = list(space.elements) if space.factors is None else []
+            return draw(st.sampled_from(own * 6 + labels + ["zz"]))
+        x, y = space.factors
+        if kind == "joined":
+            pair = (candidate(x), candidate(y))
+            return "".join(pair) if all(type(e) is str and len(e) == 1 for e in pair) else "ab"
+        return (candidate(x), candidate(y)) + ((candidate(y),) if kind == "triple" else ())
+
+    column = []
+    for _ in range(draw(st.integers(0, 8))):
+        member = listed.elements and draw(st.booleans())
+        column.append(draw(st.sampled_from(listed.elements)) if member else candidate(lazy))
+    return lazy, listed, column
+
+
+@given(nested_products())
+@settings(max_examples=300, deadline=None)
+def test_column_membership_agrees_with_one_element_at_a_time(case):
+    """member_anchors answers a column as `x in space` and anchor_of answer
+    each element, on the product built on demand and on it listed out."""
+    lazy, listed, column = case
+    anchors = lazy.member_anchors(iter(column))
+    assert [s is not None for s in anchors] == [e in lazy for e in column] == [e in listed for e in column]
+    assert anchors == listed.member_anchors(column) == [listed._member_anchor(e) for e in column]
+    assert anchors == [lazy.anchor_of(e) if e in lazy else None for e in column]
