@@ -166,19 +166,21 @@ MUTANTS = [
     ("a tensor's key drops its right factor", "chainalg.py",
      'object.__setattr__(t, "_key", (a.key, b.key))', 'object.__setattr__(t, "_key", a.key)', "kernels"),
     ("a relabeling on the right skips its eager check", "corrcat.py",
-     "        b.check_pairs(ys, tuple(image_of.values()), image=True)", "        pass", "cells"),
+     "            b.check(y, z, image=True)", "            pass", "cells"),
     ("a relabeling on the left skips its eager check", "corrcat.py",
-     "        a.check_pairs(back, ys, image=False)", "        pass", "cells"),
+     "            a.check(x, y, image=False)", "            pass", "cells"),
     ("a left relabeling composes its stalk map after the component", "corrcat.py",
      "map_compose_shared(vs[i], k(xs[i]))", "map_compose_shared(k(xs[i]), vs[i])", "cells"),
     ("a right relabeling keeps the old right leg", "corrcat.py",
      "OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits)))",
      "OverMap(c.apex, b.target.space, hits)", "cells"),
     ("product membership ignores the inner anchor match", "finspan.py",
-     "return ss if ss == ts else [s if s == t else None for s, t in zip(ss, ts)]",
-     "return [s if t is not None else None for s, t in zip(ss, ts)]", "cells"),
-    ("column membership splits labels that are not tuples", "finspan.py",
-     "{tuple}.issuperset(map(type, es)) and ", "", "cells"),
+     "s is not None and s == self.factors[1]._member_anchor(e[1])",
+     "s is not None and self.factors[1]._member_anchor(e[1]) is not None", "cells"),
+    ("a map's fibers keep one preimage per image", "finspan.py",
+     "if len(fibers) < len(self.graph):", "if False:", "cells"),
+    ("a tensor's right leg takes the left leg's images", "finspan.py",
+     "map(rights.get, c.apex.anchor, repeat(()))", "map(lefts.get, c.apex.anchor, repeat(()))", "cells"),
     ("make_dual's key is the space alone", "dualtrace.py",
      "@lru_cache(maxsize=DUALS_KEPT)\ndef make_dual(",
      "@(lambda fn, memo={}: setattr(w := lambda a: memo[a.space] if a.space in memo"

@@ -15,7 +15,7 @@ They are fixed only up to a unique invertible 2-cell, so they are never
 built as spans: a composite with one keeps the other morphism's apex and
 carries the leg facing the relabeling across the bijection, touching only
 the elements that leg hits and checking the relabeling once at each
-distinct one, a column of hits at a time (CCRelabel.check_pairs).
+distinct one.
 
 The components of a tensor or a composite are computed when first read:
 a certificate or a trace composes away all but a diagonal of a tensor's
@@ -131,19 +131,19 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
         raise ValueError("two relabelings compose only through a morphism")
     if isinstance(b, CCRelabel):
         c, hits = a.span, a.span.right.graph
-        ys = tuple(dict.fromkeys(hits))
-        image_of = dict(zip(ys, map(b.forward, ys)))
-        b.check_pairs(ys, tuple(image_of.values()), image=True)
+        image_of = {y: b.forward(y) for y in dict.fromkeys(hits)}
+        for y, z in image_of.items():
+            b.check(y, z, image=True)
         span = Span(c.left, OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits))))
         k, us = b.stalk_map, a.maps
         maps = us if k is None else OnDemand(len(hits), lambda i: map_compose_shared(k(hits[i]), us[i]))
         return CCMorphism(a.source, b.target, span, maps)
     if isinstance(a, CCRelabel):
         c, hits = b.span, b.span.left.graph
-        ys = tuple(dict.fromkeys(hits))
-        back = tuple(map(a.backward, ys))
-        a.check_pairs(back, ys, image=False)
-        xs = back if len(back) == len(hits) else tuple(map(dict(zip(ys, back)).get, hits))
+        back = {y: a.backward(y) for y in dict.fromkeys(hits)}
+        for y, x in back.items():
+            a.check(x, y, image=False)
+        xs = tuple(map(back.get, hits))
         span = Span(OverMap(c.apex, a.source.space, xs), c.right)
         k, vs = a.stalk_map, b.maps
         maps = vs if k is None else OnDemand(len(xs), lambda i: map_compose_shared(vs[i], k(xs[i])))
@@ -222,20 +222,15 @@ class CCRelabel:
     backward: Callable[[Label], Label]
     stalk_map: Callable[[Label], ChainMap] | None = None
 
-    def check_pairs(self, xs: tuple, ys: tuple, image: bool) -> None:
-        """Check each x against its y, where y is forward(x) if image and x is
+    def check(self, x: Label, y: Label, image: bool) -> None:
+        """Check that x pairs with y, where y is forward(x) if image and x is
         backward(y) otherwise, by the other direction and the computed one's
-        membership, and their stalks if stalk_map is None: a column at a
-        time, raising at the first pair that fails, as one at a time would."""
-        found, given = (ys, xs) if image else (xs, ys)
-        trip = tuple(map(self.backward if image else self.forward, found))
-        anchors = (self.target if image else self.source).space.member_anchors(found)
-        k = len(xs) if trip == given and None not in anchors else next(
-            i for i, (t, g, s) in enumerate(zip(trip, given, anchors)) if t != g or s is None)
-        if self.stalk_map is None and tuple(map(self.source.stalk, xs[:k])) != tuple(map(self.target.stalk, ys[:k])):
+        membership; and that their stalks agree if stalk_map is None."""
+        if not (self.backward(y) == x and y in self.target.space if image
+                else self.forward(x) == y and x in self.source.space):
+            raise ValueError(f"relabeling is not a bijection at {x!r}")
+        if self.stalk_map is None and self.source.stalk(x) != self.target.stalk(y):
             raise ValueError("relabeling stalks differ; pass stalk_map")
-        if k < len(xs):
-            raise ValueError(f"relabeling is not a bijection at {xs[k]!r}")
 
 
 def left_unitor(a: Sheaf) -> CCRelabel:

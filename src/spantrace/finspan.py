@@ -11,10 +11,9 @@ positions, anchors and elements come from the set that fiber_product lists
 out, the first time one of them is asked for; prod_over_base keeps one
 product per pair of factor objects, so each is listed once.  Sets are
 equal by contents (equal factors suffice) and hash by base and size, so a
-product equals and hashes like the same set listed out.
-
-Steps over a whole apex or column of elements (membership, fibers, legs)
-run a column at a time through C-level builtins, not a call per element.
+product equals and hashes like the same set listed out.  A tensor's legs,
+a composite's images and an injective map's fibers are built by C-level
+builtins, not a Python step per element.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from .chainalg import memo
 
 Label = Union[str, tuple]
-_first, _second = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +37,6 @@ class FinOver:
     elements: tuple[Label, ...]
     anchor: tuple[Label, ...]
     _pos: dict = field(default=None, init=False, compare=False, repr=False)
-    _anchor_by: dict = field(default=None, init=False, compare=False, repr=False)
     factors = None  # the two factors of a product over the base
 
     def __post_init__(self):
@@ -82,12 +78,6 @@ class FinOver:
     def _member_anchor(self, x: Label) -> Label | None:
         """The anchor of x, or None if x is not an element."""
         return self.anchor[self._pos[x]] if x in self._pos else None
-
-    def member_anchors(self, xs) -> list:
-        """_member_anchor of each of xs, a column at a time."""
-        if self._anchor_by is None:
-            object.__setattr__(self, "_anchor_by", dict(zip(self.elements, self.anchor)))
-        return list(map(self._anchor_by.get, xs))
 
     def __contains__(self, x: Label) -> bool:
         return x in self._pos
@@ -194,8 +184,9 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
     """
     if f.target != g.target:
         raise ValueError("fiber product target mismatch")
-    fibers = list(map(g._fiber_map().get, f.graph, repeat(())))
-    counts = list(map(len, fibers))
+    buckets = g._fiber_map()
+    fibers = [buckets.get(fx, ()) for fx in f.graph]
+    counts = [len(ys) for ys in fibers]
     # x and its anchor once per partner y, then the partners themselves
     left = tuple(chain.from_iterable(map(repeat, f.source.elements, counts)))
     anchors = tuple(chain.from_iterable(map(repeat, f.source.anchor, counts)))
@@ -231,14 +222,6 @@ class ProductOver(FinOver):
             return None
         s = self.factors[0]._member_anchor(e[0])
         return s if s is not None and s == self.factors[1]._member_anchor(e[1]) else None
-
-    def member_anchors(self, es) -> list:
-        es = tuple(es)
-        if not ({tuple}.issuperset(map(type, es)) and {2}.issuperset(map(len, es))):
-            return list(map(self._member_anchor, es))  # not all pairs
-        x, y = self.factors
-        ss, ts = x.member_anchors(map(_first, es)), y.member_anchors(map(_second, es))
-        return ss if ss == ts else [s if s == t else None for s, t in zip(ss, ts)]
 
     def __contains__(self, e: Label) -> bool:
         return self._member_anchor(e) is not None

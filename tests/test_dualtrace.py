@@ -32,11 +32,13 @@ from spantrace.corrcat import (
     cc_compose,
     cc_compose_many,
     cc_identity,
+    cc_invert,
     cc_swap,
     cc_tensor,
     left_unitor,
     make_cc_morphism,
     obj_tensor,
+    right_unitor,
     unit_object,
 )
 from spantrace.dualtrace import (
@@ -346,13 +348,13 @@ def test_make_dual_checks_each_distinct_relabeling_hit_once(n, monkeypatch):
     n^2, and its last unitor at n: 2n^2 + 4n checks in all, no pair twice,
     not one check per apex element (4n^2 + 2n)."""
     calls = []
-    check_pairs = CCRelabel.check_pairs
+    check = CCRelabel.check
 
-    def counted(self, xs, ys, image):
-        calls.extend((id(self), x, y) for x, y in zip(xs, ys, strict=True))
-        return check_pairs(self, xs, ys, image)
+    def counted(self, x, y, image):
+        calls.append((id(self), x, y))
+        return check(self, x, y, image)
 
-    monkeypatch.setattr(CCRelabel, "check_pairs", counted)
+    monkeypatch.setattr(CCRelabel, "check", counted)
     make_dual.__wrapped__(wide_object(ZZ, n))
     assert len(calls) == 2 * n * n + 4 * n
     assert len(set(calls)) == len(calls)
@@ -419,8 +421,7 @@ def test_a_relabeling_failing_late_among_many_distinct_hits_names_the_first():
     distinct hits.  A relabeling whose computed direction leaves its space
     at the 200th of them and breaks the round trip at the 230th raises
     naming the 200th, on either side; with the 230th alone, naming it: the
-    hits are checked a column at a time, and the first failure in hit order
-    is reported."""
+    first failure in hit order is reported."""
     a = wide_object(ZZ, 16)
     dx = make_dual(a)
     ida = cc_identity(a)
@@ -453,6 +454,35 @@ def test_a_relabeling_failing_late_among_many_distinct_hits_names_the_first():
     ):
         with pytest.raises(ValueError, match=f"^relabeling is not a bijection at {re.escape(repr(named))}$"):
             compose()
+
+
+def test_a_unitor_failing_early_is_named_before_a_later_hit_leaves_its_space():
+    """A unitor's checking direction calls anchor_of, which raises off the
+    space.  A unitor bent to break its round trip at the 3rd of 16
+    distinct hits and to leave its space at the 12th raises naming the 3rd,
+    on either side: the checking direction is not run past the first
+    failing hit."""
+    a = wide_object(ZZ, 16)
+    dx = make_dual(a)
+    into, out_of = cc_tensor(dx.coev, cc_identity(a)), cc_tensor(cc_identity(a), dx.ev)
+    into_hits = list(dict.fromkeys(into.span.left.graph))
+    out_hits = list(dict.fromkeys(out_of.span.right.graph))
+    assert len(into_hits) == len(out_hits) == 16
+    left, right = left_unitor(a), cc_invert(right_unitor(a))
+    wrong, off = into_hits[3][1], "nowhere"
+    back = {into_hits[2]: wrong, into_hits[11]: off}
+    bent_left = CCRelabel(a, left.target, left.forward, lambda e: back.get(e, e[1]))
+    with pytest.raises(ValueError, match=f"^relabeling is not a bijection at {re.escape(repr(wrong))}$"):
+        cc_compose(bent_left, into)
+    forth = {out_hits[2]: out_hits[3][0], out_hits[11]: off}
+    bent_right = CCRelabel(right.source, a, lambda e: forth.get(e, e[0]), right.backward)
+    with pytest.raises(ValueError, match=f"^relabeling is not a bijection at {re.escape(repr(out_hits[2]))}$"):
+        cc_compose(out_of, bent_right)
+    del back[into_hits[2]], forth[out_hits[2]]  # off the space alone: anchor_of's own error, as before
+    with pytest.raises(ValueError, match="^'nowhere' is not an element$"):
+        cc_compose(bent_left, into)
+    with pytest.raises(ValueError, match="^'nowhere' is not an element$"):
+        cc_compose(out_of, bent_right)
 
 
 @pytest.mark.parametrize("modulus", [0, 7])
