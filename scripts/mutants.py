@@ -85,6 +85,9 @@ MUTANTS = [
     ("shriek_push reverses source positions", "corrcat.py",
      "xpos = {x: i for i, x in enumerate(xs)}", "xpos = {x: len(xs) - 1 - i for i, x in enumerate(xs)}",
      "lv"),
+    ("shriek_push hands a component the pushed stalk at the wrong foot", "corrcat.py",
+     "src.stalk(lower.left(gp)), tgt.stalk(lower.right(gp))",
+     "src.stalk(lower.left(lower.apex.elements[0])), tgt.stalk(lower.right(gp))", "lv"),
     ("omega_push reads only the first fibre element", "sheafops.py",
      "sum(a.value(x) for x in q.fiber(y))", "sum(a.value(x) for x in q.fiber(y)[:1])", "lv"),
     ("pairing returns zeros", "dualtrace.py",
@@ -141,6 +144,9 @@ MUTANTS = [
     ("the tensor layout orders each degree's summands by p", "chainalg.py",
      "for q, rq in b_ranks:  # q ascending, so each degree's summands are too\n        for p, rp in a_ranks:",
      "for p, rp in a_ranks:\n        for q, rq in b_ranks:", "kernels"),
+    ("a one-summand direct sum loses its differential", "chainalg.py",
+     "if len(parts) == 1:\n        return parts[0]",
+     "if len(parts) == 1:\n        return make_complex(ring, dict(parts[0].ranks))", "kernels"),
     ("tensor complexes with equal ranks are equal", "chainalg.py",
      "return self is other or tuple(self) == tuple(other)", "return True", "kernels"),
     ("push rectangles skip their squares", "dualtrace.py",

@@ -5,12 +5,15 @@ space back along the chosen fiber product, copying stalks and span
 components along the fiber coordinates.  Duals commute with it on the
 nose; pairings commute after the evident recoordination of fixed-point
 sets; pushing a morphism down a rectangle commutes with it literally.
+pull_space keeps each pullback in chainalg.memo, so the pulled objects,
+maps and spans over one space share one pullback rather than rebuild it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chainalg import memo
 from .corrcat import CCMorphism, make_cc_morphism, shriek_push
 from .dualtrace import DualityData, PushRectangles, make_dual, pairing
 from .finspan import FinOver, Label, OverMap, Span, base_space, fiber_product
@@ -44,6 +47,10 @@ def make_base_change(
 
 def pull_space(bc: BaseChange, x: FinOver) -> tuple[FinOver, OverMap]:
     """Chosen pullback of a space: pairs (element, new base point)."""
+    return memo(_pull_space, bc, x)
+
+
+def _pull_space(bc: BaseChange, x: FinOver) -> tuple[FinOver, OverMap]:
     if x.base != bc.g.target.base:
         raise ValueError("anchor mismatch")
     over_t = OverMap(x, bc.g.target, x.anchor)

@@ -28,7 +28,10 @@ permutation is the zero matrix.  map_identity is kept per Complex.key.
 At points with one stalk corrcat repeats each operation on the same
 objects, so map_tensor, map_compose_shared, its products and
 finspan.prod_over_base keep their results in `memo`, one LRU keyed by the
-identities of the operands; map_compose reads no memo.
+identities of the operands; map_compose reads no memo.  There is one Ring
+per modulus, so rings compare by identity, and built values are handed on:
+the direct sum of one summand is that summand, and map_direct_sum takes
+the sums its caller holds.
 
 Each invariant is checked once, where its value is built.  A constructor
 checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
@@ -68,26 +71,30 @@ from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Ring:
-    """Coefficient ring: modulus 0 means Z, modulus m > 0 means Z/m."""
+    """Coefficient ring: modulus 0 means Z, modulus m > 0 means Z/m.  One
+    Ring per modulus, kept once validated: rings compare by identity."""
 
     modulus: int
 
-    def __post_init__(self) -> None:
-        if self.modulus < 0:
-            raise ValueError("modulus must be non-negative")
+    def __new__(cls, modulus: int) -> Ring:
+        ring = _RINGS.get(modulus)
+        if ring is None:
+            if modulus < 0:
+                raise ValueError("modulus must be non-negative")
+            ring = _RINGS[modulus] = object.__new__(cls)
+            object.__setattr__(ring, "modulus", modulus)
+        return ring
 
     def __hash__(self) -> int:  # the kernel caches hash a ring on every lookup
         return self.modulus
-
-    def __eq__(self, other) -> bool:
-        return self is other or (self.modulus == other.modulus if isinstance(other, Ring) else NotImplemented)
 
     def norm(self, x: int) -> int:
         return x % self.modulus if self.modulus else x
 
 
+_RINGS: dict[int, Ring] = {}  # not a cache: emptying it would split Z in two
 ZZ = Ring(0)
 
 
@@ -319,7 +326,7 @@ def _checked_block(ring: Ring, m: Matrix, rows: int, cols: int, what: str, n: in
     """m, once checked to be the rows x cols block at degree n over ring."""
     if (m.rows, m.cols) != (rows, cols):
         raise ValueError(f"{what} at degree {n} has shape {m.rows}x{m.cols}, expected {rows}x{cols}")
-    if m.ring is not ring and m.ring != ring:  # identity first: this runs per block
+    if m.ring is not ring:
         raise ValueError(f"ring mismatch in {what} at degree {n}")
     return m
 
@@ -518,9 +525,12 @@ def cx_dual(a: Complex) -> Complex:
 
 
 def cx_direct_sum(parts: Sequence[Complex], ring: Ring) -> Complex:
+    """The direct sum, summands in order; the sum of one summand is that summand."""
     for p in parts:
         if p.ring != ring:
             raise ValueError("ring mismatch")
+    if len(parts) == 1:
+        return parts[0]
     degrees = sorted({n for p in parts for n, _ in p.ranks})
     ranks = {n: sum(p.rank(n) for p in parts) for n in degrees}
     diff = {}
@@ -690,10 +700,13 @@ def map_direct_sum(
     sources: Sequence[Complex],
     targets: Sequence[Complex],
     ring: Ring,
+    src: Complex | None = None,
+    tgt: Complex | None = None,
 ) -> ChainMap:
-    """Map between direct sums assembled from blocks (ti, si) -> ChainMap."""
-    src = cx_direct_sum(sources, ring)
-    tgt = cx_direct_sum(targets, ring)
+    """Map between direct sums assembled from blocks (ti, si) -> ChainMap;
+    src and tgt, when given, are the sums of sources and of targets."""
+    src = src or cx_direct_sum(sources, ring)
+    tgt = tgt or cx_direct_sum(targets, ring)
     comps = []
     for n, rs in src.ranks:
         if tgt.rank(n) == 0:

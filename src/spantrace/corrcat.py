@@ -305,7 +305,8 @@ def shriek_push(
     (y, x) block at a lower apex element is the sum of the components at
     upper apex elements over it with the matching feet, and zero blocks
     elsewhere; this is the unique lift through which the rectangle
-    becomes a passing 2-cell.
+    becomes a passing 2-cell.  Each component's endpoints are the stalks
+    of push(f, l) and push(g, m) at its feet, not rebuilt sums.
     """
     c = u.span
     if om_compose(f, c.left) != om_compose(lower.left, p):
@@ -333,5 +334,6 @@ def shriek_push(
                 blocks[(yi, xi)] = map_add(blocks[(yi, xi)], piece)
             else:
                 blocks[(yi, xi)] = piece
-        maps[gp] = map_direct_sum(blocks, src_parts, tgt_parts, l.ring)
+        maps[gp] = map_direct_sum(blocks, src_parts, tgt_parts, l.ring,
+                                  src.stalk(lower.left(gp)), tgt.stalk(lower.right(gp)))
     return make_cc_morphism(src, tgt, lower, maps)

@@ -139,8 +139,8 @@ def fixed_point_space(u: CCMorphism, v: CCMorphism) -> FinOver:
     """Chosen interlocking set F: pairs (gamma, delta) with matching feet."""
     c, d = u.span, v.span
     xy = prod_over_base(u.source.space, u.target.space)
-    into_c = OverMap(c.apex, xy, tuple((c.left(g), c.right(g)) for g in c.apex.elements))
-    into_d = OverMap(d.apex, xy, tuple((d.right(g), d.left(g)) for g in d.apex.elements))
+    into_c = OverMap(c.apex, xy, tuple(zip(c.left.graph, c.right.graph)))
+    into_d = OverMap(d.apex, xy, tuple(zip(d.right.graph, d.left.graph)))
     apex, _, _ = fiber_product(into_c, into_d)
     return apex
 

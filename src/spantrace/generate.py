@@ -12,7 +12,10 @@ The suites of one child seed share its draws: lv and basechange check the
 same diagram, symmetry and oracle the same pair.  random_lv_instance and
 random_pair_instance are pure functions of (seed, params), so each keeps
 its latest draws and hands the same values to every suite that asks.  A
-drawn value is shared and read-only: no caller may change it.
+drawn value is shared and read-only: no caller may change it.  So are the
+pieces: piece_complex builds each (ring, piece) once, random_complex's
+recipe keeps the direct sum of its pieces, and random_chain_map maps
+between those sums.
 """
 
 from __future__ import annotations
@@ -66,19 +69,23 @@ class GenParams:
 @dataclass
 class ComplexRecipe:
     """A complex remembered together with how it was built, so that valid
-    chain maps between two recipes can be written down piecewise."""
+    chain maps between two recipes can be written down piecewise: cx is the
+    direct sum of the pieces, kept as summed if given, in the bases basis."""
 
     pieces: list[tuple[int, int | None]]  # (degree, None) free | (degree, a) two-term
     basis: dict[int, Matrix]
     basis_inv: dict[int, Matrix]
     cx: Complex
+    summed: Complex | None = None
 
     @property
     def parts(self) -> list[Complex]:
         return [piece_complex(self.cx.ring, p) for p in self.pieces]
 
 
+@lru_cache(maxsize=256)
 def piece_complex(ring: Ring, piece: tuple[int, int | None]) -> Complex:
+    """The one- or two-term complex of a piece, one per (ring, piece)."""
     k, a = piece
     if a is None:
         return make_complex(ring, {k: 1})
@@ -133,7 +140,7 @@ def random_complex(rng: random.Random, ring: Ring, params: GenParams) -> Complex
         if base.rank(n + 1):
             diff[n] = mat_mul(basis[n + 1], mat_mul(base.d(n), basis_inv[n]))
     cx = make_complex(ring, dict(base.ranks), diff)
-    return ComplexRecipe(pieces, basis, basis_inv, cx)
+    return ComplexRecipe(pieces, basis, basis_inv, cx, base)
 
 
 def _piece_map(
@@ -183,7 +190,7 @@ def random_chain_map(rng: random.Random, a: ComplexRecipe, b: ComplexRecipe) -> 
             piece = _piece_map(rng, ring, ap, bp, t)
             if piece is not None:
                 blocks[(bi, ai)] = piece
-    raw = map_direct_sum(blocks, a.parts, b.parts, ring)
+    raw = map_direct_sum(blocks, a.parts, b.parts, ring, a.summed, b.summed)
     comps = {}
     for n, m in raw.components:
         comps[n] = mat_mul(b.basis[n], mat_mul(m, a.basis_inv[n]))

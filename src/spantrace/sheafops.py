@@ -43,7 +43,7 @@ class Sheaf:
         if len(self.stalks) != self.space.size:
             raise ValueError(f"{len(self.stalks)} stalks for {self.space.size} elements")
         for i, c in enumerate(self.stalks):
-            if c.ring is not self.ring and c.ring != self.ring:
+            if c.ring is not self.ring:
                 raise ValueError(f"stalk at {self.space.elements[i]!r} has the wrong ring")
 
     def stalk(self, x: Label) -> Complex:

@@ -13,6 +13,7 @@ from spantrace.basefunc import (
     pull_morphism,
     pull_object,
     pull_omega,
+    pull_space,
     push2_strict,
 )
 from spantrace.chainalg import Ring, ZZ
@@ -48,6 +49,11 @@ def test_pull_object_examples():
     two = pull_object(double, obj)
     assert two.space.size == 2
     assert all(c == q_complex() for c in two.stalks)
+    # a space is pulled back once: later pulls over it share the pair
+    space, proj = pull_space(double, y)
+    again = pull_space(double, y)
+    assert again[0] is space and again[1] is proj
+    assert two.space is space and pull_object(double, obj).space is space
 
 
 def test_pull_morphism_examples():

@@ -48,7 +48,7 @@ from spantrace.chainalg import (
     unit_complex,
 )
 from spantrace.chainalg import _assoc_perms, _placed, _swap_perms, _tensor_components, _tensor_map
-from spantrace.generate import GenParams, deep_object, random_chain_map, random_complex
+from spantrace.generate import GenParams, deep_object, piece_complex, random_chain_map, random_complex
 from statements import clear_caches, map_scale, q_complex, sum_tensor_distribute
 
 Z7 = Ring(7)
@@ -401,7 +401,43 @@ def test_trace_cyclic(seed):
 
 
 # ---------------------------------------------------------------------------
+# rings
+
+
+def test_one_ring_per_modulus_outlives_the_caches():
+    """Ring(m) is the one ring of modulus m, before and after every cache
+    is emptied: the table of rings is not a cache.  A rejected modulus
+    leaves no entry."""
+    z7 = Ring(7)
+    assert z7 is Ring(7) and Ring(0) is ZZ and hash(z7) == 7
+    clear_caches()
+    assert Ring(7) is z7 and Ring(0) is ZZ
+    assert Ring(4) != Ring(7) and Ring(4) is not Ring(7) and Ring(4) == Ring(4)
+    with pytest.raises(ValueError, match="non-negative"):
+        Ring(-1)
+    assert -1 not in chainalg._RINGS
+
+
+# ---------------------------------------------------------------------------
 # complexes
+
+
+def test_pieces_and_recipe_sums_are_built_once():
+    """Each (ring, piece) has one complex; a recipe keeps the direct sum of
+    its pieces, and a one-piece recipe's sum is its piece; chain maps
+    between recipes start from those sums."""
+    for ring, piece in ((ZZ, (0, None)), (Z7, (-1, 3))):
+        assert piece_complex(ring, piece) is piece_complex(ring, piece)
+    assert piece_complex(ZZ, (0, None)) is not piece_complex(Z7, (0, None))
+    rng = random.Random(3)
+    recipes = [random_complex(rng, Z7, GenParams()) for _ in range(30)]
+    assert {len(r.pieces) for r in recipes} == {0, 1, 2}
+    for a, b in zip(recipes, recipes[1:]):
+        parts = [piece_complex(Z7, p) for p in a.pieces]
+        assert a.summed == cx_direct_sum(parts, Z7)
+        assert len(parts) != 1 or a.summed is parts[0]
+        f = random_chain_map(rng, a, b)
+        assert f.source is a.cx and f.target is b.cx
 
 
 def test_cx_validate_examples():
@@ -478,6 +514,7 @@ def test_d_squared_preserved_by_constructions(s1, s2):
     cx_validate(cx_tensor(a, b))
     cx_validate(cx_dual(a))
     cx_validate(cx_direct_sum([a, b], ring))
+    assert cx_direct_sum([a], ring) is a
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +593,8 @@ def test_blocks_over_the_wrong_ring_rejected():
         make_chain_map(make_complex(ZZ, {0: 1}), make_complex(ZZ, {0: 1}), {0: z7})
     with pytest.raises(ValueError, match="ring mismatch in homotopy component"):
         homotopy_perturb(map_identity(q), {1: z7})
+    with pytest.raises(ValueError, match="ring mismatch"):  # one summand is checked before it is handed on
+        cx_direct_sum([q], Z7)
 
 
 def test_homotopy_perturb_examples():

@@ -360,6 +360,17 @@ def test_adjunction_triangles_random(seed):
     assert triangle_composite_is_identity(tri2)
 
 
+def assert_components_are_the_pushed_stalks(pushed: CCMorphism) -> None:
+    """Each component runs from the pushed source stalk at its left foot to
+    the pushed target stalk at its right foot: those stalks, not rebuilt
+    sums equal to them."""
+    span = pushed.span
+    for e in span.apex.elements:
+        comp = pushed.map_at(e)
+        assert comp.source is pushed.source.stalk(span.left(e))
+        assert comp.target is pushed.target.stalk(span.right(e))
+
+
 def test_shriek_push_examples():
     x, pt, f, _ = constant_map_setup(("a", "b"))
     obj = make_sheaf(ZZ, x, {"a": unit_complex(ZZ), "b": unit_complex(ZZ)})
@@ -382,6 +393,21 @@ def test_shriek_push_examples():
         Span(make_over_map(empty, x, {}), make_over_map(empty, x, {})), {})
     pushed0 = shriek_push(u_empty, f, make_over_map(empty, pt, {}), f, lower)
     assert pushed0.map_at("p").component(0) == mat(ZZ, [[0, 0], [0, 0]])
+    for m in (idped, pushed, pushed0):  # fibres of one and of two elements
+        assert_components_are_the_pushed_stalks(m)
+
+
+def test_shriek_push_components_are_the_pushed_stalks():
+    """Both rectangles of the nonzero LV fixture, whose fibres have two
+    elements, and of drawn diagrams, with fibres of 0, 1 and 2 elements."""
+    rects = [parse_instance((FIXTURES / "lv_nonzero.json").read_text()).lv]
+    rects += [random_lv_instance(seed, GenParams()).lv for seed in range(8)]
+    sizes = set()
+    for r in rects:
+        for u, f, p, g, lower in ((r.u, r.f, r.p, r.g, r.cp), (r.v, r.g, r.q, r.f, r.dp)):
+            sizes |= {len(f.fiber(x)) for x in f.target.elements}
+            assert_components_are_the_pushed_stalks(shriek_push(u, f, p, g, lower))
+    assert {0, 1, 2} <= sizes
 
 
 def test_shriek_push_rejects_non_commuting():

@@ -254,11 +254,12 @@ def every_cache() -> dict:
 def test_clear_caches_empties_every_package_cache():
     """After a suite run fills them, clear_caches leaves every cache of the
     package empty: the memo slots, the kernel caches, the identities,
-    make_dual's memo and the draws' memos among them."""
+    make_dual's memo, the generator's pieces and the draws' memos among
+    them.  The table of rings is no cache, and neither finds it."""
     assert run_suite("all", 5, 1).ok
     filled = {name for name, fn in every_cache().items() if fn.cache_info().currsize}
     assert {"chainalg._kept", "chainalg._identity_by_key", "chainalg.cx_tensor", "dualtrace.make_dual",
-            "generate.random_lv_instance", "generate.random_pair_instance"} <= filled
+            "generate.piece_complex", "generate.random_lv_instance", "generate.random_pair_instance"} <= filled
     clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in every_cache().items() if fn.cache_info().currsize} == {}
 
