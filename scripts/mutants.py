@@ -10,8 +10,10 @@ is kept in the table as a survivor.  The copy's tests run under a
 hypothesis profile without shrinking or example database: a property test
 fails on the first failing example it generates, as it would with
 shrinking, but shrinking a mutant's many failures takes minutes.  The
-profile is derandomized, so every run draws the same examples and a
-killed_by list changes only when the code or the tests do.
+profile is derandomized, and an autouse fixture empties every package cache
+before each test, so every run draws the same examples, no verdict depends
+on the tests that ran before it, and a killed_by list changes only when the
+code or the tests do.
 
     python scripts/mutants.py            # writes MUTANTS.json at the repo root
 
@@ -32,11 +34,18 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFTEST = """from hypothesis import Phase, settings
+CONFTEST = """import pytest
+from hypothesis import Phase, settings
+from statements import clear_caches
 
 settings.register_profile("mutants", database=None, derandomize=True,
                           phases=[Phase.explicit, Phase.generate])
 settings.load_profile("mutants")
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    clear_caches()
 """
 
 _LV_NONZERO = "tests/test_cli.py::test_cli_lv_nonzero"

@@ -65,6 +65,7 @@ hashes only eager complexes.
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -95,6 +96,7 @@ class Ring:
 
 
 _RINGS: dict[int, Ring] = {}  # not a cache: emptying it would split Z in two
+copyreg.pickle(Ring, lambda ring: (Ring, (ring.modulus,)))  # a copy or an unpickled ring is the kept one
 ZZ = Ring(0)
 
 
@@ -176,10 +178,9 @@ def _normed(row: dict[int, int], modulus: int) -> dict[int, int]:
 
 
 def _scaled(row: dict[int, int], x: int, modulus: int) -> dict[int, int]:
-    """x times a row, for a normalised nonzero x: the row itself when x is 1.
-    Over Z a product of nonzeros is nonzero, so only Z/m normalises."""
-    if x == 1:
-        return row
+    """x times a row, for a normalised x other than 0 and 1 (the callers
+    keep the row itself for 1).  Over Z a product of nonzeros is nonzero,
+    so only Z/m normalises."""
     out = {j: x * y for j, y in row.items()}
     return _normed(out, modulus) if modulus else out
 

@@ -371,8 +371,6 @@ def random_lv_instance(seed: int, params: GenParams) -> Instance:
     inst.spans = {"c": c, "d": d, "cp": cp, "dp": dp}
     inst.morphisms = {"u": u, "v": v}
     inst.lv = PushRectangles(f=f, p=p, g=g, q=q, u=u, v=v, cp=cp, dp=dp)
-    inst.lv_names = {"f": "f", "p": "p", "g": "g", "q": "q", "u": "u", "v": "v",
-                     "cp": "cp", "dp": "dp"}
     return inst
 
 

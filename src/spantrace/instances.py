@@ -13,6 +13,7 @@ round-trip byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -40,8 +41,13 @@ class Instance:
     spans: dict[str, Span] = field(default_factory=dict)
     morphisms: dict[str, CCMorphism] = field(default_factory=dict)
     lv: PushRectangles | None = None
-    lv_names: dict[str, str] | None = None
     base_change: BaseChange | None = None
+
+
+# each part of the lv diagram: the Instance table that names it, and its kind
+_LV_PARTS = {"f": ("maps", "map"), "p": ("maps", "map"), "g": ("maps", "map"), "q": ("maps", "map"),
+             "u": ("morphisms", "morphism"), "v": ("morphisms", "morphism"),
+             "cp": ("spans", "span"), "dp": ("spans", "span")}
 
 
 def _expect(cond: bool, loc: str, msg: str) -> None:
@@ -145,24 +151,12 @@ def parse_instance(text: str) -> Instance:
 
     if "lv" in doc:
         loc = "/lv"
-        keys = ("f", "p", "g", "q", "u", "v", "cp", "dp")
-        raw = _as_dict(doc["lv"], loc, keys)
-        names = {}
-        for key in keys:
+        raw = _as_dict(doc["lv"], loc, tuple(_LV_PARTS))
+        for key in _LV_PARTS:
             _expect(key in raw, f"{loc}/{key}", "missing")
-            names[key] = raw[key]
         with _located(loc):
-            inst.lv = PushRectangles(
-                f=_ref(inst.maps, names["f"], f"{loc}/f", "map"),
-                p=_ref(inst.maps, names["p"], f"{loc}/p", "map"),
-                g=_ref(inst.maps, names["g"], f"{loc}/g", "map"),
-                q=_ref(inst.maps, names["q"], f"{loc}/q", "map"),
-                u=_ref(inst.morphisms, names["u"], f"{loc}/u", "morphism"),
-                v=_ref(inst.morphisms, names["v"], f"{loc}/v", "morphism"),
-                cp=_ref(inst.spans, names["cp"], f"{loc}/cp", "span"),
-                dp=_ref(inst.spans, names["dp"], f"{loc}/dp", "span"),
-            )
-        inst.lv_names = names
+            inst.lv = PushRectangles(**{key: _ref(getattr(inst, table), raw[key], f"{loc}/{key}", kind)
+                                        for key, (table, kind) in _LV_PARTS.items()})
 
     if "base_change" in doc:
         loc = "/base_change"
@@ -191,15 +185,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_INT_KEY = re.compile(r"0|-?[1-9][0-9]*")  # what str() writes for an int
+
+
 def _int(s: str, loc: str) -> int:
     """A degree key, written as str() writes its integer, so that no two
     keys name one degree."""
-    try:
-        n = int(s)
-    except ValueError:
-        n = None
-    _expect(n is not None and str(n) == s, loc, f"bad integer key {s!r}")
-    return n
+    _expect(_INT_KEY.fullmatch(s) is not None, loc, f"bad integer key {s!r}")
+    return int(s)
 
 
 def _matrix(ring: Ring, rows, loc: str, cols_hint: int) -> Matrix:
@@ -280,7 +273,8 @@ def emit_instance(inst: Instance) -> str:
         for name, m in inst.morphisms.items()
     }
     if inst.lv is not None:
-        doc["lv"] = dict(inst.lv_names)
+        doc["lv"] = {key: _name_of(getattr(inst, table), getattr(inst.lv, key))
+                     for key, (table, _) in _LV_PARTS.items()}
     if inst.base_change is not None:
         g = inst.base_change.g
         doc["base_change"] = {"g": {x: g(x) for x in g.source.elements}}

@@ -97,22 +97,16 @@ def _suite_global(seed: int, index: int, params: GenParams) -> Iterator[Check]:
 
 def _suite_triangle(seed: int, index: int, params: GenParams) -> Iterator[Check]:
     gen = random_object_instance(seed, params)
-    try:
-        make_dual(gen.obj)
-        yield _check(index, "duality triangle certificates", True)
-    except ValueError as e:
-        yield _check(index, "duality triangle certificates", False, {"error": str(e)})
+    make_dual(gen.obj)  # a failed certificate raises, and _guarded reports it
+    yield _check(index, "duality triangle certificates", True)
     bidual = verdier(verdier(gen.obj)) == gen.obj
     yield _check(index, "double dual is the identity on matrices", bidual)
 
 
 def _suite_symmetry(seed: int, index: int, params: GenParams) -> Iterator[Check]:
     a, b, u, v = random_pair_instance(seed, params)
-    try:
-        lhs, rhs, _ = pairing_symmetry(u, v, make_dual(a.obj), make_dual(b.obj))
-        yield _check(index, "pairing symmetric through the swap", True)
-    except ValueError as e:
-        yield _check(index, "pairing symmetric through the swap", False, {"error": str(e)})
+    pairing_symmetry(u, v, make_dual(a.obj), make_dual(b.obj))  # an asymmetry raises, and _guarded reports it
+    yield _check(index, "pairing symmetric through the swap", True)
 
 
 def _suite_basechange(seed: int, index: int, params: GenParams) -> Iterator[Check]:

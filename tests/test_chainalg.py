@@ -1,6 +1,8 @@
 """Matrix and complex layer: worked examples against independent oracles,
 plus algebraic laws as property tests."""
 
+import copy
+import pickle
 import random
 from dataclasses import fields
 
@@ -48,7 +50,9 @@ from spantrace.chainalg import (
     unit_complex,
 )
 from spantrace.chainalg import _assoc_perms, _placed, _swap_perms, _tensor_components, _tensor_map
-from spantrace.generate import GenParams, deep_object, piece_complex, random_chain_map, random_complex
+from spantrace.generate import (
+    GenParams, deep_object, piece_complex, random_chain_map, random_complex, random_endo_instance,
+)
 from statements import clear_caches, map_scale, q_complex, sum_tensor_distribute
 
 Z7 = Ring(7)
@@ -416,6 +420,18 @@ def test_one_ring_per_modulus_outlives_the_caches():
     with pytest.raises(ValueError, match="non-negative"):
         Ring(-1)
     assert -1 not in chainalg._RINGS
+
+
+def test_a_copied_or_unpickled_ring_is_the_kept_one():
+    """copy, deepcopy and a pickle round trip give back the kept Ring(m), so
+    a deep copy of a drawn morphism still shares its ring by identity."""
+    z7 = Ring(7)
+    assert copy.copy(z7) is z7 and copy.deepcopy(z7) is z7 and pickle.loads(pickle.dumps(z7)) is z7
+    _, e = random_endo_instance(3, GenParams(modulus=7))
+    copied = copy.deepcopy(e)
+    assert copied is not e and copied == e and copied.source.ring is z7
+    rings = [m.ring for g in copied.span.apex.elements for _, m in copied.map_at(g).components]
+    assert rings and all(ring is z7 for ring in rings)
 
 
 # ---------------------------------------------------------------------------

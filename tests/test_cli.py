@@ -1,5 +1,6 @@
 """Instance files, reports, and the command line surface."""
 
+import glob
 import hashlib
 import json
 import os
@@ -62,7 +63,7 @@ def test_parse_rejects_bad_chain_data():
 
 
 def test_fixtures_round_trip():
-    for path in (TWO_POINT, LV_SMALL, LV_NONZERO):
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
         text = open(path, encoding="utf-8").read()
         inst = parse_instance(text)
         assert emit_instance(inst) == text
@@ -305,6 +306,24 @@ def test_cli_fuzz_reports_a_raising_verification(monkeypatch, capsys):
     assert names[:3] == [(0, "lv: made before the fault"), (1, "lv: made before the fault"),
                          (1, "lv: verification raised")]
     assert names[3:] == [n for n in clean if not n[1].startswith("lv: ")]
+
+
+@pytest.mark.parametrize("suite, name", [("triangle", "make_dual"), ("symmetry", "pairing_symmetry")])
+def test_a_suite_fault_is_reported_with_its_child_seed(monkeypatch, suite, name):
+    """A fault raised inside make_dual during triangle, or inside
+    pairing_symmetry during symmetry, is a failed check naming the fault
+    and the child seed, as in every other suite."""
+    def raising(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(suites, name, raising)
+    master = random.Random(5)
+    children = [master.getrandbits(63) for _ in range(2)]
+    got = [(c.index, c.name, c.status, c.detail) for c in run_suite("all", 5, 2).checks
+           if c.name.startswith(f"{suite}: ")]
+    assert got == [(i, f"{suite}: verification raised", "fail",
+                    {"error": "ValueError", "message": "injected fault", "child_seed": child})
+                   for i, child in enumerate(children)]
 
 
 def test_trace_certifies_each_object_once(capsys):

@@ -1,16 +1,31 @@
 """Package layout: every import of src/spantrace and of the tests sits at
 module level, the package modules' imports of one another form no cycle,
 every function the benchmark traces still exists under its name, every
-benchmark workload runs one instance correctly, and traffic calls every
-function and method of the package and instantiates every class but a
-short allowlist.
+benchmark workload runs one instance correctly, and traffic runs every
+function, class and statement of the package but short allowlists.
 
-Traffic is ``fuzz --suite all --seed 7 --count 10``, ``report`` in both
-formats on its output, and ``check``, ``trace`` and ``lv`` on each fixture.
-``python tests/test_layout.py DIR`` runs it with its calls traced, its
-report under DIR, and prints the exit codes and the names that ran as
-JSON; the test runs that in a fresh interpreter, so no cache an earlier
-test warmed hides a function."""
+Traffic is what the command line does in use: ``fuzz --suite all --seed 5
+--count 10``, ``report`` in both formats on its output, ``report`` on a
+failed report read from standard input, a small ``fuzz`` over Z/1 with
+ranks capped at 1, and ``check``, ``trace`` and ``lv`` on each fixture.
+Two rules read it:
+
+* the function rule: every function and method is called, and every class
+  instantiated or one of its methods called, unless TRAFFIC_ALLOWLIST
+  names it;
+* the line rule: every statement of a function body runs, unless it is a
+  ``raise`` or a comparison's ``return NotImplemented``, lies in a function
+  TRAFFIC_ALLOWLIST names, or LINE_ALLOWLIST names it by its function and
+  the text of its first line.  A statement ran if a line event fell on its
+  own lines, from its first to the last before its first nested statement;
+  one inside a statement that never ran is not reported again.
+
+An allowlist entry that runs, or names nothing, fails too.
+``python tests/test_layout.py DIR`` runs the traffic traced, its reports
+under DIR, and prints as JSON the exit codes, the names that ran and the
+statements the line rule finds unrun; the test runs that in a fresh
+interpreter, so no cache an earlier test warmed hides a function or a
+line."""
 
 import ast
 import contextlib
@@ -24,6 +39,7 @@ import sys
 from collections import Counter
 from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from spantrace.suites import run_suite
 from statements import clear_caches
@@ -34,7 +50,16 @@ PERFBENCH = TESTS.parent / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
 FIXTURES = TESTS / "fixtures"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
-FUZZ = ("fuzz", "--suite", "all", "--seed", "7", "--count", "10")
+FUZZ = ("fuzz", "--suite", "all", "--seed", "5", "--count", "10")
+# over Z/1 every value is 0, so the sign -1 scales by zero; a rank cap of 1 drops pieces
+SMALL_FUZZ = ("fuzz", "--suite", "all", "--seed", "1", "--count", "2", "--max-rank", "1", "--modulus", "1")
+# a report with a failed check, as a fault in the program would leave one
+FAILED_REPORT = json.dumps({
+    "suite": "symmetry", "seed": 0, "count": 1, "failures": 1, "elapsed_seconds": 0.0,
+    "checks": [{"index": 0, "name": "verification raised", "status": "fail",
+                "detail": {"error": "ValueError", "message": "pairing not symmetric", "child_seed": 1}}],
+})
+COMPARISONS = {"__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"}
 
 # The functions of the package that traffic does not run, each with the
 # reason it stays.
@@ -57,6 +82,25 @@ TRAFFIC_ALLOWLIST = {
     "chainalg.OnDemand.__iter__": "reads every entry; traffic reads differentials and components by index",
     "chainalg.OnDemand.__len__": "Sequence protocol; traffic sizes nothing by an OnDemand",
     "sheafops.ProductSheaf.stalks": "a tensor's stalks listed out at once; traffic reads them one at a time",
+}
+
+# The statements of functions that traffic runs which traffic does not
+# run, by (function, text of the first line), each with the reason it stays.
+LINE_ALLOWLIST = {
+    ("chainalg.OnDemand.__getitem__", "return tuple(map(self.__getitem__, range(len(self._done))[i]))"):
+        "Sequence slicing; only tests slice an OnDemand, traffic reads its entries by index",
+    ("cli._dispatch", "return _verification_raised(e)"):
+        "error path of trace and lv: a verification of a parsed file raised",
+    ("corrcat.cc_cell_check", "zero = tuple((n, mat_zero(m.ring, m.rows, m.cols)) for n, m in expect.components)"):
+        "a cell whose fiber has several components, or none, summed from zero; traffic's cells have one",
+    ("corrcat.cc_cell_check", "got = reduce(map_add, parts, ChainMap(expect.source, expect.target, zero))"):
+        "the same sum as the line before",
+    ("finspan.FinOver.__post_init__", "x, a = next((x, a) for x, a in zip(self.elements, self.anchor) if a in stray)"):
+        "error path: the element whose anchor is not a base element, named by the raise that follows",
+    ("finspan.ProductOver._member_anchor", "return None"):
+        "a label that is not a pair is in no product; traffic asks a product only about pairs",
+    ("suites._guarded", 'yield Check(index, "verification raised", "fail",'):
+        "error path: a verification raised inside a suite",
 }
 
 
@@ -106,21 +150,36 @@ def module_constants(path: Path, names: set[str]) -> dict[str, object]:
     return out
 
 
-def record_calls(run: Callable[[], object], modules: set[str]) -> set[str]:
-    """Run run() under sys.settrace; as "module.qualname", the functions of
+def record_run(run: Callable[[], object], modules: set[str]) -> tuple[set[str], dict[str, set[int]]]:
+    """Run run() under sys.settrace.  As "module.qualname", the functions of
     the given modules that were called and their classes that were
-    instantiated, with every base of those classes in the given modules.
-    Only call events are traced, so this costs little more than the run."""
+    instantiated, with every base of those classes in the given modules;
+    and by module, the lines that ran of code compiled from the module's
+    own file (not, say, a dataclass's generated __init__).  Only the
+    frames of those modules trace their lines."""
     ran: set[str] = set()
     made: set[type] = set()
+    lines: dict[str, set[int]] = {module: set() for module in modules}
 
     def on_call(frame, event, arg):
         code = frame.f_code
-        if code.co_flags & inspect.CO_OPTIMIZED and frame.f_globals.get("__name__") in modules:
-            ran.add(f"{frame.f_globals['__name__']}.{code.co_qualname}")  # not a class body
         if code.co_name == "__init__" and code.co_argcount:
             made.add(type(frame.f_locals[code.co_varnames[0]]))
-        return None
+        module = frame.f_globals.get("__name__")
+        if module not in modules:
+            return None
+        if code.co_flags & inspect.CO_OPTIMIZED:  # not a class body
+            ran.add(f"{module}.{code.co_qualname}")
+        if code.co_filename != frame.f_globals.get("__file__"):
+            return None
+        hit = lines[module].add
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                hit(frame.f_lineno)
+            return on_line
+
+        return on_line
 
     previous = sys.gettrace()
     sys.settrace(on_call)
@@ -128,7 +187,8 @@ def record_calls(run: Callable[[], object], modules: set[str]) -> set[str]:
         run()
     finally:
         sys.settrace(previous)
-    return ran | {f"{c.__module__}.{c.__qualname__}" for t in made for c in t.__mro__ if c.__module__ in modules}
+    made_names = {f"{c.__module__}.{c.__qualname__}" for t in made for c in t.__mro__ if c.__module__ in modules}
+    return ran | made_names, lines
 
 
 def definitions(source: str) -> set[str]:
@@ -146,6 +206,73 @@ def definitions(source: str) -> set[str]:
 
     visit(ast.parse(source), "")
     return names
+
+
+class Statement(NamedTuple):
+    function: str  # the qualified name of the function whose body holds it
+    text: str  # its first line, stripped
+    lines: range  # its own lines, before its first nested statement
+    parent: int | None  # the index of the statement around it, if any
+    exempt: bool  # a raise, or a comparison's return NotImplemented
+
+
+def body_statements(source: str) -> list[Statement]:
+    """The statements of the function bodies of a module, each before the
+    ones nested in it.  A function's docstring compiles to no code and is
+    left out; a statement's first line is its first decorator's, if any."""
+    text = source.splitlines()
+    out: list[Statement] = []
+
+    def block(stmts: list[ast.stmt], function: str, parent: int | None) -> None:
+        for st in stmts:
+            if parent is None and st is stmts[0] and isinstance(st, ast.Expr) and isinstance(
+                    st.value, ast.Constant) and isinstance(st.value.value, str):
+                continue
+            nested = [*getattr(st, "body", ()), *getattr(st, "orelse", ()), *getattr(st, "finalbody", ()),
+                      *(s for h in getattr(st, "handlers", ()) for s in h.body)]
+            first = min([st.lineno] + [d.lineno for d in getattr(st, "decorator_list", ())])
+            last = min((s.lineno for s in nested), default=st.end_lineno + 1) - 1
+            exempt = isinstance(st, ast.Raise) or (
+                isinstance(st, ast.Return) and isinstance(st.value, ast.Name) and st.value.id == "NotImplemented"
+                and function.rsplit(".", 1)[-1] in COMPARISONS)
+            out.append(Statement(function, text[first - 1].strip(), range(first, last + 1), parent, exempt))
+            if not isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                block(nested, function, len(out) - 1)
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                block(child.body, prefix + child.name, None)
+                visit(child, prefix + child.name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def unrun_statements(stmts: list[Statement], lines: set[int]) -> list[tuple[str, int, str]]:
+    """(function, first line, text) of each statement that is not exempt
+    and did not run, although the statement around it, if any, did."""
+    ran = [not lines.isdisjoint(st.lines) for st in stmts]
+    return [(st.function, st.lines.start, st.text) for i, st in enumerate(stmts)
+            if not ran[i] and not st.exempt and (st.parent is None or ran[st.parent])]
+
+
+def line_violations(named: set[tuple[str, str]], unrun: list[tuple[str, int, str]], functions: dict,
+                    lines: dict) -> dict:
+    """The unrun statements that lie in no function of the functions
+    allowlist and that the lines allowlist does not name by (function,
+    text); the line entries naming statements that ran, or that the
+    functions allowlist excuses; and those naming no statement."""
+    flagged = [(f, n, t) for f, n, t in unrun if not any(f == g or f.startswith(g + ".") for g in functions)]
+    return {
+        "unrun": sorted(f"{f}:{n}: {t}" for f, n, t in flagged if (f, t) not in lines),
+        "line_allowlisted_ran": sorted((set(lines) & named) - {(f, t) for f, _, t in flagged}),
+        "line_allowlisted_gone": sorted(set(lines) - named),
+    }
 
 
 def traffic_violations(defined: set[str], ran: set[str], allowlist: dict) -> dict:
@@ -167,16 +294,22 @@ def run_traffic(workdir: Path) -> dict[str, int]:
     cli = importlib.import_module("spantrace.cli")
     codes = {}
 
-    def run(key: str, *argv: str) -> str:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            codes[key] = cli.main(list(argv))
+    def run(key: str, *argv: str, stdin: str = "") -> str:
+        out, saved = io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                codes[key] = cli.main(list(argv))
+        finally:
+            sys.stdin = saved
         return out.getvalue()
 
     report = workdir / "fuzz_all.json"
     report.write_text(run("fuzz", *FUZZ), encoding="utf-8")
     for fmt in ("text", "json"):
         run(f"report {fmt}", "report", "--format", fmt, str(report))
+    run("report stdin", "report", "--format", "text", stdin=FAILED_REPORT)
+    run("fuzz small", *SMALL_FUZZ)
     for fixture in sorted(FIXTURES.glob("*.json")):
         for command in ("check", "trace", "lv"):
             run(f"{command} {fixture.name}", command, str(fixture))
@@ -333,12 +466,16 @@ class Dead:
 """
 
 
+def _run_planted(source: str, run: Callable[[dict], object]) -> tuple[set[str], set[int]]:
+    """The names and the lines that ran of source while run(its namespace) ran."""
+    namespace = {"__name__": "planted", "__file__": "<planted>"}
+    exec(compile(source, "<planted>", "exec"), namespace)
+    ran, lines = record_run(lambda: run(namespace), {"planted"})
+    return {name.removeprefix("planted.") for name in ran}, lines["planted"]
+
+
 def test_traffic_rule_catches_violations():
-    namespace = {"__name__": "planted"}
-    exec(compile(PLANTED, "<planted>", "exec"), namespace)
-    ran = record_calls(lambda: (namespace["called"](3), namespace["Kept"]().used(), namespace["Sub"](1)),
-                       {"planted"})
-    ran = {name.removeprefix("planted.") for name in ran}
+    ran, _ = _run_planted(PLANTED, lambda ns: (ns["called"](3), ns["Kept"]().used(), ns["Sub"](1)))
     defined = definitions(PLANTED)
     assert defined == {"called", "helper", "helper.<locals>.inner", "planted", "Kept", "Kept.used",
                        "Kept.unused", "Made", "Sub", "Dead"}
@@ -356,25 +493,89 @@ def test_traffic_rule_catches_violations():
     assert traffic_violations(defined, ran, {**allow, "gone": ""})["allowlisted_gone"] == ["gone"]
 
 
+PLANTED_LINES = """
+def called(x):
+    \"\"\"A docstring, which compiles to no code.\"\"\"
+    if x < 0:
+        raise ValueError(x)
+    total = (
+        x
+        + 1
+    )
+    if (  # the line event falls on the condition's line, not on this one
+        x > 100
+    ):
+        for y in range(x):
+            x += y
+        return 0
+    return skipped(x) if x > 50 else total
+def skipped(x):
+    return x
+class Kept:
+    def __eq__(self, other):
+        if not isinstance(other, Kept):
+            return NotImplemented
+        return True
+    def unused(self):
+        return NotImplemented
+"""
+
+
+def test_line_rule_catches_violations():
+    _, lines = _run_planted(PLANTED_LINES, lambda ns: (ns["called"](3), ns["Kept"]() == ns["Kept"]()))
+    stmts = body_statements(PLANTED_LINES)
+    named = {(st.function, st.text) for st in stmts}
+    assert ("called", '"""A docstring, which compiles to no code."""') not in named
+    # an unrun statement of a function that ran is reported, but not one
+    # inside it, a raise or a comparison's return NotImplemented; a
+    # statement spread over lines runs if any of its own lines does
+    unrun = unrun_statements(stmts, lines)
+    assert [(f, t) for f, _, t in unrun] == [
+        ("called", "for y in range(x):"), ("called", "return 0"), ("skipped", "return x"),
+        ("Kept.unused", "return NotImplemented"),
+    ]
+    assert line_violations(named, unrun, {}, {})["unrun"] == sorted(f"{f}:{n}: {t}" for f, n, t in unrun)
+    functions = {"skipped": "a reason", "Kept": "a reason"}  # a class's entry covers its methods
+    entries = {("called", "for y in range(x):"): "a reason", ("called", "return 0"): "a reason"}
+    clean = {"unrun": [], "line_allowlisted_ran": [], "line_allowlisted_gone": []}
+    assert line_violations(named, unrun, functions, entries) == clean
+    # a line entry naming a statement that ran, is exempt, lies inside an
+    # unrun one or in an allowlisted function fails, and so does one naming nothing
+    for key in [("called", "return skipped(x) if x > 50 else total"), ("called", "raise ValueError(x)"),
+                ("called", "x += y"), ("skipped", "return x")]:
+        assert line_violations(named, unrun, functions, {**entries, key: ""})["line_allowlisted_ran"] == [key]
+    gone = ("called", "return 1")
+    assert line_violations(named, unrun, functions, {**entries, gone: ""})["line_allowlisted_gone"] == [gone]
+
+
 def test_traffic_runs_every_package_function_but_the_allowlist(tmp_path):
+    """Both rules on the package: its functions and classes, then the
+    statements of its function bodies."""
     proc = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     # every command ran as in use: lv on the fixture without a diagram is an input error
     assert doc["exit_codes"] == {key: 2 if key == "lv two_point.json" else 0 for key in doc["exit_codes"]}
-    assert len(doc["exit_codes"]) == 3 + 3 * len(list(FIXTURES.glob("*.json")))
+    assert len(doc["exit_codes"]) == 5 + 3 * len(list(FIXTURES.glob("*.json")))
     defined = {f"{name}.{d}" for name in MODULES for d in definitions(_source(name))}
     ran = {name.removeprefix("spantrace.") for name in doc["ran"]}
     assert traffic_violations(defined, ran, TRAFFIC_ALLOWLIST) == {
         "unrun": [], "allowlisted_ran": [], "allowlisted_gone": [],
     }
     assert len(TRAFFIC_ALLOWLIST) <= 14 and all(TRAFFIC_ALLOWLIST.values())
+    named = {(f"{name}.{st.function}", st.text) for name in MODULES for st in body_statements(_source(name))}
+    assert line_violations(named, [tuple(u) for u in doc["unrun"]], TRAFFIC_ALLOWLIST, LINE_ALLOWLIST) == {
+        "unrun": [], "line_allowlisted_ran": [], "line_allowlisted_gone": [],
+    }
+    assert len(LINE_ALLOWLIST) <= 20 and all(LINE_ALLOWLIST.values())
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(PACKAGE.parent))
     exit_codes = {}
-    ran = record_calls(lambda: exit_codes.update(run_traffic(Path(sys.argv[1]))),
-                       {f"spantrace.{name}" for name in MODULES})
-    json.dump({"exit_codes": exit_codes, "ran": sorted(ran)}, sys.stdout)
+    ran, lines = record_run(lambda: exit_codes.update(run_traffic(Path(sys.argv[1]))),
+                            {f"spantrace.{name}" for name in MODULES})
+    unrun = [(f"{name}.{f}", n, t) for name in MODULES
+             for f, n, t in unrun_statements(body_statements(_source(name)), lines[f"spantrace.{name}"])]
+    json.dump({"exit_codes": exit_codes, "ran": sorted(ran), "unrun": unrun}, sys.stdout, indent=0)

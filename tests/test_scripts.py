@@ -88,10 +88,13 @@ def _mutant_table():
 
 
 def test_mutant_profile_is_derandomized():
-    """Every re-record draws the same hypothesis examples, so a killed_by
-    list moves only with the code or the tests."""
+    """Every re-record draws the same hypothesis examples, and every test
+    starts with empty caches, so a killed_by list moves only with the code
+    or the tests, not with the order of the tests in a module."""
     conftest = ast.literal_eval(_mutant_assignments()["CONFTEST"])
     assert "derandomize=True" in conftest and 'load_profile("mutants")' in conftest
+    fixture = conftest[conftest.index("@pytest.fixture(autouse=True)"):]
+    assert "from statements import clear_caches" in conftest and "clear_caches()" in fixture
 
 
 def test_mutant_anchors_occur_once():
