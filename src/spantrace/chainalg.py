@@ -24,7 +24,7 @@ assoc_map_inv, and the one matrix of ev_map and coev_map.  map_tensor's are
 shared by every pair of maps with the same ranks and component values.
 Each public function wraps them in a ChainMap with its own endpoints.  The
 ring is in every key: it fixes how the signs normalise, and over Z/1 every
-permutation is the zero matrix.  map_identity is kept per Complex.key.
+permutation is the zero matrix.  map_identity is cached by its complex.
 At points with one stalk corrcat repeats each operation on the same
 objects, so map_tensor, map_compose_shared, its products and
 finspan.prod_over_base keep their results in `memo`, one LRU keyed by the
@@ -51,16 +51,16 @@ that is one row of the right factor is that row.  A signed permutation
 (mat_identity, the symmetries, the reassociations and their inverses) is a
 matrix with one entry per row, each row a row of one identity matrix or
 of its negative, so building one copies references and multiplying by it
-picks rows.  One kernel, _placed, builds each row of a tensor differential
-or component once, at its summand offset; mat_kron is its one-block case.
+picks rows.  One kernel, _placed, lays rows out at offsets, building each
+once: tensor differentials, components, mat_kron and mat_block (b (x) [1]).
 `cx_tensor` knows its ranks at once and builds each differential when
 first read, and `map_tensor` each component: the rank-r^3 tensors that the
 triangle certificates pass through stay unbuilt, and a trace, which reads
 e (x) 1 after the unit, builds its degree 0 alone.
 Equality and hashes are by value, and an object equals itself without
-reading anything.  Hashing a tensor builds its differentials, so the
-kernel caches key a tensor by its factors (Complex.key) and a lookup
-hashes only eager complexes.
+reading anything.  Hashing a tensor builds its differentials, so cx_tensor
+keys a tensor by its factors (Complex.key), and the program asks the other
+kernel caches only about eager complexes: no lookup hashes a tensor.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from __future__ import annotations
 import copyreg
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
@@ -178,9 +178,9 @@ def _normed(row: dict[int, int], modulus: int) -> dict[int, int]:
 
 
 def _scaled(row: dict[int, int], x: int, modulus: int) -> dict[int, int]:
-    """x times a row, for a normalised x other than 0 and 1 (the callers
-    keep the row itself for 1).  Over Z a product of nonzeros is nonzero,
-    so only Z/m normalises."""
+    """x times a row, for a normalised nonzero x (mat_mul keeps the row
+    itself for 1).  Over Z a product of nonzeros is nonzero, so only Z/m
+    normalises."""
     out = {j: x * y for j, y in row.items()}
     return _normed(out, modulus) if modulus else out
 
@@ -215,7 +215,7 @@ def mat_scale(c: int, a: Matrix) -> Matrix:
     c, m = a.ring.norm(c), a.ring.modulus
     if not c:
         return mat_zero(a.ring, a.rows, a.cols)
-    return a if c == 1 else _kernel_matrix(a.ring, a.rows, a.cols, (_scaled(row, c, m) for row in a.nonzero))
+    return _kernel_matrix(a.ring, a.rows, a.cols, (_scaled(row, c, m) for row in a.nonzero))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -229,9 +229,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             k, = arow
             x = arow[k]
             rows.append(brows[k] if x == 1 else _scaled(brows[k], x, m))
-            continue
-        if not arow:  # a zero row stays the empty row
-            rows.append(arow)
             continue
         acc = {}
         for k, x in arow.items():
@@ -284,25 +281,14 @@ def mat_block(
     col_parts: Sequence[int],
     blocks: Mapping[tuple[int, int], Matrix],
 ) -> Matrix:
-    """Assemble a block matrix; absent blocks are zero.  A block's rows are
-    placed at its offsets, the rows themselves at column offset 0."""
-    row_off, col_off, out = _offsets(row_parts), _offsets(col_parts), [{}] * sum(row_parts)
+    """Assemble a block matrix, absent blocks zero: _placed lays each block out as block (x) [1]."""
+    row_off, col_off = [0, *accumulate(row_parts)], [0, *accumulate(col_parts)]
+    one, placed = mat_identity(ring, 1), []
     for (bi, bj), m in blocks.items():
         if (m.rows, m.cols) != (row_parts[bi], col_parts[bj]):
             raise ValueError("block shape mismatch")
-        r0, c0 = row_off[bi], col_off[bj]
-        for i in compress(range(m.rows), m.nonzero):  # the nonzero rows alone
-            row = {c0 + j: x for j, x in m.nonzero[i].items()} if c0 else m.nonzero[i]
-            out[r0 + i] = {**out[r0 + i], **row} if out[r0 + i] else row
-    return _kernel_matrix(ring, len(out), sum(col_parts), out)
-
-
-def _offsets(parts: Sequence[int]) -> list[int]:
-    out, acc = [], 0
-    for p in parts:
-        out.append(acc)
-        acc += p
-    return out
+        placed.append((row_off[bi], col_off[bj], m, one))
+    return _placed(ring, row_off[-1], col_off[-1], placed)
 
 
 Blocks = Union[Matrix, Sequence[Sequence[int]], None]  # a block as given: a matrix, raw rows, or absent
@@ -389,7 +375,7 @@ class Complex:
 
     `key` says how it was built: a tensor's is the pair of its factors'
     keys, any other complex is its own.  Equal keys mean equal values, so
-    the kernel caches key a tensor by its factors and never hash its
+    cx_tensor keys a tensor by its factors and never hashes its
     differentials; complexes equal in value but built otherwise just miss.
     """
 
@@ -598,14 +584,8 @@ def make_chain_map(source: Complex, target: Complex, components: Mapping[int, Bl
     return f
 
 
-def map_identity(c: Complex) -> ChainMap:
-    """The identity of c, one per Complex.key, so a tensor is not hashed."""
-    return _identity_by_key(c.key)
-
-
 @lru_cache(maxsize=4096)
-def _identity_by_key(k: Complex | tuple) -> ChainMap:
-    c = k if isinstance(k, Complex) else _tensor_by_key(*k)
+def map_identity(c: Complex) -> ChainMap:
     return ChainMap(c, c, tuple((n, mat_identity(c.ring, r)) for n, r in c.ranks))
 
 

@@ -109,17 +109,15 @@ def _dispatch(args) -> int:
         sys.stdout.write(report_emit(report, "json"))
         return 0 if report.ok else 1
 
-    if args.command == "report":
-        if args.file == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
-        doc = parse_report(text)
-        sys.stdout.write(report_emit(doc, args.format))
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # report, the one command left: argparse accepts no other
+    if args.file == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    doc = parse_report(text)
+    sys.stdout.write(report_emit(doc, args.format))
+    return 0
 
 
 def _verification_raised(e: Exception) -> int:
@@ -127,6 +125,3 @@ def _verification_raised(e: Exception) -> int:
     print(f"error: verification raised {type(e).__name__}: {e}", file=sys.stderr)
     return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

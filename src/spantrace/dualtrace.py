@@ -190,7 +190,7 @@ def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
         if g in found:
             raise ValueError("trace recoordination is not injective")
         comp = total.map_at(t).component(0)
-        found[g] = comp.nonzero[0].get(0, 0) if comp.rows else 0
+        found[g] = comp.nonzero[0].get(0, 0)  # 1x1: the unit to the unit
     c = e.span
     loops = tuple(g for g in c.apex.elements if c.left(g) == c.right(g))
     if set(found) != set(loops):

@@ -65,11 +65,11 @@ def _as_dict(x, loc, keys: tuple = ()):
 
 @contextmanager
 def _located(loc: str):
-    """Report a ValueError raised inside the block as a ParseError at loc."""
+    """Report a ValueError raised inside the block as a ParseError at loc, unless it is one."""
     try:
         yield
     except ValueError as e:
-        raise ParseError(loc, str(e)) from None
+        raise e if isinstance(e, ParseError) else ParseError(loc, str(e)) from None
 
 
 def load_json(text: str):

@@ -421,6 +421,21 @@ def test_cli_rejects_a_non_commuting_lv_diagram(tmp_path, capsys):
         assert "error: /lv: non-commuting diagram" in captured.err
 
 
+@pytest.mark.parametrize("value, message", [("nope", "unknown map 'nope'"), (3, "expected a map name")])
+def test_cli_locates_a_bad_lv_name_once(tmp_path, capsys, value, message):
+    with open(LV_SMALL, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["lv"]["p"] = value
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as e:
+        parse_instance(text)
+    assert e.value.location == "/lv/p" and str(e.value) == f"/lv/p: {message}"
+    p = tmp_path / "bad_name.json"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: /lv/p: {message}\n"
+
+
 def test_cli_subprocess_entry():
     env = dict(os.environ)
     proc = subprocess.run(

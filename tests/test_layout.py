@@ -5,7 +5,7 @@ benchmark workload runs one instance correctly, and traffic runs every
 function, class and statement of the package but short allowlists.
 
 Traffic is what the command line does in use: ``fuzz --suite all --seed 5
---count 10``, ``report`` in both formats on its output, ``report`` on a
+--count 40``, ``report`` in both formats on its output, ``report`` on a
 failed report read from standard input, a small ``fuzz`` over Z/1 with
 ranks capped at 1, and ``check``, ``trace`` and ``lv`` on each fixture.
 Two rules read it:
@@ -50,7 +50,7 @@ PERFBENCH = TESTS.parent / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
 FIXTURES = TESTS / "fixtures"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
-FUZZ = ("fuzz", "--suite", "all", "--seed", "5", "--count", "10")
+FUZZ = ("fuzz", "--suite", "all", "--seed", "5", "--count", "40")
 # over Z/1 every value is 0, so the sign -1 scales by zero; a rank cap of 1 drops pieces
 SMALL_FUZZ = ("fuzz", "--suite", "all", "--seed", "1", "--count", "2", "--max-rank", "1", "--modulus", "1")
 # a report with a failed check, as a fault in the program would leave one
@@ -391,7 +391,7 @@ def test_clear_caches_empties_every_package_cache():
     them.  The table of rings is no cache, and neither finds it."""
     assert run_suite("all", 5, 1).ok
     filled = {name for name, fn in every_cache().items() if fn.cache_info().currsize}
-    assert {"chainalg._kept", "chainalg._identity_by_key", "chainalg.cx_tensor", "dualtrace.make_dual",
+    assert {"chainalg._kept", "chainalg.map_identity", "chainalg.cx_tensor", "dualtrace.make_dual",
             "generate.piece_complex", "generate.random_lv_instance", "generate.random_pair_instance"} <= filled
     clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in every_cache().items() if fn.cache_info().currsize} == {}
