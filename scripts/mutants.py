@@ -141,7 +141,8 @@ MUTANTS = [
      "def build(i: int) -> tuple[int, Matrix]:\n        n = stored[i]",
      "def build(i: int, a=b, b=a) -> tuple[int, Matrix]:\n        n = stored[i]", "kernels"),
     ("a lazy tensor component skips its block check", "chainalg.py",
-     'return n, _checked_block(ring, comp, rows, cols, "component", n)', "return n, comp", "kernels"),
+     'return n, _checked_block(ring, _placed(ring, rows, cols, blocks), rows, cols, "component", n)',
+     "return n, _placed(ring, rows, cols, blocks)", "kernels"),
     ("the product memo keys by the left factor alone", "chainalg.py",
      "_kept((fn, *map(id, operands)))", "_kept((fn, *map(id, operands[:1] if fn is mat_mul else operands)))",
      "pairing"),

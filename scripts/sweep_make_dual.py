@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Time make_dual, with both triangle certificates, over a size sweep.
 
-Two size families, both over ZZ and both past the generator's caps:
+Two size families from tests/statements.py, both over ZZ and both past the
+generator's caps:
 
-* ``wide`` (the default), generate.wide_object: n points over one base point
+* ``wide`` (the default), wide_object: n points over one base point
   with rank-(2,1) stalks, so the growth of duality's certificates in n
   shows: their apexes have n^2 elements, the tensor objects around them
   n^3, which stay unbuilt.  One untimed warm-up fills the kernel caches
   first, so the figures measure the set and correspondence layers rather
   than first-time matrix work.
-* ``deep``, generate.deep_object: one point whose stalk has total rank n, so
+* ``deep``, deep_object: one point whose stalk has total rank n, so
   the chain-complex kernels on the rank-n^3 certificate tensors do the work.
   The kernel caches are emptied before every round, so each round pays that
   matrix work.
@@ -46,20 +47,21 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 from worker import REF_NOMINAL_S, reference_slice, scaled  # noqa: E402  (puts src/ on the path)
 
 from spantrace import chainalg  # noqa: E402
 from spantrace.chainalg import ZZ  # noqa: E402
 from spantrace.dualtrace import make_dual  # noqa: E402
-from spantrace.generate import deep_object, wide_object  # noqa: E402
+from statements import deep_object, wide_object  # noqa: E402
 
 # family: (builder, default sizes, default output, description)
 FAMILIES = {
     "wide": (wide_object, "8,16,24,32,48,64", "BENCH_make_dual.json",
-             "generate.wide_object over ZZ: n points over one base point, rank-(2,1) stalks"),
+             "statements.wide_object over ZZ: n points over one base point, rank-(2,1) stalks"),
     "deep": (deep_object, "4,8,12,16,20,24,32,48,64,96,128", "BENCH_make_dual_deep.json",
-             "generate.deep_object over ZZ: one point, a stalk of total rank n from fixed pieces"),
+             "statements.deep_object over ZZ: one point, a stalk of total rank n from fixed pieces"),
 }
 
 

@@ -52,7 +52,8 @@ that is one row of the right factor is that row.  A signed permutation
 matrix with one entry per row, each row a row of one identity matrix or
 of its negative, so building one copies references and multiplying by it
 picks rows.  One kernel, _placed, lays rows out at offsets, building each
-once: tensor differentials, components, mat_kron and mat_block (b (x) [1]).
+once: tensor differentials, components and mat_block (b (x) [1]); mat_kron
+is its one-block case, kept for the tests and the benchmark's kernel layer.
 `cx_tensor` knows its ranks at once and builds each differential when
 first read, and `map_tensor` each component: the rank-r^3 tensors that the
 triangle certificates pass through stay unbuilt, and a trace, which reads
@@ -669,9 +670,7 @@ def _tensor_components(ring: Ring, fs: tuple, ft: tuple, fc: tuple, gs: tuple, g
         n = degrees[i]
         tgt_off, rows, cols = tgt_offsets[n], tgt_ranks[n], src_ranks[n]
         blocks = [(tgt_off[pq], co, f[pq[0]], g[pq[1]]) for pq, co in src_off[n].items() if pq in tgt_off]
-        one = len(blocks) == len(src_off[n]) == len(tgt_off) == 1  # one summand each side, at (0, 0)
-        comp = mat_kron(*blocks[0][2:]) if one else _placed(ring, rows, cols, blocks)
-        return n, _checked_block(ring, comp, rows, cols, "component", n)
+        return n, _checked_block(ring, _placed(ring, rows, cols, blocks), rows, cols, "component", n)
 
     return OnDemand(len(degrees), build)
 

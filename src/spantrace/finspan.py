@@ -6,10 +6,11 @@ identification between differently-bracketed composites is written where
 it is needed as the explicit apex bijection that retuples the nested
 pairs, e.g. ((a, b), c) -> (a, (b, c)), and checked with cell_check.
 
-A product over the base answers size and membership from its two factors;
-positions, anchors and elements come from the set that fiber_product lists
-out, the first time one of them is asked for; prod_over_base keeps one
-product per pair of factor objects, so each is listed once.  Sets are
+A product over the base answers membership and each member's anchor from
+its two factors; positions, elements, the anchor tuple and size come from
+the set that fiber_product lists out, the first time one of them is asked
+for; prod_over_base keeps one product per pair of factor objects, so each
+is listed once.  Sets are
 equal by contents (equal factors suffice) and hash by base and size, so a
 product equals and hashes like the same set listed out.  A tensor's legs,
 a composite's images and an injective map's fibers are built by C-level
@@ -18,7 +19,6 @@ builtins, not a Python step per element.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
@@ -196,8 +196,8 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
 
 
 class ProductOver(FinOver):
-    """x ×_base y: the factors answer size, membership and anchors, and the
-    set that fiber_product lists out over the anchors answers the rest."""
+    """x ×_base y: the factors answer membership and anchors, and the set
+    that fiber_product lists out over the anchors answers the rest."""
 
     def __init__(self, x: FinOver, y: FinOver):
         object.__setattr__(self, "base", x.base)
@@ -210,11 +210,6 @@ class ProductOver(FinOver):
     elements = property(lambda self: self._flat.elements)
     anchor = property(lambda self: self._flat.anchor)
     _pos = property(lambda self: self._flat._pos)
-
-    @cached_property
-    def size(self) -> int:
-        counts = Counter(self.factors[1].anchor)
-        return sum(counts[s] for s in self.factors[0].anchor)
 
     def _member_anchor(self, e: Label) -> Label | None:
         # from the factors, each walked once, so a nested product is not listed out

@@ -40,7 +40,7 @@ from .chainalg import (
 )
 from .corrcat import CCMorphism, make_cc_morphism
 from .dualtrace import PushRectangles
-from .finspan import FinOver, Label, OverMap, Span
+from .finspan import FinOver, Label, OverMap, Span, om_anchor
 from .instances import Instance
 from .sheafops import Sheaf
 
@@ -243,28 +243,17 @@ def random_space_over(
 
 
 def random_span(rng: random.Random, x: FinOver, y: FinOver, prefix: str, params: GenParams) -> Span:
-    """Random correspondence between two spaces over the common base."""
-    elements, anchors, lgraph, rgraph = [], [], [], []
-    n = rng.randint(0, params.max_set)
-    for i in range(n):
-        s_choices = [
-            s
-            for s in x.base
-            if any(x.anchor_of(e) == s for e in x.elements)
-            and any(y.anchor_of(e) == s for e in y.elements)
-        ]
-        if not s_choices:
-            break
-        s = rng.choice(s_choices)
-        lx = rng.choice([e for e in x.elements if x.anchor_of(e) == s])
-        ry = rng.choice([e for e in y.elements if y.anchor_of(e) == s])
-        g = f"{prefix}{i}"
-        elements.append(g)
-        anchors.append(s)
-        lgraph.append(lx)
-        rgraph.append(ry)
-    apex = FinOver(x.base, tuple(elements), tuple(anchors))
-    return Span(OverMap(apex, x, tuple(lgraph)), OverMap(apex, y, tuple(rgraph)))
+    """Random correspondence between two spaces over the common base; each
+    apex element draws a base point both spaces reach, then its two feet."""
+    lefts, rights = om_anchor(x).fiber, om_anchor(y).fiber  # the feet over each base point
+    shared = [s for s in x.base if lefts(s) and rights(s)]
+    n, drawn = rng.randint(0, params.max_set), []  # (base point, left foot, right foot) per element
+    for _ in range(n if shared else 0):
+        s = rng.choice(shared)
+        drawn.append((s, rng.choice(lefts(s)), rng.choice(rights(s))))
+    anchors, lgraph, rgraph = zip(*drawn) if drawn else ((), (), ())
+    apex = FinOver(x.base, tuple(f"{prefix}{i}" for i in range(len(drawn))), anchors)
+    return Span(OverMap(apex, x, lgraph), OverMap(apex, y, rgraph))
 
 
 @dataclass
@@ -294,39 +283,6 @@ def choose_ring(rng: random.Random, params: GenParams) -> Ring:
     if params.modulus is not None:
         return Ring(params.modulus)
     return Ring(rng.choice([0, 7]))
-
-
-def wide_object(ring: Ring, n: int) -> Sheaf:
-    """n points over one base point, past the max_set cap: the size family
-    on which duality's n^3 certificate apexes show.
-
-    Every stalk has rank 2 then rank 1 in consecutive degrees, starting at
-    degree 0 at even points (Euler characteristic 1) and at degree 1 at odd
-    ones (-1), with the differential cycling through three matrices.
-    """
-    space = FinOver(("b",), tuple(f"x{i}" for i in range(n)), ("b",) * n)
-    pool = [
-        make_complex(ring, {k: 2, k + 1: 1}, {k: d})
-        for d in ([[0, 0]], [[1, 0]], [[1, -1]])
-        for k in (0, 1)
-    ]
-    return Sheaf(ring, space, tuple(pool[i % 6] for i in range(n)))
-
-
-def deep_object(ring: Ring, r: int) -> Sheaf:
-    """One point whose stalk has total rank r, past the max_rank cap: the
-    size family on which the chain-complex kernels' cost in r shows, since
-    duality's certificates tensor the stalk to rank r^3.
-
-    The stalk is a direct sum of fixed pieces: r // 2 two-term pieces at
-    degrees -2, -1, 0, 1 in turn, with differentials 1, 2, -1 in turn, and
-    one free piece at degree 0 when r is odd.
-    """
-    pieces = [((-2, -1, 0, 1)[j % 4], (1, 2, -1)[j % 3]) for j in range(r // 2)]
-    pieces += [(0, None)] * (r % 2)
-    stalk = cx_direct_sum([piece_complex(ring, p) for p in pieces], ring)
-    space = FinOver(("b",), ("x0",), ("b",))
-    return Sheaf(ring, space, (stalk,))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Parsing validates everything (anchors, chain conditions, span feet) and
 reports the first failure with a JSON-pointer style location.  No key,
 label or degree is dropped: one the data has no place for is an error, so a
 misspelt section fails rather than skipping its checks, and a degree
-key must be written as its integer is ("0", not "00" or " 0").
+key must be written as its integer is ("0", not "00" or " 0"), a label as
+a string and a rank as at most MAX_RANK.
 Emission is canonical, so parse . emit . parse == parse and fixtures
 round-trip byte for byte.
 """
@@ -44,6 +45,7 @@ class Instance:
     base_change: BaseChange | None = None
 
 
+MAX_RANK = 2 ** 16  # the largest stalk rank a file may give, far above any fixture's
 # each part of the lv diagram: the Instance table that names it, and its kind
 _LV_PARTS = {"f": ("maps", "map"), "p": ("maps", "map"), "g": ("maps", "map"), "q": ("maps", "map"),
              "u": ("morphisms", "morphism"), "v": ("morphisms", "morphism"),
@@ -95,7 +97,7 @@ def parse_instance(text: str) -> Instance:
         raw = _as_dict(raw, loc, ("elements", "anchor"))
         els = raw.get("elements")
         _expect(isinstance(els, list) and all(isinstance(x, str) for x in els), f"{loc}/elements", "must be a list of strings")
-        anchor = _as_dict(raw.get("anchor", {}), f"{loc}/anchor")
+        anchor = _labels(raw.get("anchor", {}), f"{loc}/anchor")
         with _located(loc):
             inst.spaces[name] = make_fin_over(inst.base, els, anchor)
 
@@ -210,6 +212,7 @@ def parse_complex(ring: Ring, raw, loc: str) -> Complex:
     ranks = {}
     for deg, r in _as_dict(raw.get("ranks", {}), f"{loc}/ranks").items():
         _expect(_is_int(r) and r >= 0, f"{loc}/ranks/{deg}", "rank must be a non-negative integer")
+        _expect(r <= MAX_RANK, f"{loc}/ranks/{deg}", f"rank must be at most {MAX_RANK}")
         ranks[_int(deg, f"{loc}/ranks/{deg}")] = r
     diff = {}
     for deg, rows in _as_dict(raw.get("diff", {}), f"{loc}/diff").items():

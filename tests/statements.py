@@ -10,8 +10,9 @@ of dualizable objects has a dual (its mate), contravariantly functorial;
 the trace of an identity is the pointwise Euler characteristic; the
 tensor product distributes over direct sums; pullback along a base change
 is symmetric monoidal.  Also here: the small complex, the exhaustive
-lift search, the interlocking spans and the emptying of every package
-cache, which several test modules share.
+lift search, the interlocking spans, the two size families past the
+generator's caps and the emptying of every package cache, which several
+test modules share; scripts/sweep_make_dual.py times the size families.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from spantrace.corrcat import (CCCell, CCMorphism, CCRelabel, cc_assoc, cc_cell_
 from spantrace.dualtrace import DualityData, PushRectangles, make_dual, trace
 from spantrace.finspan import (FinOver, Label, OverMap, Span, make_fin_over, make_over_map, om_compose,
                                om_identity)
-from spantrace.generate import GenParams, random_lv_instance
+from spantrace.generate import GenParams, piece_complex, random_lv_instance
 from spantrace.sheafops import OmegaClass, Sheaf, push
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,43 @@ def clear_caches() -> None:
             for fn in vars(module).values():
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the size families past the generator's caps
+
+
+def wide_object(ring: Ring, n: int) -> Sheaf:
+    """n points over one base point, past the max_set cap: the size family
+    on which duality's n^3 certificate apexes show.
+
+    Every stalk has rank 2 then rank 1 in consecutive degrees, starting at
+    degree 0 at even points (Euler characteristic 1) and at degree 1 at odd
+    ones (-1), with the differential cycling through three matrices.
+    """
+    space = FinOver(("b",), tuple(f"x{i}" for i in range(n)), ("b",) * n)
+    pool = [
+        make_complex(ring, {k: 2, k + 1: 1}, {k: d})
+        for d in ([[0, 0]], [[1, 0]], [[1, -1]])
+        for k in (0, 1)
+    ]
+    return Sheaf(ring, space, tuple(pool[i % 6] for i in range(n)))
+
+
+def deep_object(ring: Ring, r: int) -> Sheaf:
+    """One point whose stalk has total rank r, past the max_rank cap: the
+    size family on which the chain-complex kernels' cost in r shows, since
+    duality's certificates tensor the stalk to rank r^3.
+
+    The stalk is a direct sum of fixed pieces: r // 2 two-term pieces at
+    degrees -2, -1, 0, 1 in turn, with differentials 1, 2, -1 in turn, and
+    one free piece at degree 0 when r is odd.
+    """
+    pieces = [((-2, -1, 0, 1)[j % 4], (1, 2, -1)[j % 3]) for j in range(r // 2)]
+    pieces += [(0, None)] * (r % 2)
+    stalk = cx_direct_sum([piece_complex(ring, p) for p in pieces], ring)
+    space = FinOver(("b",), ("x0",), ("b",))
+    return Sheaf(ring, space, (stalk,))
 
 
 # ---------------------------------------------------------------------------

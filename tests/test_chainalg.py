@@ -51,9 +51,9 @@ from spantrace.chainalg import (
 )
 from spantrace.chainalg import _assoc_perms, _placed, _swap_perms, _tensor_components, _tensor_map
 from spantrace.generate import (
-    GenParams, deep_object, piece_complex, random_chain_map, random_complex, random_endo_instance,
+    GenParams, piece_complex, random_chain_map, random_complex, random_endo_instance,
 )
-from statements import clear_caches, map_scale, q_complex, sum_tensor_distribute
+from statements import clear_caches, deep_object, map_scale, q_complex, sum_tensor_distribute
 
 Z7 = Ring(7)
 

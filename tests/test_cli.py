@@ -436,6 +436,41 @@ def test_cli_locates_a_bad_lv_name_once(tmp_path, capsys, value, message):
     assert capsys.readouterr().err == f"error: /lv/p: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "fixture, path, value, message",
+    [
+        (TWO_POINT, ["spaces", "X", "anchor", "a"], ["z"], "expected a label string"),
+        (TWO_POINT, ["spaces", "X", "anchor", "a"], {"z": "z"}, "expected a label string"),
+        (LV_SMALL, ["objects", "M", "stalks", "y0", "ranks", "1"], 2 ** 70, "rank must be at most 65536"),
+        (LV_SMALL, ["objects", "M", "stalks", "y0", "ranks", "1"], 2 ** 62, "rank must be at most 65536"),
+        (LV_SMALL, ["objects", "M", "stalks", "y0", "ranks", "1"], 2 ** 40, "rank must be at most 65536"),
+        (LV_SMALL, ["objects", "M", "stalks", "y0", "ranks", "1"], 2 ** 16 + 1, "rank must be at most 65536"),
+    ],
+    ids=["list-anchor", "object-anchor", "rank-2^70", "rank-2^62", "rank-2^40", "rank-2^16+1"],
+)
+@pytest.mark.parametrize("command", ["check", "trace", "lv"])
+def test_cli_rejects_a_non_label_anchor_or_a_huge_rank_at_its_location(tmp_path, capsys, fixture, path, value,
+                                                                       message, command):
+    """An anchor that is no label, or a rank past instances.MAX_RANK, is an
+    input error at its own location on every command, not a traceback: an
+    unhashable anchor used to raise TypeError, a huge rank OverflowError or
+    MemoryError while a component check built the zero differential."""
+    with open(fixture, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    location = "/" + "/".join(path)
+    with pytest.raises(ParseError) as e:
+        parse_instance(json.dumps(doc))
+    assert e.value.location == location
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {location}: {message}\n"
+
+
 def test_cli_subprocess_entry():
     env = dict(os.environ)
     proc = subprocess.run(

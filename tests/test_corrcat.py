@@ -62,7 +62,6 @@ from spantrace.finspan import (
 from spantrace.generate import (
     GenParams,
     _lift_span,
-    deep_object,
     random_base,
     random_base_change_for,
     random_cc_morphism,
@@ -74,7 +73,6 @@ from spantrace.generate import (
     random_space,
     random_space_over,
     random_span,
-    wide_object,
 )
 from spantrace.instances import parse_instance
 from spantrace.sheafops import Sheaf, make_sheaf, push, unit_sheaf
@@ -83,6 +81,7 @@ from statements import (
     adjunction_triangles,
     adjunction_unit,
     cc_iso_search,
+    deep_object,
     exhaustive_unique_lifts,
     f_conatural,
     f_natural,
@@ -94,6 +93,7 @@ from statements import (
     projection_map,
     q_complex,
     triangle_composite_is_identity,
+    wide_object,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

@@ -63,7 +63,6 @@ from spantrace.finspan import (
 )
 from spantrace.generate import (
     GenParams,
-    deep_object,
     random_base,
     random_cc_morphism,
     random_endo_instance,
@@ -73,11 +72,10 @@ from spantrace.generate import (
     random_pair_instance,
     random_space,
     random_span,
-    wide_object,
 )
 from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
-from statements import (cc_iso_search, char_class, clear_caches, dual_of_morphism, interlocking_spans,
-                        map_scale, proper_splitting, q_complex)
+from statements import (cc_iso_search, char_class, clear_caches, deep_object, dual_of_morphism,
+                        interlocking_spans, map_scale, proper_splitting, q_complex, wide_object)
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -67,8 +67,9 @@ TRAFFIC_ALLOWLIST = {
     "corrcat.CCObject": "perfbench/workloads.py builds its objects through it",
     "instances.emit_instance": "perfbench/workloads.py writes its pair instances with it",
     "instances._name_of": "emit_instance names each space, object and span with it",
-    "generate.wide_object": "the wide family of scripts/sweep_make_dual.py",
-    "generate.deep_object": "the deep family of scripts/sweep_make_dual.py",
+    "chainalg.mat_kron": "the Kronecker product, _placed's one-block case: tests hold it to the dense "
+                         "oracle and perfbench/layers.py traces it by name; tensor components place "
+                         "their blocks through _placed",
     "cli._verification_raised": "error path: a verification of a parsed file raised",
     "chainalg.OnDemand.__repr__": "debugging aid: shows the entries built so far",
     "chainalg.Matrix.__repr__": "debugging aid: shows the dense entries",
@@ -563,7 +564,7 @@ def test_traffic_runs_every_package_function_but_the_allowlist(tmp_path):
     assert traffic_violations(defined, ran, TRAFFIC_ALLOWLIST) == {
         "unrun": [], "allowlisted_ran": [], "allowlisted_gone": [],
     }
-    assert len(TRAFFIC_ALLOWLIST) <= 14 and all(TRAFFIC_ALLOWLIST.values())
+    assert len(TRAFFIC_ALLOWLIST) <= 13 and all(TRAFFIC_ALLOWLIST.values())
     named = {(f"{name}.{st.function}", st.text) for name in MODULES for st in body_statements(_source(name))}
     assert line_violations(named, [tuple(u) for u in doc["unrun"]], TRAFFIC_ALLOWLIST, LINE_ALLOWLIST) == {
         "unrun": [], "line_allowlisted_ran": [], "line_allowlisted_gone": [],

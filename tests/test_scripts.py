@@ -10,7 +10,7 @@ import sys
 from spantrace import chainalg
 from spantrace.chainalg import ZZ
 from spantrace.dualtrace import make_dual
-from spantrace.generate import deep_object
+from statements import deep_object
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,7 +64,7 @@ def test_sweep_make_dual_deep(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["case"] == "dualtrace.make_dual"
-    assert doc["family"].startswith("generate.deep_object")
+    assert doc["family"].startswith("statements.deep_object")
     (rec,) = doc["records"]
     assert rec["n"] == 4 and rec["rounds"] == 2 and rec["memo_hits"] == 0
     assert 0 < rec["min_s"] <= rec["median_s"]
