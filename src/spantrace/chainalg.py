@@ -26,12 +26,13 @@ Each public function wraps them in a ChainMap with its own endpoints.  The
 ring is in every key: it fixes how the signs normalise, and over Z/1 every
 permutation is the zero matrix.  map_identity is cached by its complex.
 At points with one stalk corrcat repeats each operation on the same
-objects, so map_tensor, map_compose_shared, its products and
-finspan.prod_over_base keep their results in `memo`, one LRU keyed by the
-identities of the operands; map_compose reads no memo.  There is one Ring
-per modulus, so rings compare by identity, and built values are handed on:
-the direct sum of one summand is that summand, and map_direct_sum takes
-the sums its caller holds.
+objects, so `memo`, one LRU keyed by the identities of the operands, keeps
+chain-map tensors (map_tensor), composites (map_compose_shared), products
+over the base (finspan.prod_over_base) and pullbacks (basefunc.pull_space).
+Matrix products are not kept; map_compose, the one composite body, reads
+no memo.  There is one Ring per modulus, so rings compare by identity, and
+built values are handed on: the direct sum of one summand is that summand,
+and map_direct_sum takes the sums its caller holds.
 
 Each invariant is checked once, where its value is built.  A constructor
 checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
@@ -326,7 +327,8 @@ def _checked_block(ring: Ring, m: Matrix, rows: int, cols: int, what: str, n: in
 class OnDemand(Sequence):
     """The entries compute(0), ..., compute(n - 1), each computed when first
     read and kept; a slice reads its entries and gives their tuple.
-    Iterating, comparing and hashing read them all, so it equals and hashes
+    Comparing and hashing read them all as a slice does (an IndexError in
+    compute raises, where iteration would stop), so it equals and hashes
     like their tuple, but equals itself without reading any.  Once all are
     read it drops compute, and what compute holds."""
 
@@ -337,9 +339,6 @@ class OnDemand(Sequence):
 
     def __len__(self) -> int:
         return len(self._done)
-
-    def __iter__(self):
-        return iter(self._done) if not self._missing else map(self.__getitem__, range(len(self._done)))
 
     def __getitem__(self, i: int | slice):
         u = self._done[i]
@@ -355,13 +354,13 @@ class OnDemand(Sequence):
     def __eq__(self, other):
         if not isinstance(other, (tuple, OnDemand)):
             return NotImplemented
-        return self is other or tuple(self) == tuple(other)
+        return self is other or self[:] == other[:]
 
     def __hash__(self):
-        return hash(tuple(self))
+        return hash(self[:])
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        return repr(self[:])
 
 
 @dataclass(frozen=True)
@@ -383,7 +382,6 @@ class Complex:
     ring: Ring
     ranks: tuple[tuple[int, int], ...]
     diff: Sequence[tuple[int, Matrix]]
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
     _rank: dict = field(default=None, init=False, compare=False, repr=False)
     _at: dict = field(default=None, init=False, compare=False, repr=False)
     _key: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -404,10 +402,11 @@ class Complex:
             for n, m in self.diff:
                 _checked_block(self.ring, m, rank[n + 1], rank[n], "differential", n)
 
+    @cached_property
+    def _hash(self) -> int:  # computed once, as for Matrix
+        return hash((self.ring, self.ranks, self.diff))
+
     def __hash__(self) -> int:
-        # cached as for Matrix
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ring, self.ranks, self.diff)))
         return self._hash
 
     @property
@@ -547,7 +546,8 @@ class ChainMap:
     components holds (n, f^n) for every degree n where both source and target
     have positive rank, by degree; make_chain_map checks commutation.
     map_tensor's is an OnDemand: each component is built and checked when
-    first read, and component(n) reads it by position, building no other."""
+    first read.  component(n) reads one by its position among the degrees
+    of both complexes, so an OnDemand builds no other."""
 
     source: Complex
     target: Complex
@@ -567,11 +567,7 @@ class ChainMap:
         src, tgt = self.source._rank, self.target._rank
         if n not in src or n not in tgt:
             return mat_zero(self.source.ring, tgt.get(n, 0), src.get(n, 0))
-        if type(self.components) is not tuple:  # map_tensor's OnDemand: by position, building no other degree
-            return self.components[list(filter(tgt.__contains__, src)).index(n)][1]
-        for d, m in self.components:
-            if d == n:
-                return m
+        return self.components[list(filter(tgt.__contains__, src)).index(n)][1]
 
 
 def make_chain_map(source: Complex, target: Complex, components: Mapping[int, Blocks] | None = None) -> ChainMap:
@@ -592,20 +588,15 @@ def map_identity(c: Complex) -> ChainMap:
 
 def map_compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
-    return _composite(g, f, mat_mul)
+    if f.target != g.source:
+        raise ValueError("composition boundary mismatch")
+    comps = tuple((n, mat_mul(g.component(n), f.component(n))) for n, _ in f.source.ranks if g.target.rank(n))
+    return ChainMap(f.source, g.target, comps)
 
 
 def map_compose_shared(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f, kept by memo, as is each product of components; the
-    pointwise oracle calls map_compose instead."""
-    return memo(_composite, g, f, _product)
-
-
-def _composite(g: ChainMap, f: ChainMap, product: Callable[[Matrix, Matrix], Matrix]) -> ChainMap:
-    if f.target != g.source:
-        raise ValueError("composition boundary mismatch")
-    comps = tuple((n, product(g.component(n), f.component(n))) for n, _ in f.source.ranks if g.target.rank(n))
-    return ChainMap(f.source, g.target, comps)
+    """g after f, kept by memo; the pointwise oracle calls map_compose instead."""
+    return memo(map_compose, g, f)
 
 
 @lru_cache(maxsize=256)
@@ -622,10 +613,6 @@ def memo(fn: Callable, *operands):
     if not kept:
         kept += *operands, fn(*operands)
     return kept[-1]
-
-
-def _product(a: Matrix, b: Matrix) -> Matrix:
-    return memo(mat_mul, a, b)
 
 
 def map_add(f: ChainMap, g: ChainMap) -> ChainMap:

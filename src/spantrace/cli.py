@@ -12,7 +12,7 @@ import sys
 from .dualtrace import make_dual, pairing_functorial, trace
 from .generate import GenParams
 from .instances import ParseError, omega_doc, parse_file
-from .suites import SUITE_NAMES, parse_report, report_emit, run_suite
+from .suites import SUITE_NAMES, parse_report, report_doc, report_emit, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +106,7 @@ def _dispatch(args) -> int:
             modulus=args.modulus,
         )
         report = run_suite(args.suite, args.seed, args.count, params)
-        sys.stdout.write(report_emit(report, "json"))
+        sys.stdout.write(report_emit(report_doc(report), "json"))
         return 0 if report.ok else 1
 
     # report, the one command left: argparse accepts no other

@@ -22,8 +22,10 @@ a certificate or a trace composes away all but a diagonal of a tensor's
 apex, so only the diagonal's are built.  Those of make_cc_morphism (and
 so shriek_push) are built at once, as it checks their stalks.  cc_tensor
 and cc_compose build components by map_tensor and map_compose_shared,
-kept by chainalg.memo per pair of map objects: points with one stalk share
-them, so each is built once.  The pointwise oracle's path reads no memo.
+which keep each tensor and composite in chainalg.memo per pair of map
+objects: points with one stalk share them, so each is built once.  The
+matrix products inside a composite are not kept.  The pointwise oracle's
+path reads no memo.
 """
 
 from __future__ import annotations

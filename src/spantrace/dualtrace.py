@@ -246,7 +246,6 @@ class PushRectangles:
 
 @dataclass(frozen=True)
 class FunctorialResult:
-    s: OverMap
     pushed: OmegaClass
     rhs: OmegaClass
 
@@ -272,9 +271,8 @@ def pairing_functorial(rect: PushRectangles) -> FunctorialResult:
     v2 = shriek_push(rect.v, rect.g, rect.q, rect.f, rect.dp)
     rhs = pairing(u2, v2, push_preserves_dual(rect.f, dx)).omega
     graph = tuple((rect.p(g), rect.q(d)) for g, d in lhs.carrier.elements)
-    s = OverMap(lhs.carrier, rhs.carrier, graph)
-    pushed = omega_push(s, lhs)
-    return FunctorialResult(s, pushed, rhs)
+    pushed = omega_push(OverMap(lhs.carrier, rhs.carrier, graph), lhs)
+    return FunctorialResult(pushed, rhs)
 
 
 def push_preserves_dual(f: OverMap, dx: DualityData) -> DualityData:

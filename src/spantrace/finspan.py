@@ -113,7 +113,6 @@ class OverMap:
     source: FinOver
     target: FinOver
     graph: tuple[Label, ...]
-    _fibers: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.graph) != self.source.size:
@@ -123,19 +122,18 @@ class OverMap:
         return self.graph[self.source._pos[x]]
 
     def fiber(self, y: Label) -> tuple[Label, ...]:
-        return self._fiber_map().get(y, ())
+        return self._fibers.get(y, ())
 
-    def _fiber_map(self) -> dict[Label, tuple[Label, ...]]:
+    @cached_property
+    def _fibers(self) -> dict[Label, tuple[Label, ...]]:
         """Every non-empty fiber, in carrier order; computed once."""
-        if self._fibers is None:
-            fibers = dict(zip(self.graph, zip(self.source.elements)))  # right when injective
-            if len(fibers) < len(self.graph):
-                lists: dict[Label, list[Label]] = {}
-                for x, y in zip(self.source.elements, self.graph):
-                    lists.setdefault(y, []).append(x)
-                fibers = {y: tuple(xs) for y, xs in lists.items()}
-            object.__setattr__(self, "_fibers", fibers)
-        return self._fibers
+        fibers = dict(zip(self.graph, zip(self.source.elements)))  # right when injective
+        if len(fibers) < len(self.graph):
+            lists: dict[Label, list[Label]] = {}
+            for x, y in zip(self.source.elements, self.graph):
+                lists.setdefault(y, []).append(x)
+            fibers = {y: tuple(xs) for y, xs in lists.items()}
+        return fibers
 
     def is_bijective(self) -> bool:
         return len(set(self.graph)) == len(self.graph) == self.target.size
@@ -184,7 +182,7 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
     """
     if f.target != g.target:
         raise ValueError("fiber product target mismatch")
-    buckets = g._fiber_map()
+    buckets = g._fibers
     fibers = [buckets.get(fx, ()) for fx in f.graph]
     counts = [len(ys) for ys in fibers]
     # x and its anchor once per partner y, then the partners themselves

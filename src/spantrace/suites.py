@@ -220,8 +220,7 @@ def _expect_fields(doc, loc: str, fields: dict) -> None:
             raise ParseError(f"{loc}/{key}", "has the wrong type")
 
 
-def report_emit(report_or_doc, fmt: str) -> str:
-    doc = report_doc(report_or_doc) if isinstance(report_or_doc, Report) else report_or_doc
+def report_emit(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
     if fmt != "text":

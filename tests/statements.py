@@ -18,14 +18,14 @@ test modules share; scripts/sweep_make_dual.py times the size families.
 import itertools
 import random
 import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
 from spantrace.basefunc import BaseChange, pull_object
 from spantrace.chainalg import (ZZ, ChainMap, Complex, Ring, cx_direct_sum, cx_tensor, make_chain_map,
                                 make_complex, map_add, map_compose, map_direct_sum, map_identity, map_tensor,
-                                mat_scale, mat_zero)
+                                mat_scale, mat_zero, unit_complex)
 from spantrace.corrcat import (CCCell, CCMorphism, CCRelabel, cc_assoc, cc_cell_check, cc_compose,
                                cc_compose_many, cc_identity, cc_invert, cc_tensor, left_unitor,
                                make_cc_morphism, obj_tensor, right_unitor, shriek_push)
@@ -33,7 +33,7 @@ from spantrace.dualtrace import DualityData, PushRectangles, make_dual, trace
 from spantrace.finspan import (FinOver, Label, OverMap, Span, make_fin_over, make_over_map, om_compose,
                                om_identity)
 from spantrace.generate import GenParams, piece_complex, random_lv_instance
-from spantrace.sheafops import OmegaClass, Sheaf, push
+from spantrace.sheafops import OmegaClass, Sheaf, push, unit_sheaf
 
 # ---------------------------------------------------------------------------
 # chain maps
@@ -380,6 +380,47 @@ def exhaustive_unique_lifts(params: GenParams, seeds: Sequence[int], enough: int
         assert matches == 1, seed
         exhaustive += 1
     return exhaustive
+
+
+def every_small_diagram(ring: Ring) -> Iterator[PushRectangles]:
+    """Every two-rectangle diagram of the small scope: one base point; Xp,
+    Yp, cp and dp of one point each; X and Y of 1-2 points; c and d each a
+    multiset of at most 2 apex elements, listed by their feet; rank-1
+    stalks at degree 0; every nonzero scalar component.  The lower row
+    has one point at each place, so every such diagram commutes."""
+    base = ("b",)
+
+    def space(*elements: str) -> FinOver:
+        return FinOver(base, elements, base * len(elements))
+
+    def onto(source: FinOver, point: FinOver) -> OverMap:
+        return OverMap(source, point, point.elements * source.size)
+
+    xp, yp = space("xp"), space("yp")
+    cp_apex, dp_apex = space("cp"), space("dp")
+    cp = Span(onto(cp_apex, xp), onto(cp_apex, yp))
+    dp = Span(onto(dp_apex, yp), onto(dp_apex, xp))
+    one = unit_complex(ring)
+    scalars = [make_chain_map(one, one, {0: [[k]]}) for k in range(1, ring.modulus)]
+
+    def morphisms(source: Sheaf, target: Sheaf, prefix: str) -> Iterator[CCMorphism]:
+        feet = list(itertools.product(source.space.elements, target.space.elements))
+        for size in range(3):
+            for chosen in itertools.combinations_with_replacement(feet, size):
+                apex = space(*(f"{prefix}{k}" for k in range(size)))
+                span = Span(OverMap(apex, source.space, tuple(x for x, _ in chosen)),
+                            OverMap(apex, target.space, tuple(y for _, y in chosen)))
+                for maps in itertools.product(scalars, repeat=size):
+                    yield make_cc_morphism(source, target, span, dict(zip(apex.elements, maps)))
+
+    for nx, ny in itertools.product((1, 2), repeat=2):
+        x, y = space(*("x0", "x1")[:nx]), space(*("y0", "y1")[:ny])
+        l, m = unit_sheaf(ring, x), unit_sheaf(ring, y)
+        f, g = onto(x, xp), onto(y, yp)
+        for u in morphisms(l, m, "c"):
+            for v in morphisms(m, l, "d"):
+                yield PushRectangles(f=f, p=onto(u.span.apex, cp_apex), g=g, q=onto(v.span.apex, dp_apex),
+                                     u=u, v=v, cp=cp, dp=dp)
 
 
 # ---------------------------------------------------------------------------

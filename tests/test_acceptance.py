@@ -41,7 +41,7 @@ from spantrace.generate import (
 from spantrace.instances import emit_instance, parse_instance
 from spantrace.sheafops import omega_push, push, verdier
 from spantrace.suites import report_doc, run_suite
-from statements import char_class, clear_caches, exhaustive_unique_lifts, lift_test
+from statements import char_class, clear_caches, every_small_diagram, exhaustive_unique_lifts, lift_test
 
 DEFAULTS = GenParams()  # sets <= 4, ranks <= 3, degrees in [-2, 2], moduli {0, 7}
 
@@ -252,3 +252,21 @@ def test_criterion_10_determinism_and_round_trip():
         clear_caches()
         assert emit_instance(random_lv_instance(seed, DEFAULTS)) == text
     print("criterion 10: PASS (reports deterministic, fixtures round-trip)")
+
+
+def test_criterion_11_every_small_diagram():
+    """The pushforward identity on every diagram of a small scope (one point
+    at each lower place, 1-2 upper points, at most 2 apex elements per
+    upper span, rank-1 stalks at degree 0, every nonzero scalar), over Z/2
+    and Z/3: a configuration that random draws miss is still checked."""
+    counts = {}
+    for modulus in (2, 3):
+        diagrams = nonzero = 0
+        for rect in every_small_diagram(Ring(modulus)):
+            res = pairing_functorial(rect)
+            assert res.equal, (modulus, diagrams, res.pushed, res.rhs)
+            diagrams += 1
+            nonzero += any(res.rhs.values)
+        counts[modulus] = diagrams, nonzero
+    assert counts == {2: (306, 65), 3: (3028, 1104)}
+    print(f"criterion 11: PASS ({counts[2][0] + counts[3][0]} diagrams, {counts[2][1] + counts[3][1]} nonzero)")

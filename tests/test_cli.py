@@ -90,18 +90,18 @@ def test_report_shapes():
     empty = Report("oracle", 0, 0, GenParams())
     doc = report_doc(empty)
     assert doc["checks"] == []
-    assert report_emit(empty, "json").endswith("\n")
+    assert report_emit(report_doc(empty), "json").endswith("\n")
     one = Report("oracle", 1, 1, GenParams())
     one.checks.append(Check(0, "thing", "pass"))
-    assert '"status": "pass"' in report_emit(one, "json")
+    assert '"status": "pass"' in report_emit(report_doc(one), "json")
     # a failing check carries both value maps
     fail = Report("oracle", 2, 1, GenParams())
     fail.checks.append(
         Check(0, "thing", "fail", {"lhs": {"values": {"a": 1}}, "rhs": {"values": {"a": 2}}})
     )
-    out = report_emit(fail, "json")
+    out = report_emit(report_doc(fail), "json")
     assert '"lhs"' in out and '"rhs"' in out
-    text = report_emit(fail, "text")
+    text = report_emit(report_doc(fail), "text")
     assert "fail" in text and "1/2" not in text
 
 

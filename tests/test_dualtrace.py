@@ -604,17 +604,17 @@ def poisoned_result(right):
                              tuple((n, poisoned_result(m)) for n, m in right.components))
 
 
-def test_a_poisoned_product_memo_changes_the_pairing_and_not_the_oracle(monkeypatch):
-    """cc_compose and cc_tensor take their matrix products, chain-map
-    tensors and composites from a memo that local_pairing never reads: with
-    every hit of one of the three returning a wrong value, the categorical
-    side fails or changes, and the pointwise oracle does not."""
+def test_a_poisoned_map_memo_changes_the_pairing_and_not_the_oracle(monkeypatch):
+    """cc_compose and cc_tensor take their chain-map tensors and composites
+    from a memo that local_pairing never reads: with every hit of one of the
+    two returning a wrong value, the categorical side fails or changes, and
+    the pointwise oracle does not."""
     clear_caches()
     a, b, u, v = deep_pair(ZZ)
     want = local_pairing(u, v), local_pairing(v, u)
     assert any(want[0].values) and pairing(u, v, make_dual(a)).omega == want[0]
     memo = chainalg.memo
-    for kind in ("mat_mul", "_tensor_map", "_composite"):
+    for kind in ("_tensor_map", "map_compose"):
         clear_caches()
         hits = []
 
@@ -640,9 +640,9 @@ def test_make_dual_reuses_the_certificate_products_of_a_rank_profile(ring, monke
     """The structure maps of a rank profile share their matrices, and a
     stalk has one identity, evaluation and coevaluation, so the triangle
     certificates of a second object on the stalks of the first compute no
-    chain-map tensor, composite or matrix product: each is a memo hit, and
-    the memo misses only at the five products over the base of the new
-    spaces.  clear_caches empties the memo."""
+    chain-map tensor, composite or matrix product: each tensor and composite
+    is a memo hit, and the memo misses only at the five products over the
+    base of the new spaces.  clear_caches empties the memo."""
     clear_caches()
     a, b, u, v = deep_pair(ring)
     computed = Counter()
@@ -653,13 +653,13 @@ def test_make_dual_reuses_the_certificate_products_of_a_rank_profile(ring, monke
             return fn(*args)
         return wrapper
 
-    for name in ("_tensor_map", "_composite", "mat_mul"):
+    for name in ("_tensor_map", "map_compose", "mat_mul"):
         monkeypatch.setattr(chainalg, name, counted(name, getattr(chainalg, name)))
     make_dual(a)
     first, kept = Counter(computed), chainalg._kept.cache_info()
     make_dual(b)
     second = chainalg._kept.cache_info()
-    assert first == {"_tensor_map": 8, "_composite": 8, "mat_mul": 40} and computed == first
+    assert first == {"_tensor_map": 8, "map_compose": 8, "mat_mul": 40} and computed == first
     assert (second.hits - kept.hits, second.misses - kept.misses) == (45, 5)
     clear_caches()
     assert chainalg._kept.cache_info().currsize == 0
