@@ -26,13 +26,22 @@ Each public function wraps them in a ChainMap with its own endpoints.  The
 ring is in every key: it fixes how the signs normalise, and over Z/1 every
 permutation is the zero matrix.  map_identity is cached by its complex.
 At points with one stalk corrcat repeats each operation on the same
-objects, so `memo`, one LRU keyed by the identities of the operands, keeps
-chain-map tensors (map_tensor), composites (map_compose_shared), products
-over the base (finspan.prod_over_base) and pullbacks (basefunc.pull_space).
+objects, so `memo(fn, a, b)`, one LRU keyed by fn and the identities of its
+two operands, keeps chain-map tensors (map_tensor), composites
+(map_compose_shared), products over the base (finspan.prod_over_base) and
+pullbacks (basefunc.pull_space).
 Matrix products are not kept; map_compose, the one composite body, reads
 no memo.  There is one Ring per modulus, so rings compare by identity, and
 built values are handed on: the direct sum of one summand is that summand,
 and map_direct_sum takes the sums its caller holds.
+
+Complex and ChainMap, like the values of finspan, sheafops and corrcat, are
+plain dataclasses, read-only by convention: nothing assigns to a value once
+it is built.  They are built per instance, and a frozen dataclass pays an
+object.__setattr__ call for every field it stores.  Each hashes as a frozen
+one would: ChainMap as the tuple of its compared fields, Complex by its
+cached hash.  ChainMap.component(n) finds n's position in a degree ->
+position map built once per pair of rank profiles.
 
 Each invariant is checked once, where its value is built.  A constructor
 checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
@@ -363,7 +372,7 @@ class OnDemand(Sequence):
         return repr(self[:])
 
 
-@dataclass(frozen=True)
+@dataclass
 class Complex:
     """Bounded complex of finite-rank free modules.
 
@@ -394,7 +403,7 @@ class Complex:
                 raise ValueError(f"ranks {self.ranks} need strictly increasing degrees and positive ranks")
             below = n
         at = {n: i for i, n in enumerate(n for n, _ in self.ranks if n + 1 in rank)}  # d^n is diff[at[n]]
-        vars(self).update(_rank=rank, _at=at)
+        self._rank, self._at = rank, at
         if not isinstance(self.diff, OnDemand):  # cx_tensor checks each as it builds it
             degrees = [n for n, _ in self.diff]
             if degrees != list(at):
@@ -497,7 +506,7 @@ def tensor_complex(a: Complex, b: Complex) -> Complex:
         return n, _checked_block(ring, d, ranks[n + 1], ranks[n], "differential", n)
 
     t = Complex(ring, tuple(ranks.items()), OnDemand(len(stored), build))
-    object.__setattr__(t, "_key", (a.key, b.key))
+    t._key = (a.key, b.key)
     return t
 
 
@@ -539,7 +548,7 @@ def cx_direct_sum(parts: Sequence[Complex], ring: Ring) -> Complex:
 # chain maps
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ChainMap:
     """Degree-zero map of complexes commuting with the differentials.
 
@@ -547,7 +556,8 @@ class ChainMap:
     have positive rank, by degree; make_chain_map checks commutation.
     map_tensor's is an OnDemand: each component is built and checked when
     first read.  component(n) reads one by its position among the degrees
-    of both complexes, so an OnDemand builds no other."""
+    of both complexes, from the map _positions keeps per pair of rank
+    profiles, so an OnDemand builds no other."""
 
     source: Complex
     target: Complex
@@ -564,10 +574,18 @@ class ChainMap:
             _checked_block(ring, m, tgt[n], src[n], "component", n)
 
     def component(self, n: int) -> Matrix:
-        src, tgt = self.source._rank, self.target._rank
-        if n not in src or n not in tgt:
-            return mat_zero(self.source.ring, tgt.get(n, 0), src.get(n, 0))
-        return self.components[list(filter(tgt.__contains__, src)).index(n)][1]
+        i = _positions(self.source.ranks, self.target.ranks).get(n)
+        if i is None:
+            return mat_zero(self.source.ring, self.target.rank(n), self.source.rank(n))
+        return self.components[i][1]
+
+
+@lru_cache(maxsize=4096)
+def _positions(src_ranks: tuple, tgt_ranks: tuple) -> dict[int, int]:
+    """Degree -> position among the degrees that both rank profiles have:
+    where a chain map between complexes of these ranks keeps its component."""
+    tgt = dict(tgt_ranks)
+    return {n: i for i, n in enumerate(n for n, _ in src_ranks if n in tgt)}
 
 
 def make_chain_map(source: Complex, target: Complex, components: Mapping[int, Blocks] | None = None) -> ChainMap:
@@ -607,11 +625,11 @@ def _kept(key: tuple) -> list:
     return []
 
 
-def memo(fn: Callable, *operands):
-    """fn(*operands), kept for the latest 256 keys of all memos together."""
-    kept = _kept((fn, *map(id, operands)))
+def memo(fn: Callable, a, b):
+    """fn(a, b), kept for the latest 256 keys of all memos together."""
+    kept = _kept((fn, id(a), id(b)))
     if not kept:
-        kept += *operands, fn(*operands)
+        kept += a, b, fn(a, b)
     return kept[-1]
 
 
@@ -644,7 +662,7 @@ def _tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
                                                  g.source.ranks, g.target.ranks, g.components))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _tensor_components(ring: Ring, fs: tuple, ft: tuple, fc: tuple, gs: tuple, gt: tuple, gc: tuple) -> OnDemand:
     """map_tensor's components, from the ranks and components of its
     factors: each degree's built and checked when first read."""

@@ -26,6 +26,14 @@ which keep each tensor and composite in chainalg.memo per pair of map
 objects: points with one stalk share them, so each is built once.  The
 matrix products inside a composite are not kept.  The pointwise oracle's
 path reads no memo.
+
+CCMorphism, CCCell and CCRelabel are plain dataclasses, read-only by
+convention, as in chainalg: built per instance, they skip a frozen
+dataclass's object.__setattr__ per field.  CCMorphism and CCCell hash as
+the tuple of their compared fields; a CCRelabel hashes and equals by
+identity.  The components they hold are read by degree through
+ChainMap.component, which finds each degree by a position map kept per
+pair of rank profiles, and each memo key is one function and two operands.
 """
 
 from __future__ import annotations
@@ -79,7 +87,7 @@ def obj_tensor(a: Sheaf, b: Sheaf) -> Sheaf:
     return box(a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CCMorphism:
     """Span plus one chain map per apex element (stalkwise coefficients);
     a tensor's or composite's are OnDemand, the rest built when it is made."""
@@ -174,7 +182,7 @@ def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
     return CCMorphism(src, tgt, span, maps)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CCCell:
     """2-cell: apex map under which source components sum to target components."""
 
@@ -207,7 +215,7 @@ def cc_cell_check(cell: CCCell) -> None:
 # structural isomorphisms (relabelings)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class CCRelabel:
     """Invertible morphism source -> target over the span with identity
     left leg and right leg the bijection forward (inverse backward), with

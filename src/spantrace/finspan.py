@@ -15,6 +15,12 @@ equal by contents (equal factors suffice) and hash by base and size, so a
 product equals and hashes like the same set listed out.  A tensor's legs,
 a composite's images and an injective map's fibers are built by C-level
 builtins, not a Python step per element.
+
+FinOver, OverMap and Span are plain dataclasses, read-only by convention,
+as in chainalg: built per instance, they skip a frozen dataclass's
+object.__setattr__ per field.  OverMap and Span hash as the tuple of their
+compared fields; FinOver keeps its own == and hash.  prod_over_base keeps
+its products by chainalg.memo(ProductOver, x, y), keyed by the two factors.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .chainalg import memo
 Label = Union[str, tuple]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class FinOver:
     """Finite set of labels anchored to a base set."""
 
@@ -49,7 +55,7 @@ class FinOver:
         if stray:
             x, a = next((x, a) for x, a in zip(self.elements, self.anchor) if a in stray)
             raise ValueError(f"anchor of {x!r} is {a!r}, not a base element")
-        object.__setattr__(self, "_pos", pos)
+        self._pos = pos
 
     def __eq__(self, other):
         if not isinstance(other, FinOver):
@@ -106,7 +112,7 @@ def base_space(base: tuple[Label, ...]) -> FinOver:
     return FinOver(base, base, base)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class OverMap:
     """Total map of finite sets commuting with the anchors."""
 
@@ -198,8 +204,7 @@ class ProductOver(FinOver):
     that fiber_product lists out over the anchors answers the rest."""
 
     def __init__(self, x: FinOver, y: FinOver):
-        object.__setattr__(self, "base", x.base)
-        object.__setattr__(self, "factors", (x, y))
+        self.base, self.factors = x.base, (x, y)
 
     @cached_property
     def _flat(self) -> FinOver:
@@ -228,7 +233,7 @@ def prod_over_base(x: FinOver, y: FinOver) -> FinOver:
     return memo(ProductOver, x, y)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Span:
     """Correspondence X <- C -> Y over the base; left and right share the apex."""
 

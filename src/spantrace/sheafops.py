@@ -10,6 +10,11 @@ literal matrix identity for every chosen fiber-product square.
 The external tensor is computed from its factors: it lives on the product
 over the base, and its stalk at (x, y) is cx_tensor of the factor stalks,
 worked out when asked.  It equals and hashes like its stalks listed out.
+
+Sheaf and OmegaClass are plain dataclasses, read-only by convention, as in
+chainalg: built per instance, they skip a frozen dataclass's
+object.__setattr__ per field.  OmegaClass hashes as the tuple of its
+compared fields; Sheaf keeps its own == and hash.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .chainalg import (
 from .finspan import FinOver, Label, OverMap, prod_over_base
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Sheaf:
     """One bounded complex per element of space, all over the same ring."""
 
@@ -73,9 +78,7 @@ class ProductSheaf(Sheaf):
     """box(l, m): stalks computed from the factors when asked."""
 
     def __init__(self, l: Sheaf, m: Sheaf):
-        object.__setattr__(self, "ring", l.ring)
-        object.__setattr__(self, "space", prod_over_base(l.space, m.space))
-        object.__setattr__(self, "factors", (l, m))
+        self.ring, self.space, self.factors = l.ring, prod_over_base(l.space, m.space), (l, m)
 
     @cached_property
     def stalks(self) -> tuple[Complex, ...]:
@@ -128,7 +131,7 @@ def verdier(l: Sheaf) -> Sheaf:
     return Sheaf(l.ring, l.space, tuple(cx_dual(c) for c in l.stalks))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class OmegaClass:
     """Ring-valued function on a finite set over the base."""
 

@@ -258,15 +258,19 @@ def test_criterion_11_every_small_diagram():
     """The pushforward identity on every diagram of a small scope (one point
     at each lower place, 1-2 upper points, at most 2 apex elements per
     upper span, rank-1 stalks at degree 0, every nonzero scalar), over Z/2
-    and Z/3: a configuration that random draws miss is still checked."""
+    and Z/3: a configuration that random draws miss is still checked.  On
+    each, the upper pairing also equals the pointwise oracle's."""
     counts = {}
     for modulus in (2, 3):
-        diagrams = nonzero = 0
+        diagrams = nonzero = paired = 0
         for rect in every_small_diagram(Ring(modulus)):
             res = pairing_functorial(rect)
             assert res.equal, (modulus, diagrams, res.pushed, res.rhs)
+            omega = pairing(rect.u, rect.v, make_dual(rect.u.source)).omega
+            assert omega == local_pairing(rect.u, rect.v), (modulus, diagrams, omega)
             diagrams += 1
             nonzero += any(res.rhs.values)
-        counts[modulus] = diagrams, nonzero
-    assert counts == {2: (306, 65), 3: (3028, 1104)}
+            paired += any(omega.values)
+        counts[modulus] = diagrams, nonzero, paired
+    assert counts == {2: (306, 65, 132), 3: (3028, 1104, 1604)}
     print(f"criterion 11: PASS ({counts[2][0] + counts[3][0]} diagrams, {counts[2][1] + counts[3][1]} nonzero)")

@@ -4,13 +4,13 @@ plus algebraic laws as property tests."""
 import copy
 import pickle
 import random
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spantrace import chainalg
+from spantrace import chainalg, corrcat, finspan, sheafops
 from spantrace.chainalg import (
     ChainMap,
     Complex,
@@ -50,9 +50,14 @@ from spantrace.chainalg import (
     unit_complex,
 )
 from spantrace.chainalg import _assoc_perms, _placed, _swap_perms, _tensor_components, _tensor_map
+from spantrace.corrcat import CCCell, CCRelabel, cc_identity, left_unitor
+from spantrace.finspan import FinOver, OverMap, Span, om_identity, prod_over_base
 from spantrace.generate import (
-    GenParams, piece_complex, random_chain_map, random_complex, random_endo_instance,
+    ComplexRecipe, GenParams, piece_complex, random_chain_map, random_complex, random_endo_instance,
 )
+from spantrace.instances import Instance
+from spantrace.sheafops import OmegaClass, Sheaf, box, unit_sheaf
+from spantrace.suites import Check
 from statements import clear_caches, deep_object, map_scale, q_complex, sum_tensor_distribute
 
 Z7 = Ring(7)
@@ -1131,6 +1136,45 @@ def test_cached_hash_does_not_change_equality():
     assert a != b and a == mat(ZZ, [[1, 2], [3, 4]])
     assert len({a, b, mat(ZZ, [[1, 2], [3, 4]])}) == 2
     assert mat(Z7, [[1, 2], [3, 4]]) != a
+
+
+def test_plain_values_hash_and_compare_as_their_frozen_forms_did():
+    """The values built per instance are plain dataclasses, and each keeps
+    the hash and == its frozen form had: the set and dict orders behind the
+    pinned report bytes rest on them."""
+    classes = [cls for module in (chainalg, finspan, sheafops, corrcat) for cls in vars(module).values()
+               if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__]
+    assert {cls.__name__ for cls in classes if cls.__dataclass_params__.frozen} == {"Ring", "Matrix"}
+    base = ("b",)
+    x, y = FinOver(base, ("x0", "x1"), base * 2), FinOver(base, ("y0",), base)
+    c = make_complex(ZZ, {0: 1, 1: 2}, {0: [[1], [2]]})
+    l, m = unit_sheaf(ZZ, x), unit_sheaf(ZZ, y)
+    f = OverMap(x, y, ("y0", "y0"))
+    span = Span(f, OverMap(x, x, x.elements))
+    u = map_scale(3, map_identity(c))
+    morphism = cc_identity(l)
+    for value in (f, span, u, OmegaClass(ZZ, x, (1, 0)), morphism, CCCell(morphism, morphism, om_identity(x))):
+        compared = tuple(getattr(value, fd.name) for fd in fields(value) if fd.compare)
+        twin = type(value)(*compared)  # equal, built apart
+        assert hash(value) == hash(compared) == hash(twin)
+        assert value == twin and value is not twin, type(value)
+    # FinOver and Sheaf keep their own == and hash: a product is its listing
+    prod, boxed = prod_over_base(x, y), box(l, m)
+    listed = FinOver(base, prod.elements, prod.anchor)
+    assert hash(x) == hash((x.base, x.size)) and hash(prod) == hash(listed) == hash((base, 2))
+    assert prod == listed and listed == prod and x != listed
+    stalks = Sheaf(ZZ, listed, tuple(boxed.stalk(e) for e in prod.elements))
+    assert hash(l) == hash((ZZ, x)) and hash(boxed) == hash(stalks) and boxed == stalks and stalks == boxed
+    assert l != m and Sheaf(ZZ, x, l.stalks) == l
+    # a relabeling hashes and equals by identity
+    r = left_unitor(l)
+    twin = CCRelabel(*(getattr(r, fd.name) for fd in fields(r)))
+    assert hash(r) == object.__hash__(r) and r == r and r != twin and len({r, twin}) == 2
+    # a class that was unhashable stays so
+    for cls in (ComplexRecipe, Check, Instance):
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(cls.__new__(cls))
 
 
 # ---------------------------------------------------------------------------

@@ -618,9 +618,9 @@ def test_a_poisoned_map_memo_changes_the_pairing_and_not_the_oracle(monkeypatch)
         clear_caches()
         hits = []
 
-        def poisoned(fn, *operands):
-            hit = fn.__name__ == kind and bool(chainalg._kept((fn, *map(id, operands))))
-            right = memo(fn, *operands)
+        def poisoned(fn, a, b):
+            hit = fn.__name__ == kind and bool(chainalg._kept((fn, id(a), id(b))))
+            right = memo(fn, a, b)
             hits.append(hit)
             return poisoned_result(right) if hit else right
 

@@ -1,8 +1,9 @@
 """Package layout: every import of src/spantrace and of the tests sits at
 module level, the package modules' imports of one another form no cycle,
-every function the benchmark traces still exists under its name, every
-benchmark workload runs one instance correctly, and traffic runs every
-function, class and statement of the package but short allowlists.
+object.__setattr__ stores a field only in Ring.__new__, every function the
+benchmark traces still exists under its name, every benchmark workload
+runs one instance correctly, and traffic runs every function, class and
+statement of the package but short allowlists.
 
 Traffic is what the command line does in use: ``fuzz --suite all --seed 5
 --count 40``, ``report`` in both formats on its output, ``report`` on a
@@ -116,6 +117,27 @@ def local_imports(source: str) -> list[int]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             lines += [n.lineno for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
     return sorted(set(lines))
+
+
+def setattr_sites(source: str) -> list[str]:
+    """The qualified name of the function around each call of
+    object.__setattr__ in a module, "<module>" outside any: the store a
+    frozen dataclass needs, and a plain one does not."""
+    sites = []
+
+    def visit(node, scope: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                visit(child, scope if isinstance(child, ast.ClassDef) else name, name + ".")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                sites.append(scope)
+            visit(child, scope, prefix)
+
+    visit(ast.parse(source), "<module>", "")
+    return sites
 
 
 def package_imports(source: str, modules: list[str]) -> set[str]:
@@ -351,6 +373,14 @@ def test_no_import_inside_a_function():
     assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
+def test_object_setattr_stores_only_a_ring():
+    """The values are plain dataclasses, read-only by convention, so
+    object.__setattr__ stores a field in one place alone: Ring.__new__,
+    which keeps one frozen Ring per modulus."""
+    sites = [f"{name}.{site}" for name in MODULES for site in setattr_sites(_source(name))]
+    assert sites == ["chainalg.Ring.__new__"]
+
+
 def test_package_import_graph_is_acyclic():
     graph = {name: package_imports(_source(name), MODULES) & set(MODULES) for name in MODULES}
     assert graph["cli"] >= {"dualtrace", "suites"}  # the walk sees relative imports
@@ -361,6 +391,8 @@ def test_layout_checks_catch_violations():
     assert local_imports("import json\n\ndef f():\n    from .x import y\n    return y\n") == [4]
     assert local_imports("class C:\n    def m(self):\n        import os\n") == [3]
     assert local_imports("import json\nfrom .chainalg import mat\n") == []
+    assert setattr_sites("class A:\n    def f(self):\n        object.__setattr__(self, 'x', 1)\n"
+                         "        setattr(self, 'y', 2)\nobject.__setattr__(A, 'z', 3)\n") == ["A.f", "<module>"]
     mods = ["a", "b", "c"]
     assert package_imports("from .a import x\nimport spantrace.b\nfrom . import c, z\n", mods) == {
         "a", "b", "c", "__init__",
