@@ -87,6 +87,9 @@ SELECTIONS = {
         "tests/test_cli.py",
         _CRITERION + "10_determinism_and_round_trip",
     ],
+    "cycles": _COMMON + [
+        "tests/test_layout.py::test_the_computation_makes_no_reference_cycles",
+    ],
 }
 
 # (name, file, anchor, replacement, selection)
@@ -190,8 +193,8 @@ MUTANTS = [
      "OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits)))",
      "OverMap(c.apex, b.target.space, hits)", "cells"),
     ("product membership ignores the inner anchor match", "finspan.py",
-     "s is not None and s == self.factors[1]._member_anchor(e[1])",
-     "s is not None and self.factors[1]._member_anchor(e[1]) is not None", "cells"),
+     "s if s is not None and s == second(e[1]) else None",
+     "s if s is not None and second(e[1]) is not None else None", "cells"),
     ("a map's fibers keep one preimage per image", "finspan.py",
      "if len(fibers) < len(self.graph):", "if False:", "cells"),
     ("a tensor's right leg takes the left leg's images", "finspan.py",
@@ -202,6 +205,8 @@ MUTANTS = [
      " else memo.setdefault(a.space, fn(a)), 'cache_clear', memo.clear)"
      " or setattr(w, 'cache_info', lambda: (0, 0, None, len(memo))) or setattr(w, '__wrapped__', fn) or w)"
      "\ndef make_dual(", "pairing"),
+    ("an on-demand sequence keeps itself, a reference cycle", "chainalg.py",
+     "        self._missing = n\n", "        self._missing = n\n        self._self = self\n", "cycles"),
     ("all lists its checks child-major", "suites.py",
      "checks[suite].append(check)", "checks[names[0]].append(check)", "suites"),
 ]

@@ -20,6 +20,11 @@ builds an equal object, so its memo is emptied before every round in both
 families: each round computes the data, and each record counts the rounds
 that hit the memo anyway (``memo_hits``, 0).
 
+Each size runs in a fresh interpreter, which reports its peak resident
+set size (``ru_maxrss``) after its rounds as ``peak_rss_mb``: the memory one
+size needs, with the interpreter, the package and the warm-up, not the
+largest size run before it.
+
 The speed of a shared machine drifts, so around every round the script
 times the benchmark's fixed reference slice of pure-Python work
 (perfbench/worker.py) and also reports each round scaled to the slice's
@@ -33,8 +38,8 @@ The sizes default to 8,16,24,32,48,64 for wide and
 4,8,12,16,20,24,32,48,64,96,128 for deep, the output to
 BENCH_make_dual.json and BENCH_make_dual_deep.json.
 Writes one record per size (median and minimum seconds, raw and scaled,
-rounds, memo hits, and the growth exponent against the previous size) plus the Python
-version and the CPU count.  It times the spantrace of its own checkout.
+rounds, memo hits, peak RSS in MB, and the growth exponent against the
+previous size) plus the Python version and the CPU count.  It times the spantrace of its own checkout.
 """
 
 import argparse
@@ -42,7 +47,9 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -72,6 +79,33 @@ def clear_kernel_caches() -> None:
             fn.cache_clear()
 
 
+# what a fresh interpreter runs to measure one size: it prints measure()'s record
+CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import sweep_make_dual as sweep; "
+         "print(json.dumps(sweep.measure(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))))")
+
+
+def measure(family: str, n: int, rounds: int) -> dict:
+    """The rounds of one size, timed in this process, with the reference
+    slices around them, the memo hits and the process's peak RSS after."""
+    build = FAMILIES[family][0]
+    if family == "wide":
+        make_dual(wide_object(ZZ, 6))  # warm-up: every stalk of the family
+    reference_slice(1000)  # warm the slice's code up
+    times, refs, hits = [], [reference_slice()], 0
+    for _ in range(rounds):
+        obj = build(ZZ, n)
+        make_dual.cache_clear()
+        if family == "deep":
+            clear_kernel_caches()
+        t0 = time.perf_counter()
+        make_dual(obj)
+        times.append(time.perf_counter() - t0)
+        hits += make_dual.cache_info().hits
+        refs.append(reference_slice())
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return {"times": times, "refs": refs, "memo_hits": hits, "peak_rss_mb": round(peak, 2)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--family", choices=sorted(FAMILIES), default="wide")
@@ -79,37 +113,28 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--out")
     args = ap.parse_args()
-    build, default_sizes, default_out, family = FAMILIES[args.family]
+    _, default_sizes, default_out, family = FAMILIES[args.family]
     sizes = [int(n) for n in (args.sizes or default_sizes).split(",")]
     if args.rounds < 1 or any(n < 1 for n in sizes):
         ap.error("sizes and rounds must be positive")
-    if args.family == "wide":
-        make_dual(wide_object(ZZ, 6))  # warm-up: every stalk of the family
     records = []
-    reference_slice(1000)  # warm the slice's code up
     for n in sizes:
-        times, refs, hits = [], [reference_slice()], 0
-        for _ in range(args.rounds):
-            obj = build(ZZ, n)
-            make_dual.cache_clear()
-            if args.family == "deep":
-                clear_kernel_caches()
-            t0 = time.perf_counter()
-            make_dual(obj)
-            times.append(time.perf_counter() - t0)
-            hits += make_dual.cache_info().hits
-            refs.append(reference_slice())
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent), args.family, str(n),
+             str(args.rounds)], capture_output=True, text=True, check=True)
+        run = json.loads(proc.stdout)
+        times, refs, hits = run["times"], run["refs"], run["memo_hits"]
         at_ref = scaled(times, refs, range(len(times)))
         rec = {"n": n, "median_s": statistics.median(times), "min_s": min(times),
                "scaled_median_s": statistics.median(at_ref), "scaled_min_s": min(at_ref),
-               "rounds": len(times), "memo_hits": hits}
+               "rounds": len(times), "memo_hits": hits, "peak_rss_mb": run["peak_rss_mb"]}
         if records and n != records[-1]["n"]:
             prev = records[-1]
             rec["growth_exponent"] = (math.log(rec["scaled_median_s"] / prev["scaled_median_s"])
                                       / math.log(n / prev["n"]))
         records.append(rec)
         print(f"n={n}: median {rec['median_s']:.3f} s ({rec['scaled_median_s']:.3f} s scaled), "
-              f"min {rec['min_s']:.3f} s", flush=True)
+              f"min {rec['min_s']:.3f} s, peak RSS {rec['peak_rss_mb']:.1f} MB", flush=True)
     doc = {
         "case": "dualtrace.make_dual",
         "family": family,

@@ -35,13 +35,14 @@ no memo.  There is one Ring per modulus, so rings compare by identity, and
 built values are handed on: the direct sum of one summand is that summand,
 and map_direct_sum takes the sums its caller holds.
 
-Complex and ChainMap, like the values of finspan, sheafops and corrcat, are
-plain dataclasses, read-only by convention: nothing assigns to a value once
-it is built.  They are built per instance, and a frozen dataclass pays an
-object.__setattr__ call for every field it stores.  Each hashes as a frozen
-one would: ChainMap as the tuple of its compared fields, Complex by its
-cached hash.  ChainMap.component(n) finds n's position in a degree ->
-position map built once per pair of rank profiles.
+Matrix, Complex and ChainMap, like the values of finspan, sheafops and
+corrcat, are plain dataclasses, read-only by convention: nothing assigns to
+a value once it is built.  They are built per instance, and a frozen
+dataclass pays an object.__setattr__ call for every field it stores.  Each
+hashes as a frozen one would: ChainMap as the tuple of its compared fields,
+Matrix and Complex by their cached hashes.  ChainMap.component(n) finds
+n's position in a degree -> position map built once per pair of rank
+profiles.
 
 Each invariant is checked once, where its value is built.  A constructor
 checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
@@ -111,7 +112,7 @@ copyreg.pickle(Ring, lambda ring: (Ring, (ring.modulus,)))  # a copy or an unpic
 ZZ = Ring(0)
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Matrix:
     """rows x cols matrix over a Ring, stored by its nonzero entries alone:
     nonzero[i] maps the column of each nonzero entry of row i to that entry,
@@ -137,8 +138,8 @@ class Matrix:
             raise ValueError(f"rows of a {rows}x{cols} matrix must be tuples of length {cols}")
         if m and ent and cols and (min(map(min, ent)) < 0 or max(map(max, ent)) >= m):
             raise ValueError(f"entries over Z/{m} must lie in 0..{m - 1}")
-        vars(self).update(ring=ring, rows=rows, cols=cols,
-                          nonzero=tuple({j: x for j, x in enumerate(row) if x} for row in ent))
+        self.ring, self.rows, self.cols = ring, rows, cols
+        self.nonzero = tuple({j: x for j, x in enumerate(row) if x} for row in ent)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -177,7 +178,7 @@ def _kernel_matrix(ring: Ring, rows: int, cols: int, nonzero: Iterable[dict[int,
     kernel to an independent oracle.  It skips Matrix()'s checks, which
     would cost as much as the kernel."""
     m = object.__new__(Matrix)
-    vars(m).update(ring=ring, rows=rows, cols=cols, nonzero=tuple(nonzero))
+    m.ring, m.rows, m.cols, m.nonzero = ring, rows, cols, tuple(nonzero)
     return m
 
 

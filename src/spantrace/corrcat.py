@@ -15,7 +15,9 @@ They are fixed only up to a unique invertible 2-cell, so they are never
 built as spans: a composite with one keeps the other morphism's apex and
 carries the leg facing the relabeling across the bijection, touching only
 the elements that leg hits and checking the relabeling once at each
-distinct one.
+distinct one.  A check asks membership of the space's member lookup, which
+finspan composes from anchor tables (one dict lookup per leaf set, no
+__contains__ frame), and reads that side's stalk without asking again.
 
 The components of a tensor or a composite are computed when first read:
 a certificate or a trace composes away all but a diagonal of a tensor's
@@ -141,7 +143,8 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
         raise ValueError("two relabelings compose only through a morphism")
     if isinstance(b, CCRelabel):
         c, hits = a.span, a.span.right.graph
-        image_of = {y: b.forward(y) for y in dict.fromkeys(hits)}
+        keys = dict.fromkeys(hits)
+        image_of = dict(zip(keys, map(b.forward, keys)))
         for y, z in image_of.items():
             b.check(y, z, image=True)
         span = Span(c.left, OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits))))
@@ -150,7 +153,8 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
         return CCMorphism(a.source, b.target, span, maps)
     if isinstance(a, CCRelabel):
         c, hits = b.span, b.span.left.graph
-        back = {y: a.backward(y) for y in dict.fromkeys(hits)}
+        keys = dict.fromkeys(hits)
+        back = dict(zip(keys, map(a.backward, keys)))
         for y, x in back.items():
             a.check(x, y, image=False)
         xs = tuple(map(back.get, hits))
@@ -235,11 +239,15 @@ class CCRelabel:
     def check(self, x: Label, y: Label, image: bool) -> None:
         """Check that x pairs with y, where y is forward(x) if image and x is
         backward(y) otherwise, by the other direction and the computed one's
-        membership; and that their stalks agree if stalk_map is None."""
-        if not (self.backward(y) == x and y in self.target.space if image
-                else self.forward(x) == y and x in self.source.space):
+        membership, asked of its space's member lookup; and that their
+        stalks agree if stalk_map is None, the computed one's read without
+        testing its membership again."""
+        src, tgt = self.source, self.target
+        if not (self.backward(y) == x and tgt.space._member_anchor(y) is not None if image
+                else self.forward(x) == y and src.space._member_anchor(x) is not None):
             raise ValueError(f"relabeling is not a bijection at {x!r}")
-        if self.stalk_map is None and self.source.stalk(x) != self.target.stalk(y):
+        if self.stalk_map is None and (src.stalk(x) != tgt._member_stalk(y) if image
+                                       else src._member_stalk(x) != tgt.stalk(y)):
             raise ValueError("relabeling stalks differ; pass stalk_map")
 
 

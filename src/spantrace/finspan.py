@@ -6,13 +6,19 @@ identification between differently-bracketed composites is written where
 it is needed as the explicit apex bijection that retuples the nested
 pairs, e.g. ((a, b), c) -> (a, (b, c)), and checked with cell_check.
 
-A product over the base answers membership and each member's anchor from
-its two factors; positions, elements, the anchor tuple and size come from
-the set that fiber_product lists out, the first time one of them is asked
-for; prod_over_base keeps one product per pair of factor objects, so each
-is listed once.  Sets are
-equal by contents (equal factors suffice) and hash by base and size, so a
-product equals and hashes like the same set listed out.  A tensor's legs,
+Membership goes by anchor tables.  A listed-out set keeps a table from
+each element to its anchor, built with the set, and its member lookup
+(_member_anchor: the anchor, or None for a non-element) is that table's
+bound get, so a leaf lookup is one C-level dict lookup and opens no Python
+frame.  A product over the base composes its member lookup once, when it
+is made, from its two factors' lookups: a member is looked up once in each
+listed-out factor and a non-member at most once, and a nested product is
+not listed out to answer.  Positions, elements, the anchor tuple and size
+of a product come from the set that fiber_product lists out, the first
+time one of them is asked for; prod_over_base keeps one product per pair
+of factor objects, so each is listed once.  Sets are equal by contents
+(equal factors suffice) and hash by base and size, so a product equals
+and hashes like the same set listed out.  A tensor's legs,
 a composite's images and an injective map's fibers are built by C-level
 builtins, not a Python step per element.
 
@@ -56,6 +62,7 @@ class FinOver:
             x, a = next((x, a) for x, a in zip(self.elements, self.anchor) if a in stray)
             raise ValueError(f"anchor of {x!r} is {a!r}, not a base element")
         self._pos = pos
+        self._member_anchor = dict(zip(self.elements, self.anchor)).get
 
     def __eq__(self, other):
         if not isinstance(other, FinOver):
@@ -80,10 +87,6 @@ class FinOver:
         if s is None:
             raise ValueError(f"{x!r} is not an element")
         return s
-
-    def _member_anchor(self, x: Label) -> Label | None:
-        """The anchor of x, or None if x is not an element."""
-        return self.anchor[self._pos[x]] if x in self._pos else None
 
     def __contains__(self, x: Label) -> bool:
         return x in self._pos
@@ -205,6 +208,13 @@ class ProductOver(FinOver):
 
     def __init__(self, x: FinOver, y: FinOver):
         self.base, self.factors = x.base, (x, y)
+        first, second = x._member_anchor, y._member_anchor
+
+        def member_anchor(e: Label) -> Label | None:
+            s = first(e[0]) if type(e) is tuple and len(e) == 2 else None
+            return s if s is not None and s == second(e[1]) else None
+
+        self._member_anchor = member_anchor
 
     @cached_property
     def _flat(self) -> FinOver:
@@ -213,13 +223,6 @@ class ProductOver(FinOver):
     elements = property(lambda self: self._flat.elements)
     anchor = property(lambda self: self._flat.anchor)
     _pos = property(lambda self: self._flat._pos)
-
-    def _member_anchor(self, e: Label) -> Label | None:
-        # from the factors, each walked once, so a nested product is not listed out
-        if type(e) is not tuple or len(e) != 2:
-            return None
-        s = self.factors[0]._member_anchor(e[0])
-        return s if s is not None and s == self.factors[1]._member_anchor(e[1]) else None
 
     def __contains__(self, e: Label) -> bool:
         return self._member_anchor(e) is not None

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -469,6 +470,91 @@ def test_cli_rejects_a_non_label_anchor_or_a_huge_rank_at_its_location(tmp_path,
     p.write_text(json.dumps(doc))
     assert main([command, str(p)]) == 2
     assert capsys.readouterr().err == f"error: {location}: {message}\n"
+
+
+# One of each kind of JSON value, with the edge cases a parser must locate:
+# an edit puts one of them at a path of a fixture
+EDIT_VALUES = (None, True, False, 0, 1, -1, 2 ** 70, 0.5, "", "zz", [], [[1]], {})
+# The objects whose keys the file's author chooses (names, labels, degrees),
+# by path kind; every other key is a field name
+NAMED_KEYS = {("spaces",), ("maps",), ("objects",), ("spans",), ("morphisms",),
+              ("spaces", "*", "anchor"), ("maps", "*", "graph"), ("objects", "*", "stalks"),
+              ("objects", "*", "stalks", "*", "ranks"), ("objects", "*", "stalks", "*", "diff"),
+              ("morphisms", "*", "maps"), ("morphisms", "*", "maps", "*"), ("base_change", "g")}
+
+
+def path_kinds(doc) -> dict:
+    """The first path of each path kind of a JSON document, in document
+    order, by kind: a path with each list index read as "#" and each
+    author-chosen key (NAMED_KEYS) as "*"."""
+    first = {}
+
+    def walk(node, path, kind):
+        first.setdefault(kind, path)
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, path + (key,), kind + ("*" if kind in NAMED_KEYS else key,))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, path + (i,), kind + ("#",))
+
+    walk(doc, (), ())
+    return first
+
+
+def one_edit_mutants(text: str):
+    """(path, edit, document) for every one-edit mutant of the slice: every
+    value of EDIT_VALUES put at the first path of each path kind, that
+    entry deleted, and a list item duplicated."""
+    for path in path_kinds(json.loads(text)).values():
+        edits = [("put", v) for v in EDIT_VALUES]
+        edits += [("delete", None)] * bool(path) + [("duplicate", None)] * (bool(path) and type(path[-1]) is int)
+        for op, value in edits:
+            if not path:
+                yield path, op, value
+                continue
+            doc = json.loads(text)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            if op == "put":
+                node[path[-1]] = value
+            elif op == "delete":
+                del node[path[-1]]
+            else:
+                node.insert(path[-1], node[path[-1]])
+            yield path, op, doc
+
+
+def test_cli_answers_every_one_edit_mutant_of_the_fixtures(tmp_path, capsys, monkeypatch):
+    """A deterministic slice of the one-edit mutants of the four fixtures,
+    every value kind at every path kind, runs through check, trace and lv:
+    each exits 0, 1 or 2 without an uncaught exception, and an input error
+    names its location.  The commands share one parser, built once:
+    argparse would otherwise take most of the time."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    exits, faults = {}, []
+    for fixture in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        with open(fixture, encoding="utf-8") as fh:
+            text = fh.read()
+        assert len(path_kinds(json.loads(text))) >= 30
+        for path, op, doc in one_edit_mutants(text):
+            p = tmp_path / "mutant.json"
+            p.write_text(json.dumps(doc))
+            for command in ("check", "trace", "lv"):
+                case = (os.path.basename(fixture), path, op, command)
+                try:
+                    code = main([command, str(p)])
+                except Exception as e:  # noqa: BLE001  (what the test looks for)
+                    faults.append((*case, repr(e)))
+                    continue
+                err = capsys.readouterr().err
+                exits[code] = exits.get(code, 0) + 1
+                if code not in (0, 1, 2) or code == 2 and not re.fullmatch(r"error: /\S*: [^\n]+\n", err):
+                    faults.append((*case, code, err))
+    assert faults == []
+    assert {0, 2} <= exits.keys() and sum(exits.values()) > 5000
 
 
 def test_cli_subprocess_entry():

@@ -332,35 +332,42 @@ def leaves(space):
     return [space] if space.factors is None else [s for f in space.factors for s in leaves(f)]
 
 
-def lookups(query, e):
-    """How often query(e) looks an element up in each listed-out set, by id."""
+def count_lookups(*spaces):
+    """A Counter of the lookups in each listed-out set's anchor table, by
+    id: each set's member lookup is wrapped, so the products built on them
+    from here on look up through the count."""
     counts = Counter()
-    member_anchor = FinOver._member_anchor
+    for space in spaces:
+        def counted(x, table=space._member_anchor, key=id(space)):
+            counts[key] += 1
+            return table(x)
 
-    def counted(self, x):
-        counts[id(self)] += 1
-        return member_anchor(self, x)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FinOver, "_member_anchor", counted)
-        try:
-            query(e)
-        except ValueError:
-            pass
+        space._member_anchor = counted
     return counts
 
 
-def check_product(lazy, eager, candidates):
+def lookups(query, e, counts):
+    """How often query(e) looks an element up in each counted set, by id."""
+    counts.clear()
+    try:
+        query(e)
+    except ValueError:
+        pass
+    return Counter(counts)
+
+
+def check_product(lazy, eager, candidates, counts):
     """A product built on demand against the same set listed out: the same
     members and anchors without walking its elements, a member looked up
     once in each listed-out factor and a non-member at most once, then the
     same hash, size and positions, and equal both ways with the same
-    elements and anchors."""
+    elements and anchors.  counts counts the lookups in the listed-out
+    factors' anchor tables (count_lookups)."""
     once = Counter(id(s) for s in leaves(lazy))
     for e in candidates:
         assert (e in lazy) == (e in eager)
         for query in (lazy.__contains__, lazy.anchor_of):
-            seen = lookups(query, e)
+            seen = lookups(query, e, counts)
             assert seen == once if e in eager else seen <= once
         if e in eager:
             assert lazy.anchor_of(e) == eager.anchor_of(e)
@@ -407,9 +414,10 @@ def test_products_on_demand_agree_with_the_fiber_product(seed):
     params = GenParams()
     base = random_base(rng, params)
     x, y, z = (random_space(rng, base, p, params) for p in "xyz")
+    counts = count_lookups(x, y, z)
     outsiders = ["x0", ("x0",), ("x0", "y0", "z0"), ("nope", "y0"), ()]
     pairs = [(a, b) for a in x.elements for b in y.elements]
-    check_product(prod_over_base(x, y), eager_product(x, y), pairs + outsiders)
+    check_product(prod_over_base(x, y), eager_product(x, y), pairs + outsiders, counts)
     xy, yz = eager_product(x, y), eager_product(y, z)
     left = [(e, c) for e in pairs for c in z.elements]
     right = [(a, (b, c)) for a, b in pairs for c in z.elements]
@@ -417,8 +425,10 @@ def test_products_on_demand_agree_with_the_fiber_product(seed):
     malformed = ([(a, b, c) for a, b in pairs[:2] for c in z.elements[:2]]
                  + [((a,), c) for a in x.elements[:2] for c in z.elements[:2]]
                  + [(a, (b, c, c)) for a, b in pairs[:2] for c in z.elements[:2]] + pairs[:2])
-    check_product(prod_over_base(prod_over_base(x, y), z), eager_product(xy, z), left + right + malformed)
-    check_product(prod_over_base(x, prod_over_base(y, z)), eager_product(x, yz), right + left + malformed)
+    check_product(prod_over_base(prod_over_base(x, y), z), eager_product(xy, z), left + right + malformed,
+                  counts)
+    check_product(prod_over_base(x, prod_over_base(y, z)), eager_product(x, yz), right + left + malformed,
+                  counts)
     # a three-fold product answers membership and anchors from its factors,
     # without listing the inner product out; prod_over_base keeps one
     # product per pair of factor objects, and those of x, y, z are listed
@@ -458,6 +468,7 @@ def test_nested_products_match_anchors_at_every_level():
     x = FinOver(base, ("a0", "a1"), ("p", "q"))
     y = FinOver(base, ("b0", "b1"), ("p", "q"))
     z = FinOver(base, ("c0", "c1", "c2"), ("p", "q", "p"))
+    counts = count_lookups(x, y, z)
     xy_z, x_yz = eager_product(eager_product(x, y), z), eager_product(x, eager_product(y, z))
     inner_only = [(("a0", "b1"), "c0"), (("a1", "b0"), "c1"), ("a0", ("b0", "c1")), ("a1", ("b1", "c2"))]
     malformed = ["a0", ("a0",), ("a0", "b0", "c0"), (("a0", "b0", "c0"),), (("a0",), "c0"),
@@ -468,8 +479,8 @@ def test_nested_products_match_anchors_at_every_level():
     candidates = inner_only + malformed + members
     assert all(e in xy_z or e in x_yz for e in members)
     assert not any(e in xy_z or e in x_yz for e in inner_only + malformed)
-    check_product(prod_over_base(prod_over_base(x, y), z), xy_z, candidates)
-    check_product(prod_over_base(x, prod_over_base(y, z)), x_yz, candidates)
+    check_product(prod_over_base(prod_over_base(x, y), z), xy_z, candidates, counts)
+    check_product(prod_over_base(x, prod_over_base(y, z)), x_yz, candidates, counts)
     cx = [make_complex(ZZ, {k: r}) for k, r in ((0, 1), (1, 2), (0, 3))]
     l, m, n = (Sheaf(ZZ, s, tuple(cx[: s.size])) for s in (x, y, z))
     check_product_stalks(box(box(l, m), n), Sheaf(ZZ, xy_z, tuple(

@@ -1,9 +1,10 @@
 """Package layout: every import of src/spantrace and of the tests sits at
 module level, the package modules' imports of one another form no cycle,
-object.__setattr__ stores a field only in Ring.__new__, every function the
-benchmark traces still exists under its name, every benchmark workload
-runs one instance correctly, and traffic runs every function, class and
-statement of the package but short allowlists.
+object.__setattr__ stores a field only in Ring.__new__, the computation
+makes no reference cycles (the collector policy rests on it), every
+function the benchmark traces still exists under its name, every benchmark
+workload runs one instance correctly, and traffic runs every function,
+class and statement of the package but short allowlists.
 
 Traffic is what the command line does in use: ``fuzz --suite all --seed 5
 --count 40``, ``report`` in both formats on its output, ``report`` on a
@@ -30,6 +31,7 @@ line."""
 
 import ast
 import contextlib
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -42,8 +44,14 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-from spantrace.suites import run_suite
-from statements import clear_caches
+from spantrace import suites
+from spantrace.chainalg import ZZ
+from spantrace.corrcat import cc_identity
+from spantrace.dualtrace import make_dual, pairing_functorial, trace
+from spantrace.generate import GenParams
+from spantrace.instances import omega_doc, parse_instance
+from spantrace.suites import parse_report, report_doc, report_emit, run_suite
+from statements import clear_caches, deep_object, wide_object
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spantrace"
@@ -99,8 +107,6 @@ LINE_ALLOWLIST = {
         "the same sum as the line before",
     ("finspan.FinOver.__post_init__", "x, a = next((x, a) for x, a in zip(self.elements, self.anchor) if a in stray)"):
         "error path: the element whose anchor is not a base element, named by the raise that follows",
-    ("finspan.ProductOver._member_anchor", "return None"):
-        "a label that is not a pair is in no product; traffic asks a product only about pairs",
     ("suites._guarded", 'yield Check(index, "verification raised", "fail",'):
         "error path: a verification raised inside a suite",
 }
@@ -428,6 +434,57 @@ def test_clear_caches_empties_every_package_cache():
             "generate.piece_complex", "generate.random_lv_instance", "generate.random_pair_instance"} <= filled
     clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in every_cache().items() if fn.cache_info().currsize} == {}
+
+
+def test_the_computation_makes_no_reference_cycles(monkeypatch):
+    """Everything below the argument parser frees what it builds by
+    reference counting: with automatic collection off, a collection after
+    the suites (at moduli 0, 7, 2 and 1, and with a verification that
+    raises inside _guarded), make_dual and trace on the wide and deep
+    families, parsing the fixtures with what check, trace and lv compute
+    on them, and parse_report on a fuzz report finds no garbage.  The
+    collector policy of spantrace/__init__.py rests on this; the
+    thresholds it sets are pinned too.  (Formatting JSON with an indent,
+    as the CLI's output does, and argparse's parser make small cycles of
+    the standard library's own.)"""
+    assert gc.get_threshold() == (50_000, 20, 100)
+    report = report_emit(report_doc(run_suite("all", 1, 2)), "json")
+    fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.json"))]
+    symmetry = suites._SUITES["symmetry"]
+
+    def raising(seed, index, params):
+        yield from symmetry(seed, index, params)
+        raise ValueError("a fault in the program under test")
+
+    def compute():
+        for modulus in (0, 7, 2, 1):
+            assert run_suite("all", 3, 3, GenParams(modulus=modulus)).count == 3
+        monkeypatch.setitem(suites._SUITES, "symmetry", raising)
+        raised = run_suite("all", 3, 3)
+        monkeypatch.setitem(suites._SUITES, "symmetry", symmetry)
+        assert [c.index for c in raised.checks if c.name == "symmetry: verification raised"] == [0, 1, 2]
+        for obj in (wide_object(ZZ, 6), deep_object(ZZ, 8)):
+            trace(cc_identity(obj), make_dual(obj))
+        for text in fixtures:
+            inst = parse_instance(text)
+            for m in inst.morphisms.values():
+                if m.source == m.target:
+                    omega_doc(trace(m, make_dual(m.source)).omega)
+            if inst.lv is not None:
+                res = pairing_functorial(inst.lv)
+                omega_doc(res.pushed), omega_doc(res.rhs)
+        parse_report(report)
+
+    clear_caches()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        compute()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_perfbench_traced_names_exist():

@@ -45,6 +45,7 @@ def test_sweep_make_dual_small(tmp_path):
     assert rec["n"] == 4 and rec["rounds"] == 2 and rec["memo_hits"] == 0
     assert 0 < rec["min_s"] <= rec["median_s"]
     assert 0 < rec["scaled_min_s"] <= rec["scaled_median_s"] and doc["ref_nominal_s"] > 0
+    assert 0 < rec["peak_rss_mb"] < 1024  # the size's own interpreter, in MB
     # every chainalg cache is emptied between deep rounds, not a listed few
     path = os.path.join(ROOT, "scripts", "sweep_make_dual.py")
     spec = importlib.util.spec_from_file_location("sweep_make_dual", path)
@@ -69,6 +70,7 @@ def test_sweep_make_dual_deep(tmp_path):
     assert rec["n"] == 4 and rec["rounds"] == 2 and rec["memo_hits"] == 0
     assert 0 < rec["min_s"] <= rec["median_s"]
     assert 0 < rec["scaled_min_s"] <= rec["scaled_median_s"] and doc["ref_nominal_s"] > 0
+    assert 0 < rec["peak_rss_mb"] < 1024  # the size's own interpreter, in MB
 
 
 def _mutant_assignments():
