@@ -39,7 +39,8 @@ The sizes default to 8,16,24,32,48,64 for wide and
 BENCH_make_dual.json and BENCH_make_dual_deep.json.
 Writes one record per size (median and minimum seconds, raw and scaled,
 rounds, memo hits, peak RSS in MB, and the growth exponent against the
-previous size) plus the Python version and the CPU count.  It times the spantrace of its own checkout.
+previous size) plus the Python version and the CPU count.  It times the
+spantrace of its own checkout.
 """
 
 import argparse

@@ -7,7 +7,7 @@ import random
 from dataclasses import fields, is_dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spantrace import chainalg, corrcat, finspan, sheafops
@@ -565,6 +565,9 @@ def test_map_tensor_examples():
 
 
 @given(seeds)
+# pinned: it catches placed rows that overwrite instead of merging, and which
+# examples hypothesis draws moves with the collector's thresholds
+@example(5921370)
 @settings(max_examples=30, deadline=None)
 def test_map_tensor_matches_kron_oracle(seed):
     rng = random.Random(seed)

@@ -7,7 +7,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spantrace.chainalg import (
@@ -480,6 +480,9 @@ def test_interchange_up_to_iso(seed):
 
 
 @given(seeds)
+# pinned: it catches a component read at the wrong apex element, and which
+# examples hypothesis draws moves with the collector's thresholds
+@example(334)
 @settings(max_examples=15, deadline=None)
 def test_shriek_push_horizontal_pasting(seed):
     # pushing a composite equals composing the pushes, literally
