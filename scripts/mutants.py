@@ -209,6 +209,18 @@ MUTANTS = [
      "        self._missing = n\n", "        self._missing = n\n        self._self = self\n", "cycles"),
     ("all lists its checks child-major", "suites.py",
      "checks[suite].append(check)", "checks[names[0]].append(check)", "suites"),
+    ("the oracle body compares the pairing with itself", "suites.py",
+     "cat == loc, (cat, loc)", "cat == cat, (cat, loc)", "suites"),
+    ("the global body compares the total with itself", "suites.py",
+     "local_total == total, (local_total, total)", "total == total, (local_total, total)", "suites"),
+    ("the symmetry body passes without comparing", "suites.py",
+     "all(lhs.value(e) == rhs.value(swap(e)) for e in lhs.carrier.elements)", "True", "suites"),
+    ("the basechange body passes the duals unchecked", "suites.py",
+     "rep.dual_strict, None", "True, None", "suites"),
+    ("the triangle body passes the certificates unchecked", "suites.py",
+     "d.triangle_obj.graph.is_bijective() and d.triangle_dual.graph.is_bijective()", "True", "suites"),
+    ("the triangle body passes the double dual unchecked", "suites.py",
+     "verdier(verdier(obj)) == obj, None", "True, None", "suites"),
 ]
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .dualtrace import make_dual, pairing_functorial, trace
 from .generate import GenParams
@@ -15,18 +16,15 @@ from .instances import ParseError, omega_doc, parse_file
 from .suites import SUITE_NAMES, parse_report, report_doc, report_emit, run_suite
 
 
+@cache  # one parser a process: building it costs more than a small command's work
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spantrace")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="parse and validate an instance file")
-    p_check.add_argument("file")
-
-    p_trace = sub.add_parser("trace", help="trace every named endomorphism")
-    p_trace.add_argument("file")
-
-    p_lv = sub.add_parser("lv", help="verify the pushforward trace identity of the file")
-    p_lv.add_argument("file")
+    for command, about in (("check", "parse and validate an instance file"),
+                           ("trace", "trace every named endomorphism"),
+                           ("lv", "verify the pushforward trace identity of the file")):
+        sub.add_parser(command, help=about).add_argument("file")
 
     p_fuzz = sub.add_parser("fuzz", help="run a verification suite on random instances")
     p_fuzz.add_argument("--suite", required=True, choices=SUITE_NAMES)
@@ -48,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (OSError, ValueError) as e:  # ParseError is a ValueError

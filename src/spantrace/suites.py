@@ -9,12 +9,13 @@ import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
-from .basefunc import functor_preserves, push2_strict
+from .basefunc import BaseChange, functor_preserves, push2_strict
 from .chainalg import alt_trace
-from .corrcat import shriek_push
+from .corrcat import CCMorphism, shriek_push
 from .dualtrace import (
-    make_dual,
+    PushRectangles,
     local_pairing,
+    make_dual,
     pairing,
     pairing_functorial,
     pairing_symmetry,
@@ -30,7 +31,7 @@ from .generate import (
     random_pair_instance,
 )
 from .instances import ParseError, load_json, omega_doc
-from .sheafops import verdier
+from .sheafops import OmegaClass, Sheaf, verdier
 
 @dataclass
 class Check:
@@ -58,86 +59,84 @@ class Report:
         return self.failures == 0
 
 
-def _check(index: int, name: str, ok: bool, detail: dict | None = None) -> Check:
-    return Check(index, name, "pass" if ok else "fail", None if ok else detail)
+# Each suite is a (source, body): the source maps a child seed and params to an
+# instance; the body yields, for each check of it, the check's name, its verdict
+# (not always lhs == rhs) and the two values it compares, (lhs, rhs), or None.
 
 
-def _suite_oracle(seed: int, index: int, params: GenParams) -> Iterator[Check]:
-    a, b, u, v = random_pair_instance(seed, params)
-    cat = pairing(u, v, make_dual(a.obj)).omega
-    loc = local_pairing(u, v)
-    ok = cat == loc
-    yield _check(index, "pairing equals pointwise alternating trace", ok,
-                 {"lhs": omega_doc(cat), "rhs": omega_doc(loc)})
+def lv_checks(rect: PushRectangles) -> Iterator[tuple]:
+    res = pairing_functorial(rect)
+    yield "pushforward trace identity", res.equal, (res.pushed, res.rhs)
 
 
-def _suite_lv(seed: int, index: int, params: GenParams) -> Iterator[Check]:
-    res = pairing_functorial(random_lv_instance(seed, params).lv)
-    yield _check(index, "pushforward trace identity", res.equal,
-                 {"lhs": omega_doc(res.pushed), "rhs": omega_doc(res.rhs)})
-
-
-def _suite_global(seed: int, index: int, params: GenParams) -> Iterator[Check]:
-    gen, e = random_endo_instance(seed, params)
-    obj = gen.obj
-    dx = make_dual(obj)
-    tr = trace(e, dx).omega
+def global_checks(e: CCMorphism) -> Iterator[tuple]:
+    tr = trace(e, make_dual(e.source)).omega
     local_total = tr.ring.norm(sum(tr.values))
-
-    s = base_space(obj.space.base)
-    a_x = om_anchor(obj.space)
-    a_c = om_anchor(e.span.apex)
-    point_span = Span(om_anchor(s), om_anchor(s))
-    e_tot = shriek_push(e, a_x, a_c, a_x, point_span)
-    total = alt_trace(e_tot.map_at(s.elements[0]))
-    ok = local_total == total
-    yield _check(index, "sum of local terms equals global alternating trace", ok,
-                 {"lhs": local_total, "rhs": total})
+    s = base_space(e.source.space.base)  # one point: e lies over a one-point base
+    a_x, point = om_anchor(e.source.space), Span(om_anchor(s), om_anchor(s))
+    total = alt_trace(shriek_push(e, a_x, om_anchor(e.span.apex), a_x, point).map_at(s.elements[0]))
+    yield "sum of local terms equals global alternating trace", local_total == total, (local_total, total)
 
 
-def _suite_triangle(seed: int, index: int, params: GenParams) -> Iterator[Check]:
-    gen = random_object_instance(seed, params)
-    make_dual(gen.obj)  # a failed certificate raises, and _guarded reports it
-    yield _check(index, "duality triangle certificates", True)
-    bidual = verdier(verdier(gen.obj)) == gen.obj
-    yield _check(index, "double dual is the identity on matrices", bidual)
+def triangle_checks(obj: Sheaf) -> Iterator[tuple]:
+    d = make_dual(obj)  # a failed certificate raises, and _guarded reports it
+    yield ("duality triangle certificates",
+           d.triangle_obj.graph.is_bijective() and d.triangle_dual.graph.is_bijective(), None)
+    yield "double dual is the identity on matrices", verdier(verdier(obj)) == obj, None
 
 
-def _suite_symmetry(seed: int, index: int, params: GenParams) -> Iterator[Check]:
-    a, b, u, v = random_pair_instance(seed, params)
-    pairing_symmetry(u, v, make_dual(a.obj), make_dual(b.obj))  # an asymmetry raises, and _guarded reports it
-    yield _check(index, "pairing symmetric through the swap", True)
+def symmetry_checks(pair: tuple[CCMorphism, CCMorphism]) -> Iterator[tuple]:
+    u, v = pair
+    lhs, rhs, swap = pairing_symmetry(u, v, make_dual(u.source), make_dual(v.source))  # or raises
+    yield ("pairing symmetric through the swap",
+           all(lhs.value(e) == rhs.value(swap(e)) for e in lhs.carrier.elements), None)
 
 
-def _suite_basechange(seed: int, index: int, params: GenParams) -> Iterator[Check]:
+def basechange_checks(based: tuple[PushRectangles, BaseChange]) -> Iterator[tuple]:
+    rect, bc = based
+    rep = functor_preserves(bc, make_dual(rect.u.source), rect.u, rect.v)
+    yield "pullback commutes with duals strictly", rep.dual_strict, None
+    # compared after recoordination: the two sides lie on different carriers
+    yield "pullback commutes with pairings after recoordination", rep.pairing_strict, (rep.lhs, rep.rhs)
+    yield "pullback commutes with pushforward strictly", push2_strict(bc, rect), None
+
+
+def oracle_checks(pair: tuple[CCMorphism, CCMorphism]) -> Iterator[tuple]:
+    u, v = pair
+    cat, loc = pairing(u, v, make_dual(u.source)).omega, local_pairing(u, v)
+    yield "pairing equals pointwise alternating trace", cat == loc, (cat, loc)
+
+
+def _pair(seed: int, params: GenParams) -> tuple[CCMorphism, CCMorphism]:
+    return random_pair_instance(seed, params)[2:]
+
+
+def _based_rect(seed: int, params: GenParams) -> tuple[PushRectangles, BaseChange]:
     inst = random_lv_instance(seed, params)
-    rect = inst.lv
-    bc = random_base_change_for(seed ^ 0x5A5A5A, inst.base, params)
-    da = make_dual(rect.u.source)
-    rep = functor_preserves(bc, da, rect.u, rect.v)
-    yield _check(index, "pullback commutes with duals strictly", rep.dual_strict)
-    yield _check(index, "pullback commutes with pairings after recoordination",
-                 rep.pairing_strict, {"lhs": omega_doc(rep.lhs), "rhs": omega_doc(rep.rhs)})
-    yield _check(index, "pullback commutes with pushforward strictly", push2_strict(bc, rect))
+    return inst.lv, random_base_change_for(seed ^ 0x5A5A5A, inst.base, params)
 
 
 _SUITES = {
-    "lv": _suite_lv,
-    "global": _suite_global,
-    "triangle": _suite_triangle,
-    "symmetry": _suite_symmetry,
-    "basechange": _suite_basechange,
-    "oracle": _suite_oracle,
+    "lv": (lambda seed, params: random_lv_instance(seed, params).lv, lv_checks),
+    "global": (lambda seed, params: random_endo_instance(seed, params)[1], global_checks),
+    "triangle": (lambda seed, params: random_object_instance(seed, params).obj, triangle_checks),
+    "symmetry": (_pair, symmetry_checks),
+    "basechange": (_based_rect, basechange_checks),
+    "oracle": (_pair, oracle_checks),
 }
 SUITE_NAMES = (*_SUITES, "all")  # "all" runs every suite in this order
 
 
-def _guarded(fn, seed: int, index: int, params: GenParams) -> Iterator[Check]:
-    """The checks of one suite call; an exception raised while verifying
-    ends the call with a failed check naming it and the child seed, so the
-    checks already made and the rest of the report survive."""
+def _guarded(suite: str, seed: int, index: int, params: GenParams) -> Iterator[Check]:
+    """The checks of one suite on one child seed; an exception raised while
+    drawing or verifying ends them with a failed check naming it and the
+    child seed, so the checks already made and the rest of the report survive."""
+    source, body = _SUITES[suite]
     try:
-        yield from fn(seed, index, params)
+        for name, ok, sides in body(source(seed, params)):
+            detail = sides and {key: omega_doc(x) if isinstance(x, OmegaClass) else x
+                                for key, x in zip(("lhs", "rhs"), sides)}
+            yield Check(index, name, "pass" if ok else "fail", None if ok else detail)
     except Exception as e:  # a fault in the program under test, reported as a check
         yield Check(index, "verification raised", "fail",
                     {"error": type(e).__name__, "message": str(e), "child_seed": seed})
@@ -163,7 +162,7 @@ def run_suite(name: str, seed: int, count: int, params: GenParams | None = None)
     checks: dict[str, list[Check]] = {suite: [] for suite in names}
     for i, child in enumerate(child_seeds):
         for suite in names:
-            for check in _guarded(_SUITES[suite], child, i, params):
+            for check in _guarded(suite, child, i, params):
                 if name == "all":
                     check.name = f"{suite}: {check.name}"
                 checks[suite].append(check)

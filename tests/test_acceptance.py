@@ -9,23 +9,9 @@ import os
 import random
 import time
 
-from spantrace.basefunc import functor_preserves, push2_strict
-from spantrace.chainalg import (
-    Ring,
-    alt_trace,
-    homotopy_perturb,
-    make_chain_map,
-)
-from spantrace.corrcat import make_cc_morphism, shriek_push
-from spantrace.dualtrace import (
-    local_pairing,
-    make_dual,
-    pairing,
-    pairing_functorial,
-    pairing_symmetry,
-    trace,
-)
-from spantrace.finspan import Span, base_space, om_anchor
+from spantrace.chainalg import Ring, homotopy_perturb, make_chain_map
+from spantrace.corrcat import make_cc_morphism
+from spantrace.dualtrace import make_dual, trace
 from spantrace.generate import (
     GenParams,
     random_base,
@@ -39,8 +25,9 @@ from spantrace.generate import (
     random_space_over,
 )
 from spantrace.instances import emit_instance, parse_instance
-from spantrace.sheafops import omega_push, push, verdier
-from spantrace.suites import report_doc, run_suite
+from spantrace.sheafops import omega_push, push
+from spantrace.suites import (basechange_checks, global_checks, lv_checks, oracle_checks, report_doc, run_suite,
+                              symmetry_checks, triangle_checks)
 from statements import char_class, clear_caches, every_small_diagram, exhaustive_unique_lifts, lift_test
 
 DEFAULTS = GenParams()  # sets <= 4, ranks <= 3, degrees in [-2, 2], moduli {0, 7}
@@ -51,6 +38,14 @@ def _seeds(master, n):
     return [rng.getrandbits(63) for _ in range(n)]
 
 
+def _holds(body, draw, seeds) -> int:
+    """Asserts every check of body on draw(seed) for each seed; the number of seeds."""
+    for seed in seeds:
+        for name, ok, sides in body(draw(seed)):
+            assert ok, (seed, name, sides)
+    return len(seeds)
+
+
 def test_criterion_1_pushforward_trace_identity_500():
     """500 random commuting rectangles over Z and Z/7; both sides equal
     exactly after recoordination; single-threaded under 60 s."""
@@ -58,10 +53,7 @@ def test_criterion_1_pushforward_trace_identity_500():
     checked = 0
     for modulus in (0, 7):
         params = GenParams(modulus=modulus)
-        for seed in _seeds(0xACC1 + modulus, 250):
-            res = pairing_functorial(random_lv_instance(seed, params).lv)
-            assert res.equal, (modulus, seed, res.pushed, res.rhs)
-            checked += 1
+        checked += _holds(lv_checks, lambda s: random_lv_instance(s, params).lv, _seeds(0xACC1 + modulus, 250))
     elapsed = time.perf_counter() - start
     assert checked == 500
     assert elapsed < 60.0, f"budget exceeded: {elapsed:.1f}s"
@@ -71,58 +63,27 @@ def test_criterion_1_pushforward_trace_identity_500():
 def test_criterion_2_global_fixed_point_200():
     """200 endomorphisms over a one-point base: the local terms sum to the
     alternating trace of the induced endomorphism of the total complex."""
-    checked = 0
-    for seed in _seeds(0xACC2, 200):
-        gen, e = random_endo_instance(seed, DEFAULTS)
-        obj = gen.obj
-        tr = trace(e, make_dual(obj)).omega
-        local_total = tr.ring.norm(sum(tr.values))
-        s = base_space(obj.space.base)
-        e_tot = shriek_push(
-            e, om_anchor(obj.space), om_anchor(e.span.apex), om_anchor(obj.space),
-            Span(om_anchor(s), om_anchor(s)),
-        )
-        total = alt_trace(e_tot.map_at(s.elements[0]))
-        assert local_total == total, (seed, local_total, total)
-        checked += 1
+    checked = _holds(global_checks, lambda s: random_endo_instance(s, DEFAULTS)[1], _seeds(0xACC2, 200))
     print(f"criterion 2: PASS ({checked} endomorphisms)")
 
 
 def test_criterion_3_local_term_oracle_500():
     """Categorical pairing equals the pointwise alternating trace on 500
     random pairs; this pins every sign convention."""
-    checked = 0
-    for seed in _seeds(0xACC3, 500):
-        a, b, u, v = random_pair_instance(seed, DEFAULTS)
-        cat = pairing(u, v, make_dual(a.obj)).omega
-        assert cat == local_pairing(u, v), seed
-        checked += 1
+    checked = _holds(oracle_checks, lambda s: random_pair_instance(s, DEFAULTS)[2:], _seeds(0xACC3, 500))
     print(f"criterion 3: PASS ({checked} pairs)")
 
 
 def test_criterion_4_duality_certificates_100():
     """Triangle identities certified with explicit invertible cells on 100
     random objects; double dual is the identity on matrices."""
-    checked = 0
-    for seed in _seeds(0xACC4, 100):
-        gen = random_object_instance(seed, DEFAULTS)
-        d = make_dual(gen.obj)  # verifies both triangle cells on construction
-        assert d.triangle_obj.graph.is_bijective()
-        assert d.triangle_dual.graph.is_bijective()
-        assert verdier(verdier(gen.obj)) == gen.obj
-        checked += 1
+    checked = _holds(triangle_checks, lambda s: random_object_instance(s, DEFAULTS).obj, _seeds(0xACC4, 100))
     print(f"criterion 4: PASS ({checked} objects)")
 
 
 def test_criterion_5_pairing_symmetry_200():
     """Valuewise equality through the swap bijection on 200 random pairs."""
-    checked = 0
-    for seed in _seeds(0xACC5, 200):
-        a, b, u, v = random_pair_instance(seed, DEFAULTS)
-        lhs, rhs, swap = pairing_symmetry(u, v, make_dual(a.obj), make_dual(b.obj))
-        for e in lhs.carrier.elements:
-            assert lhs.value(e) == rhs.value(swap(e))
-        checked += 1
+    checked = _holds(symmetry_checks, lambda s: random_pair_instance(s, DEFAULTS)[2:], _seeds(0xACC5, 200))
     print(f"criterion 5: PASS ({checked} pairs)")
 
 
@@ -151,15 +112,11 @@ def test_criterion_6_characteristic_class_200():
 def test_criterion_7_base_change_200():
     """Base change commutes with duals, traces and pairings exactly after
     recoordination, and with pushforward literally, on 200 instances."""
-    checked = 0
-    for seed in _seeds(0xACC7, 200):
+    def based_rect(seed):
         inst = random_lv_instance(seed, DEFAULTS)
-        rect = inst.lv
-        bc = random_base_change_for(seed ^ 0xBEEF, inst.base, DEFAULTS)
-        rep = functor_preserves(bc, make_dual(rect.u.source), rect.u, rect.v)
-        assert rep.dual_strict and rep.pairing_strict, seed
-        assert push2_strict(bc, rect), seed
-        checked += 1
+        return inst.lv, random_base_change_for(seed ^ 0xBEEF, inst.base, DEFAULTS)
+
+    checked = _holds(basechange_checks, based_rect, _seeds(0xACC7, 200))
     print(f"criterion 7: PASS ({checked} base changes)")
 
 
@@ -264,12 +221,12 @@ def test_criterion_11_every_small_diagram():
     for modulus in (2, 3):
         diagrams = nonzero = paired = 0
         for rect in every_small_diagram(Ring(modulus)):
-            res = pairing_functorial(rect)
-            assert res.equal, (modulus, diagrams, res.pushed, res.rhs)
-            omega = pairing(rect.u, rect.v, make_dual(rect.u.source)).omega
-            assert omega == local_pairing(rect.u, rect.v), (modulus, diagrams, omega)
+            ((_, ok, (_, rhs)),) = lv_checks(rect)
+            assert ok, (modulus, diagrams, rhs)
+            ((_, ok, (omega, _)),) = oracle_checks((rect.u, rect.v))
+            assert ok, (modulus, diagrams, omega)
             diagrams += 1
-            nonzero += any(res.rhs.values)
+            nonzero += any(rhs.values)
             paired += any(omega.values)
         counts[modulus] = diagrams, nonzero, paired
     assert counts == {2: (306, 65, 132), 3: (3028, 1104, 1604)}

@@ -1,5 +1,6 @@
 """Instance files, reports, and the command line surface."""
 
+import dataclasses
 import glob
 import hashlib
 import json
@@ -8,14 +9,16 @@ import random
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from spantrace import cli, suites
 from spantrace.cli import main
-from spantrace.dualtrace import make_dual, pairing_functorial
+from spantrace.dualtrace import FunctorialResult, make_dual, pairing_functorial
 from spantrace.generate import GenParams, random_lv_instance, random_pair_instance
 from spantrace.instances import Instance, ParseError, emit_instance, parse_instance
+from spantrace.sheafops import OmegaClass
 from spantrace.suites import SUITE_NAMES, Check, Report, parse_report, report_doc, report_emit, run_suite
 from statements import clear_caches
 
@@ -284,19 +287,20 @@ def test_fuzz_all_report_bytes_are_pinned(capsys):
 
 
 def test_cli_fuzz_reports_a_raising_verification(monkeypatch, capsys):
-    def raising(seed, index, params):
-        yield Check(index, "made before the fault", "pass")
-        if index == 1:
+    master = random.Random(5)
+    child = [master.getrandbits(63) for _ in range(2)][1]
+
+    def raising(seed):  # its instance is the child seed
+        yield "made before the fault", True, None
+        if seed == child:
             raise ZeroDivisionError("injected fault")
 
     clean = [(c.index, c.name) for c in run_suite("all", 5, 2).checks]
-    monkeypatch.setitem(suites._SUITES, "lv", raising)
+    monkeypatch.setitem(suites._SUITES, "lv", (lambda seed, params: seed, raising))
     assert main(["fuzz", "--suite", "all", "--seed", "5", "--count", "2"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     doc = parse_report(captured.out)
-    master = random.Random(5)
-    child = [master.getrandbits(63) for _ in range(2)][1]
     assert doc["failures"] == 1
     (failed,) = [c for c in doc["checks"] if c["status"] != "pass"]
     assert failed["index"] == 1 and failed["name"] == "lv: verification raised"
@@ -325,6 +329,51 @@ def test_a_suite_fault_is_reported_with_its_child_seed(monkeypatch, suite, name)
     assert got == [(i, f"{suite}: verification raised", "fail",
                     {"error": "ValueError", "message": "injected fault", "child_seed": child})
                    for i, child in enumerate(children)]
+
+
+def shifted(side):
+    """One side of a comparison moved off its value: an integer plus one, a
+    class one more at its first element, and a pushforward result or
+    pairing_symmetry's (lhs, rhs, swap) with its right-hand class so moved."""
+    if isinstance(side, int):
+        return side + 1
+    if isinstance(side, FunctorialResult):
+        return FunctorialResult(side.pushed, shifted(side.rhs))
+    if isinstance(side, tuple):
+        return side[0], shifted(side[1]), side[2]
+    return OmegaClass(side.ring, side.carrier, (side.ring.norm(side.values[0] + 1), *side.values[1:]))
+
+
+def moved(f):
+    return lambda *args: shifted(f(*args))
+
+
+# duality data whose triangle cells do not map their apexes bijectively
+NOT_BIJECTIVE = SimpleNamespace(graph=SimpleNamespace(is_bijective=lambda: False))
+UNCERTIFIED = SimpleNamespace(triangle_obj=NOT_BIJECTIVE, triangle_dual=NOT_BIJECTIVE)
+
+
+@pytest.mark.parametrize("suite, name, broken, check, sides", [
+    ("oracle", "local_pairing", moved, "pairing equals pointwise alternating trace", True),
+    ("global", "alt_trace", moved, "sum of local terms equals global alternating trace", True),
+    ("lv", "pairing_functorial", moved, "pushforward trace identity", True),
+    ("symmetry", "pairing_symmetry", moved, "pairing symmetric through the swap", False),
+    ("basechange", "functor_preserves", lambda f: lambda *args: dataclasses.replace(f(*args), dual_strict=False),
+     "pullback commutes with duals strictly", False),
+    ("basechange", "push2_strict", lambda f: lambda *args: False, "pullback commutes with pushforward strictly", False),
+    ("triangle", "make_dual", lambda f: lambda obj: UNCERTIFIED, "duality triangle certificates", False),
+    ("triangle", "verdier", lambda f: lambda sheaf: None, "double dual is the identity on matrices", False),
+], ids=["oracle", "global", "lv", "symmetry", "duals", "pushforward", "certificates", "double-dual"])
+def test_a_check_body_fails_when_what_it_checks_breaks(monkeypatch, suite, name, broken, check, sides):
+    """With one side of a comparison moved, or what a check reads broken,
+    one check fails on each child of seed 3 (each has a nonempty class to
+    move), a comparison with its two sides as detail: a body that compared
+    a side with itself, or passed a check unchecked, would still pass."""
+    monkeypatch.setattr(suites, name, broken(getattr(suites, name)))
+    failed = [c for c in run_suite(suite, 3, 3).checks if c.status != "pass"]
+    assert [(c.index, c.name) for c in failed] == [(0, check), (1, check), (2, check)]
+    for c in failed:
+        assert c.detail["lhs"] != c.detail["rhs"] and c.detail.keys() == {"lhs", "rhs"} if sides else c.detail is None
 
 
 def test_trace_certifies_each_object_once(capsys):
@@ -365,14 +414,16 @@ def test_all_lists_checks_as_the_single_suite_reports(monkeypatch):
     """all runs child-major but lists its checks suite by suite: with a
     suite raising on child 1 of 3, its report is the six single-suite
     reports one after another, names prefixed."""
-    symmetry = suites._SUITES["symmetry"]
+    source, symmetry = suites._SUITES["symmetry"]
+    master = random.Random(5)
+    child = [master.getrandbits(63) for _ in range(3)][1]
 
-    def raising(seed, index, params):
-        yield from symmetry(seed, index, params)
-        if index == 1:
+    def raising(seed):  # its instance is the child seed
+        yield from symmetry(source(seed, GenParams()))
+        if seed == child:
             raise ZeroDivisionError("injected fault")
 
-    monkeypatch.setitem(suites._SUITES, "symmetry", raising)
+    monkeypatch.setitem(suites._SUITES, "symmetry", (lambda seed, params: seed, raising))
     doc = report_doc(run_suite("all", 5, 3))
     singles = []
     for name in SUITE_NAMES[:-1]:
@@ -526,14 +577,11 @@ def one_edit_mutants(text: str):
             yield path, op, doc
 
 
-def test_cli_answers_every_one_edit_mutant_of_the_fixtures(tmp_path, capsys, monkeypatch):
+def test_cli_answers_every_one_edit_mutant_of_the_fixtures(tmp_path, capsys):
     """A deterministic slice of the one-edit mutants of the four fixtures,
     every value kind at every path kind, runs through check, trace and lv:
     each exits 0, 1 or 2 without an uncaught exception, and an input error
-    names its location.  The commands share one parser, built once:
-    argparse would otherwise take most of the time."""
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    names its location."""
     exits, faults = {}, []
     for fixture in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
         with open(fixture, encoding="utf-8") as fh:

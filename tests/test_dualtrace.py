@@ -49,7 +49,6 @@ from spantrace.dualtrace import (
     make_dual,
     pairing,
     pairing_functorial,
-    pairing_symmetry,
     push_preserves_dual,
     trace,
 )
@@ -74,6 +73,7 @@ from spantrace.generate import (
     random_span,
 )
 from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
+from spantrace.suites import lv_checks, oracle_checks, symmetry_checks
 from statements import (cc_iso_search, char_class, clear_caches, deep_object, dual_of_morphism,
                         interlocking_spans, map_scale, proper_splitting, q_complex, wide_object)
 
@@ -836,8 +836,7 @@ def test_trace_of_wide_and_deep_identities_is_the_pairing(modulus):
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_pairing_matches_local_oracle(seed):
-    a, b, u, v = random_pair_instance(seed, GenParams())
-    assert pairing(u, v, make_dual(a.obj)).omega == local_pairing(u, v)
+    assert all(ok for _, ok, _ in oracle_checks(random_pair_instance(seed, GenParams())[2:]))
 
 
 @given(seeds)
@@ -870,10 +869,7 @@ def test_pairing_via_mate_route(seed):
 @given(seeds)
 @settings(max_examples=25, deadline=None)
 def test_pairing_symmetry_random(seed):
-    a, b, u, v = random_pair_instance(seed, GenParams())
-    lhs, rhs, swap = pairing_symmetry(u, v, make_dual(a.obj), make_dual(b.obj))
-    for e in lhs.carrier.elements:
-        assert lhs.value(e) == rhs.value(swap(e))
+    assert all(ok for _, ok, _ in symmetry_checks(random_pair_instance(seed, GenParams())[2:]))
 
 
 def test_char_class_multiplicative_on_tensors():
@@ -929,7 +925,7 @@ def test_pairing_functorial_euler_additivity():
 @given(seeds)
 @settings(max_examples=25, deadline=None)
 def test_pairing_functorial_random(seed):
-    assert pairing_functorial(random_lv_instance(seed, GenParams()).lv).equal
+    assert all(ok for _, ok, _ in lv_checks(random_lv_instance(seed, GenParams()).lv))
 
 
 @given(seeds)

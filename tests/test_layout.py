@@ -450,18 +450,18 @@ def test_the_computation_makes_no_reference_cycles(monkeypatch):
     assert gc.get_threshold() == (50_000, 20, 100)
     report = report_emit(report_doc(run_suite("all", 1, 2)), "json")
     fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.json"))]
-    symmetry = suites._SUITES["symmetry"]
+    source, symmetry = suites._SUITES["symmetry"]
 
-    def raising(seed, index, params):
-        yield from symmetry(seed, index, params)
+    def raising(pair):
+        yield from symmetry(pair)
         raise ValueError("a fault in the program under test")
 
     def compute():
         for modulus in (0, 7, 2, 1):
             assert run_suite("all", 3, 3, GenParams(modulus=modulus)).count == 3
-        monkeypatch.setitem(suites._SUITES, "symmetry", raising)
+        monkeypatch.setitem(suites._SUITES, "symmetry", (source, raising))
         raised = run_suite("all", 3, 3)
-        monkeypatch.setitem(suites._SUITES, "symmetry", symmetry)
+        monkeypatch.setitem(suites._SUITES, "symmetry", (source, symmetry))
         assert [c.index for c in raised.checks if c.name == "symmetry: verification raised"] == [0, 1, 2]
         for obj in (wide_object(ZZ, 6), deep_object(ZZ, 8)):
             trace(cc_identity(obj), make_dual(obj))
