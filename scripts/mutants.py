@@ -6,14 +6,11 @@ selection.  The script first runs every selection on an unmodified copy
 of src/ and tests/ (all must pass), then, one mutant at a time, applies the
 mutant to a fresh temporary copy of src/, runs its selection there and
 records the tests that fail.  A mutant that no test of its selection kills
-is kept in the table as a survivor.  The copy's tests run under a
-hypothesis profile without shrinking or example database: a property test
-fails on the first failing example it generates, as it would with
-shrinking, but shrinking a mutant's many failures takes minutes.  The
-profile is derandomized, and an autouse fixture empties every package cache
-before each test, so every run draws the same examples, no verdict depends
-on the tests that ran before it, and a killed_by list changes only when the
-code or the tests do.
+is kept in the table as a survivor.  The copy's tests run as tier-1 runs
+them: every randomised test draws from a fixed seed list, and
+tests/conftest.py empties every package cache before each test, so no
+verdict depends on the tests that ran before it, and a killed_by list
+changes only when the code or the tests do.
 
     python scripts/mutants.py            # writes MUTANTS.json at the repo root
 
@@ -34,19 +31,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFTEST = """import pytest
-from hypothesis import Phase, settings
-from statements import clear_caches
-
-settings.register_profile("mutants", database=None, derandomize=True,
-                          phases=[Phase.explicit, Phase.generate])
-settings.load_profile("mutants")
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-"""
 
 _LV_NONZERO = "tests/test_cli.py::test_cli_lv_nonzero"
 _CRITERION = "tests/test_acceptance.py::test_criterion_"
@@ -123,10 +107,12 @@ MUTANTS = [
      "r + 1), pair_sign(d))", "r + 1), pair_sign(d) if ev else 1)", "kernels"),
     ("the swap permutation cache key drops the ring", "chainalg.py",
      "@lru_cache(maxsize=4096)\ndef _swap_perms(",
-     "@(lambda fn: lambda ring, *k, _c={}: _c.setdefault(k, fn(ring, *k)))\ndef _swap_perms(", "kernels"),
+     "@(lambda fn, memo={}: setattr(w := lambda ring, *k: memo.setdefault(k, fn(ring, *k)), 'cache_clear',"
+     " memo.clear) or setattr(w, '__wrapped__', fn) or w)\ndef _swap_perms(", "kernels"),
     ("the map_tensor cache key drops the second map's target ranks", "chainalg.py",
      "@lru_cache(maxsize=256)\ndef _tensor_components(",
-     "@(lambda fn: lambda *k, _c={}: _c.setdefault(k[:5] + k[6:], fn(*k)))\ndef _tensor_components(",
+     "@(lambda fn, memo={}: setattr(w := lambda *k: memo.setdefault(k[:5] + k[6:], fn(*k)), 'cache_clear',"
+     " memo.clear) or setattr(w, '__wrapped__', fn) or w)\ndef _tensor_components(",
      "kernels"),
     ("a sum or product that cancels keeps its zero", "chainalg.py",
      "{j: r for j, x in row.items() if (r := x % modulus)}", "{j: x % modulus for j, x in row.items()}",
@@ -252,7 +238,6 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "tests", work / "tests")
-        (work / "tests" / "conftest.py").write_text(CONFTEST, encoding="utf-8")
         shutil.copy(ROOT / "pyproject.toml", work)
         shutil.copytree(ROOT / "src", work / "src")
         clean = run_selection(work, sorted({t for tests in SELECTIONS.values() for t in tests}))

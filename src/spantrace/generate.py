@@ -354,8 +354,8 @@ def _lift_span(
     return span, OverMap(apex, lower.apex, tuple(down))
 
 
-def random_endo_instance(seed: int, params: GenParams) -> tuple:
-    """Endomorphism over a one-point base: object, morphism, and recipes."""
+def random_endo_instance(seed: int, params: GenParams) -> tuple[GenObject, CCMorphism]:
+    """Endomorphism over a one-point base: the generated object and the endomorphism."""
     rng = random.Random(seed)
     ring = choose_ring(rng, params)
     base = ("pt",)

@@ -90,6 +90,7 @@ def parse_instance(text: str) -> Instance:
     _expect("base" in doc, "/base", "missing")
     base = doc["base"]
     _expect(isinstance(base, list) and all(isinstance(x, str) for x in base), "/base", "must be a list of strings")
+    _expect(len(set(base)) == len(base), "/base", "duplicate labels")
     inst = Instance(ring, tuple(base))
 
     for name, raw in _as_dict(doc.get("spaces", {}), "/spaces").items():

@@ -199,6 +199,8 @@ def parse_report(text: str) -> dict:
     _expect_fields(doc, "", _REPORT_FIELDS)
     for i, c in enumerate(doc["checks"]):
         _expect_fields(c, f"/checks/{i}", _CHECK_FIELDS)
+        if c["status"] not in ("pass", "fail"):
+            raise ParseError(f"/checks/{i}/status", 'must be "pass" or "fail"')
     failing = sum(1 for c in doc["checks"] if c["status"] != "pass")
     if doc["failures"] != failing:
         raise ParseError("/failures", f"is {doc['failures']}, but {failing} checks do not pass")

@@ -10,14 +10,17 @@ of dualizable objects has a dual (its mate), contravariantly functorial;
 the trace of an identity is the pointwise Euler characteristic; the
 tensor product distributes over direct sums; pullback along a base change
 is symmetric monoidal.  Also here: the small complex, the exhaustive
-lift search, the interlocking spans, the two size families past the
-generator's caps and the emptying of every package cache, which several
-test modules share; scripts/sweep_make_dual.py times the size families.
+lift search, the interlocking spans, the fixed seed lists every randomised
+test draws from, the two size families past the generator's caps and the
+emptying of every package cache, which several test modules share and
+tests/conftest.py runs before each test; scripts/sweep_make_dual.py times
+the size families.
 """
 
 import itertools
 import random
 import sys
+import zlib
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -113,6 +116,40 @@ def clear_caches() -> None:
             for fn in vars(module).values():
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the fixed seed lists every randomised test draws its inputs from
+
+# the generator's default sizes, then two past its max_set default
+SIZES = (GenParams(), GenParams(max_set=8), GenParams(max_set=16))
+
+
+def seeds(master: int, n: int) -> list[int]:
+    """The n seeds that random.Random(master) draws: the same list every run."""
+    rng = random.Random(master)
+    return [rng.getrandbits(63) for _ in range(n)]
+
+
+def seeded(n: int, *choices: Sequence, first: Sequence[int] = ()) -> Callable:
+    """Makes body(seed, *values) one test that runs on the seeds in first,
+    then on n seeds drawn from the body's name.  With choices, the i-th run takes
+    the i-th combination of one value from each choice, in turn, so every
+    combination runs (n must be at least their number).  A failure names the
+    body and the arguments it failed on."""
+    combos = list(itertools.product(*choices))
+    assert n >= len(combos), f"{n} seeds cannot cover {len(combos)} combinations"
+
+    def decorate(body: Callable) -> Callable:
+        def test():
+            for i, seed in enumerate([*first, *seeds(zlib.crc32(body.__name__.encode()), n)]):
+                args = (seed, *combos[i % len(combos)])
+                try:
+                    body(*args)
+                except Exception as e:
+                    raise AssertionError(f"{body.__name__}({', '.join(map(repr, args))}) fails") from e
+        return test
+    return decorate
 
 
 # ---------------------------------------------------------------------------

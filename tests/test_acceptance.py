@@ -28,14 +28,9 @@ from spantrace.instances import emit_instance, parse_instance
 from spantrace.sheafops import omega_push, push
 from spantrace.suites import (basechange_checks, global_checks, lv_checks, oracle_checks, report_doc, run_suite,
                               symmetry_checks, triangle_checks)
-from statements import char_class, clear_caches, every_small_diagram, exhaustive_unique_lifts, lift_test
+from statements import char_class, clear_caches, every_small_diagram, exhaustive_unique_lifts, lift_test, seeds
 
 DEFAULTS = GenParams()  # sets <= 4, ranks <= 3, degrees in [-2, 2], moduli {0, 7}
-
-
-def _seeds(master, n):
-    rng = random.Random(master)
-    return [rng.getrandbits(63) for _ in range(n)]
 
 
 def _holds(body, draw, seeds) -> int:
@@ -53,7 +48,7 @@ def test_criterion_1_pushforward_trace_identity_500():
     checked = 0
     for modulus in (0, 7):
         params = GenParams(modulus=modulus)
-        checked += _holds(lv_checks, lambda s: random_lv_instance(s, params).lv, _seeds(0xACC1 + modulus, 250))
+        checked += _holds(lv_checks, lambda s: random_lv_instance(s, params).lv, seeds(0xACC1 + modulus, 250))
     elapsed = time.perf_counter() - start
     assert checked == 500
     assert elapsed < 60.0, f"budget exceeded: {elapsed:.1f}s"
@@ -63,27 +58,27 @@ def test_criterion_1_pushforward_trace_identity_500():
 def test_criterion_2_global_fixed_point_200():
     """200 endomorphisms over a one-point base: the local terms sum to the
     alternating trace of the induced endomorphism of the total complex."""
-    checked = _holds(global_checks, lambda s: random_endo_instance(s, DEFAULTS)[1], _seeds(0xACC2, 200))
+    checked = _holds(global_checks, lambda s: random_endo_instance(s, DEFAULTS)[1], seeds(0xACC2, 200))
     print(f"criterion 2: PASS ({checked} endomorphisms)")
 
 
 def test_criterion_3_local_term_oracle_500():
     """Categorical pairing equals the pointwise alternating trace on 500
     random pairs; this pins every sign convention."""
-    checked = _holds(oracle_checks, lambda s: random_pair_instance(s, DEFAULTS)[2:], _seeds(0xACC3, 500))
+    checked = _holds(oracle_checks, lambda s: random_pair_instance(s, DEFAULTS)[2:], seeds(0xACC3, 500))
     print(f"criterion 3: PASS ({checked} pairs)")
 
 
 def test_criterion_4_duality_certificates_100():
     """Triangle identities certified with explicit invertible cells on 100
     random objects; double dual is the identity on matrices."""
-    checked = _holds(triangle_checks, lambda s: random_object_instance(s, DEFAULTS).obj, _seeds(0xACC4, 100))
+    checked = _holds(triangle_checks, lambda s: random_object_instance(s, DEFAULTS).obj, seeds(0xACC4, 100))
     print(f"criterion 4: PASS ({checked} objects)")
 
 
 def test_criterion_5_pairing_symmetry_200():
     """Valuewise equality through the swap bijection on 200 random pairs."""
-    checked = _holds(symmetry_checks, lambda s: random_pair_instance(s, DEFAULTS)[2:], _seeds(0xACC5, 200))
+    checked = _holds(symmetry_checks, lambda s: random_pair_instance(s, DEFAULTS)[2:], seeds(0xACC5, 200))
     print(f"criterion 5: PASS ({checked} pairs)")
 
 
@@ -91,7 +86,7 @@ def test_criterion_6_characteristic_class_200():
     """The trace of the identity is the pointwise Euler characteristic, and
     it commutes with pushforward on 200 random maps."""
     checked = 0
-    for seed in _seeds(0xACC6, 200):
+    for seed in seeds(0xACC6, 200):
         rng = random.Random(seed)
         ring = Ring(rng.choice([0, 7]))
         base = random_base(rng, DEFAULTS)
@@ -116,7 +111,7 @@ def test_criterion_7_base_change_200():
         inst = random_lv_instance(seed, DEFAULTS)
         return inst.lv, random_base_change_for(seed ^ 0xBEEF, inst.base, DEFAULTS)
 
-    checked = _holds(basechange_checks, based_rect, _seeds(0xACC7, 200))
+    checked = _holds(basechange_checks, based_rect, seeds(0xACC7, 200))
     print(f"criterion 7: PASS ({checked} base changes)")
 
 

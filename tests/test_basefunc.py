@@ -4,8 +4,6 @@ duals and pairings, and strict compatibility with pushforward."""
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spantrace.basefunc import (
     functor_preserves,
@@ -31,9 +29,7 @@ from spantrace.generate import (
     random_span,
 )
 from spantrace.sheafops import make_sheaf
-from statements import cc_iso_search, char_class, interlocking_spans, monoidal_structure, q_complex
-
-seeds = st.integers(0, 2**32 - 1)
+from statements import SIZES, cc_iso_search, char_class, interlocking_spans, monoidal_structure, q_complex, seeded
 
 
 def test_pull_object_examples():
@@ -71,27 +67,24 @@ def test_pull_morphism_examples():
     assert pull_morphism(double, e).span.apex.size == 2 * e.span.apex.size
 
 
-@given(seeds)
-@settings(max_examples=25, deadline=None)
-def test_functor_preserves_random(seed):
-    inst = random_lv_instance(seed, GenParams())
+@seeded(75, SIZES)
+def test_functor_preserves_random(seed, params):
+    inst = random_lv_instance(seed, params)
     rect = inst.lv
-    bc = random_base_change_for(seed ^ 101, inst.base, GenParams())
+    bc = random_base_change_for(seed ^ 101, inst.base, params)
     rep = functor_preserves(bc, make_dual(rect.u.source), rect.u, rect.v)
     assert rep.dual_strict
     assert rep.pairing_strict
 
 
-@given(seeds)
-@settings(max_examples=25, deadline=None)
+@seeded(25)
 def test_push2_square_strict(seed):
     inst = random_lv_instance(seed, GenParams())
     bc = random_base_change_for(seed ^ 202, inst.base, GenParams())
     assert push2_strict(bc, inst.lv)
 
 
-@given(seeds)
-@settings(max_examples=15, deadline=None)
+@seeded(15)
 def test_pull_functorial_and_monoidal(seed):
     rng = random.Random(seed)
     params = GenParams(max_set=2)
@@ -124,8 +117,7 @@ def test_pull_functorial_and_monoidal(seed):
     assert cc_iso_search(conj, rhs2) is not None
 
 
-@given(seeds)
-@settings(max_examples=20, deadline=None)
+@seeded(20)
 def test_char_class_commutes_with_base_change(seed):
     rng = random.Random(seed)
     params = GenParams()

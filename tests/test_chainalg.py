@@ -7,8 +7,6 @@ import random
 from dataclasses import fields, is_dataclass
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from spantrace import chainalg, corrcat, finspan, sheafops
 from spantrace.chainalg import (
@@ -58,7 +56,7 @@ from spantrace.generate import (
 from spantrace.instances import Instance
 from spantrace.sheafops import OmegaClass, Sheaf, box, unit_sheaf
 from spantrace.suites import Check
-from statements import clear_caches, deep_object, map_scale, q_complex, sum_tensor_distribute
+from statements import clear_caches, deep_object, map_scale, q_complex, seeded, sum_tensor_distribute
 
 Z7 = Ring(7)
 
@@ -272,8 +270,6 @@ def seeded_complex(seed, modulus=None):
     return random_complex(rng, ring, GenParams()).cx
 
 
-seeds = st.integers(0, 2**32 - 1)
-
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -312,8 +308,7 @@ def test_mat_kron_examples():
     assert got == mat(ZZ, [[0, 2], [2, 0]])
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
+@seeded(60)
 def test_kron_trace_multiplicative(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
@@ -334,22 +329,21 @@ def assert_kernel_result(got, want, cols):
         assert got == same and same == got and hash(got) == hash(same)
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_sparse_kernels_match_list_oracles(data):
+@seeded(150, [0, 7, 4, 2, 1])
+def test_sparse_kernels_match_list_oracles(seed, modulus):
     """Every matrix kernel against a list-of-lists oracle, over Z, Z/7, Z/4,
     Z/2 and Z/1, on shapes down to 0xk and kx0, with values that cancel
     (2 * 2 over Z/4)."""
-    ring = Ring(data.draw(st.sampled_from([0, 7, 4, 2, 1])))
-    values = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+    rng, ring = random.Random(seed), Ring(modulus)
+    values = [0, 0, 0, 1, -1, 2, -2, 3]
 
     def grid(rows, cols):
-        return [[ring.norm(data.draw(values)) for _ in range(cols)] for _ in range(rows)]
+        return [[ring.norm(rng.choice(values)) for _ in range(cols)] for _ in range(rows)]
 
-    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    r, k, c = (rng.randint(0, 4) for _ in range(3))
     ga, ga2, gb, gd, gs = grid(r, k), grid(r, k), grid(k, c), grid(r, c), grid(r, r)
     a, a2, b, d, sq = (mat(ring, g, cols=n) for g, n in ((ga, k), (ga2, k), (gb, c), (gd, c), (gs, r)))
-    x = data.draw(values)
+    x = rng.choice(values)
     assert_kernel_result(mat_mul(a, b), mul_oracle(ring, ga, gb, c), c)
     assert_kernel_result(mat_add(a, a2), [[ring.norm(u + v) for u, v in zip(p, q)] for p, q in zip(ga, ga2)], k)
     assert_kernel_result(mat_scale(x, a), [[ring.norm(x * u) for u in row] for row in ga], k)
@@ -360,25 +354,24 @@ def test_sparse_kernels_match_list_oracles(data):
     assert mat_trace(sq) == ring.norm(sum(gs[i][i] for i in range(r)))
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_placement_kernel_matches_the_dense_kron_oracle(data):
+@seeded(100, [0, 4, 7, 1])
+def test_placement_kernel_matches_the_dense_kron_oracle(seed, modulus):
     """_placed against kron_oracle placed densely, over Z, Z/4 (where 2 * 2
     vanishes), Z/7 and Z/1 (where the identity is zero): the two blocks of
     a tensor differential into one target summand, d_a (x) +-1 and +-1 (x)
     d_b, which reach the same rows at disjoint columns, below zero rows and
     above others; and mat_kron is the one-block case."""
-    ring = Ring(data.draw(st.sampled_from([0, 4, 7, 1])))
-    values = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+    rng, ring = random.Random(seed), Ring(modulus)
+    values = [0, 0, 1, -1, 2, -2, 3]
 
     def grid(rows, cols):
-        return [[ring.norm(data.draw(values)) for _ in range(cols)] for _ in range(rows)]
+        return [[ring.norm(rng.choice(values)) for _ in range(cols)] for _ in range(rows)]
 
     def unit(n, sign):
         return [[ring.norm(sign * (i == j)) for j in range(n)] for i in range(n)]
 
-    ra, ra1, rb, rb1, above, below = (data.draw(st.integers(0, 3)) for _ in range(6))
-    s, t = data.draw(st.sampled_from([1, -1])), data.draw(st.sampled_from([1, -1]))
+    ra, ra1, rb, rb1, above, below = (rng.randint(0, 3) for _ in range(6))
+    s, t = rng.choice([1, -1]), rng.choice([1, -1])
     da, db = grid(ra1, ra), grid(rb1, rb)
     left, right = kron_oracle(ring, da, unit(rb1, s)), kron_oracle(ring, unit(ra1, t), db)
     c1, rows, cols = ra * rb1, above + ra1 * rb1 + below, ra * rb1 + ra1 * rb
@@ -398,8 +391,7 @@ def test_results_that_cancel_store_no_zero():
         assert got.nonzero == ({},) and got == zero and hash(got) == hash(zero)
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
+@seeded(60)
 def test_trace_cyclic(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
@@ -483,10 +475,9 @@ def test_cx_tensor_unit_and_frozen_example():
     assert t == tensor_oracle(q, q)
 
 
-@given(seeds, seeds)
-@settings(max_examples=40, deadline=None)
-def test_cx_tensor_matches_basis_oracle(s1, s2):
-    rng = random.Random(s1 ^ s2)
+@seeded(40)
+def test_cx_tensor_matches_basis_oracle(seed):
+    rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
     a = random_complex(rng, ring, GenParams()).cx
     b = random_complex(rng, ring, GenParams()).cx
@@ -516,8 +507,7 @@ def test_cx_dual_examples():
     assert mat_mul(e.component(0), big.d(-1)) == mat_zero(ZZ, 1, big.rank(-1))
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
+@seeded(60)
 def test_dual_involution_and_validity(seed):
     c = seeded_complex(seed)
     d = cx_dual(c)
@@ -525,10 +515,9 @@ def test_dual_involution_and_validity(seed):
     assert cx_dual(d) == c
 
 
-@given(seeds, seeds)
-@settings(max_examples=40, deadline=None)
-def test_d_squared_preserved_by_constructions(s1, s2):
-    rng = random.Random(s1 * 3 + s2)
+@seeded(40)
+def test_d_squared_preserved_by_constructions(seed):
+    rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
     a = random_complex(rng, ring, GenParams()).cx
     b = random_complex(rng, ring, GenParams()).cx
@@ -564,11 +553,8 @@ def test_map_tensor_examples():
     assert t.component(1) == mat(ZZ, [[2]])
 
 
-@given(seeds)
-# pinned: it catches placed rows that overwrite instead of merging, and which
-# examples hypothesis draws moves with the collector's thresholds
-@example(5921370)
-@settings(max_examples=30, deadline=None)
+# 5921370 first: placed rows that overwrite instead of merging fail on it
+@seeded(30, first=[5921370])
 def test_map_tensor_matches_kron_oracle(seed):
     rng = random.Random(seed)
     for m in (0, 7, 2, 1):
@@ -590,14 +576,12 @@ def test_a_lazy_tensor_component_checks_its_block_when_first_read(monkeypatch):
     """map_tensor builds each component when first read and checks it
     then: a block of the wrong shape raises from component(), not from
     map_tensor, and only at the degree read."""
-    _tensor_components.cache_clear()
     monkeypatch.setattr(chainalg, "_placed", lambda ring, rows, cols, blocks: mat_zero(ring, rows, cols + 1))
     q = q_complex()
     t = map_tensor(map_identity(q), map_identity(q))
     with pytest.raises(ValueError, match="^component at degree 1 has shape 2x3, expected 2x2$"):
         t.component(1)
     assert t.components._done == [None] * 3
-    _tensor_components.cache_clear()  # no bad component outlives the test
 
 
 def test_chain_map_rejects_non_commuting():
@@ -635,8 +619,7 @@ def test_homotopy_perturb_examples():
         homotopy_perturb(e, {1: [[5], [6]]})
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
+@seeded(60)
 def test_trace_homotopy_invariance(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
@@ -651,8 +634,7 @@ def test_trace_homotopy_invariance(seed):
     assert alt_trace(e2) == alt_trace(e)
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
+@seeded(40)
 def test_alt_trace_cyclic(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
@@ -662,8 +644,7 @@ def test_alt_trace_cyclic(seed):
     assert alt_trace(map_compose(f, g)) == alt_trace(map_compose(g, f))
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
+@seeded(60)
 def test_alt_trace_of_identity_is_euler(seed):
     c = seeded_complex(seed)
     euler = sum(r if n % 2 == 0 else -r for n, r in c.ranks)
@@ -674,8 +655,7 @@ def test_alt_trace_of_identity_is_euler(seed):
 # duality structure maps
 
 
-@given(seeds)
-@settings(max_examples=50, deadline=None)
+@seeded(50)
 def test_structure_maps_are_chain_maps(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
@@ -700,8 +680,7 @@ def sparse_complex(rng, ring):
     return make_complex(ring, {n: rng.randint(1, 3) for n in degrees})
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
+@seeded(40)
 def test_tensor_layout_matches_per_degree_oracle(seed):
     """Ranks and summand offsets of every degree, in order, as enumerating
     that degree's basis gives them: random, unit and gapped factors."""
@@ -732,8 +711,7 @@ def assert_assoc_matches_oracle(a, b, c):
     assert map_compose(g, f) == map_identity(f.source)
 
 
-@given(seeds)
-@settings(max_examples=30, deadline=None)
+@seeded(30)
 def test_assoc_map_matches_basis_oracle(seed):
     rng = random.Random(seed)
     for m in (0, 7, 2, 1):
@@ -752,8 +730,7 @@ def test_assoc_map_matches_basis_oracle_on_deep_stalks(r):
             assert_assoc_matches_oracle(a, b, c)
 
 
-@given(seeds)
-@settings(max_examples=30, deadline=None)
+@seeded(30)
 def test_swap_ev_coev_match_basis_oracles(seed):
     rng = random.Random(seed)
     for m in (0, 7, 2, 1):
@@ -785,8 +762,7 @@ def assert_same_matrix(got, want):
     assert_normalised(got)
 
 
-@given(seeds)
-@settings(max_examples=20, deadline=None)
+@seeded(20)
 def test_permutations_apply_by_reindexing_as_the_dense_product(seed):
     """The structure maps are signed permutations, one entry in each row
     (none over Z/1, where they are zero), and their products, transposes
@@ -862,8 +838,7 @@ def perturbed(c, rng):
     return make_complex(c.ring, dict(c.ranks), {**dict(c.diff), n: mat(c.ring, grid)})
 
 
-@given(seeds)
-@settings(max_examples=20, deadline=None)
+@seeded(20)
 def test_on_demand_tensors_and_permutations_match_eager_oracles(seed):
     """cx_tensor builds a differential only when read; read in any order, or
     compared or hashed first, they agree with the eager constructions of the
@@ -936,7 +911,6 @@ def test_structure_maps_share_their_matrices_per_rank_profile():
     component matrices of every structure map, each map with its own
     endpoints; every shared matrix equals the basis oracle, over each ring,
     and one profile over Z and over Z/7 shares none."""
-    clear_caches()  # over Z/1 an earlier test's complex of a profile equals these
     rng = random.Random(29)
     for m in (0, 7, 2, 1):
         ring = Ring(m)
@@ -983,7 +957,6 @@ def test_chain_map_memos_key_by_both_maps():
     objects: the same pair gives the same object, and a pair that shares
     either map with a kept one gives its own value, that of the unkept
     kernels."""
-    clear_caches()
     rng = random.Random(37)
     for ring in (ZZ, Z7):
         a, b = big_complex(rng, ring), big_complex(rng, ring)
@@ -996,7 +969,6 @@ def test_chain_map_memos_key_by_both_maps():
             assert map_compose_shared(x, y) is map_compose_shared(x, y)
             assert map_compose_shared(x, other) == map_compose(x, other) != map_compose_shared(x, y)
             assert map_compose_shared(other, x) == map_compose(other, x) != map_compose_shared(y, x)
-    clear_caches()
 
 
 def test_tensor_cache_is_keyed_by_the_factors():
@@ -1037,8 +1009,7 @@ def test_mat_transpose_keeps_shapes():
             assert mat_transpose(t) == m
 
 
-@given(seeds)
-@settings(max_examples=50, deadline=None)
+@seeded(50)
 def test_strict_triangles(seed):
     q = seeded_complex(seed)
     qd = cx_dual(q)
@@ -1055,8 +1026,7 @@ def test_strict_triangles(seed):
     assert t2 == map_identity(qd)
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
+@seeded(40)
 def test_categorical_trace_is_alt_trace(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
@@ -1089,8 +1059,7 @@ def test_sum_tensor_distribution_is_chain_iso():
         assert all(sum(col) == 1 for col in zip(*comp.entries))
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
+@seeded(40)
 def test_sum_tensor_distribute_matches_basis_oracle(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7, 2, 1]))
@@ -1106,8 +1075,7 @@ def test_sum_tensor_distribute_matches_basis_oracle(seed):
 # cached hashes
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
+@seeded(60)
 def test_cached_hashes_are_the_field_tuple_hashes(seed):
     c = seeded_complex(seed)
     fresh = make_complex(c.ring, dict(c.ranks), dict(c.diff))  # equal, never hashed

@@ -233,6 +233,8 @@ def assert_rejected_at(tmp_path, capsys, doc, location):
           "checks": [{"index": 0, "name": "x"}]}, "/checks/0/status"),
         ({"suite": "lv", "seed": 1, "count": 1, "failures": 0, "elapsed_seconds": 0.0,
           "checks": [{"index": 0, "name": "x", "status": "pass"}, 3]}, "/checks/1"),
+        ({"suite": "lv", "seed": 1, "count": 1, "failures": 1, "elapsed_seconds": 0.0,
+          "checks": [{"index": 0, "name": "x", "status": "maybe"}]}, "/checks/0/status"),
     ],
 )
 def test_cli_report_rejects_non_reports(tmp_path, capsys, doc, location):
@@ -400,7 +402,6 @@ def pair_instance(draw) -> Instance:
 def test_suites_share_a_child_draws_and_leave_them_unchanged():
     """The six suites of one child share its two draws, and none of them
     changes a shared draw: both emit the same bytes after the run."""
-    clear_caches()
     params = GenParams()
     child = random.Random(31).getrandbits(63)
     lv, pair = random_lv_instance(child, params), random_pair_instance(child, params)
@@ -653,6 +654,11 @@ def test_parse_error_more_locations():
     }
     with pytest.raises(ParseError, match="unknown span"):
         parse_instance(json.dumps(base3))
+
+    for doc in ({"modulus": 0, "base": ["s", "s"]},
+                {"modulus": 0, "base": ["s", "s"], "base_change": {"g": {"t": "s"}}}):
+        with pytest.raises(ParseError, match="^/base: duplicate labels$"):
+            parse_instance(json.dumps(doc))
 
 
 def test_cli_fuzz_deterministic_across_processes():

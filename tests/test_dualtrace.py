@@ -6,8 +6,6 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spantrace import chainalg, corrcat, sheafops
 from spantrace.chainalg import (
@@ -74,10 +72,8 @@ from spantrace.generate import (
 )
 from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
 from spantrace.suites import lv_checks, oracle_checks, symmetry_checks
-from statements import (cc_iso_search, char_class, clear_caches, deep_object, dual_of_morphism,
-                        interlocking_spans, map_scale, proper_splitting, q_complex, wide_object)
-
-seeds = st.integers(0, 2**32 - 1)
+from statements import (SIZES, cc_iso_search, char_class, clear_caches, deep_object, dual_of_morphism,
+                        interlocking_spans, map_scale, proper_splitting, q_complex, seeded, wide_object)
 
 
 def point_object(n=1, ring=ZZ):
@@ -192,8 +188,7 @@ def test_triangle_certificate_rejects_broken_composites():
         certify({"g0": "a", "g1": "b"}, {"g0": "b", "g1": "a"})
 
 
-@given(seeds)
-@settings(max_examples=30, deadline=None)
+@seeded(30)
 def test_make_dual_random_and_biduality(seed):
     gen = random_object_instance(seed, GenParams())
     d = make_dual(gen.obj)
@@ -247,8 +242,7 @@ def test_dual_of_rank2_matrix_is_transpose():
     assert cc_iso_search(m, expect) is not None
 
 
-@given(seeds)
-@settings(max_examples=15, deadline=None)
+@seeded(15)
 def test_dual_contravariant_functorial(seed):
     rng = random.Random(seed)
     params = GenParams(max_set=2)
@@ -272,8 +266,7 @@ def test_dual_contravariant_functorial(seed):
         assert cc_iso_search(rhs, expected_dual_morphism(cc_compose(u, v), duals[0], duals[2])) is not None
 
 
-@given(seeds)
-@settings(max_examples=10, deadline=None)
+@seeded(10)
 def test_mate_squares_commute(seed):
     # inserting the mate before evaluation, or the morphism after
     # coevaluation, gives canonically isomorphic composites
@@ -312,7 +305,6 @@ def test_make_dual_tensors_only_the_components_it_reads(n, monkeypatch):
     """Each triangle composite keeps n of the n^2 apex elements of each of
     its two tensors with an identity, and only those components are
     built: map_tensor runs 4n times, not once per apex pair (4n^2)."""
-    clear_caches()
     calls = []
 
     def counted(f, g):
@@ -333,7 +325,6 @@ def test_make_dual_tensors_each_distinct_pair_of_maps_once():
     the four tensors with an identity reads 12 components, computes 6
     tensors and builds two sets of components: 24 tensors and 8 builds for
     48 components read."""
-    clear_caches()
     make_dual(wide_object(ZZ, 12))
     info = chainalg._tensor_components.cache_info()
     assert (info.misses, info.hits + info.misses) == (4 * 2, 4 * 6)
@@ -490,7 +481,6 @@ def test_make_dual_builds_only_the_differentials_its_chain_map_checks_read(r, mo
     builds a differential to hash it: of every tensor differential, make_dual
     builds just the two that the chain-map checks of ev_map and coev_map
     read.  Only tensor_complex's OnDemands are counted, not map_tensor's."""
-    clear_caches()
     built = []
 
     class Counted(chainalg.OnDemand):
@@ -500,7 +490,6 @@ def test_make_dual_builds_only_the_differentials_its_chain_map_checks_read(r, mo
 
     monkeypatch.setattr(chainalg, "OnDemand", Counted)
     make_dual(deep_object(Ring(modulus), r))
-    clear_caches()  # no counted tensor outlives the test in a cache
     assert len(built) == 2
 
 
@@ -534,7 +523,6 @@ def test_make_dual_trace_and_pairing_hash_no_on_demand_sequence(monkeypatch):
     on a deep object and on a pair_deep-shaped pair never hashes an
     OnDemand, neither a tensor's differentials nor a morphism's components,
     and still agrees with the pointwise oracle."""
-    clear_caches()
 
     def unhashable(self):
         raise AssertionError("an OnDemand was hashed")
@@ -578,7 +566,6 @@ def test_trace_builds_only_degree_zero_of_each_tensor_component(ring, monkeypatc
     degree: trace builds that component of each e (x) 1 and no other,
     although a deep stalk's e (x) 1 has seven degrees; and so does pairing
     on a pair_deep-shaped pair, once each object's duality data is made."""
-    clear_caches()
     obj = deep_object(ring, 7)
     stalk = obj.stalks[0]
     dx = make_dual(obj)
@@ -592,7 +579,6 @@ def test_trace_builds_only_degree_zero_of_each_tensor_component(ring, monkeypatc
     built.clear()
     assert pairing(u, v, da).omega == local_pairing(u, v) and pairing(v, u, db).omega == local_pairing(v, u)
     assert built and set(built) == {0}
-    clear_caches()  # no counted component outlives the test in a cache
 
 
 def poisoned_result(right):
@@ -609,7 +595,6 @@ def test_a_poisoned_map_memo_changes_the_pairing_and_not_the_oracle(monkeypatch)
     from a memo that local_pairing never reads: with every hit of one of the
     two returning a wrong value, the categorical side fails or changes, and
     the pointwise oracle does not."""
-    clear_caches()
     a, b, u, v = deep_pair(ZZ)
     want = local_pairing(u, v), local_pairing(v, u)
     assert any(want[0].values) and pairing(u, v, make_dual(a)).omega == want[0]
@@ -632,7 +617,6 @@ def test_a_poisoned_map_memo_changes_the_pairing_and_not_the_oracle(monkeypatch)
                 got = None
             assert any(hits) and got != want, kind
             assert (local_pairing(u, v), local_pairing(v, u)) == want
-    clear_caches()
 
 
 @pytest.mark.parametrize("ring", [ZZ, Ring(7)])
@@ -643,7 +627,6 @@ def test_make_dual_reuses_the_certificate_products_of_a_rank_profile(ring, monke
     chain-map tensor, composite or matrix product: each tensor and composite
     is a memo hit, and the memo misses only at the five products over the
     base of the new spaces.  clear_caches empties the memo."""
-    clear_caches()
     a, b, u, v = deep_pair(ring)
     computed = Counter()
 
@@ -671,7 +654,6 @@ def test_make_dual_builds_no_rank_r3_differential_or_reassociation_rows(r, monke
     a), of rank r^3 for a stalk of total rank r, but read only components
     of maps between them: no differential of such a tensor is built, and no
     reassociation permutation builds its dense view."""
-    clear_caches()
     tensors, assocs = [], []
 
     def recorded(fn, out):
@@ -817,8 +799,7 @@ def assert_trace_is_the_pairing_with_the_identity(e):
     assert pr.carrier == fixed_point_space(e, one)
 
 
-@given(seeds, st.sampled_from([0, 7, 2, 1]))
-@settings(max_examples=40, deadline=None)
+@seeded(40, [0, 7, 2, 1])
 def test_trace_is_the_pairing_with_the_identity(seed, modulus):
     _, e = random_endo_instance(seed, GenParams(modulus=modulus))
     assert_trace_is_the_pairing_with_the_identity(e)
@@ -833,14 +814,12 @@ def test_trace_of_wide_and_deep_identities_is_the_pairing(modulus):
         assert_trace_is_the_pairing_with_the_identity(cc_identity(obj))
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
-def test_pairing_matches_local_oracle(seed):
-    assert all(ok for _, ok, _ in oracle_checks(random_pair_instance(seed, GenParams())[2:]))
+@seeded(120, SIZES)
+def test_pairing_matches_local_oracle(seed, params):
+    assert all(ok for _, ok, _ in oracle_checks(random_pair_instance(seed, params)[2:]))
 
 
-@given(seeds)
-@settings(max_examples=25, deadline=None)
+@seeded(25)
 def test_pairing_via_mate_route(seed):
     # second route: coev_X, then u (x) mate(v), then the symmetry, then
     # ev_Y; lands on the same interlocking set with the same values
@@ -866,10 +845,9 @@ def test_pairing_via_mate_route(seed):
         assert val == oracle.value(pair), (seed, pair)
 
 
-@given(seeds)
-@settings(max_examples=25, deadline=None)
-def test_pairing_symmetry_random(seed):
-    assert all(ok for _, ok, _ in symmetry_checks(random_pair_instance(seed, GenParams())[2:]))
+@seeded(75, SIZES)
+def test_pairing_symmetry_random(seed, params):
+    assert all(ok for _, ok, _ in symmetry_checks(random_pair_instance(seed, params)[2:]))
 
 
 def test_char_class_multiplicative_on_tensors():
@@ -922,14 +900,12 @@ def test_pairing_functorial_euler_additivity():
     assert omega_push(f, char_class(obj)) == pushed_cc
 
 
-@given(seeds)
-@settings(max_examples=25, deadline=None)
-def test_pairing_functorial_random(seed):
-    assert all(ok for _, ok, _ in lv_checks(random_lv_instance(seed, GenParams()).lv))
+@seeded(75, SIZES)
+def test_pairing_functorial_random(seed, params):
+    assert all(ok for _, ok, _ in lv_checks(random_lv_instance(seed, params).lv))
 
 
-@given(seeds)
-@settings(max_examples=15, deadline=None)
+@seeded(15)
 def test_proper_splitting_cells_and_delta_graph(seed):
     # the delta cell's apex component is the vertical map p, which is how
     # pairing_functorial pushes the upper fixed points down
@@ -957,8 +933,7 @@ def test_pairing_functorial_rejects_non_commuting():
         )
 
 
-@given(seeds)
-@settings(max_examples=20, deadline=None)
+@seeded(20)
 def test_trace_invariant_under_homotopy(seed):
     rng = random.Random(seed)
     gen, e = random_endo_instance(seed, GenParams())

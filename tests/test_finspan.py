@@ -5,8 +5,6 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spantrace.chainalg import ZZ, cx_tensor, make_complex
 from spantrace.finspan import (
@@ -29,9 +27,7 @@ from spantrace.finspan import (
 )
 from spantrace.generate import GenParams, random_base, random_gen_object, random_space, random_span
 from spantrace.sheafops import Sheaf, box
-from statements import interlocking_spans, span_iso_search
-
-seeds = st.integers(0, 2**32 - 1)
+from statements import interlocking_spans, seeded, span_iso_search
 
 
 def two_over_one():
@@ -174,8 +170,7 @@ def test_span_compose_associativity_example():
     assert_associative(c, d, e)
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
+@seeded(40)
 def test_span_compose_associative_up_to_recoord(seed):
     """Independent spans often compose to nothing, so each example also
     draws interlocking ones, whose triple composite holds at least one
@@ -265,19 +260,15 @@ def test_fin_over_and_over_map_invariants_at_construction():
     assert OverMap(x, z, ("z", "z"))("b") == "z"
 
 
-@st.composite
-def cospans(draw):
+def cospans(rng):
     """Maps f: X -> Z <- Y: g over a small base, with many-to-one maps and
     elements of Z outside either image (empty fibers)."""
-    base = tuple(f"s{i}" for i in range(draw(st.integers(1, 3))))
-    z_anchor = draw(st.lists(st.sampled_from(base), max_size=5))
+    base = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+    z_anchor = [rng.choice(base) for _ in range(rng.randint(0, 5))]
     z = FinOver(base, tuple(f"z{i}" for i in range(len(z_anchor))), tuple(z_anchor))
 
     def over_z(prefix):
-        if not z.elements:
-            images = []
-        else:
-            images = draw(st.lists(st.sampled_from(z.elements), max_size=7))
+        images = [rng.choice(z.elements) for _ in range(rng.randint(0, 7))] if z.elements else []
         src = FinOver(base, tuple(f"{prefix}{i}" for i in range(len(images))),
                       tuple(z.anchor_of(t) for t in images))
         return OverMap(src, z, tuple(images))
@@ -290,10 +281,9 @@ def nested_loop_fiber_product(f, g):
     return pairs, [f.source.anchor_of(x) for x, _ in pairs]
 
 
-@given(cospans())
-@settings(max_examples=200, deadline=None)
-def test_fiber_product_matches_nested_loop(fg):
-    f, g = fg
+@seeded(200)
+def test_fiber_product_matches_nested_loop(seed):
+    f, g = cospans(random.Random(seed))
     pairs, anchors = nested_loop_fiber_product(f, g)
     apex, pr1, pr2 = fiber_product(f, g)
     assert apex.elements == tuple(pairs)
@@ -303,10 +293,9 @@ def test_fiber_product_matches_nested_loop(fg):
     assert pr2 == OverMap(apex, g.source, tuple(y for _, y in pairs))
 
 
-@given(cospans())
-@settings(max_examples=200, deadline=None)
-def test_cached_fibers_match_a_scan(fg):
-    f, _ = fg
+@seeded(200)
+def test_cached_fibers_match_a_scan(seed):
+    f, _ = cospans(random.Random(seed))
     for _ in range(2):  # computed on the first call, read on the second
         for y in f.target.elements + ("elsewhere",):
             assert f.fiber(y) == tuple(x for x, v in zip(f.source.elements, f.graph) if v == y)
@@ -407,8 +396,7 @@ def check_product_stalks(lazy, listed, candidates):
         assert tests == [1]
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
+@seeded(60)
 def test_products_on_demand_agree_with_the_fiber_product(seed):
     rng = random.Random(seed)
     params = GenParams()
@@ -489,34 +477,33 @@ def test_nested_products_match_anchors_at_every_level():
         cx_tensor(l.stalk(a), cx_tensor(m.stalk(b), n.stalk(c))) for a, (b, c) in x_yz.elements)), candidates)
 
 
-@st.composite
-def nested_products(draw):
+def nested_products(rng):
     """A product over a base of 1-3 points nested to depth 1-3, built on
     demand, the same set listed out, and a column of candidates: members,
     pairs whose anchors disagree at some level, leaf labels where a pair
     belongs, 3-tuples, and 2-character labels such as "ab" joined from two
     one-letter leaf labels, which indexing would split into a pair."""
-    base = tuple(f"s{i}" for i in range(draw(st.integers(1, 3))))
+    base = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
     letters = iter("abcdefghijklmnopqrstuvwxyz")
     labels = []
 
     def spaces(depth):
         if depth == 0:
-            anchors = draw(st.lists(st.sampled_from(base), min_size=1, max_size=3))
+            anchors = [rng.choice(base) for _ in range(rng.randint(1, 3))]
             leaf = FinOver(base, tuple(next(letters) for _ in anchors), tuple(anchors))
             labels.extend(leaf.elements)
             return leaf, leaf
-        depths = [depth - 1, draw(st.integers(0, depth - 1))]
-        (x, ex), (y, ey) = (spaces(d) for d in draw(st.permutations(depths)))
+        depths = [depth - 1, rng.randint(0, depth - 1)]
+        (x, ex), (y, ey) = (spaces(d) for d in rng.sample(depths, 2))
         return prod_over_base(x, y), eager_product(ex, ey)
 
-    lazy, listed = spaces(draw(st.integers(1, 3)))
+    lazy, listed = spaces(rng.randint(1, 3))
 
     def candidate(space):
-        kind = draw(st.sampled_from(["pair"] * 6 + ["label", "triple", "joined", "joined"]))
+        kind = rng.choice(["pair"] * 6 + ["label", "triple", "joined", "joined"])
         if space.factors is None or kind == "label":
             own = list(space.elements) if space.factors is None else []
-            return draw(st.sampled_from(own * 6 + labels + ["zz"]))
+            return rng.choice(own * 6 + labels + ["zz"])
         x, y = space.factors
         if kind == "joined":
             pair = (candidate(x), candidate(y))
@@ -524,18 +511,17 @@ def nested_products(draw):
         return (candidate(x), candidate(y)) + ((candidate(y),) if kind == "triple" else ())
 
     column = []
-    for _ in range(draw(st.integers(0, 8))):
-        member = listed.elements and draw(st.booleans())
-        column.append(draw(st.sampled_from(listed.elements)) if member else candidate(lazy))
+    for _ in range(rng.randint(0, 8)):
+        member = listed.elements and rng.random() < 0.5
+        column.append(rng.choice(listed.elements) if member else candidate(lazy))
     return lazy, listed, column
 
 
-@given(nested_products())
-@settings(max_examples=300, deadline=None)
-def test_nested_product_membership_agrees_with_the_listed_set(case):
+@seeded(300)
+def test_nested_product_membership_agrees_with_the_listed_set(seed):
     """A product built on demand answers `x in space`, its anchors and
     anchor_of as the same set listed out does, element for element."""
-    lazy, listed, column = case
+    lazy, listed, column = nested_products(random.Random(seed))
     assert [e in lazy for e in column] == [e in listed for e in column]
     anchors = [lazy._member_anchor(e) for e in column]
     assert anchors == [listed._member_anchor(e) for e in column]

@@ -167,6 +167,17 @@ def package_imports(source: str, modules: list[str]) -> set[str]:
     return out
 
 
+def imported_roots(source: str) -> set[str]:
+    """The top-level names of the modules a module imports, absolutely."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
 def module_constants(path: Path, names: set[str]) -> dict[str, object]:
     """The literal values assigned to the given top-level names, read
     without importing the module."""
@@ -379,6 +390,20 @@ def test_no_import_inside_a_function():
     assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
+def test_tests_draw_seed_lists_and_start_with_empty_caches():
+    """No module of the tests or scripts imports hypothesis: each randomised
+    test runs on a fixed seed list (statements.seeded), so every run tests
+    the same inputs.  tests/conftest.py, the only conftest, empties every
+    package cache before each test, so no verdict depends on the tests run
+    before it, and this test finds every cache empty."""
+    files = sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "scripts").glob("*.py"))
+    assert [p.name for p in files if "hypothesis" in imported_roots(p.read_text(encoding="utf-8"))] == []
+    assert sorted(TESTS.parent.rglob("conftest.py")) == [TESTS / "conftest.py"]
+    conftest = (TESTS / "conftest.py").read_text(encoding="utf-8")
+    assert "clear_caches()" in conftest[conftest.index("@pytest.fixture(autouse=True)"):]
+    assert {name: fn.cache_info().currsize for name, fn in every_cache().items() if fn.cache_info().currsize} == {}
+
+
 def test_object_setattr_stores_only_a_ring():
     """The values are plain dataclasses, read-only by convention, so
     object.__setattr__ stores a field in one place alone: Ring.__new__,
@@ -407,6 +432,7 @@ def test_layout_checks_catch_violations():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"a"}}) == ["a", "a"]
+    assert imported_roots("import os.path\nfrom hypothesis import given\nfrom . import x\n") == {"os", "hypothesis"}
 
 
 def every_cache() -> dict:

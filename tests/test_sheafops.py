@@ -4,8 +4,6 @@ and bookkeeping invariants for base change and external tensors."""
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spantrace.chainalg import (
     Ring,
@@ -37,9 +35,8 @@ from spantrace.sheafops import (
     unit_sheaf,
     verdier,
 )
-from statements import q_complex, sum_tensor_distribute
+from statements import q_complex, seeded, sum_tensor_distribute
 
-seeds = st.integers(0, 2**32 - 1)
 Z7 = Ring(7)
 
 
@@ -100,8 +97,7 @@ def test_verdier_examples():
     assert verdier(one).stalk("y") == cx_dual(q_complex())
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
+@seeded(40)
 def test_verdier_involution(seed):
     rng = random.Random(seed)
     ring = Ring(rng.choice([0, 7]))
@@ -142,8 +138,7 @@ def test_omega_push_examples():
     assert z.values == (0,)
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
+@seeded(40)
 def test_omega_push_functorial(seed):
     rng = random.Random(seed)
     params = GenParams()
@@ -155,8 +150,7 @@ def test_omega_push_functorial(seed):
     assert omega_push(g, omega_push(f, a)) == omega_push(om_compose(g, f), a)
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
+@seeded(40)
 def test_base_change_strict(seed):
     # pull-then-push equals push-then-pull, matrix-level, for the chosen square
     rng = random.Random(seed)
@@ -171,8 +165,7 @@ def test_base_change_strict(seed):
     assert pull(g, push(f, l)) == push(pr_y, pull(pr_x, l))
 
 
-@given(seeds)
-@settings(max_examples=30, deadline=None)
+@seeded(30)
 def test_kunneth_up_to_distribution(seed):
     # push(f x id)(L box M) agrees with push(f)L box M through the canonical
     # distribution permutation on every stalk
@@ -255,8 +248,7 @@ def listed_box(l, m):
     return Sheaf(l.ring, space, tuple(cx_tensor(l.stalk(a), m.stalk(b)) for a, b in space.elements))
 
 
-@given(seeds, st.sampled_from([0, 7, 2, 1]))
-@settings(max_examples=40, deadline=None)
+@seeded(40, [0, 7, 2, 1])
 def test_box_on_demand_agrees_with_its_stalks_listed_out(seed, modulus):
     rng = random.Random(seed)
     ring, params = Ring(modulus), GenParams(modulus=modulus)
