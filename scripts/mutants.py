@@ -173,8 +173,13 @@ MUTANTS = [
      "            b.check(y, z, image=True)", "            pass", "cells"),
     ("a relabeling on the left skips its eager check", "corrcat.py",
      "            a.check(x, y, image=False)", "            pass", "cells"),
-    ("a left relabeling composes its stalk map after the component", "corrcat.py",
-     "map_compose_shared(vs[i], k(xs[i]))", "map_compose_shared(k(xs[i]), vs[i])", "cells"),
+    ("a relabeling between two morphisms skips its check where they meet", "corrcat.py",
+     "        r.check(x, y, image=True)", "        pass", "cells"),
+    ("a relabeling between two morphisms composes its stalk map on the wrong side", "corrcat.py",
+     "map_compose_shared(m2.map_at(pairs[i][1]), k(xs[i]))", "map_compose_shared(k(xs[i]), m2.map_at(pairs[i][1]))",
+     "cells"),
+    ("a relabeling between two morphisms joins the uncarried right leg", "corrcat.py",
+     "tuple(map(r.forward, m.span.right.graph))", "m.span.right.graph", "cells"),
     ("a right relabeling keeps the old right leg", "corrcat.py",
      "OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits)))",
      "OverMap(c.apex, b.target.space, hits)", "cells"),

@@ -9,7 +9,9 @@ generator's caps:
   shows: their apexes have n^2 elements, the tensor objects around them
   n^3, which stay unbuilt.  One untimed warm-up fills the kernel caches
   first, so the figures measure the set and correspondence layers rather
-  than first-time matrix work.
+  than first-time matrix work.  Each record also counts the relabeling
+  checks of one more, untimed, make_dual (``relabeling_checks``): a
+  deterministic figure, so its growth in n shows without timing noise.
 * ``deep``, deep_object: one point whose stalk has total rank n, so
   the chain-complex kernels on the rank-n^3 certificate tensors do the work.
   The kernel caches are emptied before every round, so each round pays that
@@ -31,15 +33,15 @@ times the benchmark's fixed reference slice of pure-Python work
 nominal time: files recorded in different sessions compare on the scaled
 figures.  The growth exponents are taken from the scaled medians.
 
-Usage: python scripts/sweep_make_dual.py [--family wide|deep] [--sizes 8,16,24,32,48,64]
+Usage: python scripts/sweep_make_dual.py [--family wide|deep] [--sizes 8,16,24,32,48,64,96,128]
                                          [--rounds 3] [--out BENCH_make_dual.json]
 
-The sizes default to 8,16,24,32,48,64 for wide and
+The sizes default to 8,16,24,32,48,64,96,128 for wide and
 4,8,12,16,20,24,32,48,64,96,128 for deep, the output to
 BENCH_make_dual.json and BENCH_make_dual_deep.json.
 Writes one record per size (median and minimum seconds, raw and scaled,
-rounds, memo hits, peak RSS in MB, and the growth exponent against the
-previous size) plus the Python version and the CPU count.  It times the
+rounds, memo hits, peak RSS in MB, the relabeling checks for wide, and the
+growth exponent against the previous size) plus the Python version and the CPU count.  It times the
 spantrace of its own checkout.
 """
 
@@ -61,12 +63,13 @@ from worker import REF_NOMINAL_S, reference_slice, scaled  # noqa: E402  (puts s
 
 from spantrace import chainalg  # noqa: E402
 from spantrace.chainalg import ZZ  # noqa: E402
+from spantrace.corrcat import CCRelabel  # noqa: E402
 from spantrace.dualtrace import make_dual  # noqa: E402
 from statements import deep_object, wide_object  # noqa: E402
 
 # family: (builder, default sizes, default output, description)
 FAMILIES = {
-    "wide": (wide_object, "8,16,24,32,48,64", "BENCH_make_dual.json",
+    "wide": (wide_object, "8,16,24,32,48,64,96,128", "BENCH_make_dual.json",
              "statements.wide_object over ZZ: n points over one base point, rank-(2,1) stalks"),
     "deep": (deep_object, "4,8,12,16,20,24,32,48,64,96,128", "BENCH_make_dual_deep.json",
              "statements.deep_object over ZZ: one point, a stalk of total rank n from fixed pieces"),
@@ -78,6 +81,22 @@ def clear_kernel_caches() -> None:
     for fn in vars(chainalg).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
+
+
+def relabeling_checks(obj) -> int:
+    """The relabeling checks that one make_dual of obj runs, memo bypassed."""
+    check, calls = CCRelabel.check, []
+
+    def counted(self, x, y, image):
+        calls.append(None)
+        return check(self, x, y, image)
+
+    CCRelabel.check = counted
+    try:
+        make_dual.__wrapped__(obj)
+    finally:
+        CCRelabel.check = check
+    return len(calls)
 
 
 # what a fresh interpreter runs to measure one size: it prints measure()'s record
@@ -104,7 +123,10 @@ def measure(family: str, n: int, rounds: int) -> dict:
         hits += make_dual.cache_info().hits
         refs.append(reference_slice())
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return {"times": times, "refs": refs, "memo_hits": hits, "peak_rss_mb": round(peak, 2)}
+    run = {"times": times, "refs": refs, "memo_hits": hits, "peak_rss_mb": round(peak, 2)}
+    if family == "wide":
+        run["relabeling_checks"] = relabeling_checks(build(ZZ, n))
+    return run
 
 
 def main() -> int:
@@ -129,6 +151,8 @@ def main() -> int:
         rec = {"n": n, "median_s": statistics.median(times), "min_s": min(times),
                "scaled_median_s": statistics.median(at_ref), "scaled_min_s": min(at_ref),
                "rounds": len(times), "memo_hits": hits, "peak_rss_mb": run["peak_rss_mb"]}
+        if "relabeling_checks" in run:
+            rec["relabeling_checks"] = run["relabeling_checks"]
         if records and n != records[-1]["n"]:
             prev = records[-1]
             rec["growth_exponent"] = (math.log(rec["scaled_median_s"] / prev["scaled_median_s"])

@@ -12,11 +12,12 @@ sheafops), so building one costs nothing until its elements are walked.
 The structural isomorphisms (unitors, associators, the symmetry) are
 relabelings: a bijection of spaces with a stalk isomorphism per element.
 They are fixed only up to a unique invertible 2-cell, so they are never
-built as spans: a composite with one keeps the other morphism's apex and
-carries the leg facing the relabeling across the bijection, touching only
-the elements that leg hits and checking the relabeling once at each
-distinct one.  A check asks membership of the space's member lookup, which
-finspan composes from anchor tables (one dict lookup per leaf set, no
+built as spans, and one is checked only where its neighbours meet, once at
+each distinct element, as nothing else enters a leg or a component.  One
+with identity components (a unitor) composes at an end, carrying the leg
+facing it; one with stalk maps, between two morphisms, in one fiber product
+(cc_compose_many).  A check asks membership of the space's member lookup,
+which finspan composes from anchor tables (one dict lookup per leaf set, no
 __contains__ frame), and reads that side's stalk without asking again.
 
 The components of a tensor or a composite are computed when first read:
@@ -65,6 +66,7 @@ from .finspan import (
     Span,
     base_space,
     cell_check,
+    fiber_product,
     identity_span,
     om_compose,
     span_compose,
@@ -131,16 +133,19 @@ def cc_identity(a: Sheaf) -> CCMorphism:
 def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphism:
     """a then b; the composite span, components composed pairwise when read.
 
-    A relabeling on either side is not built: the composite keeps the other
-    morphism's apex, the leg facing the relabeling carried across it and
-    the components composed with its stalk maps.  This is the composite
-    with the built relabeling up to the unique 2-cell g -> (g, right(g))
-    (relabeling on the right) or g -> (backward(left(g)), g) (on the left).
+    A relabeling with identity components on either side is not built: the
+    composite keeps the other morphism's apex and components, the leg facing
+    it carried across it, up to the unique 2-cell g -> (g, right(g)) (on the
+    right) or g -> (backward(left(g)), g) (on the left).  One with stalk maps
+    composes only between two morphisms (cc_compose_many).
     """
     if a.target != b.source:
         raise ValueError("composition boundary mismatch")
     if isinstance(a, CCRelabel) and isinstance(b, CCRelabel):
         raise ValueError("two relabelings compose only through a morphism")
+    r = b if isinstance(b, CCRelabel) else a
+    if isinstance(r, CCRelabel) and r.stalk_map is not None:
+        raise ValueError("a relabeling with stalk maps composes only between two morphisms")
     if isinstance(b, CCRelabel):
         c, hits = a.span, a.span.right.graph
         keys = dict.fromkeys(hits)
@@ -148,20 +153,15 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
         for y, z in image_of.items():
             b.check(y, z, image=True)
         span = Span(c.left, OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits))))
-        k, us = b.stalk_map, a.maps
-        maps = us if k is None else OnDemand(len(hits), lambda i: map_compose_shared(k(hits[i]), us[i]))
-        return CCMorphism(a.source, b.target, span, maps)
+        return CCMorphism(a.source, b.target, span, a.maps)
     if isinstance(a, CCRelabel):
         c, hits = b.span, b.span.left.graph
         keys = dict.fromkeys(hits)
         back = dict(zip(keys, map(a.backward, keys)))
         for y, x in back.items():
             a.check(x, y, image=False)
-        xs = tuple(map(back.get, hits))
-        span = Span(OverMap(c.apex, a.source.space, xs), c.right)
-        k, vs = a.stalk_map, b.maps
-        maps = vs if k is None else OnDemand(len(xs), lambda i: map_compose_shared(vs[i], k(xs[i])))
-        return CCMorphism(a.source, b.target, span, maps)
+        span = Span(OverMap(c.apex, a.source.space, tuple(map(back.get, hits))), c.right)
+        return CCMorphism(a.source, b.target, span, b.maps)
     span = span_compose(a.span, b.span)
     pairs = span.apex.elements
     maps = OnDemand(len(pairs), lambda i: map_compose_shared(b.map_at(pairs[i][1]), a.map_at(pairs[i][0])))
@@ -169,10 +169,37 @@ def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphi
 
 
 def cc_compose_many(*ms: CCMorphism | CCRelabel) -> CCMorphism:
-    out = ms[0]
-    for m in ms[1:]:
-        out = cc_compose(out, m)
+    """ms composed left to right.  A relabeling r with stalk maps between two
+    morphisms, m ; r ; m', is composed in one fiber product: m's right leg
+    carried across r.forward is joined with m''s left leg, and r is checked,
+    and its stalk map read, only where both meet, in match order.  This is
+    (m ; r) ; m' with r built out, through (g, h) -> ((g, m.right(g)), h), with
+    component (m'_h . r.stalk_map(m.right(g))) . m_g at (g, h)."""
+    out, rest = ms[0], list(reversed(ms[1:]))
+    while rest:
+        r = rest.pop()
+        if (isinstance(r, CCRelabel) and r.stalk_map is not None and isinstance(out, CCMorphism)
+                and rest and isinstance(rest[-1], CCMorphism)):
+            out = _compose_through(out, r, rest.pop())
+        else:
+            out = cc_compose(out, r)
     return out
+
+
+def _compose_through(m: CCMorphism, r: CCRelabel, m2: CCMorphism) -> CCMorphism:
+    """m ; r ; m' in one fiber product, as cc_compose_many describes."""
+    if m.target != r.source or r.target != m2.source:
+        raise ValueError("composition boundary mismatch")
+    carried = OverMap(m.span.apex, r.target.space, tuple(map(r.forward, m.span.right.graph)))
+    _, pr1, pr2 = fiber_product(carried, m2.span.left)
+    xs = om_compose(m.span.right, pr1).graph
+    for x, y in dict(zip(xs, om_compose(carried, pr1).graph)).items():
+        r.check(x, y, image=True)
+    span = Span(om_compose(m.span.left, pr1), om_compose(m2.span.right, pr2))
+    pairs, k = span.apex.elements, r.stalk_map
+    maps = OnDemand(len(pairs), lambda i: map_compose_shared(
+        map_compose_shared(m2.map_at(pairs[i][1]), k(xs[i])), m.map_at(pairs[i][0])))
+    return CCMorphism(m.source, m2.target, span, maps)
 
 
 def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
@@ -225,9 +252,9 @@ class CCRelabel:
     left leg and right leg the bijection forward (inverse backward), with
     component stalk_map(x) at x, or the identity when stalk_map is None.
 
-    Only composing and inverting it are defined; cc_compose checks it once
-    at each distinct element the other morphism hits, in hit order, and
-    calls stalk_map only for components read.
+    Only composing and inverting it are defined; it is checked once at each
+    distinct element where its neighbours in a composite meet, in order, and
+    stalk_map is called only for components read.
     """
 
     source: Sheaf

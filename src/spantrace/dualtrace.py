@@ -97,20 +97,17 @@ def make_dual(a: Sheaf) -> DualityData:
     coev = make_cc_morphism(unit, coev_tgt, Span(om_anchor(x), diag), coev_maps)
 
     ida, idd = cc_identity(a), cc_identity(dual)
-    # each reassociation meets 1 (x) ev (ev (x) 1) first, so it is read only
-    # at the elements and stalk rows that the evaluation keeps
+    # each reassociation sits between coev (x) 1 and 1 (x) ev (1 (x) coev and
+    # ev (x) 1): it is checked and read only at the n elements where they
+    # meet, since nothing else enters a leg or a component of the composite
     # a -> 1 (x) a -> (a (x) a*) (x) a -> a (x) (a* (x) a) -> a (x) 1 -> a
     t1 = _cell_onto_identity(cc_compose_many(
-        left_unitor(a),
-        cc_tensor(coev, ida),
-        cc_compose(cc_assoc_inv(a, dual, a), cc_tensor(ida, ev)),
+        left_unitor(a), cc_tensor(coev, ida), cc_assoc_inv(a, dual, a), cc_tensor(ida, ev),
         cc_invert(right_unitor(a)),
     ), ida)
     # a* -> a* (x) 1 -> a* (x) (a (x) a*) -> (a* (x) a) (x) a* -> 1 (x) a* -> a*
     t2 = _cell_onto_identity(cc_compose_many(
-        right_unitor(dual),
-        cc_tensor(idd, coev),
-        cc_compose(cc_assoc(dual, a, dual), cc_tensor(ev, idd)),
+        right_unitor(dual), cc_tensor(idd, coev), cc_assoc(dual, a, dual), cc_tensor(ev, idd),
         cc_invert(left_unitor(dual)),
     ), idd)
     cc_cell_check(t1)
@@ -173,7 +170,7 @@ def pairing(u: CCMorphism, v: CCMorphism, dx: DualityData) -> PairingResult:
 
 def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
     """The categorical trace coev ; (e (x) 1) ; swap ; ev of an endomorphism,
-    read on the loops of its span."""
+    read on the loops of its span, under which alone the swap is checked."""
     if e.source != e.target:
         raise ValueError("endomorphism required")
     if dx.obj != e.source:

@@ -952,6 +952,35 @@ def test_map_tensor_shares_its_matrices_and_keeps_its_endpoints():
         assert [tw.component(n).rows for n, _ in tw.source.ranks] == [tw.target.rank(n) for n, _ in tw.source.ranks]
 
 
+@seeded(20, [0, 7, 2, 1])
+def test_map_tensor_tells_apart_second_maps_that_differ_in_target_ranks_alone(seed, modulus):
+    """f (x) g and f (x) g2, built one after the other, where g2 is g with
+    its target grown by a degree that g's source lacks: the two second maps
+    agree in source ranks and components, and the tensors' targets differ
+    at degree 1, a degree of their common source.  Each is the dense
+    Kronecker oracle's at every degree."""
+    rng = random.Random(seed)
+    ring = Ring(modulus)
+
+    def entries(rows, cols):
+        return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+
+    r0, r1, s0, s1, k = (rng.randint(1, 3) for _ in range(5))
+    a = make_complex(ring, {0: r0, 1: r1}, {0: entries(r1, r0)})
+    f = map_scale(rng.choice([-2, -1, 1, 3]), map_identity(a))
+    b = make_complex(ring, {0: s0})
+    block = entries(s1, s0)
+    g = make_chain_map(b, make_complex(ring, {0: s1}), {0: block})
+    g2 = make_chain_map(b, make_complex(ring, {0: s1, 1: k}), {0: block})
+    assert g.components == g2.components and g.target.ranks != g2.target.ranks
+    for second in (g, g2):
+        t = map_tensor(f, second)
+        assert (t.source, t.target) == (cx_tensor(f.source, b), cx_tensor(f.target, second.target))
+        for n, _ in t.source.ranks:
+            assert [list(r) for r in t.component(n).entries] == map_tensor_oracle(f, second, n)
+    assert map_tensor(f, g).target.rank(1) != map_tensor(f, g2).target.rank(1)
+
+
 def test_chain_map_memos_key_by_both_maps():
     """map_tensor and map_compose_shared keep one result per pair of map
     objects: the same pair gives the same object, and a pair that shares

@@ -552,7 +552,8 @@ def test_shriek_push_vertical_pasting(seed):
 
     inv_src = reorder_iso(f1, f2, gl.obj, backward=True)
     rel_tgt = reorder_iso(g1, g2, gm.obj)
-    conj = cc_compose(cc_compose(inv_src, twice), rel_tgt)
+    # a reordering has stalk maps, so it composes between two morphisms
+    conj = cc_compose_many(cc_identity(inv_src.source), inv_src, twice, rel_tgt, cc_identity(rel_tgt.target))
     assert cc_iso_search(conj, direct) is not None
 
 
@@ -593,6 +594,12 @@ RELABELINGS = {
 }
 
 
+# the relabelings with identity components, which compose at either end
+# of a composite; the others compose only between two morphisms
+AT_AN_END = ["left_unitor", "left_unitor inverted", "monoidal_structure", "right_unitor",
+             "right_unitor inverted"]
+
+
 def relabeling_case(seed, modulus):
     """Three random objects over one base, an endomorphism of each, the
     identity of the unit and a base change, for RELABELINGS."""
@@ -624,7 +631,7 @@ def canonical_cell(lazy: CCMorphism, oracle: CCMorphism, to_pair) -> CCCell:
     return CCCell(lazy, oracle, graph)
 
 
-@seeded(80, [0, 7, 2, 1], sorted(RELABELINGS))
+@seeded(80, [0, 7, 2, 1], AT_AN_END)
 def test_relabelings_compose_like_the_built_out_morphisms(seed, modulus, name):
     """A composite with a relabeling keeps the other morphism's apex and
     is the composite with the built-out relabeling through the canonical
@@ -640,6 +647,31 @@ def test_relabelings_compose_like_the_built_out_morphisms(seed, modulus, name):
     lazy, oracle = cc_compose(r, out), cc_compose(built, out)
     assert lazy.span.apex is out.span.apex and lazy.span.right is out.span.right
     cc_cell_check(canonical_cell(lazy, oracle, lambda g: (r.backward(out.span.left(g)), g)))
+
+
+@seeded(72, [0, 7, 2, 1], sorted(RELABELINGS))
+def test_a_relabeling_between_two_morphisms_composes_like_the_built_out_one(seed, modulus, name):
+    """cc_compose_many(into, r, out) against the composite of the eager
+    into, the built-out relabeling and the eager out, built eagerly: the
+    same apex elements and anchors in the same order, through
+    ((g, x), h) -> (g, h), both legs and every component exactly.  A
+    relabeling with stalk maps composes in one fiber product, and raises
+    at either end of a composite; one with identity components composes at
+    the end of into, then with out."""
+    objs, (u, v, w, _), one, bc = relabeling_case(seed, modulus)
+    r, into, out = RELABELINGS[name](cc_tensor, *objs, u, v, w, one, bc)
+    _, into0, out0 = RELABELINGS[name](eager_tensor, *objs, u, v, w, one, bc)
+    lazy, oracle = cc_compose_many(into, r, out), eager_compose(eager_compose(into0, r), out0)
+    assert (lazy.source, lazy.target) == (oracle.source, oracle.target)
+    assert lazy.span.apex.elements == tuple((g, h) for (g, _), h in oracle.span.apex.elements)
+    assert lazy.span.apex.anchor == oracle.span.apex.anchor
+    assert lazy.span.left.graph == oracle.span.left.graph and lazy.span.right.graph == oracle.span.right.graph
+    assert lazy.maps[:] == oracle.maps
+    assert (r.stalk_map is None) == (name in AT_AN_END)
+    if r.stalk_map is not None:
+        for ends in ((into, r), (r, out)):
+            with pytest.raises(ValueError, match="^a relabeling with stalk maps composes only between two morphisms$"):
+                cc_compose(*ends)
 
 
 def eager_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
@@ -659,7 +691,7 @@ def eager_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMor
     return CCMorphism(a.source, b.target, span, maps)
 
 
-@seeded(60, [0, 7, 2, 1], sorted(RELABELINGS))
+@seeded(60, [0, 7, 2, 1], AT_AN_END)
 def test_on_demand_components_match_the_eager_oracle(seed, modulus, name):
     """Tensors and composites, with a relabeling on either side, against
     the same constructions built eagerly from eager inputs: the span,
@@ -735,9 +767,11 @@ def test_a_fully_read_composite_lets_go_of_its_factors():
 
 
 def test_relabeling_checks_run_before_any_component_is_read():
-    """cc_compose checks a relabeling at every element it is composed at
-    when it is called, on either side, though no component of the
-    composite is ever read: here only the element x2 fails."""
+    """A relabeling is checked at every element it is composed at when the
+    composite is made, though no component of it is ever read: one with
+    stalk maps by cc_compose_many, between two morphisms, and one with
+    identity components by cc_compose, on either side.  Here only the
+    element x2 fails."""
     a = scalar_object(n=3)
     m = loop_morphism(a, 2)
     unit_a = obj_tensor(unit_object(ZZ, ("z",)), a)
@@ -747,11 +781,11 @@ def test_relabeling_checks_run_before_any_component_is_read():
 
     into = CCRelabel(a, unit_a, lambda x: ("z", x), lambda e: "x0" if e[1] == "x2" else e[1], ident)
     with pytest.raises(ValueError, match="relabeling is not a bijection at 'x2'"):
-        cc_compose(m, into)
+        cc_compose_many(m, into, cc_identity(unit_a))
     out_of = CCRelabel(unit_a, a, lambda e: e[1], lambda x: ("z", "x0" if x == "x2" else x),
                        lambda e: ident(e[1]))
-    with pytest.raises(ValueError, match="relabeling is not a bijection at \\('z', 'x0'\\)"):
-        cc_compose(out_of, m)
+    with pytest.raises(ValueError, match="relabeling is not a bijection at \\('z', 'x2'\\)"):
+        cc_compose_many(cc_identity(unit_a), out_of, m)
     q = make_sheaf(ZZ, a.space, {x: make_complex(ZZ, {0: 2 if x == "x2" else 1})
                                  for x in a.space.elements})
     with pytest.raises(ValueError, match="relabeling stalks differ"):

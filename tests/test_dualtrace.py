@@ -330,12 +330,13 @@ def test_make_dual_tensors_each_distinct_pair_of_maps_once():
     assert (info.misses, info.hits + info.misses) == (4 * 2, 4 * 6)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6, 16])
 def test_make_dual_checks_each_distinct_relabeling_hit_once(n, monkeypatch):
     """Each triangle composite checks its first unitor at the n distinct
     elements the n^2 apex elements of coev (x) 1 hit, its reassociation at
-    n^2, and its last unitor at n: 2n^2 + 4n checks in all, no pair twice,
-    not one check per apex element (4n^2 + 2n)."""
+    the n elements where coev (x) 1 and 1 (x) ev meet, not at the n^2
+    distinct elements either hits, and its last unitor at n: 6n checks in
+    all, no pair twice, not one check per apex element (4n^2 + 2n)."""
     calls = []
     check = CCRelabel.check
 
@@ -345,16 +346,20 @@ def test_make_dual_checks_each_distinct_relabeling_hit_once(n, monkeypatch):
 
     monkeypatch.setattr(CCRelabel, "check", counted)
     make_dual.__wrapped__(wide_object(ZZ, n))
-    assert len(calls) == 2 * n * n + 4 * n
+    assert len(calls) == 6 * n
     assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_make_dual_runs_one_direction_of_each_relabeling_per_check(n, monkeypatch):
-    """cc_compose finds each distinct hit's partner by one direction of the
-    relabeling and checks the pair by the other: of the 2n^2 + 4n checks
-    each runs forward once and backward once, not the found direction
-    again (6n^2 + 12n calls)."""
+    """A relabeling's partner of each distinct hit is found by one direction
+    and checked by the other, which runs only at the elements checked.  Each
+    of the 4n unitor checks runs forward once and backward once (8n calls).
+    Each reassociation carries the right leg of coev (x) 1, whose n^2 hits
+    are distinct, across forward, to meet 1 (x) ev, and runs backward only
+    at the n elements where they meet (2n^2 + 2n calls for both).  That is 2n^2 + 10n calls,
+    fewer than the 4n^2 + 8n of checking a reassociation at every distinct
+    hit, and not the found direction again (6n^2 + 12n)."""
     calls = []
     init = CCRelabel.__init__
 
@@ -374,7 +379,7 @@ def test_make_dual_runs_one_direction_of_each_relabeling_per_check(n, monkeypatc
 
     monkeypatch.setattr(CCRelabel, "__init__", counting_init)
     make_dual.__wrapped__(wide_object(ZZ, n))
-    assert len(calls) == 2 * (2 * n * n + 4 * n)
+    assert len(calls) == 2 * n * n + 10 * n < 4 * n * n + 8 * n
 
 
 def test_a_relabeling_failing_at_a_repeated_hit_raises_when_composed():
@@ -406,43 +411,46 @@ def test_a_relabeling_failing_at_a_repeated_hit_raises_when_composed():
 
 
 def test_a_relabeling_failing_late_among_many_distinct_hits_names_the_first():
-    """At n = 16 a reassociation in a triangle certificate meets 256
-    distinct hits.  A relabeling whose computed direction leaves its space
-    at the 200th of them and breaks the round trip at the 230th raises
-    naming the 200th, on either side; with the 230th alone, naming it: the
-    first failure in hit order is reported."""
+    """At n = 16 the reassociation between coev (x) 1 and an identity meets
+    all 256 distinct elements that coev (x) 1 hits.  A relabeling whose
+    checking direction breaks the round trip at the 200th and the 230th of
+    them, or whose carried direction sends them to another element's image,
+    raises naming the 200th; with the 230th alone, naming it: the first
+    failure in match order is reported.  An element carried off the space
+    meets nothing, so it is not checked, and the 230th is named."""
     a = wide_object(ZZ, 16)
     dx = make_dual(a)
     ida = cc_identity(a)
     assoc = cc_assoc_inv(a, dx.dual, a)  # (a (x) a*) (x) a -> a (x) (a* (x) a)
-    into, out_of = cc_tensor(ida, dx.ev), cc_tensor(dx.coev, ida)
-    into_hits = list(dict.fromkeys(into.span.left.graph))
-    out_hits = list(dict.fromkeys(out_of.span.right.graph))
-    assert len(into_hits) == len(out_hits) == 256
-    # off the space: an inner 3-tuple; off the round trip: a wrong last label
-    off_source, back_wrong = (lambda e: ((e[0], e[1][0], "x"), e[1][1])), (lambda e: ((e[0], e[1][0]), "y"))
-    off_target, forth_wrong = (lambda e: (e[0][0], (e[0][1], e[1], "x"))), (lambda e: (e[0][0], (e[0][1], "y")))
+    into, out_of = cc_tensor(dx.coev, ida), cc_identity(assoc.target)
+    hits = list(dict.fromkeys(into.span.right.graph))
+    assert len(hits) == 256
+    # off the round trip: a wrong last label; onto another element's image;
+    # off the space: an inner 3-tuple
+    back_wrong, forth_taken = (lambda e: ((e[0], e[1][0]), "y")), (lambda e: assoc.forward(hits[0]))
+    off_target = (lambda e: (e[0][0], (e[0][1], e[1], "x")))
 
-    def bent(direction, hits, at):
-        swaps = {hits[i]: f for i, f in at.items()}
+    def bent(direction, keys, at):
+        swaps = {keys[i]: f for i, f in at.items()}
         return lambda e: swaps.get(e, direction)(e)
 
-    def on_left(at):
-        back = bent(assoc.backward, into_hits, at)
-        return lambda: cc_compose(CCRelabel(assoc.source, assoc.target, assoc.forward, back, assoc.stalk_map), into)
+    def backward(at):  # bent at the images of the hits
+        back = bent(assoc.backward, list(map(assoc.forward, hits)), at)
+        return CCRelabel(assoc.source, assoc.target, assoc.forward, back, assoc.stalk_map)
 
-    def on_right(at):
-        forth = bent(assoc.forward, out_hits, at)
-        return lambda: cc_compose(out_of, CCRelabel(assoc.source, assoc.target, forth, assoc.backward, assoc.stalk_map))
+    def forward(at):
+        forth = bent(assoc.forward, hits, at)
+        return CCRelabel(assoc.source, assoc.target, forth, assoc.backward, assoc.stalk_map)
 
-    for compose, named in (
-        (on_left({199: off_source, 229: back_wrong}), off_source(into_hits[199])),
-        (on_left({229: back_wrong}), back_wrong(into_hits[229])),
-        (on_right({199: off_target, 229: forth_wrong}), out_hits[199]),
-        (on_right({229: forth_wrong}), out_hits[229]),
+    for r, named in (
+        (backward({199: back_wrong, 229: back_wrong}), hits[199]),
+        (backward({229: back_wrong}), hits[229]),
+        (forward({199: forth_taken, 229: forth_taken}), hits[199]),
+        (forward({229: forth_taken}), hits[229]),
+        (forward({199: off_target, 229: forth_taken}), hits[229]),
     ):
         with pytest.raises(ValueError, match=f"^relabeling is not a bijection at {re.escape(repr(named))}$"):
-            compose()
+            cc_compose_many(into, r, out_of)
 
 
 def test_a_unitor_failing_early_is_named_before_a_later_hit_leaves_its_space():
@@ -1009,14 +1017,18 @@ def test_make_dual_materialises_quadratically_many_elements_and_stalks(monkeypat
     assert exponent <= 2.3, counts
 
 
-def test_a_relabeling_composite_keeps_the_other_apex_and_lists_no_product():
-    """Composing the reassociation with 1 (x) ev keeps the tensor's apex
-    object, and reads the relabeling's source (a (x) a*) (x) a only at the
-    elements hit, so that product of n^3 elements is never listed out."""
+def test_a_relabeling_between_two_tensors_lists_no_product():
+    """Composing the reassociation between coev (x) 1 and 1 (x) ev keeps the
+    pairs of their apexes that meet, in order, and reads the relabeling's
+    source (a (x) a*) (x) a and target a (x) (a* (x) a) only at the
+    elements hit, so neither product of n^3 elements is listed out."""
     a = wide_object(ZZ, 8)
     dx = make_dual.__wrapped__(a)
-    tensor = cc_tensor(cc_identity(a), dx.ev)
+    into, tensor = cc_tensor(dx.coev, cc_identity(a)), cc_tensor(cc_identity(a), dx.ev)
     assoc = cc_assoc_inv(a, dx.dual, a)
-    out = cc_compose(assoc, tensor)
-    assert out.span.apex is tensor.span.apex
-    assert "_flat" not in vars(assoc.source.space)
+    out = cc_compose_many(into, assoc, tensor)
+    assert out.span.apex.elements == tuple(
+        (g, h) for g in into.span.apex.elements for h in tensor.span.apex.elements
+        if assoc.forward(into.span.right(g)) == tensor.span.left(h))
+    assert out.span.apex.size == 8
+    assert "_flat" not in vars(assoc.source.space) and "_flat" not in vars(assoc.target.space)

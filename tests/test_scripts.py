@@ -46,6 +46,7 @@ def test_sweep_make_dual_small(tmp_path):
     assert 0 < rec["min_s"] <= rec["median_s"]
     assert 0 < rec["scaled_min_s"] <= rec["scaled_median_s"] and doc["ref_nominal_s"] > 0
     assert 0 < rec["peak_rss_mb"] < 1024  # the size's own interpreter, in MB
+    assert rec["relabeling_checks"] == 6 * 4  # n per unitor and per reassociation
     # every chainalg cache is emptied between deep rounds, not a listed few
     path = os.path.join(ROOT, "scripts", "sweep_make_dual.py")
     spec = importlib.util.spec_from_file_location("sweep_make_dual", path)
@@ -71,6 +72,7 @@ def test_sweep_make_dual_deep(tmp_path):
     assert 0 < rec["min_s"] <= rec["median_s"]
     assert 0 < rec["scaled_min_s"] <= rec["scaled_median_s"] and doc["ref_nominal_s"] > 0
     assert 0 < rec["peak_rss_mb"] < 1024  # the size's own interpreter, in MB
+    assert "relabeling_checks" not in rec
 
 
 def _mutant_table():
