@@ -170,19 +170,21 @@ MUTANTS = [
     ("a tensor's key drops its right factor", "chainalg.py",
      "t._key = (a.key, b.key)", "t._key = a.key", "kernels"),
     ("a relabeling on the right skips its eager check", "corrcat.py",
-     "            b.check(y, z, image=True)", "            pass", "cells"),
+     "right = _carry(right, last)",
+     "right = OverMap(right.source, last.target.space, tuple(map(last.forward, right.graph)))", "cells"),
     ("a relabeling on the left skips its eager check", "corrcat.py",
-     "            a.check(x, y, image=False)", "            pass", "cells"),
+     "left = _carry(left, cc_invert(first))",
+     "left = OverMap(left.source, first.source.space, tuple(map(first.backward, left.graph)))", "cells"),
+    ("the left end carries across forward instead of backward", "corrcat.py",
+     "left = _carry(left, cc_invert(first))", "left = _carry(left, first)", "cells"),
     ("a relabeling between two morphisms skips its check where they meet", "corrcat.py",
-     "        r.check(x, y, image=True)", "        pass", "cells"),
+     "            r.check(x, y)", "            pass", "cells"),
     ("a relabeling between two morphisms composes its stalk map on the wrong side", "corrcat.py",
-     "map_compose_shared(m2.map_at(pairs[i][1]), k(xs[i]))", "map_compose_shared(k(xs[i]), m2.map_at(pairs[i][1]))",
-     "cells"),
+     "map_compose_shared(m2.map_at(h), k(xs[i]))", "map_compose_shared(k(xs[i]), m2.map_at(h))", "cells"),
     ("a relabeling between two morphisms joins the uncarried right leg", "corrcat.py",
-     "tuple(map(r.forward, m.span.right.graph))", "m.span.right.graph", "cells"),
+     "tuple(map(r.forward, c.right.graph))", "c.right.graph", "cells"),
     ("a right relabeling keeps the old right leg", "corrcat.py",
-     "OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits)))",
-     "OverMap(c.apex, b.target.space, hits)", "cells"),
+     "right = _carry(right, last)", "_carry(right, last)", "cells"),
     ("product membership ignores the inner anchor match", "finspan.py",
      "s if s is not None and s == second(e[1]) else None",
      "s if s is not None and second(e[1]) is not None else None", "cells"),

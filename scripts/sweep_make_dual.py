@@ -87,9 +87,9 @@ def relabeling_checks(obj) -> int:
     """The relabeling checks that one make_dual of obj runs, memo bypassed."""
     check, calls = CCRelabel.check, []
 
-    def counted(self, x, y, image):
+    def counted(self, x, y):
         calls.append(None)
-        return check(self, x, y, image)
+        return check(self, x, y)
 
     CCRelabel.check = counted
     try:

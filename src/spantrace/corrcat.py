@@ -13,12 +13,14 @@ The structural isomorphisms (unitors, associators, the symmetry) are
 relabelings: a bijection of spaces with a stalk isomorphism per element.
 They are fixed only up to a unique invertible 2-cell, so they are never
 built as spans, and one is checked only where its neighbours meet, once at
-each distinct element, as nothing else enters a leg or a component.  One
-with identity components (a unitor) composes at an end, carrying the leg
-facing it; one with stalk maps, between two morphisms, in one fiber product
-(cc_compose_many).  A check asks membership of the space's member lookup,
-which finspan composes from anchor tables (one dict lookup per leaf set, no
-__contains__ frame), and reads that side's stalk without asking again.
+each distinct element, as nothing else enters a leg or a component.
+cc_compose takes any number of factors.  A relabeling between two
+morphisms joins them in one fiber product; one at an end must have
+identity components (a unitor) and carries the leg facing it, the left end
+through its inverse, so a check runs in one direction only.  A check asks
+membership of the space's member lookup, which finspan composes from
+anchor tables (one dict lookup per leaf set, no __contains__ frame), and
+reads the target's stalk without asking again.
 
 The components of a tensor or a composite are computed when first read:
 a certificate or a trace composes away all but a diagonal of a tensor's
@@ -66,7 +68,6 @@ from .finspan import (
     Span,
     base_space,
     cell_check,
-    fiber_product,
     identity_span,
     om_compose,
     span_compose,
@@ -130,76 +131,74 @@ def cc_identity(a: Sheaf) -> CCMorphism:
     return CCMorphism(a, a, span, tuple(map_identity(c) for c in a.stalks))
 
 
-def cc_compose(a: CCMorphism | CCRelabel, b: CCMorphism | CCRelabel) -> CCMorphism:
-    """a then b; the composite span, components composed pairwise when read.
+def cc_compose(*ms: CCMorphism | CCRelabel) -> CCMorphism:
+    """ms composed left to right: the composite span, components composed
+    when read.
 
-    A relabeling with identity components on either side is not built: the
-    composite keeps the other morphism's apex and components, the leg facing
-    it carried across it, up to the unique 2-cell g -> (g, right(g)) (on the
-    right) or g -> (backward(left(g)), g) (on the left).  One with stalk maps
-    composes only between two morphisms (cc_compose_many).
+    A relabeling is never built.  One between two morphisms joins them
+    (_join).  One at an end must have identity components, and the leg
+    facing it is carried across it (_carry): the composite is the one with
+    the relabeling built out, up to the unique 2-cell g -> (g, right(g)) on
+    the right or g -> (backward(left(g)), g) on the left.
     """
-    if a.target != b.source:
-        raise ValueError("composition boundary mismatch")
-    if isinstance(a, CCRelabel) and isinstance(b, CCRelabel):
-        raise ValueError("two relabelings compose only through a morphism")
-    r = b if isinstance(b, CCRelabel) else a
-    if isinstance(r, CCRelabel) and r.stalk_map is not None:
+    for a, b in zip(ms, ms[1:]):
+        if a.target != b.source:
+            raise ValueError("composition boundary mismatch")
+        if isinstance(a, CCRelabel) and isinstance(b, CCRelabel):
+            raise ValueError("two relabelings compose only through a morphism")
+    first, last = ms[0], ms[-1]
+    if any(isinstance(end, CCRelabel) and end.stalk_map is not None for end in (first, last)):
         raise ValueError("a relabeling with stalk maps composes only between two morphisms")
-    if isinstance(b, CCRelabel):
-        c, hits = a.span, a.span.right.graph
-        keys = dict.fromkeys(hits)
-        image_of = dict(zip(keys, map(b.forward, keys)))
-        for y, z in image_of.items():
-            b.check(y, z, image=True)
-        span = Span(c.left, OverMap(c.apex, b.target.space, tuple(map(image_of.get, hits))))
-        return CCMorphism(a.source, b.target, span, a.maps)
-    if isinstance(a, CCRelabel):
-        c, hits = b.span, b.span.left.graph
-        keys = dict.fromkeys(hits)
-        back = dict(zip(keys, map(a.backward, keys)))
-        for y, x in back.items():
-            a.check(x, y, image=False)
-        span = Span(OverMap(c.apex, a.source.space, tuple(map(back.get, hits))), c.right)
-        return CCMorphism(a.source, b.target, span, b.maps)
-    span = span_compose(a.span, b.span)
-    pairs = span.apex.elements
-    maps = OnDemand(len(pairs), lambda i: map_compose_shared(b.map_at(pairs[i][1]), a.map_at(pairs[i][0])))
-    return CCMorphism(a.source, b.target, span, maps)
-
-
-def cc_compose_many(*ms: CCMorphism | CCRelabel) -> CCMorphism:
-    """ms composed left to right.  A relabeling r with stalk maps between two
-    morphisms, m ; r ; m', is composed in one fiber product: m's right leg
-    carried across r.forward is joined with m''s left leg, and r is checked,
-    and its stalk map read, only where both meet, in match order.  This is
-    (m ; r) ; m' with r built out, through (g, h) -> ((g, m.right(g)), h), with
-    component (m'_h . r.stalk_map(m.right(g))) . m_g at (g, h)."""
-    out, rest = ms[0], list(reversed(ms[1:]))
-    while rest:
-        r = rest.pop()
-        if (isinstance(r, CCRelabel) and r.stalk_map is not None and isinstance(out, CCMorphism)
-                and rest and isinstance(rest[-1], CCMorphism)):
-            out = _compose_through(out, r, rest.pop())
+    inner = ms[isinstance(first, CCRelabel):len(ms) - isinstance(last, CCRelabel)]
+    out, r = inner[0], None
+    for m in inner[1:]:
+        if isinstance(m, CCRelabel):
+            r = m
         else:
-            out = cc_compose(out, r)
-    return out
+            out, r = _join(out, r, m), None
+    left, right = out.span.left, out.span.right
+    if isinstance(first, CCRelabel):
+        left = _carry(left, cc_invert(first))
+    if isinstance(last, CCRelabel):
+        right = _carry(right, last)
+    return CCMorphism(first.source, last.target, Span(left, right), out.maps)
 
 
-def _compose_through(m: CCMorphism, r: CCRelabel, m2: CCMorphism) -> CCMorphism:
-    """m ; r ; m' in one fiber product, as cc_compose_many describes."""
-    if m.target != r.source or r.target != m2.source:
-        raise ValueError("composition boundary mismatch")
-    carried = OverMap(m.span.apex, r.target.space, tuple(map(r.forward, m.span.right.graph)))
-    _, pr1, pr2 = fiber_product(carried, m2.span.left)
-    xs = om_compose(m.span.right, pr1).graph
-    for x, y in dict(zip(xs, om_compose(carried, pr1).graph)).items():
-        r.check(x, y, image=True)
-    span = Span(om_compose(m.span.left, pr1), om_compose(m2.span.right, pr2))
-    pairs, k = span.apex.elements, r.stalk_map
-    maps = OnDemand(len(pairs), lambda i: map_compose_shared(
-        map_compose_shared(m2.map_at(pairs[i][1]), k(xs[i])), m.map_at(pairs[i][0])))
-    return CCMorphism(m.source, m2.target, span, maps)
+def _join(m: CCMorphism, r: CCRelabel | None, m2: CCMorphism) -> CCMorphism:
+    """m ; r ; m' (m ; m' if r is None) in one fiber product: m's right leg,
+    carried across r.forward, meets m''s left leg, and r is checked only at
+    the distinct elements of m's right leg where they meet, in match order.
+    This is (m ; r) ; m' with r built out, through (g, h) -> ((g, x), h), x =
+    m.right(g); its component at (g, h) is m'_h . m_g, or
+    (m'_h . r.stalk_map(x)) . m_g if r has stalk maps."""
+    c = m.span
+    if r is not None:
+        c = Span(c.left, OverMap(c.apex, r.target.space, tuple(map(r.forward, c.right.graph))))
+    span = span_compose(c, m2.span)
+    pairs = span.apex.elements
+    k = None if r is None else r.stalk_map
+    if r is not None:
+        met = [g for g, _ in pairs]
+        xs = tuple(map(m.span.right, met))
+        for x, y in dict(zip(xs, map(c.right, met))).items():
+            r.check(x, y)
+
+    def component(i: int) -> ChainMap:
+        g, h = pairs[i]
+        after = m2.map_at(h) if k is None else map_compose_shared(m2.map_at(h), k(xs[i]))
+        return map_compose_shared(after, m.map_at(g))
+
+    return CCMorphism(m.source, m2.target, span, OnDemand(len(pairs), component))
+
+
+def _carry(leg: OverMap, r: CCRelabel) -> OverMap:
+    """leg then r, a relabeling with identity components: each distinct hit
+    x goes to r.forward(x), and r is checked there once, in order."""
+    keys = dict.fromkeys(leg.graph)
+    image_of = dict(zip(keys, map(r.forward, keys)))
+    for x, y in image_of.items():
+        r.check(x, y)
+    return OverMap(leg.source, r.target.space, tuple(map(image_of.get, leg.graph)))
 
 
 def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
@@ -263,18 +262,14 @@ class CCRelabel:
     backward: Callable[[Label], Label]
     stalk_map: Callable[[Label], ChainMap] | None = None
 
-    def check(self, x: Label, y: Label, image: bool) -> None:
-        """Check that x pairs with y, where y is forward(x) if image and x is
-        backward(y) otherwise, by the other direction and the computed one's
-        membership, asked of its space's member lookup; and that their
-        stalks agree if stalk_map is None, the computed one's read without
-        testing its membership again."""
-        src, tgt = self.source, self.target
-        if not (self.backward(y) == x and tgt.space._member_anchor(y) is not None if image
-                else self.forward(x) == y and src.space._member_anchor(x) is not None):
+    def check(self, x: Label, y: Label) -> None:
+        """Check that y = forward(x) pairs with x: backward(y) is x and y is
+        a member of the target, asked of its space's member lookup; and, if
+        stalk_map is None, that their stalks agree, y's read without testing
+        its membership again."""
+        if self.backward(y) != x or self.target.space._member_anchor(y) is None:
             raise ValueError(f"relabeling is not a bijection at {x!r}")
-        if self.stalk_map is None and (src.stalk(x) != tgt._member_stalk(y) if image
-                                       else src._member_stalk(x) != tgt.stalk(y)):
+        if self.stalk_map is None and self.source.stalk(x) != self.target._member_stalk(y):
             raise ValueError("relabeling stalks differ; pass stalk_map")
 
 

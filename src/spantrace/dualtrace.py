@@ -33,7 +33,6 @@ from .corrcat import (
     cc_assoc_inv,
     cc_cell_check,
     cc_compose,
-    cc_compose_many,
     cc_identity,
     cc_invert,
     cc_swap,
@@ -97,16 +96,16 @@ def make_dual(a: Sheaf) -> DualityData:
     coev = make_cc_morphism(unit, coev_tgt, Span(om_anchor(x), diag), coev_maps)
 
     ida, idd = cc_identity(a), cc_identity(dual)
-    # each reassociation sits between coev (x) 1 and 1 (x) ev (1 (x) coev and
-    # ev (x) 1): it is checked and read only at the n elements where they
-    # meet, since nothing else enters a leg or a component of the composite
+    # each reassociation joins coev (x) 1 and 1 (x) ev (1 (x) coev and
+    # ev (x) 1), so it is checked and read only at the n elements where they
+    # meet; each unitor at an end is checked at the n elements its leg hits
     # a -> 1 (x) a -> (a (x) a*) (x) a -> a (x) (a* (x) a) -> a (x) 1 -> a
-    t1 = _cell_onto_identity(cc_compose_many(
+    t1 = _cell_onto_identity(cc_compose(
         left_unitor(a), cc_tensor(coev, ida), cc_assoc_inv(a, dual, a), cc_tensor(ida, ev),
         cc_invert(right_unitor(a)),
     ), ida)
     # a* -> a* (x) 1 -> a* (x) (a (x) a*) -> (a* (x) a) (x) a* -> 1 (x) a* -> a*
-    t2 = _cell_onto_identity(cc_compose_many(
+    t2 = _cell_onto_identity(cc_compose(
         right_unitor(dual), cc_tensor(idd, coev), cc_assoc(dual, a, dual), cc_tensor(ev, idd),
         cc_invert(left_unitor(dual)),
     ), idd)
@@ -175,7 +174,7 @@ def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
         raise ValueError("endomorphism required")
     if dx.obj != e.source:
         raise ValueError("duality data is for the wrong object")
-    total = cc_compose_many(
+    total = cc_compose(
         dx.coev,
         cc_tensor(e, cc_identity(dx.dual)),
         cc_swap(dx.obj, dx.dual),
@@ -199,14 +198,11 @@ def trace(e: CCMorphism, dx: DualityData) -> PairingResult:
 def pairing_symmetry(
     u: CCMorphism, v: CCMorphism, dx: DualityData, dy: DualityData
 ) -> tuple[OmegaClass, OmegaClass, OverMap]:
-    """Both pairings plus the interlocking swap; values must agree through it."""
+    """Both pairings plus the interlocking swap, through which their values
+    should agree; the caller compares them."""
     a = pairing(u, v, dx).omega
     b = pairing(v, u, dy).omega
-    swap = OverMap(a.carrier, b.carrier, tuple((d, g) for g, d in a.carrier.elements))
-    for g, d in a.carrier.elements:
-        if a.value((g, d)) != b.value((d, g)):
-            raise ValueError(f"pairing not symmetric at {(g, d)!r}")
-    return a, b, swap
+    return a, b, OverMap(a.carrier, b.carrier, tuple((d, g) for g, d in a.carrier.elements))
 
 
 # ---------------------------------------------------------------------------

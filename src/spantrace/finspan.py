@@ -89,7 +89,7 @@ class FinOver:
         return s
 
     def __contains__(self, x: Label) -> bool:
-        return x in self._pos
+        return self._member_anchor(x) is not None
 
     @property
     def size(self) -> int:
@@ -223,9 +223,6 @@ class ProductOver(FinOver):
     elements = property(lambda self: self._flat.elements)
     anchor = property(lambda self: self._flat.anchor)
     _pos = property(lambda self: self._flat._pos)
-
-    def __contains__(self, e: Label) -> bool:
-        return self._member_anchor(e) is not None
 
 
 def prod_over_base(x: FinOver, y: FinOver) -> FinOver:

@@ -30,8 +30,8 @@ from spantrace.chainalg import (ZZ, ChainMap, Complex, Ring, cx_direct_sum, cx_t
                                 make_complex, map_add, map_compose, map_direct_sum, map_identity, map_tensor,
                                 mat_scale, mat_zero, unit_complex)
 from spantrace.corrcat import (CCCell, CCMorphism, CCRelabel, cc_assoc, cc_cell_check, cc_compose,
-                               cc_compose_many, cc_identity, cc_invert, cc_tensor, left_unitor,
-                               make_cc_morphism, obj_tensor, right_unitor, shriek_push)
+                               cc_identity, cc_invert, cc_tensor, left_unitor, make_cc_morphism,
+                               obj_tensor, right_unitor, shriek_push)
 from spantrace.dualtrace import DualityData, PushRectangles, make_dual, trace
 from spantrace.finspan import (FinOver, Label, OverMap, Span, make_fin_over, make_over_map, om_compose,
                                om_identity)
@@ -480,7 +480,7 @@ def dual_of_morphism(u: CCMorphism, da: DualityData, db: DualityData) -> CCMorph
     if da.obj != u.source or db.obj != u.target:
         raise ValueError("duality data endpoints mismatch")
     a = da.obj
-    return cc_compose_many(
+    return cc_compose(
         right_unitor(db.dual),
         cc_tensor(cc_identity(db.dual), da.coev),
         cc_assoc(db.dual, a, da.dual),

@@ -13,9 +13,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from spantrace import cli, suites
+from spantrace import cli, dualtrace, suites
 from spantrace.cli import main
-from spantrace.dualtrace import FunctorialResult, make_dual, pairing_functorial
+from spantrace.dualtrace import FunctorialResult, PairingResult, make_dual, pairing_functorial
 from spantrace.generate import GenParams, random_lv_instance, random_pair_instance
 from spantrace.instances import Instance, ParseError, emit_instance, parse_instance
 from spantrace.sheafops import OmegaClass
@@ -376,6 +376,23 @@ def test_a_check_body_fails_when_what_it_checks_breaks(monkeypatch, suite, name,
     assert [(c.index, c.name) for c in failed] == [(0, check), (1, check), (2, check)]
     for c in failed:
         assert c.detail["lhs"] != c.detail["rhs"] and c.detail.keys() == {"lhs", "rhs"} if sides else c.detail is None
+
+
+def test_an_asymmetric_pairing_fails_the_symmetry_check(monkeypatch):
+    """pairing_symmetry returns both pairings and the swap without comparing
+    them, so with the pairing of (v, u) moved off its value, the symmetry
+    check itself fails on each child of seed 3, not as a verification that
+    raised."""
+    pairing, calls = dualtrace.pairing, []
+
+    def second_moved(u, v, dx):
+        calls.append(None)
+        out = pairing(u, v, dx)
+        return PairingResult(shifted(out.omega)) if len(calls) % 2 == 0 else out
+
+    monkeypatch.setattr(dualtrace, "pairing", second_moved)
+    failed = [(c.index, c.name, c.detail) for c in run_suite("symmetry", 3, 3).checks if c.status != "pass"]
+    assert failed == [(i, "pairing symmetric through the swap", None) for i in range(3)]
 
 
 def test_trace_certifies_each_object_once(capsys):
