@@ -10,11 +10,12 @@ collapsing X to a point adds up the local terms.
 
 from spantrace.chainalg import ZZ, make_chain_map, make_complex, unit_complex
 from spantrace.corrcat import cc_identity, make_cc_morphism
-from spantrace.dualtrace import make_dual, pairing_functorial, trace
+from spantrace.dualtrace import make_dual, trace
 from spantrace.dualtrace import PushRectangles
 from spantrace.finspan import Span, identity_span, make_fin_over, make_over_map
 from spantrace.instances import omega_doc
 from spantrace.sheafops import make_sheaf
+from spantrace.suites import lv_checks
 
 base = ("z",)
 x = make_fin_over(base, ("a", "b"), {"a": "z", "b": "z"})
@@ -39,8 +40,8 @@ rect = PushRectangles(
     f=collapse, p=collapse, g=collapse, q=collapse,
     u=ident, v=ident, cp=identity_span(pt), dp=identity_span(pt),
 )
-res = pairing_functorial(rect)
+[(_, equal, (pushed, rhs))] = lv_checks(rect)  # the lv suite's one check
 print("pushed local terms vs trace of the collapsed object:")
-print(" ", omega_doc(res.pushed))
-print(" ", omega_doc(res.rhs))
-print("equal:", res.equal)
+print(" ", omega_doc(pushed))
+print(" ", omega_doc(rhs))
+print("equal:", equal)

@@ -208,8 +208,15 @@ MUTANTS = [
      "local_total == total, (local_total, total)", "total == total, (local_total, total)", "suites"),
     ("the symmetry body passes without comparing", "suites.py",
      "all(lhs.value(e) == rhs.value(swap(e)) for e in lhs.carrier.elements)", "True", "suites"),
+    ("the lv body compares the pushed pairing with itself", "suites.py",
+     "pushed == rhs, (pushed, rhs)", "pushed == pushed, (pushed, rhs)", "suites"),
     ("the basechange body passes the duals unchecked", "suites.py",
-     "rep.dual_strict, None", "True, None", "suites"),
+     "pull_object(bc, d.dual) == verdier(pull_object(bc, d.obj))", "True", "suites"),
+    ("the basechange body passes the pairings unchecked", "suites.py",
+     "all(rhs.value(e) == lhs.value(recoord(e)) for e in rhs.carrier.elements)\n"
+     "           and rhs.carrier.size == lhs.carrier.size", "True", "suites"),
+    ("the basechange body passes the pushforward unchecked", "suites.py",
+     "pulled == pushed, None", "True, None", "suites"),
     ("the triangle body passes the certificates unchecked", "suites.py",
      "d.triangle_obj.graph.is_bijective() and d.triangle_dual.graph.is_bijective()", "True", "suites"),
     ("the triangle body passes the double dual unchecked", "suites.py",

@@ -17,7 +17,7 @@ from .chainalg import memo
 from .corrcat import CCMorphism, make_cc_morphism, shriek_push
 from .dualtrace import DualityData, PushRectangles, make_dual, pairing
 from .finspan import FinOver, Label, OverMap, Span, base_space, fiber_product
-from .sheafops import OmegaClass, Sheaf, pull, verdier
+from .sheafops import OmegaClass, Sheaf, pull
 
 
 @dataclass(frozen=True)
@@ -89,44 +89,28 @@ def pull_omega(bc: BaseChange, a: OmegaClass) -> OmegaClass:
     return OmegaClass(a.ring, space, tuple(a.value(proj(e)) for e in space.elements))
 
 
-@dataclass(frozen=True)
-class PreservationReport:
-    dual_strict: bool
-    pairing_strict: bool
-    lhs: OmegaClass
-    rhs: OmegaClass
-
-
 def functor_preserves(
     bc: BaseChange, da: DualityData, u: CCMorphism, v: CCMorphism
-) -> PreservationReport:
-    """Pull of dual equals dual of pull (strict); pull of the pairing
-    equals the pairing of the pulls through the fixed-point recoordination."""
-    pulled_obj = pull_object(bc, da.obj)
-    dual_strict = pull_object(bc, da.dual) == verdier(pulled_obj)
-
-    before = pairing(u, v, da).omega
-    lhs = pull_omega(bc, before)
+) -> tuple[OmegaClass, OmegaClass, OverMap]:
+    """The pull of the pairing, the pairing of the pulls, and the
+    recoordination of fixed-point sets from the second's carrier onto the
+    first's, through which their values should agree; the caller compares
+    them."""
+    lhs = pull_omega(bc, pairing(u, v, da).omega)
     du = pull_morphism(bc, u)
     dv = pull_morphism(bc, v)
-    after = pairing(du, dv, make_dual(du.source)).omega
+    rhs = pairing(du, dv, make_dual(du.source)).omega
     # recoordinate ((gamma, s), (delta, s)) -> ((gamma, delta), s)
-    recoord = OverMap(
-        after.carrier,
-        lhs.carrier,
-        tuple(((g, d), s) for (g, s), (d, _s) in after.carrier.elements),
-    )
-    pairing_strict = all(
-        after.value(e) == lhs.value(recoord(e)) for e in after.carrier.elements
-    ) and after.carrier.size == lhs.carrier.size
-    return PreservationReport(dual_strict, pairing_strict, lhs, after)
+    recoord = OverMap(rhs.carrier, lhs.carrier,
+                      tuple(((g, d), s) for (g, s), (d, _s) in rhs.carrier.elements))
+    return lhs, rhs, recoord
 
 
-def push2_strict(bc: BaseChange, rect: PushRectangles) -> bool:
-    """Pulling back the pushed morphism equals pushing the pulled data;
-    a literal equality of morphisms in this model."""
-    pushed = shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp)
-    lhs = pull_morphism(bc, pushed)
+def push2_strict(bc: BaseChange, rect: PushRectangles) -> tuple[CCMorphism, CCMorphism]:
+    """The pull of the pushed morphism and the push of the pulled data,
+    which should be literally equal in this model; the caller compares
+    them."""
+    lhs = pull_morphism(bc, shriek_push(rect.u, rect.f, rect.p, rect.g, rect.cp))
     rhs = shriek_push(
         pull_morphism(bc, rect.u),
         pull_over_map(bc, rect.f),
@@ -134,4 +118,4 @@ def push2_strict(bc: BaseChange, rect: PushRectangles) -> bool:
         pull_over_map(bc, rect.g),
         pull_span(bc, rect.cp),
     )
-    return lhs == rhs
+    return lhs, rhs

@@ -30,7 +30,9 @@ and cc_compose build components by map_tensor and map_compose_shared,
 which keep each tensor and composite in chainalg.memo per pair of map
 objects: points with one stalk share them, so each is built once.  The
 matrix products inside a composite are not kept.  The pointwise oracle's
-path reads no memo.
+chain-map compositions read no memo, as local_pairing calls map_compose;
+its fixed_point_space reads the memo's product sets through
+prod_over_base (ROADMAP item 21).
 
 CCMorphism, CCCell and CCRelabel are plain dataclasses, read-only by
 convention, as in chainalg: built per instance, they skip a frozen

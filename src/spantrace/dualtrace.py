@@ -237,19 +237,10 @@ class PushRectangles:
         _check_pairing_boundaries(self.u, self.v)
 
 
-@dataclass(frozen=True)
-class FunctorialResult:
-    pushed: OmegaClass
-    rhs: OmegaClass
-
-    @property
-    def equal(self) -> bool:
-        return self.pushed == self.rhs
-
-
-def pairing_functorial(rect: PushRectangles) -> FunctorialResult:
-    """Push the pairing along the induced map of fixed-point sets and
-    compare with the pairing of the pushed morphisms; exact equality.
+def pairing_functorial(rect: PushRectangles) -> tuple[OmegaClass, OmegaClass]:
+    """The pairing pushed along the induced map of fixed-point sets, and
+    the pairing of the pushed morphisms; the caller compares them, and
+    exact equality is the relative Lefschetz-Verdier identity.
 
     The duality data of the upper source object is built here, and that of
     its pushforward by push_preserves_dual, which also checks that the dual
@@ -265,7 +256,7 @@ def pairing_functorial(rect: PushRectangles) -> FunctorialResult:
     rhs = pairing(u2, v2, push_preserves_dual(rect.f, dx)).omega
     graph = tuple((rect.p(g), rect.q(d)) for g, d in lhs.carrier.elements)
     pushed = omega_push(OverMap(lhs.carrier, rhs.carrier, graph), lhs)
-    return FunctorialResult(pushed, rhs)
+    return pushed, rhs
 
 
 def push_preserves_dual(f: OverMap, dx: DualityData) -> DualityData:

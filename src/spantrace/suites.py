@@ -9,7 +9,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
-from .basefunc import BaseChange, functor_preserves, push2_strict
+from .basefunc import BaseChange, functor_preserves, pull_object, push2_strict
 from .chainalg import alt_trace
 from .corrcat import CCMorphism, shriek_push
 from .dualtrace import (
@@ -65,8 +65,8 @@ class Report:
 
 
 def lv_checks(rect: PushRectangles) -> Iterator[tuple]:
-    res = pairing_functorial(rect)
-    yield "pushforward trace identity", res.equal, (res.pushed, res.rhs)
+    pushed, rhs = pairing_functorial(rect)
+    yield "pushforward trace identity", pushed == rhs, (pushed, rhs)
 
 
 def global_checks(e: CCMorphism) -> Iterator[tuple]:
@@ -94,11 +94,16 @@ def symmetry_checks(pair: tuple[CCMorphism, CCMorphism]) -> Iterator[tuple]:
 
 def basechange_checks(based: tuple[PushRectangles, BaseChange]) -> Iterator[tuple]:
     rect, bc = based
-    rep = functor_preserves(bc, make_dual(rect.u.source), rect.u, rect.v)
-    yield "pullback commutes with duals strictly", rep.dual_strict, None
+    d = make_dual(rect.u.source)
+    duals = pull_object(bc, d.dual) == verdier(pull_object(bc, d.obj))
+    lhs, rhs, recoord = functor_preserves(bc, d, rect.u, rect.v)  # or raises
+    yield "pullback commutes with duals strictly", duals, None
     # compared after recoordination: the two sides lie on different carriers
-    yield "pullback commutes with pairings after recoordination", rep.pairing_strict, (rep.lhs, rep.rhs)
-    yield "pullback commutes with pushforward strictly", push2_strict(bc, rect), None
+    yield ("pullback commutes with pairings after recoordination",
+           all(rhs.value(e) == lhs.value(recoord(e)) for e in rhs.carrier.elements)
+           and rhs.carrier.size == lhs.carrier.size, (lhs, rhs))
+    pulled, pushed = push2_strict(bc, rect)
+    yield "pullback commutes with pushforward strictly", pulled == pushed, None
 
 
 def oracle_checks(pair: tuple[CCMorphism, CCMorphism]) -> Iterator[tuple]:
@@ -197,10 +202,14 @@ def parse_report(text: str) -> dict:
     of the first missing, mistyped or inconsistent field."""
     doc = load_json(text)
     _expect_fields(doc, "", _REPORT_FIELDS)
+    if doc["count"] < 0:
+        raise ParseError("/count", "must be non-negative")
     for i, c in enumerate(doc["checks"]):
         _expect_fields(c, f"/checks/{i}", _CHECK_FIELDS)
         if c["status"] not in ("pass", "fail"):
             raise ParseError(f"/checks/{i}/status", 'must be "pass" or "fail"')
+        if not 0 <= c["index"] < doc["count"]:
+            raise ParseError(f"/checks/{i}/index", f"must name one of the {doc['count']} instances")
     failing = sum(1 for c in doc["checks"] if c["status"] != "pass")
     if doc["failures"] != failing:
         raise ParseError("/failures", f"is {doc['failures']}, but {failing} checks do not pass")

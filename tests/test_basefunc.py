@@ -5,18 +5,9 @@ import random
 
 import pytest
 
-from spantrace.basefunc import (
-    functor_preserves,
-    make_base_change,
-    pull_morphism,
-    pull_object,
-    pull_omega,
-    pull_space,
-    push2_strict,
-)
+from spantrace.basefunc import make_base_change, pull_morphism, pull_object, pull_omega, pull_space
 from spantrace.chainalg import Ring, ZZ
 from spantrace.corrcat import cc_compose, cc_invert, cc_tensor
-from spantrace.dualtrace import make_dual
 from spantrace.finspan import make_fin_over
 from spantrace.generate import (
     GenParams,
@@ -29,6 +20,7 @@ from spantrace.generate import (
     random_span,
 )
 from spantrace.sheafops import make_sheaf
+from spantrace.suites import basechange_checks
 from statements import SIZES, cc_iso_search, char_class, interlocking_spans, monoidal_structure, q_complex, seeded
 
 
@@ -72,16 +64,16 @@ def test_functor_preserves_random(seed, params):
     inst = random_lv_instance(seed, params)
     rect = inst.lv
     bc = random_base_change_for(seed ^ 101, inst.base, params)
-    rep = functor_preserves(bc, make_dual(rect.u.source), rect.u, rect.v)
-    assert rep.dual_strict
-    assert rep.pairing_strict
+    checks = {name: ok for name, ok, _ in basechange_checks((rect, bc))}
+    assert len(checks) == 3 and all(checks.values()), checks
 
 
 @seeded(25)
 def test_push2_square_strict(seed):
     inst = random_lv_instance(seed, GenParams())
     bc = random_base_change_for(seed ^ 202, inst.base, GenParams())
-    assert push2_strict(bc, inst.lv)
+    checks = {name: ok for name, ok, _ in basechange_checks((inst.lv, bc))}
+    assert len(checks) == 3 and all(checks.values()), checks
 
 
 @seeded(15)

@@ -1,6 +1,5 @@
 """Instance files, reports, and the command line surface."""
 
-import dataclasses
 import glob
 import hashlib
 import json
@@ -15,11 +14,11 @@ import pytest
 
 from spantrace import cli, dualtrace, suites
 from spantrace.cli import main
-from spantrace.dualtrace import FunctorialResult, PairingResult, make_dual, pairing_functorial
+from spantrace.dualtrace import PairingResult, make_dual
 from spantrace.generate import GenParams, random_lv_instance, random_pair_instance
 from spantrace.instances import Instance, ParseError, emit_instance, parse_instance
 from spantrace.sheafops import OmegaClass
-from spantrace.suites import SUITE_NAMES, Check, Report, parse_report, report_doc, report_emit, run_suite
+from spantrace.suites import SUITE_NAMES, Check, Report, lv_checks, parse_report, report_doc, report_emit, run_suite
 from statements import clear_caches
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -153,13 +152,26 @@ def test_cli_lv_nonzero(capsys):
     assert doc["rhs"] == doc["pushed"]
 
 
+def test_cli_lv_takes_its_verdict_from_the_lv_body(monkeypatch, capsys):
+    """lv prints the lv suite body's one check: with the pairing of the
+    pushed morphisms moved off its value, the command fails, exit 1, and
+    prints the moved right-hand side next to the unmoved pushed pairing."""
+    monkeypatch.setattr(suites, "pairing_functorial", moved(suites.pairing_functorial))
+    assert main(["lv", LV_NONZERO]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["equal"] is False
+    assert doc["pushed"]["values"] == {'["cp","dp"]': 8}
+    assert doc["rhs"]["values"] == {'["cp","dp"]': 9}
+    assert doc.keys() == {"pushed", "rhs", "equal"}
+
+
 @pytest.mark.parametrize("error", [ValueError("broken pairing"), ZeroDivisionError("division by zero")],
                          ids=["ValueError", "ZeroDivisionError"])
 def test_cli_reports_a_raising_verification_as_a_failure(monkeypatch, capsys, error):
     def raising(*args):
         raise error
 
-    monkeypatch.setattr(cli, "pairing_functorial", raising)
+    monkeypatch.setattr(suites, "pairing_functorial", raising)
     monkeypatch.setattr(cli, "trace", raising)
     for command, path in (("lv", LV_SMALL), ("trace", TWO_POINT)):
         assert main([command, path]) == 1
@@ -258,19 +270,26 @@ def test_cli_report_rejects_booleans_as_integers(tmp_path, capsys, path, value):
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("failures", -3), ("failures", 1), ("elapsed_seconds", float("nan")),
-     ("elapsed_seconds", float("inf")), ("elapsed_seconds", -1), ("elapsed_seconds", 10**400)],
+    "path, value",
+    [(["failures"], -3), (["failures"], 1), (["elapsed_seconds"], float("nan")),
+     (["elapsed_seconds"], float("inf")), (["elapsed_seconds"], -1), (["elapsed_seconds"], 10**400),
+     (["count"], -3), (["checks", 0, "index"], 7), (["checks", 0, "index"], 1), (["checks", 0, "index"], -1)],
     ids=["failures-negative", "failures-miscounted", "elapsed-nan", "elapsed-infinity",
-         "elapsed-negative", "elapsed-past-float-range"],
+         "elapsed-negative", "elapsed-past-float-range", "count-negative", "index-past-count",
+         "index-equal-to-count", "index-negative"],
 )
-def test_cli_report_rejects_inconsistent_values(tmp_path, capsys, key, value):
+def test_cli_report_rejects_inconsistent_values(tmp_path, capsys, path, value):
     # failures -3 would print "4/1 checks passed"; NaN would print "in nans"
-    # and re-emit the non-standard token NaN; 10**400 would not format
+    # and re-emit the non-standard token NaN; 10**400 would not format;
+    # count -3 would print "count -3", and index 7 name an instance a
+    # count-1 report does not have
     doc = report_doc(run_suite("lv", 1, 1))
-    assert doc["failures"] == 0 and len(doc["checks"]) == 1
-    doc[key] = value
-    assert_rejected_at(tmp_path, capsys, doc, "/" + key)
+    assert doc["failures"] == 0 and doc["count"] == 1 and len(doc["checks"]) == 1
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert_rejected_at(tmp_path, capsys, doc, "/" + "/".join(map(str, path)))
 
 
 def test_fuzz_all_report_bytes_are_pinned(capsys):
@@ -335,14 +354,14 @@ def test_a_suite_fault_is_reported_with_its_child_seed(monkeypatch, suite, name)
 
 def shifted(side):
     """One side of a comparison moved off its value: an integer plus one, a
-    class one more at its first element, and a pushforward result or
-    pairing_symmetry's (lhs, rhs, swap) with its right-hand class so moved."""
+    class one more at its first element, and the sides a library function
+    returns for a body to compare, such as pairing_functorial's (pushed,
+    rhs) or pairing_symmetry's (lhs, rhs, swap), with the right-hand class
+    so moved."""
     if isinstance(side, int):
         return side + 1
-    if isinstance(side, FunctorialResult):
-        return FunctorialResult(side.pushed, shifted(side.rhs))
     if isinstance(side, tuple):
-        return side[0], shifted(side[1]), side[2]
+        return side[0], shifted(side[1]), *side[2:]
     return OmegaClass(side.ring, side.carrier, (side.ring.norm(side.values[0] + 1), *side.values[1:]))
 
 
@@ -360,9 +379,9 @@ UNCERTIFIED = SimpleNamespace(triangle_obj=NOT_BIJECTIVE, triangle_dual=NOT_BIJE
     ("global", "alt_trace", moved, "sum of local terms equals global alternating trace", True),
     ("lv", "pairing_functorial", moved, "pushforward trace identity", True),
     ("symmetry", "pairing_symmetry", moved, "pairing symmetric through the swap", False),
-    ("basechange", "functor_preserves", lambda f: lambda *args: dataclasses.replace(f(*args), dual_strict=False),
-     "pullback commutes with duals strictly", False),
-    ("basechange", "push2_strict", lambda f: lambda *args: False, "pullback commutes with pushforward strictly", False),
+    ("basechange", "verdier", lambda f: lambda sheaf: None, "pullback commutes with duals strictly", False),
+    ("basechange", "push2_strict", lambda f: lambda *args: (f(*args)[0], None),
+     "pullback commutes with pushforward strictly", False),
     ("triangle", "make_dual", lambda f: lambda obj: UNCERTIFIED, "duality triangle certificates", False),
     ("triangle", "verdier", lambda f: lambda sheaf: None, "double dual is the identity on matrices", False),
 ], ids=["oracle", "global", "lv", "symmetry", "duals", "pushforward", "certificates", "double-dual"])
@@ -376,6 +395,30 @@ def test_a_check_body_fails_when_what_it_checks_breaks(monkeypatch, suite, name,
     assert [(c.index, c.name) for c in failed] == [(0, check), (1, check), (2, check)]
     for c in failed:
         assert c.detail["lhs"] != c.detail["rhs"] and c.detail.keys() == {"lhs", "rhs"} if sides else c.detail is None
+
+
+def test_a_moved_base_change_pairing_fails_its_check(monkeypatch):
+    """The basechange body compares the pull of the pairing with the pairing
+    of the pulls itself.  Their classes are mostly empty, none on seed 3's
+    children, so the test above cannot move one.  With the pairing of the
+    pulls moved wherever it is nonempty, over 60 children of seed 0, exactly
+    the children with a nonempty class fail the pairing check, with both
+    sides as detail."""
+    preserves, sizes = suites.functor_preserves, []
+
+    def moved_where_nonempty(*args):
+        lhs, rhs, recoord = preserves(*args)
+        sizes.append(rhs.carrier.size)
+        return lhs, shifted(rhs) if rhs.values else rhs, recoord
+
+    monkeypatch.setattr(suites, "functor_preserves", moved_where_nonempty)
+    failed = [c for c in run_suite("basechange", 0, 60).checks if c.status != "pass"]
+    nonempty = [i for i, size in enumerate(sizes) if size]
+    assert len(sizes) == 60 and nonempty
+    assert [(c.index, c.name) for c in failed] == [
+        (i, "pullback commutes with pairings after recoordination") for i in nonempty]
+    for c in failed:
+        assert c.detail.keys() == {"lhs", "rhs"} and c.detail["lhs"] != c.detail["rhs"]
 
 
 def test_an_asymmetric_pairing_fails_the_symmetry_check(monkeypatch):
@@ -640,7 +683,8 @@ def test_generator_envelope_examples():
     inst = random_lv_instance(0, GenParams(max_set=1))
     assert len(inst.base) == 1
     # a default instance passes the pushforward check
-    assert pairing_functorial(random_lv_instance(42, GenParams()).lv).equal
+    [(_, ok, _)] = lv_checks(random_lv_instance(42, GenParams()).lv)
+    assert ok
 
 
 def test_cli_fuzz_tiny_lv(capsys):
