@@ -46,6 +46,7 @@ SELECTIONS = {
         _CRITERION + "6_characteristic_class_200",
         _CRITERION + "9_pushforward_unique_lift",
         _CRITERION + "11_every_small_diagram",
+        _CRITERION + "12_diagrams_on_which_the_identities_bite_500",
         "tests/test_sheafops.py",
         "tests/test_corrcat.py",
     ],
@@ -66,6 +67,7 @@ SELECTIONS = {
         _CRITERION + "3_local_term_oracle_500",
         _CRITERION + "5_pairing_symmetry_200",
         _CRITERION + "11_every_small_diagram",
+        _CRITERION + "12_diagrams_on_which_the_identities_bite_500",
     ],
     "suites": _COMMON + [
         "tests/test_cli.py",
@@ -92,6 +94,8 @@ MUTANTS = [
      "found[g] = comp.nonzero[0].get(0, 0)", "found[g] = 0", "pairing"),
     ("alt_trace drops the sign of odd degrees", "chainalg.py",
      "total += t if n % 2 == 0 else -t", "total += t", "pairing"),
+    ("the pointwise oracle's local term drops (-1)^n", "dualtrace.py",
+     "(-1 if n % 2 else 1) * sum(", "sum(", "pairing"),
     ("map_compose swaps its factors", "chainalg.py",
      "(n, mat_mul(g.component(n), f.component(n)))", "(n, mat_mul(f.component(n), g.component(n)))",
      "kernels"),
@@ -165,8 +169,8 @@ MUTANTS = [
      "self._compute(range(len(self._done))[i])", "self._compute(range(len(self._done))[i - 1])",
      "cells"),
     ("cc_tensor pairs (g, h) as (h, g)", "corrcat.py",
-     "map_tensor(a.map_at(pairs[i][0]), b.map_at(pairs[i][1]))",
-     "map_tensor(b.map_at(pairs[i][1]), a.map_at(pairs[i][0]))", "cells"),
+     "map_tensor(self.factors[0].map_at(g[0]), self.factors[1].map_at(g[1]))",
+     "map_tensor(self.factors[1].map_at(g[1]), self.factors[0].map_at(g[0]))", "cells"),
     ("a tensor's key drops its right factor", "chainalg.py",
      "t._key = (a.key, b.key)", "t._key = a.key", "kernels"),
     ("a relabeling on the right skips its eager check", "corrcat.py",
@@ -192,6 +196,13 @@ MUTANTS = [
      "if len(fibers) < len(self.graph):", "if False:", "cells"),
     ("a tensor's right leg takes the left leg's images", "finspan.py",
      "map(rights.get, c.apex.anchor, repeat(()))", "map(lefts.get, c.apex.anchor, repeat(()))", "cells"),
+    ("a factored tensor's right leg takes the left factor of its second factor", "finspan.py",
+     "ProductMap(c.right, d.right)", "ProductMap(c.right, d.left)", "cells"),
+    ("the factored join emits the right fibre's order first", "finspan.py",
+     "sorted(zip(map(f.source.index, left), map(g.source.index, right), left, right))",
+     "sorted(zip(map(g.source.index, right), map(f.source.index, left), left, right))", "cells"),
+    ("the factored join drops a pair whose second factor's fibre has several elements", "finspan.py",
+     "for e in fiber(image(at(row[i])), ())", "for e in fiber(image(at(row[i])), ())[:1]", "cells"),
     ("make_dual's key is the space alone", "dualtrace.py",
      "@lru_cache(maxsize=DUALS_KEPT)\ndef make_dual(",
      "@(lambda fn, memo={}: setattr(w := lambda a: memo[a.space] if a.space in memo"

@@ -614,7 +614,7 @@ def map_compose(g: ChainMap, f: ChainMap) -> ChainMap:
 
 
 def map_compose_shared(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f, kept by memo; the pointwise oracle calls map_compose instead."""
+    """g after f, kept by memo."""
     return memo(map_compose, g, f)
 
 

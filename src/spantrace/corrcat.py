@@ -8,31 +8,33 @@ components into block matrices over the fiberwise direct sums, and is
 the unique such lift through which the rectangle becomes a 2-cell.
 
 Tensor objects are products computed from their factors (finspan,
-sheafops), so building one costs nothing until its elements are walked.
+sheafops), and so are a tensor morphism's span and components: its legs
+keep their factor maps (finspan.ProductMap), and it reads its component at
+(g, h) from its factors' components.  Building one costs nothing until its
+elements are walked, and a triangle certificate or a trace, which keeps only
+a diagonal of a tensor's apex, never walks them.
 The structural isomorphisms (unitors, associators, the symmetry) are
 relabelings: a bijection of spaces with a stalk isomorphism per element.
 They are fixed only up to a unique invertible 2-cell, so they are never
 built as spans, and one is checked only where its neighbours meet, once at
 each distinct element, as nothing else enters a leg or a component.
 cc_compose takes any number of factors.  A relabeling between two
-morphisms joins them in one fiber product; one at an end must have
+morphisms joins them in one fiber product; one that only regroups nested
+pairs (an associator, the symmetry) carries a tensor's leg with its factors
+kept, so the fiber product goes through them.  One at an end must have
 identity components (a unitor) and carries the leg facing it, the left end
 through its inverse, so a check runs in one direction only.  A check asks
 membership of the space's member lookup, which finspan composes from
 anchor tables (one dict lookup per leaf set, no __contains__ frame), and
 reads the target's stalk without asking again.
 
-The components of a tensor or a composite are computed when first read:
-a certificate or a trace composes away all but a diagonal of a tensor's
-apex, so only the diagonal's are built.  Those of make_cc_morphism (and
-so shriek_push) are built at once, as it checks their stalks.  cc_tensor
-and cc_compose build components by map_tensor and map_compose_shared,
-which keep each tensor and composite in chainalg.memo per pair of map
-objects: points with one stalk share them, so each is built once.  The
-matrix products inside a composite are not kept.  The pointwise oracle's
-chain-map compositions read no memo, as local_pairing calls map_compose;
-its fixed_point_space reads the memo's product sets through
-prod_over_base (ROADMAP item 21).
+The components of a tensor or a composite are computed when first read.
+Those of make_cc_morphism (and so shriek_push) are built at once, as it
+checks their stalks.  cc_tensor and cc_compose build components by
+map_tensor and map_compose_shared, which keep each tensor and composite in
+chainalg.memo per pair of map objects: points with one stalk share them,
+so each is built once.  The matrix products inside a composite are not
+kept.  The pointwise oracle (dualtrace.local_pairing) reads none of this.
 
 CCMorphism, CCCell and CCRelabel are plain dataclasses, read-only by
 convention, as in chainalg: built per instance, they skip a frozen
@@ -67,6 +69,7 @@ from .finspan import (
     FinOver,
     Label,
     OverMap,
+    ProductMap,
     Span,
     base_space,
     cell_check,
@@ -97,14 +100,18 @@ def obj_tensor(a: Sheaf, b: Sheaf) -> Sheaf:
 @dataclass(unsafe_hash=True)
 class CCMorphism:
     """Span plus one chain map per apex element (stalkwise coefficients);
-    a tensor's or composite's are OnDemand, the rest built when it is made."""
+    a composite's are OnDemand, a tensor's read from its factors, the rest
+    built when it is made."""
 
     source: Sheaf
     target: Sheaf
     span: Span
     maps: Sequence[ChainMap]
+    factors = None  # the two factors of a tensor, whose components it reads
 
     def map_at(self, g: Label) -> ChainMap:
+        if self.factors is not None:
+            return map_tensor(self.factors[0].map_at(g[0]), self.factors[1].map_at(g[1]))
         return self.maps[self.span.apex.index(g)]
 
 
@@ -170,19 +177,21 @@ def _join(m: CCMorphism, r: CCRelabel | None, m2: CCMorphism) -> CCMorphism:
     """m ; r ; m' (m ; m' if r is None) in one fiber product: m's right leg,
     carried across r.forward, meets m''s left leg, and r is checked only at
     the distinct elements of m's right leg where they meet, in match order.
-    This is (m ; r) ; m' with r built out, through (g, h) -> ((g, x), h), x =
+    A tensor's leg carried across a regrouping stays factored.  This is
+    (m ; r) ; m' with r built out, through (g, h) -> ((g, x), h), x =
     m.right(g); its component at (g, h) is m'_h . m_g, or
     (m'_h . r.stalk_map(x)) . m_g if r has stalk maps."""
     c = m.span
-    if r is not None:
+    if r is not None and r.regroups and c.right.factors:
+        c = Span(c.left, ProductMap(*c.right.factors, r.forward, r.target.space))
+    elif r is not None:
         c = Span(c.left, OverMap(c.apex, r.target.space, tuple(map(r.forward, c.right.graph))))
     span = span_compose(c, m2.span)
     pairs = span.apex.elements
     k = None if r is None else r.stalk_map
     if r is not None:
-        met = [g for g, _ in pairs]
-        xs = tuple(map(m.span.right, met))
-        for x, y in dict(zip(xs, map(c.right, met))).items():
+        xs = tuple(m.span.right(g) for g, _ in pairs)
+        for x, y in dict(zip(xs, (m2.span.left(h) for _, h in pairs))).items():
             r.check(x, y)
 
     def component(i: int) -> ChainMap:
@@ -209,9 +218,11 @@ def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
     span = span_tensor(a.span, b.span)
     src = obj_tensor(a.source, b.source)
     tgt = obj_tensor(a.target, b.target)
-    pairs = span.apex.elements
-    maps = OnDemand(len(pairs), lambda i: map_tensor(a.map_at(pairs[i][0]), b.map_at(pairs[i][1])))
-    return CCMorphism(src, tgt, span, maps)
+    apex = span.apex
+    maps = OnDemand(apex.size, lambda i: map_tensor(*map(CCMorphism.map_at, (a, b), apex.elements[i])))
+    out = CCMorphism(src, tgt, span, maps)
+    out.factors = (a, b)
+    return out
 
 
 @dataclass(unsafe_hash=True)
@@ -263,6 +274,7 @@ class CCRelabel:
     forward: Callable[[Label], Label]
     backward: Callable[[Label], Label]
     stalk_map: Callable[[Label], ChainMap] | None = None
+    regroups: bool = False  # forward only regroups nested pairs (finspan.ProductMap)
 
     def check(self, x: Label, y: Label) -> None:
         """Check that y = forward(x) pairs with x: backward(y) is x and y is
@@ -304,7 +316,7 @@ def cc_assoc(a: Sheaf, b: Sheaf, c: Sheaf) -> CCRelabel:
         x, (y, z) = e
         return assoc_map(a.stalk(x), b.stalk(y), c.stalk(z))
 
-    return CCRelabel(src, tgt, _to_left, _to_right, stalk)
+    return CCRelabel(src, tgt, _to_left, _to_right, stalk, regroups=True)
 
 
 def cc_assoc_inv(a: Sheaf, b: Sheaf, c: Sheaf) -> CCRelabel:
@@ -315,7 +327,7 @@ def cc_assoc_inv(a: Sheaf, b: Sheaf, c: Sheaf) -> CCRelabel:
         (x, y), z = e
         return assoc_map_inv(a.stalk(x), b.stalk(y), c.stalk(z))
 
-    return CCRelabel(src, tgt, _to_right, _to_left, stalk)
+    return CCRelabel(src, tgt, _to_right, _to_left, stalk, regroups=True)
 
 
 def cc_swap(a: Sheaf, b: Sheaf) -> CCRelabel:
@@ -323,7 +335,7 @@ def cc_swap(a: Sheaf, b: Sheaf) -> CCRelabel:
     src = obj_tensor(a, b)
     tgt = obj_tensor(b, a)
     return CCRelabel(src, tgt, lambda e: (e[1], e[0]), lambda e: (e[1], e[0]),
-                     lambda e: swap_map(a.stalk(e[0]), b.stalk(e[1])))
+                     lambda e: swap_map(a.stalk(e[0]), b.stalk(e[1])), regroups=True)
 
 
 def cc_invert(m: CCRelabel) -> CCRelabel:

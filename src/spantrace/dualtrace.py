@@ -10,14 +10,16 @@ The trace of an endomorphism is the honest categorical composite
 on the loops of its span.  The pairing of u : (X, L) -> (Y, M) and v back
 is the trace of u then v: its loops are the chosen fixed-point set
 F = {(gamma, delta) : feet interlock}, element for element.  The
-pointwise formula alt_trace(v . u) is kept separate as an independent
-oracle; their agreement is a theorem-shaped test, not an assumption.
+pointwise alternating trace of v . u, computed from the components' rows
+by local_pairing, is kept separate as an independent oracle; their
+agreement is a theorem-shaped test, not an assumption.
 
 Duality data is unique up to unique isomorphism, so make_dual is a
 function of the object alone and computes it once per object: it keeps
 the data of its latest objects, keyed by the sheaf (hashed by ring and
-space, compared by value).  Nothing on local_pairing's path is cached
-this way, so the oracle stays an independent computation.
+space, compared by value).  local_pairing reads no cache and no kernel,
+so the oracle stays an independent computation (tests/test_layout.py
+holds it to that).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chainalg import alt_trace, coev_map, ev_map, map_compose
+from .chainalg import coev_map, ev_map
 from .corrcat import (
     CCCell,
     CCMorphism,
@@ -142,14 +144,27 @@ def fixed_point_space(u: CCMorphism, v: CCMorphism) -> FinOver:
 
 
 def local_pairing(u: CCMorphism, v: CCMorphism) -> OmegaClass:
-    """Independent pointwise oracle: alternating trace of v . u per point."""
-    _check_pairing_boundaries(u, v)
-    f = fixed_point_space(u, v)
-    ring = u.source.ring
-    values = []
-    for g, d in f.elements:
-        values.append(alt_trace(map_compose(v.map_at(d), u.map_at(g))))
-    return OmegaClass(ring, f, tuple(ring.norm(t) for t in values))
+    """Independent pointwise oracle: at each interlocking pair (gamma, delta)
+    of fixed_point_space, in its order, the alternating trace of v_delta .
+    u_gamma, sum_n (-1)^n sum_ij v_n[i][j] u_n[j][i], read from the
+    components' sparse rows.  One dict matches the feet of the two spans.
+    It shares only value classes' constructors and accessors with the
+    categorical side, as tests/test_layout.py checks (ORACLE_SHARED)."""
+    if u.target != v.source or v.target != u.source:
+        raise ValueError("pairing boundary mismatch")
+    c, d, ring = u.span, v.span, u.source.ring
+    meets: dict[tuple, list] = {}
+    for delta, x, y, vd in zip(d.apex.elements, d.right.graph, d.left.graph, v.maps):
+        meets.setdefault((x, y), []).append((delta, vd))
+    points, anchors, values = [], [], []
+    for gamma, s, x, y, ug in zip(c.apex.elements, c.apex.anchor, c.left.graph, c.right.graph, u.maps):
+        for delta, vd in meets.get((x, y), ()):
+            points.append((gamma, delta))
+            anchors.append(s)
+            values.append(ring.norm(sum((-1 if n % 2 else 1) * sum(
+                z * a.nonzero[j].get(i, 0) for i, row in enumerate(b.nonzero) for j, z in row.items())
+                for (n, a), (_, b) in zip(ug.components, vd.components))))
+    return OmegaClass(ring, FinOver(c.apex.base, tuple(points), tuple(anchors)), tuple(values))
 
 
 def _check_pairing_boundaries(u: CCMorphism, v: CCMorphism) -> None:

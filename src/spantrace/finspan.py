@@ -13,14 +13,21 @@ bound get, so a leaf lookup is one C-level dict lookup and opens no Python
 frame.  A product over the base composes its member lookup once, when it
 is made, from its two factors' lookups: a member is looked up once in each
 listed-out factor and a non-member at most once, and a nested product is
-not listed out to answer.  Positions, elements, the anchor tuple and size
-of a product come from the set that fiber_product lists out, the first
-time one of them is asked for; prod_over_base keeps one product per pair
-of factor objects, so each is listed once.  Sets are equal by contents
-(equal factors suffice) and hash by base and size, so a product equals
-and hashes like the same set listed out.  A tensor's legs,
-a composite's images and an injective map's fibers are built by C-level
-builtins, not a Python step per element.
+not listed out to answer.  Its size and positions come from counts per
+anchor; its elements are listed once, when first read (prod_over_base
+keeps one product per pair of factor objects).  Sets are equal by contents
+(equal factors suffice) and hash by base and size, so a product equals and
+hashes like the same set listed out.
+
+The leg of a tensor of more than LISTED_MAX apex elements (ProductMap)
+keeps its factor maps, also when carried across a relabeling that only
+regroups nested pairs, and lists its graph only when read.  fiber_product
+joins such legs through the factors, as factorised query evaluation does:
+each coordinate of the values is an equation between a factor map of each
+leg, and the pairs are bound one factor map at a time from those
+coordinates' fibers.  A smaller tensor's legs, a composite's images and an
+injective map's fibers are built by C-level builtins, not a Python step
+per element.
 
 FinOver, OverMap and Span are plain dataclasses, read-only by convention,
 as in chainalg: built per instance, they skip a frozen dataclass's
@@ -33,12 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
-from typing import Mapping, Sequence, Union
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence, Union
 
 from .chainalg import memo
 
 Label = Union[str, tuple]
+LISTED_MAX = 9  # span_tensor lays out the legs of a tensor of at most this many elements
 
 
 @dataclass(eq=False)
@@ -122,10 +131,16 @@ class OverMap:
     source: FinOver
     target: FinOver
     graph: tuple[Label, ...]
+    factors = None  # the two factor maps of a tensor's leg
 
     def __post_init__(self):
         if len(self.graph) != self.source.size:
             raise ValueError(f"graph has {len(self.graph)} images for {self.source.size} elements")
+
+    def __eq__(self, other):  # a tensor's leg equals its graph listed out
+        if not isinstance(other, OverMap):
+            return NotImplemented
+        return self is other or (self.source, self.target, self.graph) == (other.source, other.target, other.graph)
 
     def __call__(self, x: Label) -> Label:
         return self.graph[self.source._pos[x]]
@@ -174,7 +189,8 @@ def om_compose(g: OverMap, f: OverMap) -> OverMap:
     """g after f."""
     if f.target != g.source:
         raise ValueError("composition boundary mismatch")
-    return OverMap(f.source, g.target, tuple(map(g.graph.__getitem__, map(g.source._pos.__getitem__, f.graph))))
+    images = map(g, f.graph) if g.factors else map(g.graph.__getitem__, map(g.source._pos.__getitem__, f.graph))
+    return OverMap(f.source, g.target, tuple(images))
 
 
 def om_anchor(x: FinOver) -> OverMap:
@@ -191,6 +207,8 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
     """
     if f.target != g.target:
         raise ValueError("fiber product target mismatch")
+    if f.factors or g.factors:
+        return _factored_product(f, g)
     buckets = g._fibers
     fibers = [buckets.get(fx, ()) for fx in f.graph]
     counts = [len(ys) for ys in fibers]
@@ -203,8 +221,9 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
 
 
 class ProductOver(FinOver):
-    """x ×_base y: the factors answer membership and anchors, and the set
-    that fiber_product lists out over the anchors answers the rest."""
+    """x ×_base y, the pairs with equal anchors in lexicographic order: the
+    factors answer membership and anchors, and counts per anchor its size
+    and positions.  It lists its elements only when they are read."""
 
     def __init__(self, x: FinOver, y: FinOver):
         self.base, self.factors = x.base, (x, y)
@@ -217,12 +236,25 @@ class ProductOver(FinOver):
         self._member_anchor = member_anchor
 
     @cached_property
-    def _flat(self) -> FinOver:
-        return fiber_product(om_anchor(self.factors[0]), om_anchor(self.factors[1]))[0]
+    def _blocks(self) -> tuple[list[int], dict, dict]:
+        """Where each x's pairs start, y's elements by anchor, and y's ranks there."""
+        x, y = self.factors
+        over = om_anchor(y)._fibers
+        starts = list(accumulate((len(over.get(s, ())) for s in x.anchor), initial=0))
+        return starts, over, {e: k for es in over.values() for k, e in enumerate(es)}
 
-    elements = property(lambda self: self._flat.elements)
-    anchor = property(lambda self: self._flat.anchor)
-    _pos = property(lambda self: self._flat._pos)
+    size = property(lambda self: self._blocks[0][-1])
+
+    def index(self, e: Label) -> int:
+        if self._member_anchor(e) is None:
+            raise ValueError(f"{e!r} is not an element")
+        starts, _, rank = self._blocks
+        return starts[self.factors[0].index(e[0])] + rank[e[1]]
+
+    elements = cached_property(lambda self: tuple(chain.from_iterable(map(
+        zip, map(repeat, self.factors[0].elements), map(self._blocks[1].get, self.factors[0].anchor, repeat(()))))))
+    anchor = cached_property(lambda self: tuple(map(self._member_anchor, self.elements)))
+    _pos = cached_property(lambda self: dict(zip(self.elements, range(self.size))))
 
 
 def prod_over_base(x: FinOver, y: FinOver) -> FinOver:
@@ -263,8 +295,13 @@ def span_compose(c: Span, d: Span) -> Span:
 
 
 def span_tensor(c: Span, d: Span) -> Span:
-    """Pointwise product of correspondences over the base, legs laid out like the apex."""
+    """Pointwise product of correspondences over the base.  Past LISTED_MAX
+    pairs of apex elements its legs keep their factors (ProductMap); up to
+    it they are laid out like the apex by C-level builtins, which costs
+    less than joining through the factors."""
     apex = prod_over_base(c.apex, d.apex)
+    if apex.size > LISTED_MAX:
+        return Span(ProductMap(c.left, d.left), ProductMap(c.right, d.right))
     lspace = prod_over_base(c.left.target, d.left.target)
     rspace = prod_over_base(c.right.target, d.right.target)
     lefts, rights = {}, {}
@@ -274,6 +311,87 @@ def span_tensor(c: Span, d: Span) -> Span:
     left = chain.from_iterable(map(zip, map(repeat, c.left.graph), map(lefts.get, c.apex.anchor, repeat(()))))
     right = chain.from_iterable(map(zip, map(repeat, c.right.graph), map(rights.get, c.apex.anchor, repeat(()))))
     return Span(OverMap(apex, lspace, tuple(left)), OverMap(apex, rspace, tuple(right)))
+
+
+class ProductMap(OverMap):
+    """f ×_base g, then regroup into target if given: a function that only
+    regroups nested pairs, such as ((a, b), c) -> (a, (b, c)).  It keeps its
+    factors and lists its graph only when it is read."""
+
+    def __init__(self, f: OverMap, g: OverMap, regroup: Callable | None = None, target: FinOver | None = None):
+        self.source, self.factors, self.regroup = prod_over_base(f.source, g.source), (f, g), regroup
+        self.target = target or prod_over_base(f.target, g.target)
+
+    def __call__(self, e: Label) -> Label:
+        v = self.factors[0](e[0]), self.factors[1](e[1])
+        return v if self.regroup is None else self.regroup(v)
+
+    graph = cached_property(lambda self: tuple(map(self, self.source.elements)))
+
+
+def _factored_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
+    """fiber_product of legs that keep their factors, walking no product.
+    Each coordinate of the values is an equation between a factor map of f
+    and one of g (_coords).  The factor maps are bound one at a time, f's
+    first in its order, then one linked to a bound one, looked up in its
+    coordinate's fibers and checked on its other links (by its anchor if
+    none is linked).  Sorting by the positions in f's source, then in g's,
+    gives fiber_product's order."""
+    maps: list[OverMap] = []
+    cf = _leaves(_coords(f, maps))
+    nf, cg = len(maps), _leaves(_coords(g, maps))
+    if len(cf) != len(cg):
+        raise ValueError("the legs' targets split into different coordinates")
+    links = [*zip(cf, cg), *zip(cg, cf)]
+    bound, rows = [0], [(e,) for e in maps[0].source.elements]  # their elements in the order bound
+    while len(bound) < len(maps):
+        v = next(chain((v for (v, _), (w, _) in links if v not in bound and w in bound),
+                       (v for v in range(len(maps)) if v not in bound)))
+        looks = [(mine, bound.index(w), theirs) for (u, mine), (w, theirs) in links if u == v and w in bound]
+        (mine, i, theirs), *rest = looks or [(om_anchor(maps[v].source), 0, om_anchor(maps[0].source))]
+        fiber, image, at = mine._fibers.get, theirs.graph.__getitem__, theirs.source._pos.__getitem__
+        rows = [row + (e,) for row in rows for e in fiber(image(at(row[i])), ())
+                if not rest or all(m(e) == t(row[j]) for m, j, t in rest)]
+        bound.append(v)
+    columns = [*zip(*rows)] or [()] * len(maps)
+    columns = iter([columns[bound.index(v)] for v in range(len(maps))])
+    left, right = _nested(f, columns), _nested(g, columns)
+    ranked = sorted(zip(map(f.source.index, left), map(g.source.index, right), left, right))
+    left, right = tuple(map(itemgetter(2), ranked)), tuple(map(itemgetter(3), ranked))
+    apex = FinOver(f.source.base, tuple(zip(left, right)), tuple(map(f.source._member_anchor, left)))
+    return apex, OverMap(apex, f.source, left), OverMap(apex, g.source, right)
+
+
+def _coords(leg: OverMap, maps: list[OverMap]) -> Label:
+    """leg's values as a tree nested like its target's elements, with at each
+    leaf set [the index of the factor map the coordinate comes from, once
+    appended to maps, and the map giving it]; a regroup regroups the tree as
+    it regroups values, so it runs once."""
+    if not leg.factors:
+        maps.append(leg)
+        return _projections(leg, len(maps) - 1)
+    tree = _coords(leg.factors[0], maps), _coords(leg.factors[1], maps)
+    return tree if leg.regroup is None else leg.regroup(tree)
+
+
+def _projections(m: OverMap, i: int) -> Label:
+    """[i, m], or the tree of m's projections onto the leaf sets of its target."""
+    if m.target.factors is None:
+        return [i, m]
+    return tuple(_projections(OverMap(m.source, t, tuple(map(itemgetter(k), m.graph))), i)
+                 for k, t in enumerate(m.target.factors))
+
+
+def _leaves(tree: Label) -> list:
+    """The leaves of a tree of tuples, in order; a coordinate is a list, so a leaf."""
+    return [leaf for t in tree for leaf in _leaves(t)] if type(tree) is tuple else [tree]
+
+
+def _nested(leg: OverMap, columns) -> tuple[Label, ...]:
+    """The column of leg's source elements from those of its factor maps, in order."""
+    if not leg.factors:
+        return next(columns)
+    return tuple(zip(_nested(leg.factors[0], columns), _nested(leg.factors[1], columns)))
 
 
 def cell_check(source: Span, target: Span, graph: OverMap) -> None:

@@ -179,12 +179,14 @@ def _piece_map(
         return None
 
 
-def random_chain_map(rng: random.Random, a: ComplexRecipe, b: ComplexRecipe) -> ChainMap:
+def random_chain_map(rng: random.Random, a: ComplexRecipe, b: ComplexRecipe, skip: float = 0.45) -> ChainMap:
+    """A chain map a -> b from piece-to-piece blocks, each left out with
+    probability skip, plus a null-homotopic perturbation."""
     ring = a.cx.ring
     blocks: dict[tuple[int, int], ChainMap] = {}
     for bi, bp in enumerate(b.pieces):
         for ai, ap in enumerate(a.pieces):
-            if rng.random() < 0.45:
+            if rng.random() < skip:
                 continue
             t = rng.choice([-2, -1, 1, 2, 3])
             piece = _piece_map(rng, ring, ap, bp, t)

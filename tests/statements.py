@@ -33,9 +33,10 @@ from spantrace.corrcat import (CCCell, CCMorphism, CCRelabel, cc_assoc, cc_cell_
                                cc_identity, cc_invert, cc_tensor, left_unitor, make_cc_morphism,
                                obj_tensor, right_unitor, shriek_push)
 from spantrace.dualtrace import DualityData, PushRectangles, make_dual, trace
-from spantrace.finspan import (FinOver, Label, OverMap, Span, make_fin_over, make_over_map, om_compose,
+from spantrace.finspan import (FinOver, Label, OverMap, Span, make_fin_over, make_over_map, om_anchor, om_compose,
                                om_identity)
-from spantrace.generate import GenParams, piece_complex, random_lv_instance
+from spantrace.generate import (ComplexRecipe, GenParams, _random_unimodular, piece_complex, random_chain_map,
+                                random_lv_instance)
 from spantrace.sheafops import OmegaClass, Sheaf, push, unit_sheaf
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,66 @@ def interlocking_spans(rng: random.Random, base: tuple, params: GenParams) -> li
         apex = FinOver(base, tuple(f"{prefix}{k}" for k in range(len(chains))), anchor)
         spans.append(Span(*(OverMap(apex, feet[j], tuple(chain[j] for chain in chains)) for j in (i, i + 1))))
     return spans
+
+
+def biting_lv_diagram(seed: int, ring: Ring) -> PushRectangles:
+    """A two-rectangle diagram on which the pushforward identity compares
+    nonzero values, drawn from seed (ROADMAP item 1).  A base of 1-2
+    points; Xp and Yp of 1-3 points, Yp over every base point Xp uses; cp
+    of 1-3 elements with feet over one base point, dp cp reversed leg for
+    leg; covers X -> Xp and Y -> Yp with fibres of 1-2 points.  Each
+    element of cp lifts into c twice with probability 0.7, else once, the
+    second lift on the first one's feet half the time; d reverses c lift
+    for lift, its right foot moved to another point of the same fibre with
+    probability 0.2.  Stalks are 1-3 one-term pieces at degrees 0 and 1 in
+    random bases, and chain maps leave out a block with probability 0.11."""
+    rng = random.Random(seed)
+    base = ("b0", "b1")[:rng.randint(1, 2)]
+
+    def space(prefix: str, anchors: Sequence[Label]) -> FinOver:
+        return FinOver(base, tuple(f"{prefix}{i}" for i in range(len(anchors))), tuple(anchors))
+
+    def cover(lower: FinOver, prefix: str) -> tuple[FinOver, OverMap]:
+        images = [t for t in lower.elements for _ in range(rng.randint(1, 2))]
+        upper = space(prefix, [lower.anchor_of(t) for t in images])
+        return upper, OverMap(upper, lower, tuple(images))
+
+    def recipe() -> ComplexRecipe:
+        pieces = sorted((rng.randint(0, 1), None) for _ in range(rng.randint(1, 3)))
+        summed = cx_direct_sum([piece_complex(ring, piece) for piece in pieces], ring)
+        bases = {n: _random_unimodular(rng, ring, r) for n, r in summed.ranks}
+        return ComplexRecipe(pieces, {n: b[0] for n, b in bases.items()}, {n: b[1] for n, b in bases.items()},
+                             summed, summed)
+
+    xp = space("xp", [rng.choice(base) for _ in range(rng.randint(1, 3))])
+    used = sorted(set(xp.anchor))
+    yp = space("yp", used + [rng.choice(base) for _ in range(rng.randint(len(used), 3) - len(used))])
+    feet = [(x, rng.choice(om_anchor(yp).fiber(xp.anchor_of(x))))
+            for x in (rng.choice(xp.elements) for _ in range(rng.randint(1, 3)))]
+    cp_apex, dp_apex = (space(k, [xp.anchor_of(x) for x, _ in feet]) for k in ("cp", "dp"))
+    cp = Span(OverMap(cp_apex, xp, tuple(x for x, _ in feet)), OverMap(cp_apex, yp, tuple(y for _, y in feet)))
+    dp = Span(OverMap(dp_apex, yp, cp.right.graph), OverMap(dp_apex, xp, cp.left.graph))
+    (x, f), (y, g) = cover(xp, "x"), cover(yp, "y")
+    lifts = []  # (position in cp, left foot, right foot)
+    for i, gp in enumerate(cp_apex.elements):
+        xs, ys = f.fiber(cp.left(gp)), g.fiber(cp.right(gp))
+        first = (rng.choice(xs), rng.choice(ys))
+        lifts.append((i, *first))
+        if rng.random() < 0.7:
+            lifts.append((i, *(first if rng.random() < 0.5 else (rng.choice(xs), rng.choice(ys)))))
+    c_apex, d_apex = (space(k, [cp_apex.anchor[i] for i, _, _ in lifts]) for k in ("c", "d"))
+    back = tuple(rng.choice(f.fiber(f(a))) if rng.random() < 0.2 else a for _, a, _ in lifts)
+    c = Span(OverMap(c_apex, x, tuple(a for _, a, _ in lifts)), OverMap(c_apex, y, tuple(b for _, _, b in lifts)))
+    d = Span(OverMap(d_apex, y, c.right.graph), OverMap(d_apex, x, back))
+    rl, rm = {e: recipe() for e in x.elements}, {e: recipe() for e in y.elements}
+    l, m = Sheaf(ring, x, tuple(rl[e].cx for e in x.elements)), Sheaf(ring, y, tuple(rm[e].cx for e in y.elements))
+    u = make_cc_morphism(l, m, c, {k: random_chain_map(rng, rl[c.left(k)], rm[c.right(k)], skip=0.11)
+                                   for k in c_apex.elements})
+    v = make_cc_morphism(m, l, d, {k: random_chain_map(rng, rm[d.left(k)], rl[d.right(k)], skip=0.11)
+                                   for k in d_apex.elements})
+    return PushRectangles(f=f, p=OverMap(c_apex, cp_apex, tuple(cp_apex.elements[i] for i, _, _ in lifts)), g=g,
+                          q=OverMap(d_apex, dp_apex, tuple(dp_apex.elements[i] for i, _, _ in lifts)),
+                          u=u, v=v, cp=cp, dp=dp)
 
 
 def clear_caches() -> None:

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 
 from spantrace.chainalg import Ring, homotopy_perturb, make_chain_map
 from spantrace.corrcat import make_cc_morphism
@@ -28,7 +29,8 @@ from spantrace.instances import emit_instance, parse_instance
 from spantrace.sheafops import omega_push, push
 from spantrace.suites import (basechange_checks, global_checks, lv_checks, oracle_checks, report_doc, run_suite,
                               symmetry_checks, triangle_checks)
-from statements import char_class, clear_caches, every_small_diagram, exhaustive_unique_lifts, lift_test, seeds
+from statements import (biting_lv_diagram, char_class, clear_caches, every_small_diagram, exhaustive_unique_lifts,
+                        lift_test, seeds)
 
 DEFAULTS = GenParams()  # sets <= 4, ranks <= 3, degrees in [-2, 2], moduli {0, 7}
 
@@ -226,3 +228,35 @@ def test_criterion_11_every_small_diagram():
         counts[modulus] = diagrams, nonzero, paired
     assert counts == {2: (306, 65, 132), 3: (3028, 1104, 1604)}
     print(f"criterion 11: PASS ({counts[2][0] + counts[3][0]} diagrams, {counts[2][1] + counts[3][1]} nonzero)")
+
+
+def test_criterion_12_diagrams_on_which_the_identities_bite_500():
+    """500 diagrams of statements.biting_lv_diagram over Z and Z/7: the
+    pushforward identity (lv form) and the pairing against the pointwise
+    oracle (oracle form) hold on each, and the identities compare nonzero
+    values: at least 80 % are nonzero on both sides of the lv form, at
+    least 50 % have an s-fibre of two or more upper fixed points carrying a
+    nonzero value, and at least 50 % push a block that sums two or more
+    upper components."""
+    counts = Counter()
+    for modulus in (0, 7):
+        for seed in seeds(0xACC12 + modulus, 250):
+            rect = biting_lv_diagram(seed, Ring(modulus))
+            ((_, ok, (pushed, rhs)),) = lv_checks(rect)
+            assert ok, (modulus, seed, pushed, rhs)
+            ((_, ok, (upper, loc)),) = oracle_checks((rect.u, rect.v))
+            assert ok, (modulus, seed, upper, loc)
+            fibres = {}
+            for (g, d), value in zip(upper.carrier.elements, upper.values):
+                fibres.setdefault((rect.p(g), rect.q(d)), []).append(value)
+            summed = [[(span.left(k), span.right(k)) for k in down.fiber(low)]
+                      for lower, span, down in ((rect.cp, rect.u.span, rect.p), (rect.dp, rect.v.span, rect.q))
+                      for low in lower.apex.elements]
+            counts["diagrams"] += 1
+            counts["nonzero"] += any(pushed.values) and any(rhs.values)
+            counts["s-fibre"] += any(len(values) >= 2 and any(values) for values in fibres.values())
+            counts["summed"] += any(len(set(feet)) < len(feet) for feet in summed)
+    assert counts["diagrams"] == 500
+    assert counts["nonzero"] >= 400 and counts["s-fibre"] >= 250 and counts["summed"] >= 250, counts
+    print(f"criterion 12: PASS ({counts['diagrams']} diagrams, {counts['nonzero']} nonzero, "
+          f"{counts['s-fibre']} with a valued s-fibre, {counts['summed']} summing blocks)")

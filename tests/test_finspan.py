@@ -7,11 +7,14 @@ from collections import Counter
 import pytest
 
 from spantrace.chainalg import ZZ, cx_tensor, make_complex
+from spantrace.corrcat import cc_assoc, cc_assoc_inv, cc_swap
 from spantrace.finspan import (
     FinOver,
     OverMap,
+    ProductMap,
     ProductOver,
     Span,
+    _factored_product,
     base_space,
     cell_check,
     fiber_product,
@@ -26,7 +29,7 @@ from spantrace.finspan import (
     span_tensor,
 )
 from spantrace.generate import GenParams, random_base, random_gen_object, random_space, random_span
-from spantrace.sheafops import Sheaf, box
+from spantrace.sheafops import Sheaf, box, unit_sheaf
 from statements import interlocking_spans, seeded, span_iso_search
 
 
@@ -360,7 +363,7 @@ def check_product(lazy, eager, candidates, counts):
             assert seen == once if e in eager else seen <= once
         if e in eager:
             assert lazy.anchor_of(e) == eager.anchor_of(e)
-    assert "_flat" not in vars(lazy)
+    assert "elements" not in vars(lazy)
     assert hash(lazy) == hash(eager) and lazy.size == eager.size
     for e in candidates:
         if e in eager:
@@ -429,7 +432,7 @@ def test_products_on_demand_agree_with_the_fiber_product(seed):
             assert (e in outer) == (e in eager)
             if e in eager:
                 assert outer.anchor_of(e) == eager.anchor_of(e)
-        assert "_flat" not in vars(inner) and "_flat" not in vars(outer)
+        assert "elements" not in vars(inner) and "elements" not in vars(outer)
     # one product per pair of factor objects; equal factors decide equality
     # without walking; different contents differ both ways
     assert prod_over_base(x, y) is prod_over_base(x, y) and prod_over_base(fx, fy) is not prod_over_base(x, y)
@@ -526,4 +529,88 @@ def test_nested_product_membership_agrees_with_the_listed_set(seed):
     anchors = [lazy._member_anchor(e) for e in column]
     assert anchors == [listed._member_anchor(e) for e in column]
     assert anchors == [lazy.anchor_of(e) if e in lazy else None for e in column]
-    assert "_flat" not in vars(lazy)
+    assert "elements" not in vars(lazy)
+
+
+def random_leg(rng, base, target, prefix):
+    """A map into target from a new set of 0-4 elements over the base points
+    target reaches, each sent to a random element over its anchor."""
+    reached = [s for s in base if om_anchor(target).fiber(s)]
+    anchors = [rng.choice(reached) for _ in range(rng.randint(0, 4) if reached else 0)]
+    source = FinOver(base, tuple(f"{prefix}{i}" for i in range(len(anchors))), tuple(anchors))
+    return OverMap(source, target, tuple(rng.choice(om_anchor(target).fiber(s)) for s in anchors))
+
+
+def random_factored_leg(rng, base, spaces, prefix):
+    """A leg into the product of spaces, nested as spaces is: a plain map, or
+    the factored leg of the factors' legs."""
+    if type(spaces) is not tuple:
+        return random_leg(rng, base, spaces, prefix)
+    target = prod_over_base(*(s if type(s) is not tuple else leg_target(s) for s in spaces))
+    if rng.random() < 0.3:
+        return random_leg(rng, base, target, prefix)
+    return ProductMap(*(random_factored_leg(rng, base, s, prefix + k) for s, k in zip(spaces, "lr")))
+
+
+def leg_target(spaces):
+    return prod_over_base(*map(leg_target, spaces)) if type(spaces) is tuple else spaces
+
+
+def listed(leg):
+    return OverMap(leg.source, leg.target, leg.graph)
+
+
+def check_product_counts(space):
+    """A product's size and positions from its counts, before and against
+    its listing; nested products too."""
+    if space.factors is None:
+        return
+    lazy = ProductOver(*space.factors)
+    assert lazy.size == space.size and "elements" not in vars(lazy)
+    eager = eager_product(*(FinOver(s.base, s.elements, s.anchor) for s in space.factors))
+    assert lazy.size == eager.size
+    assert [lazy.index(e) for e in eager.elements] == list(range(eager.size))
+    assert lazy.elements == eager.elements and lazy.anchor == eager.anchor
+    for s in space.factors:
+        check_product_counts(s)
+
+
+@seeded(400)
+def test_the_factored_join_matches_the_listed_fiber_product(seed):
+    """The join through the factors against fiber_product of the same legs
+    listed out: the same pairs in the same order (f's source order, then g's
+    fibre order), the same anchors and projections.  Over a base of 1-2
+    points, on sets of 0-4 elements (empty fibres, empty apexes), for tensor
+    legs and plain ones into a product, on both sides, and for a tensor's leg
+    carried across cc_assoc, cc_assoc_inv or cc_swap first.  A product's size
+    and positions agree with its listing too."""
+    rng = random.Random(seed)
+    base = ("p", "q")[:rng.randint(1, 2)]
+    x, y, z = (FinOver(base, tuple(f"{k}{i}" for i in range(n)), tuple(rng.choice(base) for _ in range(n)))
+               for k, n in zip("xyz", (rng.randint(1, 3) for _ in range(3))))
+    sx, sy, sz = (unit_sheaf(ZZ, s) for s in (x, y, z))
+    shapes = {
+        None: ((x, y), (x, y)),
+        "assoc": ((x, (y, z)), ((x, y), z), cc_assoc(sx, sy, sz)),
+        "assoc_inv": (((x, y), z), (x, (y, z)), cc_assoc_inv(sx, sy, sz)),
+        "swap": ((x, y), (y, x), cc_swap(sx, sy)),
+        "nested": (((x, y), z), ((x, y), z)),
+    }
+    for name, (before, after, *relabel) in shapes.items():
+        f = random_factored_leg(rng, base, before, "a")
+        g = random_factored_leg(rng, base, after, "b")
+        if relabel:
+            (r,) = relabel
+            if not f.factors:
+                f = ProductMap(random_leg(rng, base, leg_target(before[0]), "c"),
+                               random_leg(rng, base, leg_target(before[1]), "d"))
+            f = ProductMap(*f.factors, r.forward, r.target.space)
+        elif not (f.factors or g.factors):
+            g = ProductMap(*(random_leg(rng, base, leg_target(s), k) for s, k in zip(after, "ef")))
+        apex, pr1, pr2 = _factored_product(f, g)
+        eager, eager1, eager2 = fiber_product(listed(f), listed(g))
+        assert apex.elements == eager.elements and apex.anchor == eager.anchor, name
+        assert (pr1.graph, pr2.graph) == (eager1.graph, eager2.graph), name
+        assert (pr1.source, pr1.target, pr2.target) == (apex, f.source, g.source), name
+        for leg in (f, g):
+            check_product_counts(leg.source)

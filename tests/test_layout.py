@@ -44,14 +44,16 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-from spantrace import suites
-from spantrace.chainalg import ZZ
+import pytest
+
+from spantrace import dualtrace, suites
+from spantrace.chainalg import ZZ, Ring, map_compose_shared
 from spantrace.corrcat import cc_identity
-from spantrace.dualtrace import make_dual, trace
+from spantrace.dualtrace import local_pairing, make_dual, pairing, trace
 from spantrace.generate import GenParams
 from spantrace.instances import omega_doc, parse_instance
 from spantrace.suites import parse_report, report_doc, report_emit, run_suite
-from statements import clear_caches, deep_object, wide_object
+from statements import biting_lv_diagram, clear_caches, deep_object, every_small_diagram, seeds, wide_object
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spantrace"
@@ -109,6 +111,22 @@ LINE_ALLOWLIST = {
         "error path: the element whose anchor is not a base element, named by the raise that follows",
     ("suites._guarded", 'yield Check(index, "verification raised", "fail",'):
         "error path: a verification raised inside a suite",
+}
+
+
+# The package functions that both the pointwise oracle (local_pairing) and
+# the categorical pairing (pairing, with make_dual) run, each with the reason
+# it may be shared: value classes' constructors and accessors, no cache and
+# no kernel.
+ORACLE_SHARED = {
+    "chainalg.Ring.norm": "a ring element's normal form, which both sides report",
+    "finspan.FinOver.__init__": "the constructor of the fixed-point set both sides are valued on",
+    "finspan.FinOver.__post_init__": "the same constructor's checks",
+    "finspan.FinOver.size": "OmegaClass checks its values against the size of its carrier",
+    "finspan.Span.apex": "the accessor of a span's apex",
+    "sheafops.OmegaClass.__init__": "the constructor of the values both sides return",
+    "sheafops.OmegaClass.__post_init__": "the same constructor's checks",
+    "sheafops.Sheaf.__eq__": "the boundary check compares the objects of the two morphisms",
 }
 
 
@@ -229,6 +247,59 @@ def record_run(run: Callable[[], object], modules: set[str]) -> tuple[set[str], 
         sys.settrace(previous)
     made_names = {f"{c.__module__}.{c.__qualname__}" for t in made for c in t.__mro__ if c.__module__ in modules}
     return ran | made_names, lines
+
+
+def record_profile(run: Callable[[], object]) -> tuple[set[str], set[str]]:
+    """Run run() under sys.setprofile.  As "module.qualname", the package
+    functions called, and the package caches asked, hit or miss: for the
+    run, each cache is wrapped in every package module that holds it."""
+    ran: set[str] = set()
+    asked: set[str] = set()
+
+    def on_event(frame, event, arg):
+        module, code = frame.f_globals.get("__name__", ""), frame.f_code
+        if event == "call" and module.startswith("spantrace."):
+            own = code.co_filename == frame.f_globals.get("__file__")  # not a dataclass's generated method
+            owner = code.co_qualname if own else f"{type(frame.f_locals['self']).__qualname__}.{code.co_name}"
+            ran.add(f"{module.removeprefix('spantrace.')}.{owner}")
+
+    def asking(cache, name):
+        def wrapper(*args):
+            asked.add(name)
+            return cache(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in MODULES:
+            if module != "__main__":
+                for key, obj in list(vars(owner := importlib.import_module(f"spantrace.{module}")).items()):
+                    if hasattr(obj, "cache_info"):
+                        fn = getattr(obj, "__wrapped__", obj)
+                        home = fn.__module__.removeprefix("spantrace.")
+                        mp.setattr(owner, key, asking(obj, f"{home}.{fn.__qualname__}"))
+        sys.setprofile(on_event)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+    return ran, asked
+
+
+def oracle_violations(oracle: tuple[set[str], set[str]], categorical: tuple[set[str], set[str]],
+                      table: dict[str, str]) -> dict:
+    """Against a table of what the oracle may share: the functions both sides
+    ran that the table does not name, the entries neither shared, and the
+    caches the oracle asked or the table names, and the kernels (chainalg's
+    module-level functions) it names."""
+    shared = oracle[0] & categorical[0]
+    kernels = {f"chainalg.{name}" for name, obj in vars(importlib.import_module("spantrace.chainalg")).items()
+               if inspect.isfunction(obj) or hasattr(obj, "cache_info")}
+    return {
+        "unlisted": sorted(shared - set(table)),
+        "listed_unshared": sorted(set(table) - shared),
+        "caches": sorted(oracle[1] | (set(table) & set(every_cache()))),
+        "kernels": sorted(set(table) & kernels),
+    }
 
 
 def definitions(source: str) -> set[str]:
@@ -433,6 +504,47 @@ def test_layout_checks_catch_violations():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"a"}}) == ["a", "a"]
     assert imported_roots("import os.path\nfrom hypothesis import given\nfrom . import x\n") == {"os", "hypothesis"}
+    # the oracle rule fails when the oracle composes through the shared memo
+    # or reads make_dual, and when its table names a kernel or a cache
+    u, v = next((u, v) for u, v in oracle_pairs() if u.maps and v.maps)
+    categorical = record_profile(lambda: pairing(u, v, make_dual(u.source)))
+    composing = record_profile(lambda: (local_pairing(u, v), map_compose_shared(v.maps[0], u.maps[0])))
+    found = oracle_violations(composing, categorical, ORACLE_SHARED)
+    assert {"chainalg.map_compose_shared", "chainalg.memo"} <= set(found["unlisted"])
+    assert "chainalg._kept" in found["caches"]
+    dual_reading = record_profile(lambda: (local_pairing(u, v), dualtrace.make_dual(u.source)))
+    assert "dualtrace.make_dual" in oracle_violations(dual_reading, categorical, ORACLE_SHARED)["caches"]
+    named = oracle_violations(record_profile(lambda: local_pairing(u, v)), categorical,
+                              {**ORACLE_SHARED, "chainalg.mat_mul": "", "chainalg.map_identity": ""})
+    assert named["kernels"] == ["chainalg.map_identity", "chainalg.mat_mul"]
+    assert named["caches"] == ["chainalg.map_identity"]
+    assert named["listed_unshared"] == ["chainalg.map_identity", "chainalg.mat_mul"]
+
+
+def oracle_pairs() -> list[tuple]:
+    """The pairs the oracle rule runs on: criterion 11's scope over Z/2 and
+    80 diagrams of statements.biting_lv_diagram over Z and Z/7."""
+    rects = [*every_small_diagram(Ring(2)), *(biting_lv_diagram(seed, Ring(modulus))
+                                              for modulus in (0, 7) for seed in seeds(0x0AC1E + modulus, 40))]
+    return [(rect.u, rect.v) for rect in rects]
+
+
+def test_the_oracle_shares_only_value_classes_with_the_categorical_pairing():
+    """The pointwise oracle (local_pairing) and the categorical pairing
+    (pairing, with make_dual) share exactly the functions ORACLE_SHARED
+    names, each with its reason: value classes' constructors and accessors.
+    The oracle asks no cache, and the table names no cache and no kernel."""
+    oracle, categorical = (set(), set()), (set(), set())
+    for u, v in oracle_pairs():
+        for side, run in ((oracle, lambda: local_pairing(u, v)),
+                          (categorical, lambda: pairing(u, v, make_dual(u.source)))):
+            ran, asked = record_profile(run)
+            side[0].update(ran)
+            side[1].update(asked)
+    assert oracle_violations(oracle, categorical, ORACLE_SHARED) == {
+        "unlisted": [], "listed_unshared": [], "caches": [], "kernels": [],
+    }
+    assert all(ORACLE_SHARED.values())
 
 
 def every_cache() -> dict:

@@ -59,6 +59,23 @@ def test_sweep_make_dual_small(tmp_path):
     assert [fn.cache_info().currsize for fn in cached] == [0] * len(cached)
 
 
+def test_sweep_trace_wide_small(tmp_path):
+    """The trace case times trace(cc_identity(a), make_dual(a)) on the wide
+    family, with make_dual outside the timing, and refuses the deep family."""
+    out = tmp_path / "BENCH_trace_wide.json"
+    proc = _run("sweep_make_dual.py", "--case", "trace", "--sizes", "4,8", "--rounds", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["case"] == "dualtrace.trace" and doc["family"].startswith("statements.wide_object")
+    first, second = doc["records"]
+    assert (first["n"], second["n"]) == (4, 8) and first["rounds"] == 2 and first["memo_hits"] == 0
+    assert 0 < first["min_s"] <= first["median_s"] and 0 < first["scaled_min_s"] <= first["scaled_median_s"]
+    assert 0 < first["peak_rss_mb"] < 1024 and "relabeling_checks" not in first
+    assert "growth_exponent" in second and "growth_exponent" not in first
+    refused = _run("sweep_make_dual.py", "--case", "trace", "--family", "deep", "--out", str(out))
+    assert refused.returncode == 2 and "the trace case runs on the wide family" in refused.stderr
+
+
 def test_sweep_make_dual_deep(tmp_path):
     out = tmp_path / "BENCH_make_dual_deep.json"
     proc = _run("sweep_make_dual.py", "--family", "deep", "--sizes", "4", "--rounds", "2",
