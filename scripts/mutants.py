@@ -169,8 +169,7 @@ MUTANTS = [
      "self._compute(range(len(self._done))[i])", "self._compute(range(len(self._done))[i - 1])",
      "cells"),
     ("cc_tensor pairs (g, h) as (h, g)", "corrcat.py",
-     "map_tensor(self.factors[0].map_at(g[0]), self.factors[1].map_at(g[1]))",
-     "map_tensor(self.factors[1].map_at(g[1]), self.factors[0].map_at(g[0]))", "cells"),
+     "map_tensor(a.map_at(g[0]), b.map_at(g[1]))", "map_tensor(b.map_at(g[1]), a.map_at(g[0]))", "cells"),
     ("a tensor's key drops its right factor", "chainalg.py",
      "t._key = (a.key, b.key)", "t._key = a.key", "kernels"),
     ("a relabeling on the right skips its eager check", "corrcat.py",
@@ -197,7 +196,7 @@ MUTANTS = [
     ("a tensor's right leg takes the left leg's images", "finspan.py",
      "map(rights.get, c.apex.anchor, repeat(()))", "map(lefts.get, c.apex.anchor, repeat(()))", "cells"),
     ("a factored tensor's right leg takes the left factor of its second factor", "finspan.py",
-     "ProductMap(c.right, d.right)", "ProductMap(c.right, d.left)", "cells"),
+     "ProductMap(c.right, d.right, source=apex)", "ProductMap(c.right, d.left, source=apex)", "cells"),
     ("the factored join emits the right fibre's order first", "finspan.py",
      "sorted(zip(map(f.source.index, left), map(g.source.index, right), left, right))",
      "sorted(zip(map(g.source.index, right), map(f.source.index, left), left, right))", "cells"),

@@ -28,7 +28,8 @@ membership of the space's member lookup, which finspan composes from
 anchor tables (one dict lookup per leaf set, no __contains__ frame), and
 reads the target's stalk without asking again.
 
-The components of a tensor or a composite are computed when first read.
+The components of a tensor or a composite are computed when first read;
+a tensor makes slots for them only when they are read by position.
 Those of make_cc_morphism (and so shriek_push) are built at once, as it
 checks their stalks.  cc_tensor and cc_compose build components by
 map_tensor and map_compose_shared, which keep each tensor and composite in
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .chainalg import (
     ChainMap,
@@ -100,8 +101,8 @@ def obj_tensor(a: Sheaf, b: Sheaf) -> Sheaf:
 @dataclass(unsafe_hash=True)
 class CCMorphism:
     """Span plus one chain map per apex element (stalkwise coefficients);
-    a composite's are OnDemand, a tensor's read from its factors, the rest
-    built when it is made."""
+    a composite's are OnDemand, a tensor's _TensorMaps, the rest built when
+    it is made."""
 
     source: Sheaf
     target: Sheaf
@@ -111,8 +112,24 @@ class CCMorphism:
 
     def map_at(self, g: Label) -> ChainMap:
         if self.factors is not None:
-            return map_tensor(self.factors[0].map_at(g[0]), self.factors[1].map_at(g[1]))
+            return _tensor_at(*self.factors, g)
         return self.maps[self.span.apex.index(g)]
+
+
+def _tensor_at(a: CCMorphism, b: CCMorphism, g: Label) -> ChainMap:
+    """The component of a ⊗ b at g = (g_a, g_b), which map_tensor keeps."""
+    return map_tensor(a.map_at(g[0]), b.map_at(g[1]))
+
+
+class _TensorMaps(OnDemand):
+    """The components of a ⊗ b by position in its apex, each by _tensor_at.
+    Its slots are made at the first read: the certificates and the trace
+    read a tensor's components by pair (map_at), never by position."""
+
+    _done = cached_property(lambda self: [None] * self._missing)  # made before _missing counts down
+
+    def __init__(self, a: CCMorphism, b: CCMorphism, apex: FinOver):
+        self._compute, self._missing = lambda i: _tensor_at(a, b, apex.elements[i]), apex.size
 
 
 def make_cc_morphism(
@@ -182,8 +199,8 @@ def _join(m: CCMorphism, r: CCRelabel | None, m2: CCMorphism) -> CCMorphism:
     m.right(g); its component at (g, h) is m'_h . m_g, or
     (m'_h . r.stalk_map(x)) . m_g if r has stalk maps."""
     c = m.span
-    if r is not None and r.regroups and c.right.factors:
-        c = Span(c.left, ProductMap(*c.right.factors, r.forward, r.target.space))
+    if r is not None and r.regroups and c.right.factors and c.right.regroup is None:
+        c = Span(c.left, ProductMap(*c.right.factors, r.forward, r.target.space, c.apex))
     elif r is not None:
         c = Span(c.left, OverMap(c.apex, r.target.space, tuple(map(r.forward, c.right.graph))))
     span = span_compose(c, m2.span)
@@ -218,9 +235,7 @@ def cc_tensor(a: CCMorphism, b: CCMorphism) -> CCMorphism:
     span = span_tensor(a.span, b.span)
     src = obj_tensor(a.source, b.source)
     tgt = obj_tensor(a.target, b.target)
-    apex = span.apex
-    maps = OnDemand(apex.size, lambda i: map_tensor(*map(CCMorphism.map_at, (a, b), apex.elements[i])))
-    out = CCMorphism(src, tgt, span, maps)
+    out = CCMorphism(src, tgt, span, _TensorMaps(a, b, span.apex))
     out.factors = (a, b)
     return out
 

@@ -25,9 +25,10 @@ regroups nested pairs, and lists its graph only when read.  fiber_product
 joins such legs through the factors, as factorised query evaluation does:
 each coordinate of the values is an equation between a factor map of each
 leg, and the pairs are bound one factor map at a time from those
-coordinates' fibers.  A smaller tensor's legs, a composite's images and an
-injective map's fibers are built by C-level builtins, not a Python step
-per element.
+coordinates' fibers.  Legs whose values nest differently (a product listed
+out on one side) are joined listed out.  A smaller tensor's legs, a
+composite's images and an injective map's fibers are built by C-level
+builtins, not a Python step per element.
 
 FinOver, OverMap and Span are plain dataclasses, read-only by convention,
 as in chainalg: built per instance, they skip a frozen dataclass's
@@ -47,7 +48,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .chainalg import memo
 
 Label = Union[str, tuple]
-LISTED_MAX = 9  # span_tensor lays out the legs of a tensor of at most this many elements
+LISTED_MAX = 9  # span_tensor lays out the legs of a tensor of at most this many elements (README, Benchmark)
 
 
 @dataclass(eq=False)
@@ -204,11 +205,15 @@ def fiber_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
     Elements are the pairs (x, y) with f(x) = g(y), in lexicographic input
     order; returns the set together with the two projections.  A hash join:
     each x meets only its bucket g^-1(f(x)), which g holds in carrier order.
+    Legs that keep their factors are joined through them, unless their
+    values nest differently (a target listed out on one side only).
     """
     if f.target != g.target:
         raise ValueError("fiber product target mismatch")
-    if f.factors or g.factors:
-        return _factored_product(f, g)
+    maps: list[OverMap] = []
+    trees = (f.factors or g.factors) and (_coords(f, maps), _coords(g, maps))
+    if trees and None not in trees and _shape(trees[0]) == _shape(trees[1]):
+        return _factored_product(f, g, maps, *map(_leaves, trees))
     buckets = g._fibers
     fibers = [buckets.get(fx, ()) for fx in f.graph]
     counts = [len(ys) for ys in fibers]
@@ -297,11 +302,10 @@ def span_compose(c: Span, d: Span) -> Span:
 def span_tensor(c: Span, d: Span) -> Span:
     """Pointwise product of correspondences over the base.  Past LISTED_MAX
     pairs of apex elements its legs keep their factors (ProductMap); up to
-    it they are laid out like the apex by C-level builtins, which costs
-    less than joining through the factors."""
+    it they are laid out like the apex by C-level builtins."""
     apex = prod_over_base(c.apex, d.apex)
     if apex.size > LISTED_MAX:
-        return Span(ProductMap(c.left, d.left), ProductMap(c.right, d.right))
+        return Span(ProductMap(c.left, d.left, source=apex), ProductMap(c.right, d.right, source=apex))
     lspace = prod_over_base(c.left.target, d.left.target)
     rspace = prod_over_base(c.right.target, d.right.target)
     lefts, rights = {}, {}
@@ -316,10 +320,13 @@ def span_tensor(c: Span, d: Span) -> Span:
 class ProductMap(OverMap):
     """f ×_base g, then regroup into target if given: a function that only
     regroups nested pairs, such as ((a, b), c) -> (a, (b, c)).  It keeps its
-    factors and lists its graph only when it is read."""
+    factors and lists its graph only when it is read.  source, if given, is
+    the product of the factors' sources, shared with the other leg."""
 
-    def __init__(self, f: OverMap, g: OverMap, regroup: Callable | None = None, target: FinOver | None = None):
-        self.source, self.factors, self.regroup = prod_over_base(f.source, g.source), (f, g), regroup
+    def __init__(self, f: OverMap, g: OverMap, regroup: Callable | None = None, target: FinOver | None = None,
+                 source: FinOver | None = None):
+        self.source = source or prod_over_base(f.source, g.source)
+        self.factors, self.regroup = (f, g), regroup
         self.target = target or prod_over_base(f.target, g.target)
 
     def __call__(self, e: Label) -> Label:
@@ -329,19 +336,16 @@ class ProductMap(OverMap):
     graph = cached_property(lambda self: tuple(map(self, self.source.elements)))
 
 
-def _factored_product(f: OverMap, g: OverMap) -> tuple[FinOver, OverMap, OverMap]:
+def _factored_product(f: OverMap, g: OverMap, maps: list[OverMap], cf: list, cg: list
+                      ) -> tuple[FinOver, OverMap, OverMap]:
     """fiber_product of legs that keep their factors, walking no product.
     Each coordinate of the values is an equation between a factor map of f
-    and one of g (_coords).  The factor maps are bound one at a time, f's
-    first in its order, then one linked to a bound one, looked up in its
-    coordinate's fibers and checked on its other links (by its anchor if
-    none is linked).  Sorting by the positions in f's source, then in g's,
-    gives fiber_product's order."""
-    maps: list[OverMap] = []
-    cf = _leaves(_coords(f, maps))
-    nf, cg = len(maps), _leaves(_coords(g, maps))
-    if len(cf) != len(cg):
-        raise ValueError("the legs' targets split into different coordinates")
+    and one of g: the leaves cf and cg of their _coords, nested alike, over
+    their factor maps, f's first.  The factor maps are bound one at a time,
+    f's first in its order, then one linked to a bound one, looked up in
+    its coordinate's fibers and checked on its other links (by its anchor
+    if none is linked).  Sorting by the positions in f's source, then in
+    g's, gives fiber_product's order."""
     links = [*zip(cf, cg), *zip(cg, cf)]
     bound, rows = [0], [(e,) for e in maps[0].source.elements]  # their elements in the order bound
     while len(bound) < len(maps):
@@ -366,12 +370,16 @@ def _coords(leg: OverMap, maps: list[OverMap]) -> Label:
     """leg's values as a tree nested like its target's elements, with at each
     leaf set [the index of the factor map the coordinate comes from, once
     appended to maps, and the map giving it]; a regroup regroups the tree as
-    it regroups values, so it runs once."""
+    it regroups values, so it runs once.  None if the regroup takes a leaf
+    apart, as where a factor's target lists a product out."""
     if not leg.factors:
         maps.append(leg)
         return _projections(leg, len(maps) - 1)
     tree = _coords(leg.factors[0], maps), _coords(leg.factors[1], maps)
-    return tree if leg.regroup is None else leg.regroup(tree)
+    if leg.regroup is None or None in tree:
+        return None if None in tree else tree
+    out = leg.regroup(tree)
+    return out if sorted(map(id, _leaves(out))) == sorted(map(id, _leaves(tree))) else None
 
 
 def _projections(m: OverMap, i: int) -> Label:
@@ -385,6 +393,11 @@ def _projections(m: OverMap, i: int) -> Label:
 def _leaves(tree: Label) -> list:
     """The leaves of a tree of tuples, in order; a coordinate is a list, so a leaf."""
     return [leaf for t in tree for leaf in _leaves(t)] if type(tree) is tuple else [tree]
+
+
+def _shape(tree: Label) -> Label:
+    """How a tree of tuples nests, without its leaves."""
+    return tuple(map(_shape, tree)) if type(tree) is tuple else None
 
 
 def _nested(leg: OverMap, columns) -> tuple[Label, ...]:

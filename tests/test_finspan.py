@@ -14,7 +14,6 @@ from spantrace.finspan import (
     ProductMap,
     ProductOver,
     Span,
-    _factored_product,
     base_space,
     cell_check,
     fiber_product,
@@ -582,8 +581,11 @@ def test_the_factored_join_matches_the_listed_fiber_product(seed):
     fibre order), the same anchors and projections.  Over a base of 1-2
     points, on sets of 0-4 elements (empty fibres, empty apexes), for tensor
     legs and plain ones into a product, on both sides, and for a tensor's leg
-    carried across cc_assoc, cc_assoc_inv or cc_swap first.  A product's size
-    and positions agree with its listing too."""
+    carried across cc_assoc, cc_assoc_inv or cc_swap first; such legs are
+    joined without listing their graphs.  Legs whose values nest differently,
+    as where a target or a factor's target is a product listed out, are
+    joined listed out, also across cc_assoc.  A product's size and positions
+    agree with its listing too."""
     rng = random.Random(seed)
     base = ("p", "q")[:rng.randint(1, 2)]
     x, y, z = (FinOver(base, tuple(f"{k}{i}" for i in range(n)), tuple(rng.choice(base) for _ in range(n)))
@@ -607,10 +609,29 @@ def test_the_factored_join_matches_the_listed_fiber_product(seed):
             f = ProductMap(*f.factors, r.forward, r.target.space)
         elif not (f.factors or g.factors):
             g = ProductMap(*(random_leg(rng, base, leg_target(s), k) for s, k in zip(after, "ef")))
-        apex, pr1, pr2 = _factored_product(f, g)
-        eager, eager1, eager2 = fiber_product(listed(f), listed(g))
-        assert apex.elements == eager.elements and apex.anchor == eager.anchor, name
-        assert (pr1.graph, pr2.graph) == (eager1.graph, eager2.graph), name
-        assert (pr1.source, pr1.target, pr2.target) == (apex, f.source, g.source), name
+        joined = fiber_product(f, g)
+        assert not any("graph" in vars(leg) for leg in (f, g) if leg.factors), name
+        check_join(name, f, g, joined)
         for leg in (f, g):
             check_product_counts(leg.source)
+    copy = lambda space: FinOver(space.base, space.elements, space.anchor)  # noqa: E731
+    r = cc_assoc(sx, sy, sz)
+    into_x, into_yz = random_leg(rng, base, x, "c"), random_leg(rng, base, copy(prod_over_base(y, z)), "d")
+    differently = {
+        "listed target": (random_factored_leg(rng, base, (x, y), "a"),
+                          random_leg(rng, base, copy(prod_over_base(x, y)), "b")),
+        "listed factor": (ProductMap(into_x, into_yz), random_factored_leg(rng, base, (x, (y, z)), "b")),
+        "listed factor, assoc": (ProductMap(into_x, into_yz, r.forward, r.target.space),
+                                 random_factored_leg(rng, base, ((x, y), z), "b")),
+    }
+    for name, (f, g) in differently.items():
+        for f, g in ((f, g), (g, f)):
+            check_join(name, f, g, fiber_product(f, g))
+
+
+def check_join(name, f, g, joined):
+    apex, pr1, pr2 = joined
+    eager, eager1, eager2 = fiber_product(listed(f), listed(g))
+    assert apex.elements == eager.elements and apex.anchor == eager.anchor, name
+    assert (pr1.graph, pr2.graph) == (eager1.graph, eager2.graph), name
+    assert (pr1.source, pr1.target, pr2.target) == (apex, f.source, g.source), name
