@@ -99,6 +99,12 @@ MUTANTS = [
     ("map_compose swaps its factors", "chainalg.py",
      "(n, mat_mul(g.component(n), f.component(n)))", "(n, mat_mul(f.component(n), g.component(n)))",
      "kernels"),
+    ("the composite cache skips the ring check", "chainalg.py",
+     "profile = f.source.ring, f.source.ranks, f.target.ranks, g.target.ranks",
+     "profile = f.source.ranks, f.target.ranks, g.target.ranks", "kernels"),
+    ("the composite cache skips the rank-profile check", "chainalg.py",
+     "profile = f.source.ring, f.source.ranks, f.target.ranks, g.target.ranks",
+     "profile = f.source.ring,", "kernels"),
     ("ChainMap skips its degree check", "chainalg.py",
      "if degrees != [n for n in src if n in tgt]:", "if False:", "kernels"),
     ("make_complex keeps a stray differential", "chainalg.py",
@@ -140,7 +146,7 @@ MUTANTS = [
      "return n, _placed(ring, rows, cols, blocks)", "kernels"),
     ("the chain-map memos key by the first map alone", "chainalg.py",
      "_kept((fn, id(a), id(b)))",
-     "_kept((fn, id(a), 0 if fn in (_tensor_map, map_compose) else id(b)))", "kernels"),
+     "_kept((fn, id(a), 0 if fn in (_tensor_map, _compose_kept) else id(b)))", "kernels"),
     ("the one-pass reassociation writes its i-blocks at stride rbc", "chainalg.py",
      "row, col = to + i * block, so + i * rbc", "row, col = to + i * rbc, so + i * rbc", "kernels"),
     ("the tensor layout orders each degree's summands by p", "chainalg.py",

@@ -2,8 +2,8 @@
 """Time make_dual, with both triangle certificates, or a trace over a size
 sweep.
 
-Two size families from tests/statements.py, both over ZZ and both past the
-generator's caps:
+Three size families from tests/statements.py, all over ZZ and all past
+the generator's caps:
 
 * ``wide`` (the default), wide_object: n points over one base point
   with rank-(2,1) stalks, so the growth of duality's certificates in n
@@ -18,6 +18,10 @@ generator's caps:
   the chain-complex kernels on the rank-n^3 certificate tensors do the work.
   The kernel caches are emptied before every round, so each round pays that
   matrix work.
+* ``profile``, profile_object: n points over one base point, each with a
+  stalk of its own of one rank profile (Z^2 in degree 0, Z in degree 1),
+  so work kept per rank profile is done once and work kept per stalk n
+  times.  The kernel caches are emptied before every round, as for deep.
 
 make_dual keeps the duality data of its latest objects, and every round
 builds an equal object, so its memo is emptied before every round in both
@@ -40,13 +44,14 @@ times the benchmark's fixed reference slice of pure-Python work
 nominal time: files recorded in different sessions compare on the scaled
 figures.  The growth exponents are taken from the scaled medians.
 
-Usage: python scripts/sweep_make_dual.py [--case dual|trace] [--family wide|deep]
+Usage: python scripts/sweep_make_dual.py [--case dual|trace] [--family wide|deep|profile]
                                          [--sizes 8,16,...,512] [--rounds 3] [--out BENCH_make_dual.json]
 
-The sizes default to 8,16,24,32,48,64,96,128,192,256,384,512 for wide and
-4,8,12,16,20,24,32,48,64,96,128 for deep, the output to
-BENCH_make_dual.json and BENCH_make_dual_deep.json (BENCH_trace_wide.json
-for the trace case, which runs on the wide family only).
+The sizes default to 8,16,24,32,48,64,96,128,192,256,384,512 for wide,
+4,8,12,16,20,24,32,48,64,96,128 for deep and 8,16,...,1024 for
+profile, the output to BENCH_make_dual.json, BENCH_make_dual_deep.json and
+BENCH_make_dual_profile.json (BENCH_trace_wide.json for the trace case,
+which runs on the wide family only).
 Writes one record per size (median and minimum seconds, raw and scaled,
 rounds, memo hits, peak RSS in MB, the relabeling checks for wide, and the
 growth exponent against the previous size) plus the Python version and the CPU count.  It times the
@@ -73,7 +78,7 @@ from spantrace import chainalg  # noqa: E402
 from spantrace.chainalg import ZZ  # noqa: E402
 from spantrace.corrcat import CCRelabel, cc_identity  # noqa: E402
 from spantrace.dualtrace import make_dual, trace  # noqa: E402
-from statements import deep_object, wide_object  # noqa: E402
+from statements import deep_object, profile_object, wide_object  # noqa: E402
 
 # family: (builder, default sizes, default output, description)
 FAMILIES = {
@@ -81,6 +86,9 @@ FAMILIES = {
              "statements.wide_object over ZZ: n points over one base point, rank-(2,1) stalks"),
     "deep": (deep_object, "4,8,12,16,20,24,32,48,64,96,128", "BENCH_make_dual_deep.json",
              "statements.deep_object over ZZ: one point, a stalk of total rank n from fixed pieces"),
+    "profile": (profile_object, "8,16,32,64,128,256,512,1024", "BENCH_make_dual_profile.json",
+                "statements.profile_object over ZZ: n points over one base point, a stalk of its own at each,"
+                " all of rank profile (2,1)"),
 }
 
 
@@ -124,7 +132,7 @@ def measure(family: str, n: int, rounds: int, case: str = "dual") -> dict:
     for _ in range(rounds):
         obj = build(ZZ, n)
         make_dual.cache_clear()
-        if family == "deep":
+        if family != "wide":
             clear_kernel_caches()
         if case == "trace":
             dx = make_dual(obj)

@@ -20,7 +20,7 @@ structure maps read it rather than rescan the ranks.
 The structure maps depend on the ranks and the ring alone, not on the
 differentials, so their matrices are built once per rank profile and shared
 by every complex that has it: the permutations of swap_map, assoc_map and
-assoc_map_inv, and the one matrix of ev_map and coev_map.  map_tensor's are
+assoc_map_inv, and the components of ev_map and coev_map.  map_tensor's are
 shared by every pair of maps with the same ranks and component values.
 Each public function wraps them in a ChainMap with its own endpoints.  The
 ring is in every key: it fixes how the signs normalise, and over Z/1 every
@@ -29,11 +29,15 @@ At points with one stalk corrcat repeats each operation on the same
 objects, so `memo(fn, a, b)`, one LRU keyed by fn and the identities of its
 two operands, keeps chain-map tensors (map_tensor), composites
 (map_compose_shared), products over the base (finspan.prod_over_base) and
-pullbacks (basefunc.pull_space).
-Matrix products are not kept; map_compose, the one composite body, reads
-no memo.  There is one Ring per modulus, so rings compare by identity, and
-built values are handed on: the direct sum of one summand is that summand,
-and map_direct_sum takes the sums its caller holds.
+pullbacks (basefunc.pull_space).  A composite memo misses takes its
+components from `_composed`, an LRU of its own keyed by the identities of
+its factors' component tuples, read only for the ring and rank profiles it
+was filled for.  Structure maps and their tensors with identities share
+component tuples per profile, so each certificate composite and a trace's
+ev . swap is multiplied once per ring and rank profile; map_compose, the
+one composite body, reads no cache.  One Ring per modulus makes rings
+compare by identity, and built values are handed on: a direct sum of one
+summand is that summand; map_direct_sum takes the sums its caller holds.
 
 Matrix, Complex and ChainMap, like the values of finspan, sheafops and
 corrcat, are plain dataclasses, read-only by convention: nothing assigns to
@@ -48,8 +52,9 @@ Each invariant is checked once, where its value is built.  A constructor
 checks shape: Matrix its rows, Complex and ChainMap the degrees, shapes and
 ring of their blocks.  The make_* helpers convert raw input (rows through
 `mat`, an absent block zero) and check the identities: d.d = 0 in
-sheafops.make_sheaf, commutation in make_chain_map.  The kernels build
-through the constructors; only their matrices skip Matrix's scan.
+sheafops.make_sheaf, commutation in make_chain_map, ev_map and coev_map.
+The kernels build through the constructors; only their matrices skip
+Matrix's scan.
 
 A Matrix stores each row as a dict from the column of each nonzero entry to
 that entry, normalised, with no zero stored; that one form is what every
@@ -593,9 +598,14 @@ def make_chain_map(source: Complex, target: Complex, components: Mapping[int, Bl
     """The chain map of the given components, absent ones zero; raises
     unless it commutes with the differentials."""
     shapes = {n: (target.rank(n), r) for n, r in source.ranks if target.rank(n)}
-    f = ChainMap(source, target, _filled(source.ring, components or {}, shapes))
-    for n, _ in source.ranks:
-        if target.rank(n + 1) and mat_mul(target.d(n), f.component(n)) != mat_mul(f.component(n + 1), source.d(n)):
+    return _commuting(ChainMap(source, target, _filled(source.ring, components or {}, shapes)))
+
+
+def _commuting(f: ChainMap) -> ChainMap:
+    """f, once checked to commute with the differentials."""
+    src, tgt = f.source, f.target
+    for n, _ in src.ranks:
+        if tgt.rank(n + 1) and mat_mul(tgt.d(n), f.component(n)) != mat_mul(f.component(n + 1), src.d(n)):
             raise ValueError(f"not a chain map at degree {n}")
     return f
 
@@ -614,8 +624,28 @@ def map_compose(g: ChainMap, f: ChainMap) -> ChainMap:
 
 
 def map_compose_shared(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f, kept by memo."""
-    return memo(map_compose, g, f)
+    """g after f, kept by memo; a miss takes its components from _composed."""
+    return memo(_compose_kept, g, f)
+
+
+def _compose_kept(g: ChainMap, f: ChainMap) -> ChainMap:
+    """g after f, its components kept per pair of component tuples."""
+    kept = _composed((id(g.components), id(f.components)))
+    profile = f.source.ring, f.source.ranks, f.target.ranks, g.target.ranks
+    if kept and kept[2] == profile:
+        if f.target != g.source:
+            raise ValueError("composition boundary mismatch")
+        return ChainMap(f.source, g.target, kept[3])
+    out = map_compose(g, f)
+    if not kept:
+        kept += g.components, f.components, profile, out.components
+    return out
+
+
+@lru_cache(maxsize=256)
+def _composed(key: tuple) -> list:
+    """_compose_kept's slot of key, as _kept is memo's: apart, so that it evicts no memo entry."""
+    return []
 
 
 @lru_cache(maxsize=256)
@@ -741,24 +771,21 @@ def pair_sign(p: int) -> int:
 @lru_cache(maxsize=4096)
 def ev_map(c: Complex) -> ChainMap:
     """Evaluation dual(c) (x) c -> unit, phi (x) x -> sign * phi(x)."""
-    src = cx_tensor(cx_dual(c), c)
-    comps = {0: _pairing(c.ring, c.ranks, True)} if src.rank(0) else {}
-    return make_chain_map(src, unit_complex(c.ring), comps)
+    return _commuting(ChainMap(cx_tensor(cx_dual(c), c), unit_complex(c.ring), _pairing(c.ring, c.ranks, True)))
 
 
 @lru_cache(maxsize=4096)
 def coev_map(c: Complex) -> ChainMap:
     """Coevaluation unit -> c (x) dual(c), 1 -> sum of sign * e_i (x) e_i*."""
-    tgt = cx_tensor(c, cx_dual(c))
-    comps = {0: _pairing(c.ring, c.ranks, False)} if tgt.rank(0) else {}
-    return make_chain_map(unit_complex(c.ring), tgt, comps)
+    return _commuting(ChainMap(unit_complex(c.ring), cx_tensor(c, cx_dual(c)), _pairing(c.ring, c.ranks, False)))
 
 
 @lru_cache(maxsize=4096)
-def _pairing(ring: Ring, ranks: tuple, ev: bool) -> Matrix:
-    """The degree-0 component of ev_map (a row) or coev_map (a column) of a
-    complex of these ranks: on the diagonal of each summand, the sign of
-    its dual factor's degree."""
+def _pairing(ring: Ring, ranks: tuple, ev: bool) -> tuple:
+    """The components of ev_map or coev_map of a complex of these ranks,
+    shared by every such complex: in degree 0, if the tensor has it, a row
+    or a column with, on the diagonal of each summand, the sign of its dual
+    factor's degree."""
     rank, dual = dict(ranks), tuple((-n, r) for n, r in reversed(ranks))
     width, offsets = tensor_layout(*((dual, ranks) if ev else (ranks, dual)))
     diagonal = {}
@@ -767,7 +794,7 @@ def _pairing(ring: Ring, ranks: tuple, ev: bool) -> Matrix:
         r = rank[-d]
         diagonal.update(dict.fromkeys(range(off, off + r * r, r + 1), pair_sign(d)))
     row = _kernel_matrix(ring, 1, width.get(0, 0), (_normed(diagonal, ring.modulus),))
-    return row if ev else mat_transpose(row)
+    return ((0, row if ev else mat_transpose(row)),) if row.cols else ()
 
 
 @lru_cache(maxsize=4096)

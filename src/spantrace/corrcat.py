@@ -34,8 +34,10 @@ Those of make_cc_morphism (and so shriek_push) are built at once, as it
 checks their stalks.  cc_tensor and cc_compose build components by
 map_tensor and map_compose_shared, which keep each tensor and composite in
 chainalg.memo per pair of map objects: points with one stalk share them,
-so each is built once.  The matrix products inside a composite are not
-kept.  The pointwise oracle (dualtrace.local_pairing) reads none of this.
+so each is built once.  A composite's matrix products are kept per pair of
+component tuples, ring and rank profiles, so points whose stalks share a
+rank profile share the certificates' products.  The pointwise oracle
+(dualtrace.local_pairing) reads none of this.
 
 CCMorphism, CCCell and CCRelabel are plain dataclasses, read-only by
 convention, as in chainalg: built per instance, they skip a frozen

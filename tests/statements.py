@@ -11,7 +11,7 @@ the trace of an identity is the pointwise Euler characteristic; the
 tensor product distributes over direct sums; pullback along a base change
 is symmetric monoidal.  Also here: the small complex, the exhaustive
 lift search, the interlocking spans, the fixed seed lists every randomised
-test draws from, the two size families past the generator's caps and the
+test draws from, the three size families past the generator's caps and the
 emptying of every package cache, which several test modules share and
 tests/conftest.py runs before each test; scripts/sweep_make_dual.py times
 the size families.
@@ -232,6 +232,20 @@ def wide_object(ring: Ring, n: int) -> Sheaf:
         for k in (0, 1)
     ]
     return Sheaf(ring, space, tuple(pool[i % 6] for i in range(n)))
+
+
+def profile_object(ring: Ring, n: int, start: int = 0) -> Sheaf:
+    """n points over one base point, past the max_set cap, each with its own
+    stalk of one rank profile: the size family on which composites kept per
+    rank profile show, since no two points share a stalk.
+
+    The stalk at point i is Z^2 in degree 0 and Z in degree 1, with
+    differential [[k, k + 1]] for k = start + i; objects with disjoint
+    ranges of k have no stalk in common over Z.
+    """
+    space = FinOver(("b",), tuple(f"x{i}" for i in range(n)), ("b",) * n)
+    return Sheaf(ring, space, tuple(make_complex(ring, {0: 2, 1: 1}, {0: [[k, k + 1]]})
+                                    for k in range(start, start + n)))
 
 
 def deep_object(ring: Ring, r: int) -> Sheaf:

@@ -1000,6 +1000,36 @@ def test_chain_map_memos_key_by_both_maps():
             assert map_compose_shared(other, x) == map_compose(other, x) != map_compose_shared(y, x)
 
 
+def test_composites_are_kept_per_ring_and_rank_profile(monkeypatch):
+    """A composite the memo misses takes its components from those kept for
+    its pair of component tuples, for one ring and one triple of rank
+    profiles: the swaps of two complexes with one profile and other
+    differentials share their composite's, each composite with its own
+    endpoints and computing no product.  The empty tuple, which maps with
+    no common degree share over every ring, gives each ring and each
+    profile its own zero blocks, those of map_compose."""
+    rng = random.Random(43)
+    products = []
+    mul = chainalg.mat_mul
+    monkeypatch.setattr(chainalg, "mat_mul", lambda a, b: products.append(None) or mul(a, b))
+    for ring in (ZZ, Z7):
+        a = big_complex(rng, ring)
+        a2 = make_complex(ring, dict(a.ranks))
+        s, s2 = swap_map(a, a), swap_map(a2, a2)
+        first = map_compose_shared(s, s)
+        del products[:]
+        second = map_compose_shared(s2, s2)
+        assert not products and second.components is first.components
+        assert (second.source, second.target) == (s2.source, s2.target) and second == map_compose(s2, s2)
+    for ring in (ZZ, Z7):
+        for r in (1, 2):
+            x, y = make_complex(ring, {0: r}), make_complex(ring, {1: 1})
+            f, g = make_chain_map(x, y, {}), make_chain_map(y, x, {})
+            assert f.components is g.components is ()
+            h = map_compose_shared(g, f)
+            assert h == map_compose(g, f) and h.component(0) == mat_zero(ring, r, r)
+
+
 def test_tensor_cache_is_keyed_by_the_factors():
     """An eager complex is its own key and a tensor's is the pair of its
     factors' keys.  cx_tensor is cached by them: distinct factors equal in

@@ -72,7 +72,8 @@ from spantrace.generate import (
 from spantrace.sheafops import Sheaf, make_sheaf, omega_push, push, verdier
 from spantrace.suites import lv_checks, oracle_checks, symmetry_checks
 from statements import (SIZES, cc_iso_search, char_class, clear_caches, deep_object, dual_of_morphism,
-                        interlocking_spans, map_scale, proper_splitting, q_complex, seeded, wide_object)
+                        interlocking_spans, map_scale, profile_object, proper_splitting, q_complex, seeded,
+                        wide_object)
 
 
 def point_object(n=1, ring=ZZ):
@@ -605,14 +606,16 @@ def poisoned_result(right):
 
 def test_a_poisoned_map_memo_changes_the_pairing_and_not_the_oracle(monkeypatch):
     """cc_compose and cc_tensor take their chain-map tensors and composites
-    from a memo that local_pairing never reads: with every hit of one of the
-    two returning a wrong value, the categorical side fails or changes, and
-    the pointwise oracle does not."""
+    from a memo that local_pairing never reads, and a composite the memo
+    misses takes its components from _composed, which local_pairing never
+    reads either: with every hit of one of the three returning a wrong
+    value, the categorical side fails or changes, and the pointwise oracle
+    does not."""
     a, b, u, v = deep_pair(ZZ)
     want = local_pairing(u, v), local_pairing(v, u)
     assert any(want[0].values) and pairing(u, v, make_dual(a)).omega == want[0]
-    memo = chainalg.memo
-    for kind in ("_tensor_map", "map_compose"):
+    memo, composed = chainalg.memo, chainalg._composed
+    for kind in ("_tensor_map", "_compose_kept", "_composed"):
         clear_caches()
         hits = []
 
@@ -622,8 +625,16 @@ def test_a_poisoned_map_memo_changes_the_pairing_and_not_the_oracle(monkeypatch)
             hits.append(hit)
             return poisoned_result(right) if hit else right
 
+        def poisoned_slot(key):
+            kept = composed(key)
+            hits.append(bool(kept))
+            return [*kept[:3], tuple((n, poisoned_result(m)) for n, m in kept[3])] if kept else kept
+
         with monkeypatch.context() as mp:
-            mp.setattr(chainalg, "memo", poisoned)
+            if kind == "_composed":
+                mp.setattr(chainalg, "_composed", poisoned_slot)
+            else:
+                mp.setattr(chainalg, "memo", poisoned)
             try:
                 got = pairing(u, v, make_dual(a)).omega, pairing(v, u, make_dual(b)).omega
             except ValueError:
@@ -659,6 +670,33 @@ def test_make_dual_reuses_the_certificate_products_of_a_rank_profile(ring, monke
     assert (second.hits - kept.hits, second.misses - kept.misses) == (45, 5)
     clear_caches()
     assert chainalg._kept.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring(7)])
+def test_certificates_and_traces_compose_once_per_rank_profile(ring, monkeypatch):
+    """The points of profile_object have stalks of their own and one rank
+    profile, and the structure maps share their component tuples per
+    profile, so make_dual runs its certificates' four map_compose bodies
+    once, not once per point, and the trace of the identity three.  A second
+    object on other complexes of that profile runs none for either; an
+    object of another profile runs its own.  Every trace is the pointwise
+    Euler characteristic."""
+    bodies = []
+    compose = chainalg.map_compose
+    monkeypatch.setattr(chainalg, "map_compose", lambda g, f: bodies.append(None) or compose(g, f))
+
+    def run(a):
+        del bodies[:]
+        d = make_dual(a)
+        dual_bodies = len(bodies)
+        assert trace(cc_identity(a), d).omega.values == (1,) * a.space.size  # each Euler characteristic is 1
+        return dual_bodies, len(bodies) - dual_bodies
+
+    for n in (9, 3):
+        clear_caches()
+        assert run(profile_object(ring, n)) == (4, 3)
+    assert run(profile_object(ring, 3, start=3)) == (0, 0)  # k = 3, 4, 5: stalks the last object lacks
+    assert run(deep_object(ring, 3)) == (4, 3)
 
 
 @pytest.mark.parametrize("r", [4, 6, 8])

@@ -92,6 +92,22 @@ def test_sweep_make_dual_deep(tmp_path):
     assert "relabeling_checks" not in rec
 
 
+def test_sweep_make_dual_profile(tmp_path):
+    out = tmp_path / "BENCH_make_dual_profile.json"
+    proc = _run("sweep_make_dual.py", "--family", "profile", "--sizes", "4,8", "--rounds", "2",
+                "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["case"] == "dualtrace.make_dual"
+    assert doc["family"].startswith("statements.profile_object")
+    first, second = doc["records"]
+    assert (first["n"], second["n"]) == (4, 8) and first["rounds"] == 2 and first["memo_hits"] == 0
+    assert 0 < first["min_s"] <= first["median_s"]
+    assert 0 < first["scaled_min_s"] <= first["scaled_median_s"] and doc["ref_nominal_s"] > 0
+    assert 0 < first["peak_rss_mb"] < 1024 and "relabeling_checks" not in first
+    assert "growth_exponent" in second and "growth_exponent" not in first
+
+
 def _mutant_table():
     """MUTANTS and the selection names of scripts/mutants.py, read without running it."""
     tree = ast.parse(open(os.path.join(ROOT, "scripts", "mutants.py"), encoding="utf-8").read())
